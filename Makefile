@@ -2,9 +2,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint test parity chaos-smoke elastic-smoke coded-smoke service-smoke overlap-smoke sparse-smoke codec-smoke build bench bench-json bench-smoke
+.PHONY: ci fmt lint test codec-smoke build bench bench-json bench-smoke
 
-ci: fmt lint test parity chaos-smoke elastic-smoke coded-smoke service-smoke overlap-smoke sparse-smoke bench-smoke codec-smoke
+ci: fmt lint test bench-smoke codec-smoke
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -12,66 +12,11 @@ fmt:
 lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
+# Every contract suite runs here: sim/real byte parity and the serial
+# reference (tests/plan_parity.rs), chaos, elastic, coded replication
+# (crates/cluster/tests), the job service (crates/engine/tests).
 test:
 	$(CARGO) test -q --workspace
-
-# The sim/real byte-parity contract, runnable on its own: the simulator's
-# communication model must match what the real executor's ledger measures,
-# bit for bit.
-parity:
-	$(CARGO) test -q --test plan_parity
-
-# The recovery contract under seeded fault injection: a fixed-seed run with
-# drops, corruption, and crashes must complete bit-identical to fault-free
-# (plus the proptest sweep over random fault schedules).
-chaos-smoke:
-	$(CARGO) test -q -p distme-cluster --test chaos
-
-# The elasticity contract: fixed-seed GNMF runs that grow (4->9) and
-# shrink (9->4) mid-factorization must produce factors bit-identical to
-# fixed-grid runs, with resident blocks actually migrating, plus the
-# ledger-delta and membership-log invariants.
-elastic-smoke:
-	$(CARGO) test -q -p distme-cluster --test elastic
-	$(CARGO) test -q -p distme-engine -- gnmf::tests::gnmf_grown_mid_run_matches_a_fixed_grid_bit_for_bit gnmf::tests::gnmf_shrunk_mid_run_drains_live_blocks_without_drift gnmf::tests::autoscaler_grows_the_cluster_during_gnmf
-
-# The coded-replication contract (chaos + elastic combined): mid-GNMF loss
-# of a node holding sole-copy blocks, with transport faults active, must
-# complete bit-identical to fault-free under ReplicationPolicy::Xor (parity
-# decode exercised, lineage fallback still counted) — and must keep failing
-# with the typed NodeDecommissioned error when coding is off or the
-# erasure budget is exceeded.
-coded-smoke:
-	$(CARGO) test -q -p distme-cluster --test coded
-	$(CARGO) test -q -p distme-cluster --lib coding
-
-# The multi-tenancy contract: concurrent jobs through the job service must
-# match their solo runs bit for bit, per-tenant ledger deltas must sum to
-# the cluster totals, and over-budget submissions must queue (bounding
-# concurrent resident memory) rather than fail.
-service-smoke:
-	$(CARGO) test -q -p distme-engine --test service
-
-# The pipelined-execution contract: the streaming executor (communication
-# overlapped with compute via per-task block dependencies) must match the
-# barrier executor bit for bit — result bytes and ledger model bytes — for
-# every method, and must recover faults mid-stream just as exactly.
-overlap-smoke:
-	$(CARGO) test -q --test plan_parity pipelined_matches_barrier_parity
-	$(CARGO) test -q -p distme-cluster --test chaos pipelined_streaming_recovers_drops_and_corruption_bit_identically
-	$(CARGO) test -q -p distme-core pipelined
-
-# The sparse-method contract: SDDMM/SpMM local kernels bit-match their
-# dense references, both methods hold sim/real byte parity (SDDMM also
-# across node counts), ALS converges with factors bit-identical across
-# elastic resizes and under the multi-tenant service, and blackout-window
-# losses of coded operands decode from parity.
-sparse-smoke:
-	$(CARGO) test -q -p distme-matrix sddmm
-	$(CARGO) test -q --test plan_parity sddmm_keeps_parity_across_ragged_grids
-	$(CARGO) test -q -p distme-engine als
-	$(CARGO) test -q -p distme-engine --test service concurrent_als_matches_its_solo_run_bit_for_bit
-	$(CARGO) test -q -p distme-cluster --test chaos blackout_window_losses_decode_from_parity_before_lineage
 
 build:
 	$(CARGO) build --release

@@ -10,15 +10,19 @@
 //! # Determinism contract
 //!
 //! Every injection decision is a pure function of the [`FaultSpec`] seed
-//! and the *identity* of the event (block position, producer copy, route,
-//! stage counter, attempt indices) — never of wall-clock time, thread
-//! interleaving, or a shared sequential RNG. Two runs with the same seed
-//! and the same plan fault the same deliveries in the same way no matter
-//! how the stage's workers are scheduled, which is what lets the chaos
-//! suite assert bit-identical recovery. Matrix uids are deliberately
-//! excluded from the hash: they come from a global counter and vary with
-//! test ordering.
+//! and the *plan identity* of the event: the job's ordinal since the plan
+//! was armed, the planned [`Phase`], and then either the plan's task index
+//! (crashes) or the move's block position, producer copy and route
+//! (deliveries), plus the attempt indices — never wall-clock time, thread
+//! interleaving, how many stages the executor happens to run, or a shared
+//! sequential RNG. Two runs with the same seed and the same plan fault the
+//! same deliveries in the same way no matter how the job's workers are
+//! scheduled, which is what lets the chaos suite assert bit-identical
+//! recovery. Matrix uids are deliberately excluded from the hash: they
+//! come from a global counter and vary with test ordering.
 
+use crate::failure::TaskError;
+use crate::stats::Phase;
 use crate::store::StoreKey;
 use crate::transport::WireMove;
 use rand::{Rng, SeedableRng, StdRng};
@@ -30,16 +34,18 @@ const SALT_DROP: u64 = 0xD0;
 const SALT_CORRUPT: u64 = 0xC0;
 const SALT_CRASH: u64 = 0xCA;
 
-/// A node outage spanning a window of stages (inclusive bounds on the
-/// plan-wide stage counter advanced by each `run_stage`).
+/// A node outage spanning a window of the `(job ordinal, phase)` axis,
+/// bounds inclusive: a move is dark while *its* phase is inside the window,
+/// a task while *its* phase is. Jobs count from 0 at
+/// [`FaultPlan::begin_job`]; phases order as in [`Phase::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Blackout {
     /// The node that is unreachable.
     pub node: usize,
-    /// First stage index (0-based) of the outage.
-    pub from_stage: u64,
-    /// Last stage index of the outage, inclusive.
-    pub until_stage: u64,
+    /// First `(job, phase)` of the outage.
+    pub from: (u64, Phase),
+    /// Last `(job, phase)` of the outage, inclusive.
+    pub until: (u64, Phase),
 }
 
 /// What faults to inject, and from which seed.
@@ -54,7 +60,7 @@ pub struct FaultSpec {
     pub corrupt_rate: f64,
     /// Probability a task attempt crashes before producing output.
     pub crash_rate: f64,
-    /// Whole-node outages by stage window.
+    /// Whole-node outages by `(job, phase)` window.
     pub blackouts: Vec<Blackout>,
 }
 
@@ -80,18 +86,18 @@ impl FaultSpec {
             assert!((0.0..=1.0).contains(&rate), "{what} must be in [0, 1]");
         }
         for b in &self.blackouts {
-            assert!(b.from_stage <= b.until_stage, "inverted blackout window");
+            assert!(b.from <= b.until, "inverted blackout window");
         }
     }
 }
 
-/// Live fault-injection state: the spec plus a stage counter and counters
+/// Live fault-injection state: the spec plus a job counter and counters
 /// of what was actually injected (so tests can assert the run exercised
 /// recovery rather than passing vacuously).
 #[derive(Debug)]
 pub struct FaultPlan {
     spec: FaultSpec,
-    stage: AtomicU64,
+    jobs: AtomicU64,
     dropped: AtomicU64,
     corrupted: AtomicU64,
     crashed: AtomicU64,
@@ -103,43 +109,39 @@ impl FaultPlan {
         spec.assert_valid();
         FaultPlan {
             spec,
-            stage: AtomicU64::new(0),
+            jobs: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             corrupted: AtomicU64::new(0),
             crashed: AtomicU64::new(0),
         }
     }
 
-    /// The spec this plan injects.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
+    /// Starts the next job's identity window and returns its ordinal;
+    /// called once per job by the executor's prologue, so decision keys and
+    /// blackout windows do not depend on how many stages a job runs.
+    pub fn begin_job(&self) -> u64 {
+        self.jobs.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Advances the plan-wide stage counter; called once per `run_stage`
-    /// so blackout windows and per-stage decision salts line up across the
-    /// clean and faulted runs of a test.
-    pub fn advance_stage(&self) -> u64 {
-        self.stage.fetch_add(1, Ordering::Relaxed)
+    /// Ordinal of the job in flight (0 before any job began).
+    fn current_job(&self) -> u64 {
+        self.jobs.load(Ordering::Relaxed).saturating_sub(1)
     }
 
-    /// Current stage index (stages advanced so far minus one).
-    pub fn current_stage(&self) -> u64 {
-        self.stage.load(Ordering::Relaxed).saturating_sub(1)
-    }
-
-    /// Whether `node` is blacked out at the current stage.
-    pub fn node_down(&self, node: usize) -> bool {
-        let stage = self.current_stage();
+    /// Whether `node` is blacked out for `phase` of the current job.
+    pub fn node_down(&self, node: usize, phase: Phase) -> bool {
+        let job = self.current_job();
         self.spec
             .blackouts
             .iter()
-            .any(|b| b.node == node && (b.from_stage..=b.until_stage).contains(&stage))
+            .any(|b| b.node == node && (b.from..=b.until).contains(&(job, phase)))
     }
 
     /// Whether this delivery attempt of `mv` is dropped in flight. A
-    /// delivery into or out of a blacked-out node is always dropped.
+    /// delivery into or out of a node blacked out for the move's phase is
+    /// always dropped.
     pub fn drop_delivery(&self, mv: &WireMove, task_attempt: u32, delivery: u32) -> bool {
-        if self.node_down(mv.from_node) || self.node_down(mv.to_node) {
+        if self.node_down(mv.from_node, mv.phase) || self.node_down(mv.to_node, mv.phase) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return true;
         }
@@ -177,14 +179,11 @@ impl FaultPlan {
         true
     }
 
-    /// Whether task `task` crashes on attempt `attempt` of the current
-    /// stage, or runs on a blacked-out node.
-    pub fn crash_task(&self, task: usize, node: usize, attempt: u32) -> bool {
-        if self.node_down(node) {
-            return true;
-        }
+    /// Whether attempt `attempt` of the plan's task `task` of `phase`,
+    /// placed on `node`, crashes in the current job.
+    fn crash_task(&self, phase: Phase, task: usize, node: usize, attempt: u32) -> bool {
         let identity = mix(
-            mix(task as u64, self.current_stage()),
+            mix(task as u64, self.stage_identity(phase)),
             (attempt as u64) << 32 | node as u64,
         );
         if self.roll(SALT_CRASH, identity) < self.spec.crash_rate {
@@ -209,9 +208,15 @@ impl FaultPlan {
         self.crashed.load(Ordering::Relaxed)
     }
 
+    /// The `(job, phase)` word every decision of that planned phase mixes in.
+    fn stage_identity(&self, phase: Phase) -> u64 {
+        mix(self.current_job(), phase.index() as u64)
+    }
+
     /// Stable identity of one delivery attempt of one move. Uses the block
-    /// grid position / producer copy / route / stage / attempt indices —
-    /// NOT the matrix uid, which comes from a process-global counter.
+    /// grid position / producer copy / route / job / phase / attempt
+    /// indices — NOT the matrix uid, which comes from a process-global
+    /// counter.
     fn move_identity(&self, mv: &WireMove, task_attempt: u32, delivery: u32) -> u64 {
         let key_bits = |k: &StoreKey| {
             mix(
@@ -223,7 +228,7 @@ impl FaultPlan {
         let attempts = (task_attempt as u64) << 32 | delivery as u64;
         mix(
             mix(key_bits(&mv.dst), route),
-            mix(self.current_stage(), attempts),
+            mix(self.stage_identity(mv.phase), attempts),
         )
     }
 
@@ -231,6 +236,40 @@ impl FaultPlan {
     fn roll(&self, salt: u64, identity: u64) -> f64 {
         StdRng::seed_from_u64(mix(self.spec.seed ^ salt, identity)).gen::<f64>()
     }
+}
+
+/// Runs one attempt of the plan's task `task` of `phase`, placed on `node`,
+/// under `faults` if a plan is armed. A task on a node that is dark for its
+/// phase never starts. An injected crash strikes at *completion*: the
+/// attempt's shuffle reads already hit the transport (so first-transmission
+/// payload accounting stays bit-identical to a fault-free run) and its
+/// installs stay behind, but its result dies with the executor — so `body`
+/// must signal nothing to other tasks; the caller does that once this
+/// returns `Ok`. The caller is whoever knows the task's plan identity: the
+/// executor's item closure, not the stage runner.
+///
+/// # Errors
+/// [`TaskError::NodeLost`], [`TaskError::Crashed`] (both transient), or
+/// whatever `body` fails with.
+pub fn run_task<O>(
+    faults: Option<&FaultPlan>,
+    phase: Phase,
+    task: usize,
+    node: usize,
+    attempt: u32,
+    body: impl FnOnce() -> Result<O, TaskError>,
+) -> Result<O, TaskError> {
+    let Some(faults) = faults else {
+        return body();
+    };
+    if faults.node_down(node, phase) {
+        return Err(TaskError::NodeLost { node });
+    }
+    let out = body()?;
+    if faults.crash_task(phase, task, node, attempt) {
+        return Err(TaskError::Crashed { node });
+    }
+    Ok(out)
 }
 
 /// splitmix64-style mixer for combining identity words into one seed.
@@ -247,7 +286,6 @@ fn mix(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Phase;
     use distme_matrix::BlockId;
 
     fn mv(row: u32, col: u32, from: usize, to: usize) -> WireMove {
@@ -276,8 +314,6 @@ mod tests {
     fn decisions_are_reproducible_and_identity_keyed() {
         let a = FaultPlan::new(spec(42));
         let b = FaultPlan::new(spec(42));
-        a.advance_stage();
-        b.advance_stage();
         let mut hit = false;
         let mut miss = false;
         for row in 0..32 {
@@ -295,7 +331,6 @@ mod tests {
         // Two plans fault the "same" move identically even when the store
         // keys carry different (globally-counted) matrix uids.
         let plan = FaultPlan::new(spec(7));
-        plan.advance_stage();
         for row in 0..16 {
             let mut a = mv(row, 2, 1, 3);
             let mut b = a;
@@ -315,7 +350,6 @@ mod tests {
             drop_rate: 0.5,
             ..spec(3)
         });
-        plan.advance_stage();
         let m = mv(1, 1, 0, 2);
         let outcomes: Vec<bool> = (0..16).map(|d| plan.drop_delivery(&m, 0, d)).collect();
         assert!(outcomes.iter().any(|&d| d));
@@ -328,7 +362,6 @@ mod tests {
             corrupt_rate: 1.0,
             ..spec(11)
         });
-        plan.advance_stage();
         let m = mv(0, 0, 0, 1);
         let clean = vec![0u8; 64];
         let mut once = clean.clone();
@@ -346,38 +379,59 @@ mod tests {
     }
 
     #[test]
-    fn blackout_windows_gate_nodes_by_stage() {
+    fn blackout_windows_gate_nodes_by_job_and_phase() {
         let plan = FaultPlan::new(FaultSpec {
             blackouts: vec![Blackout {
                 node: 1,
-                from_stage: 1,
-                until_stage: 1,
+                from: (0, Phase::LocalMult),
+                until: (1, Phase::Repartition),
             }],
             ..FaultSpec::quiet(5)
         });
-        plan.advance_stage(); // stage 0
-        assert!(!plan.node_down(1));
-        plan.advance_stage(); // stage 1
-        assert!(plan.node_down(1));
-        assert!(!plan.node_down(0));
-        assert!(plan.drop_delivery(&mv(0, 0, 1, 2), 0, 0), "down node drops");
-        assert!(plan.crash_task(0, 1, 0), "tasks on a down node crash");
-        assert!(!plan.crash_task(0, 0, 0));
-        plan.advance_stage(); // stage 2
-        assert!(!plan.node_down(1));
+        assert_eq!(plan.begin_job(), 0);
+        assert!(!plan.node_down(1, Phase::Repartition));
+        assert!(plan.node_down(1, Phase::LocalMult));
+        assert!(plan.node_down(1, Phase::Aggregation));
+        assert!(!plan.node_down(0, Phase::LocalMult));
+        // A move is dark by *its* phase, whatever else the job is doing.
+        let mut m = mv(0, 0, 1, 2);
+        assert!(
+            !plan.drop_delivery(&m, 0, 0),
+            "repartition precedes the window"
+        );
+        m.phase = Phase::Aggregation;
+        assert!(plan.drop_delivery(&m, 0, 0), "down node drops");
+        assert_eq!(plan.begin_job(), 1);
+        assert!(plan.node_down(1, Phase::Repartition));
+        assert!(!plan.node_down(1, Phase::LocalMult));
+        assert_eq!(plan.begin_job(), 2);
+        assert!(!plan.node_down(1, Phase::Repartition));
+    }
+
+    #[test]
+    fn decisions_reroll_per_job_and_per_phase() {
+        let plan = FaultPlan::new(spec(21));
+        let crashes =
+            |phase| -> Vec<bool> { (0..64).map(|t| plan.crash_task(phase, t, 0, 0)).collect() };
+        let (mult0, agg0) = (crashes(Phase::LocalMult), crashes(Phase::Aggregation));
+        assert_eq!(mult0, crashes(Phase::LocalMult), "same identity, same roll");
+        assert_ne!(mult0, agg0, "task 3 of two phases is two identities");
+        plan.begin_job(); // job 0: the ordinal before any job began
+        assert_eq!(mult0, crashes(Phase::LocalMult));
+        plan.begin_job();
+        assert_ne!(mult0, crashes(Phase::LocalMult), "the next job rerolls");
     }
 
     #[test]
     fn quiet_spec_injects_nothing() {
         let plan = FaultPlan::new(FaultSpec::quiet(9));
-        plan.advance_stage();
         for row in 0..64 {
             let m = mv(row, row, 0, 1);
             assert!(!plan.drop_delivery(&m, 0, 0));
             let mut frame = vec![0xAB; 32];
             assert!(!plan.corrupt_payload(&m, 0, 0, &mut frame));
             assert!(frame.iter().all(|&b| b == 0xAB));
-            assert!(!plan.crash_task(row as usize, 0, 0));
+            assert!(!plan.crash_task(Phase::LocalMult, row as usize, 0, 0));
         }
         assert_eq!(plan.dropped() + plan.corrupted() + plan.crashed(), 0);
     }

@@ -8,6 +8,14 @@
 //! `distme-core` must produce bit-identical results to the single-node
 //! reference through this executor, with locality enforced — a task reads
 //! only blocks resident in its own node's store.
+//!
+//! A job is one [`LocalCluster::run_stage`] call: a gang of items on a
+//! worker pool that lives for the whole job, optionally dispatched by
+//! readiness ([`StageGate`]) instead of index order, each item retried in
+//! place on a transient error. Fault injection is not this module's
+//! business: deliveries consult the armed [`FaultPlan`] inside the
+//! [`Transport`], tasks consult it inside the executor's item closure,
+//! where the item's plan identity is known.
 
 use crate::chaos::{FaultPlan, FaultSpec};
 use crate::config::ClusterConfig;
@@ -23,7 +31,6 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Per-task execution context handed to stage closures.
 pub struct TaskCtx {
@@ -77,8 +84,10 @@ impl TaskCtx {
 /// Handle a gated stage's task closure uses to declare *other* tasks of
 /// the same stage ready for dispatch — the mechanism by which a producer
 /// task (a local multiply installing its C copies) unlocks its consumers
-/// (the aggregation task reducing them) inside one fused stage. Marking is
+/// (the aggregation task reducing them) inside one stage. Marking is
 /// idempotent, so a retried producer re-satisfying its dependents is safe.
+/// On an ungated stage (`ready: None`) there is nothing to mark and
+/// [`StageGate::mark_ready`] panics.
 pub struct StageGate<'a> {
     gang: &'a Gang,
 }
@@ -97,8 +106,6 @@ pub struct StageRun<O> {
     pub outputs: Vec<O>,
     /// Largest task working set observed (bytes).
     pub peak_task_mem_bytes: u64,
-    /// Wall-clock seconds of the stage.
-    pub wall_secs: f64,
     /// Task attempts re-run after a transient failure.
     pub retries: u64,
     /// Modeled retry backoff accumulated by this stage, seconds — charged
@@ -404,8 +411,8 @@ impl LocalCluster {
     /// its evictions. Migration traffic is charged to the ledger under
     /// [`Phase::Rebalance`] but kept out of the cluster's per-job
     /// [`TransportStats`] (payload accounting of jobs must not shift when
-    /// a resize happens between them) and runs fault-free — it is not a
-    /// job stage, so the fault plan's stage-keyed decisions do not apply.
+    /// a resize happens between them) and runs fault-free — it belongs to
+    /// no job, so the fault plan's job-keyed decisions do not apply.
     /// Returns `(moves, payload_bytes, cross_node_payload_bytes)`.
     fn run_rebalance(&self, plan: &RebalancePlan) -> Result<(u64, u64, u64), JobError> {
         let migration_stats = TransportStats::default();
@@ -479,18 +486,27 @@ impl LocalCluster {
 
     /// Runs one stage: `f` is applied to every input on a worker pool of at
     /// most `M · Tc` threads (capped by host parallelism times the
-    /// configured oversubscription). Task memory is enforced through
-    /// [`TaskCtx::alloc`]. Workers claim task indices off a lock-free
-    /// atomic cursor over the input vector and buffer outputs locally,
-    /// merging once at exit; outputs are returned in task order regardless
-    /// of which worker ran what.
+    /// configured oversubscription), registered with the shared scheduler
+    /// as one gang under `tenant` at `priority`. Task memory is enforced
+    /// through [`TaskCtx::alloc`]. Workers buffer outputs locally, merging
+    /// once at exit; outputs are returned in task order regardless of which
+    /// worker ran what, or when.
     ///
-    /// A task that fails with a *transient* error (injected crash, lost or
-    /// corrupt shuffle block — see [`TaskError::is_transient`]) is re-run
-    /// in place with a cloned input, up to `ClusterConfig::retry` attempts;
-    /// each re-run charges exponential backoff to the stage's *modeled*
-    /// time (`StageRun::backoff_secs`), never the wall clock. Inputs must
-    /// be `Clone` for exactly this re-run path (stage inputs are routing
+    /// With `ready: None` task indices dispatch strictly in order. With
+    /// `Some(initially_ready)` the stage is dependency-gated: only those
+    /// indices are dispatchable at the start, and a task closure unlocks
+    /// further ones through the [`StageGate`] it is handed once it has
+    /// installed the blocks they depend on — so consumers start the moment
+    /// their producers finish, while unrelated tasks are still running. A
+    /// terminal task failure aborts a gated gang (workers waiting on
+    /// never-satisfied dependencies drain instead of deadlocking).
+    ///
+    /// A task that fails with a *transient* error (crash, lost or corrupt
+    /// shuffle block — see [`TaskError::is_transient`]) is re-run in place
+    /// with a cloned input, up to `ClusterConfig::retry` attempts; each
+    /// re-run charges exponential backoff to the stage's *modeled* time
+    /// (`StageRun::backoff_secs`), never the wall clock. Inputs must be
+    /// `Clone` for exactly this re-run path (stage inputs are routing
     /// metadata — moves and block ids — not matrix payloads).
     ///
     /// # Errors
@@ -500,70 +516,12 @@ impl LocalCluster {
     ///   [`JobError::from_task_attempts`] (lowest task index wins,
     ///   deterministically; the message carries the attempt count when
     ///   retries were exhausted).
-    pub fn run_stage<I, O, F>(&self, inputs: Vec<I>, f: F) -> Result<StageRun<O>, JobError>
-    where
-        I: Send + Clone,
-        O: Send,
-        F: Fn(&TaskCtx, I) -> Result<O, TaskError> + Sync,
-    {
-        self.run_stage_as(TenantId::ANONYMOUS, 0, inputs, f)
-    }
-
-    /// [`Self::run_stage`] with an explicit tenant/priority: the stage's
-    /// tasks are registered as a gang under `tenant` and drawn from the
-    /// shared scheduler at `priority`. This is the path the job service
-    /// uses; `run_stage` itself is the anonymous compat wrapper.
-    pub fn run_stage_as<I, O, F>(
+    pub fn run_stage<I, O, F>(
         &self,
         tenant: TenantId,
         priority: u8,
         inputs: Vec<I>,
-        f: F,
-    ) -> Result<StageRun<O>, JobError>
-    where
-        I: Send + Clone,
-        O: Send,
-        F: Fn(&TaskCtx, I) -> Result<O, TaskError> + Sync,
-    {
-        self.run_stage_inner(tenant, priority, inputs, None, |ctx, item, _gate| {
-            f(ctx, item)
-        })
-    }
-
-    /// Dependency-gated variant of [`Self::run_stage_as`]: only task
-    /// indices in `initially_ready` are dispatchable at the start; a task
-    /// closure unlocks further indices through the [`StageGate`] it is
-    /// handed, once it has installed the blocks they depend on. This is
-    /// the primitive the pipelined executor fuses
-    /// repartition/compute/aggregate into one streamed stage with —
-    /// aggregation tasks dispatch the moment their producers finish, while
-    /// unrelated multiplies are still running. Outputs are still collected
-    /// in task order, so readiness-driven dispatch cannot perturb result
-    /// determinism. A terminal task failure aborts the gang (waiters on
-    /// never-satisfied dependencies drain instead of deadlocking) and is
-    /// reported exactly like an ungated stage failure.
-    pub fn run_stage_gated<I, O, F>(
-        &self,
-        tenant: TenantId,
-        priority: u8,
-        inputs: Vec<I>,
-        initially_ready: Vec<usize>,
-        f: F,
-    ) -> Result<StageRun<O>, JobError>
-    where
-        I: Send + Clone,
-        O: Send,
-        F: Fn(&TaskCtx, I, &StageGate<'_>) -> Result<O, TaskError> + Sync,
-    {
-        self.run_stage_inner(tenant, priority, inputs, Some(initially_ready), f)
-    }
-
-    fn run_stage_inner<I, O, F>(
-        &self,
-        tenant: TenantId,
-        priority: u8,
-        inputs: Vec<I>,
-        gating: Option<Vec<usize>>,
+        ready: Option<Vec<usize>>,
         f: F,
     ) -> Result<StageRun<O>, JobError>
     where
@@ -578,13 +536,6 @@ impl LocalCluster {
                 limit: self.cfg.max_tasks,
             });
         }
-        let started = Instant::now();
-        // Stage counters (blackout windows, per-stage fault salts) advance
-        // exactly once per stage, whether or not any task faults.
-        let fault_plan = self.fault_plan();
-        if let Some(plan) = &fault_plan {
-            plan.advance_stage();
-        }
         let max_attempts = self.cfg.retry.max_attempts.max(1);
         let host_par = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -597,18 +548,12 @@ impl LocalCluster {
 
         // The claim queue is the shared scheduler: the stage registers its
         // task count as a gang, and each worker pulls `(lease, index)`
-        // grants. Indices arrive in order — the same claim-cursor
-        // semantics the old per-job loop had — while the lease pool bounds
-        // how many tasks run at once *across every concurrent job*. The
-        // per-slot mutex below is only ever taken once per task and never
-        // contended, because a grant hands out each index exactly once.
-        let gated = gating.is_some();
-        let gang = match gating {
-            None => self.scheduler.register_gang(tenant, priority, n),
-            Some(ready) => self
-                .scheduler
-                .register_gated_gang(tenant, priority, n, ready),
-        };
+        // grants, while the lease pool bounds how many tasks run at once
+        // *across every concurrent job*. The per-slot mutex below is only
+        // ever taken once per task and never contended, because a grant
+        // hands out each index exactly once.
+        let gated = ready.is_some();
+        let gang = self.scheduler.register_gang(tenant, priority, n, ready);
         let gate = StageGate { gang: &gang };
         let slots: Vec<Mutex<Option<I>>> =
             inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
@@ -639,35 +584,15 @@ impl LocalCluster {
                                 mem_used: Cell::new(0),
                                 mem_peak: Cell::new(0),
                             };
-                            let res = match &fault_plan {
-                                Some(p) if p.node_down(ctx.node) => {
-                                    Err(TaskError::NodeLost { node: ctx.node })
-                                }
-                                _ => {
-                                    // The final permitted attempt moves the
-                                    // input; earlier ones clone it so a
-                                    // retry has something to re-run.
-                                    let input = if attempt + 1 < max_attempts {
-                                        item.clone().expect("item retained for retries")
-                                    } else {
-                                        item.take().expect("item retained for retries")
-                                    };
-                                    // Injected crashes strike at task
-                                    // completion: the attempt's shuffle reads
-                                    // already hit the transport (so first-
-                                    // transmission payload accounting stays
-                                    // bit-identical to a fault-free run) but
-                                    // its result dies with the executor.
-                                    match (&fault_plan, f(&ctx, input, &gate)) {
-                                        (Some(p), Ok(_))
-                                            if p.crash_task(idx, ctx.node, attempt) =>
-                                        {
-                                            Err(TaskError::Crashed { node: ctx.node })
-                                        }
-                                        (_, out) => out,
-                                    }
-                                }
+                            // The final permitted attempt moves the input;
+                            // earlier ones clone it so a retry has
+                            // something to re-run.
+                            let input = if attempt + 1 < max_attempts {
+                                item.clone().expect("item retained for retries")
+                            } else {
+                                item.take().expect("item retained for retries")
                             };
+                            let res = f(&ctx, input, &gate);
                             peak.fetch_max(ctx.peak(), Ordering::Relaxed);
                             match res {
                                 Err(e) if e.is_transient() && attempt + 1 < max_attempts => {
@@ -717,7 +642,6 @@ impl LocalCluster {
         Ok(StageRun {
             outputs,
             peak_task_mem_bytes: peak.load(Ordering::Relaxed),
-            wall_secs: started.elapsed().as_secs_f64(),
             retries: retries.load(Ordering::Relaxed),
             backoff_secs: backoff_micros.load(Ordering::Relaxed) as f64 / 1e6,
         })
@@ -732,15 +656,29 @@ mod tests {
         LocalCluster::new(ClusterConfig::laptop())
     }
 
+    /// An ungated anonymous stage — all most tests here need.
+    fn stage<I, O>(
+        c: &LocalCluster,
+        inputs: Vec<I>,
+        f: impl Fn(&TaskCtx, I) -> Result<O, TaskError> + Sync,
+    ) -> Result<StageRun<O>, JobError>
+    where
+        I: Send + Clone,
+        O: Send,
+    {
+        c.run_stage(TenantId::ANONYMOUS, 0, inputs, None, |ctx, item, _| {
+            f(ctx, item)
+        })
+    }
+
     #[test]
     fn stage_runs_all_tasks_in_order() {
         let c = cluster();
-        let run = c
-            .run_stage((0..100).collect(), |ctx, x: i32| {
-                assert_eq!(ctx.task as i32, x);
-                Ok(x * 2)
-            })
-            .unwrap();
+        let run = stage(&c, (0..100).collect(), |ctx, x: i32| {
+            assert_eq!(ctx.task as i32, x);
+            Ok(x * 2)
+        })
+        .unwrap();
         assert_eq!(run.outputs, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -750,12 +688,11 @@ mod tests {
         // finish first; the atomic-cursor queue must still return outputs
         // in task order.
         let c = cluster();
-        let run = c
-            .run_stage((0..32).collect(), |_, x: u64| {
-                std::thread::sleep(std::time::Duration::from_micros((32 - x) * 50));
-                Ok(x)
-            })
-            .unwrap();
+        let run = stage(&c, (0..32).collect(), |_, x: u64| {
+            std::thread::sleep(std::time::Duration::from_micros((32 - x) * 50));
+            Ok(x)
+        })
+        .unwrap();
         assert_eq!(run.outputs, (0..32).collect::<Vec<_>>());
     }
 
@@ -771,13 +708,12 @@ mod tests {
     fn memory_budget_is_enforced() {
         let c = cluster();
         let budget = c.config().task_mem_bytes;
-        let err = c
-            .run_stage(vec![()], |ctx, ()| {
-                ctx.alloc(budget)?;
-                ctx.alloc(1)?; // over budget
-                Ok(())
-            })
-            .unwrap_err();
+        let err = stage(&c, vec![()], |ctx, ()| {
+            ctx.alloc(budget)?;
+            ctx.alloc(1)?; // over budget
+            Ok(())
+        })
+        .unwrap_err();
         assert!(matches!(err, JobError::OutOfMemory { task: 0, .. }));
         assert_eq!(err.annotation(), "O.O.M.");
     }
@@ -785,32 +721,30 @@ mod tests {
     #[test]
     fn free_restores_headroom_and_peak_persists() {
         let c = cluster();
-        let run = c
-            .run_stage(vec![()], |ctx, ()| {
-                ctx.alloc(100)?;
-                ctx.free(100);
-                ctx.alloc(ctx.budget())?; // fits again
-                Ok(())
-            })
-            .unwrap();
+        let run = stage(&c, vec![()], |ctx, ()| {
+            ctx.alloc(100)?;
+            ctx.free(100);
+            ctx.alloc(ctx.budget())?; // fits again
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(run.peak_task_mem_bytes, c.config().task_mem_bytes);
     }
 
     #[test]
     fn alloc_tracks_peak_across_frees() {
         let c = cluster();
-        let run = c
-            .run_stage(vec![()], |ctx, ()| {
-                ctx.alloc(300)?;
-                assert_eq!(ctx.peak(), 300);
-                ctx.free(200);
-                ctx.alloc(50)?; // used = 150, below the earlier peak
-                assert_eq!(ctx.peak(), 300);
-                ctx.alloc(400)?; // used = 550, new peak
-                assert_eq!(ctx.peak(), 550);
-                Ok(())
-            })
-            .unwrap();
+        let run = stage(&c, vec![()], |ctx, ()| {
+            ctx.alloc(300)?;
+            assert_eq!(ctx.peak(), 300);
+            ctx.free(200);
+            ctx.alloc(50)?; // used = 150, below the earlier peak
+            assert_eq!(ctx.peak(), 300);
+            ctx.alloc(400)?; // used = 550, new peak
+            assert_eq!(ctx.peak(), 550);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(run.peak_task_mem_bytes, 550);
     }
 
@@ -820,16 +754,15 @@ mod tests {
         cfg.task_mem_bytes = u64::MAX;
         cfg.node_mem_bytes = u64::MAX;
         let c = LocalCluster::new(cfg);
-        let run = c
-            .run_stage(vec![()], |ctx, ()| {
-                ctx.alloc(u64::MAX - 10)?;
-                // Saturates to u64::MAX instead of wrapping to a tiny
-                // total that would sail under the budget.
-                ctx.alloc(u64::MAX)?;
-                assert_eq!(ctx.peak(), u64::MAX);
-                Ok(())
-            })
-            .unwrap();
+        let run = stage(&c, vec![()], |ctx, ()| {
+            ctx.alloc(u64::MAX - 10)?;
+            // Saturates to u64::MAX instead of wrapping to a tiny
+            // total that would sail under the budget.
+            ctx.alloc(u64::MAX)?;
+            assert_eq!(ctx.peak(), u64::MAX);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(run.peak_task_mem_bytes, u64::MAX);
     }
 
@@ -837,7 +770,7 @@ mod tests {
     fn failed_alloc_leaves_mem_used_unchanged() {
         let c = cluster();
         let budget = c.config().task_mem_bytes;
-        c.run_stage(vec![()], |ctx, ()| {
+        stage(&c, vec![()], |ctx, ()| {
             ctx.alloc(budget - 10)?;
             assert!(ctx.alloc(11).is_err());
             // The failed charge must not count: exactly 10 bytes of
@@ -852,15 +785,14 @@ mod tests {
     #[test]
     fn lowest_failing_task_wins() {
         let c = cluster();
-        let err = c
-            .run_stage((0..50).collect(), |_, x: i32| {
-                if x >= 10 {
-                    Err(TaskError::Compute(format!("boom {x}")))
-                } else {
-                    Ok(x)
-                }
-            })
-            .unwrap_err();
+        let err = stage(&c, (0..50).collect(), |_, x: i32| {
+            if x >= 10 {
+                Err(TaskError::Compute(format!("boom {x}")))
+            } else {
+                Ok(x)
+            }
+        })
+        .unwrap_err();
         assert!(matches!(err, JobError::TaskFailed { task: 10, .. }));
     }
 
@@ -869,7 +801,7 @@ mod tests {
         let mut cfg = ClusterConfig::laptop();
         cfg.max_tasks = 5;
         let c = LocalCluster::new(cfg);
-        let err = c.run_stage(vec![(); 6], |_, ()| Ok(())).unwrap_err();
+        let err = stage(&c, vec![(); 6], |_, ()| Ok(())).unwrap_err();
         assert_eq!(err.annotation(), "T.M.T.");
     }
 
@@ -880,7 +812,7 @@ mod tests {
         cfg.host_worker_oversubscription = 1;
         let c = LocalCluster::new(cfg);
         let ids = Mutex::new(HashSet::new());
-        c.run_stage(vec![(); 64], |_, ()| {
+        stage(&c, vec![(); 64], |_, ()| {
             ids.lock().unwrap().insert(std::thread::current().id());
             Ok(())
         })
@@ -901,7 +833,7 @@ mod tests {
     #[test]
     fn empty_stage_is_fine() {
         let c = cluster();
-        let run = c.run_stage(Vec::<()>::new(), |_, ()| Ok(0u8)).unwrap();
+        let run = stage(&c, Vec::<()>::new(), |_, ()| Ok(0u8)).unwrap();
         assert!(run.outputs.is_empty());
     }
 
@@ -913,17 +845,16 @@ mod tests {
             backoff_secs: 0.25,
         });
         let c = LocalCluster::new(cfg);
-        let run = c
-            .run_stage((0..8).collect(), |ctx, x: u32| {
-                // Every task's first attempt loses a block; the retry
-                // succeeds.
-                if ctx.attempt == 0 {
-                    Err(TaskError::Crashed { node: ctx.node })
-                } else {
-                    Ok(x * 10)
-                }
-            })
-            .unwrap();
+        let run = stage(&c, (0..8).collect(), |ctx, x: u32| {
+            // Every task's first attempt loses a block; the retry
+            // succeeds.
+            if ctx.attempt == 0 {
+                Err(TaskError::Crashed { node: ctx.node })
+            } else {
+                Ok(x * 10)
+            }
+        })
+        .unwrap();
         assert_eq!(run.outputs, (0..8).map(|x| x * 10).collect::<Vec<_>>());
         assert_eq!(run.retries, 8);
         // 8 first-attempt failures × backoff_secs · 2^0 of modeled wait.
@@ -939,12 +870,11 @@ mod tests {
         });
         let c = LocalCluster::new(cfg);
         let attempts_seen = AtomicU64::new(0);
-        let err = c
-            .run_stage(vec![()], |_, ()| -> Result<(), TaskError> {
-                attempts_seen.fetch_add(1, Ordering::Relaxed);
-                Err(TaskError::Compute("deterministic bug".into()))
-            })
-            .unwrap_err();
+        let err = stage(&c, vec![()], |_, ()| -> Result<(), TaskError> {
+            attempts_seen.fetch_add(1, Ordering::Relaxed);
+            Err(TaskError::Compute("deterministic bug".into()))
+        })
+        .unwrap_err();
         assert_eq!(attempts_seen.load(Ordering::Relaxed), 1);
         assert!(matches!(err, JobError::TaskFailed { task: 0, .. }));
         // Single attempt: no attempt count in the message.
@@ -959,11 +889,10 @@ mod tests {
             backoff_secs: 0.0,
         });
         let c = LocalCluster::new(cfg);
-        let err = c
-            .run_stage(vec![()], |ctx, ()| -> Result<(), TaskError> {
-                Err(TaskError::Crashed { node: ctx.node })
-            })
-            .unwrap_err();
+        let err = stage(&c, vec![()], |ctx, ()| -> Result<(), TaskError> {
+            Err(TaskError::Crashed { node: ctx.node })
+        })
+        .unwrap_err();
         match &err {
             JobError::TaskFailed { task: 0, message } => {
                 assert!(message.contains("4 attempts"), "{message}");
@@ -974,7 +903,7 @@ mod tests {
 
     #[test]
     fn injected_crashes_recover_bit_identically() {
-        use crate::chaos::FaultSpec;
+        use crate::chaos::{run_task, FaultSpec};
         use crate::config::RetryPolicy;
         let cfg = ClusterConfig::laptop().with_retry(RetryPolicy {
             max_attempts: 6,
@@ -985,9 +914,18 @@ mod tests {
             crash_rate: 0.2,
             ..FaultSpec::quiet(17)
         });
-        let run = c
-            .run_stage((0..64).collect(), |_, x: u64| Ok(x * x))
-            .unwrap();
+        let run = stage(&c, (0..64).collect(), |ctx, x: u64| {
+            let (task, node) = (ctx.task, ctx.node);
+            run_task(
+                Some(&plan),
+                Phase::LocalMult,
+                task,
+                node,
+                ctx.attempt,
+                || Ok(x * x),
+            )
+        })
+        .unwrap();
         assert_eq!(run.outputs, (0..64).map(|x| x * x).collect::<Vec<_>>());
         assert!(plan.crashed() > 0, "a 20% crash rate over 64 tasks fires");
         assert_eq!(run.retries, plan.crashed());
@@ -1004,11 +942,11 @@ mod tests {
         let produced = Mutex::new(Vec::new());
         let remaining = AtomicU64::new(4);
         let run = c
-            .run_stage_gated(
+            .run_stage(
                 TenantId::ANONYMOUS,
                 0,
                 (0..5).collect(),
-                (0..4).collect(),
+                Some((0..4).collect()),
                 |ctx, x: usize, gate| {
                     assert_eq!(ctx.task, x);
                     if x < 4 {
@@ -1034,11 +972,11 @@ mod tests {
         // terminally; the stage must return the error, not hang.
         let c = cluster();
         let err = c
-            .run_stage_gated(
+            .run_stage(
                 TenantId::ANONYMOUS,
                 0,
                 vec![0usize, 1],
-                vec![0],
+                Some(vec![0]),
                 |_, x, gate| {
                     if x == 0 {
                         Err(TaskError::Compute("producer bug".into()))
@@ -1050,6 +988,46 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, JobError::TaskFailed { task: 0, .. }));
+
+        // The same drain one level down: task 0's compute side waits on the
+        // delivery board for a block its prefetch side will never land. The
+        // failing prefetch cancels the wait and wakes it directly, and the
+        // task's typed error — not a hang, not a poll tick — reaches the
+        // stage, which drains the consumer gated behind it.
+        use crate::transport::DeliveryBoard;
+        use distme_matrix::BlockId;
+        use std::sync::atomic::AtomicBool;
+        let board = DeliveryBoard::default();
+        let key = StoreKey::operand(1, BlockId::new(0, 0));
+        let err = c
+            .run_stage(
+                TenantId::ANONYMOUS,
+                0,
+                vec![0usize, 1],
+                Some(vec![0]),
+                |ctx, x, _gate| {
+                    assert_eq!(x, 0, "the gated consumer must never run");
+                    let dead = AtomicBool::new(false);
+                    let node = ctx.node; // `TaskCtx` is not `Sync`
+                    std::thread::scope(|scope| {
+                        let prefetch = scope.spawn(|| {
+                            dead.store(true, Ordering::Release);
+                            board.wake_all();
+                            TaskError::LostBlock { node, id: key.id }
+                        });
+                        let landed = board.wait_for(node, &key, || dead.load(Ordering::Acquire));
+                        assert!(!landed);
+                        Err::<usize, _>(prefetch.join().expect("prefetch side returns"))
+                    })
+                },
+            )
+            .unwrap_err();
+        match &err {
+            JobError::TaskFailed { task: 0, message } => {
+                assert!(message.contains("lost"), "{message}");
+            }
+            other => panic!("unexpected error: {other:?}"),
+        }
     }
 
     #[test]
@@ -1064,11 +1042,11 @@ mod tests {
         // marks again. The consumer must still run exactly once.
         let consumer_runs = AtomicU64::new(0);
         let run = c
-            .run_stage_gated(
+            .run_stage(
                 TenantId::ANONYMOUS,
                 0,
                 vec![0usize, 1],
-                vec![0],
+                Some(vec![0]),
                 |ctx, x, gate| {
                     if x == 0 {
                         gate.mark_ready(1);
@@ -1214,22 +1192,31 @@ mod tests {
 
     #[test]
     fn blacked_out_node_fails_the_job_cleanly() {
-        use crate::chaos::{Blackout, FaultSpec};
+        use crate::chaos::{run_task, Blackout, FaultSpec};
         let c = cluster();
-        c.inject_faults(FaultSpec {
+        let plan = c.inject_faults(FaultSpec {
             blackouts: vec![Blackout {
                 node: 0,
-                from_stage: 0,
-                until_stage: 10,
+                from: (0, Phase::Repartition),
+                until: (10, Phase::Aggregation),
             }],
             ..FaultSpec::quiet(0)
         });
         // Task 0 lands on node 0 (round-robin) and the node stays dark for
         // the whole retry budget: the job must fail with a typed error,
         // never hang or panic.
-        let err = c
-            .run_stage((0..8).collect(), |_, x: u32| Ok(x))
-            .unwrap_err();
+        let err = stage(&c, (0..8).collect(), |ctx, x: u32| {
+            let (task, node) = (ctx.task, ctx.node);
+            run_task(
+                Some(&plan),
+                Phase::LocalMult,
+                task,
+                node,
+                ctx.attempt,
+                || Ok(x),
+            )
+        })
+        .unwrap_err();
         match &err {
             JobError::TaskFailed { task: 0, message } => {
                 assert!(message.contains("unreachable"), "{message}");

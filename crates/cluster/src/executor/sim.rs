@@ -316,7 +316,9 @@ impl SimCluster {
         let mut stage_end = stage_start;
         let mut any_gpu = false;
 
-        let gang = self.scheduler.register_gang(tenant, priority, tasks.len());
+        let gang = self
+            .scheduler
+            .register_gang(tenant, priority, tasks.len(), None);
         while let Some(grant) = gang.next_task() {
             let i = grant.index;
             let t = &tasks[i];

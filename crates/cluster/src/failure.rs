@@ -123,6 +123,13 @@ impl From<distme_matrix::MatrixError> for TaskError {
     }
 }
 
+/// A shape the engine refuses before any task runs.
+impl From<distme_matrix::MatrixError> for JobError {
+    fn from(e: distme_matrix::MatrixError) -> Self {
+        JobError::from_task(0, e.into())
+    }
+}
+
 /// A job-level failure, matching the paper's figure annotations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobError {

@@ -71,7 +71,7 @@ struct GangState {
     /// Worker threads currently inside `next_task`.
     waiters: usize,
     /// `Some` for a dependency-gated gang (see [`ReadyState`]); `None`
-    /// keeps the legacy strict in-order dispatch.
+    /// for strict in-order dispatch.
     ready: Option<ReadyState>,
     /// Poisoned: a terminal task failure means pending dependencies will
     /// never be satisfied; waiters must drain instead of deadlocking.
@@ -355,7 +355,28 @@ impl Scheduler {
     /// Registers a stage of `n_tasks` tasks under `tenant`/`priority`.
     /// Priorities above the configured range are clamped (registration is
     /// internal; validation happened at submit).
-    pub fn register_gang(&self, tenant: TenantId, priority: u8, n_tasks: usize) -> Gang {
+    ///
+    /// With `ready: None` indices are granted strictly in order. With
+    /// `Some(initially_ready)` the gang is *dependency-gated*: only indices
+    /// declared ready (here, later via [`Gang::mark_ready`]) are granted,
+    /// smallest ready index first — dispatch follows the plan's
+    /// dependency-readiness view instead of a stage barrier.
+    pub fn register_gang(
+        &self,
+        tenant: TenantId,
+        priority: u8,
+        n_tasks: usize,
+        ready: Option<Vec<usize>>,
+    ) -> Gang {
+        let ready = ready.map(|initially_ready| {
+            let mut state = ReadyState::default();
+            for idx in initially_ready {
+                assert!(idx < n_tasks, "ready index {idx} outside gang of {n_tasks}");
+                state.marked.insert(idx);
+                state.runnable.insert(idx);
+            }
+            state
+        });
         let mut st = self.lock();
         let id = st.next_gang_id;
         st.next_gang_id += 1;
@@ -370,7 +391,7 @@ impl Scheduler {
                 next_task: 0,
                 n_tasks,
                 waiters: 0,
-                ready: None,
+                ready,
                 aborted: false,
             },
         );
@@ -379,36 +400,6 @@ impl Scheduler {
             sched: self.clone(),
             id,
         }
-    }
-
-    /// Registers a *dependency-gated* stage: only task indices declared
-    /// ready (at registration via `initially_ready`, later via
-    /// [`Gang::mark_ready`]) are dispatched, smallest ready index first.
-    /// This is how the pipelined executor starts compute for early tasks
-    /// while later tasks' blocks are still in flight — dispatch follows the
-    /// plan's dependency-readiness view, not a stage barrier.
-    pub fn register_gated_gang(
-        &self,
-        tenant: TenantId,
-        priority: u8,
-        n_tasks: usize,
-        initially_ready: impl IntoIterator<Item = usize>,
-    ) -> Gang {
-        let gang = self.register_gang(tenant, priority, n_tasks);
-        {
-            let mut st = self.lock();
-            let g = st.gangs.get_mut(&gang.id).expect("gang just registered");
-            let mut ready = ReadyState::default();
-            for idx in initially_ready {
-                assert!(idx < n_tasks, "ready index {idx} outside gang of {n_tasks}");
-                if ready.marked.insert(idx) {
-                    ready.runnable.insert(idx);
-                }
-            }
-            g.ready = Some(ready);
-        }
-        self.inner.cv.notify_all();
-        gang
     }
 
     /// Declares task `index` of a gated gang dispatchable (its dependencies
@@ -428,7 +419,7 @@ impl Scheduler {
         let ready = g
             .ready
             .as_mut()
-            .expect("mark_ready on an ungated gang — register with register_gated_gang");
+            .expect("mark_ready on an ungated gang — register it with `ready: Some(..)`");
         if ready.marked.insert(index) {
             ready.runnable.insert(index);
             self.inner.cv.notify_all();
@@ -467,7 +458,7 @@ impl Scheduler {
                 let tenant = g.tenant;
                 let g = st.gangs.get_mut(&gang).unwrap();
                 let index = match &mut g.ready {
-                    // Legacy: strict in-order cursor.
+                    // Ungated: strict in-order cursor.
                     None => g.next_task,
                     // Gated: smallest ready ungranted index.
                     Some(r) => {
@@ -550,7 +541,7 @@ impl Gang {
     }
 
     /// Declares task `index` ready for dispatch (gated gangs only; see
-    /// [`Scheduler::register_gated_gang`]). Idempotent.
+    /// [`Scheduler::register_gang`]). Idempotent.
     pub fn mark_ready(&self, index: usize) {
         self.sched.mark_ready(self.id, index);
     }
@@ -594,7 +585,7 @@ mod tests {
     #[test]
     fn solo_gang_hands_out_indices_in_order_within_slots() {
         let sched = Scheduler::new(3, cfg(1000));
-        let gang = sched.register_gang(TenantId(1), 0, 5);
+        let gang = sched.register_gang(TenantId(1), 0, 5, None);
         for expect in 0..5 {
             let grant = gang.next_task().unwrap();
             assert_eq!(grant.index, expect);
@@ -609,7 +600,7 @@ mod tests {
     #[test]
     fn lease_count_never_exceeds_total_slots() {
         let sched = Scheduler::new(2, cfg(1000));
-        let gang = sched.register_gang(TenantId(1), 0, 8);
+        let gang = sched.register_gang(TenantId(1), 0, 8, None);
         let peak = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -630,11 +621,11 @@ mod tests {
         let mut c = cfg(1000);
         c.fair_share = 0.0; // pure FIFO-with-priorities
         let sched = Scheduler::new(1, c);
-        let filler = sched.register_gang(TenantId(9), 0, 1);
+        let filler = sched.register_gang(TenantId(9), 0, 1, None);
         let slot = filler.next_task().unwrap();
 
-        let lo = sched.register_gang(TenantId(1), 0, 1);
-        let hi = sched.register_gang(TenantId(2), 3, 1);
+        let lo = sched.register_gang(TenantId(1), 0, 1, None);
+        let hi = sched.register_gang(TenantId(2), 3, 1, None);
         let order = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -660,12 +651,12 @@ mod tests {
         let sched = Scheduler::new(2, cfg(1000));
         // Tenant 1 holds both slots; releasing one leaves tenant 1 still
         // holding a slot while tenant 2 holds none.
-        let holder = sched.register_gang(TenantId(1), 3, 2);
+        let holder = sched.register_gang(TenantId(1), 3, 2, None);
         let held_a = holder.next_task().unwrap();
         let held_b = holder.next_task().unwrap();
 
-        let rich = sched.register_gang(TenantId(1), 3, 1); // high priority
-        let poor = sched.register_gang(TenantId(2), 0, 1); // low priority
+        let rich = sched.register_gang(TenantId(1), 3, 1, None); // high priority
+        let poor = sched.register_gang(TenantId(2), 0, 1, None); // low priority
         let winner = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -764,7 +755,7 @@ mod tests {
     #[test]
     fn empty_gang_yields_no_grants() {
         let sched = Scheduler::new(1, cfg(100));
-        let gang = sched.register_gang(TenantId(1), 0, 0);
+        let gang = sched.register_gang(TenantId(1), 0, 0, None);
         assert!(gang.next_task().is_none());
     }
 
@@ -772,7 +763,7 @@ mod tests {
     fn gated_gang_dispatches_only_ready_indices() {
         let sched = Scheduler::new(2, cfg(1000));
         // Tasks 1 and 3 are ready at registration; 0 and 2 are gated.
-        let gang = sched.register_gated_gang(TenantId(1), 0, 4, [1, 3]);
+        let gang = sched.register_gang(TenantId(1), 0, 4, Some(vec![1, 3]));
         let a = gang.next_task().unwrap();
         let b = gang.next_task().unwrap();
         assert_eq!((a.index, b.index), (1, 3), "smallest ready index first");
@@ -797,7 +788,7 @@ mod tests {
     #[test]
     fn aborted_gang_drains_waiters_instead_of_deadlocking() {
         let sched = Scheduler::new(2, cfg(1000));
-        let gang = sched.register_gated_gang(TenantId(1), 0, 3, [0]);
+        let gang = sched.register_gang(TenantId(1), 0, 3, Some(vec![0]));
         let first = gang.next_task().unwrap();
         assert_eq!(first.index, 0);
         drop(first);
@@ -817,8 +808,8 @@ mod tests {
     #[test]
     fn gated_and_ungated_gangs_share_the_pool() {
         let sched = Scheduler::new(1, cfg(1000));
-        let gated = sched.register_gated_gang(TenantId(1), 0, 1, []);
-        let plain = sched.register_gang(TenantId(2), 0, 1);
+        let gated = sched.register_gang(TenantId(1), 0, 1, Some(vec![]));
+        let plain = sched.register_gang(TenantId(2), 0, 1, None);
         // The gated gang has nothing runnable; the plain gang must still
         // get the slot rather than the pool stalling on the gated one.
         let g = plain.next_task().unwrap();

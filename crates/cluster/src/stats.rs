@@ -28,7 +28,8 @@ impl std::fmt::Display for TenantId {
 
 /// The three steps of distributed matrix multiplication, plus the
 /// between-jobs block migration traffic an elastic resize generates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Ordered as executed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Step 1: repartition/broadcast inputs to tasks.
     Repartition,
@@ -155,18 +156,16 @@ pub struct JobStats {
     /// `retransmitted_payload_bytes`: a decode reads survivors locally,
     /// so these bytes are exactly the retransmissions coding avoided.
     pub reconstruction_payload_bytes: u64,
-    /// Fraction of communication time hidden behind compute by the
-    /// pipelined executor, `0..=1` (`None` for barrier-mode jobs, which
-    /// overlap nothing by construction). Computed as
-    /// `1 − stall_secs / comm_secs`.
+    /// Fraction of communication time hidden behind compute, `0..=1`:
+    /// `1 − stall_secs / comm_secs`. `None` when nothing was communicated,
+    /// and from the simulator's copy-then-compute model.
     pub overlap_ratio: Option<f64>,
     /// k-panels whose blocks had already landed when the consuming compute
     /// loop reached them (the prefetch ran ahead — Algorithm 1's double
     /// buffering paying off).
     pub prefetch_hits: u64,
     /// k-panels the compute loop had to wait for — either pulling the
-    /// straggling blocks itself through the transport's one-sided fetch
-    /// path, or blocking on an in-flight prefetch.
+    /// panel's moves itself, or blocking on an in-flight prefetch.
     pub prefetch_stalls: u64,
 }
 

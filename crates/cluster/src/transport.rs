@@ -30,7 +30,6 @@ use distme_matrix::codec;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Upper bound on pooled scratch buffers: enough for every worker thread a
 /// stage can run, without pinning unbounded memory after a wide stage.
@@ -88,9 +87,9 @@ impl ScratchPool {
 }
 
 /// The delivery-notification channel: every completed move publishes its
-/// `(destination node, destination key)` here, so dependency-gated
-/// consumers can ask "has block b landed where I run?" — the per-block
-/// readiness signal that replaces the phase barrier. A move of an
+/// `(destination node, destination key)` here, so a compute loop can ask
+/// "has the block my prefetch thread is pushing landed where I run?" — a
+/// per-block readiness signal instead of a phase barrier. A move of an
 /// implicitly-zero block publishes too (its *completion* is the event a
 /// dependent task waits on, even though no bytes shipped), so waiting on a
 /// sparse operand's key can never hang.
@@ -111,45 +110,37 @@ impl DeliveryBoard {
         self.cv.notify_all();
     }
 
-    /// Whether the move installing `key` on `node` has completed.
-    pub fn is_landed(&self, node: usize, key: &StoreKey) -> bool {
-        self.landed
-            .lock()
-            .expect("delivery board lock")
-            .contains(&(node, *key))
-    }
-
     /// Whether every listed key has landed on `node` (a whole prefetch
     /// panel's readiness test).
-    pub fn all_landed(&self, node: usize, keys: &[StoreKey]) -> bool {
+    pub fn all_landed(&self, node: usize, keys: impl IntoIterator<Item = StoreKey>) -> bool {
         let landed = self.landed.lock().expect("delivery board lock");
-        keys.iter().all(|k| landed.contains(&(node, *k)))
+        keys.into_iter().all(|k| landed.contains(&(node, k)))
     }
 
-    /// Blocks until `key` lands on `node` or `timeout` elapses; returns
-    /// whether it landed.
-    pub fn wait_for(&self, node: usize, key: &StoreKey, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+    /// Blocks until `key` lands on `node` (`true`) or `cancelled()` turns
+    /// true (`false`) — the waiter's producer died and the key will never
+    /// come. Whoever makes `cancelled()` true must call
+    /// [`DeliveryBoard::wake_all`] afterwards; the wait is otherwise
+    /// unbounded by design (a delivery's own retries are bounded).
+    pub fn wait_for(&self, node: usize, key: &StoreKey, cancelled: impl Fn() -> bool) -> bool {
         let mut landed = self.landed.lock().expect("delivery board lock");
         loop {
             if landed.contains(&(node, *key)) {
                 return true;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            if cancelled() {
                 return false;
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(landed, deadline - now)
-                .expect("delivery board lock");
-            landed = guard;
+            landed = self.cv.wait(landed).expect("delivery board lock");
         }
     }
 
-    /// Number of distinct completed deliveries published so far.
-    pub fn landed_count(&self) -> usize {
-        self.landed.lock().expect("delivery board lock").len()
+    /// Wakes every waiter so it re-checks its cancellation condition.
+    /// Taking the board lock first orders the wake-up after any waiter's
+    /// check-then-sleep, so a cancellation can not be missed.
+    pub fn wake_all(&self) {
+        let _ordered = self.landed.lock().expect("delivery board lock");
+        self.cv.notify_all();
     }
 }
 
@@ -286,7 +277,7 @@ impl<'a> Transport<'a> {
     }
 
     /// Publishes every completed move to `board` — the delivery
-    /// notifications the pipelined executor's readiness gating consumes.
+    /// notifications a task's compute loop waits on for prefetched panels.
     pub fn with_delivery_board(mut self, board: &'a DeliveryBoard) -> Self {
         self.board = Some(board);
         self
@@ -338,10 +329,10 @@ impl<'a> Transport<'a> {
         }
         let mut exclude = None;
         if let Some(faults) = &self.faults {
-            if faults.node_down(mv.to_node) {
+            if faults.node_down(mv.to_node, mv.phase) {
                 return None;
             }
-            if faults.node_down(mv.from_node) {
+            if faults.node_down(mv.from_node, mv.phase) {
                 exclude = Some(mv.from_node);
             }
         }
@@ -534,26 +525,6 @@ impl<'a> Transport<'a> {
         }
         unreachable!("delivery loop returns on its final iteration")
     }
-
-    /// Pull-style one-sided fetch: a worker requests a straggling operand
-    /// block itself instead of waiting on the push wave. If the block is
-    /// already resident at the destination (the push delivered it first),
-    /// the fetch is a no-op that moves — and charges — nothing; otherwise
-    /// it is an ordinary [`Transport::execute`] read from the producer's
-    /// store. Returns the encoded payload length (0 when the block was
-    /// already resident or implicitly zero).
-    ///
-    /// # Errors
-    /// Same as [`Transport::execute`].
-    pub fn fetch(&self, mv: &WireMove, task_attempt: u32) -> Result<u64, TaskError> {
-        if self.stores.node(mv.to_node).contains(&mv.dst) {
-            if let Some(board) = self.board {
-                board.publish(mv.to_node, mv.dst);
-            }
-            return Ok(0);
-        }
-        self.execute(mv, task_attempt)
-    }
 }
 
 #[cfg(test)]
@@ -723,45 +694,20 @@ mod tests {
             src,
             dst: src,
         };
-        assert!(!board.is_landed(2, &real));
+        assert!(!board.all_landed(2, [real]));
         t.execute(&mv(real), 0).unwrap();
-        assert!(board.is_landed(2, &real));
+        assert!(board.all_landed(2, [real]));
         // The implicit-zero move ships nothing but still completes.
         t.execute(&mv(zero), 0).unwrap();
-        assert!(board.is_landed(2, &zero));
-        assert!(board.all_landed(2, &[real, zero]));
-        assert!(!board.all_landed(1, &[real]));
-        assert_eq!(board.landed_count(), 2);
-        assert!(board.wait_for(2, &real, Duration::from_millis(1)));
+        assert!(board.all_landed(2, [zero]));
+        assert!(board.all_landed(2, [real, zero]));
+        assert!(!board.all_landed(1, [real]));
+        assert!(board.wait_for(2, &real, || false));
         let ghost = StoreKey::operand(4, BlockId::new(9, 9));
-        assert!(!board.wait_for(2, &ghost, Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn fetch_pulls_only_what_the_push_wave_missed() {
-        let (stores, stats, scratch) = setup();
-        let block = Block::Dense(DenseBlock::from_fn(4, 4, |i, j| (i * 4 + j) as f64));
-        let key = StoreKey::operand(9, BlockId::new(1, 0));
-        stores.node(0).install(key, Arc::new(block.clone()));
-        let t = clean(&stores, &stats, &scratch);
-        let mv = WireMove {
-            phase: Phase::Repartition,
-            from_node: 0,
-            to_node: 1,
-            wire_bytes: 64,
-            src: key,
-            dst: key,
-        };
-        // No push happened: the pull performs the delivery itself.
-        let payload = t.fetch(&mv, 0).unwrap();
-        assert_eq!(payload, codec::encoded_len(&block));
-        assert_eq!(&*stores.node(1).get(&key).unwrap(), &block);
-        // Push (or another consumer's pull) already landed it: the pull is
-        // free and charges no second payload.
-        let again = t.fetch(&mv, 0).unwrap();
-        assert_eq!(again, 0);
-        assert_eq!(stats.payload_bytes(), payload);
-        assert_eq!(stats.delivered(), 1);
+        assert!(
+            !board.wait_for(2, &ghost, || true),
+            "cancelled waits return"
+        );
     }
 
     #[test]
@@ -788,12 +734,10 @@ mod tests {
         let seed = (0..64)
             .find(|&s| {
                 let probe = FaultPlan::new(spec_for(s));
-                probe.advance_stage();
                 probe.drop_delivery(&mv, 0, 0) && (1..8).any(|d| !probe.drop_delivery(&mv, 0, d))
             })
             .expect("a 60% drop rate hits within 64 seeds");
         let plan = Arc::new(FaultPlan::new(spec_for(seed)));
-        plan.advance_stage();
         let t = Transport::new(
             &stores,
             &stats,
@@ -822,7 +766,6 @@ mod tests {
             corrupt_rate: 1.0,
             ..FaultSpec::quiet(1)
         }));
-        plan.advance_stage();
         let t = Transport::new(
             &stores,
             &stats,
@@ -858,7 +801,6 @@ mod tests {
             drop_rate: 1.0,
             ..FaultSpec::quiet(2)
         }));
-        plan.advance_stage();
         let t = Transport::new(
             &stores,
             &stats,

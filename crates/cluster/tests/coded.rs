@@ -9,8 +9,6 @@
 //! scenario must keep failing with the typed
 //! [`JobError::NodeDecommissioned`] of the elastic suite: recovery is
 //! bought with parity bytes, never silently faked.
-//!
-//! Driven by `make coded-smoke` (part of `make ci`).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

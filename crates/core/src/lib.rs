@@ -30,14 +30,15 @@
 //!   served;
 //! * [`sim_exec`] — lowers each plan task's summary onto the simulated
 //!   cluster at paper scale;
-//! * [`real_exec`] — materializes each plan task's blocks on the
-//!   thread-backed cluster and charges the ledger from the plan's routing,
-//!   used to *prove* every method computes the same product as the
-//!   single-node reference — and that both backends report bit-identical
+//! * [`real_exec`] — the one real executor: materializes each plan task's
+//!   blocks on the thread-backed cluster as a single dependency-gated
+//!   stage (per-task k-panel prefetch, aggregation released by its
+//!   producers) and charges the ledger from the plan's routing, used to
+//!   *prove* every method computes the same product as the single-node
+//!   reference — and that both backends report bit-identical
 //!   communication bytes;
-//! * [`pipelined`] — the dependency-driven streaming executor: fuses the
-//!   three phases into one gated stage with per-task k-panel prefetch so
-//!   communication overlaps compute, bit-identical to [`real_exec`];
+//! * [`pipelined`] — `multiply_pipelined`, the benchmark's name for
+//!   [`real_exec::multiply`];
 //! * [`summa`] — SUMMA on an MPI-style process grid, the ScaLAPACK/SciDB
 //!   comparison model of §6.5.
 

@@ -1,822 +1,4 @@
-//! Dependency-driven streaming executor: overlap communication and
-//! compute (Algorithm 1's double buffering, generalized to the whole job).
-//!
-//! The barrier executor in [`crate::real_exec`] runs repartition, local
-//! multiplication and aggregation as three synchronized stages: no task
-//! multiplies until every routed block has moved, and no task reduces
-//! until every task has multiplied. This module fuses the three phases
-//! into **one** gated stage ([`LocalCluster::run_stage_gated`]) scheduled
-//! by per-task block dependencies instead of phase barriers:
-//!
-//! * **mult tasks** dispatch immediately. Each one splits its routed
-//!   inputs into k-panels (the A column-slice and B row-slice of one k
-//!   step) and runs a per-task prefetch thread that pushes panels through
-//!   the transport up to [`PREFETCH_DEPTH`] ahead of the consuming compute
-//!   loop — the k-axis double buffering of the paper's Algorithm 1,
-//!   applied to network transfers instead of PCIe copies. The compute loop
-//!   accumulates each k-panel as soon as it lands (its completion signal
-//!   is the [`DeliveryBoard`]); panels the prefetch has not reached are
-//!   pulled directly through [`Transport::fetch`], which skips blocks that
-//!   already landed via another route;
-//! * **pre-moves** (CRMM's re-blocking pass) dispatch immediately — they
-//!   feed no mult-task read (every mult task routes its own inputs), so
-//!   they just stream alongside;
-//! * **aggregation tasks** are gated: each one's readiness countdown is
-//!   the set of mult tasks named by its planned `C`-copy inputs
-//!   ([`crate::plan::TaskSpec::producer_tasks`]), and the last producer to
-//!   finish marks it ready ([`StageGate::mark_ready`]) — so reduction of
-//!   early C blocks overlaps multiplication of late ones.
-//!
-//! **Determinism contract.** Result bytes are bit-identical to the barrier
-//! path: the CPU cuboid loop accumulates k ascending per output cell
-//! (exactly the barrier loop's per-cell order, restructured k-outer), the
-//! GPU subcuboid schedule waits for all panels and then runs unmodified,
-//! and reductions consume the same planned copies. Ledger model bytes are
-//! charged by the shared [`crate::real_exec::prepare_job`] prologue from
-//! the plan's routing view, so sim/real byte parity is untouched. Only
-//! *physical payload* bytes may differ from the barrier path: the pull
-//! path skips blocks another task's push already landed, so
-//! `transport_payload_bytes` is timing-dependent here (tests compare
-//! result and ledger bytes for pipelined runs, never payload).
+//! The benchmark's name for [`crate::real_exec::multiply`]: there is one
+//! executor, and it lives in [`crate::real_exec`].
 
-use crate::plan::{JobPlan, Operand, TaskWork};
-use crate::real_exec::{
-    self, lower_move, multiply_cuboid_cpu, multiply_voxels, prepare_job, put_block, reduce_groups,
-    JobSetup, RealExecOptions,
-};
-use crate::{gpu_local, methods::MulMethod};
-use distme_cluster::{
-    BlockSource, BlockView, DeliveryBoard, JobError, JobStats, LocalCluster, Phase, PhaseStats,
-    StoreKey, TaskError, WireMove, RESIDENCY_WINDOW_JOBS,
-};
-use distme_matrix::{codec, kernels, Block, BlockId, BlockMatrix, DenseBlock};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// How many k-panels a task's prefetch thread may run ahead of its compute
-/// loop: one panel multiplying, one in flight — Algorithm 1's double
-/// buffering. Deeper prefetch only grows the resident working set without
-/// hiding more latency (the compute loop consumes panels in order).
-pub const PREFETCH_DEPTH: usize = 2;
-
-/// How long a compute loop waits on the delivery board before re-checking
-/// whether its prefetch thread died with an error.
-const STALL_POLL: Duration = Duration::from_millis(10);
-
-/// [`real_exec::multiply`] through the streaming path.
-///
-/// # Errors
-/// See [`real_exec::multiply`].
-pub fn multiply_pipelined(
-    cluster: &LocalCluster,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    method: MulMethod,
-) -> Result<(BlockMatrix, JobStats), JobError> {
-    real_exec::multiply_with(
-        cluster,
-        a,
-        b,
-        method,
-        RealExecOptions {
-            pipelined: true,
-            ..Default::default()
-        },
-    )
-}
-
-/// One item of the fused stage. Indices are laid out mult tasks first
-/// (fused index == plan task index, so the replica copy index and the
-/// round-robin node both line up with the barrier path), then pre-moves,
-/// then aggregation tasks.
-#[derive(Clone)]
-enum FusedWork {
-    /// A pre-stage (CRMM map) task's routed moves: push them, done.
-    Premove(Arc<Vec<WireMove>>),
-    /// One local-mult task with its inputs grouped into k-panels.
-    Mult {
-        task: usize,
-        work: TaskWork,
-        panels: Arc<Vec<Vec<WireMove>>>,
-    },
-    /// One aggregation task: its plan node, routed copy fetches, and the
-    /// producer copies to reduce per output block.
-    Agg {
-        node: usize,
-        moves: Arc<Vec<WireMove>>,
-        groups: Arc<Vec<(BlockId, Vec<u32>)>>,
-    },
-}
-
-enum FusedOut {
-    Done,
-    Mult(Vec<BlockId>),
-    Agg(Vec<(BlockId, Block)>),
-}
-
-fn micros_since(t0: Instant) -> u64 {
-    t0.elapsed().as_micros() as u64
-}
-
-/// Executes `plan` with the fused dependency-gated stage. Called through
-/// [`real_exec::execute_plan`] when [`RealExecOptions::pipelined`] is set.
-///
-/// # Errors
-/// See [`real_exec::multiply`].
-pub fn execute_plan_pipelined(
-    cluster: &LocalCluster,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    plan: &JobPlan,
-    opts: RealExecOptions,
-) -> Result<(BlockMatrix, JobStats), JobError> {
-    let problem = &plan.problem;
-    let nodes = cluster.config().nodes;
-    let broadcast_b = plan.resolved.broadcast_b;
-
-    let prep_timer = Instant::now();
-    let setup = prepare_job(cluster, a, b, plan, &opts)?;
-    let JobSetup {
-        ref job_transport,
-        ref a_index,
-        ref b_index,
-        model_shuffle,
-        model_cross,
-        model_broadcast,
-        c_uid,
-        parity_blocks_encoded,
-        ..
-    } = setup;
-    let stores = cluster.stores();
-    let lower =
-        |phase: Phase, m: &crate::plan::BlockMove| lower_move(a.uid(), b.uid(), c_uid, phase, m);
-    let prep_secs = prep_timer.elapsed().as_secs_f64();
-
-    // ------------- The fused stage ----------------------------------------
-    let fused_timer = Instant::now();
-    let mult_stage = plan.stage(Phase::LocalMult).expect("plans always multiply");
-    let mult_n = mult_stage.tasks.len();
-    let needs_agg = plan.stage(Phase::Aggregation).is_some();
-
-    let mut items: Vec<FusedWork> = Vec::with_capacity(mult_n);
-    for (t, task) in mult_stage.tasks.iter().enumerate() {
-        // Group the task's routed inputs into one panel per k step of its
-        // cuboid (A moves carry column k, B moves carry row k); any other
-        // work shape gets a single all-inputs panel.
-        let panels: Vec<Vec<WireMove>> = match &task.work {
-            TaskWork::Cuboid(c) if c.k1 > c.k0 => {
-                let mut panels: Vec<Vec<WireMove>> = (c.k0..c.k1).map(|_| Vec::new()).collect();
-                for m in &task.inputs {
-                    let k = match m.operand {
-                        Operand::A if m.id.col >= c.k0 && m.id.col < c.k1 => Some(m.id.col),
-                        Operand::B if m.id.row >= c.k0 && m.id.row < c.k1 => Some(m.id.row),
-                        _ => None,
-                    };
-                    // Unclassifiable moves ride the first panel: delivered
-                    // before any compute step, like the barrier path.
-                    let slot = k.map_or(0, |k| (k - c.k0) as usize);
-                    panels[slot].push(lower(mult_stage.input_phase, m));
-                }
-                panels
-            }
-            _ => vec![task
-                .inputs
-                .iter()
-                .map(|m| lower(mult_stage.input_phase, m))
-                .collect()],
-        };
-        items.push(FusedWork::Mult {
-            task: t,
-            work: task.work.clone(),
-            panels: Arc::new(panels),
-        });
-    }
-    for stage in plan
-        .stages
-        .iter()
-        .filter(|s| s.phase != Phase::Aggregation && s.phase != Phase::LocalMult)
-    {
-        for task in &stage.tasks {
-            if task.inputs.is_empty() {
-                continue;
-            }
-            let moves = task
-                .inputs
-                .iter()
-                .map(|m| lower(stage.input_phase, m))
-                .collect();
-            items.push(FusedWork::Premove(Arc::new(moves)));
-        }
-    }
-    let agg_base = items.len();
-
-    // Aggregation gating: each agg task counts down its distinct producer
-    // mult tasks; the last producer to finish marks it ready.
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); mult_n];
-    let mut remaining: Vec<AtomicUsize> = Vec::new();
-    let mut initially_ready: Vec<usize> = (0..agg_base).collect();
-    if let Some(stage) = plan.stage(Phase::Aggregation) {
-        for (j, task) in stage.tasks.iter().enumerate() {
-            let producers = task.producer_tasks();
-            let moves: Vec<WireMove> = task
-                .inputs
-                .iter()
-                .map(|m| lower(stage.input_phase, m))
-                .collect();
-            let mut copies: BTreeMap<BlockId, BTreeSet<u32>> = BTreeMap::new();
-            for m in &task.inputs {
-                copies.entry(m.id).or_default().insert(m.copy);
-            }
-            let groups: Vec<(BlockId, Vec<u32>)> = match &task.work {
-                TaskWork::Aggregate(ids) => ids
-                    .iter()
-                    .map(|id| {
-                        (
-                            *id,
-                            copies
-                                .get(id)
-                                .map(|s| s.iter().copied().collect())
-                                .unwrap_or_default(),
-                        )
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
-            if producers.is_empty() {
-                initially_ready.push(agg_base + j);
-            }
-            for &p in &producers {
-                debug_assert!(p < mult_n, "C copy {p} names a mult task");
-                consumers[p].push(j);
-            }
-            remaining.push(AtomicUsize::new(producers.len()));
-            items.push(FusedWork::Agg {
-                node: task.node,
-                moves: Arc::new(moves),
-                groups: Arc::new(groups),
-            });
-        }
-    }
-
-    let board = DeliveryBoard::default();
-    let transport = cluster
-        .transport()
-        .with_job_counters(job_transport)
-        .with_delivery_board(&board);
-    // Which (block, producer-copy) pairs physically exist. An agg task only
-    // queries copies of its own (completed, gated-on) producers, so the
-    // set is always complete for the copies it looks up.
-    let produced: Mutex<BTreeSet<(BlockId, u32)>> = Mutex::new(BTreeSet::new());
-    // Guards the consumer countdowns: an injected crash strikes *after* a
-    // task's closure returned Ok, so a retried mult task re-runs with its
-    // side effects already applied — the countdown must decrement once.
-    let mult_done: Vec<AtomicBool> = (0..mult_n).map(|_| AtomicBool::new(false)).collect();
-    let comm_micros = AtomicU64::new(0);
-    let stall_micros = AtomicU64::new(0);
-    let hits = AtomicU64::new(0);
-    let stalls = AtomicU64::new(0);
-
-    let run = cluster.run_stage_gated(
-        opts.tenant,
-        opts.priority,
-        items,
-        initially_ready,
-        |ctx, item, gate| {
-            match item {
-                FusedWork::Premove(moves) => {
-                    for mv in moves.iter() {
-                        let t0 = Instant::now();
-                        let payload = transport.execute(mv, ctx.attempt);
-                        comm_micros.fetch_add(micros_since(t0), Ordering::Relaxed);
-                        let payload = payload?;
-                        ctx.alloc(payload)?;
-                        ctx.free(payload);
-                    }
-                    Ok(FusedOut::Done)
-                }
-                FusedWork::Mult { task, work, panels } => {
-                    debug_assert_eq!(mult_stage.tasks[task].node, ctx.node);
-                    let store = stores.node(ctx.node);
-                    let a_view = BlockView::new(store, a.uid(), a_index);
-                    let b_view = BlockView::new(store, b.uid(), b_index);
-                    let finish = |blk: Block| if needs_agg { blk } else { blk.normalize() };
-                    let attempt = ctx.attempt;
-                    let n_panels = panels.len();
-
-                    // Per-attempt pipeline state: exclusive panel claims
-                    // (each panel's moves execute exactly once per attempt,
-                    // by push or by pull), the prefetch's error slot, and
-                    // the consumer's progress cursor (MAX = done/bailed).
-                    let claimed: Vec<AtomicBool> =
-                        (0..n_panels).map(|_| AtomicBool::new(false)).collect();
-                    let prefetch_err: Mutex<Option<TaskError>> = Mutex::new(None);
-                    let compute_pos = AtomicUsize::new(0);
-
-                    let produced_ids = std::thread::scope(|scope| {
-                        scope.spawn(|| {
-                            for (p, panel) in panels.iter().enumerate() {
-                                loop {
-                                    let pos = compute_pos.load(Ordering::Acquire);
-                                    if pos == usize::MAX {
-                                        return;
-                                    }
-                                    if p < pos.saturating_add(PREFETCH_DEPTH) {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                                if claimed[p].swap(true, Ordering::AcqRel) {
-                                    continue; // the compute loop pulled it
-                                }
-                                for mv in panel {
-                                    let t0 = Instant::now();
-                                    let r = transport.execute(mv, attempt);
-                                    comm_micros.fetch_add(micros_since(t0), Ordering::Relaxed);
-                                    if let Err(e) = r {
-                                        *prefetch_err.lock().expect("prefetch error slot") =
-                                            Some(e);
-                                        return;
-                                    }
-                                }
-                            }
-                        });
-
-                        let ensure_panel = |p: usize| -> Result<(), TaskError> {
-                            let panel = &panels[p];
-                            if !claimed[p].swap(true, Ordering::AcqRel) {
-                                // The prefetch hasn't claimed this panel:
-                                // pull the stragglers ourselves. `fetch`
-                                // skips blocks that already landed.
-                                stalls.fetch_add(1, Ordering::Relaxed);
-                                let t0 = Instant::now();
-                                for mv in panel {
-                                    let payload = transport.fetch(mv, attempt)?;
-                                    ctx.alloc(payload)?;
-                                    ctx.free(payload);
-                                }
-                                let us = micros_since(t0);
-                                comm_micros.fetch_add(us, Ordering::Relaxed);
-                                stall_micros.fetch_add(us, Ordering::Relaxed);
-                                return Ok(());
-                            }
-                            let keys: Vec<StoreKey> = panel.iter().map(|m| m.dst).collect();
-                            if board.all_landed(ctx.node, &keys) {
-                                hits.fetch_add(1, Ordering::Relaxed);
-                                return Ok(());
-                            }
-                            // In flight: block on the delivery board,
-                            // re-checking for a dead prefetch between polls.
-                            stalls.fetch_add(1, Ordering::Relaxed);
-                            let t0 = Instant::now();
-                            for mv in panel {
-                                while !board.wait_for(mv.to_node, &mv.dst, STALL_POLL) {
-                                    if let Some(e) =
-                                        prefetch_err.lock().expect("prefetch error slot").take()
-                                    {
-                                        stall_micros.fetch_add(micros_since(t0), Ordering::Relaxed);
-                                        return Err(e);
-                                    }
-                                }
-                            }
-                            stall_micros.fetch_add(micros_since(t0), Ordering::Relaxed);
-                            Ok(())
-                        };
-
-                        let result = (|| -> Result<Vec<BlockId>, TaskError> {
-                            match (&work, opts.gpu_task_mem_bytes) {
-                                (TaskWork::Cuboid(cuboid), None) if cuboid.k1 > cuboid.k0 => {
-                                    // CPU path: accumulate each k-panel as it
-                                    // lands. k runs ascending per output cell —
-                                    // the barrier loop's exact per-cell
-                                    // accumulation order, so bits match.
-                                    let nj = (cuboid.j1 - cuboid.j0) as usize;
-                                    let ni = (cuboid.i1 - cuboid.i0) as usize;
-                                    let mut acc: Vec<Option<DenseBlock>> =
-                                        (0..ni * nj).map(|_| None).collect();
-                                    for p in 0..n_panels {
-                                        ensure_panel(p)?;
-                                        let k = cuboid.k0 + p as u32;
-                                        // Charge the panel's landed input
-                                        // bytes before multiplying — summed
-                                        // over panels this is exactly the
-                                        // barrier path's input charge.
-                                        let mut panel_bytes = 0u64;
-                                        for i in cuboid.i0..cuboid.i1 {
-                                            if let Some(ab) = a_view.block(i, k)? {
-                                                panel_bytes += codec::encoded_len(&ab);
-                                            }
-                                        }
-                                        if !broadcast_b {
-                                            for j in cuboid.j0..cuboid.j1 {
-                                                if let Some(bb) = b_view.block(k, j)? {
-                                                    panel_bytes += codec::encoded_len(&bb);
-                                                }
-                                            }
-                                        }
-                                        ctx.alloc(panel_bytes)?;
-                                        for i in cuboid.i0..cuboid.i1 {
-                                            let Some(ab) = a_view.block(i, k)? else {
-                                                continue;
-                                            };
-                                            for j in cuboid.j0..cuboid.j1 {
-                                                let Some(bb) = b_view.block(k, j)? else {
-                                                    continue;
-                                                };
-                                                let cell = &mut acc[(i - cuboid.i0) as usize * nj
-                                                    + (j - cuboid.j0) as usize];
-                                                let slot = match cell {
-                                                    Some(d) => d,
-                                                    None => {
-                                                        let (rows, cols) =
-                                                            problem.c.block_dims(i, j);
-                                                        cell.insert(DenseBlock::zeros(
-                                                            rows as usize,
-                                                            cols as usize,
-                                                        ))
-                                                    }
-                                                };
-                                                kernels::multiply_accumulate(slot, &ab, &bb)?;
-                                            }
-                                        }
-                                        compute_pos.store(p + 1, Ordering::Release);
-                                    }
-                                    let mut produced_out = Vec::new();
-                                    for i in cuboid.i0..cuboid.i1 {
-                                        for j in cuboid.j0..cuboid.j1 {
-                                            let idx = (i - cuboid.i0) as usize * nj
-                                                + (j - cuboid.j0) as usize;
-                                            if let Some(dense) = acc[idx].take() {
-                                                ctx.alloc(dense.mem_bytes())?;
-                                                let id = BlockId::new(i, j);
-                                                store.install(
-                                                    StoreKey::replica(c_uid, id, task as u32),
-                                                    Arc::new(finish(Block::Dense(dense))),
-                                                );
-                                                produced_out.push(id);
-                                            }
-                                        }
-                                    }
-                                    Ok(produced_out)
-                                }
-                                _ => {
-                                    // GPU subcuboid schedules (and degenerate
-                                    // or voxel work) consume the whole input
-                                    // set at once: drain every panel, then run
-                                    // the barrier-identical body. The panels
-                                    // still stream in behind the prefetch.
-                                    for p in 0..n_panels {
-                                        ensure_panel(p)?;
-                                        compute_pos.store(p + 1, Ordering::Release);
-                                    }
-                                    match &work {
-                                        TaskWork::Cuboid(cuboid) => {
-                                            let mut in_bytes = 0u64;
-                                            for id in cuboid.a_block_ids() {
-                                                if let Some(blk) = a_view.block(id.row, id.col)? {
-                                                    in_bytes += codec::encoded_len(&blk);
-                                                }
-                                            }
-                                            if !broadcast_b {
-                                                for id in cuboid.b_block_ids() {
-                                                    if let Some(blk) =
-                                                        b_view.block(id.row, id.col)?
-                                                    {
-                                                        in_bytes += codec::encoded_len(&blk);
-                                                    }
-                                                }
-                                            }
-                                            ctx.alloc(in_bytes)?;
-                                            let blocks = match opts.gpu_task_mem_bytes {
-                                                Some(theta_g) => {
-                                                    gpu_local::execute_cuboid_real(
-                                                        cuboid, &a_view, &b_view, problem, theta_g,
-                                                    )?
-                                                    .blocks
-                                                }
-                                                None => multiply_cuboid_cpu(
-                                                    cuboid, &a_view, &b_view, problem,
-                                                )?,
-                                            };
-                                            let mut produced_out = Vec::with_capacity(blocks.len());
-                                            for (id, dense) in blocks {
-                                                ctx.alloc(dense.mem_bytes())?;
-                                                store.install(
-                                                    StoreKey::replica(c_uid, id, task as u32),
-                                                    Arc::new(finish(Block::Dense(dense))),
-                                                );
-                                                produced_out.push(id);
-                                            }
-                                            Ok(produced_out)
-                                        }
-                                        TaskWork::Voxels(voxels) => {
-                                            let acc =
-                                                multiply_voxels(ctx, voxels, &a_view, &b_view)?;
-                                            let mut produced_out = Vec::with_capacity(acc.len());
-                                            for (id, blk) in acc {
-                                                store.install(
-                                                    StoreKey::replica(c_uid, id, task as u32),
-                                                    Arc::new(finish(blk)),
-                                                );
-                                                produced_out.push(id);
-                                            }
-                                            Ok(produced_out)
-                                        }
-                                        TaskWork::MapRead | TaskWork::Aggregate(_) => {
-                                            Ok(Vec::new())
-                                        }
-                                    }
-                                }
-                            }
-                        })();
-                        // Unblock the prefetch throttle whether we finished
-                        // or failed; the scope joins it before returning.
-                        compute_pos.store(usize::MAX, Ordering::Release);
-                        result
-                    })?;
-
-                    {
-                        let mut set = produced.lock().expect("produced set");
-                        for &id in &produced_ids {
-                            set.insert((id, task as u32));
-                        }
-                    }
-                    if !mult_done[task].swap(true, Ordering::AcqRel) {
-                        for &j in &consumers[task] {
-                            if remaining[j].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                gate.mark_ready(agg_base + j);
-                            }
-                        }
-                    }
-                    Ok(FusedOut::Mult(produced_ids))
-                }
-                FusedWork::Agg {
-                    node,
-                    moves,
-                    groups,
-                } => {
-                    // Every producer has finished (gating invariant), so the
-                    // planned copies are installed at their sources; the
-                    // fetches stream while other mult tasks still run.
-                    for mv in moves.iter() {
-                        let t0 = Instant::now();
-                        let payload = transport.execute(mv, ctx.attempt);
-                        comm_micros.fetch_add(micros_since(t0), Ordering::Relaxed);
-                        let payload = payload?;
-                        ctx.alloc(payload)?;
-                        ctx.free(payload);
-                    }
-                    let store = stores.node(node);
-                    let out = reduce_groups(
-                        ctx,
-                        store,
-                        node,
-                        c_uid,
-                        groups.as_ref().clone(),
-                        &|id, copy| produced.lock().expect("produced set").contains(&(id, copy)),
-                    )?;
-                    Ok(FusedOut::Agg(out))
-                }
-            }
-        },
-    )?;
-    let fused_secs = fused_timer.elapsed().as_secs_f64() + run.backoff_secs;
-
-    // ------------- Result assembly ---------------------------------------
-    let mut mult_outputs: Vec<Vec<BlockId>> = Vec::with_capacity(mult_n);
-    let mut agg_outputs: Vec<Vec<(BlockId, Block)>> = Vec::new();
-    for out in run.outputs {
-        match out {
-            FusedOut::Mult(ids) => mult_outputs.push(ids),
-            FusedOut::Agg(blocks) => agg_outputs.push(blocks),
-            FusedOut::Done => {}
-        }
-    }
-    let mut c = BlockMatrix::new(problem.c);
-    if needs_agg {
-        for (id, blk) in agg_outputs.into_iter().flatten() {
-            if blk.nnz() > 0 {
-                put_block(&mut c, id, Arc::new(blk))?;
-            }
-        }
-    } else {
-        // R = 1: every intermediate copy is final; collect each task's
-        // locally-installed outputs.
-        for (t, ids) in mult_outputs.into_iter().enumerate() {
-            let store = stores.node(mult_stage.tasks[t].node);
-            for id in ids {
-                let blk = store
-                    .get(&StoreKey::replica(c_uid, id, t as u32))
-                    .expect("a task's own installs are resident");
-                if blk.nnz() > 0 {
-                    put_block(&mut c, id, blk)?;
-                }
-            }
-        }
-    }
-
-    // Same residency epilogue as the barrier path.
-    stores.evict_matrix(c_uid);
-    for (id, blk) in c.blocks_shared() {
-        let key = StoreKey::operand(c.uid(), id);
-        stores.ingest(
-            crate::plan::operand_home(Operand::A, id, nodes),
-            key,
-            Arc::clone(&blk),
-        );
-        stores.ingest(crate::plan::operand_home(Operand::B, id, nodes), key, blk);
-    }
-    stores.touch(c.uid());
-    stores.evict_stale(RESIDENCY_WINDOW_JOBS);
-    // Same coded-replication epilogue as the barrier path.
-    let parity_blocks_encoded = parity_blocks_encoded + cluster.encode_parity(c.uid());
-
-    // ------------- Statistics --------------------------------------------
-    // Bytes come from the shared routing-view accumulators — identical to
-    // the barrier path. Time splits by *where it was spent*: stalled
-    // communication reports as repartition, everything else the fused
-    // window did (compute + hidden communication) as local mult;
-    // aggregation's fetches and reduces ran inside the window, so its
-    // phase keeps bytes but no wall time of its own.
-    let comm_secs = comm_micros.load(Ordering::Relaxed) as f64 / 1e6;
-    let stall_secs = (stall_micros.load(Ordering::Relaxed) as f64 / 1e6).min(fused_secs);
-    let overlap_ratio = if comm_secs > 0.0 {
-        Some(((comm_secs - stall_secs) / comm_secs).clamp(0.0, 1.0))
-    } else {
-        None
-    };
-    let rep = Phase::Repartition.index();
-    let agg_i = Phase::Aggregation.index();
-    let mut stats = JobStats {
-        elapsed_secs: prep_secs + fused_secs,
-        peak_task_mem_bytes: run.peak_task_mem_bytes,
-        intermediate_bytes: model_shuffle[rep] + model_shuffle[agg_i],
-        gpu_utilization: None,
-        transport_payload_bytes: job_transport.payload_bytes(),
-        retries: run.retries,
-        redelivered_moves: job_transport.redelivered(),
-        retransmitted_payload_bytes: job_transport.retransmitted_bytes(),
-        overlap_ratio,
-        prefetch_hits: hits.load(Ordering::Relaxed),
-        prefetch_stalls: stalls.load(Ordering::Relaxed),
-        parity_blocks_encoded,
-        reconstructed_blocks: job_transport.reconstructed(),
-        reconstruction_payload_bytes: job_transport.reconstruction_bytes(),
-        ..Default::default()
-    };
-    *stats.phase_mut(Phase::Repartition) = PhaseStats {
-        secs: prep_secs + stall_secs,
-        shuffle_bytes: model_shuffle[rep],
-        cross_node_bytes: model_cross[rep],
-        broadcast_bytes: model_broadcast[rep],
-        tasks: plan.stage(Phase::Repartition).map_or(0, |s| s.tasks.len()),
-    };
-    *stats.phase_mut(Phase::LocalMult) = PhaseStats {
-        secs: (fused_secs - stall_secs).max(0.0),
-        shuffle_bytes: 0,
-        cross_node_bytes: 0,
-        broadcast_bytes: 0,
-        tasks: mult_n,
-    };
-    *stats.phase_mut(Phase::Aggregation) = PhaseStats {
-        secs: 0.0,
-        shuffle_bytes: model_shuffle[agg_i],
-        cross_node_bytes: model_cross[agg_i],
-        broadcast_bytes: 0,
-        tasks: plan.stage(Phase::Aggregation).map_or(0, |s| s.tasks.len()),
-    };
-    Ok((c, stats))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cuboid::CuboidSpec;
-    use distme_cluster::ClusterConfig;
-    use distme_matrix::{MatrixGenerator, MatrixMeta};
-
-    fn cluster() -> LocalCluster {
-        LocalCluster::new(ClusterConfig::laptop())
-    }
-
-    fn operands(bs: u64, sparsity: f64) -> (BlockMatrix, BlockMatrix, BlockMatrix) {
-        let am = MatrixMeta::sparse(5 * bs, 4 * bs, sparsity).with_block_size(bs);
-        let bm = MatrixMeta::sparse(4 * bs, 3 * bs, sparsity).with_block_size(bs);
-        let a = MatrixGenerator::with_seed(11).generate(&am).unwrap();
-        let b = MatrixGenerator::with_seed(22).generate(&bm).unwrap();
-        let reference = a.multiply(&b).unwrap();
-        (a, b, reference)
-    }
-
-    #[test]
-    fn every_method_streams_the_reference_product() {
-        let (a, b, reference) = operands(16, 1.0);
-        for method in [
-            MulMethod::Bmm,
-            MulMethod::Cpmm,
-            MulMethod::Rmm,
-            MulMethod::CuboidAuto,
-            MulMethod::Cuboid(CuboidSpec::new(2, 2, 2)),
-            MulMethod::Crmm,
-        ] {
-            let c = cluster();
-            let (prod, _) = multiply_pipelined(&c, &a, &b, method)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", method.name()));
-            let diff = prod.max_abs_diff(&reference).unwrap();
-            assert!(diff < 1e-9, "{}: diff {diff}", method.name());
-        }
-    }
-
-    #[test]
-    fn streamed_bits_match_the_barrier_path_exactly() {
-        let (a, b, _) = operands(16, 1.0);
-        for method in [MulMethod::Cpmm, MulMethod::CuboidAuto, MulMethod::Rmm] {
-            let barrier = real_exec::multiply(&cluster(), &a, &b, method).unwrap().0;
-            let streamed = multiply_pipelined(&cluster(), &a, &b, method).unwrap().0;
-            assert_eq!(
-                streamed.max_abs_diff(&barrier).unwrap(),
-                0.0,
-                "{} must be bit-identical",
-                method.name()
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_runs_report_overlap_and_prefetch_counters() {
-        let (a, b, _) = operands(16, 1.0);
-        let c = cluster();
-        let (_, stats) = multiply_pipelined(&c, &a, &b, MulMethod::Cpmm).unwrap();
-        let ratio = stats.overlap_ratio.expect("pipelined jobs report overlap");
-        assert!((0.0..=1.0).contains(&ratio));
-        assert!(
-            stats.prefetch_hits + stats.prefetch_stalls > 0,
-            "every panel is either a hit or a stall"
-        );
-        // Barrier runs must not pretend to overlap.
-        let c = cluster();
-        let (_, stats) = real_exec::multiply(&c, &a, &b, MulMethod::Cpmm).unwrap();
-        assert_eq!(stats.overlap_ratio, None);
-    }
-
-    #[test]
-    fn pipelined_ledger_matches_barrier_model_bytes() {
-        let (a, b, _) = operands(16, 1.0);
-        for method in [MulMethod::Cpmm, MulMethod::CuboidAuto, MulMethod::Crmm] {
-            let cb = cluster();
-            let (_, barrier) = real_exec::multiply(&cb, &a, &b, method).unwrap();
-            let cp = cluster();
-            let (_, streamed) = multiply_pipelined(&cp, &a, &b, method).unwrap();
-            for phase in Phase::ALL {
-                assert_eq!(
-                    cb.ledger().shuffle_bytes(phase),
-                    cp.ledger().shuffle_bytes(phase),
-                    "{} ledger parity in {}",
-                    method.name(),
-                    phase.label()
-                );
-                assert_eq!(
-                    barrier.phase(phase).shuffle_bytes,
-                    streamed.phase(phase).shuffle_bytes,
-                    "{} stats parity in {}",
-                    method.name(),
-                    phase.label()
-                );
-                assert_eq!(
-                    barrier.phase(phase).cross_node_bytes,
-                    streamed.phase(phase).cross_node_bytes,
-                );
-                assert_eq!(
-                    barrier.phase(phase).broadcast_bytes,
-                    streamed.phase(phase).broadcast_bytes,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gpu_schedule_streams_bit_identically_too() {
-        let (a, b, _) = operands(16, 1.0);
-        let opts = RealExecOptions {
-            gpu_task_mem_bytes: Some(40_000),
-            ..Default::default()
-        };
-        let barrier = real_exec::multiply_with(&cluster(), &a, &b, MulMethod::CuboidAuto, opts)
-            .unwrap()
-            .0;
-        let streamed = real_exec::multiply_with(
-            &cluster(),
-            &a,
-            &b,
-            MulMethod::CuboidAuto,
-            RealExecOptions {
-                pipelined: true,
-                ..opts
-            },
-        )
-        .unwrap()
-        .0;
-        assert_eq!(streamed.max_abs_diff(&barrier).unwrap(), 0.0);
-    }
-}
+pub use crate::real_exec::multiply as multiply_pipelined;

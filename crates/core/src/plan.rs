@@ -71,21 +71,6 @@ pub struct BlockMove {
     pub copy: u32,
 }
 
-/// One block a task waits for, as a placement-independent identity. The
-/// `(operand, id, copy)` triple names exactly one routed [`BlockMove`]'s
-/// payload, so "all of a task's [`BlockDep`]s have landed" is the
-/// dependency-readiness condition the pipelined executor gates dispatch
-/// on — per task, instead of per phase barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BlockDep {
-    /// Operand space of the awaited block.
-    pub operand: Operand,
-    /// The awaited block.
-    pub id: BlockId,
-    /// Producer copy index (aggregation inputs only; operand moves use 0).
-    pub copy: u32,
-}
-
 /// What a task executes when the plan runs with real blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskWork {
@@ -120,28 +105,11 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
-    /// The exact set of blocks this task consumes, derived from its routed
-    /// inputs. The task is runnable once every listed dependency has landed
-    /// on [`TaskSpec::node`] — the per-task readiness contract that
-    /// replaces the phase barrier. Duplicate moves of one identity (RMM
-    /// voxel buckets re-fetching a block for several voxels) collapse to a
-    /// single dependency.
-    pub fn dependencies(&self) -> std::collections::BTreeSet<BlockDep> {
-        self.inputs
-            .iter()
-            .map(|m| BlockDep {
-                operand: m.operand,
-                id: m.id,
-                copy: m.copy,
-            })
-            .collect()
-    }
-
     /// For an aggregation task: the local-mult task indices producing its
     /// inputs (a C move's `copy` field *is* the producer task index). An
-    /// aggregation task is dispatchable once these producers finished —
-    /// the coarser, crash-safe gate the pipelined executor uses for C
-    /// copies, since an implicit-zero intermediate never physically lands.
+    /// aggregation task is dispatchable once these producers finished — a
+    /// gate on tasks, not on landed blocks, since an implicit-zero
+    /// intermediate never physically lands.
     pub fn producer_tasks(&self) -> std::collections::BTreeSet<usize> {
         self.inputs
             .iter()
@@ -278,16 +246,6 @@ impl JobPlan {
     /// physical facts.
     pub fn home_of(&self, operand: Operand, id: BlockId) -> usize {
         operand_home(operand, id, self.nodes)
-    }
-
-    /// Per-task dependency sets for the stage executing `phase`: entry `t`
-    /// lists the exact blocks task `t` consumes, so the plan exposes
-    /// "task T is runnable once blocks {b…} have landed" instead of
-    /// "the previous phase is done". Empty when the plan has no such stage.
-    pub fn task_dependencies(&self, phase: Phase) -> Vec<std::collections::BTreeSet<BlockDep>> {
-        self.stage(phase)
-            .map(|s| s.tasks.iter().map(TaskSpec::dependencies).collect())
-            .unwrap_or_default()
     }
 }
 
@@ -893,32 +851,17 @@ mod tests {
     }
 
     #[test]
-    fn task_dependencies_name_exactly_the_routed_inputs() {
+    fn producer_tasks_name_the_mult_tasks_behind_each_c_copy() {
         let p = MatmulProblem::dense(5_000, 5_000, 5_000);
         let plan = JobPlan::build(&p, MulMethod::Cuboid(CuboidSpec::new(1, 1, 5)), &laptop());
-
-        // Local-mult deps are the task's routed operand blocks, copy 0.
         let mult = plan.stage(Phase::LocalMult).unwrap();
-        let dep_sets = plan.task_dependencies(Phase::LocalMult);
-        assert_eq!(dep_sets.len(), mult.tasks.len());
-        for (task, deps) in mult.tasks.iter().zip(&dep_sets) {
-            assert_eq!(deps.len(), task.inputs.len(), "operand moves are distinct");
-            for m in &task.inputs {
-                assert!(deps.contains(&BlockDep {
-                    operand: m.operand,
-                    id: m.id,
-                    copy: 0,
-                }));
-            }
+        for task in &mult.tasks {
             assert!(task.producer_tasks().is_empty(), "no C inputs here");
         }
-
-        // Aggregation deps carry the producer copy index, and the
+        // Aggregation inputs carry the producer copy index, and the
         // producer-task view recovers exactly those mult-task indices.
         let agg = plan.stage(Phase::Aggregation).unwrap();
         for task in &agg.tasks {
-            let deps = task.dependencies();
-            assert_eq!(deps.len(), task.inputs.len());
             let producers = task.producer_tasks();
             for m in &task.inputs {
                 assert_eq!(m.operand, Operand::C);
@@ -926,27 +869,6 @@ mod tests {
                 assert!((m.copy as usize) < mult.tasks.len());
             }
         }
-
-        // A phase the plan does not stage has no dependency sets.
-        assert!(plan.task_dependencies(Phase::Rebalance).is_empty());
-    }
-
-    #[test]
-    fn rmm_voxel_dependencies_deduplicate_shared_blocks() {
-        // RMM routes one move per voxel-operand pair; a bucket with two
-        // voxels sharing an A block still depends on that block once.
-        let p = MatmulProblem::dense(5_000, 5_000, 5_000);
-        let plan = JobPlan::build(&p, MulMethod::Rmm, &laptop());
-        let mult = plan.stage(Phase::LocalMult).unwrap();
-        let mut saw_dedup = false;
-        for task in &mult.tasks {
-            let deps = task.dependencies();
-            assert!(deps.len() <= task.inputs.len());
-            if deps.len() < task.inputs.len() {
-                saw_dedup = true;
-            }
-        }
-        assert!(saw_dedup, "some bucket must share an operand block");
     }
 
     #[test]

@@ -1,44 +1,73 @@
-//! The real backend: executes a [`JobPlan`] with materialized blocks
-//! (laptop scale).
+//! The real executor: runs a [`JobPlan`] with materialized blocks (laptop
+//! scale) as **one** dependency-gated stage. DESIGN.md §12 has the long
+//! form.
 //!
 //! All plan construction lives in [`crate::plan`]; this module is a pure
-//! plan consumer over the cluster's physical substrate:
+//! plan consumer over the cluster's physical substrate. A job is:
 //!
-//! 1. **Ingest** — operand blocks are installed into their home nodes'
-//!    stores per the plan's placement hash (reusing placements still
-//!    resident from earlier jobs);
-//! 2. **Repartition** — every routed [`crate::plan::BlockMove`] physically
-//!    executes through the codec-backed transport, landing serialized
-//!    copies in consumer nodes' stores;
-//! 3. **Local multiplication** — tasks resolve inputs **only** from their
-//!    own node's store (a miss on a materialized block is a hard
-//!    [`TaskError::MissingBlock`]) and install intermediate C copies
-//!    locally;
-//! 4. **Aggregation** — tasks fetch their planned intermediate copies
-//!    through the transport and reduce them in parallel on the workers,
-//!    not on the driver.
+//! 1. a **prologue** ([`prepare_job`]): the plan is validated against the
+//!    cluster's width and membership epoch, operand blocks are installed
+//!    into their home nodes' stores (reusing placements still resident from
+//!    earlier jobs), and the ledger is charged from the plan's routing view
+//!    — exactly what the simulator reports for the same plan, so simulated
+//!    bytes stay bit-identical to measured ones (`tests/plan_parity.rs`);
+//! 2. **one stage** ([`LocalCluster::run_stage`]) holding every task of the
+//!    plan: the local-multiplication tasks, the pre-moves of a map stage
+//!    (CRMM's re-blocking), and the aggregation tasks, each of these gated
+//!    on the mult tasks that produce its inputs
+//!    ([`crate::plan::TaskSpec::producer_tasks`]), so reduction of early C
+//!    blocks overlaps multiplication of late ones;
+//! 3. an **epilogue**: the result is collected, placed at its future home
+//!    nodes, and the job's statistics are assembled.
 //!
-//! The ledger is charged from the plan's routed model bytes — exactly what
-//! the simulator reports for the same plan — so the simulated numbers stay
-//! bit-identical to the measured ones (`tests/plan_parity.rs`), while the
-//! transport separately counts the physically encoded payload bytes.
+//! A mult task splits its routed inputs into k-panels. Every planned move
+//! executes exactly once per task attempt through [`Transport::execute`]:
+//! pushed by the task's prefetch thread, up to [`PREFETCH_DEPTH`] panels
+//! ahead of the compute loop (the k-axis double buffering of the paper's
+//! Algorithm 1, applied to network transfers instead of PCIe copies), or
+//! pulled inline by the compute loop when it reaches a panel first — which
+//! is always, for a task too small to prefetch ([`PREFETCH_MIN_BYTES`]):
+//! copy-then-compute is the degenerate case of the same loop. Tasks resolve
+//! inputs **only** from their own node's store (a miss on a materialized
+//! block is a hard [`TaskError::MissingBlock`]).
+//!
+//! `PhaseStats::secs` of repartition is the prologue plus the time compute
+//! loops spent *stalled* on communication; local multiplication is the rest
+//! of the stage's window (compute, and the communication hidden behind it);
+//! aggregation runs inside that window and reports bytes but no seconds.
 
 use crate::cuboid::Cuboid;
 use crate::gpu_local;
-use crate::methods::{MulMethod, ResolvedMethod};
-use crate::plan::{BlockMove, JobPlan, Operand, TaskWork};
+use crate::methods::MulMethod;
+use crate::plan::{BlockMove, JobPlan, Operand, TaskSpec, TaskWork};
 use crate::problem::MatmulProblem;
+use distme_cluster::chaos::run_task;
 use distme_cluster::{
-    BlockSource, BlockView, JobError, JobStats, LocalCluster, NodeStore, Phase, PhaseStats,
-    PinGuard, StoreKey, TaskCtx, TaskError, TenantId, TransportStats, WireMove,
-    RESIDENCY_WINDOW_JOBS,
+    BlockSource, BlockView, DeliveryBoard, FaultPlan, JobError, JobStats, LocalCluster, NodeStore,
+    Phase, PhaseStats, PinGuard, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats,
+    WireMove, RESIDENCY_WINDOW_JOBS,
 };
 use distme_matrix::{
     codec, fresh_matrix_uid, kernels, Block, BlockId, BlockMatrix, CsrBlock, DenseBlock,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// How many k-panels a task's prefetch thread may run ahead of its compute
+/// loop: one panel multiplying, one in flight — Algorithm 1's double
+/// buffering. Deeper prefetch only grows the resident working set without
+/// hiding more latency (the compute loop consumes panels in order).
+const PREFETCH_DEPTH: usize = 2;
+
+/// Routed input bytes (the plan's model bytes) below which a mult task
+/// pulls its panels inline instead of running a prefetch thread: moving
+/// less than this takes about as long as starting the thread that would
+/// hide it. The benchmark's `serve_small` / `serve_c4` jobs (128³, tens
+/// of KiB per task) sit below it, `dense_square` / `dense_pipelined`
+/// (2048³, MiBs per task) above.
+const PREFETCH_MIN_BYTES: u64 = 1 << 20;
 
 /// Options for real execution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,17 +80,9 @@ pub struct RealExecOptions {
     /// to. Defaults to [`TenantId::ANONYMOUS`], preserving the single-user
     /// behaviour for direct callers.
     pub tenant: TenantId,
-    /// Scheduler priority of this job's stages (clamped to the cluster's
+    /// Scheduler priority of this job's stage (clamped to the cluster's
     /// configured `priority_levels`; higher wins freed slots first).
     pub priority: u8,
-    /// Execute through the dependency-driven streaming path
-    /// ([`crate::pipelined`]): repartition, local multiplication and
-    /// aggregation fuse into one gated stage so communication overlaps
-    /// compute. Result bytes and ledger model bytes are bit-identical to
-    /// the barrier path; off by default because the barrier path's
-    /// per-stage fault-injection stage numbering is part of the chaos
-    /// tests' fixed-seed contract.
-    pub pipelined: bool,
 }
 
 /// Multiplies `a × b` distributed over `cluster` with `method`.
@@ -87,7 +108,7 @@ pub fn multiply_with(
     method: MulMethod,
     opts: RealExecOptions,
 ) -> Result<(BlockMatrix, JobStats), JobError> {
-    let problem = problem_of(a, b)?;
+    let problem = MatmulProblem::new(*a.meta(), *b.meta())?;
     let plan = JobPlan::build(&problem, method, cluster.config()).at_epoch(cluster.epoch());
     execute_plan(cluster, a, b, &plan, opts)
 }
@@ -110,79 +131,40 @@ pub fn sddmm(
     b: &BlockMatrix,
     mask: &BlockMatrix,
 ) -> Result<(BlockMatrix, JobStats), JobError> {
-    sddmm_with(cluster, a, b, mask, RealExecOptions::default())
-}
-
-/// [`sddmm`] with explicit options (`pipelined` is ignored: the sampled
-/// path always runs the barrier executor).
-pub fn sddmm_with(
-    cluster: &LocalCluster,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    mask: &BlockMatrix,
-    opts: RealExecOptions,
-) -> Result<(BlockMatrix, JobStats), JobError> {
-    let problem = MatmulProblem::sddmm(*a.meta(), *b.meta(), *mask.meta()).map_err(|e| {
-        JobError::TaskFailed {
-            task: 0,
-            message: e.to_string(),
-        }
-    })?;
+    let problem = MatmulProblem::sddmm(*a.meta(), *b.meta(), *mask.meta())?;
     let plan =
         JobPlan::build(&problem, MulMethod::Sddmm, cluster.config()).at_epoch(cluster.epoch());
-    execute_plan_masked(cluster, a, b, Some(mask), &plan, opts)
+    execute_plan_masked(cluster, a, b, Some(mask), &plan, RealExecOptions::default())
 }
 
-/// [`multiply`] with a pre-resolved method (system profiles with legacy
-/// execution semantics, parameter sweeps).
-pub fn multiply_resolved(
-    cluster: &LocalCluster,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    resolved: &ResolvedMethod,
-    opts: RealExecOptions,
-) -> Result<(BlockMatrix, JobStats), JobError> {
-    let problem = problem_of(a, b)?;
-    let plan =
-        JobPlan::from_resolved(&problem, resolved, cluster.config()).at_epoch(cluster.epoch());
-    execute_plan(cluster, a, b, &plan, opts)
-}
-
-pub(crate) fn problem_of(a: &BlockMatrix, b: &BlockMatrix) -> Result<MatmulProblem, JobError> {
-    MatmulProblem::new(*a.meta(), *b.meta()).map_err(|e| JobError::TaskFailed {
-        task: 0,
-        message: e.to_string(),
-    })
-}
-
-/// Everything both executors share before any stage runs: plan/epoch
-/// validation, broadcast admission, operand ingest at the plan's home
-/// nodes, and the driver-side model-byte charging from the plan's routing
-/// view. Keeping this in one place is what makes the pipelined path's
-/// ledger bytes structurally identical to the barrier path's.
-pub(crate) struct JobSetup<'a> {
+/// What a job has before its stage runs: plan/epoch validation, broadcast
+/// admission, operand ingest at the plan's home nodes, and the driver-side
+/// model-byte charging from the plan's routing view.
+struct JobSetup<'a> {
     /// Job-local mirror of the transport counters: the cluster-wide stats
     /// keep accumulating across jobs (session totals) while this job's
     /// numbers come from here. Snapshot-delta accounting would read
     /// concurrent jobs' traffic into this job's stats; a dedicated counter
     /// cannot.
-    pub(crate) job_transport: TransportStats,
+    job_transport: TransportStats,
+    /// The fault plan armed when the job began, its job window opened.
+    faults: Option<Arc<FaultPlan>>,
     /// Which A / B blocks exist at all (the "namenode index"): a view uses
     /// this to tell an implicit zero from a locality violation.
-    pub(crate) a_index: BTreeSet<BlockId>,
-    pub(crate) b_index: BTreeSet<BlockId>,
+    a_index: BTreeSet<BlockId>,
+    b_index: BTreeSet<BlockId>,
     /// The job's model bytes, accumulated locally from the same routing
     /// view the ledger was charged from — structurally identical sums, so
     /// per-job stats stay bit-exact under concurrent jobs without reading
     /// a shared snapshot that other jobs are mutating.
-    pub(crate) model_shuffle: [u64; Phase::COUNT],
-    pub(crate) model_cross: [u64; Phase::COUNT],
-    pub(crate) model_broadcast: [u64; Phase::COUNT],
+    model_shuffle: [u64; Phase::COUNT],
+    model_cross: [u64; Phase::COUNT],
+    model_broadcast: [u64; Phase::COUNT],
     /// Identity of this job's intermediate C copies in the stores.
-    pub(crate) c_uid: u64,
+    c_uid: u64,
     /// Parity blocks materialized for the operands at ingest (coded
     /// replication; 0 when [`ReplicationPolicy::Off`](distme_cluster::ReplicationPolicy)).
-    pub(crate) parity_blocks_encoded: u64,
+    parity_blocks_encoded: u64,
     /// Operands and the intermediate result stay resident for the whole
     /// job even when concurrent job completions advance the residency
     /// clock past the eviction window.
@@ -190,9 +172,8 @@ pub(crate) struct JobSetup<'a> {
 }
 
 /// Validates `plan` against the cluster, ingests the operands at their
-/// plan homes and charges the ledger from the routing view. Shared verbatim
-/// by the barrier and pipelined executors.
-pub(crate) fn prepare_job<'a>(
+/// plan homes and charges the ledger from the routing view.
+fn prepare_job<'a>(
     cluster: &'a LocalCluster,
     a: &BlockMatrix,
     b: &BlockMatrix,
@@ -221,6 +202,12 @@ pub(crate) fn prepare_job<'a>(
         });
     }
 
+    // Fault decisions key on the job's ordinal, not on how many stages it
+    // runs: the window opens here, once.
+    let faults = cluster.fault_plan();
+    if let Some(faults) = &faults {
+        faults.begin_job();
+    }
     let stores = cluster.stores();
     stores.begin_job();
     let pin_a = stores.pin(a.uid());
@@ -292,8 +279,6 @@ pub(crate) fn prepare_job<'a>(
     // lineage redeliveries therefore cannot skew the model: sim/real byte
     // parity is structural (`tests/plan_parity.rs`), and the physically
     // retransmitted bytes show up only in the transport's own counters.
-    // The pipelined executor changes only *when* deliveries happen, never
-    // this charging, so its ledger bytes stay bit-identical.
     for stage in &plan.stages {
         for task in &stage.tasks {
             for m in &task.inputs {
@@ -317,6 +302,7 @@ pub(crate) fn prepare_job<'a>(
     let pin_c = stores.pin(c_uid);
     Ok(JobSetup {
         job_transport: TransportStats::default(),
+        faults,
         a_index,
         b_index,
         model_shuffle,
@@ -328,15 +314,196 @@ pub(crate) fn prepare_job<'a>(
     })
 }
 
+/// A planned non-mult task lowered for execution: its identity in the plan
+/// (what fault decisions key on), its routed moves, and — for aggregation —
+/// the producer copies to reduce per output block and the mult tasks that
+/// gate it.
+struct Lowered {
+    phase: Phase,
+    task: usize,
+    node: usize,
+    moves: Vec<WireMove>,
+    groups: Vec<(BlockId, Vec<u32>)>,
+    producers: BTreeSet<usize>,
+}
+
+/// Where the job's communication time went, summed over its tasks.
+#[derive(Default)]
+struct Overlap {
+    comm_micros: AtomicU64,
+    stall_micros: AtomicU64,
+    hits: AtomicU64,
+    stalls: AtomicU64,
+}
+
+impl Overlap {
+    /// Executes `mv`, adding its duration to the communication total.
+    fn timed(
+        &self,
+        transport: &Transport<'_>,
+        mv: &WireMove,
+        attempt: u32,
+    ) -> Result<u64, TaskError> {
+        let t0 = Instant::now();
+        let payload = transport.execute(mv, attempt);
+        self.comm_micros
+            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        payload
+    }
+
+    fn stalled_since(&self, t0: Instant) {
+        self.stall_micros
+            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+    }
+}
+
+/// One attempt of one mult task's input pipeline: the k-panels, who moved
+/// which, and how far the compute loop has come.
+struct Feed<'a> {
+    panels: &'a [Vec<WireMove>],
+    transport: &'a Transport<'a>,
+    board: &'a DeliveryBoard,
+    overlap: &'a Overlap,
+    attempt: u32,
+    /// Exclusive claims: each panel's moves execute exactly once per
+    /// attempt, pushed by the prefetch thread or pulled by the compute
+    /// loop, whoever claims the panel first.
+    claimed: Vec<AtomicBool>,
+    /// Panels the compute loop is done with (`usize::MAX` once it has
+    /// finished or bailed); the prefetch throttle reads it.
+    consumed: AtomicUsize,
+    /// Raised when the prefetch thread exits, however it exits: nothing
+    /// more will land from it, so a wait on one of its panels must end.
+    prefetch_exited: AtomicBool,
+}
+
+impl Feed<'_> {
+    /// The prefetch thread's body: push panels in order, at most
+    /// [`PREFETCH_DEPTH`] ahead of the compute loop, which unparks this
+    /// thread each time it advances.
+    fn push_ahead(&self) -> Result<(), TaskError> {
+        /// Wakes the compute loop's wait on the way out — error, panic or
+        /// clean finish alike.
+        struct Exit<'a>(&'a Feed<'a>);
+        impl Drop for Exit<'_> {
+            fn drop(&mut self) {
+                self.0.prefetch_exited.store(true, Ordering::Release);
+                self.0.board.wake_all();
+            }
+        }
+        let _exit = Exit(self);
+        for (p, panel) in self.panels.iter().enumerate() {
+            loop {
+                let consumed = self.consumed.load(Ordering::Acquire);
+                if consumed == usize::MAX {
+                    return Ok(());
+                }
+                if p < consumed.saturating_add(PREFETCH_DEPTH) {
+                    break;
+                }
+                std::thread::park();
+            }
+            if self.claimed[p].swap(true, Ordering::AcqRel) {
+                continue; // the compute loop pulled it
+            }
+            for mv in panel {
+                self.overlap.timed(self.transport, mv, self.attempt)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Returns once panel `p` has landed in `store`, the consuming task's
+    /// node store: pulls it inline if nobody claimed it, otherwise waits
+    /// for the prefetch thread's deliveries.
+    fn ensure(&self, ctx: &TaskCtx, store: &NodeStore, p: usize) -> Result<(), TaskError> {
+        let panel = &self.panels[p];
+        let t0 = Instant::now();
+        if !self.claimed[p].swap(true, Ordering::AcqRel) {
+            self.overlap.stalls.fetch_add(1, Ordering::Relaxed);
+            let pulled = panel.iter().try_for_each(|mv| {
+                self.overlap
+                    .timed(self.transport, mv, self.attempt)
+                    .map(drop)
+            });
+            self.overlap.stalled_since(t0);
+            pulled?;
+        } else if self.board.all_landed(ctx.node, panel.iter().map(|m| m.dst)) {
+            self.overlap.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.overlap.stalls.fetch_add(1, Ordering::Relaxed);
+            let exited = || self.prefetch_exited.load(Ordering::Acquire);
+            let landed = panel
+                .iter()
+                .all(|mv| self.board.wait_for(mv.to_node, &mv.dst, exited));
+            self.overlap.stalled_since(t0);
+            if !landed {
+                // The prefetch thread died short of this panel; its own
+                // error replaces this one when the task joins it.
+                return Err(TaskError::Compute("prefetch stopped early".into()));
+            }
+        }
+        // θt: a panel's serialization buffers count against the task that
+        // consumes it, here, whichever thread moved them and whenever — so
+        // the task's peak does not depend on thread timing.
+        for mv in panel {
+            if let Some(blk) = store.get(&mv.dst) {
+                let wire = codec::encoded_len(&blk);
+                ctx.alloc(wire)?;
+                ctx.free(wire);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Groups a mult task's routed inputs into one panel per k step of its
+/// cuboid (A moves carry column k, B moves carry row k); any other work
+/// shape gets a single all-inputs panel.
+fn panels_of(task: &TaskSpec, lower: impl Fn(&BlockMove) -> WireMove) -> Vec<Vec<WireMove>> {
+    let TaskWork::Cuboid(c) = &task.work else {
+        return vec![task.inputs.iter().map(lower).collect()];
+    };
+    let mut panels = vec![Vec::new(); (c.k1 - c.k0) as usize];
+    for m in &task.inputs {
+        let k = match m.operand {
+            Operand::A => m.id.col,
+            Operand::B => m.id.row,
+            Operand::C => c.k0,
+        };
+        // A move outside the cuboid's k range (a hand-edited plan) rides
+        // the first panel: delivered before any compute step.
+        let slot = if (c.k0..c.k1).contains(&k) {
+            k - c.k0
+        } else {
+            0
+        };
+        panels[slot as usize].push(lower(m));
+    }
+    panels
+}
+
+/// Per output block of an aggregation task, the distinct producer copies
+/// its routed inputs deliver, ascending.
+fn groups_of(task: &TaskSpec) -> Vec<(BlockId, Vec<u32>)> {
+    let TaskWork::Aggregate(ids) = &task.work else {
+        return Vec::new();
+    };
+    let mut copies: BTreeMap<BlockId, BTreeSet<u32>> = BTreeMap::new();
+    for m in &task.inputs {
+        copies.entry(m.id).or_default().insert(m.copy);
+    }
+    ids.iter()
+        .map(|id| {
+            let of_block = copies.get(id).into_iter().flatten().copied().collect();
+            (*id, of_block)
+        })
+        .collect()
+}
+
 /// Lowers a planned [`BlockMove`] to a physical [`WireMove`] keyed by the
 /// replica identity of the operand it carries.
-pub(crate) fn lower_move(
-    a_uid: u64,
-    b_uid: u64,
-    c_uid: u64,
-    phase: Phase,
-    m: &BlockMove,
-) -> WireMove {
+fn lower_move(a_uid: u64, b_uid: u64, c_uid: u64, phase: Phase, m: &BlockMove) -> WireMove {
     let uid = match m.operand {
         Operand::A => a_uid,
         Operand::B => b_uid,
@@ -367,13 +534,12 @@ pub fn execute_plan(
     execute_plan_masked(cluster, a, b, None, plan, opts)
 }
 
-/// [`execute_plan`] with an optional SDDMM sampling mask. With a mask, the
-/// local-multiplication stage gathers each task's output into the mask's
-/// row-stripe CSR pattern ([`multiply_cuboid_sddmm`]) instead of running
-/// the dense accumulator, and the result skips density normalization so
-/// the pattern survives verbatim. Everything else — ingest, routing,
-/// ledger charging, aggregation, placement — is byte-for-byte the dense
-/// path.
+/// [`execute_plan`] with an optional SDDMM sampling mask. With a mask, a
+/// mult task gathers its output into the mask's row-stripe CSR pattern
+/// ([`multiply_cuboid_sddmm`]) instead of running the dense accumulator,
+/// and the result skips density normalization so the pattern survives
+/// verbatim. Everything else — ingest, routing, ledger charging,
+/// prefetch, aggregation, placement — is the dense path.
 pub fn execute_plan_masked(
     cluster: &LocalCluster,
     a: &BlockMatrix,
@@ -382,228 +548,287 @@ pub fn execute_plan_masked(
     plan: &JobPlan,
     opts: RealExecOptions,
 ) -> Result<(BlockMatrix, JobStats), JobError> {
-    if opts.pipelined && mask.is_none() {
-        return crate::pipelined::execute_plan_pipelined(cluster, a, b, plan, opts);
-    }
     let problem = &plan.problem;
-    let resolved = &plan.resolved;
     let nodes = cluster.config().nodes;
+    let broadcast_b = plan.resolved.broadcast_b;
 
-    // ------------- Stage 1: ingest + physical repartition -----------------
-    let rep_timer = Instant::now();
+    let prep_timer = Instant::now();
     let setup = prepare_job(cluster, a, b, plan, &opts)?;
-    let JobSetup {
-        ref job_transport,
-        ref a_index,
-        ref b_index,
-        model_shuffle,
-        model_cross,
-        model_broadcast,
-        c_uid,
-        parity_blocks_encoded,
-        ..
-    } = setup;
+    let (c_uid, job_transport) = (setup.c_uid, &setup.job_transport);
+    // Task faults key on an item's plan identity, known here and not in the
+    // stage runner, so the items consult the fault plan themselves.
+    let faults = setup.faults.as_deref();
     let stores = cluster.stores();
-    let lower = |phase: Phase, m: &BlockMove| lower_move(a.uid(), b.uid(), c_uid, phase, m);
+    let prep_secs = prep_timer.elapsed().as_secs_f64();
 
-    // Physically execute the routing view of every pre-aggregation stage
-    // (map-stage CRMM pre-moves + the mult stage's operand fetches): real
-    // serialized bytes land in the consuming nodes' stores.
-    let transport = cluster.transport().with_job_counters(job_transport);
-    let fetch_lists: Vec<Vec<WireMove>> = plan
-        .stages
-        .iter()
-        .filter(|s| s.phase != Phase::Aggregation)
-        .flat_map(|s| {
-            s.tasks
-                .iter()
-                .map(|t| t.inputs.iter().map(|m| lower(s.input_phase, m)).collect())
-        })
-        .filter(|l: &Vec<WireMove>| !l.is_empty())
-        .collect();
-    let fetch = cluster.run_stage_as(opts.tenant, opts.priority, fetch_lists, |ctx, moves| {
-        for mv in moves {
-            // A serialization buffer lives for the duration of the move.
-            let payload = transport.execute(&mv, ctx.attempt)?;
-            ctx.alloc(payload)?;
-            ctx.free(payload);
-        }
-        Ok(())
-    })?;
-    // Retry backoff is charged to modeled time, never slept.
-    let rep_secs = rep_timer.elapsed().as_secs_f64() + fetch.backoff_secs;
-
-    // ------------- Stage 2: local multiplication -------------------------
+    // ------------- The item list ------------------------------------------
+    let stage_timer = Instant::now();
     let mult_stage = plan.stage(Phase::LocalMult).expect("plans always multiply");
-    let work: Vec<TaskWork> = mult_stage.tasks.iter().map(|t| t.work.clone()).collect();
-    let broadcast_b = resolved.broadcast_b;
+    let mult_n = mult_stage.tasks.len();
     let needs_agg = plan.stage(Phase::Aggregation).is_some();
-    let mult = cluster.run_stage_as(opts.tenant, opts.priority, work, |ctx, item| {
-        debug_assert_eq!(mult_stage.tasks[ctx.task].node, ctx.node);
-        let store = stores.node(ctx.node);
-        let a_view = BlockView::new(store, a.uid(), a_index);
-        let b_view = BlockView::new(store, b.uid(), b_index);
-        // Finalize an intermediate copy: R = 1 products are final and get
-        // the dense/sparse normalization the aggregation stage would apply.
-        let finish = |blk: Block| if needs_agg { blk } else { blk.normalize() };
-        match item {
-            TaskWork::Cuboid(cuboid) => {
-                let mut in_bytes = 0u64;
-                for id in cuboid.a_block_ids() {
-                    if let Some(blk) = a_view.block(id.row, id.col)? {
-                        in_bytes += codec::encoded_len(&blk);
-                    }
-                }
-                if !broadcast_b {
-                    for id in cuboid.b_block_ids() {
-                        if let Some(blk) = b_view.block(id.row, id.col)? {
-                            in_bytes += codec::encoded_len(&blk);
-                        }
-                    }
-                }
-                ctx.alloc(in_bytes)?;
-                // A sampled task gathers into the mask's CSR pattern and
-                // installs it verbatim — no density normalization, the
-                // pattern (explicit zeros included) is the contract.
-                let blocks: Vec<(BlockId, Block)> = match mask {
-                    Some(mask) => multiply_cuboid_sddmm(&cuboid, &a_view, &b_view, mask)?
-                        .into_iter()
-                        .map(|(id, csr)| (id, Block::Sparse(csr)))
-                        .collect(),
-                    None => {
-                        let dense = match opts.gpu_task_mem_bytes {
-                            Some(theta_g) => {
-                                gpu_local::execute_cuboid_real(
-                                    &cuboid, &a_view, &b_view, problem, theta_g,
-                                )?
-                                .blocks
-                            }
-                            None => multiply_cuboid_cpu(&cuboid, &a_view, &b_view, problem)?,
-                        };
-                        dense
-                            .into_iter()
-                            .map(|(id, d)| (id, finish(Block::Dense(d))))
-                            .collect()
-                    }
-                };
-                let mut produced = Vec::with_capacity(blocks.len());
-                for (id, blk) in blocks {
-                    ctx.alloc(blk.mem_bytes())?;
-                    store.install(StoreKey::replica(c_uid, id, ctx.task as u32), Arc::new(blk));
-                    produced.push(id);
-                }
-                Ok(produced)
-            }
-            TaskWork::Voxels(voxels) => {
-                let acc = multiply_voxels(ctx, &voxels, &a_view, &b_view)?;
-                let mut produced = Vec::with_capacity(acc.len());
-                for (id, blk) in acc {
-                    store.install(
-                        StoreKey::replica(c_uid, id, ctx.task as u32),
-                        Arc::new(finish(blk)),
-                    );
-                    produced.push(id);
-                }
-                Ok(produced)
-            }
-            // Map and aggregation work never reaches the mult stage.
-            TaskWork::MapRead | TaskWork::Aggregate(_) => Ok(Vec::new()),
-        }
-    })?;
-    let mult_secs = mult.wall_secs + mult.backoff_secs;
-    let mult_peak = mult.peak_task_mem_bytes;
 
-    // Which (block, producer-copy) pairs physically exist — so aggregation
-    // can tell "planned but zero" from "routed here but never delivered".
-    let produced: BTreeSet<(BlockId, u32)> = mult
-        .outputs
+    // Item `t < mult_n` is the plan's mult task `t` — so the replica copy
+    // index and the round-robin node both follow the plan; item `mult_n + l`
+    // is `lowered[l]`: the pre-moves of a map stage (CRMM), then the
+    // aggregation tasks.
+    let lower = |phase: Phase, m: &BlockMove| lower_move(a.uid(), b.uid(), c_uid, phase, m);
+    let mult_panels: Vec<Vec<Vec<WireMove>>> = mult_stage
+        .tasks
         .iter()
-        .enumerate()
-        .flat_map(|(t, ids)| ids.iter().map(move |&id| (id, t as u32)))
+        .map(|t| panels_of(t, |m| lower(mult_stage.input_phase, m)))
         .collect();
-
-    // ------------- Stage 3: aggregation ----------------------------------
-    let agg_timer = Instant::now();
-    let mut c = BlockMatrix::new(problem.c);
-    let mut agg_peak = 0u64;
-    let mut agg_retries = 0u64;
-    let mut agg_backoff = 0f64;
-    if let Some(stage) = plan.stage(Phase::Aggregation) {
-        // Each aggregation task fetches its planned intermediate copies
-        // through the transport and reduces them — on the workers, per the
-        // plan's routing, not in a driver-side regroup.
-        // One reduce task's work: its routed fetches, then per output
-        // block the unique producer copies to sum.
-        type AggTask = (Vec<WireMove>, Vec<(BlockId, Vec<u32>)>);
-        let items: Vec<AggTask> = stage
-            .tasks
-            .iter()
-            .map(|t| {
-                let moves: Vec<WireMove> = t
+    let mut lowered: Vec<Lowered> = Vec::new();
+    for stage in plan.stages.iter().filter(|s| s.phase != Phase::LocalMult) {
+        for (t, task) in stage.tasks.iter().enumerate() {
+            if stage.phase != Phase::Aggregation && task.inputs.is_empty() {
+                continue;
+            }
+            lowered.push(Lowered {
+                phase: stage.phase,
+                task: t,
+                node: task.node,
+                moves: task
                     .inputs
                     .iter()
                     .map(|m| lower(stage.input_phase, m))
-                    .collect();
-                let mut copies: BTreeMap<BlockId, BTreeSet<u32>> = BTreeMap::new();
-                for m in &t.inputs {
-                    copies.entry(m.id).or_default().insert(m.copy);
+                    .collect(),
+                groups: groups_of(task),
+                producers: task.producer_tasks(),
+            });
+        }
+    }
+
+    // Aggregation gating: each agg task counts down its distinct producer
+    // mult tasks; the last producer to finish marks it ready. Everything
+    // else is dispatchable at once.
+    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); mult_n];
+    let mut initially_ready: Vec<usize> = (0..mult_n).collect();
+    for (l, task) in lowered.iter().enumerate() {
+        if task.producers.is_empty() {
+            initially_ready.push(mult_n + l);
+        }
+        for &p in &task.producers {
+            debug_assert!(p < mult_n, "C copy {p} names a mult task");
+            consumers[p].push(l);
+        }
+    }
+    let remaining: Vec<AtomicUsize> = lowered
+        .iter()
+        .map(|task| AtomicUsize::new(task.producers.len()))
+        .collect();
+
+    let board = DeliveryBoard::default();
+    let transport = cluster
+        .transport()
+        .with_job_counters(job_transport)
+        .with_delivery_board(&board);
+    let overlap = Overlap::default();
+    // The C blocks each mult task produced, set once by its surviving
+    // attempt. An agg task only asks about copies of its own (finished,
+    // gated-on) producers, so what it reads is always complete.
+    let produced: Vec<OnceLock<Vec<BlockId>>> = (0..mult_n).map(|_| OnceLock::new()).collect();
+    let run_mult = |ctx: &TaskCtx, task: usize| -> Result<Vec<BlockId>, TaskError> {
+        let spec = &mult_stage.tasks[task];
+        debug_assert_eq!(spec.node, ctx.node);
+        let store = stores.node(ctx.node);
+        let a_view = BlockView::new(store, a.uid(), &setup.a_index);
+        let b_view = BlockView::new(store, b.uid(), &setup.b_index);
+        let panels = &mult_panels[task];
+        let feed = Feed {
+            panels,
+            transport: &transport,
+            board: &board,
+            overlap: &overlap,
+            attempt: ctx.attempt,
+            claimed: panels.iter().map(|_| AtomicBool::new(false)).collect(),
+            consumed: AtomicUsize::new(0),
+            prefetch_exited: AtomicBool::new(false),
+        };
+        let compute = |advance_to: &dyn Fn(usize)| -> Result<Vec<(BlockId, Block)>, TaskError> {
+            // Makes panel `p` readable; the loop is then done with the
+            // panels before it.
+            let fetch = |p: usize| {
+                advance_to(p);
+                feed.ensure(ctx, store, p)
+            };
+            let drain = || (0..panels.len()).try_for_each(fetch);
+            match &spec.work {
+                TaskWork::Cuboid(cuboid) => {
+                    // SDDMM and the GPU subcuboid schedule consume the whole
+                    // input set at once: drain every panel (they still
+                    // stream in behind the prefetch), then run.
+                    type Blocks = Vec<(BlockId, Block)>;
+                    let on_whole_input = |run: &dyn Fn() -> Result<Blocks, TaskError>| {
+                        drain()?;
+                        ctx.alloc(cuboid_input_bytes(cuboid, &a_view, &b_view, broadcast_b)?)?;
+                        let blocks = run()?;
+                        for (_, blk) in &blocks {
+                            ctx.alloc(blk.mem_bytes())?;
+                        }
+                        Ok(blocks)
+                    };
+                    match (mask, opts.gpu_task_mem_bytes) {
+                        // The CPU loop accumulates each k-panel as it lands.
+                        (None, None) => multiply_cuboid_streamed(
+                            ctx,
+                            cuboid,
+                            &a_view,
+                            &b_view,
+                            problem,
+                            broadcast_b,
+                            fetch,
+                        ),
+                        (Some(mask), _) => on_whole_input(&|| {
+                            let gathered = multiply_cuboid_sddmm(cuboid, &a_view, &b_view, mask)?;
+                            Ok(gathered
+                                .into_iter()
+                                .map(|(id, csr)| (id, Block::Sparse(csr)))
+                                .collect())
+                        }),
+                        (None, Some(theta_g)) => on_whole_input(&|| {
+                            let scheduled = gpu_local::execute_cuboid_real(
+                                cuboid, &a_view, &b_view, problem, theta_g,
+                            )?;
+                            Ok(scheduled
+                                .blocks
+                                .into_iter()
+                                .map(|(id, d)| (id, Block::Dense(d)))
+                                .collect())
+                        }),
+                    }
                 }
-                let TaskWork::Aggregate(ids) = &t.work else {
-                    return (moves, Vec::new());
+                TaskWork::Voxels(voxels) => {
+                    drain()?;
+                    Ok(multiply_voxels(ctx, voxels, &a_view, &b_view)?
+                        .into_iter()
+                        .collect())
+                }
+                // Map and aggregation work never reaches a mult task.
+                TaskWork::MapRead | TaskWork::Aggregate(_) => drain().map(|()| Vec::new()),
+            }
+        };
+        // Selected from the plan, not by the caller: see PREFETCH_MIN_BYTES.
+        let routed: u64 = spec.inputs.iter().map(|m| m.bytes).sum();
+        let blocks = if panels.len() > 1 && routed >= PREFETCH_MIN_BYTES {
+            std::thread::scope(|scope| {
+                let prefetcher = scope.spawn(|| feed.push_ahead());
+                let advance_to = |consumed: usize| {
+                    feed.consumed.store(consumed, Ordering::Release);
+                    prefetcher.thread().unpark();
                 };
-                let groups = ids
-                    .iter()
-                    .map(|id| {
-                        (
-                            *id,
-                            copies
-                                .get(id)
-                                .map(|s| s.iter().copied().collect())
-                                .unwrap_or_default(),
-                        )
-                    })
-                    .collect();
-                (moves, groups)
+                let computed = compute(&advance_to);
+                // Release the prefetch throttle whether the loop finished
+                // or failed, and take the prefetch thread's verdict: a move
+                // it could not deliver fails the attempt like a move the
+                // loop pulled.
+                advance_to(usize::MAX);
+                match prefetcher.join() {
+                    Ok(Ok(())) => computed,
+                    Ok(Err(e)) => Err(e),
+                    Err(_) => Err(TaskError::Compute("prefetch thread panicked".into())),
+                }
             })
-            .collect();
-        let agg =
-            cluster.run_stage_as(opts.tenant, opts.priority, items, |ctx, (moves, groups)| {
-                debug_assert_eq!(stage.tasks[ctx.task].node, ctx.node);
-                for mv in moves {
-                    let payload = transport.execute(&mv, ctx.attempt)?;
+        } else {
+            // Nobody claims a panel ahead of the loop: it pulls each inline.
+            compute(&|_| {})
+        }?;
+
+        // R = 1 products are final and get the dense/sparse normalization
+        // the aggregation reduce would apply; a sampled product keeps the
+        // mask's pattern (explicit zeros included) verbatim.
+        let as_is = needs_agg || mask.is_some();
+        let mut ids = Vec::with_capacity(blocks.len());
+        for (id, blk) in blocks {
+            let blk = if as_is { blk } else { blk.normalize() };
+            store.install(StoreKey::replica(c_uid, id, task as u32), Arc::new(blk));
+            ids.push(id);
+        }
+        Ok(ids)
+    };
+
+    // An item hands the driver the blocks it reduced, if it is a reduce.
+    let run = cluster.run_stage(
+        opts.tenant,
+        opts.priority,
+        vec![(); mult_n + lowered.len()],
+        Some(initially_ready),
+        |ctx, (), gate| {
+            let Some(l) = ctx.task.checked_sub(mult_n) else {
+                let task = ctx.task;
+                let ids = run_task(
+                    faults,
+                    Phase::LocalMult,
+                    task,
+                    ctx.node,
+                    ctx.attempt,
+                    || run_mult(ctx, task),
+                )?;
+                // Only an attempt that survived signals: installs of a
+                // crashed attempt stay behind (its retry re-installs the
+                // same bytes), but consumers count each producer once.
+                let _ = produced[task].set(ids);
+                for &l in &consumers[task] {
+                    if remaining[l].fetch_sub(1, Ordering::AcqRel) == 1 {
+                        gate.mark_ready(mult_n + l);
+                    }
+                }
+                return Ok(Vec::new());
+            };
+            let l = &lowered[l];
+            run_task(faults, l.phase, l.task, l.node, ctx.attempt, || {
+                // A serialization buffer lives for the duration of its move.
+                for mv in &l.moves {
+                    let payload = overlap.timed(&transport, mv, ctx.attempt)?;
                     ctx.alloc(payload)?;
                     ctx.free(payload);
                 }
-                let store = stores.node(ctx.node);
-                reduce_groups(ctx, store, ctx.node, c_uid, groups, &|id, copy| {
-                    produced.contains(&(id, copy))
+                if l.phase != Phase::Aggregation {
+                    return Ok(Vec::new());
+                }
+                // Every producer has finished (gating invariant), so the
+                // planned copies were installed at their sources before
+                // the fetches above ran — while other mult tasks still do.
+                reduce_groups(ctx, stores.node(l.node), c_uid, &l.groups, &|id, copy| {
+                    produced[copy as usize]
+                        .get()
+                        .is_some_and(|ids| ids.contains(&id))
                 })
-            })?;
-        agg_peak = agg.peak_task_mem_bytes;
-        agg_retries = agg.retries;
-        agg_backoff = agg.backoff_secs;
-        for (id, blk) in agg.outputs.into_iter().flatten() {
+            })
+        },
+    )?;
+    // Retry backoff is charged to modeled time, never slept.
+    let stage_secs = stage_timer.elapsed().as_secs_f64() + run.backoff_secs;
+
+    // ------------- Result assembly ----------------------------------------
+    let mut c = BlockMatrix::new(problem.c);
+    if needs_agg {
+        // Each aggregation task reduced its planned copies on the workers,
+        // per the plan's routing, not in a driver-side regroup.
+        for (id, blk) in run.outputs.into_iter().flatten() {
             if blk.nnz() > 0 {
-                put_block(&mut c, id, Arc::new(blk))?;
+                c.put_shared(id.row, id.col, Arc::new(blk))?;
             }
         }
     } else {
         // R = 1: every intermediate copy is final; collect each task's
         // locally-installed outputs (a driver `collect()`, not a regroup —
         // each block has exactly one producer).
-        for (t, ids) in mult.outputs.into_iter().enumerate() {
+        for (t, ids) in produced.iter().enumerate() {
             let store = stores.node(mult_stage.tasks[t].node);
-            for id in ids {
+            for &id in ids.get().into_iter().flatten() {
                 let blk = store
                     .get(&StoreKey::replica(c_uid, id, t as u32))
-                    .expect("a task's own installs are resident");
+                    .ok_or(TaskError::MissingBlock {
+                        node: store.node(),
+                        id,
+                    })
+                    .map_err(|e| JobError::from_task(t, e))?;
                 if blk.nnz() > 0 {
-                    put_block(&mut c, id, blk)?;
+                    c.put_shared(id.row, id.col, blk)?;
                 }
             }
         }
     }
-    let agg_secs = agg_timer.elapsed().as_secs_f64() + agg_backoff;
 
     // Intermediate copies die with the job; the *result* placement is
     // registered at the blocks' future home nodes so a chained operation
@@ -623,67 +848,133 @@ pub fn execute_plan_masked(
     stores.evict_stale(RESIDENCY_WINDOW_JOBS);
     // Result blocks whose two placement hashes collide are sole copies;
     // parity over the result keeps those recoverable too.
-    let parity_blocks_encoded = parity_blocks_encoded + cluster.encode_parity(c.uid());
+    let parity_blocks_encoded = setup.parity_blocks_encoded + cluster.encode_parity(c.uid());
 
-    // ------------- Statistics --------------------------------------------
+    // ------------- Statistics ---------------------------------------------
     // Model bytes come from the job-local accumulators (charged to the
     // shared ledger above from the identical routing view); physical bytes
     // come from the job-local transport mirror. Neither reads shared state
-    // a concurrent job could be mutating.
-    let agg_tasks = plan.stage(Phase::Aggregation).map_or(0, |s| s.tasks.len());
-    let rep = Phase::Repartition.index();
-    let agg_i = Phase::Aggregation.index();
+    // a concurrent job could be mutating. Time splits by where it went; see
+    // the module docs.
+    let comm_secs = overlap.comm_micros.load(Ordering::Relaxed) as f64 / 1e6;
+    let stall_secs = (overlap.stall_micros.load(Ordering::Relaxed) as f64 / 1e6).min(stage_secs);
     let mut stats = JobStats {
-        elapsed_secs: rep_secs + mult_secs + agg_secs,
-        peak_task_mem_bytes: fetch.peak_task_mem_bytes.max(mult_peak).max(agg_peak),
-        intermediate_bytes: model_shuffle[rep] + model_shuffle[agg_i],
-        gpu_utilization: None,
+        elapsed_secs: prep_secs + stage_secs,
+        peak_task_mem_bytes: run.peak_task_mem_bytes,
+        intermediate_bytes: setup.model_shuffle[Phase::Repartition.index()]
+            + setup.model_shuffle[Phase::Aggregation.index()],
         transport_payload_bytes: job_transport.payload_bytes(),
-        retries: fetch.retries + mult.retries + agg_retries,
+        retries: run.retries,
         redelivered_moves: job_transport.redelivered(),
         retransmitted_payload_bytes: job_transport.retransmitted_bytes(),
+        overlap_ratio: (comm_secs > 0.0)
+            .then(|| ((comm_secs - stall_secs) / comm_secs).clamp(0.0, 1.0)),
+        prefetch_hits: overlap.hits.load(Ordering::Relaxed),
+        prefetch_stalls: overlap.stalls.load(Ordering::Relaxed),
         parity_blocks_encoded,
         reconstructed_blocks: job_transport.reconstructed(),
         reconstruction_payload_bytes: job_transport.reconstruction_bytes(),
         ..Default::default()
     };
-    *stats.phase_mut(Phase::Repartition) = PhaseStats {
-        secs: rep_secs,
-        shuffle_bytes: model_shuffle[rep],
-        cross_node_bytes: model_cross[rep],
-        broadcast_bytes: model_broadcast[rep],
-        tasks: plan.stage(Phase::Repartition).map_or(0, |s| s.tasks.len()),
-    };
-    *stats.phase_mut(Phase::LocalMult) = PhaseStats {
-        secs: mult_secs,
-        shuffle_bytes: 0,
-        cross_node_bytes: 0,
-        broadcast_bytes: 0,
-        tasks: mult_stage.tasks.len(),
-    };
-    *stats.phase_mut(Phase::Aggregation) = PhaseStats {
-        secs: agg_secs,
-        shuffle_bytes: model_shuffle[agg_i],
-        cross_node_bytes: model_cross[agg_i],
-        broadcast_bytes: 0,
-        tasks: agg_tasks,
-    };
+    for (phase, secs) in [
+        (Phase::Repartition, prep_secs + stall_secs),
+        (Phase::LocalMult, (stage_secs - stall_secs).max(0.0)),
+        (Phase::Aggregation, 0.0),
+    ] {
+        let i = phase.index();
+        *stats.phase_mut(phase) = PhaseStats {
+            secs,
+            shuffle_bytes: setup.model_shuffle[i],
+            cross_node_bytes: setup.model_cross[i],
+            broadcast_bytes: setup.model_broadcast[i],
+            tasks: plan.stage(phase).map_or(0, |s| s.tasks.len()),
+        };
+    }
     Ok((c, stats))
 }
 
-pub(crate) fn put_block(c: &mut BlockMatrix, id: BlockId, blk: Arc<Block>) -> Result<(), JobError> {
-    c.put_shared(id.row, id.col, blk)
-        .map_err(|e| JobError::TaskFailed {
-            task: 0,
-            message: e.to_string(),
-        })
+/// Encoded bytes of the operand blocks a cuboid reads from its node store
+/// (a broadcast B is node-level and charged there, not to the task).
+fn cuboid_input_bytes<A: BlockSource, B: BlockSource>(
+    cuboid: &Cuboid,
+    a: &A,
+    b: &B,
+    broadcast_b: bool,
+) -> Result<u64, TaskError> {
+    let mut bytes = 0u64;
+    for id in cuboid.a_block_ids() {
+        if let Some(blk) = a.block(id.row, id.col)? {
+            bytes += codec::encoded_len(&blk);
+        }
+    }
+    if !broadcast_b {
+        for id in cuboid.b_block_ids() {
+            if let Some(blk) = b.block(id.row, id.col)? {
+                bytes += codec::encoded_len(&blk);
+            }
+        }
+    }
+    Ok(bytes)
+}
+
+/// Dense cuboid multiplication, one k-panel at a time: `fetch(p)` returns
+/// once panel `p` (the blocks of k step `k0 + p`) is readable. Each output
+/// cell accumulates over `k` ascending from a zero block created at its
+/// first contributing step, so result bits are a function of the cuboid
+/// alone. Each panel's input bytes are charged as it lands and every output
+/// block once at the end.
+fn multiply_cuboid_streamed<A: BlockSource, B: BlockSource>(
+    ctx: &TaskCtx,
+    cuboid: &Cuboid,
+    a: &A,
+    b: &B,
+    problem: &MatmulProblem,
+    broadcast_b: bool,
+    fetch: impl Fn(usize) -> Result<(), TaskError>,
+) -> Result<Vec<(BlockId, Block)>, TaskError> {
+    let nj = (cuboid.j1 - cuboid.j0) as usize;
+    let mut acc: Vec<Option<DenseBlock>> = vec![None; (cuboid.i1 - cuboid.i0) as usize * nj];
+    for (p, k) in (cuboid.k0..cuboid.k1).enumerate() {
+        fetch(p)?;
+        let a_col: Vec<_> = (cuboid.i0..cuboid.i1)
+            .map(|i| a.block(i, k))
+            .collect::<Result<_, _>>()?;
+        let b_row: Vec<_> = (cuboid.j0..cuboid.j1)
+            .map(|j| b.block(k, j))
+            .collect::<Result<_, _>>()?;
+        let moved = a_col
+            .iter()
+            .chain(b_row.iter().filter(|_| !broadcast_b))
+            .flatten();
+        ctx.alloc(moved.map(|blk| codec::encoded_len(blk)).sum())?;
+        for (i, ab) in (cuboid.i0..cuboid.i1).zip(&a_col) {
+            let Some(ab) = ab else { continue };
+            for (j, bb) in (cuboid.j0..cuboid.j1).zip(&b_row) {
+                let Some(bb) = bb else { continue };
+                let cell = &mut acc[(i - cuboid.i0) as usize * nj + (j - cuboid.j0) as usize];
+                let slot = cell.get_or_insert_with(|| {
+                    let (rows, cols) = problem.c.block_dims(i, j);
+                    DenseBlock::zeros(rows as usize, cols as usize)
+                });
+                kernels::multiply_accumulate(slot, ab, bb)?;
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (id, cell) in cuboid.c_block_ids().zip(acc) {
+        if let Some(dense) = cell {
+            ctx.alloc(dense.mem_bytes())?;
+            out.push((id, Block::Dense(dense)));
+        }
+    }
+    Ok(out)
 }
 
 /// RMM voxel work: one isolated block product per voxel, no sharing.
 /// Same-(i, j) voxels of one bucket pre-accumulate into a single
 /// intermediate copy (the task produces one block per destination, like a
 /// combiner before the shuffle).
-pub(crate) fn multiply_voxels<A: BlockSource, B: BlockSource>(
+fn multiply_voxels<A: BlockSource, B: BlockSource>(
     ctx: &TaskCtx,
     voxels: &[(u32, u32, u32)],
     a: &A,
@@ -708,22 +999,21 @@ pub(crate) fn multiply_voxels<A: BlockSource, B: BlockSource>(
 }
 
 /// One aggregation task's reduce: sums the planned intermediate copies of
-/// each output block resident on `node`. `produced` answers whether a
-/// (block, producer-copy) pair physically exists somewhere — a produced
-/// copy that never reached this node is a routing bug; an unproduced one
-/// is an implicit zero.
-pub(crate) fn reduce_groups(
+/// each output block resident in `store`, the task's node. `produced`
+/// answers whether a (block, producer-copy) pair physically exists
+/// somewhere — a produced copy that never reached this node is a routing
+/// bug; an unproduced one is an implicit zero.
+fn reduce_groups(
     ctx: &TaskCtx,
     store: &NodeStore,
-    node: usize,
     c_uid: u64,
-    groups: Vec<(BlockId, Vec<u32>)>,
+    groups: &[(BlockId, Vec<u32>)],
     produced: &dyn Fn(BlockId, u32) -> bool,
 ) -> Result<Vec<(BlockId, Block)>, TaskError> {
     let mut out: Vec<(BlockId, Block)> = Vec::new();
-    for (id, copies) in groups {
+    for &(id, ref copies) in groups {
         let mut acc: Option<Block> = None;
-        for copy in copies {
+        for &copy in copies {
             match store.get(&StoreKey::replica(c_uid, id, copy)) {
                 Some(part) => {
                     ctx.alloc(part.mem_bytes())?;
@@ -733,7 +1023,10 @@ pub(crate) fn reduce_groups(
                     });
                 }
                 None if produced(id, copy) => {
-                    return Err(TaskError::MissingBlock { node, id });
+                    return Err(TaskError::MissingBlock {
+                        node: store.node(),
+                        id,
+                    });
                 }
                 None => {}
             }
@@ -751,7 +1044,7 @@ pub(crate) fn reduce_groups(
 /// ride with the cuboid's row stripe by construction and never shuffle.
 /// Dot products accumulate over `k` ascending, so block results are
 /// bit-deterministic for a fixed cuboid grid.
-pub(crate) fn multiply_cuboid_sddmm<A: BlockSource, B: BlockSource>(
+fn multiply_cuboid_sddmm<A: BlockSource, B: BlockSource>(
     cuboid: &Cuboid,
     a: &A,
     b: &B,
@@ -782,33 +1075,6 @@ pub(crate) fn multiply_cuboid_sddmm<A: BlockSource, B: BlockSource>(
                 values,
             )?;
             out.push((BlockId::new(i, j), csr));
-        }
-    }
-    Ok(out)
-}
-
-pub(crate) fn multiply_cuboid_cpu<A: BlockSource, B: BlockSource>(
-    cuboid: &Cuboid,
-    a: &A,
-    b: &B,
-    problem: &MatmulProblem,
-) -> Result<Vec<(BlockId, DenseBlock)>, TaskError> {
-    let mut out = Vec::new();
-    for i in cuboid.i0..cuboid.i1 {
-        for j in cuboid.j0..cuboid.j1 {
-            let (rows, cols) = problem.c.block_dims(i, j);
-            let mut acc = DenseBlock::zeros(rows as usize, cols as usize);
-            let mut any = false;
-            for k in cuboid.k0..cuboid.k1 {
-                let (Some(ab), Some(bb)) = (a.block(i, k)?, b.block(k, j)?) else {
-                    continue;
-                };
-                kernels::multiply_accumulate(&mut acc, &ab, &bb)?;
-                any = true;
-            }
-            if any {
-                out.push((BlockId::new(i, j), acc));
-            }
         }
     }
     Ok(out)
@@ -868,19 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn gpu_schedule_matches_cpu_path() {
-        let (a, b, reference) = operands(16, 1.0);
-        let c = cluster();
-        let opts = RealExecOptions {
-            // Small θg: forces several subcuboid iterations per cuboid.
-            gpu_task_mem_bytes: Some(40_000),
-            ..Default::default()
-        };
-        let (prod, _) = multiply_with(&c, &a, &b, MulMethod::CuboidAuto, opts).unwrap();
-        assert!(prod.max_abs_diff(&reference).unwrap() < 1e-9);
-    }
-
-    #[test]
     fn measured_communication_ordering_matches_table2() {
         // RMM must shuffle strictly more than CuboidMM; BMM must broadcast.
         let (a, b, _) = operands(16, 1.0);
@@ -908,6 +1161,31 @@ mod tests {
         let c = LocalCluster::new(cfg);
         let err = multiply(&c, &a, &b, MulMethod::Bmm).unwrap_err();
         assert_eq!(err.annotation(), "O.O.M.");
+    }
+
+    #[test]
+    fn repeated_runs_report_identical_counters() {
+        // 512 KiB A blocks, three k-panels per task: the tasks prefetch, so
+        // which thread moves a panel — and whether the loop finds it landed
+        // — varies run to run. What the job reports must not.
+        let am = MatrixMeta::dense(512, 768).with_block_size(256);
+        let bm = MatrixMeta::dense(768, 16).with_block_size(256);
+        let a = MatrixGenerator::with_seed(11).generate(&am).unwrap();
+        let b = MatrixGenerator::with_seed(22).generate(&bm).unwrap();
+        let run = || {
+            let c = cluster();
+            let (_, stats) = multiply(&c, &a, &b, MulMethod::Bmm).unwrap();
+            (
+                stats.peak_task_mem_bytes,
+                stats.transport_payload_bytes,
+                c.transport_stats().moves(),
+            )
+        };
+        let first = run();
+        assert!(first.0 > 0 && first.1 > 0 && first.2 > 0);
+        for _ in 1..10 {
+            assert_eq!(run(), first, "(peak θt bytes, payload bytes, moves)");
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub fn simulate_plan(cluster: &mut SimCluster, plan: &JobPlan) -> Result<JobStat
     Ok(stats)
 }
 
-/// [`simulate`] under the pipelined executor's overlap model.
+/// [`simulate`] under the real executor's overlap model.
 ///
 /// # Errors
 /// See [`simulate`].
@@ -110,12 +110,12 @@ pub fn simulate_pipelined(
     simulate_plan_pipelined(cluster, &plan)
 }
 
-/// Simulates `plan` as the pipelined executor would run it: the barrier
-/// simulation's resource model, with the communication time the streaming
-/// stage hides subtracted afterwards. Communication *bytes* are untouched
-/// — the pipelined executor changes when deliveries happen, never the
-/// routing view they are charged from — so sim/real byte parity holds for
-/// this path exactly as for the barrier one.
+/// Simulates `plan` as the real executor runs it: [`simulate_plan`]'s
+/// copy-then-compute resource model, with the communication time the one
+/// gated stage hides subtracted afterwards. Communication *bytes* are
+/// untouched — overlap changes when deliveries happen, never the routing
+/// view they are charged from — so sim/real byte parity holds for this
+/// model exactly as for [`simulate_plan`].
 ///
 /// The overlap model mirrors the real streamed stage:
 /// * repartition hides behind local mult up to one priming panel — with

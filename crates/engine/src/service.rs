@@ -30,16 +30,14 @@
 //! println!("{} ops for {}", out.ops_run, out.tenant);
 //! ```
 
-use crate::session::{plan_key, RealOps};
+use crate::session::{plan_for, sparse_plan_for, RealOps};
 use crate::systems::SystemProfile;
 use distme_cluster::{
     ClusterConfig, ElasticPolicy, JobError, JobStats, LedgerSnapshot, LocalCluster, QueueWaitStats,
     RebalanceReport, Scheduler, SchedulerLoad, TenantId,
 };
 use distme_core::real_exec::{self, RealExecOptions};
-use distme_core::{
-    JobPlan, MatmulProblem, MulMethod, OptimizerConfig, PlanCache, PlanCacheStats, ResolvedMethod,
-};
+use distme_core::{JobPlan, MatmulProblem, PlanCache, PlanCacheStats};
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::BlockMatrix;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -407,79 +405,22 @@ impl TenantSession<'_> {
         self.ops_run += 1;
     }
 
-    /// Plans a sparse-family multiply through the shared epoch-safe cache
-    /// (`SpmmShift` without a mask, `Sddmm` with one) and the per-job
-    /// execution options.
-    fn sparse_plan(
-        &self,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-        mask: Option<&BlockMatrix>,
-    ) -> Result<(Arc<JobPlan>, RealExecOptions), JobError> {
-        let (problem, method) = match mask {
-            Some(m) => (
-                MatmulProblem::sddmm(*a.meta(), *b.meta(), *m.meta()),
-                MulMethod::Sddmm,
-            ),
-            None => (
-                MatmulProblem::new(*a.meta(), *b.meta()),
-                MulMethod::SpmmShift,
-            ),
-        };
-        let problem = problem.map_err(|e| JobError::TaskFailed {
-            task: 0,
-            message: e.to_string(),
-        })?;
-        let resolved = ResolvedMethod::resolve(
-            method,
-            &problem,
-            &OptimizerConfig::from_cluster(self.cluster.config()),
-        );
-        let epoch = self.cluster.epoch();
-        let plan = self
-            .shared
-            .plans
-            .get_or_insert(epoch, &plan_key(&problem, &resolved), || {
-                Arc::new(
-                    JobPlan::from_resolved(&problem, &resolved, self.cluster.config())
-                        .at_epoch(epoch),
-                )
-            });
-        let opts = RealExecOptions {
-            gpu_task_mem_bytes: None,
+    /// The job's execution options: its tenant and priority.
+    fn opts(&self) -> RealExecOptions {
+        RealExecOptions {
             tenant: self.tenant,
             priority: self.priority,
             ..Default::default()
-        };
-        Ok((plan, opts))
+        }
     }
 }
 
 impl RealOps for TenantSession<'_> {
     fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        let problem =
-            MatmulProblem::new(*a.meta(), *b.meta()).map_err(|e| JobError::TaskFailed {
-                task: 0,
-                message: e.to_string(),
-            })?;
+        let problem = MatmulProblem::new(*a.meta(), *b.meta())?;
         let resolved = self.shared.profile.resolve(&problem, self.cluster.config());
-        let epoch = self.cluster.epoch();
-        let plan = self
-            .shared
-            .plans
-            .get_or_insert(epoch, &plan_key(&problem, &resolved), || {
-                Arc::new(
-                    JobPlan::from_resolved(&problem, &resolved, self.cluster.config())
-                        .at_epoch(epoch),
-                )
-            });
-        let opts = RealExecOptions {
-            gpu_task_mem_bytes: None,
-            tenant: self.tenant,
-            priority: self.priority,
-            ..Default::default()
-        };
-        let (out, stats) = real_exec::execute_plan(self.cluster, a, b, &plan, opts)?;
+        let plan = plan_for(&self.shared.plans, self.cluster, &problem, &resolved);
+        let (out, stats) = real_exec::execute_plan(self.cluster, a, b, &plan, self.opts())?;
         self.absorb(stats);
         Ok(out)
     }
@@ -503,8 +444,8 @@ impl RealOps for TenantSession<'_> {
     }
 
     fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        let (plan, opts) = self.sparse_plan(a, b, None)?;
-        let (out, stats) = real_exec::execute_plan(self.cluster, a, b, &plan, opts)?;
+        let plan = sparse_plan_for(&self.shared.plans, self.cluster, a, b, None)?;
+        let (out, stats) = real_exec::execute_plan(self.cluster, a, b, &plan, self.opts())?;
         self.absorb(stats);
         Ok(out)
     }
@@ -515,9 +456,9 @@ impl RealOps for TenantSession<'_> {
         b: &BlockMatrix,
         mask: &BlockMatrix,
     ) -> Result<BlockMatrix, JobError> {
-        let (plan, opts) = self.sparse_plan(a, b, Some(mask))?;
+        let plan = sparse_plan_for(&self.shared.plans, self.cluster, a, b, Some(mask))?;
         let (out, stats) =
-            real_exec::execute_plan_masked(self.cluster, a, b, Some(mask), &plan, opts)?;
+            real_exec::execute_plan_masked(self.cluster, a, b, Some(mask), &plan, self.opts())?;
         self.absorb(stats);
         Ok(out)
     }

@@ -99,8 +99,54 @@ pub trait EngineBackend {
 /// Cache key for a multiply plan: the problem and the resolved method
 /// pin the routing completely for a given membership epoch (the epoch
 /// itself is the cache's invalidation axis, not part of the key).
-pub(crate) fn plan_key(problem: &MatmulProblem, resolved: &distme_core::ResolvedMethod) -> String {
+fn plan_key(problem: &MatmulProblem, resolved: &ResolvedMethod) -> String {
     format!("{problem:?}|{resolved:?}")
+}
+
+/// The real backend's plan for `problem` under `resolved` on `cluster`'s
+/// current grid, built at most once per membership epoch — the one place
+/// the session and the job service go from a resolved method to a plan.
+pub(crate) fn plan_for(
+    plans: &PlanCache<Arc<JobPlan>>,
+    cluster: &LocalCluster,
+    problem: &MatmulProblem,
+    resolved: &ResolvedMethod,
+) -> Arc<JobPlan> {
+    let epoch = cluster.epoch();
+    plans.get_or_insert(epoch, &plan_key(problem, resolved), || {
+        Arc::new(JobPlan::from_resolved(problem, resolved, cluster.config()).at_epoch(epoch))
+    })
+}
+
+/// [`plan_for`] a sparse-family multiply, which every profile resolves
+/// alike: `SpmmShift` without a mask, `Sddmm` with one.
+///
+/// # Errors
+/// A task failure on operand (or mask) shape mismatch.
+pub(crate) fn sparse_plan_for(
+    plans: &PlanCache<Arc<JobPlan>>,
+    cluster: &LocalCluster,
+    a: &BlockMatrix,
+    b: &BlockMatrix,
+    mask: Option<&BlockMatrix>,
+) -> Result<Arc<JobPlan>, JobError> {
+    let (problem, method) = match mask {
+        Some(m) => (
+            MatmulProblem::sddmm(*a.meta(), *b.meta(), *m.meta()),
+            MulMethod::Sddmm,
+        ),
+        None => (
+            MatmulProblem::new(*a.meta(), *b.meta()),
+            MulMethod::SpmmShift,
+        ),
+    };
+    let problem = problem?;
+    let resolved = ResolvedMethod::resolve(
+        method,
+        &problem,
+        &OptimizerConfig::from_cluster(cluster.config()),
+    );
+    Ok(plan_for(plans, cluster, &problem, &resolved))
 }
 
 /// The paper-scale backend: only descriptors flow; every operator is
@@ -111,18 +157,13 @@ pub struct SimBackend {
 }
 
 impl SimBackend {
-    /// Lowers a directly-resolved sparse-family method (no profile
-    /// dispatch) onto the simulated cluster through the shared plan cache.
-    fn run_sparse(
+    /// Lowers `problem` under `resolved` onto the simulated cluster through
+    /// the plan cache.
+    fn run(
         &mut self,
         problem: MatmulProblem,
-        method: MulMethod,
+        resolved: ResolvedMethod,
     ) -> Result<(MatrixMeta, JobStats), JobError> {
-        let resolved = ResolvedMethod::resolve(
-            method,
-            &problem,
-            &OptimizerConfig::from_cluster(self.cluster.config()),
-        );
         let epoch = self.cluster.epoch();
         let plan = self
             .plans
@@ -134,6 +175,20 @@ impl SimBackend {
             });
         let stats = sim_exec::simulate_plan(&mut self.cluster, &plan)?;
         Ok((problem.c, stats))
+    }
+
+    /// [`Self::run`] a sparse-family method, which every profile resolves
+    /// alike.
+    fn run_sparse(
+        &mut self,
+        problem: MatmulProblem,
+        method: MulMethod,
+    ) -> Result<(MatrixMeta, JobStats), JobError> {
+        let optimizer = OptimizerConfig::from_cluster(self.cluster.config());
+        self.run(
+            problem,
+            ResolvedMethod::resolve(method, &problem, &optimizer),
+        )
     }
 }
 
@@ -158,22 +213,8 @@ impl EngineBackend for SimBackend {
         a: &MatrixMeta,
         b: &MatrixMeta,
     ) -> Result<(MatrixMeta, JobStats), JobError> {
-        let problem = MatmulProblem::new(*a, *b).map_err(|e| JobError::TaskFailed {
-            task: 0,
-            message: e.to_string(),
-        })?;
-        let resolved = profile.resolve(&problem, self.cluster.config());
-        let epoch = self.cluster.epoch();
-        let plan = self
-            .plans
-            .get_or_insert(epoch, &plan_key(&problem, &resolved), || {
-                Arc::new(
-                    JobPlan::from_resolved(&problem, &resolved, self.cluster.config())
-                        .at_epoch(epoch),
-                )
-            });
-        let stats = sim_exec::simulate_plan(&mut self.cluster, &plan)?;
-        Ok((problem.c, stats))
+        let problem = MatmulProblem::new(*a, *b)?;
+        self.run(problem, profile.resolve(&problem, self.cluster.config()))
     }
 
     fn transpose(
@@ -195,10 +236,7 @@ impl EngineBackend for SimBackend {
     }
 
     fn spmm(&mut self, a: &MatrixMeta, b: &MatrixMeta) -> Result<(MatrixMeta, JobStats), JobError> {
-        let problem = MatmulProblem::new(*a, *b).map_err(|e| JobError::TaskFailed {
-            task: 0,
-            message: e.to_string(),
-        })?;
+        let problem = MatmulProblem::new(*a, *b)?;
         self.run_sparse(problem, MulMethod::SpmmShift)
     }
 
@@ -208,10 +246,7 @@ impl EngineBackend for SimBackend {
         b: &MatrixMeta,
         mask: &MatrixMeta,
     ) -> Result<(MatrixMeta, JobStats), JobError> {
-        let problem = MatmulProblem::sddmm(*a, *b, *mask).map_err(|e| JobError::TaskFailed {
-            task: 0,
-            message: e.to_string(),
-        })?;
+        let problem = MatmulProblem::sddmm(*a, *b, *mask)?;
         self.run_sparse(problem, MulMethod::Sddmm)
     }
 }
@@ -244,21 +279,9 @@ impl EngineBackend for RealBackend {
         a: &BlockMatrix,
         b: &BlockMatrix,
     ) -> Result<(BlockMatrix, JobStats), JobError> {
-        let problem =
-            MatmulProblem::new(*a.meta(), *b.meta()).map_err(|e| JobError::TaskFailed {
-                task: 0,
-                message: e.to_string(),
-            })?;
+        let problem = MatmulProblem::new(*a.meta(), *b.meta())?;
         let resolved = profile.resolve(&problem, self.cluster.config());
-        let epoch = self.cluster.epoch();
-        let plan = self
-            .plans
-            .get_or_insert(epoch, &plan_key(&problem, &resolved), || {
-                Arc::new(
-                    JobPlan::from_resolved(&problem, &resolved, self.cluster.config())
-                        .at_epoch(epoch),
-                )
-            });
+        let plan = plan_for(&self.plans, &self.cluster, &problem, &resolved);
         real_exec::execute_plan(&self.cluster, a, b, &plan, RealExecOptions::default())
     }
 
@@ -288,7 +311,7 @@ impl EngineBackend for RealBackend {
         a: &BlockMatrix,
         b: &BlockMatrix,
     ) -> Result<(BlockMatrix, JobStats), JobError> {
-        let plan = self.sparse_plan_of(a, b, None)?;
+        let plan = sparse_plan_for(&self.plans, &self.cluster, a, b, None)?;
         real_exec::execute_plan(&self.cluster, a, b, &plan, RealExecOptions::default())
     }
 
@@ -298,7 +321,7 @@ impl EngineBackend for RealBackend {
         b: &BlockMatrix,
         mask: &BlockMatrix,
     ) -> Result<(BlockMatrix, JobStats), JobError> {
-        let plan = self.sparse_plan_of(a, b, Some(mask))?;
+        let plan = sparse_plan_for(&self.plans, &self.cluster, a, b, Some(mask))?;
         real_exec::execute_plan_masked(
             &self.cluster,
             a,
@@ -307,47 +330,6 @@ impl EngineBackend for RealBackend {
             &plan,
             RealExecOptions::default(),
         )
-    }
-}
-
-impl RealBackend {
-    /// Plans a sparse-family multiply (cached per epoch): `SpmmShift`
-    /// without a mask, `Sddmm` with one.
-    fn sparse_plan_of(
-        &mut self,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-        mask: Option<&BlockMatrix>,
-    ) -> Result<Arc<JobPlan>, JobError> {
-        let (problem, method) = match mask {
-            Some(m) => (
-                MatmulProblem::sddmm(*a.meta(), *b.meta(), *m.meta()),
-                MulMethod::Sddmm,
-            ),
-            None => (
-                MatmulProblem::new(*a.meta(), *b.meta()),
-                MulMethod::SpmmShift,
-            ),
-        };
-        let problem = problem.map_err(|e| JobError::TaskFailed {
-            task: 0,
-            message: e.to_string(),
-        })?;
-        let resolved = ResolvedMethod::resolve(
-            method,
-            &problem,
-            &OptimizerConfig::from_cluster(self.cluster.config()),
-        );
-        let epoch = self.cluster.epoch();
-        let plan = self
-            .plans
-            .get_or_insert(epoch, &plan_key(&problem, &resolved), || {
-                Arc::new(
-                    JobPlan::from_resolved(&problem, &resolved, self.cluster.config())
-                        .at_epoch(epoch),
-                )
-            });
-        Ok(plan)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The job service's multi-tenancy contract (`make service-smoke`):
+//! The job service's multi-tenancy contract:
 //!
 //! * **Bit-parity** — a job submitted through the service, racing other
 //!   tenants' jobs on the shared worker pool, produces result bytes and

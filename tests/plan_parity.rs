@@ -1,15 +1,19 @@
 //! Sim/real byte parity: the invariant the physical-plan IR enforces.
 //!
-//! Both executors consume the same `JobPlan` for a given (problem, method,
+//! Both backends consume the same `JobPlan` for a given (problem, method,
 //! cluster config): the simulator reports the plan's routed communication,
 //! and the real executor charges its shuffle ledger from the very same
 //! routed moves. Per-phase shuffle, cross-node, and broadcast bytes must
 //! therefore be **bit-identical** between the two backends — not merely
-//! close — for every method, replication regime, and GPU setting.
+//! close — for every method, replication regime, and GPU setting. The
+//! real executor's *result* is held to a serial reference written here.
 
+use distme::matrix::{kernels, BlockId};
 use distme::prelude::*;
 use distme_core::real_exec::RealExecOptions;
+use distme_core::{JobPlan, TaskWork};
 use distme_gpu::GpuConfig;
+use std::collections::BTreeMap;
 
 const BS: u64 = 16;
 
@@ -120,80 +124,222 @@ fn bytes_are_bit_identical_for_sparse_operands() {
     }
 }
 
-#[test]
-fn pipelined_matches_barrier_parity() {
-    // The streaming executor meets the parity invariant from three sides:
-    // its result bytes are bit-identical to the barrier path's, its ledger
-    // is charged the exact model bytes (the routing view is shared, only
-    // delivery *timing* changes), and the pipelined overlap model of the
-    // simulator reports the same bytes again. Physical payload bytes are
-    // deliberately NOT compared: the pull path skips blocks another task's
-    // push already landed, so payload is timing-dependent under streaming.
-    let (a, b) = operands(5, 4, 3, 1.0);
-    let problem = MatmulProblem::new(*a.meta(), *b.meta()).expect("consistent operands");
-    for (method, name) in methods() {
-        let barrier_cluster = LocalCluster::new(ClusterConfig::laptop());
-        let (c_barrier, s_barrier) = real_exec::multiply(&barrier_cluster, &a, &b, method)
-            .unwrap_or_else(|e| panic!("{name} barrier: {e}"));
-
-        let streamed_cluster = LocalCluster::new(ClusterConfig::laptop());
-        let opts = RealExecOptions {
-            pipelined: true,
-            ..Default::default()
-        };
-        let (c_streamed, s_streamed) =
-            real_exec::multiply_with(&streamed_cluster, &a, &b, method, opts)
-                .unwrap_or_else(|e| panic!("{name} pipelined: {e}"));
-
-        assert_eq!(
-            c_streamed.max_abs_diff(&c_barrier).unwrap(),
-            0.0,
-            "{name}: streamed result must be bit-identical"
-        );
-        let mut sim = SimCluster::new(ClusterConfig::laptop());
-        let sim_stats = sim_exec::simulate_pipelined(&mut sim, &problem, method)
-            .unwrap_or_else(|e| panic!("{name} sim: {e}"));
-        for phase in Phase::ALL {
-            assert_eq!(
-                streamed_cluster.ledger().shuffle_bytes(phase),
-                barrier_cluster.ledger().shuffle_bytes(phase),
-                "{name}: ledger shuffle bytes diverge in {}",
-                phase.label()
-            );
-            assert_eq!(
-                streamed_cluster.ledger().cross_node_bytes(phase),
-                barrier_cluster.ledger().cross_node_bytes(phase),
-                "{name}: ledger cross-node bytes diverge in {}",
-                phase.label()
-            );
-            assert_eq!(
-                streamed_cluster.ledger().broadcast_bytes(phase),
-                barrier_cluster.ledger().broadcast_bytes(phase),
-                "{name}: ledger broadcast bytes diverge in {}",
-                phase.label()
-            );
-            assert_eq!(
-                s_streamed.phase(phase).shuffle_bytes,
-                s_barrier.phase(phase).shuffle_bytes,
-                "{name}: stats shuffle bytes diverge in {}",
-                phase.label()
-            );
-            assert_eq!(
-                sim_stats.phase(phase).shuffle_bytes,
-                s_streamed.phase(phase).shuffle_bytes,
-                "{name}: pipelined sim bytes diverge in {}",
-                phase.label()
-            );
+/// What `plan` computes, written serially: the plan's mult tasks in index
+/// order, each output cell accumulated over `k` ascending (voxel buckets in
+/// their listed order), the producer copies of a block summed in ascending
+/// copy order and normalized. No threads, stores, transport or scheduler —
+/// the executor must land on these bits whatever its workers' timing.
+fn serial_reference(
+    plan: &JobPlan,
+    a: &BlockMatrix,
+    b: &BlockMatrix,
+    mask: Option<&BlockMatrix>,
+) -> BlockMatrix {
+    let mult = plan.stage(Phase::LocalMult).expect("plans always multiply");
+    let mut copies: BTreeMap<BlockId, Vec<Block>> = BTreeMap::new();
+    for task in &mult.tasks {
+        let mut produced: BTreeMap<BlockId, Block> = BTreeMap::new();
+        match &task.work {
+            TaskWork::Cuboid(c) => {
+                for id in c.c_block_ids() {
+                    let operands =
+                        (c.k0..c.k1).filter_map(|k| Some((a.get(id.row, k)?, b.get(k, id.col)?)));
+                    if let Some(mask) = mask {
+                        let Some(pattern) = mask.get(id.row, id.col).map(Block::to_sparse) else {
+                            continue;
+                        };
+                        if pattern.nnz() == 0 {
+                            continue;
+                        }
+                        let mut values = vec![0.0; pattern.nnz()];
+                        for (ab, bb) in operands {
+                            let (ad, bd) = (ab.to_dense(), bb.to_dense());
+                            kernels::sddmm::sddmm_acc(&ad, &bd, &pattern, &mut values).unwrap();
+                        }
+                        let csr = CsrBlock::from_raw_parts(
+                            pattern.rows(),
+                            pattern.cols(),
+                            pattern.row_ptr().to_vec(),
+                            pattern.col_idx().to_vec(),
+                            values,
+                        )
+                        .unwrap();
+                        produced.insert(id, Block::Sparse(csr));
+                    } else {
+                        let mut acc: Option<DenseBlock> = None;
+                        for (ab, bb) in operands {
+                            let acc = acc.get_or_insert_with(|| {
+                                let (rows, cols) = plan.problem.c.block_dims(id.row, id.col);
+                                DenseBlock::zeros(rows as usize, cols as usize)
+                            });
+                            kernels::multiply_accumulate(acc, ab, bb).unwrap();
+                        }
+                        if let Some(acc) = acc {
+                            produced.insert(id, Block::Dense(acc));
+                        }
+                    }
+                }
+            }
+            TaskWork::Voxels(voxels) => {
+                for &(i, j, k) in voxels {
+                    let (Some(ab), Some(bb)) = (a.get(i, k), b.get(k, j)) else {
+                        continue;
+                    };
+                    let prod = kernels::multiply(ab, bb).unwrap();
+                    let id = BlockId::new(i, j);
+                    let merged = match produced.remove(&id) {
+                        None => prod,
+                        Some(prev) => prev.add(&prod).unwrap(),
+                    };
+                    produced.insert(id, merged);
+                }
+            }
+            TaskWork::MapRead | TaskWork::Aggregate(_) => {}
         }
-        let ratio = s_streamed
-            .overlap_ratio
-            .unwrap_or_else(|| panic!("{name}: pipelined jobs report overlap"));
-        assert!((0.0..=1.0).contains(&ratio), "{name}: ratio {ratio}");
-        assert!(
-            s_streamed.prefetch_hits + s_streamed.prefetch_stalls > 0,
-            "{name}: every panel is a hit or a stall"
-        );
-        assert_eq!(s_barrier.overlap_ratio, None, "{name}: barrier runs don't");
+        for (id, blk) in produced {
+            copies.entry(id).or_default().push(blk);
+        }
+    }
+    let aggregates = plan.stage(Phase::Aggregation).is_some();
+    let mut c = BlockMatrix::new(plan.problem.c);
+    for (id, parts) in copies {
+        let mut parts = parts.into_iter();
+        let first = parts.next().expect("an entry holds at least one copy");
+        let blk = if aggregates {
+            parts
+                .fold(first, |sum, part| sum.add(&part).unwrap())
+                .normalize()
+        } else if mask.is_some() {
+            first // the sampled pattern survives verbatim
+        } else {
+            first.normalize()
+        };
+        if blk.nnz() > 0 {
+            c.put(id.row, id.col, blk).unwrap();
+        }
+    }
+    c
+}
+
+/// Exact identity of a result: block ids, storage formats, every f64's bits.
+fn result_bits(m: &BlockMatrix) -> Vec<(BlockId, bool, Vec<u64>)> {
+    m.blocks()
+        .map(|(id, blk)| {
+            let bits = blk.to_dense().data().iter().map(|x| x.to_bits()).collect();
+            (id, matches!(blk, Block::Sparse(_)), bits)
+        })
+        .collect()
+}
+
+#[test]
+fn executor_matches_a_serial_reference_bit_for_bit() {
+    // One executor, so nothing to compare it with but the definition: for
+    // every method (SDDMM included), dense and 8 % sparse operands, tasks
+    // under and over the prefetch threshold, θg off and on, the result is
+    // the serial reference's bits; the ledger, the job's stats and the
+    // simulator's overlap model all report the plan's routed bytes; and the
+    // job says how its communication overlapped.
+    //
+    // The small shape pulls every panel inline (2 KiB blocks). The large
+    // one is tall and deep but 16 columns wide — 512 KiB A blocks, three
+    // k-panels a task, few FLOPs — so its tasks prefetch; its single block
+    // column rules out the two fixed `Q = 2` grids.
+    let sampled = (MulMethod::Sddmm, "SDDMM");
+    for (rows, inner, cols, bs) in [(5 * BS, 4 * BS, 3 * BS, BS), (512, 768, 16, 256)] {
+        for sparsity in [1.0, 0.08] {
+            let am = MatrixMeta::sparse(rows, inner, sparsity).with_block_size(bs);
+            let bm = MatrixMeta::sparse(inner, cols, sparsity).with_block_size(bs);
+            let mm = MatrixMeta::sparse(rows, cols, 0.12).with_block_size(bs);
+            let a = MatrixGenerator::with_seed(101).generate(&am).unwrap();
+            let b = MatrixGenerator::with_seed(202).generate(&bm).unwrap();
+            let mask = MatrixGenerator::with_seed(303).generate(&mm).unwrap();
+            for theta_g in [None, Some(4 * bs * bs * 8)] {
+                for (method, name) in methods().into_iter().chain([sampled]) {
+                    if matches!(method, MulMethod::Cuboid(spec) if u64::from(spec.q) * bs > cols) {
+                        continue;
+                    }
+                    let label =
+                        format!("{rows}x{inner}x{cols} {name} sparsity {sparsity} θg {theta_g:?}");
+                    let mask = (method == MulMethod::Sddmm).then_some(&mask);
+                    let problem = match mask {
+                        Some(mask) => MatmulProblem::sddmm(am, bm, *mask.meta()),
+                        None => MatmulProblem::new(am, bm),
+                    }
+                    .expect("consistent operands");
+
+                    let cluster = LocalCluster::new(ClusterConfig::laptop());
+                    let plan = JobPlan::build(&problem, method, cluster.config());
+                    if bs > BS && sparsity == 1.0 && name == "BMM" {
+                        // The executor's prefetch threshold is 1 MiB.
+                        let mult = plan.stage(Phase::LocalMult).unwrap();
+                        let routed = |t: &distme_core::TaskSpec| -> u64 {
+                            t.inputs.iter().map(|m| m.bytes).sum()
+                        };
+                        assert!(mult.tasks.iter().all(|t| routed(t) >= 1 << 20), "{label}");
+                    }
+                    let opts = RealExecOptions {
+                        gpu_task_mem_bytes: theta_g,
+                        ..Default::default()
+                    };
+                    let (c, stats) =
+                        real_exec::execute_plan_masked(&cluster, &a, &b, mask, &plan, opts)
+                            .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(
+                        result_bits(&c),
+                        result_bits(&serial_reference(&plan, &a, &b, mask)),
+                        "{label}: result must be the serial reference's bits"
+                    );
+
+                    let mut sim = SimCluster::new(ClusterConfig::laptop());
+                    let sim_stats = sim_exec::simulate_pipelined(&mut sim, &problem, method)
+                        .unwrap_or_else(|e| panic!("{label} sim: {e}"));
+                    for phase in Phase::ALL {
+                        let routed = plan.phase_comm(phase);
+                        let routed = (
+                            routed.shuffle_bytes,
+                            routed.cross_node_bytes,
+                            routed.broadcast_bytes,
+                        );
+                        let ledger = cluster.ledger();
+                        assert_eq!(
+                            (
+                                ledger.shuffle_bytes(phase),
+                                ledger.cross_node_bytes(phase),
+                                ledger.broadcast_bytes(phase),
+                            ),
+                            routed,
+                            "{label}: ledger (shuffle, cross-node, broadcast) bytes diverge in {}",
+                            phase.label()
+                        );
+                        let real = stats.phase(phase);
+                        assert_eq!(
+                            (
+                                real.shuffle_bytes,
+                                real.cross_node_bytes,
+                                real.broadcast_bytes
+                            ),
+                            routed,
+                            "{label}: stats (shuffle, cross-node, broadcast) bytes diverge in {}",
+                            phase.label()
+                        );
+                        assert_eq!(
+                            sim_stats.phase(phase).shuffle_bytes,
+                            stats.phase(phase).shuffle_bytes,
+                            "{label}: overlap-model sim bytes diverge in {}",
+                            phase.label()
+                        );
+                    }
+                    let ratio = stats
+                        .overlap_ratio
+                        .unwrap_or_else(|| panic!("{label}: jobs report overlap"));
+                    assert!((0.0..=1.0).contains(&ratio), "{label}: ratio {ratio}");
+                    assert!(
+                        stats.prefetch_hits + stats.prefetch_stalls > 0,
+                        "{label}: every panel is a hit or a stall"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -350,16 +496,6 @@ fn ragged_grids_keep_parity() {
 /// bit-identical across cluster sizes.
 #[test]
 fn sddmm_keeps_parity_across_ragged_grids() {
-    // Exact bit pattern of a sampled result: ids plus every stored f64.
-    let result_bits = |m: &BlockMatrix| {
-        let mut out = Vec::new();
-        for (id, blk) in m.blocks() {
-            out.push(u64::from(id.row));
-            out.push(u64::from(id.col));
-            out.extend(blk.to_dense().data().iter().map(|x| x.to_bits()));
-        }
-        out
-    };
     for (ib, kb, jb) in [(5, 4, 3), (2, 6, 2), (5, 3, 5)] {
         let am = MatrixMeta::dense(ib * BS, kb * BS).with_block_size(BS);
         let bm = MatrixMeta::dense(kb * BS, jb * BS).with_block_size(BS);
@@ -381,8 +517,12 @@ fn sddmm_keeps_parity_across_ragged_grids() {
             let sim_stats = sim_exec::simulate(&mut sim, &problem, MulMethod::Sddmm)
                 .unwrap_or_else(|e| panic!("{label}: sim failed: {e}"));
             let real_cluster = LocalCluster::new(cfg);
-            let (c, _) = real_exec::sddmm(&real_cluster, &a, &b, &mask)
+            let (c, real_stats) = real_exec::sddmm(&real_cluster, &a, &b, &mask)
                 .unwrap_or_else(|e| panic!("{label}: real failed: {e}"));
+            assert!(
+                real_stats.overlap_ratio.is_some(),
+                "{label}: sampled jobs run the one executor, which reports overlap"
+            );
             for phase in Phase::ALL {
                 let s = sim_stats.phase(phase);
                 assert_eq!(
