@@ -2,9 +2,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint test codec-smoke build bench bench-json bench-smoke
+.PHONY: ci fmt lint test e2e-check codec-smoke build bench-json bench-smoke
 
-ci: fmt lint test bench-smoke codec-smoke
+ci: fmt lint test e2e-check bench-smoke codec-smoke
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -18,11 +18,15 @@ lint:
 test:
 	$(CARGO) test -q --workspace
 
+# CI gate: the repository's benchmark (e2e/, a package outside the
+# workspace that sees only the engine's public API) must still compile and
+# pass its unit tests — among them the smoke run of every workload, which
+# panics if the printed metric names drift from BENCHMARK.json.
+e2e-check:
+	$(CARGO) test --offline --manifest-path e2e/Cargo.toml
+
 build:
 	$(CARGO) build --release
-
-bench:
-	$(CARGO) bench --workspace
 
 # Regenerates the tracked hot-path baseline (BENCH_hotpath.json at the repo
 # root): GEMM GFLOP/s, codec GB/s, transport throughput, one CuboidMM job,

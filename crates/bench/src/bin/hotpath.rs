@@ -6,7 +6,7 @@
 //! * packed GEMM / GEMM-TN throughput (GFLOP/s) across shapes that stress
 //!   the blocking edges;
 //! * standalone CRC-32 throughput (GB/s) per dispatch tier (bytewise,
-//!   slicing-by-8, PCLMUL folding where available) plus the active tier,
+//!   PCLMUL folding where available) plus the active tier,
 //!   so codec regressions are attributable to checksum vs copy vs framing;
 //! * codec throughput (GB/s) for dense and sparse blocks — the hot path
 //!   exactly as the transport ships each kind (dense: aligned fused
@@ -34,8 +34,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use distme_cluster::stats::Phase;
 use distme_cluster::{
-    ClusterConfig, ClusterStores, LocalCluster, RetryPolicy, ScratchPool, StoreKey, Transport,
-    TransportStats, WireMove,
+    ClusterConfig, ClusterStores, LocalCluster, RetryPolicy, StoreKey, Transport, TransportStats,
+    WireMove,
 };
 use distme_core::real_exec::multiply;
 use distme_core::MulMethod;
@@ -322,47 +322,26 @@ fn codec_section(block: &Block, smoke: bool) -> (String, f64) {
         (256_000_000 / len.max(1)).clamp(8, 4096)
     };
 
-    // Hot path, exactly as the transport ships each block kind: dense takes
-    // the zero-copy route (fresh exact-size buffer, aligned fused encode,
-    // freeze, `decode_view` aliasing the frame); sparse reuses one scratch
-    // buffer and materializes with `decode_slice`.
-    let (hot_enc, hot_dec) = match block {
-        Block::Dense(_) => {
-            let t = Instant::now();
-            for _ in 0..reps {
-                let mut buf = BytesMut::with_capacity(len + 7);
-                codec::encode_aligned(block, &mut buf);
-                std::hint::black_box(&buf);
-            }
-            let hot_enc = t.elapsed().as_secs_f64();
-            let mut buf = BytesMut::with_capacity(len + 7);
-            let pad = codec::encode_aligned(block, &mut buf);
-            let wire = buf.freeze();
-            let frame = wire.slice(pad..wire.len());
-            let t = Instant::now();
-            for _ in 0..reps {
-                let b = codec::decode_view(&frame).expect("round-trips");
-                std::hint::black_box(&b);
-            }
-            (hot_enc, t.elapsed().as_secs_f64())
-        }
-        Block::Sparse(_) => {
-            let mut buf = BytesMut::default();
-            codec::encode_into(block, &mut buf);
-            let t = Instant::now();
-            for _ in 0..reps {
-                buf.clear();
-                codec::encode_into(block, &mut buf);
-            }
-            let hot_enc = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            for _ in 0..reps {
-                let b = codec::decode_slice(&buf).expect("round-trips");
-                std::hint::black_box(&b);
-            }
-            (hot_enc, t.elapsed().as_secs_f64())
-        }
-    };
+    // Hot path, exactly as the transport ships a block: fresh exact-size
+    // buffer, aligned fused encode, freeze, `decode_view` (aliasing a dense
+    // frame, materializing a sparse one).
+    let t = Instant::now();
+    for _ in 0..reps {
+        let mut buf = BytesMut::with_capacity(len + 7);
+        codec::encode_aligned(block, &mut buf);
+        std::hint::black_box(&buf);
+    }
+    let hot_enc = t.elapsed().as_secs_f64();
+    let mut buf = BytesMut::with_capacity(len + 7);
+    let pad = codec::encode_aligned(block, &mut buf);
+    let wire = buf.freeze();
+    let frame = wire.slice(pad..wire.len());
+    let t = Instant::now();
+    for _ in 0..reps {
+        let b = codec::decode_view(&frame).expect("round-trips");
+        std::hint::black_box(&b);
+    }
+    let hot_dec = t.elapsed().as_secs_f64();
 
     // Reference path: the original per-element loop into a fresh buffer
     // (frozen into `Bytes`, as the transport used to ship), decoded
@@ -478,13 +457,12 @@ fn bench_transport(smoke: bool) -> String {
     let moves = if smoke { 3 } else { 64 };
     let stores = ClusterStores::new(2);
     let stats = TransportStats::default();
-    let scratch = ScratchPool::default();
     let block = Block::Dense(seeded_dense(side, side, 11));
     let key = StoreKey::operand(1, BlockId::new(0, 0));
     stores
         .node(0)
         .install(key, std::sync::Arc::new(block.clone()));
-    let transport = Transport::new(&stores, &stats, &scratch, None, RetryPolicy::no_retry());
+    let transport = Transport::new(&stores, &stats, None, RetryPolicy::no_retry());
     let mv = WireMove {
         phase: Phase::Repartition,
         from_node: 0,
@@ -493,7 +471,7 @@ fn bench_transport(smoke: bool) -> String {
         src: key,
         dst: key,
     };
-    transport.execute(&mv, 0).expect("moves"); // warm the scratch pool
+    transport.execute(&mv, 0).expect("moves"); // warm-up
     let t = Instant::now();
     for _ in 0..moves {
         transport.execute(&mv, 0).expect("moves");
@@ -501,11 +479,9 @@ fn bench_transport(smoke: bool) -> String {
     let secs = t.elapsed().as_secs_f64();
     let payload = codec::encoded_len(&block) as f64 * moves as f64;
     format!(
-        "{{\"moves\": {moves}, \"block_bytes\": {}, \"roundtrip_gbps\": {}, \
-         \"scratch_reuses\": {}}}",
+        "{{\"moves\": {moves}, \"block_bytes\": {}, \"roundtrip_gbps\": {}}}",
         codec::encoded_len(&block),
-        num(payload / secs / 1e9),
-        scratch.reuses()
+        num(payload / secs / 1e9)
     )
 }
 

@@ -26,7 +26,7 @@ use crate::scheduler::{Gang, Scheduler};
 use crate::shuffle::ShuffleLedger;
 use crate::stats::{JobStats, Phase, TenantId};
 use crate::store::{ClusterStores, StoreKey};
-use crate::transport::{ScratchPool, Transport, TransportStats, WireMove};
+use crate::transport::{Transport, TransportStats, WireMove};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,7 +119,6 @@ pub struct LocalCluster {
     ledger: Arc<ShuffleLedger>,
     stores: ClusterStores,
     transport_stats: TransportStats,
-    scratch: ScratchPool,
     faults: Mutex<Option<Arc<FaultPlan>>>,
     membership: Membership,
     scheduler: Scheduler,
@@ -134,7 +133,6 @@ impl LocalCluster {
             ledger: Arc::new(ShuffleLedger::new()),
             stores: ClusterStores::new(cfg.nodes),
             transport_stats: TransportStats::default(),
-            scratch: ScratchPool::default(),
             faults: Mutex::new(None),
             membership: Membership::new(cfg.nodes),
             scheduler: Scheduler::new(cfg.total_slots(), cfg.scheduler),
@@ -186,19 +184,13 @@ impl LocalCluster {
         &self.transport_stats
     }
 
-    /// The reusable serialization-buffer pool.
-    pub fn scratch_pool(&self) -> &ScratchPool {
-        &self.scratch
-    }
-
-    /// A transport bound to this cluster's stores, physical counters,
-    /// scratch pool, and (when armed) fault plan. Model bytes are charged
-    /// by the driver, not here.
+    /// A transport bound to this cluster's stores, physical counters, and
+    /// (when armed) fault plan. Model bytes are charged by the driver, not
+    /// here.
     pub fn transport(&self) -> Transport<'_> {
         Transport::new(
             &self.stores,
             &self.transport_stats,
-            &self.scratch,
             self.fault_plan(),
             self.cfg.retry,
         )
@@ -416,13 +408,7 @@ impl LocalCluster {
     /// Returns `(moves, payload_bytes, cross_node_payload_bytes)`.
     fn run_rebalance(&self, plan: &RebalancePlan) -> Result<(u64, u64, u64), JobError> {
         let migration_stats = TransportStats::default();
-        let transport = Transport::new(
-            &self.stores,
-            &migration_stats,
-            &self.scratch,
-            None,
-            self.cfg.retry,
-        );
+        let transport = Transport::new(&self.stores, &migration_stats, None, self.cfg.retry);
         let (mut moves, mut payload, mut cross) = (0u64, 0u64, 0u64);
         for m in &plan.moves {
             let wire = WireMove {
@@ -477,11 +463,6 @@ impl LocalCluster {
             lost_blocks,
             stats,
         }
-    }
-
-    /// Records a broadcast of one `bytes`-sized object to every node.
-    pub fn broadcast(&self, phase: Phase, bytes: u64) {
-        self.ledger.record_broadcast(phase, bytes, self.cfg.nodes);
     }
 
     /// Runs one stage: `f` is applied to every input on a worker pool of at
@@ -821,13 +802,6 @@ mod tests {
             .map(|p| p.get())
             .unwrap_or(4);
         assert!(ids.into_inner().unwrap().len() <= host_par.min(c.config().total_slots()));
-    }
-
-    #[test]
-    fn broadcast_records_node_copies() {
-        let c = cluster();
-        c.broadcast(Phase::Repartition, 500);
-        assert_eq!(c.ledger().broadcast_bytes(Phase::Repartition), 2000); // 4 nodes
     }
 
     #[test]

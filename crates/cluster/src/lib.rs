@@ -40,7 +40,6 @@
 //!   instead of requiring the producer copy (recovery precedence: parity
 //!   decode → lineage → typed failure).
 
-pub mod backend;
 pub mod chaos;
 pub mod coding;
 pub mod config;
@@ -55,7 +54,6 @@ pub mod stats;
 pub mod store;
 pub mod transport;
 
-pub use backend::ExecutionBackend;
 pub use chaos::{Blackout, FaultPlan, FaultSpec};
 pub use coding::{CodingError, ParityMember, ParityPayload, ReplicationPolicy};
 pub use config::{ClusterConfig, RetryPolicy, SchedulerConfig};
@@ -72,4 +70,4 @@ pub use store::{
     BlockSource, BlockView, ClusterStores, NodeStore, PinGuard, StoreKey, StoreKind,
     RESIDENCY_WINDOW_JOBS,
 };
-pub use transport::{DeliveryBoard, ScratchPool, Transport, TransportStats, WireMove};
+pub use transport::{DeliveryBoard, Transport, TransportStats, WireMove};

@@ -19,7 +19,7 @@ pub struct ShuffleLedger {
     cross_node: [AtomicU64; Phase::COUNT],
     broadcast: [AtomicU64; Phase::COUNT],
     /// Per-tenant counters. Model-byte charges are driver-side (once per
-    /// planned move), so this mutex is never on a worker's hot path.
+    /// phase of a job), so this mutex is never on a worker's hot path.
     tenants: Mutex<BTreeMap<TenantId, TenantCounters>>,
 }
 
@@ -41,52 +41,31 @@ impl ShuffleLedger {
     /// serializes them through the shuffle files) but not as cross-node.
     /// Charged to [`TenantId::ANONYMOUS`].
     pub fn record_shuffle(&self, phase: Phase, from_node: usize, to_node: usize, bytes: u64) {
-        self.record_shuffle_for(TenantId::ANONYMOUS, phase, from_node, to_node, bytes);
+        let cross = if from_node != to_node { bytes } else { 0 };
+        self.record_phase_for(TenantId::ANONYMOUS, phase, bytes, cross, 0);
     }
 
-    /// [`record_shuffle`](Self::record_shuffle) attributed to `tenant`.
-    pub fn record_shuffle_for(
+    /// Charges `tenant` with a whole phase of a job at once: the phase's
+    /// shuffled bytes, the subset of them that crossed a node boundary,
+    /// and its broadcast bytes. The real executor books a plan's stored
+    /// per-phase totals through here, one call per phase.
+    pub fn record_phase_for(
         &self,
         tenant: TenantId,
         phase: Phase,
-        from_node: usize,
-        to_node: usize,
-        bytes: u64,
+        shuffle_bytes: u64,
+        cross_node_bytes: u64,
+        broadcast_bytes: u64,
     ) {
         let i = phase.index();
-        self.shuffle[i].fetch_add(bytes, Ordering::Relaxed);
-        if from_node != to_node {
-            self.cross_node[i].fetch_add(bytes, Ordering::Relaxed);
-        }
+        self.shuffle[i].fetch_add(shuffle_bytes, Ordering::Relaxed);
+        self.cross_node[i].fetch_add(cross_node_bytes, Ordering::Relaxed);
+        self.broadcast[i].fetch_add(broadcast_bytes, Ordering::Relaxed);
         let mut tenants = self.tenants.lock().unwrap_or_else(|p| p.into_inner());
         let t = tenants.entry(tenant).or_default();
-        t.shuffle[i] += bytes;
-        if from_node != to_node {
-            t.cross_node[i] += bytes;
-        }
-    }
-
-    /// Records a broadcast of `bytes_per_node` to `nodes` nodes (torrent
-    /// semantics: one copy lands on each node, §2.2.1's BMM). Saturates
-    /// rather than overflowing for pathological byte × node products.
-    /// Charged to [`TenantId::ANONYMOUS`].
-    pub fn record_broadcast(&self, phase: Phase, bytes_per_node: u64, nodes: usize) {
-        self.record_broadcast_for(TenantId::ANONYMOUS, phase, bytes_per_node, nodes);
-    }
-
-    /// [`record_broadcast`](Self::record_broadcast) attributed to `tenant`.
-    pub fn record_broadcast_for(
-        &self,
-        tenant: TenantId,
-        phase: Phase,
-        bytes_per_node: u64,
-        nodes: usize,
-    ) {
-        let total = bytes_per_node.saturating_mul(nodes as u64);
-        self.broadcast[phase.index()].fetch_add(total, Ordering::Relaxed);
-        let mut tenants = self.tenants.lock().unwrap_or_else(|p| p.into_inner());
-        let t = tenants.entry(tenant).or_default();
-        t.broadcast[phase.index()] = t.broadcast[phase.index()].saturating_add(total);
+        t.shuffle[i] += shuffle_bytes;
+        t.cross_node[i] += cross_node_bytes;
+        t.broadcast[i] = t.broadcast[i].saturating_add(broadcast_bytes);
     }
 
     /// Total shuffled bytes in `phase`.
@@ -110,19 +89,6 @@ impl ShuffleLedger {
             .iter()
             .map(|&p| self.shuffle_bytes(p) + self.broadcast_bytes(p))
             .sum()
-    }
-
-    /// Resets every counter (between jobs), including tenant attribution.
-    pub fn reset(&self) {
-        for i in 0..Phase::COUNT {
-            self.shuffle[i].store(0, Ordering::Relaxed);
-            self.cross_node[i].store(0, Ordering::Relaxed);
-            self.broadcast[i].store(0, Ordering::Relaxed);
-        }
-        self.tenants
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clear();
     }
 
     /// Every tenant that has been charged at least once, in id order.
@@ -168,8 +134,7 @@ impl ShuffleLedger {
         s
     }
 
-    /// The bytes recorded since `earlier` was taken (saturating, so a
-    /// snapshot from after a `reset` never underflows).
+    /// The bytes recorded since `earlier` was taken.
     pub fn since(&self, earlier: &LedgerSnapshot) -> LedgerSnapshot {
         self.snapshot().minus(earlier)
     }
@@ -241,38 +206,24 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_counts_node_copies() {
+    fn a_phase_charge_lands_in_all_three_counters() {
         let l = ShuffleLedger::new();
-        l.record_broadcast(Phase::Repartition, 1000, 9);
+        l.record_phase_for(TenantId(3), Phase::Repartition, 150, 100, 9000);
+        assert_eq!(l.shuffle_bytes(Phase::Repartition), 150);
+        assert_eq!(l.cross_node_bytes(Phase::Repartition), 100);
         assert_eq!(l.broadcast_bytes(Phase::Repartition), 9000);
-        assert_eq!(l.total_communication(), 9000);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let l = ShuffleLedger::new();
-        l.record_shuffle(Phase::LocalMult, 0, 1, 7);
-        l.record_broadcast(Phase::LocalMult, 7, 2);
-        l.reset();
-        assert_eq!(l.total_communication(), 0);
-    }
-
-    #[test]
-    fn broadcast_saturates_instead_of_overflowing() {
-        let l = ShuffleLedger::new();
-        l.record_broadcast(Phase::Repartition, u64::MAX / 2, 9);
-        assert_eq!(l.broadcast_bytes(Phase::Repartition), u64::MAX);
+        assert_eq!(l.total_communication(), 9150);
+        assert_eq!(l.tenant_snapshot(TenantId(3)), l.snapshot());
     }
 
     #[test]
     fn snapshot_deltas_isolate_one_job() {
         let l = ShuffleLedger::new();
-        l.record_shuffle(Phase::Repartition, 0, 1, 100);
-        l.record_broadcast(Phase::Repartition, 10, 4);
+        l.record_phase_for(TenantId::ANONYMOUS, Phase::Repartition, 100, 100, 40);
         let mark = l.snapshot();
         l.record_shuffle(Phase::Repartition, 0, 1, 25);
         l.record_shuffle(Phase::Aggregation, 1, 1, 7);
-        l.record_broadcast(Phase::Repartition, 10, 2);
+        l.record_phase_for(TenantId::ANONYMOUS, Phase::Repartition, 0, 0, 20);
         let d = l.since(&mark);
         assert_eq!(d.shuffle_bytes(Phase::Repartition), 25);
         assert_eq!(d.cross_node_bytes(Phase::Repartition), 25);
@@ -286,12 +237,10 @@ mod tests {
 
     #[test]
     fn tenant_attribution_sums_to_the_cluster_totals() {
-        use crate::stats::TenantId;
         let l = ShuffleLedger::new();
-        l.record_shuffle_for(TenantId(1), Phase::Repartition, 0, 1, 100);
-        l.record_shuffle_for(TenantId(2), Phase::Repartition, 1, 1, 40);
+        l.record_phase_for(TenantId(1), Phase::Repartition, 100, 100, 40);
+        l.record_phase_for(TenantId(2), Phase::Repartition, 40, 0, 0);
         l.record_shuffle(Phase::Aggregation, 0, 2, 9); // anonymous
-        l.record_broadcast_for(TenantId(1), Phase::Repartition, 10, 4);
         let total = l.snapshot();
         let summed = l
             .tenants()
@@ -315,7 +264,7 @@ mod tests {
         // Uncharged tenants read zero; deltas subtract cleanly.
         assert_eq!(l.tenant_snapshot(TenantId(9)), LedgerSnapshot::default());
         let mark = l.tenant_snapshot(TenantId(1));
-        l.record_shuffle_for(TenantId(1), Phase::Repartition, 0, 1, 5);
+        l.record_phase_for(TenantId(1), Phase::Repartition, 5, 5, 0);
         assert_eq!(
             l.tenant_since(TenantId(1), &mark)
                 .shuffle_bytes(Phase::Repartition),

@@ -3,22 +3,23 @@
 //! Every cross-store movement goes through [`Transport::execute`]: the
 //! source block is encoded via `distme_matrix::codec`, the bytes "cross the
 //! wire", and the decoded block is installed in the destination node's
-//! store. The ledger's *model* bytes are charged by the driver from the
-//! plan's routing view (exactly once per planned move, see
-//! `core::real_exec`), never here — so fault-driven redelivery can neither
-//! double-charge nor under-charge the model and sim/real byte parity is
-//! structural. The transport counts only *physical* traffic:
+//! store. The ledger's *model* bytes are charged by the driver with the
+//! plan's per-phase totals (see `core::real_exec`), never here — so
+//! fault-driven redelivery can neither double-charge nor under-charge the
+//! model. The transport counts only *physical* traffic:
 //!
 //! * [`TransportStats::payload_bytes`] — the first transmission of every
 //!   materialized block (identical between a faulted and fault-free run);
 //! * [`TransportStats::retransmitted_bytes`] — every repeated transmission
 //!   caused by a drop, a checksum failure, or a re-run task attempt.
 //!
-//! Recovery lives here too: a dropped or corrupt delivery is re-read from
-//! the producer's store (lineage re-delivery — the block is still where
-//! the plan produced it) up to the retry policy's attempt bound, before
-//! the typed transient error ([`TaskError::LostBlock`] /
-//! [`TaskError::CorruptBlock`]) is handed to the task-level retry loop.
+//! Recovery lives here too, in the one delivery loop of
+//! [`Transport::execute`]: a dropped or corrupt delivery is first rebuilt
+//! from its coded group's parity, else re-read from the producer's store
+//! (lineage re-delivery — the block is still where the plan produced it)
+//! up to the retry policy's attempt bound, before the typed transient
+//! error ([`TaskError::LostBlock`] / [`TaskError::CorruptBlock`]) is
+//! handed to the task-level retry loop.
 
 use crate::chaos::FaultPlan;
 use crate::config::RetryPolicy;
@@ -30,61 +31,6 @@ use distme_matrix::codec;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Upper bound on pooled scratch buffers: enough for every worker thread a
-/// stage can run, without pinning unbounded memory after a wide stage.
-const SCRATCH_POOL_CAP: usize = 64;
-
-/// Largest allocation a returned scratch buffer may keep. A rebalance move
-/// of a max-size block would otherwise park a block-sized buffer in the
-/// pool forever; anything bigger than this is dropped on recycle and the
-/// next take re-allocates to fit.
-pub const SCRATCH_RETAIN_BYTES: usize = 4 << 20;
-
-/// A pool of reusable serialization buffers shared by the transport's
-/// callers (the stage workers): each move borrows one scratch [`BytesMut`],
-/// encodes into it, decodes straight out of it, and returns it — so a
-/// steady-state shuffle allocates nothing per block.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    bufs: Mutex<Vec<BytesMut>>,
-    reuses: AtomicU64,
-}
-
-impl ScratchPool {
-    /// Borrows a cleared buffer, recycling a pooled allocation when one is
-    /// available.
-    pub fn take(&self) -> BytesMut {
-        let recycled = self.bufs.lock().expect("scratch pool lock").pop();
-        match recycled {
-            Some(mut buf) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                buf
-            }
-            None => BytesMut::default(),
-        }
-    }
-
-    /// Returns a buffer to the pool. Dropped once the pool is full, and
-    /// dropped when its allocation exceeds [`SCRATCH_RETAIN_BYTES`] — a
-    /// one-off giant move must not pin a giant buffer for the pool's
-    /// lifetime.
-    pub fn recycle(&self, buf: BytesMut) {
-        if buf.capacity() > SCRATCH_RETAIN_BYTES {
-            return;
-        }
-        let mut bufs = self.bufs.lock().expect("scratch pool lock");
-        if bufs.len() < SCRATCH_POOL_CAP {
-            bufs.push(buf);
-        }
-    }
-
-    /// How many takes were served from the pool instead of allocating.
-    pub fn reuses(&self) -> u64 {
-        self.reuses.load(Ordering::Relaxed)
-    }
-}
 
 /// The delivery-notification channel: every completed move publishes its
 /// `(destination node, destination key)` here, so a compute loop can ask
@@ -227,7 +173,6 @@ pub struct Transport<'a> {
     /// accounting registers a second `TransportStats` here; every counter
     /// update lands in both.
     job_stats: Option<&'a TransportStats>,
-    scratch: &'a ScratchPool,
     /// Optional delivery-notification board: completed moves publish their
     /// landed `(node, key)` for dependency-gated consumers.
     board: Option<&'a DeliveryBoard>,
@@ -237,13 +182,11 @@ pub struct Transport<'a> {
 }
 
 impl<'a> Transport<'a> {
-    /// Binds a transport to stores, physical counters, the scratch-buffer
-    /// pool, and (optionally) a fault-injection plan with the redelivery
-    /// bound to recover under.
+    /// Binds a transport to stores, physical counters, and (optionally) a
+    /// fault-injection plan with the redelivery bound to recover under.
     pub fn new(
         stores: &'a ClusterStores,
         stats: &'a TransportStats,
-        scratch: &'a ScratchPool,
         faults: Option<Arc<FaultPlan>>,
         retry: RetryPolicy,
     ) -> Self {
@@ -251,7 +194,6 @@ impl<'a> Transport<'a> {
             stores,
             stats,
             job_stats: None,
-            scratch,
             board: None,
             faults,
             retry,
@@ -361,18 +303,21 @@ impl<'a> Transport<'a> {
 
     /// Executes one move on behalf of task attempt `task_attempt`. The
     /// physical encode/wire/decode round-trip happens only when the source
-    /// block exists (implicit zeros ship nothing). A delivery the fault
-    /// plan drops or corrupts is re-read from the producer's store and
-    /// re-sent, up to the retry policy's attempt bound. Returns the
-    /// encoded payload length (0 for an implicit zero).
+    /// block exists (implicit zeros ship nothing). Returns the encoded
+    /// payload length (0 for an implicit zero).
     ///
-    /// Dense blocks take a zero-copy receive path: the frame is encoded
-    /// with its payload 8-byte aligned, the wire buffer is frozen, and
-    /// `decode_view` installs a block that aliases the frame's `f64`
-    /// section in place — the buffer *becomes* the installed block's
-    /// storage (so it is not pooled; its lifetime is the block's). Sparse
-    /// frames keep the pooled encode → `decode_slice` → recycle loop, since
-    /// their CSR arrays are materialized on decode either way.
+    /// Each transmission gets a fresh exact-size buffer: the frame is
+    /// encoded with a dense payload 8-byte aligned, the wire buffer is
+    /// frozen, and `decode_view` installs a dense block that aliases the
+    /// frame's `f64` section in place — the buffer *becomes* the installed
+    /// block's storage. A sparse frame takes no pad and its CSR arrays are
+    /// materialized on decode.
+    ///
+    /// Recovery precedence, for a delivery the fault plan drops or whose
+    /// injected corruption the CRC gate catches: parity decode from the
+    /// source's coded group (`try_reconstruct`), then lineage — the
+    /// block is re-read from the producer's store and re-sent, up to the
+    /// retry policy's attempt bound — then the typed failure.
     ///
     /// # Errors
     /// [`TaskError::LostBlock`] / [`TaskError::CorruptBlock`] when
@@ -392,135 +337,38 @@ impl<'a> Transport<'a> {
         };
         // Real serialized bytes flow on every move, even node-local ones
         // (Spark serializes through shuffle files regardless of locality).
-        match &*block {
-            distme_matrix::Block::Dense(_) => self.deliver_dense(&block, mv, task_attempt),
-            distme_matrix::Block::Sparse(_) => self.deliver_sparse(&block, mv, task_attempt),
-        }
-    }
-
-    /// Dense delivery: fresh exact-size buffer per transmission, aligned
-    /// encode, frozen into the installed block's backing storage.
-    fn deliver_dense(
-        &self,
-        block: &distme_matrix::Block,
-        mv: &WireMove,
-        task_attempt: u32,
-    ) -> Result<u64, TaskError> {
+        let (node, id) = (mv.to_node, mv.dst.id);
+        let faults = self.faults.as_deref();
         let deliveries = self.retry.max_attempts.max(1);
         for delivery in 0..deliveries {
-            let mut buf = BytesMut::with_capacity(codec::encoded_len(block) as usize + 7);
-            let pad = codec::encode_aligned(block, &mut buf);
+            let mut buf = BytesMut::with_capacity(codec::encoded_len(&block) as usize + 7);
+            let pad = codec::encode_aligned(&block, &mut buf);
             let payload = (buf.len() - pad) as u64;
             self.charge_transmission(payload, task_attempt == 0 && delivery == 0);
-            if let Some(faults) = &self.faults {
-                if faults.drop_delivery(mv, task_attempt, delivery) {
-                    if self.try_reconstruct(mv).is_some() {
+            let failure = if faults.is_some_and(|f| f.drop_delivery(mv, task_attempt, delivery)) {
+                TaskError::LostBlock { node, id }
+            } else {
+                // Corruption strikes the frame, never the pad — a flip
+                // landing in alignment filler would be invisible to the
+                // checksum.
+                let injected = faults.is_some_and(|f| {
+                    f.corrupt_payload(mv, task_attempt, delivery, &mut buf[pad..])
+                });
+                let wire = buf.freeze();
+                match codec::decode_view(&wire.slice(pad..wire.len())) {
+                    Ok(decoded) => {
+                        self.install(mv, decoded);
                         return Ok(payload);
                     }
-                    if delivery + 1 == deliveries {
-                        return Err(TaskError::LostBlock {
-                            node: mv.to_node,
-                            id: mv.dst.id,
-                        });
-                    }
-                    continue;
+                    Err(_) if injected => TaskError::CorruptBlock { node, id },
+                    Err(e) => return Err(TaskError::Compute(format!("transport: {e}"))),
                 }
+            };
+            if self.try_reconstruct(mv).is_some() {
+                return Ok(payload);
             }
-            // Corruption strikes the frame, never the pad — a flip landing
-            // in alignment filler would be invisible to the checksum.
-            let injected = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.corrupt_payload(mv, task_attempt, delivery, &mut buf[pad..]));
-            let wire = buf.freeze();
-            let frame = wire.slice(pad..wire.len());
-            match codec::decode_view(&frame) {
-                Ok(decoded) => {
-                    self.install(mv, decoded);
-                    return Ok(payload);
-                }
-                Err(_) if injected => {
-                    // The CRC gate caught the injected flip: parity decode
-                    // first, then re-read from the producer (lineage).
-                    if self.try_reconstruct(mv).is_some() {
-                        return Ok(payload);
-                    }
-                    if delivery + 1 == deliveries {
-                        return Err(TaskError::CorruptBlock {
-                            node: mv.to_node,
-                            id: mv.dst.id,
-                        });
-                    }
-                }
-                Err(e) => {
-                    return Err(TaskError::Compute(format!("transport: {e}")));
-                }
-            }
-        }
-        unreachable!("delivery loop returns on its final iteration")
-    }
-
-    /// Sparse delivery: the wire buffer is borrowed from the scratch pool
-    /// and decoded out of in place, so steady-state sparse shuffles never
-    /// allocate for the bytes.
-    fn deliver_sparse(
-        &self,
-        block: &distme_matrix::Block,
-        mv: &WireMove,
-        task_attempt: u32,
-    ) -> Result<u64, TaskError> {
-        let mut buf = self.scratch.take();
-        let deliveries = self.retry.max_attempts.max(1);
-        for delivery in 0..deliveries {
-            buf.clear();
-            codec::encode_into(block, &mut buf);
-            let payload = buf.len() as u64;
-            self.charge_transmission(payload, task_attempt == 0 && delivery == 0);
-            if let Some(faults) = &self.faults {
-                if faults.drop_delivery(mv, task_attempt, delivery) {
-                    if self.try_reconstruct(mv).is_some() {
-                        self.scratch.recycle(buf);
-                        return Ok(payload);
-                    }
-                    if delivery + 1 == deliveries {
-                        self.scratch.recycle(buf);
-                        return Err(TaskError::LostBlock {
-                            node: mv.to_node,
-                            id: mv.dst.id,
-                        });
-                    }
-                    continue;
-                }
-            }
-            let injected = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.corrupt_payload(mv, task_attempt, delivery, &mut buf));
-            match codec::decode_slice(&buf) {
-                Ok(decoded) => {
-                    self.scratch.recycle(buf);
-                    self.install(mv, decoded);
-                    return Ok(payload);
-                }
-                Err(_) if injected => {
-                    // The CRC gate caught the injected flip: parity decode
-                    // first, then re-read from the producer (lineage).
-                    if self.try_reconstruct(mv).is_some() {
-                        self.scratch.recycle(buf);
-                        return Ok(payload);
-                    }
-                    if delivery + 1 == deliveries {
-                        self.scratch.recycle(buf);
-                        return Err(TaskError::CorruptBlock {
-                            node: mv.to_node,
-                            id: mv.dst.id,
-                        });
-                    }
-                }
-                Err(e) => {
-                    self.scratch.recycle(buf);
-                    return Err(TaskError::Compute(format!("transport: {e}")));
-                }
+            if delivery + 1 == deliveries {
+                return Err(failure);
             }
         }
         unreachable!("delivery loop returns on its final iteration")
@@ -534,30 +382,33 @@ mod tests {
     use distme_matrix::{Block, BlockId, DenseBlock};
     use std::sync::Arc;
 
-    fn setup() -> (ClusterStores, TransportStats, ScratchPool) {
-        (
-            ClusterStores::new(3),
-            TransportStats::default(),
-            ScratchPool::default(),
-        )
+    fn setup() -> (ClusterStores, TransportStats) {
+        (ClusterStores::new(3), TransportStats::default())
     }
 
-    fn clean<'a>(
-        stores: &'a ClusterStores,
-        stats: &'a TransportStats,
-        scratch: &'a ScratchPool,
-    ) -> Transport<'a> {
-        Transport::new(stores, stats, scratch, None, RetryPolicy::no_retry())
+    fn clean<'a>(stores: &'a ClusterStores, stats: &'a TransportStats) -> Transport<'a> {
+        Transport::new(stores, stats, None, RetryPolicy::no_retry())
+    }
+
+    /// The inputs the fault cases run over: one dense block, one sparse.
+    fn dense_and_sparse() -> [Block; 2] {
+        [
+            Block::Dense(DenseBlock::from_fn(4, 4, |i, j| (i * j) as f64)),
+            Block::Sparse(
+                distme_matrix::CsrBlock::from_triplets(8, 8, vec![(0, 1, 1.0), (7, 7, -3.0)])
+                    .unwrap(),
+            ),
+        ]
     }
 
     #[test]
     fn move_encodes_decodes_and_installs() {
-        let (stores, stats, scratch) = setup();
+        let (stores, stats) = setup();
         let block = Block::Dense(DenseBlock::from_fn(4, 4, |i, j| (i * 4 + j) as f64));
         let src = StoreKey::operand(1, BlockId::new(0, 0));
         let dst = StoreKey::operand(1, BlockId::new(0, 0));
         stores.node(0).install(src, Arc::new(block.clone()));
-        let t = clean(&stores, &stats, &scratch);
+        let t = clean(&stores, &stats);
         let payload = t
             .execute(
                 &WireMove {
@@ -580,38 +431,12 @@ mod tests {
     }
 
     #[test]
-    fn repeat_sparse_moves_reuse_the_scratch_buffer() {
-        // Sparse is the pooled path; dense buffers become block storage and
-        // are deliberately never recycled (see the zero-copy test below).
-        let (stores, stats, scratch) = setup();
-        let block = Block::Sparse(
-            distme_matrix::CsrBlock::from_triplets(8, 8, vec![(0, 1, 1.0), (7, 7, -3.0)]).unwrap(),
-        );
-        let key = StoreKey::operand(7, BlockId::new(0, 0));
-        stores.node(0).install(key, Arc::new(block));
-        let t = clean(&stores, &stats, &scratch);
-        let mv = WireMove {
-            phase: Phase::Repartition,
-            from_node: 0,
-            to_node: 1,
-            wire_bytes: 10,
-            src: key,
-            dst: key,
-        };
-        t.execute(&mv, 0).unwrap();
-        assert_eq!(scratch.reuses(), 0);
-        t.execute(&mv, 0).unwrap();
-        t.execute(&mv, 0).unwrap();
-        assert_eq!(scratch.reuses(), 2, "sequential moves share one buffer");
-    }
-
-    #[test]
     fn dense_delivery_installs_a_zero_copy_view() {
-        let (stores, stats, scratch) = setup();
+        let (stores, stats) = setup();
         let block = Block::Dense(DenseBlock::from_fn(16, 16, |i, j| (i * 16 + j) as f64));
         let key = StoreKey::operand(11, BlockId::new(0, 0));
         stores.node(0).install(key, Arc::new(block.clone()));
-        let t = clean(&stores, &stats, &scratch);
+        let t = clean(&stores, &stats);
         let mv = WireMove {
             phase: Phase::Repartition,
             from_node: 0,
@@ -631,32 +456,12 @@ mod tests {
             ),
             Block::Sparse(_) => panic!("dense move installed sparse"),
         }
-        // Dense buffers become block storage: nothing returns to the pool.
-        t.execute(&mv, 0).unwrap();
-        assert_eq!(scratch.reuses(), 0);
-    }
-
-    #[test]
-    fn recycle_drops_oversized_buffers() {
-        let pool = ScratchPool::default();
-        let mut big = BytesMut::with_capacity(SCRATCH_RETAIN_BYTES + 1);
-        big.extend_from_slice(&[1]);
-        pool.recycle(big);
-        pool.take();
-        assert_eq!(pool.reuses(), 0, "an oversized buffer must not be pooled");
-
-        let mut small = BytesMut::with_capacity(1024);
-        small.extend_from_slice(&[1]);
-        pool.recycle(small);
-        let took = pool.take();
-        assert_eq!(pool.reuses(), 1, "a bounded buffer is reused");
-        assert!(took.is_empty(), "recycled buffers come back cleared");
     }
 
     #[test]
     fn implicit_zero_carries_nothing() {
-        let (stores, stats, scratch) = setup();
-        let t = clean(&stores, &stats, &scratch);
+        let (stores, stats) = setup();
+        let t = clean(&stores, &stats);
         let key = StoreKey::operand(1, BlockId::new(3, 3));
         let payload = t
             .execute(
@@ -679,13 +484,13 @@ mod tests {
 
     #[test]
     fn completed_moves_publish_to_the_delivery_board() {
-        let (stores, stats, scratch) = setup();
+        let (stores, stats) = setup();
         let board = DeliveryBoard::default();
         let block = Block::Dense(DenseBlock::from_fn(2, 2, |i, j| (i + j) as f64));
         let real = StoreKey::operand(4, BlockId::new(0, 0));
         let zero = StoreKey::operand(4, BlockId::new(1, 1));
         stores.node(0).install(real, Arc::new(block));
-        let t = clean(&stores, &stats, &scratch).with_delivery_board(&board);
+        let t = clean(&stores, &stats).with_delivery_board(&board);
         let mv = |src: StoreKey| WireMove {
             phase: Phase::Repartition,
             from_node: 0,
@@ -712,10 +517,7 @@ mod tests {
 
     #[test]
     fn dropped_delivery_is_resent_from_the_producer() {
-        let (stores, stats, scratch) = setup();
-        let block = Block::Dense(DenseBlock::from_fn(4, 4, |i, j| (i * j) as f64));
         let key = StoreKey::operand(5, BlockId::new(0, 1));
-        stores.node(0).install(key, Arc::new(block.clone()));
         let mv = WireMove {
             phase: Phase::Repartition,
             from_node: 0,
@@ -726,101 +528,124 @@ mod tests {
         };
         // Find a seed under which the first delivery of this move is
         // dropped (deterministic: the probe plan and the real plan make
-        // identical decisions for identical seeds).
+        // identical decisions for identical seeds — and a drop decision
+        // keys on the move, not on the bytes it carries).
         let spec_for = |seed| FaultSpec {
             drop_rate: 0.6,
             ..FaultSpec::quiet(seed)
         };
-        let seed = (0..64)
-            .find(|&s| {
+        let (seed, resent) = (0..64)
+            .find_map(|s| {
                 let probe = FaultPlan::new(spec_for(s));
-                probe.drop_delivery(&mv, 0, 0) && (1..8).any(|d| !probe.drop_delivery(&mv, 0, d))
+                let first_ok = (0..8).find(|&d| !probe.drop_delivery(&mv, 0, d))?;
+                (first_ok > 0).then_some((s, u64::from(first_ok)))
             })
             .expect("a 60% drop rate hits within 64 seeds");
-        let plan = Arc::new(FaultPlan::new(spec_for(seed)));
-        let t = Transport::new(
-            &stores,
-            &stats,
-            &scratch,
-            Some(plan),
-            RetryPolicy {
-                max_attempts: 8,
-                backoff_secs: 0.0,
-            },
-        );
-        let payload = t.execute(&mv, 0).unwrap();
-        assert_eq!(payload, codec::encoded_len(&block));
-        assert_eq!(&*stores.node(1).get(&key).unwrap(), &block);
-        assert!(stats.redelivered() > 0, "the drop forced a redelivery");
-        assert_eq!(stats.payload_bytes(), payload, "first transmission only");
-        assert!(stats.retransmitted_bytes() >= payload);
+        for block in dense_and_sparse() {
+            let (stores, stats) = setup();
+            stores.node(0).install(key, Arc::new(block.clone()));
+            let t = Transport::new(
+                &stores,
+                &stats,
+                Some(Arc::new(FaultPlan::new(spec_for(seed)))),
+                RetryPolicy {
+                    max_attempts: 8,
+                    backoff_secs: 0.0,
+                },
+            );
+            let payload = t.execute(&mv, 0).unwrap();
+            assert_eq!(payload, codec::encoded_len(&block));
+            assert_eq!(&*stores.node(1).get(&key).unwrap(), &block);
+            assert_eq!(stats.redelivered(), resent, "one resend per drop");
+            assert_eq!(stats.payload_bytes(), payload, "first transmission only");
+            assert_eq!(stats.retransmitted_bytes(), resent * payload);
+            assert_eq!((stats.moves(), stats.delivered()), (1, 1));
+        }
     }
 
     #[test]
     fn certain_corruption_exhausts_into_corrupt_block() {
-        let (stores, stats, scratch) = setup();
-        let block = Block::Dense(DenseBlock::from_fn(3, 3, |i, j| (i + 2 * j) as f64));
         let key = StoreKey::operand(6, BlockId::new(2, 0));
-        stores.node(0).install(key, Arc::new(block));
-        let plan = Arc::new(FaultPlan::new(FaultSpec {
-            corrupt_rate: 1.0,
-            ..FaultSpec::quiet(1)
-        }));
-        let t = Transport::new(
-            &stores,
-            &stats,
-            &scratch,
-            Some(plan.clone()),
-            RetryPolicy {
-                max_attempts: 3,
-                backoff_secs: 0.0,
-            },
-        );
-        let mv = WireMove {
-            phase: Phase::Repartition,
-            from_node: 0,
-            to_node: 2,
-            wire_bytes: 64,
-            src: key,
-            dst: key,
-        };
-        let err = t.execute(&mv, 0).unwrap_err();
-        assert!(matches!(err, TaskError::CorruptBlock { node: 2, .. }));
-        assert!(err.is_transient());
-        assert_eq!(plan.corrupted(), 3, "every delivery was corrupted");
-        assert!(!stores.node(2).contains(&key), "no garbage was installed");
+        for block in dense_and_sparse() {
+            let (stores, stats) = setup();
+            let payload = codec::encoded_len(&block);
+            stores.node(0).install(key, Arc::new(block));
+            let plan = Arc::new(FaultPlan::new(FaultSpec {
+                corrupt_rate: 1.0,
+                ..FaultSpec::quiet(1)
+            }));
+            let t = Transport::new(
+                &stores,
+                &stats,
+                Some(plan.clone()),
+                RetryPolicy {
+                    max_attempts: 3,
+                    backoff_secs: 0.0,
+                },
+            );
+            let mv = WireMove {
+                phase: Phase::Repartition,
+                from_node: 0,
+                to_node: 2,
+                wire_bytes: 64,
+                src: key,
+                dst: key,
+            };
+            let err = t.execute(&mv, 0).unwrap_err();
+            assert!(matches!(err, TaskError::CorruptBlock { node: 2, .. }));
+            assert!(err.is_transient());
+            assert_eq!(plan.corrupted(), 3, "every delivery was corrupted");
+            assert!(!stores.node(2).contains(&key), "no garbage was installed");
+            assert_eq!(
+                (
+                    stats.payload_bytes(),
+                    stats.redelivered(),
+                    stats.delivered()
+                ),
+                (payload, 2, 0)
+            );
+        }
     }
 
     #[test]
     fn certain_drop_exhausts_into_lost_block() {
-        let (stores, stats, scratch) = setup();
-        let block = Block::Dense(DenseBlock::from_fn(2, 2, |i, j| (i + j) as f64));
         let key = StoreKey::operand(8, BlockId::new(0, 0));
-        stores.node(1).install(key, Arc::new(block));
-        let plan = Arc::new(FaultPlan::new(FaultSpec {
-            drop_rate: 1.0,
-            ..FaultSpec::quiet(2)
-        }));
-        let t = Transport::new(
-            &stores,
-            &stats,
-            &scratch,
-            Some(plan),
-            RetryPolicy {
-                max_attempts: 2,
-                backoff_secs: 0.0,
-            },
-        );
-        let mv = WireMove {
-            phase: Phase::Aggregation,
-            from_node: 1,
-            to_node: 0,
-            wire_bytes: 32,
-            src: key,
-            dst: key,
-        };
-        let err = t.execute(&mv, 0).unwrap_err();
-        assert!(matches!(err, TaskError::LostBlock { node: 0, .. }));
-        assert!(!stores.node(0).contains(&key));
+        for block in dense_and_sparse() {
+            let (stores, stats) = setup();
+            let payload = codec::encoded_len(&block);
+            stores.node(1).install(key, Arc::new(block));
+            let plan = Arc::new(FaultPlan::new(FaultSpec {
+                drop_rate: 1.0,
+                ..FaultSpec::quiet(2)
+            }));
+            let t = Transport::new(
+                &stores,
+                &stats,
+                Some(plan),
+                RetryPolicy {
+                    max_attempts: 2,
+                    backoff_secs: 0.0,
+                },
+            );
+            let mv = WireMove {
+                phase: Phase::Aggregation,
+                from_node: 1,
+                to_node: 0,
+                wire_bytes: 32,
+                src: key,
+                dst: key,
+            };
+            let err = t.execute(&mv, 0).unwrap_err();
+            assert!(matches!(err, TaskError::LostBlock { node: 0, .. }));
+            assert!(!stores.node(0).contains(&key));
+            assert_eq!(
+                (
+                    stats.payload_bytes(),
+                    stats.redelivered(),
+                    stats.delivered()
+                ),
+                (payload, 1, 0)
+            );
+        }
     }
 }

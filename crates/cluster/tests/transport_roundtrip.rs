@@ -3,8 +3,8 @@
 //! bit-identically, and locality violations must fail loudly.
 
 use distme_cluster::{
-    BlockSource, BlockView, ClusterStores, Phase, RetryPolicy, ScratchPool, StoreKey, TaskError,
-    Transport, TransportStats, WireMove,
+    BlockSource, BlockView, ClusterStores, Phase, RetryPolicy, StoreKey, TaskError, Transport,
+    TransportStats, WireMove,
 };
 use distme_matrix::{Block, BlockId, CscBlock, CsrBlock, DenseBlock};
 use proptest::prelude::*;
@@ -63,8 +63,7 @@ fn any_block() -> impl Strategy<Value = Block> {
 fn ship(block: &Block) -> Arc<Block> {
     let stores = ClusterStores::new(2);
     let stats = TransportStats::default();
-    let scratch = ScratchPool::default();
-    let transport = Transport::new(&stores, &stats, &scratch, None, RetryPolicy::no_retry());
+    let transport = Transport::new(&stores, &stats, None, RetryPolicy::no_retry());
     let key = StoreKey::operand(7, BlockId::new(0, 0));
     stores.node(0).install(key, Arc::new(block.clone()));
     let mv = WireMove {
@@ -115,8 +114,7 @@ fn reading_an_unreceived_block_is_a_missing_block_error() {
 fn unmaterialized_moves_carry_no_payload() {
     let stores = ClusterStores::new(2);
     let stats = TransportStats::default();
-    let scratch = ScratchPool::default();
-    let transport = Transport::new(&stores, &stats, &scratch, None, RetryPolicy::no_retry());
+    let transport = Transport::new(&stores, &stats, None, RetryPolicy::no_retry());
     let key = StoreKey::operand(7, BlockId::new(0, 0));
     let mv = WireMove {
         phase: Phase::Aggregation,

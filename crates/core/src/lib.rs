@@ -33,10 +33,10 @@
 //! * [`real_exec`] — the one real executor: materializes each plan task's
 //!   blocks on the thread-backed cluster as a single dependency-gated
 //!   stage (per-task k-panel prefetch, aggregation released by its
-//!   producers) and charges the ledger from the plan's routing, used to
-//!   *prove* every method computes the same product as the single-node
-//!   reference — and that both backends report bit-identical
-//!   communication bytes;
+//!   producers), used to *prove* every method computes the same product as
+//!   the single-node reference; it charges the ledger with the per-phase
+//!   bytes the plan stored at build time, the field the simulator reports,
+//!   so the two report the same communication;
 //! * [`pipelined`] — `multiply_pipelined`, the benchmark's name for
 //!   [`real_exec::multiply`];
 //! * [`summa`] — SUMMA on an MPI-style process grid, the ScaLAPACK/SciDB

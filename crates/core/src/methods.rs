@@ -120,7 +120,25 @@ impl ResolvedMethod {
         self
     }
 
-    /// Resolves `method` for `problem` under the optimizer inputs.
+    /// The base resolution every method starts from: a plain `spec` grid,
+    /// one task per cuboid, shuffled operands, streamed output, DistME's
+    /// codec and cost-based GPU placement.
+    fn grid(method: MulMethod, spec: CuboidSpec) -> Self {
+        ResolvedMethod {
+            method,
+            spec,
+            tasks: spec.count(),
+            broadcast_b: false,
+            voxel_hash: false,
+            pre_shuffle_bytes: 0,
+            output_resident: false,
+            ser_overhead: 1.0,
+            gpu_cost_based: true,
+        }
+    }
+
+    /// Resolves `method` for `problem` under the optimizer inputs: the
+    /// method's `(P, Q, R)` on the base grid, plus what sets it apart.
     ///
     /// Never fails: when the CuboidMM optimizer finds no feasible
     /// parameters, the minimum-memory spec `(I, J, K)` is returned and the
@@ -128,122 +146,48 @@ impl ResolvedMethod {
     /// run time rather than plan time).
     pub fn resolve(method: MulMethod, problem: &MatmulProblem, cfg: &OptimizerConfig) -> Self {
         let (i, j, k) = problem.dims();
+        let grid = |p, q, r| Self::grid(method, CuboidSpec::new(p, q, r));
         match method {
-            MulMethod::Bmm => ResolvedMethod {
-                method,
-                spec: CuboidSpec::new(i, 1, 1),
-                tasks: i as u64,
-                broadcast_b: true,
-                voxel_hash: false,
-                pre_shuffle_bytes: 0,
-                output_resident: false,
-                ser_overhead: 1.0,
-                gpu_cost_based: true,
-            },
-            MulMethod::Cpmm => ResolvedMethod {
-                method,
-                spec: CuboidSpec::new(1, 1, k),
-                tasks: k as u64,
-                broadcast_b: false,
-                voxel_hash: false,
-                pre_shuffle_bytes: 0,
-                output_resident: false,
-                ser_overhead: 1.0,
-                gpu_cost_based: true,
-            },
-            MulMethod::Rmm => ResolvedMethod {
-                method,
-                spec: CuboidSpec::new(i, j, k),
-                // §6.2: "we set T = I·J for RMM, which is the best setting
-                // in terms of the aggregation performance".
-                tasks: i as u64 * j as u64,
-                broadcast_b: false,
-                voxel_hash: true,
-                pre_shuffle_bytes: 0,
-                output_resident: false,
-                ser_overhead: 1.0,
-                gpu_cost_based: true,
-            },
-            MulMethod::Cuboid(spec) => ResolvedMethod {
-                method,
-                spec: CuboidSpec::new(spec.p.min(i), spec.q.min(j), spec.r.min(k)),
-                tasks: spec.count(),
-                broadcast_b: false,
-                voxel_hash: false,
-                pre_shuffle_bytes: 0,
-                output_resident: false,
-                ser_overhead: 1.0,
-                gpu_cost_based: true,
-            },
-            MulMethod::CuboidAuto => {
-                let spec = optimizer::optimize(problem, cfg)
-                    .map(|o| o.spec)
-                    .unwrap_or(CuboidSpec::new(i, j, k));
-                ResolvedMethod {
-                    method,
-                    spec,
-                    tasks: spec.count(),
-                    broadcast_b: false,
-                    voxel_hash: false,
-                    pre_shuffle_bytes: 0,
-                    output_resident: false,
-                    ser_overhead: 1.0,
-                    gpu_cost_based: true,
-                }
-            }
             // SDDMM is communication-shaped like BMM — row-stripes of the
             // dense left factor stay put, the dense right factor torrents
             // to every task — while the mask rides with A's row partition
             // and never crosses the wire.
-            MulMethod::Sddmm => ResolvedMethod {
-                method,
-                spec: CuboidSpec::new(i, 1, 1),
-                tasks: i as u64,
+            MulMethod::Bmm | MulMethod::Sddmm => ResolvedMethod {
                 broadcast_b: true,
-                voxel_hash: false,
-                pre_shuffle_bytes: 0,
-                output_resident: false,
-                ser_overhead: 1.0,
-                gpu_cost_based: true,
+                ..grid(i, 1, 1)
+            },
+            MulMethod::Cpmm => grid(1, 1, k),
+            MulMethod::Rmm => ResolvedMethod {
+                // §6.2: "we set T = I·J for RMM, which is the best setting
+                // in terms of the aggregation performance".
+                tasks: i as u64 * j as u64,
+                voxel_hash: true,
+                ..grid(i, j, k)
+            },
+            MulMethod::Cuboid(spec) => grid(spec.p.min(i), spec.q.min(j), spec.r.min(k)),
+            MulMethod::CuboidAuto => match optimizer::optimize(problem, cfg) {
+                Some(optimum) => Self::grid(method, optimum.spec),
+                None => grid(i, j, k),
             },
             // Shift-SpMM keeps the sparse operand's row-stripes stationary
             // and repartitions the dense factor's row panels to the stripe
             // that needs them — the shuffle-based rendering of the rotation
             // schedule (each task still sees every panel exactly once).
-            MulMethod::SpmmShift => ResolvedMethod {
-                method,
-                spec: CuboidSpec::new(i, 1, 1),
-                tasks: i as u64,
-                broadcast_b: false,
-                voxel_hash: false,
-                pre_shuffle_bytes: 0,
-                output_resident: false,
-                ser_overhead: 1.0,
-                gpu_cost_based: true,
-            },
+            MulMethod::SpmmShift => grid(i, 1, 1),
             MulMethod::Crmm => {
                 // Cubic logical blocks: the smallest side s with s^3 >= M·Tc
-                // parallelism, clamped to the model dims. The re-blocking
-                // shuffle costs one pass over both inputs.
+                // parallelism, clamped to the model dims. Logical blocks
+                // *do* share communication within a cube (CRMM's
+                // improvement over RMM — no voxel hash); its remaining
+                // handicaps are the cubic shape and the re-blocking
+                // shuffle, one pass over both inputs.
                 let mut s = 1u32;
                 while (s as u64).pow(3) < cfg.min_parallelism {
                     s += 1;
                 }
-                let spec = CuboidSpec::new(s.min(i), s.min(j), s.min(k));
                 ResolvedMethod {
-                    method,
-                    spec,
-                    tasks: spec.count(),
-                    broadcast_b: false,
-                    // Logical blocks *do* share communication within a cube
-                    // (that is CRMM's improvement over RMM); its remaining
-                    // handicaps are the cubic shape and the re-blocking
-                    // shuffle.
-                    voxel_hash: false,
                     pre_shuffle_bytes: problem.a.total_bytes() + problem.b.total_bytes(),
-                    output_resident: false,
-                    ser_overhead: 1.0,
-                    gpu_cost_based: true,
+                    ..grid(s.min(i), s.min(j), s.min(k))
                 }
             }
         }
@@ -316,6 +260,7 @@ mod tests {
             &cfg(),
         );
         assert_eq!(r.spec.p, 70);
+        assert_eq!(r.tasks, r.spec.count());
     }
 
     #[test]

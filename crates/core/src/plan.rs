@@ -16,10 +16,11 @@
 //!
 //! The two executors are pure consumers: `sim_exec` lowers each task's
 //! *summary* onto the simulated cluster, `real_exec` materializes each
-//! task's blocks and charges the shuffle ledger from the plan's *routing*.
-//! Because both backends read communication off the same `BlockMove`s, the
-//! bytes the simulator reports are **bit-identical** to the bytes the real
-//! ledger measures on the same plan (enforced by `tests/plan_parity.rs`).
+//! task's blocks. Communication bytes are summed over the routing once, at
+//! build time, into the plan's per-phase [`PhaseComm`]
+//! ([`JobPlan::phase_comm`]); the simulator reports that field and the real
+//! executor charges its ledger from it, so the two are the same numbers by
+//! construction.
 
 use crate::cuboid::{Cuboid, CuboidGrid};
 use crate::gpu_local;
@@ -27,7 +28,7 @@ use crate::methods::{MulMethod, ResolvedMethod};
 use crate::optimizer::OptimizerConfig;
 use crate::problem::MatmulProblem;
 use crate::subcuboid::CuboidSides;
-use distme_cluster::{ClusterConfig, ComputeWork, Phase, SimTask};
+use distme_cluster::{ClusterConfig, ComputeWork, JobStats, Phase, SimTask};
 use distme_gpu::GpuWork;
 use distme_matrix::BlockId;
 use std::collections::BTreeMap;
@@ -174,6 +175,10 @@ pub struct JobPlan {
     /// Stages in execution order: repartition map, local multiplication,
     /// and (only when `R > 1`) aggregation.
     pub stages: Vec<PlanStage>,
+    /// Per-phase communication of the routing the plan was built with
+    /// (indexed by [`Phase::index`]); see [`JobPlan::phase_comm`]. Editing
+    /// `stages` by hand afterwards does not change it.
+    comm: [PhaseComm; Phase::COUNT],
 }
 
 impl JobPlan {
@@ -215,30 +220,25 @@ impl JobPlan {
         self.stages.iter().find(|s| s.phase == phase)
     }
 
-    /// Communication charged to `phase`, summed over every stage whose
-    /// inputs are accounted there (plus the broadcast for repartition).
-    /// Both executors report exactly these numbers.
+    /// Communication charged to `phase`: the routed moves of every stage
+    /// whose inputs are accounted there, plus the broadcast for
+    /// repartition — summed once when the plan was built. The simulator
+    /// reports these numbers and the real executor charges its ledger with
+    /// them.
     pub fn phase_comm(&self, phase: Phase) -> PhaseComm {
-        let mut comm = PhaseComm::default();
-        for stage in &self.stages {
-            if stage.input_phase != phase {
-                continue;
-            }
-            for task in &stage.tasks {
-                for m in &task.inputs {
-                    comm.shuffle_bytes += m.bytes;
-                    if m.from_node != m.to_node {
-                        comm.cross_node_bytes += m.bytes;
-                    }
-                }
-            }
+        self.comm[phase.index()]
+    }
+
+    /// Writes every phase's communication bytes into `stats` — where both
+    /// executors' [`JobStats`] get their model bytes from.
+    pub fn report_comm(&self, stats: &mut JobStats) {
+        for phase in Phase::ALL {
+            let comm = self.phase_comm(phase);
+            let ps = stats.phase_mut(phase);
+            ps.shuffle_bytes = comm.shuffle_bytes;
+            ps.cross_node_bytes = comm.cross_node_bytes;
+            ps.broadcast_bytes = comm.broadcast_bytes;
         }
-        if phase == Phase::Repartition {
-            if let Some(b) = self.broadcast {
-                comm.broadcast_bytes = b.bytes_per_copy.saturating_mul(b.copies);
-            }
-        }
-        comm
     }
 
     /// The HDFS home node of an input block under this plan's routing —
@@ -304,6 +304,7 @@ impl Builder<'_> {
         if resolved.spec.r > 1 {
             stages.push(self.agg_stage(&grid, &producers));
         }
+        let comm = routed_comm(&stages, broadcast);
         JobPlan {
             resolved: *resolved,
             problem: *problem,
@@ -311,6 +312,7 @@ impl Builder<'_> {
             epoch: 0,
             broadcast,
             stages,
+            comm,
         }
     }
 
@@ -688,6 +690,29 @@ impl Builder<'_> {
     }
 }
 
+/// One walk over the routing: every move lands in its stage's input phase,
+/// the broadcast (Table 2: one copy per fetching task) in repartition.
+fn routed_comm(
+    stages: &[PlanStage],
+    broadcast: Option<BroadcastPlan>,
+) -> [PhaseComm; Phase::COUNT] {
+    let mut comm = [PhaseComm::default(); Phase::COUNT];
+    for stage in stages {
+        let c = &mut comm[stage.input_phase.index()];
+        for m in stage.tasks.iter().flat_map(|t| &t.inputs) {
+            c.shuffle_bytes += m.bytes;
+            if m.from_node != m.to_node {
+                c.cross_node_bytes += m.bytes;
+            }
+        }
+    }
+    if let Some(b) = broadcast {
+        comm[Phase::Repartition.index()].broadcast_bytes =
+            b.bytes_per_copy.saturating_mul(b.copies);
+    }
+    comm
+}
+
 /// Applies a serialization-format overhead factor to a byte volume.
 pub(crate) fn scale(bytes: u64, factor: f64) -> u64 {
     if factor == 1.0 {
@@ -761,6 +786,39 @@ mod tests {
         // The local-mult stage consumes the repartition shuffle; nothing
         // is charged to it directly.
         assert_eq!(plan.phase_comm(Phase::LocalMult), PhaseComm::default());
+
+        // What the plan stores is what a fresh walk of its routing finds,
+        // for every method on even and ragged grids.
+        let methods = [
+            MulMethod::Bmm,
+            MulMethod::Cpmm,
+            MulMethod::Rmm,
+            MulMethod::CuboidAuto,
+            MulMethod::Cuboid(CuboidSpec::new(3, 2, 2)),
+            MulMethod::Crmm,
+            MulMethod::SpmmShift,
+        ];
+        for (i, j, k) in [(4_000, 4_000, 4_000), (5_000, 3_000, 7_000)] {
+            let p = MatmulProblem::dense(i, j, k);
+            for method in methods {
+                let plan = JobPlan::build(&p, method, &laptop());
+                for phase in Phase::ALL {
+                    let mut walked = PhaseComm::default();
+                    for stage in plan.stages.iter().filter(|s| s.input_phase == phase) {
+                        for m in stage.tasks.iter().flat_map(|t| &t.inputs) {
+                            walked.shuffle_bytes += m.bytes;
+                            walked.cross_node_bytes +=
+                                u64::from(m.from_node != m.to_node) * m.bytes;
+                        }
+                    }
+                    if let (Phase::Repartition, Some(b)) = (phase, plan.broadcast) {
+                        walked.broadcast_bytes = b.bytes_per_copy * b.copies;
+                    }
+                    let label = format!("{} {i}x{j}x{k} {}", method.name(), phase.label());
+                    assert_eq!(plan.phase_comm(phase), walked, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! 1. a **prologue** ([`prepare_job`]): the plan is validated against the
 //!    cluster's width and membership epoch, operand blocks are installed
 //!    into their home nodes' stores (reusing placements still resident from
-//!    earlier jobs), and the ledger is charged from the plan's routing view
-//!    — exactly what the simulator reports for the same plan, so simulated
-//!    bytes stay bit-identical to measured ones (`tests/plan_parity.rs`);
+//!    earlier jobs), and the ledger is charged, once per phase, with the
+//!    totals the plan stored at build time — the field the simulator
+//!    reports for the same plan, so simulated bytes are the measured ones;
 //! 2. **one stage** ([`LocalCluster::run_stage`]) holding every task of the
 //!    plan: the local-multiplication tasks, the pre-moves of a map stage
 //!    (CRMM's re-blocking), and the aggregation tasks, each of these gated
@@ -44,8 +44,8 @@ use crate::problem::MatmulProblem;
 use distme_cluster::chaos::run_task;
 use distme_cluster::{
     BlockSource, BlockView, DeliveryBoard, FaultPlan, JobError, JobStats, LocalCluster, NodeStore,
-    Phase, PhaseStats, PinGuard, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats,
-    WireMove, RESIDENCY_WINDOW_JOBS,
+    Phase, PinGuard, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats, WireMove,
+    RESIDENCY_WINDOW_JOBS,
 };
 use distme_matrix::{
     codec, fresh_matrix_uid, kernels, Block, BlockId, BlockMatrix, CsrBlock, DenseBlock,
@@ -139,7 +139,7 @@ pub fn sddmm(
 
 /// What a job has before its stage runs: plan/epoch validation, broadcast
 /// admission, operand ingest at the plan's home nodes, and the driver-side
-/// model-byte charging from the plan's routing view.
+/// charge of the plan's model bytes.
 struct JobSetup<'a> {
     /// Job-local mirror of the transport counters: the cluster-wide stats
     /// keep accumulating across jobs (session totals) while this job's
@@ -153,13 +153,6 @@ struct JobSetup<'a> {
     /// this to tell an implicit zero from a locality violation.
     a_index: BTreeSet<BlockId>,
     b_index: BTreeSet<BlockId>,
-    /// The job's model bytes, accumulated locally from the same routing
-    /// view the ledger was charged from — structurally identical sums, so
-    /// per-job stats stay bit-exact under concurrent jobs without reading
-    /// a shared snapshot that other jobs are mutating.
-    model_shuffle: [u64; Phase::COUNT],
-    model_cross: [u64; Phase::COUNT],
-    model_broadcast: [u64; Phase::COUNT],
     /// Identity of this job's intermediate C copies in the stores.
     c_uid: u64,
     /// Parity blocks materialized for the operands at ingest (coded
@@ -172,7 +165,7 @@ struct JobSetup<'a> {
 }
 
 /// Validates `plan` against the cluster, ingests the operands at their
-/// plan homes and charges the ledger from the routing view.
+/// plan homes and charges the ledger with the plan's per-phase totals.
 fn prepare_job<'a>(
     cluster: &'a LocalCluster,
     a: &BlockMatrix,
@@ -260,42 +253,21 @@ fn prepare_job<'a>(
     // an operand already coded by an earlier job encodes to nothing.
     let parity_blocks_encoded = cluster.encode_parity(a.uid()) + cluster.encode_parity(b.uid());
 
-    let mut model_shuffle = [0u64; Phase::COUNT];
-    let mut model_cross = [0u64; Phase::COUNT];
-    let mut model_broadcast = [0u64; Phase::COUNT];
-    if let Some(bc) = plan.broadcast {
-        // Table 2 accounting: every task fetches its own copy of B.
-        model_broadcast[Phase::Repartition.index()] = bc.bytes_per_copy.saturating_mul(bc.copies);
-        cluster.ledger().record_broadcast_for(
+    // Model bytes are charged once per phase, from the totals the plan
+    // stored when it was built — never per physical delivery. Fault-injected
+    // drops and lineage redeliveries therefore cannot skew the model, and
+    // the job's stats read the same field back (`JobPlan::report_comm`), as
+    // the simulator's do: the retransmitted bytes show up only in the
+    // transport's own counters.
+    for phase in Phase::ALL {
+        let comm = plan.phase_comm(phase);
+        cluster.ledger().record_phase_for(
             opts.tenant,
-            Phase::Repartition,
-            bc.bytes_per_copy,
-            bc.copies as usize,
+            phase,
+            comm.shuffle_bytes,
+            comm.cross_node_bytes,
+            comm.broadcast_bytes,
         );
-    }
-
-    // Model bytes are charged once per *planned* move, from the plan's
-    // routing view — never per physical delivery. Fault-injected drops and
-    // lineage redeliveries therefore cannot skew the model: sim/real byte
-    // parity is structural (`tests/plan_parity.rs`), and the physically
-    // retransmitted bytes show up only in the transport's own counters.
-    for stage in &plan.stages {
-        for task in &stage.tasks {
-            for m in &task.inputs {
-                let i = stage.input_phase.index();
-                model_shuffle[i] += m.bytes;
-                if m.from_node != m.to_node {
-                    model_cross[i] += m.bytes;
-                }
-                cluster.ledger().record_shuffle_for(
-                    opts.tenant,
-                    stage.input_phase,
-                    m.from_node,
-                    m.to_node,
-                    m.bytes,
-                );
-            }
-        }
     }
 
     let c_uid = fresh_matrix_uid();
@@ -305,9 +277,6 @@ fn prepare_job<'a>(
         faults,
         a_index,
         b_index,
-        model_shuffle,
-        model_cross,
-        model_broadcast,
         c_uid,
         parity_blocks_encoded,
         _pins: [pin_a, pin_b, pin_c],
@@ -851,18 +820,17 @@ pub fn execute_plan_masked(
     let parity_blocks_encoded = setup.parity_blocks_encoded + cluster.encode_parity(c.uid());
 
     // ------------- Statistics ---------------------------------------------
-    // Model bytes come from the job-local accumulators (charged to the
-    // shared ledger above from the identical routing view); physical bytes
-    // come from the job-local transport mirror. Neither reads shared state
-    // a concurrent job could be mutating. Time splits by where it went; see
-    // the module docs.
+    // Model bytes are the plan's (the totals the prologue charged to the
+    // shared ledger); physical bytes come from the job-local transport
+    // mirror. Neither reads shared state a concurrent job could be
+    // mutating. Time splits by where it went; see the module docs.
     let comm_secs = overlap.comm_micros.load(Ordering::Relaxed) as f64 / 1e6;
     let stall_secs = (overlap.stall_micros.load(Ordering::Relaxed) as f64 / 1e6).min(stage_secs);
     let mut stats = JobStats {
         elapsed_secs: prep_secs + stage_secs,
         peak_task_mem_bytes: run.peak_task_mem_bytes,
-        intermediate_bytes: setup.model_shuffle[Phase::Repartition.index()]
-            + setup.model_shuffle[Phase::Aggregation.index()],
+        intermediate_bytes: plan.phase_comm(Phase::Repartition).shuffle_bytes
+            + plan.phase_comm(Phase::Aggregation).shuffle_bytes,
         transport_payload_bytes: job_transport.payload_bytes(),
         retries: run.retries,
         redelivered_moves: job_transport.redelivered(),
@@ -881,15 +849,11 @@ pub fn execute_plan_masked(
         (Phase::LocalMult, (stage_secs - stall_secs).max(0.0)),
         (Phase::Aggregation, 0.0),
     ] {
-        let i = phase.index();
-        *stats.phase_mut(phase) = PhaseStats {
-            secs,
-            shuffle_bytes: setup.model_shuffle[i],
-            cross_node_bytes: setup.model_cross[i],
-            broadcast_bytes: setup.model_broadcast[i],
-            tasks: plan.stage(phase).map_or(0, |s| s.tasks.len()),
-        };
+        let ps = stats.phase_mut(phase);
+        ps.secs = secs;
+        ps.tasks = plan.stage(phase).map_or(0, |s| s.tasks.len());
     }
+    plan.report_comm(&mut stats);
     Ok((c, stats))
 }
 

@@ -5,8 +5,8 @@
 //! [`crate::plan`]. This module only walks the plan's stages, hands each
 //! stage's task *summaries* to the simulated cluster's resource models,
 //! and assembles [`JobStats`]. Communication bytes are read back from the
-//! plan's *routing* view, so they are bit-identical to what the real
-//! executor's shuffle ledger measures for the same plan.
+//! plan's stored per-phase totals ([`JobPlan::report_comm`]), the same
+//! field the real executor charges its shuffle ledger from.
 //!
 //! Nothing is materialized: each task is a byte/FLOP summary, which is
 //! what lets the harness replay the paper's 80 GB-to-multi-TB workloads.
@@ -86,13 +86,7 @@ pub fn simulate_plan(cluster: &mut SimCluster, plan: &JobPlan) -> Result<JobStat
     }
     // Communication is read from the plan's routing, not the resource
     // models — the same numbers the real executor charges to its ledger.
-    for phase in Phase::ALL {
-        let comm = plan.phase_comm(phase);
-        let ps = stats.phase_mut(phase);
-        ps.shuffle_bytes = comm.shuffle_bytes;
-        ps.cross_node_bytes = comm.cross_node_bytes;
-        ps.broadcast_bytes = comm.broadcast_bytes;
-    }
+    plan.report_comm(&mut stats);
     stats.elapsed_secs = cluster.job_elapsed_secs();
     Ok(stats)
 }

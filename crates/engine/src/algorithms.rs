@@ -5,14 +5,15 @@
 //! betweenness centrality, and deep neural network" — workloads whose
 //! inner loop is distributed matrix multiplication. Besides GNMF
 //! ([`crate::gnmf`]), this module implements three more members of that
-//! family, each driving [`RealSession`] the way a user program would:
+//! family, each driving a [`RealOps`] session — solo or a job-service
+//! tenant's — the way a user program would:
 //!
 //! * [`power_iteration`] — dominant eigenpair (the SVD/PCA building block);
 //! * [`pagerank`] — centrality over a sparse link matrix;
 //! * [`ridge_regression_gd`] — L2-regularized least squares by gradient
 //!   descent (the simplest "ML training loop" shape: Xᵀ(Xw − y) per step).
 
-use crate::session::RealSession;
+use crate::session::RealOps;
 use distme_cluster::JobError;
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{BlockMatrix, MatrixGenerator, MatrixMeta};
@@ -34,8 +35,8 @@ pub struct EigenPair {
 /// # Errors
 /// Returns a job error on shape mismatch or cluster failure; converging to
 /// a zero vector (nilpotent A) is reported as a task failure.
-pub fn power_iteration(
-    session: &mut RealSession,
+pub fn power_iteration<S: RealOps>(
+    session: &mut S,
     a: &BlockMatrix,
     iterations: usize,
     seed: u64,
@@ -53,8 +54,7 @@ pub fn power_iteration(
     let bs = a.meta().block_size;
     let mut v = MatrixGenerator::with_seed(seed)
         .value_range(0.1, 1.0)
-        .generate(&MatrixMeta::dense(n, 1).with_block_size(bs))
-        .map_err(to_job)?;
+        .generate(&MatrixMeta::dense(n, 1).with_block_size(bs))?;
     normalize(&mut v)?;
 
     let mut value = 0.0;
@@ -72,10 +72,7 @@ pub fn power_iteration(
         v = av.scale(1.0 / norm);
     }
     let av = session.matmul(a, &v)?;
-    let residual = av
-        .elementwise(EwOp::Sub, &v.scale(value))
-        .map_err(to_job)?
-        .frobenius_norm();
+    let residual = av.elementwise(EwOp::Sub, &v.scale(value))?.frobenius_norm();
     Ok(EigenPair {
         value,
         vector: v,
@@ -91,8 +88,8 @@ pub fn power_iteration(
 ///
 /// # Errors
 /// Returns a job error on a non-square input or cluster failure.
-pub fn pagerank(
-    session: &mut RealSession,
+pub fn pagerank<S: RealOps>(
+    session: &mut S,
     links: &BlockMatrix,
     damping: f64,
     iterations: usize,
@@ -109,8 +106,7 @@ pub fn pagerank(
     // r0 = uniform distribution.
     let ones = MatrixGenerator::with_seed(0)
         .value_range(1.0, 1.0 + f64::EPSILON)
-        .generate(&MatrixMeta::dense(n, 1).with_block_size(bs))
-        .map_err(to_job)?;
+        .generate(&MatrixMeta::dense(n, 1).with_block_size(bs))?;
     let teleport = ones.scale(uniform * (1.0 - damping));
     let mut r = ones.scale(uniform);
 
@@ -122,10 +118,8 @@ pub fn pagerank(
         let dangling = (1.0 - walked).max(0.0) * damping * uniform;
         r = pr
             .scale(damping)
-            .elementwise(EwOp::Add, &teleport)
-            .map_err(to_job)?
-            .elementwise(EwOp::Add, &ones.scale(dangling))
-            .map_err(to_job)?;
+            .elementwise(EwOp::Add, &teleport)?
+            .elementwise(EwOp::Add, &ones.scale(dangling))?;
     }
     Ok(r)
 }
@@ -145,8 +139,8 @@ pub struct RidgeFit {
 ///
 /// # Errors
 /// Returns a job error on shape mismatch or cluster failure.
-pub fn ridge_regression_gd(
-    session: &mut RealSession,
+pub fn ridge_regression_gd<S: RealOps>(
+    session: &mut S,
     x: &BlockMatrix,
     y: &BlockMatrix,
     lambda: f64,
@@ -168,22 +162,18 @@ pub fn ridge_regression_gd(
     let bs = x.meta().block_size;
     let mut w = MatrixGenerator::with_seed(seed)
         .value_range(-0.01, 0.01)
-        .generate(&MatrixMeta::dense(d, 1).with_block_size(bs))
-        .map_err(to_job)?;
+        .generate(&MatrixMeta::dense(d, 1).with_block_size(bs))?;
     let xt = session.transpose(x)?;
 
     let mut loss = Vec::with_capacity(iterations);
     for _ in 0..iterations {
         let xw = session.matmul(x, &w)?;
-        let resid = xw.elementwise(EwOp::Sub, y).map_err(to_job)?;
+        let resid = xw.elementwise(EwOp::Sub, y)?;
         let grad = session
             .matmul(&xt, &resid)?
             .scale(2.0)
-            .elementwise(EwOp::Add, &w.scale(2.0 * lambda))
-            .map_err(to_job)?;
-        w = w
-            .elementwise(EwOp::Sub, &grad.scale(learning_rate))
-            .map_err(to_job)?;
+            .elementwise(EwOp::Add, &w.scale(2.0 * lambda))?;
+        w = w.elementwise(EwOp::Sub, &grad.scale(learning_rate))?;
         let l = resid.frobenius_norm().powi(2) + lambda * w.frobenius_norm().powi(2);
         loss.push(l);
     }
@@ -210,16 +200,10 @@ fn normalize(v: &mut BlockMatrix) -> Result<(), JobError> {
     Ok(())
 }
 
-fn to_job(e: distme_matrix::MatrixError) -> JobError {
-    JobError::TaskFailed {
-        task: 0,
-        message: e.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::RealSession;
     use crate::systems::SystemProfile;
     use distme_cluster::ClusterConfig;
     use distme_matrix::{Block, CsrBlock, DenseBlock};

@@ -175,9 +175,7 @@ where
     let bs = v.meta().block_size;
     let f = cfg.factor_dim;
     let gen_h = MatrixGenerator::with_seed(seed ^ 0x515).value_range(0.1, 1.0);
-    let mut h = gen_h
-        .generate(&MatrixMeta::dense(f, v.meta().cols).with_block_size(bs))
-        .map_err(to_job)?;
+    let mut h = gen_h.generate(&MatrixMeta::dense(f, v.meta().cols).with_block_size(bs))?;
     let mut w = BlockMatrix::new(MatrixMeta::dense(v.meta().rows, f).with_block_size(bs));
 
     // V is stationary across iterations, so its transpose is hoisted.
@@ -289,17 +287,10 @@ fn ridge_inverse(gram: &BlockMatrix, lambda: f64, bs: u64) -> Result<BlockMatrix
                 let gj = bj as usize * bs as usize + j;
                 inv[gi * n + gj]
             });
-            out.put(bi, bj, Block::Dense(block)).map_err(to_job)?;
+            out.put(bi, bj, Block::Dense(block))?;
         }
     }
     Ok(out)
-}
-
-fn to_job(e: distme_matrix::MatrixError) -> JobError {
-    JobError::TaskFailed {
-        task: 0,
-        message: e.to_string(),
-    }
 }
 
 #[cfg(test)]

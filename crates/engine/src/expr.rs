@@ -22,7 +22,7 @@
 //! assert_eq!(gram.meta().rows, 64);
 //! ```
 
-use crate::session::{RealSession, SimSession};
+use crate::session::{RealOps, SimSession};
 use distme_cluster::JobError;
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{BlockMatrix, MatrixMeta};
@@ -101,12 +101,14 @@ impl Expr {
         }
     }
 
-    /// Evaluates with real blocks on a [`RealSession`] (post-order; each
-    /// multiply is planned by the session's profile).
+    /// Evaluates with real blocks on any [`RealOps`] session — a
+    /// [`RealSession`](crate::session::RealSession) or a job-service
+    /// tenant's (post-order; each multiply is planned by the session's
+    /// profile).
     ///
     /// # Errors
     /// Fails on virtual inputs, shape mismatches, or cluster failures.
-    pub fn eval_real(&self, session: &mut RealSession) -> Result<BlockMatrix, JobError> {
+    pub fn eval_real<S: RealOps>(&self, session: &mut S) -> Result<BlockMatrix, JobError> {
         match self {
             Expr::Value(m) => Ok((**m).clone()),
             Expr::Virtual(_) => Err(JobError::TaskFailed {
@@ -159,6 +161,7 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::RealSession;
     use crate::systems::SystemProfile;
     use distme_cluster::ClusterConfig;
     use distme_matrix::MatrixGenerator;

@@ -162,12 +162,8 @@ where
     let f = cfg.factor_dim;
     let gen_w = MatrixGenerator::with_seed(seed).value_range(0.1, 1.0);
     let gen_h = MatrixGenerator::with_seed(seed ^ 0xABCD).value_range(0.1, 1.0);
-    let mut w = gen_w
-        .generate(&MatrixMeta::dense(v.meta().rows, f).with_block_size(bs))
-        .map_err(to_job)?;
-    let mut h = gen_h
-        .generate(&MatrixMeta::dense(f, v.meta().cols).with_block_size(bs))
-        .map_err(to_job)?;
+    let mut w = gen_w.generate(&MatrixMeta::dense(v.meta().rows, f).with_block_size(bs))?;
+    let mut h = gen_h.generate(&MatrixMeta::dense(f, v.meta().cols).with_block_size(bs))?;
 
     let mut objective = Vec::with_capacity(cfg.iterations);
     for iter in 0..cfg.iterations {
@@ -194,16 +190,9 @@ where
 
 /// `‖V − WH‖F` on materialized matrices.
 fn frobenius_residual(v: &BlockMatrix, w: &BlockMatrix, h: &BlockMatrix) -> Result<f64, JobError> {
-    let wh = w.multiply(h).map_err(to_job)?;
-    let diff = v.elementwise(EwOp::Sub, &wh).map_err(to_job)?;
+    let wh = w.multiply(h)?;
+    let diff = v.elementwise(EwOp::Sub, &wh)?;
     Ok(diff.frobenius_norm())
-}
-
-fn to_job(e: distme_matrix::MatrixError) -> JobError {
-    JobError::TaskFailed {
-        task: 0,
-        message: e.to_string(),
-    }
 }
 
 #[cfg(test)]

@@ -5,14 +5,15 @@
 //!
 //! * [`expr`] — a matrix-expression API (the stand-in for DistME's Scala
 //!   API): build `W.t().matmul(&V)`-style trees and evaluate them;
-//! * [`session`] — one generic evaluation context over pluggable backends:
-//!   [`session::SimSession`] runs operators against the paper-scale
-//!   simulated cluster, [`session::RealSession`] runs them with real
-//!   blocks on the thread-backed cluster — both are aliases of
-//!   [`session::Session`];
-//! * [`service`] — the multi-tenant front end on the real backend: jobs
+//! * [`session`] — the evaluation contexts: [`session::SimSession`] runs
+//!   operators against the paper-scale simulated cluster,
+//!   [`session::RealSession`] runs them with real blocks on the
+//!   thread-backed cluster; the real operators are written once, on
+//!   [`session::TenantSession`];
+//! * [`service`] — the multi-tenant front end on the real cluster: jobs
 //!   from several tenants pass admission control and interleave on the
-//!   shared worker pool, bit-identical to their solo runs;
+//!   shared worker pool, running the same operator body as a solo session
+//!   and so bit-identical to it;
 //! * [`systems`] — planner profiles for every system in §6: DistME
 //!   (CuboidMM), SystemML (BMM/CPMM/RMM heuristic), MatFast-naive (CPMM),
 //!   DMac (CPMM + dependency-aware partitioning), each in CPU "(C)" and
@@ -44,8 +45,6 @@ pub mod systems;
 pub use als::{AlsConfig, AlsReport, AlsResult};
 pub use datasets::RatingDataset;
 pub use gnmf::{GnmfConfig, GnmfReport};
-pub use service::{JobHandle, JobOutput, JobService, JobSpec, JobStatus, TenantSession};
-pub use session::{
-    EngineBackend, RealBackend, RealOps, RealSession, Session, SimBackend, SimSession,
-};
+pub use service::{JobHandle, JobOutput, JobService, JobSpec, JobStatus};
+pub use session::{RealOps, RealSession, SimSession, TenantSession};
 pub use systems::SystemProfile;

@@ -4,7 +4,7 @@
 
 use distme_cluster::{ComputeWork, JobError, JobStats, Phase, PhaseStats, SimCluster, SimTask};
 use distme_matrix::elementwise::EwOp;
-use distme_matrix::{BlockMatrix, MatrixMeta};
+use distme_matrix::{BlockMatrix, MatrixError, MatrixMeta};
 
 /// Simulates a distributed transpose: every block is shuffled to its
 /// transposed grid position (one full pass over the matrix), unless the
@@ -65,13 +65,12 @@ pub fn sim_elementwise(
     y: &MatrixMeta,
 ) -> Result<(MatrixMeta, JobStats), JobError> {
     if x.rows != y.rows || x.cols != y.cols {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: format!(
-                "elementwise shape mismatch: {}x{} vs {}x{}",
-                x.rows, x.cols, y.rows, y.cols
-            ),
-        });
+        return Err(MatrixError::DimensionMismatch {
+            op: "elementwise",
+            lhs: (x.rows, x.cols),
+            rhs: (y.rows, y.cols),
+        }
+        .into());
     }
     cluster.start_job();
     let cfg = *cluster.config();
@@ -136,10 +135,7 @@ pub fn real_elementwise(
     y: &BlockMatrix,
 ) -> Result<(BlockMatrix, JobStats), JobError> {
     let t0 = std::time::Instant::now();
-    let out = x.elementwise(op, y).map_err(|e| JobError::TaskFailed {
-        task: 0,
-        message: e.to_string(),
-    })?;
+    let out = x.elementwise(op, y)?;
     let mut stats = JobStats {
         elapsed_secs: t0.elapsed().as_secs_f64(),
         ..JobStats::default()

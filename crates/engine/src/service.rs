@@ -1,7 +1,7 @@
 //! The multi-tenant job service: one cluster, many concurrent callers.
 //!
-//! [`Session`](crate::session::Session) is a single-caller front end: one
-//! owner, one mutable borrow, one job at a time. [`JobService`] is the
+//! [`RealSession`](crate::session::RealSession) is a single-caller front
+//! end: one owner, one mutable borrow, one job at a time. [`JobService`] is the
 //! engine's shared front end on the same substrate — jobs from several
 //! tenants are submitted concurrently, pass the cluster scheduler's
 //! admission control (θt-style memory budgeting summed across admitted
@@ -11,12 +11,15 @@
 //!
 //! Determinism contract: a job submitted through the service produces
 //! **bit-identical** results and per-job statistics to the same operators
-//! run directly through a `Session` on an identical cluster. Task indices
-//! within a stage are handed out in order regardless of which job's
-//! workers interleave between them, model bytes are computed from the
-//! plan's routing view, and physical payload counters are job-local —
-//! nothing a concurrent job does can leak into another job's results or
-//! stats (`crates/engine/tests/service.rs` enforces this).
+//! run directly through a `RealSession` on an identical cluster. Both run
+//! the one operator body ([`TenantSession`]) — a job closure gets it over
+//! the shared cluster, a `RealSession` over its own — and differ only in
+//! the tenant and priority their stages carry. Task indices within a stage
+//! are handed out in order regardless of which job's workers interleave
+//! between them, model bytes are the plan's, and physical payload counters
+//! are job-local — nothing a concurrent job does can leak into another
+//! job's results or stats (`crates/engine/tests/service.rs` checks it
+//! under real concurrency).
 //!
 //! ```no_run
 //! use distme_engine::service::{JobService, JobSpec};
@@ -30,16 +33,14 @@
 //! println!("{} ops for {}", out.ops_run, out.tenant);
 //! ```
 
-use crate::session::{plan_for, sparse_plan_for, RealOps};
+use crate::session::{Tally, TenantSession};
 use crate::systems::SystemProfile;
 use distme_cluster::{
     ClusterConfig, ElasticPolicy, JobError, JobStats, LedgerSnapshot, LocalCluster, QueueWaitStats,
     RebalanceReport, Scheduler, SchedulerLoad, TenantId,
 };
-use distme_core::real_exec::{self, RealExecOptions};
-use distme_core::{JobPlan, MatmulProblem, PlanCache, PlanCacheStats};
-use distme_matrix::elementwise::EwOp;
-use distme_matrix::BlockMatrix;
+use distme_core::real_exec::RealExecOptions;
+use distme_core::{JobPlan, PlanCache, PlanCacheStats};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 
@@ -242,44 +243,31 @@ impl JobService {
             thread_state.set_status(JobStatus::Running);
             let queue_wait_secs = ticket.queue_wait_secs;
             let cluster = shared.cluster.read().unwrap_or_else(|p| p.into_inner());
-            let mut session = TenantSession {
+            let mut tally = Tally::default();
+            let value = job(&mut TenantSession {
                 cluster: &cluster,
-                shared: &shared,
-                tenant: spec.tenant,
-                priority: spec.priority,
-                stats: JobStats::default(),
-                ops_run: 0,
-            };
-            let value = job(&mut session);
-            let stats = session.stats;
-            let ops_run = session.ops_run;
+                plans: &shared.plans,
+                profile: shared.profile,
+                opts: RealExecOptions {
+                    tenant: spec.tenant,
+                    priority: spec.priority,
+                    ..Default::default()
+                },
+                tally: &mut tally,
+            });
             drop(cluster);
             // Admission released only now: the budget bounds *concurrent*
             // resident jobs, so the ticket must outlive the work.
             drop(ticket);
             thread_state.finish(value.map(|value| JobOutput {
                 value,
-                stats,
-                ops_run,
+                stats: tally.stats,
+                ops_run: tally.ops_run,
                 queue_wait_secs,
                 tenant: spec.tenant,
             }));
         });
         JobHandle { state }
-    }
-
-    /// The blocking compatibility path: [`submit`](Self::submit) +
-    /// [`JobHandle::wait`]. Call sites written against the synchronous
-    /// `Session` move over by wrapping their operators in one closure.
-    ///
-    /// # Errors
-    /// See [`JobHandle::wait`].
-    pub fn run<T, F>(&self, spec: JobSpec, job: F) -> Result<JobOutput<T>, JobError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut TenantSession<'_>) -> Result<T, JobError> + Send + 'static,
-    {
-        self.submit(spec, job).wait()
     }
 
     /// The scheduler's live load (queue depths, held slots, admitted
@@ -362,104 +350,5 @@ impl JobService {
             .cluster
             .read()
             .unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-/// One job's view of the shared cluster: the [`RealOps`] operator surface
-/// with every stage tagged by the job's tenant and priority, and per-job
-/// statistics accumulated across its operators. Handed to the job closure
-/// by [`JobService::submit`]; holds the cluster read lock for the job's
-/// duration.
-pub struct TenantSession<'a> {
-    cluster: &'a LocalCluster,
-    shared: &'a Shared,
-    tenant: TenantId,
-    priority: u8,
-    stats: JobStats,
-    ops_run: usize,
-}
-
-impl TenantSession<'_> {
-    /// The tenant this job runs as.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// Statistics accumulated over the job's operators so far.
-    pub fn stats(&self) -> &JobStats {
-        &self.stats
-    }
-
-    /// Number of operators run so far.
-    pub fn ops_run(&self) -> usize {
-        self.ops_run
-    }
-
-    /// The underlying cluster (read-only: ledger and store access).
-    pub fn cluster(&self) -> &LocalCluster {
-        self.cluster
-    }
-
-    fn absorb(&mut self, stats: JobStats) {
-        self.stats.merge(&stats);
-        self.ops_run += 1;
-    }
-
-    /// The job's execution options: its tenant and priority.
-    fn opts(&self) -> RealExecOptions {
-        RealExecOptions {
-            tenant: self.tenant,
-            priority: self.priority,
-            ..Default::default()
-        }
-    }
-}
-
-impl RealOps for TenantSession<'_> {
-    fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        let problem = MatmulProblem::new(*a.meta(), *b.meta())?;
-        let resolved = self.shared.profile.resolve(&problem, self.cluster.config());
-        let plan = plan_for(&self.shared.plans, self.cluster, &problem, &resolved);
-        let (out, stats) = real_exec::execute_plan(self.cluster, a, b, &plan, self.opts())?;
-        self.absorb(stats);
-        Ok(out)
-    }
-
-    fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        let (out, stats) =
-            crate::ops::real_transpose(self.cluster, x, self.shared.profile.reuses_partitioning());
-        self.absorb(stats);
-        Ok(out)
-    }
-
-    fn elementwise(
-        &mut self,
-        x: &BlockMatrix,
-        op: EwOp,
-        y: &BlockMatrix,
-    ) -> Result<BlockMatrix, JobError> {
-        let (out, stats) = crate::ops::real_elementwise(x, op, y)?;
-        self.absorb(stats);
-        Ok(out)
-    }
-
-    fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        let plan = sparse_plan_for(&self.shared.plans, self.cluster, a, b, None)?;
-        let (out, stats) = real_exec::execute_plan(self.cluster, a, b, &plan, self.opts())?;
-        self.absorb(stats);
-        Ok(out)
-    }
-
-    fn sddmm(
-        &mut self,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-        mask: &BlockMatrix,
-    ) -> Result<BlockMatrix, JobError> {
-        let plan = sparse_plan_for(&self.shared.plans, self.cluster, a, b, Some(mask))?;
-        let (out, stats) =
-            real_exec::execute_plan_masked(self.cluster, a, b, Some(mask), &plan, self.opts())?;
-        self.absorb(stats);
-        Ok(out)
     }
 }

@@ -1,344 +1,209 @@
 //! Evaluation sessions: the engine's execution contexts.
 //!
-//! One generic [`Session`] drives either backend. A backend pairs a
-//! cluster (simulated or thread-backed) with a value representation
-//! (descriptors or materialized block matrices); the session layers the
-//! system profile's planning and the per-operator statistics accumulation
-//! on top, identically for both. `SimSession` and `RealSession` are plain
-//! type aliases — there is no duplicated session logic to drift apart.
+//! [`SimSession`] runs operators against the paper-scale simulated cluster
+//! and only *descriptors* flow; [`RealSession`] runs them with real blocks
+//! on the thread-backed cluster. Both plan a multiply through the one
+//! `plan_for`, and both accumulate per-operator statistics across the
+//! expression being evaluated.
+//!
+//! The five real operators are written once, on [`TenantSession`]: one
+//! job's view of a cluster, parameterized by the cluster, the plan cache,
+//! the system profile and the job's [`RealExecOptions`]. A [`RealSession`]
+//! is that body over a cluster it owns, run as the anonymous tenant; the
+//! job service hands the same body to every submitted job over its shared
+//! cluster — so a job's bits cannot depend on which front end ran it.
 
 use crate::ops;
 use crate::systems::SystemProfile;
 use distme_cluster::{
-    ClusterConfig, ElasticPolicy, ExecutionBackend, JobError, JobStats, LocalCluster,
-    RebalanceReport, SimCluster,
+    ClusterConfig, ElasticPolicy, JobError, JobStats, LocalCluster, RebalanceReport, SimCluster,
+    TenantId,
 };
 use distme_core::real_exec::{self, RealExecOptions};
 use distme_core::{
-    sim_exec, JobPlan, MatmulProblem, MulMethod, OptimizerConfig, PlanCache, ResolvedMethod,
+    sim_exec, JobPlan, MatmulProblem, MulMethod, OptimizerConfig, PlanCache, PlanCacheStats,
+    ResolvedMethod,
 };
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{BlockMatrix, MatrixMeta};
 use std::sync::Arc;
 
-/// A place session operators execute: a cluster plus the value
-/// representation that flows between operators on it.
-pub trait EngineBackend {
-    /// The underlying cluster type.
-    type Cluster: ExecutionBackend;
-    /// What a matrix *is* on this backend: a descriptor (sim) or a
-    /// materialized block matrix (real).
-    type Value;
+/// The plan for `problem` on the grid of `cfg`, built at most once per
+/// membership epoch — the one place either session goes from a problem to
+/// a plan. With `fixed: None` the profile chooses the method and applies
+/// its execution semantics; the sparse family (`Some(SpmmShift | Sddmm)`)
+/// resolves alike under every profile. The key is what *selects* the
+/// method, so resolving it — the `(P*, Q*, R*)` search — happens only on a
+/// miss, inside the build.
+fn plan_for(
+    plans: &PlanCache<Arc<JobPlan>>,
+    epoch: u64,
+    cfg: &ClusterConfig,
+    problem: &MatmulProblem,
+    profile: SystemProfile,
+    fixed: Option<MulMethod>,
+) -> Arc<JobPlan> {
+    let method = fixed.unwrap_or_else(|| profile.method_for(problem, cfg));
+    let key = format!("{problem:?}|{profile:?}|{method:?}");
+    plans.get_or_insert(epoch, &key, || {
+        #[cfg(test)]
+        instrument::record_resolve();
+        let resolved = match fixed {
+            Some(method) => {
+                ResolvedMethod::resolve(method, problem, &OptimizerConfig::from_cluster(cfg))
+            }
+            None => profile.resolve(problem, cfg),
+        };
+        Arc::new(JobPlan::from_resolved(problem, &resolved, cfg).at_epoch(epoch))
+    })
+}
 
-    /// Builds the backend on a fresh cluster.
-    fn from_config(cfg: ClusterConfig) -> Self;
+/// What a session has run so far: its operators' statistics, merged, and
+/// how many there were.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) stats: JobStats,
+    pub(crate) ops_run: usize,
+}
 
-    /// The underlying cluster (configuration and ledger access).
-    fn cluster(&self) -> &Self::Cluster;
+impl Tally {
+    /// Counts one finished operator and hands its value on.
+    fn absorb<T>(&mut self, (out, stats): (T, JobStats)) -> T {
+        self.stats.merge(&stats);
+        self.ops_run += 1;
+        out
+    }
+}
 
-    /// Distributed multiply `a × b` planned by `profile`.
+/// A paper-scale session: operators are lowered onto the simulated
+/// cluster's resource models and only *descriptors* flow.
+pub struct SimSession {
+    cluster: SimCluster,
+    plans: PlanCache<Arc<JobPlan>>,
+    profile: SystemProfile,
+    tally: Tally,
+}
+
+impl SimSession {
+    /// Creates a session for `profile` on a fresh simulated cluster.
+    pub fn new(cfg: ClusterConfig, profile: SystemProfile) -> Self {
+        SimSession {
+            cluster: SimCluster::new(cfg),
+            plans: PlanCache::new(),
+            profile,
+            tally: Tally::default(),
+        }
+    }
+
+    /// The session's system profile.
+    pub fn profile(&self) -> SystemProfile {
+        self.profile
+    }
+
+    /// The underlying cluster.
+    pub fn cluster(&self) -> &SimCluster {
+        &self.cluster
+    }
+
+    /// Statistics accumulated over every operator run so far.
+    pub fn stats(&self) -> &JobStats {
+        &self.tally.stats
+    }
+
+    /// Number of operators executed.
+    pub fn ops_run(&self) -> usize {
+        self.tally.ops_run
+    }
+
+    /// Resets the accumulated statistics (e.g. between GNMF iterations).
+    pub fn reset_stats(&mut self) {
+        self.tally = Tally::default();
+    }
+
+    /// Distributed multiply `a × b` with the profile's planner.
     ///
     /// # Errors
     /// Propagates shape errors and the cluster failure modes.
-    fn matmul(
-        &mut self,
-        profile: SystemProfile,
-        a: &Self::Value,
-        b: &Self::Value,
-    ) -> Result<(Self::Value, JobStats), JobError>;
+    pub fn matmul(&mut self, a: &MatrixMeta, b: &MatrixMeta) -> Result<MatrixMeta, JobError> {
+        self.multiply(MatmulProblem::new(*a, *b)?, None)
+    }
 
     /// Distributed transpose.
     ///
     /// # Errors
     /// Propagates cluster failure modes.
-    fn transpose(
-        &mut self,
-        profile: SystemProfile,
-        x: &Self::Value,
-    ) -> Result<(Self::Value, JobStats), JobError>;
+    pub fn transpose(&mut self, x: &MatrixMeta) -> Result<MatrixMeta, JobError> {
+        let done = ops::sim_transpose(&mut self.cluster, x, self.profile.reuses_partitioning())?;
+        Ok(self.tally.absorb(done))
+    }
 
-    /// Element-wise combination of co-partitioned matrices.
+    /// Element-wise combination of co-partitioned matrices (the sim cost
+    /// model is op-independent: one arithmetic pass).
     ///
     /// # Errors
     /// Returns a task failure on shape mismatch.
-    fn elementwise(
-        &mut self,
-        x: &Self::Value,
-        op: EwOp,
-        y: &Self::Value,
-    ) -> Result<(Self::Value, JobStats), JobError>;
-
-    /// Distributed sparse × dense multiply via the shift schedule
-    /// ([`MulMethod::SpmmShift`]): the sparse operand's row stripes stay
-    /// put, the dense factor's panels repartition to them. The sparse
-    /// method family is profile-independent — every system runs the same
-    /// schedule.
-    ///
-    /// # Errors
-    /// Propagates shape errors and the cluster failure modes.
-    fn spmm(
-        &mut self,
-        a: &Self::Value,
-        b: &Self::Value,
-    ) -> Result<(Self::Value, JobStats), JobError>;
-
-    /// Distributed SDDMM `mask ⊙ (a · b)` ([`MulMethod::Sddmm`]): the
-    /// sampling mask rides with `a`'s row partition and never moves.
-    ///
-    /// # Errors
-    /// Propagates shape errors (including a mask/operand mismatch) and the
-    /// cluster failure modes.
-    fn sddmm(
-        &mut self,
-        a: &Self::Value,
-        b: &Self::Value,
-        mask: &Self::Value,
-    ) -> Result<(Self::Value, JobStats), JobError>;
-}
-
-/// Cache key for a multiply plan: the problem and the resolved method
-/// pin the routing completely for a given membership epoch (the epoch
-/// itself is the cache's invalidation axis, not part of the key).
-fn plan_key(problem: &MatmulProblem, resolved: &ResolvedMethod) -> String {
-    format!("{problem:?}|{resolved:?}")
-}
-
-/// The real backend's plan for `problem` under `resolved` on `cluster`'s
-/// current grid, built at most once per membership epoch — the one place
-/// the session and the job service go from a resolved method to a plan.
-pub(crate) fn plan_for(
-    plans: &PlanCache<Arc<JobPlan>>,
-    cluster: &LocalCluster,
-    problem: &MatmulProblem,
-    resolved: &ResolvedMethod,
-) -> Arc<JobPlan> {
-    let epoch = cluster.epoch();
-    plans.get_or_insert(epoch, &plan_key(problem, resolved), || {
-        Arc::new(JobPlan::from_resolved(problem, resolved, cluster.config()).at_epoch(epoch))
-    })
-}
-
-/// [`plan_for`] a sparse-family multiply, which every profile resolves
-/// alike: `SpmmShift` without a mask, `Sddmm` with one.
-///
-/// # Errors
-/// A task failure on operand (or mask) shape mismatch.
-pub(crate) fn sparse_plan_for(
-    plans: &PlanCache<Arc<JobPlan>>,
-    cluster: &LocalCluster,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    mask: Option<&BlockMatrix>,
-) -> Result<Arc<JobPlan>, JobError> {
-    let (problem, method) = match mask {
-        Some(m) => (
-            MatmulProblem::sddmm(*a.meta(), *b.meta(), *m.meta()),
-            MulMethod::Sddmm,
-        ),
-        None => (
-            MatmulProblem::new(*a.meta(), *b.meta()),
-            MulMethod::SpmmShift,
-        ),
-    };
-    let problem = problem?;
-    let resolved = ResolvedMethod::resolve(
-        method,
-        &problem,
-        &OptimizerConfig::from_cluster(cluster.config()),
-    );
-    Ok(plan_for(plans, cluster, &problem, &resolved))
-}
-
-/// The paper-scale backend: only descriptors flow; every operator is
-/// lowered onto the simulated cluster's resource models.
-pub struct SimBackend {
-    cluster: SimCluster,
-    plans: PlanCache<Arc<JobPlan>>,
-}
-
-impl SimBackend {
-    /// Lowers `problem` under `resolved` onto the simulated cluster through
-    /// the plan cache.
-    fn run(
-        &mut self,
-        problem: MatmulProblem,
-        resolved: ResolvedMethod,
-    ) -> Result<(MatrixMeta, JobStats), JobError> {
-        let epoch = self.cluster.epoch();
-        let plan = self
-            .plans
-            .get_or_insert(epoch, &plan_key(&problem, &resolved), || {
-                Arc::new(
-                    JobPlan::from_resolved(&problem, &resolved, self.cluster.config())
-                        .at_epoch(epoch),
-                )
-            });
-        let stats = sim_exec::simulate_plan(&mut self.cluster, &plan)?;
-        Ok((problem.c, stats))
-    }
-
-    /// [`Self::run`] a sparse-family method, which every profile resolves
-    /// alike.
-    fn run_sparse(
-        &mut self,
-        problem: MatmulProblem,
-        method: MulMethod,
-    ) -> Result<(MatrixMeta, JobStats), JobError> {
-        let optimizer = OptimizerConfig::from_cluster(self.cluster.config());
-        self.run(
-            problem,
-            ResolvedMethod::resolve(method, &problem, &optimizer),
-        )
-    }
-}
-
-impl EngineBackend for SimBackend {
-    type Cluster = SimCluster;
-    type Value = MatrixMeta;
-
-    fn from_config(cfg: ClusterConfig) -> Self {
-        SimBackend {
-            cluster: SimCluster::new(cfg),
-            plans: PlanCache::new(),
-        }
-    }
-
-    fn cluster(&self) -> &SimCluster {
-        &self.cluster
-    }
-
-    fn matmul(
-        &mut self,
-        profile: SystemProfile,
-        a: &MatrixMeta,
-        b: &MatrixMeta,
-    ) -> Result<(MatrixMeta, JobStats), JobError> {
-        let problem = MatmulProblem::new(*a, *b)?;
-        self.run(problem, profile.resolve(&problem, self.cluster.config()))
-    }
-
-    fn transpose(
-        &mut self,
-        profile: SystemProfile,
-        x: &MatrixMeta,
-    ) -> Result<(MatrixMeta, JobStats), JobError> {
-        ops::sim_transpose(&mut self.cluster, x, profile.reuses_partitioning())
-    }
-
-    fn elementwise(
+    pub fn elementwise(
         &mut self,
         x: &MatrixMeta,
         _op: EwOp,
         y: &MatrixMeta,
-    ) -> Result<(MatrixMeta, JobStats), JobError> {
-        // The sim cost model is op-independent: one arithmetic pass.
-        ops::sim_elementwise(&mut self.cluster, x, y)
+    ) -> Result<MatrixMeta, JobError> {
+        let done = ops::sim_elementwise(&mut self.cluster, x, y)?;
+        Ok(self.tally.absorb(done))
     }
 
-    fn spmm(&mut self, a: &MatrixMeta, b: &MatrixMeta) -> Result<(MatrixMeta, JobStats), JobError> {
-        let problem = MatmulProblem::new(*a, *b)?;
-        self.run_sparse(problem, MulMethod::SpmmShift)
+    /// Distributed sparse × dense multiply via the shift schedule
+    /// ([`MulMethod::SpmmShift`]).
+    ///
+    /// # Errors
+    /// Propagates shape errors and the cluster failure modes.
+    pub fn spmm(&mut self, a: &MatrixMeta, b: &MatrixMeta) -> Result<MatrixMeta, JobError> {
+        self.multiply(MatmulProblem::new(*a, *b)?, Some(MulMethod::SpmmShift))
     }
 
-    fn sddmm(
+    /// Distributed SDDMM `mask ⊙ (a · b)` ([`MulMethod::Sddmm`]).
+    ///
+    /// # Errors
+    /// Propagates shape errors (including a mask/operand mismatch) and the
+    /// cluster failure modes.
+    pub fn sddmm(
         &mut self,
         a: &MatrixMeta,
         b: &MatrixMeta,
         mask: &MatrixMeta,
-    ) -> Result<(MatrixMeta, JobStats), JobError> {
-        let problem = MatmulProblem::sddmm(*a, *b, *mask)?;
-        self.run_sparse(problem, MulMethod::Sddmm)
+    ) -> Result<MatrixMeta, JobError> {
+        self.multiply(MatmulProblem::sddmm(*a, *b, *mask)?, Some(MulMethod::Sddmm))
+    }
+
+    /// Resizes the simulated cluster mid-session: the membership epoch
+    /// bumps and cached plans are invalidated, exactly like the real
+    /// session (the sim holds no materialized blocks, so there is no
+    /// physical migration to replay).
+    pub fn scale_to(&mut self, nodes: usize) {
+        self.cluster.scale_to(nodes);
+    }
+
+    /// Hit/miss/invalidation counters of the session's plan cache.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plans.stats()
+    }
+
+    fn multiply(
+        &mut self,
+        problem: MatmulProblem,
+        fixed: Option<MulMethod>,
+    ) -> Result<MatrixMeta, JobError> {
+        let (epoch, cfg) = (self.cluster.epoch(), *self.cluster.config());
+        let plan = plan_for(&self.plans, epoch, &cfg, &problem, self.profile, fixed);
+        let stats = sim_exec::simulate_plan(&mut self.cluster, &plan)?;
+        Ok(self.tally.absorb((problem.c, stats)))
     }
 }
 
-/// The laptop-scale backend: operators run with real blocks on the
-/// thread-backed cluster and results are checked against references.
-pub struct RealBackend {
-    cluster: LocalCluster,
-    plans: PlanCache<Arc<JobPlan>>,
-}
-
-impl EngineBackend for RealBackend {
-    type Cluster = LocalCluster;
-    type Value = BlockMatrix;
-
-    fn from_config(cfg: ClusterConfig) -> Self {
-        RealBackend {
-            cluster: LocalCluster::new(cfg),
-            plans: PlanCache::new(),
-        }
-    }
-
-    fn cluster(&self) -> &LocalCluster {
-        &self.cluster
-    }
-
-    fn matmul(
-        &mut self,
-        profile: SystemProfile,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-    ) -> Result<(BlockMatrix, JobStats), JobError> {
-        let problem = MatmulProblem::new(*a.meta(), *b.meta())?;
-        let resolved = profile.resolve(&problem, self.cluster.config());
-        let plan = plan_for(&self.plans, &self.cluster, &problem, &resolved);
-        real_exec::execute_plan(&self.cluster, a, b, &plan, RealExecOptions::default())
-    }
-
-    fn transpose(
-        &mut self,
-        profile: SystemProfile,
-        x: &BlockMatrix,
-    ) -> Result<(BlockMatrix, JobStats), JobError> {
-        Ok(ops::real_transpose(
-            &self.cluster,
-            x,
-            profile.reuses_partitioning(),
-        ))
-    }
-
-    fn elementwise(
-        &mut self,
-        x: &BlockMatrix,
-        op: EwOp,
-        y: &BlockMatrix,
-    ) -> Result<(BlockMatrix, JobStats), JobError> {
-        ops::real_elementwise(x, op, y)
-    }
-
-    fn spmm(
-        &mut self,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-    ) -> Result<(BlockMatrix, JobStats), JobError> {
-        let plan = sparse_plan_for(&self.plans, &self.cluster, a, b, None)?;
-        real_exec::execute_plan(&self.cluster, a, b, &plan, RealExecOptions::default())
-    }
-
-    fn sddmm(
-        &mut self,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-        mask: &BlockMatrix,
-    ) -> Result<(BlockMatrix, JobStats), JobError> {
-        let plan = sparse_plan_for(&self.plans, &self.cluster, a, b, Some(mask))?;
-        real_exec::execute_plan_masked(
-            &self.cluster,
-            a,
-            b,
-            Some(mask),
-            &plan,
-            RealExecOptions::default(),
-        )
-    }
-}
-
-/// The real-backend operator surface shared by [`Session<RealBackend>`]
-/// and the job service's [`TenantSession`]: algorithms written against it
-/// (GNMF, power iteration) run unchanged whether they are called directly
-/// by the session owner or submitted as a multi-tenant job.
-///
-/// [`TenantSession`]: crate::service::TenantSession
+/// The real operator surface of [`RealSession`] and of the job service's
+/// [`TenantSession`]: algorithms written against it (GNMF, ALS, power
+/// iteration, expression trees) run unchanged whether they are called
+/// directly by the session owner or submitted as a multi-tenant job.
 pub trait RealOps {
     /// Distributed multiply `a × b`.
     ///
@@ -381,13 +246,71 @@ pub trait RealOps {
     ) -> Result<BlockMatrix, JobError>;
 }
 
-impl RealOps for Session<RealBackend> {
+/// The real operators: one job's view of a cluster, with every stage
+/// tagged by the job's tenant and priority and per-job statistics
+/// accumulated across its operators. A [`RealSession`] lends one out per
+/// operator over the cluster it owns; [`JobService::submit`] hands one to
+/// the job closure over the service's shared cluster (holding the cluster
+/// read lock for the job's duration).
+///
+/// [`JobService::submit`]: crate::service::JobService::submit
+pub struct TenantSession<'a> {
+    pub(crate) cluster: &'a LocalCluster,
+    pub(crate) plans: &'a PlanCache<Arc<JobPlan>>,
+    pub(crate) profile: SystemProfile,
+    pub(crate) opts: RealExecOptions,
+    pub(crate) tally: &'a mut Tally,
+}
+
+impl TenantSession<'_> {
+    /// The tenant this job runs as.
+    pub fn tenant(&self) -> TenantId {
+        self.opts.tenant
+    }
+
+    /// Statistics accumulated over the job's operators so far.
+    pub fn stats(&self) -> &JobStats {
+        &self.tally.stats
+    }
+
+    /// Number of operators run so far.
+    pub fn ops_run(&self) -> usize {
+        self.tally.ops_run
+    }
+
+    /// The underlying cluster (read-only: ledger and store access).
+    pub fn cluster(&self) -> &LocalCluster {
+        self.cluster
+    }
+
+    /// Plans (through the cache) and executes one multiply-family
+    /// operator; `fixed` as for [`plan_for`].
+    fn multiply(
+        &mut self,
+        a: &BlockMatrix,
+        b: &BlockMatrix,
+        mask: Option<&BlockMatrix>,
+        fixed: Option<MulMethod>,
+    ) -> Result<BlockMatrix, JobError> {
+        let problem = match mask {
+            Some(mask) => MatmulProblem::sddmm(*a.meta(), *b.meta(), *mask.meta()),
+            None => MatmulProblem::new(*a.meta(), *b.meta()),
+        }?;
+        let (epoch, cfg) = (self.cluster.epoch(), self.cluster.config());
+        let plan = plan_for(self.plans, epoch, cfg, &problem, self.profile, fixed);
+        let done = real_exec::execute_plan_masked(self.cluster, a, b, mask, &plan, self.opts)?;
+        Ok(self.tally.absorb(done))
+    }
+}
+
+impl RealOps for TenantSession<'_> {
     fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        Session::matmul(self, a, b)
+        self.multiply(a, b, None, None)
     }
 
     fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        Session::transpose(self, x)
+        let done = ops::real_transpose(self.cluster, x, self.profile.reuses_partitioning());
+        Ok(self.tally.absorb(done))
     }
 
     fn elementwise(
@@ -396,11 +319,12 @@ impl RealOps for Session<RealBackend> {
         op: EwOp,
         y: &BlockMatrix,
     ) -> Result<BlockMatrix, JobError> {
-        Session::elementwise(self, x, op, y)
+        let done = ops::real_elementwise(x, op, y)?;
+        Ok(self.tally.absorb(done))
     }
 
     fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        Session::spmm(self, a, b)
+        self.multiply(a, b, None, Some(MulMethod::SpmmShift))
     }
 
     fn sddmm(
@@ -409,35 +333,39 @@ impl RealOps for Session<RealBackend> {
         b: &BlockMatrix,
         mask: &BlockMatrix,
     ) -> Result<BlockMatrix, JobError> {
-        Session::sddmm(self, a, b, mask)
+        self.multiply(a, b, Some(mask), Some(MulMethod::Sddmm))
     }
 }
 
-/// An evaluation session over backend `B`: per-operator statistics
-/// accumulate across the expression being evaluated.
-pub struct Session<B: EngineBackend> {
-    backend: B,
+/// A laptop-scale session: operators run with real blocks on a cluster the
+/// session owns; values are actual [`BlockMatrix`]es.
+pub struct RealSession {
+    cluster: LocalCluster,
+    plans: PlanCache<Arc<JobPlan>>,
     profile: SystemProfile,
-    accumulated: JobStats,
-    ops_run: usize,
+    tally: Tally,
 }
 
-/// A paper-scale session: operators run against the simulated cluster and
-/// only *descriptors* flow.
-pub type SimSession = Session<SimBackend>;
-
-/// A laptop-scale session: operators run with real blocks; values are
-/// actual [`BlockMatrix`]es.
-pub type RealSession = Session<RealBackend>;
-
-impl<B: EngineBackend> Session<B> {
-    /// Creates a session for `profile` on a cluster configuration.
+impl RealSession {
+    /// Creates a session for `profile` on a fresh cluster.
     pub fn new(cfg: ClusterConfig, profile: SystemProfile) -> Self {
-        Session {
-            backend: B::from_config(cfg),
+        RealSession {
+            cluster: LocalCluster::new(cfg),
+            plans: PlanCache::new(),
             profile,
-            accumulated: JobStats::default(),
-            ops_run: 0,
+            tally: Tally::default(),
+        }
+    }
+
+    /// The operator body over this session's cluster: the anonymous tenant
+    /// at priority 0, accumulating into the session's statistics.
+    fn ops(&mut self) -> TenantSession<'_> {
+        TenantSession {
+            cluster: &self.cluster,
+            plans: &self.plans,
+            profile: self.profile,
+            opts: RealExecOptions::default(),
+            tally: &mut self.tally,
         }
     }
 
@@ -447,44 +375,39 @@ impl<B: EngineBackend> Session<B> {
     }
 
     /// The underlying cluster (ledger access for tests).
-    pub fn cluster(&self) -> &B::Cluster {
-        self.backend.cluster()
+    pub fn cluster(&self) -> &LocalCluster {
+        &self.cluster
     }
 
     /// Statistics accumulated over every operator run so far.
     pub fn stats(&self) -> &JobStats {
-        &self.accumulated
+        &self.tally.stats
     }
 
     /// Number of operators executed.
     pub fn ops_run(&self) -> usize {
-        self.ops_run
+        self.tally.ops_run
     }
 
     /// Resets the accumulated statistics (e.g. between GNMF iterations).
     pub fn reset_stats(&mut self) {
-        self.accumulated = JobStats::default();
-        self.ops_run = 0;
+        self.tally = Tally::default();
     }
 
     /// Distributed multiply `a × b` with the profile's planner.
     ///
     /// # Errors
     /// Propagates shape errors and the cluster failure modes.
-    pub fn matmul(&mut self, a: &B::Value, b: &B::Value) -> Result<B::Value, JobError> {
-        let (out, stats) = self.backend.matmul(self.profile, a, b)?;
-        self.absorb(stats);
-        Ok(out)
+    pub fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
+        self.ops().matmul(a, b)
     }
 
     /// Distributed transpose.
     ///
     /// # Errors
     /// Propagates cluster failure modes.
-    pub fn transpose(&mut self, x: &B::Value) -> Result<B::Value, JobError> {
-        let (out, stats) = self.backend.transpose(self.profile, x)?;
-        self.absorb(stats);
-        Ok(out)
+    pub fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
+        self.ops().transpose(x)
     }
 
     /// Element-wise combination of co-partitioned matrices.
@@ -493,13 +416,11 @@ impl<B: EngineBackend> Session<B> {
     /// Returns a task failure on shape mismatch.
     pub fn elementwise(
         &mut self,
-        x: &B::Value,
+        x: &BlockMatrix,
         op: EwOp,
-        y: &B::Value,
-    ) -> Result<B::Value, JobError> {
-        let (out, stats) = self.backend.elementwise(x, op, y)?;
-        self.absorb(stats);
-        Ok(out)
+        y: &BlockMatrix,
+    ) -> Result<BlockMatrix, JobError> {
+        self.ops().elementwise(x, op, y)
     }
 
     /// Distributed sparse × dense multiply via the shift schedule (the
@@ -507,10 +428,8 @@ impl<B: EngineBackend> Session<B> {
     ///
     /// # Errors
     /// Propagates shape errors and the cluster failure modes.
-    pub fn spmm(&mut self, a: &B::Value, b: &B::Value) -> Result<B::Value, JobError> {
-        let (out, stats) = self.backend.spmm(a, b)?;
-        self.absorb(stats);
-        Ok(out)
+    pub fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
+        self.ops().spmm(a, b)
     }
 
     /// Distributed SDDMM `mask ⊙ (a · b)` into the mask's CSR pattern.
@@ -519,36 +438,27 @@ impl<B: EngineBackend> Session<B> {
     /// Propagates shape errors and the cluster failure modes.
     pub fn sddmm(
         &mut self,
-        a: &B::Value,
-        b: &B::Value,
-        mask: &B::Value,
-    ) -> Result<B::Value, JobError> {
-        let (out, stats) = self.backend.sddmm(a, b, mask)?;
-        self.absorb(stats);
-        Ok(out)
+        a: &BlockMatrix,
+        b: &BlockMatrix,
+        mask: &BlockMatrix,
+    ) -> Result<BlockMatrix, JobError> {
+        self.ops().sddmm(a, b, mask)
     }
 
-    fn absorb(&mut self, stats: JobStats) {
-        self.accumulated.merge(&stats);
-        self.ops_run += 1;
-    }
-}
-
-impl Session<RealBackend> {
     /// Arms seeded fault injection on the session's cluster: every
     /// subsequent operator runs under `spec`'s drop/corruption/crash/
-    /// blackout schedule until [`Session::clear_faults`].
+    /// blackout schedule until [`RealSession::clear_faults`].
     ///
     /// # Panics
     /// If a fault rate is outside `[0, 1]` or a blackout window is
     /// inverted.
     pub fn inject_faults(&self, spec: distme_cluster::FaultSpec) -> Arc<distme_cluster::FaultPlan> {
-        self.backend.cluster.inject_faults(spec)
+        self.cluster.inject_faults(spec)
     }
 
     /// Disarms fault injection; later operators run fault-free.
     pub fn clear_faults(&self) {
-        self.backend.cluster.clear_faults();
+        self.cluster.clear_faults();
     }
 
     /// Resizes the cluster to `nodes` mid-session: resident blocks are
@@ -561,8 +471,8 @@ impl Session<RealBackend> {
     /// # Errors
     /// Propagates transport failures during migration.
     pub fn scale_to(&mut self, nodes: usize) -> Result<RebalanceReport, JobError> {
-        let report = self.backend.cluster.scale_to(nodes)?;
-        self.accumulated.merge(&report.stats);
+        let report = self.cluster.scale_to(nodes)?;
+        self.tally.stats.merge(&report.stats);
         Ok(report)
     }
 
@@ -576,13 +486,13 @@ impl Session<RealBackend> {
     /// [`JobError::NodeDecommissioned`] when unreplicated blocks are lost;
     /// transport failures during migration.
     pub fn decommission_node(&mut self, node: usize) -> Result<RebalanceReport, JobError> {
-        let report = self.backend.cluster.decommission_node(node)?;
-        self.accumulated.merge(&report.stats);
+        let report = self.cluster.decommission_node(node)?;
+        self.tally.stats.merge(&report.stats);
         Ok(report)
     }
 
     /// Applies `policy` to the statistics accumulated since the last
-    /// [`Session::reset_stats`]: when the observed task pressure leaves the
+    /// [`RealSession::reset_stats`]: when the observed task pressure leaves the
     /// policy's utilization band, the cluster is resized one step and the
     /// rebalance report returned. `Ok(None)` means the cluster is already
     /// inside the band.
@@ -593,32 +503,70 @@ impl Session<RealBackend> {
         &mut self,
         policy: &ElasticPolicy,
     ) -> Result<Option<RebalanceReport>, JobError> {
-        let cfg = self.backend.cluster.config();
+        let cfg = self.cluster.config();
         let (nodes, tasks_per_node) = (cfg.nodes, cfg.tasks_per_node);
-        match policy.recommend(&self.accumulated, nodes, tasks_per_node) {
+        match policy.recommend(&self.tally.stats, nodes, tasks_per_node) {
             Some(target) => self.scale_to(target).map(Some),
             None => Ok(None),
         }
     }
 
     /// Hit/miss/invalidation counters of the session's plan cache.
-    pub fn plan_cache_stats(&self) -> distme_core::PlanCacheStats {
-        self.backend.plans.stats()
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plans.stats()
     }
 }
 
-impl Session<SimBackend> {
-    /// Resizes the simulated cluster mid-session: the membership epoch
-    /// bumps and cached plans are invalidated, exactly like the real
-    /// backend (the sim holds no materialized blocks, so there is no
-    /// physical migration to replay).
-    pub fn scale_to(&mut self, nodes: usize) {
-        self.backend.cluster.scale_to(nodes);
+impl RealOps for RealSession {
+    fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
+        RealSession::matmul(self, a, b)
     }
 
-    /// Hit/miss/invalidation counters of the session's plan cache.
-    pub fn plan_cache_stats(&self) -> distme_core::PlanCacheStats {
-        self.backend.plans.stats()
+    fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
+        RealSession::transpose(self, x)
+    }
+
+    fn elementwise(
+        &mut self,
+        x: &BlockMatrix,
+        op: EwOp,
+        y: &BlockMatrix,
+    ) -> Result<BlockMatrix, JobError> {
+        RealSession::elementwise(self, x, op, y)
+    }
+
+    fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
+        RealSession::spmm(self, a, b)
+    }
+
+    fn sddmm(
+        &mut self,
+        a: &BlockMatrix,
+        b: &BlockMatrix,
+        mask: &BlockMatrix,
+    ) -> Result<BlockMatrix, JobError> {
+        RealSession::sddmm(self, a, b, mask)
+    }
+}
+
+/// Test-only instrumentation: counts method resolutions at the
+/// [`plan_for`] seam, per thread (a job's operators plan on the thread
+/// that runs its closure).
+#[cfg(test)]
+pub(crate) mod instrument {
+    use std::cell::Cell;
+
+    thread_local! {
+        static RESOLVES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Method resolutions on this thread so far.
+    pub(crate) fn resolve_calls() -> u64 {
+        RESOLVES.with(|c| c.get())
+    }
+
+    pub(crate) fn record_resolve() {
+        RESOLVES.with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -740,6 +688,33 @@ mod tests {
         assert_eq!(st.invalidations, 1);
         assert!(c.max_abs_diff(&reference).unwrap() < 1e-9);
         assert!(s.stats().rebalanced_moves > 0);
+    }
+
+    #[test]
+    fn a_plan_cache_hit_does_not_resolve_the_method_again() {
+        // Resolution (for `CuboidAuto`, the (P*, Q*, R*) search) belongs to
+        // a plan's construction: a second identical multiply must find its
+        // plan by what *selects* the method, not by re-deriving the result.
+        let meta_a = MatrixMeta::dense(80, 64).with_block_size(16);
+        let meta_b = MatrixMeta::dense(64, 48).with_block_size(16);
+        let a = Arc::new(MatrixGenerator::with_seed(5).generate(&meta_a).unwrap());
+        let b = Arc::new(MatrixGenerator::with_seed(6).generate(&meta_b).unwrap());
+        let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let before = instrument::resolve_calls();
+        s.matmul(&a, &b).unwrap();
+        s.matmul(&a, &b).unwrap();
+        assert_eq!(instrument::resolve_calls() - before, 1);
+
+        // The same under the job service; a job's operators plan on the
+        // thread that runs its closure, so the count is taken there.
+        let svc = crate::service::JobService::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let job = svc.submit(crate::service::JobSpec::new(TenantId(1)), move |s| {
+            let before = instrument::resolve_calls();
+            s.matmul(&a, &b)?;
+            s.matmul(&a, &b)?;
+            Ok(instrument::resolve_calls() - before)
+        });
+        assert_eq!(job.wait().unwrap().value, 1);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! * **Bit-parity** — a job submitted through the service, racing other
 //!   tenants' jobs on the shared worker pool, produces result bytes and
-//!   per-job byte statistics identical to the same job run solo;
+//!   per-job byte statistics identical to the same job run solo — on an
+//!   idle service, or directly on a `RealSession`;
 //! * **Attribution** — per-tenant ledger deltas sum exactly to the
 //!   cluster-wide totals;
 //! * **Admission** — a submission whose declared demand would overshoot
@@ -11,10 +12,11 @@
 //!   a full queue and an out-of-range priority are the only rejections.
 
 use distme_cluster::{ClusterConfig, JobStats, LedgerSnapshot, Phase, TenantId};
+use distme_engine::expr::Expr;
 use distme_engine::service::{JobService, JobSpec, JobStatus};
 use distme_engine::session::RealOps;
 use distme_engine::systems::SystemProfile;
-use distme_engine::{gnmf, GnmfConfig};
+use distme_engine::{algorithms, gnmf, GnmfConfig, RealSession};
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{codec, BlockMatrix, MatrixGenerator, MatrixMeta};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,13 +116,16 @@ fn concurrent_jobs_match_their_solo_runs_bit_for_bit() {
 
     // Solo baselines: each job alone on a fresh, idle service.
     let solo_mul = service()
-        .run(JobSpec::new(TenantId(1)), multiply_job.clone())
+        .submit(JobSpec::new(TenantId(1)), multiply_job.clone())
+        .wait()
         .unwrap();
     let solo_chain = service()
-        .run(JobSpec::new(TenantId(2)), chain_job.clone())
+        .submit(JobSpec::new(TenantId(2)), chain_job.clone())
+        .wait()
         .unwrap();
     let solo_gnmf = service()
-        .run(JobSpec::new(TenantId(3)), gnmf_job.clone())
+        .submit(JobSpec::new(TenantId(3)), gnmf_job.clone())
+        .wait()
         .unwrap();
 
     // The same three jobs racing on one shared cluster, twice over with
@@ -183,7 +188,8 @@ fn concurrent_als_matches_its_solo_run_bit_for_bit() {
     };
 
     let solo = service()
-        .run(JobSpec::new(TenantId(1)), als_job.clone())
+        .submit(JobSpec::new(TenantId(1)), als_job.clone())
+        .wait()
         .unwrap();
 
     // Two ALS runs race each other and a stream of dense multiplies.
@@ -217,6 +223,56 @@ fn concurrent_als_matches_its_solo_run_bit_for_bit() {
         );
         assert_eq!(out.ops_run, solo.ops_run);
     }
+}
+
+/// Anything written against `RealOps` runs under the service: PageRank and
+/// an expression tree submitted as jobs produce the bytes and byte stats
+/// of the same calls on a solo `RealSession`.
+#[test]
+fn algorithms_and_expressions_match_a_solo_real_session() {
+    let links = Arc::new(
+        MatrixGenerator::with_seed(8)
+            .value_range(0.0, 0.05)
+            .generate(&MatrixMeta::sparse(64, 64, 0.3).with_block_size(16))
+            .unwrap(),
+    );
+    let x = Arc::new(dense(48, 64, 9));
+    // (XᵀX) + (XᵀX): transpose, multiply and element-wise in one tree.
+    let gram_plus = |x: &Arc<BlockMatrix>| {
+        let gram = || {
+            Expr::shared(Arc::clone(x))
+                .t()
+                .matmul(Expr::shared(Arc::clone(x)))
+        };
+        gram().ew_add(gram())
+    };
+
+    let mut solo = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+    let solo_rank = algorithms::pagerank(&mut solo, &links, 0.85, 4).unwrap();
+    let solo_rank_stats = *solo.stats();
+    solo.reset_stats();
+    let solo_gram = gram_plus(&x).eval_real(&mut solo).unwrap();
+
+    let svc = service();
+    let rank_job = {
+        let links = Arc::clone(&links);
+        svc.submit(JobSpec::new(TenantId(1)).priority(1), move |s| {
+            algorithms::pagerank(s, &links, 0.85, 4)
+        })
+    };
+    let gram_job = svc.submit(JobSpec::new(TenantId(2)), move |s| {
+        gram_plus(&x).eval_real(s)
+    });
+    let rank = rank_job.wait().unwrap();
+    let gram = gram_job.wait().unwrap();
+    assert_eq!(fingerprint(&rank.value), fingerprint(&solo_rank));
+    assert_eq!(
+        comm_signature(&rank.stats),
+        comm_signature(&solo_rank_stats)
+    );
+    assert_eq!(fingerprint(&gram.value), fingerprint(&solo_gram));
+    assert_eq!(comm_signature(&gram.stats), comm_signature(solo.stats()));
+    assert_eq!(gram.ops_run, solo.ops_run());
 }
 
 #[test]

@@ -42,12 +42,9 @@ const TAG_SPARSE: u8 = 0x02;
 /// Version byte + trailing CRC-32: bytes a frame carries beyond its body.
 const FRAME_OVERHEAD: u64 = 5;
 
-/// Eight CRC tables for slicing-by-8: `TABLES[0]` is the classic
-/// byte-at-a-time table; `TABLES[j][i]` extends it so that eight input
-/// bytes fold into the running CRC with eight independent lookups per
-/// iteration instead of eight serially dependent ones.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// The byte-at-a-time CRC-32 table of the reflected IEEE polynomial.
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -60,50 +57,21 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
             };
             k += 1;
         }
-        tables[0][i] = c;
+        table[i] = c;
         i += 1;
     }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[j - 1][i];
-            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    tables
+    table
 }
 
-const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+const CRC_TABLE: [u32; 256] = crc32_table();
 
-/// The reference byte-at-a-time update, kept for short inputs and tails
-/// (and as the oracle the slicing path is tested against).
+/// The reference byte-at-a-time update: short inputs, the tail the folded
+/// kernel leaves, CPUs without it — and the oracle it is tested against.
 fn crc32_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
-}
-
-/// Slicing-by-8 update: folds eight bytes per iteration through the eight
-/// precomputed tables, breaking the per-byte serial dependency chain.
-fn crc32_slice8(mut crc: u32, bytes: &[u8]) -> u32 {
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    crc32_bytewise(crc, chunks.remainder())
 }
 
 /// PCLMULQDQ-folded CRC-32 over the same reflected IEEE polynomial: four
@@ -111,7 +79,7 @@ fn crc32_slice8(mut crc: u32, bytes: &[u8]) -> u32 {
 /// iteration, then Barrett reduction collapses the folded remainder to the
 /// 32-bit CRC. Constants and fold order follow Intel's "Fast CRC
 /// Computation for Generic Polynomials Using PCLMULQDQ" (the same schedule
-/// zlib and the Linux kernel ship). Identical output to the table paths at
+/// zlib and the Linux kernel ship). Identical output to the table loop at
 /// every length, so wire format v2 is unchanged byte for byte.
 #[cfg(target_arch = "x86_64")]
 mod pclmul {
@@ -136,7 +104,7 @@ mod pclmul {
 
     /// Folds as many whole 16-byte lanes of `bytes` as possible into `crc`,
     /// returning the updated running CRC and the number of bytes consumed
-    /// (a multiple of 16; the caller finishes the tail with a table path).
+    /// (a multiple of 16; the caller finishes the tail with the table loop).
     ///
     /// # Safety
     /// Requires `pclmulqdq` and `sse4.1` (checked via [`available`]) and
@@ -218,25 +186,23 @@ mod pclmul {
 
 /// One CRC implementation tier. The dispatcher picks the fastest available
 /// at runtime (the same `is_x86_feature_detected!` + `#[target_feature]`
-/// idiom as the GEMM kernels); all tiers compute the identical polynomial.
+/// idiom as the GEMM kernels); both tiers compute the identical polynomial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrcTier {
     /// Reference byte-at-a-time table loop.
     Bytewise,
-    /// Slicing-by-8 table loop (8 bytes per step).
-    Slice8,
     /// PCLMULQDQ 4-lane folding (64 bytes per step, x86-64 only).
     Pclmul,
 }
 
 impl CrcTier {
     /// Every tier, slowest first.
-    pub const ALL: [CrcTier; 3] = [CrcTier::Bytewise, CrcTier::Slice8, CrcTier::Pclmul];
+    pub const ALL: [CrcTier; 2] = [CrcTier::Bytewise, CrcTier::Pclmul];
 
     /// Whether this tier can run on the current CPU.
     pub fn available(self) -> bool {
         match self {
-            CrcTier::Bytewise | CrcTier::Slice8 => true,
+            CrcTier::Bytewise => true,
             #[cfg(target_arch = "x86_64")]
             CrcTier::Pclmul => pclmul::available(),
             #[cfg(not(target_arch = "x86_64"))]
@@ -248,48 +214,39 @@ impl CrcTier {
     pub fn name(self) -> &'static str {
         match self {
             CrcTier::Bytewise => "bytewise",
-            CrcTier::Slice8 => "slice8",
             CrcTier::Pclmul => "pclmul",
         }
     }
 }
 
-/// The tier large frames use on this machine (small inputs still take a
-/// table path below the fold threshold regardless of the active tier).
+/// The tier large frames use on this machine (inputs below the fold
+/// threshold take the table loop regardless).
 pub fn active_crc_tier() -> CrcTier {
     if CrcTier::Pclmul.available() {
         CrcTier::Pclmul
     } else {
-        CrcTier::Slice8
+        CrcTier::Bytewise
     }
 }
 
-/// Streaming CRC state update (no init/final inversion): dispatches to the
-/// fastest available tier by input length. The fused frame encoder feeds
-/// each section it writes through this, so a frame is checksummed as it is
-/// produced rather than by a second full-frame scan.
+/// Streaming CRC state update (no init/final inversion): the folded kernel
+/// where this CPU has it and the input is long enough, the table loop for
+/// the rest. The fused frame encoder feeds each section it writes through
+/// this, so a frame is checksummed as it is produced rather than by a
+/// second full-frame scan.
 fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if bytes.len() >= 64 && pclmul::available() {
         // SAFETY: feature support checked on this CPU; length >= 64.
         let (crc, consumed) = unsafe { pclmul::fold(crc, bytes) };
-        return crc32_update_tables(crc, &bytes[consumed..]);
+        return crc32_bytewise(crc, &bytes[consumed..]);
     }
-    crc32_update_tables(crc, bytes)
-}
-
-/// Table-path state update (slicing-by-8 with a bytewise tail).
-fn crc32_update_tables(crc: u32, bytes: &[u8]) -> u32 {
-    if bytes.len() >= 16 {
-        crc32_slice8(crc, bytes)
-    } else {
-        crc32_bytewise(crc, bytes)
-    }
+    crc32_bytewise(crc, bytes)
 }
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the frame checksum. Detects
 /// every single-bit error, which is exactly the corruption class the chaos
-/// layer injects. Every tier computes the identical polynomial, so wire
+/// layer injects. Both tiers compute the identical polynomial, so wire
 /// format v2 is unchanged byte for byte regardless of CPU.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, bytes)
@@ -304,25 +261,8 @@ pub fn crc32_with_tier(tier: CrcTier, bytes: &[u8]) -> Option<u32> {
     }
     let crc = match tier {
         CrcTier::Bytewise => crc32_bytewise(0xFFFF_FFFF, bytes),
-        CrcTier::Slice8 => {
-            if bytes.len() >= 16 {
-                crc32_slice8(0xFFFF_FFFF, bytes)
-            } else {
-                crc32_bytewise(0xFFFF_FFFF, bytes)
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        CrcTier::Pclmul => {
-            if bytes.len() >= 64 {
-                // SAFETY: availability checked above; length >= 64.
-                let (crc, consumed) = unsafe { pclmul::fold(0xFFFF_FFFF, bytes) };
-                crc32_update_tables(crc, &bytes[consumed..])
-            } else {
-                crc32_update_tables(0xFFFF_FFFF, bytes)
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        CrcTier::Pclmul => unreachable!("gated by available()"),
+        // Availability checked above, so this is the dispatcher's path.
+        CrcTier::Pclmul => crc32_update(0xFFFF_FFFF, bytes),
     };
     Some(!crc)
 }
@@ -373,8 +313,7 @@ pub fn encode(block: &Block) -> Bytes {
     buf.freeze()
 }
 
-/// Serializes a block, appending to a caller-owned buffer (the transport
-/// reuses one scratch buffer across moves instead of allocating per block).
+/// Serializes a block, appending to a caller-owned buffer.
 /// Checksumming is fused into the write: each section is folded into the
 /// running CRC as it lands in the buffer, so no second full-frame scan.
 pub fn encode_into(block: &Block, buf: &mut BytesMut) {
@@ -570,8 +509,7 @@ fn checked_body(buf: &[u8]) -> Result<&[u8]> {
     Ok(&body[1..])
 }
 
-/// Deserializes a block straight from a byte slice (no `Bytes` wrapper —
-/// the transport decodes out of its reusable scratch buffer).
+/// Deserializes a block straight from a byte slice (no `Bytes` wrapper).
 ///
 /// # Errors
 /// See [`decode`].
@@ -967,8 +905,8 @@ mod tests {
     fn every_tier_matches_the_bytewise_reference_at_every_length() {
         // Each fast path must be a pure drop-in: same polynomial, same
         // checksum for every input length across every dispatch threshold
-        // (slice8's 8-byte steps, pclmul's 64-byte entry and 16-byte lanes,
-        // and every 1..=15-byte tail in between).
+        // (pclmul's 64-byte entry and 16-byte lanes, and every 1..=15-byte
+        // tail in between).
         let mut state = 0x1234_5678_9abc_def0u64;
         let data: Vec<u8> = (0..257)
             .map(|_| {
@@ -997,9 +935,8 @@ mod tests {
         let active = active_crc_tier();
         assert!(active.available());
         assert!(!active.name().is_empty());
-        // Table tiers exist everywhere; pclmul only where detected.
+        // The table loop exists everywhere; pclmul only where detected.
         assert!(CrcTier::Bytewise.available());
-        assert!(CrcTier::Slice8.available());
         assert_eq!(
             crc32_with_tier(CrcTier::Pclmul, b"xyz").is_some(),
             CrcTier::Pclmul.available()

@@ -253,7 +253,7 @@ proptest! {
 
     #[test]
     fn every_crc_tier_agrees_on_random_large_buffers(len in 0usize..65536, seed in any::<u64>()) {
-        // The dispatch tiers (bytewise / slicing-by-8 / PCLMUL folding)
+        // The dispatch tiers (bytewise / PCLMUL folding)
         // must compute the identical IEEE CRC-32 on arbitrary inputs well
         // past every fold threshold — a SIMD divergence here would make
         // wire frames machine-dependent.
