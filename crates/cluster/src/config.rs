@@ -68,8 +68,7 @@ impl RetryPolicy {
 
 /// Tuning of the shared job scheduler (`cluster::scheduler`): how many
 /// jobs may sit in the submission queue, how much memory admitted jobs may
-/// collectively pin, how many priority levels submissions can use, and how
-/// strongly worker-slot grants equalize across tenants.
+/// collectively pin, and how many priority levels submissions can use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Maximum jobs queued awaiting admission. A submission beyond this
@@ -87,11 +86,6 @@ pub struct SchedulerConfig {
     /// `priority_levels − 1` = highest). Submissions outside the range are
     /// rejected at submit time.
     pub priority_levels: u8,
-    /// Fair-share strength in `[0, 1]`. `0` schedules pure
-    /// FIFO-with-priorities; any positive value makes the dispatcher
-    /// prefer the tenant currently holding the fewest worker slots,
-    /// falling back to priority-then-FIFO to break ties.
-    pub fair_share: f64,
 }
 
 impl SchedulerConfig {
@@ -100,13 +94,12 @@ impl SchedulerConfig {
 
     /// Default scheduler for `nodes` nodes of `node_mem_bytes` each:
     /// admission budget = total cluster memory, a deep queue, four
-    /// priority levels, fair share on.
+    /// priority levels.
     pub const fn for_cluster(nodes: usize, node_mem_bytes: u64) -> Self {
         SchedulerConfig {
             queue_depth: 64,
             admission_budget_bytes: node_mem_bytes.saturating_mul(nodes as u64),
             priority_levels: 4,
-            fair_share: 1.0,
         }
     }
 
@@ -127,11 +120,6 @@ impl SchedulerConfig {
             "`priority_levels` must be in 1..={} (got {})",
             Self::MAX_PRIORITY_LEVELS,
             self.priority_levels
-        );
-        assert!(
-            self.fair_share >= 0.0 && self.fair_share <= 1.0 && self.fair_share.is_finite(),
-            "`fair_share` must be in [0, 1] (got {})",
-            self.fair_share
         );
     }
 }
@@ -488,14 +476,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "`fair_share` must be in [0, 1]")]
-    fn out_of_range_fair_share_rejected() {
-        let mut c = ClusterConfig::laptop();
-        c.scheduler.fair_share = 1.5;
-        c.assert_valid();
-    }
-
-    #[test]
     fn replication_defaults_off_and_overrides_via_builder() {
         assert_eq!(ClusterConfig::laptop().replication, ReplicationPolicy::Off);
         assert_eq!(
@@ -518,6 +498,5 @@ mod tests {
             c.node_mem_bytes * c.nodes as u64
         );
         assert_eq!(c.scheduler.priority_levels, 4);
-        assert!(c.scheduler.fair_share > 0.0);
     }
 }

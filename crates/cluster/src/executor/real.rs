@@ -10,12 +10,12 @@
 //! only blocks resident in its own node's store.
 //!
 //! A job is one [`LocalCluster::run_stage`] call: a gang of items on a
-//! worker pool that lives for the whole job, optionally dispatched by
-//! readiness ([`StageGate`]) instead of index order, each item retried in
-//! place on a transient error. Fault injection is not this module's
-//! business: deliveries consult the armed [`FaultPlan`] inside the
-//! [`Transport`], tasks consult it inside the executor's item closure,
-//! where the item's plan identity is known.
+//! worker pool that lives for the whole job, dispatched by readiness
+//! (smallest ready index first; items release one another through the
+//! [`StageGate`]), each item retried in place on a transient error. Fault
+//! injection is not this module's business: deliveries consult the armed
+//! [`FaultPlan`] inside the [`Transport`], tasks consult it inside the
+//! executor's item closure, where the item's plan identity is known.
 
 use crate::chaos::{FaultPlan, FaultSpec};
 use crate::config::ClusterConfig;
@@ -81,13 +81,11 @@ impl TaskCtx {
     }
 }
 
-/// Handle a gated stage's task closure uses to declare *other* tasks of
-/// the same stage ready for dispatch — the mechanism by which a producer
-/// task (a local multiply installing its C copies) unlocks its consumers
-/// (the aggregation task reducing them) inside one stage. Marking is
+/// Handle a stage's task closure uses to declare *other* tasks of the
+/// same stage ready for dispatch — the mechanism by which a producer task
+/// (a local multiply installing its C copies) unlocks its consumers (the
+/// aggregation task reducing them) inside one stage. Marking is
 /// idempotent, so a retried producer re-satisfying its dependents is safe.
-/// On an ungated stage (`ready: None`) there is nothing to mark and
-/// [`StageGate::mark_ready`] panics.
 pub struct StageGate<'a> {
     gang: &'a Gang,
 }
@@ -473,14 +471,14 @@ impl LocalCluster {
     /// once at exit; outputs are returned in task order regardless of which
     /// worker ran what, or when.
     ///
-    /// With `ready: None` task indices dispatch strictly in order. With
-    /// `Some(initially_ready)` the stage is dependency-gated: only those
-    /// indices are dispatchable at the start, and a task closure unlocks
-    /// further ones through the [`StageGate`] it is handed once it has
-    /// installed the blocks they depend on — so consumers start the moment
-    /// their producers finish, while unrelated tasks are still running. A
-    /// terminal task failure aborts a gated gang (workers waiting on
-    /// never-satisfied dependencies drain instead of deadlocking).
+    /// Only the indices in `ready` are dispatchable at the start (smallest
+    /// first — `(0..n).collect()` runs the stage in index order), and a
+    /// task closure unlocks further ones through the [`StageGate`] it is
+    /// handed once it has installed the blocks they depend on — so
+    /// consumers start the moment their producers finish, while unrelated
+    /// tasks are still running. A terminal task failure aborts the gang:
+    /// nothing further is granted, and workers waiting on never-satisfied
+    /// dependencies drain instead of deadlocking.
     ///
     /// A task that fails with a *transient* error (crash, lost or corrupt
     /// shuffle block — see [`TaskError::is_transient`]) is re-run in place
@@ -502,7 +500,7 @@ impl LocalCluster {
         tenant: TenantId,
         priority: u8,
         inputs: Vec<I>,
-        ready: Option<Vec<usize>>,
+        ready: Vec<usize>,
         f: F,
     ) -> Result<StageRun<O>, JobError>
     where
@@ -533,7 +531,6 @@ impl LocalCluster {
         // *across every concurrent job*. The per-slot mutex below is only
         // ever taken once per task and never contended, because a grant
         // hands out each index exactly once.
-        let gated = ready.is_some();
         let gang = self.scheduler.register_gang(tenant, priority, n, ready);
         let gate = StageGate { gang: &gang };
         let slots: Vec<Mutex<Option<I>>> =
@@ -587,10 +584,10 @@ impl LocalCluster {
                                 res => break (attempt + 1, res),
                             }
                         };
-                        if gated && out.is_err() {
+                        if out.is_err() {
                             // Readiness this task would have signalled
                             // never comes: poison the gang so workers
-                            // blocked on gated indices drain instead of
+                            // blocked on unready indices drain instead of
                             // deadlocking.
                             gang.abort();
                         }
@@ -606,8 +603,9 @@ impl LocalCluster {
 
         let mut collected = done.into_inner().expect("no worker panicked");
         collected.sort_unstable_by_key(|(idx, _, _)| *idx);
-        // An aborted gated gang leaves its ungranted tasks unreported —
-        // the error below covers them; a clean stage reports all `n`.
+        // An aborted gang leaves its ungranted tasks unreported — the error
+        // below covers them (indices are granted smallest first, so the
+        // lowest failing one always reports); a clean stage reports all `n`.
         let mut outputs = Vec::with_capacity(n);
         for (idx, attempts, out) in collected {
             match out {
@@ -637,7 +635,7 @@ mod tests {
         LocalCluster::new(ClusterConfig::laptop())
     }
 
-    /// An ungated anonymous stage — all most tests here need.
+    /// An anonymous stage with every task ready — all most tests here need.
     fn stage<I, O>(
         c: &LocalCluster,
         inputs: Vec<I>,
@@ -647,7 +645,8 @@ mod tests {
         I: Send + Clone,
         O: Send,
     {
-        c.run_stage(TenantId::ANONYMOUS, 0, inputs, None, |ctx, item, _| {
+        let ready = (0..inputs.len()).collect();
+        c.run_stage(TenantId::ANONYMOUS, 0, inputs, ready, |ctx, item, _| {
             f(ctx, item)
         })
     }
@@ -920,7 +919,7 @@ mod tests {
                 TenantId::ANONYMOUS,
                 0,
                 (0..5).collect(),
-                Some((0..4).collect()),
+                (0..4).collect(),
                 |ctx, x: usize, gate| {
                     assert_eq!(ctx.task, x);
                     if x < 4 {
@@ -950,7 +949,7 @@ mod tests {
                 TenantId::ANONYMOUS,
                 0,
                 vec![0usize, 1],
-                Some(vec![0]),
+                vec![0],
                 |_, x, gate| {
                     if x == 0 {
                         Err(TaskError::Compute("producer bug".into()))
@@ -962,46 +961,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, JobError::TaskFailed { task: 0, .. }));
-
-        // The same drain one level down: task 0's compute side waits on the
-        // delivery board for a block its prefetch side will never land. The
-        // failing prefetch cancels the wait and wakes it directly, and the
-        // task's typed error — not a hang, not a poll tick — reaches the
-        // stage, which drains the consumer gated behind it.
-        use crate::transport::DeliveryBoard;
-        use distme_matrix::BlockId;
-        use std::sync::atomic::AtomicBool;
-        let board = DeliveryBoard::default();
-        let key = StoreKey::operand(1, BlockId::new(0, 0));
-        let err = c
-            .run_stage(
-                TenantId::ANONYMOUS,
-                0,
-                vec![0usize, 1],
-                Some(vec![0]),
-                |ctx, x, _gate| {
-                    assert_eq!(x, 0, "the gated consumer must never run");
-                    let dead = AtomicBool::new(false);
-                    let node = ctx.node; // `TaskCtx` is not `Sync`
-                    std::thread::scope(|scope| {
-                        let prefetch = scope.spawn(|| {
-                            dead.store(true, Ordering::Release);
-                            board.wake_all();
-                            TaskError::LostBlock { node, id: key.id }
-                        });
-                        let landed = board.wait_for(node, &key, || dead.load(Ordering::Acquire));
-                        assert!(!landed);
-                        Err::<usize, _>(prefetch.join().expect("prefetch side returns"))
-                    })
-                },
-            )
-            .unwrap_err();
-        match &err {
-            JobError::TaskFailed { task: 0, message } => {
-                assert!(message.contains("lost"), "{message}");
-            }
-            other => panic!("unexpected error: {other:?}"),
-        }
     }
 
     #[test]
@@ -1020,7 +979,7 @@ mod tests {
                 TenantId::ANONYMOUS,
                 0,
                 vec![0usize, 1],
-                Some(vec![0]),
+                vec![0],
                 |ctx, x, gate| {
                     if x == 0 {
                         gate.mark_ready(1);

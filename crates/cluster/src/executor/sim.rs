@@ -7,11 +7,13 @@
 //! described by byte/FLOP summaries — so 100 000 × 100 000 matrices
 //! simulate in milliseconds while producing the elapsed times,
 //! communication volumes, and failure modes of Figs. 6–8 and Table 5.
+//!
+//! A stage is a single-threaded walk over its tasks in index order; slot
+//! contention is modelled in virtual time by the [`SlotPool`]s, so the
+//! simulator has no use for the real executor's scheduler.
 
 use crate::config::ClusterConfig;
 use crate::failure::JobError;
-use crate::scheduler::Scheduler;
-use crate::stats::TenantId;
 use distme_gpu::{work, GpuDevice, GpuWork};
 use distme_sim::{FifoServer, Gauge, SimTime, SlotPool};
 
@@ -115,10 +117,6 @@ pub struct SimCluster {
     /// plans built for an old grid are identifiably stale, mirroring the
     /// real executor.
     epoch: u64,
-    /// The shared task scheduler: the simulator claims task indices
-    /// through the same gang/lease machinery as the real executor, so
-    /// per-tenant slot accounting and live load are visible here too.
-    scheduler: Scheduler,
 }
 
 impl SimCluster {
@@ -150,15 +148,8 @@ impl SimCluster {
             clock: SimTime::ZERO,
             job_epoch: SimTime::ZERO,
             epoch: 0,
-            scheduler: Scheduler::new(cfg.total_slots(), cfg.scheduler),
             cfg,
         }
-    }
-
-    /// The shared task scheduler handle (same pool semantics as
-    /// [`super::real::LocalCluster::scheduler`]).
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.scheduler
     }
 
     /// The configuration.
@@ -187,14 +178,10 @@ impl SimCluster {
         let clock = self.clock;
         let job_epoch = self.job_epoch;
         let epoch = self.epoch + 1;
-        let scheduler = self.scheduler.clone();
-        scheduler.set_total_slots(cfg.total_slots());
         *self = SimCluster::new(cfg);
         self.clock = clock;
         self.job_epoch = job_epoch;
         self.epoch = epoch;
-        // Keep the pre-resize handle: service-side clones stay connected.
-        self.scheduler = scheduler;
     }
 
     /// Virtual seconds since the current job started.
@@ -234,21 +221,6 @@ impl SimCluster {
     /// * [`JobError::TaskFailed`] for GPU work on a GPU-less cluster.
     pub fn run_stage(
         &mut self,
-        tasks: &[SimTask],
-        broadcast_bytes: u64,
-    ) -> Result<StageOutcome, JobError> {
-        self.run_stage_as(TenantId::ANONYMOUS, 0, tasks, broadcast_bytes)
-    }
-
-    /// [`Self::run_stage`] with an explicit tenant/priority, claiming task
-    /// indices through the shared scheduler's gang machinery exactly like
-    /// the real executor (the simulator is single-threaded, so every claim
-    /// grants immediately — but tenant slot accounting and live load are
-    /// observable while the stage runs).
-    pub fn run_stage_as(
-        &mut self,
-        tenant: TenantId,
-        priority: u8,
         tasks: &[SimTask],
         broadcast_bytes: u64,
     ) -> Result<StageOutcome, JobError> {
@@ -316,12 +288,7 @@ impl SimCluster {
         let mut stage_end = stage_start;
         let mut any_gpu = false;
 
-        let gang = self
-            .scheduler
-            .register_gang(tenant, priority, tasks.len(), None);
-        while let Some(grant) = gang.next_task() {
-            let i = grant.index;
-            let t = &tasks[i];
+        for (i, t) in tasks.iter().enumerate() {
             // Placement: static round-robin (Spark locality default), or —
             // with dynamic scheduling — the node whose slots free earliest.
             let node = if self.cfg.dynamic_scheduling {

@@ -196,6 +196,12 @@ pub enum JobError {
         /// Human-readable reason.
         reason: String,
     },
+    /// The closure a tenant submitted to the job service panicked. Only
+    /// that job fails; its admission and cluster hold are released.
+    Panicked {
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl JobError {
@@ -210,6 +216,7 @@ impl JobError {
             JobError::NodeDecommissioned { .. } => "N.D.",
             JobError::QueueFull { .. } => "Q.F.",
             JobError::InvalidSubmission { .. } => "INV",
+            JobError::Panicked { .. } => "PANIC",
         }
     }
 
@@ -278,6 +285,7 @@ impl fmt::Display for JobError {
             JobError::InvalidSubmission { reason } => {
                 write!(f, "invalid submission: {reason}")
             }
+            JobError::Panicked { message } => write!(f, "job panicked: {message}"),
         }
     }
 }

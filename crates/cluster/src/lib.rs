@@ -10,8 +10,6 @@
 //! * [`ClusterConfig`] — cluster topology and the calibration constants of
 //!   the paper's testbed (9 slaves, 10 tasks/node, 10 GbE, θt = 6 GB,
 //!   one GTX 1080 Ti per node);
-//! * [`PartitionScheme`] — the Row / Column / Hash / Grid block-partitioning
-//!   schemes of §2.1 (Fig. 1);
 //! * two executors sharing one task model:
 //!   * [`executor::real::LocalCluster`] runs stages on real threads with
 //!     real serialized blocks, counting every byte that crosses a (virtual)
@@ -46,7 +44,6 @@ pub mod config;
 pub mod executor;
 pub mod failure;
 pub mod membership;
-pub mod partitioner;
 pub mod rebalance;
 pub mod scheduler;
 pub mod shuffle;
@@ -61,7 +58,6 @@ pub use executor::real::{LocalCluster, StageGate, TaskCtx};
 pub use executor::sim::{ComputeWork, SimCluster, SimTask, StageOutcome};
 pub use failure::{JobError, TaskError};
 pub use membership::{ElasticPolicy, Membership, MembershipEvent};
-pub use partitioner::PartitionScheme;
 pub use rebalance::{BlockMove, RebalancePlan, RebalanceReport};
 pub use scheduler::{AdmissionTicket, Gang, QueueWaitStats, Scheduler, SchedulerLoad, TaskGrant};
 pub use shuffle::{LedgerSnapshot, ShuffleLedger};
@@ -70,4 +66,4 @@ pub use store::{
     BlockSource, BlockView, ClusterStores, NodeStore, PinGuard, StoreKey, StoreKind,
     RESIDENCY_WINDOW_JOBS,
 };
-pub use transport::{DeliveryBoard, Transport, TransportStats, WireMove};
+pub use transport::{Transport, TransportStats, WireMove};

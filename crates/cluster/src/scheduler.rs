@@ -16,14 +16,16 @@
 //!    outright would make big jobs unrunnable on an idle cluster.
 //!
 //! 2. **Dispatch** ([`Scheduler::register_gang`] / [`Gang::next_task`]):
-//!    each stage registers its task count as a *gang*; stage worker
-//!    threads then pull `(slot lease, task index)` grants. Task indices
-//!    within a gang are handed out strictly in order — exactly the claim
-//!    cursor the old per-job loop used — so a stage's output ordering (and
-//!    therefore result bytes) is independent of how many other jobs are
-//!    running. Across gangs the dispatcher picks FIFO-with-priorities,
-//!    optionally biased toward the tenant currently holding the fewest
-//!    slots (`fair_share > 0`).
+//!    each stage registers its task count as a *gang* together with the
+//!    indices that are ready to run; stage worker threads then pull
+//!    `(slot lease, task index)` grants, smallest ready index first, and
+//!    running tasks release further indices with [`Gang::mark_ready`]. A
+//!    gang registered all-ready is therefore handed out strictly in order.
+//!    Which index a worker gets never depends on how many other jobs are
+//!    running, and outputs are collected by index, so result bytes do not
+//!    either. Across gangs the dispatcher is fair-share first: the tenant
+//!    currently holding the fewest slots wins, then higher priority, then
+//!    FIFO.
 //!
 //! The candidate set for a grant is restricted to gangs that have both
 //! pending tasks *and* a worker actually waiting: choosing a gang nobody
@@ -42,9 +44,8 @@ use crate::config::SchedulerConfig;
 use crate::failure::JobError;
 use crate::stats::TenantId;
 
-/// Dependency-readiness bookkeeping of a *gated* gang: indices become
-/// dispatchable only when [`Gang::mark_ready`] declares their dependencies
-/// landed, instead of the strict in-order cursor.
+/// Dependency-readiness bookkeeping of a gang: an index is dispatchable
+/// once it is declared ready, at registration or by [`Gang::mark_ready`].
 #[derive(Debug, Default)]
 struct ReadyState {
     /// Indices ready for dispatch but not yet granted (granted smallest
@@ -64,15 +65,12 @@ struct GangState {
     priority: u8,
     /// FIFO tie-breaker: registration order.
     seq: u64,
-    /// Tasks granted so far. For an ungated gang this doubles as the claim
-    /// cursor (indices are handed out strictly in order).
+    /// Tasks granted so far.
     next_task: usize,
     n_tasks: usize,
     /// Worker threads currently inside `next_task`.
     waiters: usize,
-    /// `Some` for a dependency-gated gang (see [`ReadyState`]); `None`
-    /// for strict in-order dispatch.
-    ready: Option<ReadyState>,
+    ready: ReadyState,
     /// Poisoned: a terminal task failure means pending dependencies will
     /// never be satisfied; waiters must drain instead of deadlocking.
     aborted: bool,
@@ -85,13 +83,7 @@ impl GangState {
 
     /// Whether a grant could be handed out right now (ignoring slots).
     fn dispatchable(&self) -> bool {
-        if self.aborted || self.pending() == 0 {
-            return false;
-        }
-        match &self.ready {
-            None => true,
-            Some(r) => !r.runnable.is_empty(),
-        }
+        !self.aborted && !self.ready.runnable.is_empty()
     }
 }
 
@@ -117,30 +109,21 @@ struct State {
 }
 
 impl State {
-    /// Which gang gets the next free slot. Candidates must have pending
-    /// tasks and at least one waiting worker; among them, fair share picks
-    /// the tenant holding the fewest slots first, then higher priority,
-    /// then FIFO. With `fair_share == 0` it is pure priority-then-FIFO.
-    fn choose(&self, fair_share: f64) -> Option<u64> {
-        let candidates = self
-            .gangs
+    /// Which gang gets the next free slot. Candidates must have a ready
+    /// task and at least one waiting worker; among them the tenant holding
+    /// the fewest slots wins, then higher priority, then FIFO.
+    fn choose(&self) -> Option<u64> {
+        self.gangs
             .iter()
-            .filter(|(_, g)| g.dispatchable() && g.waiters > 0);
-        if fair_share > 0.0 {
-            candidates
-                .min_by_key(|(_, g)| {
-                    (
-                        self.tenant_held.get(&g.tenant).copied().unwrap_or(0),
-                        std::cmp::Reverse(g.priority),
-                        g.seq,
-                    )
-                })
-                .map(|(id, _)| *id)
-        } else {
-            candidates
-                .min_by_key(|(_, g)| (std::cmp::Reverse(g.priority), g.seq))
-                .map(|(id, _)| *id)
-        }
+            .filter(|(_, g)| g.dispatchable() && g.waiters > 0)
+            .min_by_key(|(_, g)| {
+                (
+                    self.tenant_held.get(&g.tenant).copied().unwrap_or(0),
+                    std::cmp::Reverse(g.priority),
+                    g.seq,
+                )
+            })
+            .map(|(id, _)| *id)
     }
 }
 
@@ -228,7 +211,7 @@ pub struct Gang {
 /// panicked.
 #[derive(Debug)]
 pub struct TaskGrant {
-    /// The claimed task index within the gang (handed out in order).
+    /// The claimed task index within the gang (smallest ready first).
     pub index: usize,
     _lease: Lease,
 }
@@ -356,27 +339,24 @@ impl Scheduler {
     /// Priorities above the configured range are clamped (registration is
     /// internal; validation happened at submit).
     ///
-    /// With `ready: None` indices are granted strictly in order. With
-    /// `Some(initially_ready)` the gang is *dependency-gated*: only indices
-    /// declared ready (here, later via [`Gang::mark_ready`]) are granted,
-    /// smallest ready index first — dispatch follows the plan's
-    /// dependency-readiness view instead of a stage barrier.
+    /// Only indices declared ready (in `ready`, later via
+    /// [`Gang::mark_ready`]) are granted, smallest ready index first —
+    /// dispatch follows the plan's dependency-readiness view instead of a
+    /// stage barrier. A gang with no dependencies passes `(0..n_tasks)`
+    /// and is handed out in order.
     pub fn register_gang(
         &self,
         tenant: TenantId,
         priority: u8,
         n_tasks: usize,
-        ready: Option<Vec<usize>>,
+        ready: Vec<usize>,
     ) -> Gang {
-        let ready = ready.map(|initially_ready| {
-            let mut state = ReadyState::default();
-            for idx in initially_ready {
-                assert!(idx < n_tasks, "ready index {idx} outside gang of {n_tasks}");
-                state.marked.insert(idx);
-                state.runnable.insert(idx);
-            }
-            state
-        });
+        let mut state = ReadyState::default();
+        for idx in ready {
+            assert!(idx < n_tasks, "ready index {idx} outside gang of {n_tasks}");
+            state.marked.insert(idx);
+            state.runnable.insert(idx);
+        }
         let mut st = self.lock();
         let id = st.next_gang_id;
         st.next_gang_id += 1;
@@ -391,7 +371,7 @@ impl Scheduler {
                 next_task: 0,
                 n_tasks,
                 waiters: 0,
-                ready,
+                ready: state,
                 aborted: false,
             },
         );
@@ -402,9 +382,9 @@ impl Scheduler {
         }
     }
 
-    /// Declares task `index` of a gated gang dispatchable (its dependencies
-    /// landed). Idempotent: re-marking an index (a retried producer
-    /// re-satisfying dependents) is a no-op.
+    /// Declares task `index` dispatchable (its dependencies landed).
+    /// Idempotent: re-marking an index (a retried producer re-satisfying
+    /// dependents) is a no-op.
     fn mark_ready(&self, gang: u64, index: usize) {
         let mut st = self.lock();
         let g = st
@@ -416,12 +396,8 @@ impl Scheduler {
             "ready index {index} outside gang of {} tasks",
             g.n_tasks
         );
-        let ready = g
-            .ready
-            .as_mut()
-            .expect("mark_ready on an ungated gang — register it with `ready: Some(..)`");
-        if ready.marked.insert(index) {
-            ready.runnable.insert(index);
+        if g.ready.marked.insert(index) {
+            g.ready.runnable.insert(index);
             self.inner.cv.notify_all();
         }
     }
@@ -454,19 +430,14 @@ impl Scheduler {
                 self.inner.cv.notify_all();
                 return None;
             }
-            if st.held < st.total_slots && st.choose(self.inner.cfg.fair_share) == Some(gang) {
+            if st.held < st.total_slots && st.choose() == Some(gang) {
                 let tenant = g.tenant;
                 let g = st.gangs.get_mut(&gang).unwrap();
-                let index = match &mut g.ready {
-                    // Ungated: strict in-order cursor.
-                    None => g.next_task,
-                    // Gated: smallest ready ungranted index.
-                    Some(r) => {
-                        let idx = *r.runnable.iter().next().expect("dispatchable gated gang");
-                        r.runnable.remove(&idx);
-                        idx
-                    }
-                };
+                let index = g
+                    .ready
+                    .runnable
+                    .pop_first()
+                    .expect("a chosen gang has a ready task");
                 g.next_task += 1;
                 g.waiters -= 1;
                 st.held += 1;
@@ -532,15 +503,14 @@ impl Scheduler {
 }
 
 impl Gang {
-    /// Blocks until this gang is granted a slot, returning the next task
-    /// index (in order for an ungated gang; smallest ready index for a
-    /// gated one) — or `None` once every task has been handed out (or the
+    /// Blocks until this gang is granted a slot, returning its smallest
+    /// ready index — or `None` once every task has been handed out (or the
     /// gang was aborted).
     pub fn next_task(&self) -> Option<TaskGrant> {
         self.sched.next_task(self.id)
     }
 
-    /// Declares task `index` ready for dispatch (gated gangs only; see
+    /// Declares task `index` ready for dispatch (see
     /// [`Scheduler::register_gang`]). Idempotent.
     pub fn mark_ready(&self, index: usize) {
         self.sched.mark_ready(self.id, index);
@@ -570,7 +540,6 @@ mod tests {
             queue_depth: 4,
             admission_budget_bytes: budget,
             priority_levels: 4,
-            fair_share: 1.0,
         }
     }
 
@@ -585,7 +554,7 @@ mod tests {
     #[test]
     fn solo_gang_hands_out_indices_in_order_within_slots() {
         let sched = Scheduler::new(3, cfg(1000));
-        let gang = sched.register_gang(TenantId(1), 0, 5, None);
+        let gang = sched.register_gang(TenantId(1), 0, 5, (0..5).collect());
         for expect in 0..5 {
             let grant = gang.next_task().unwrap();
             assert_eq!(grant.index, expect);
@@ -600,7 +569,7 @@ mod tests {
     #[test]
     fn lease_count_never_exceeds_total_slots() {
         let sched = Scheduler::new(2, cfg(1000));
-        let gang = sched.register_gang(TenantId(1), 0, 8, None);
+        let gang = sched.register_gang(TenantId(1), 0, 8, (0..8).collect());
         let peak = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -618,14 +587,13 @@ mod tests {
 
     #[test]
     fn priority_wins_the_freed_slot() {
-        let mut c = cfg(1000);
-        c.fair_share = 0.0; // pure FIFO-with-priorities
-        let sched = Scheduler::new(1, c);
-        let filler = sched.register_gang(TenantId(9), 0, 1, None);
+        // Neither contender holds a slot, so priority decides.
+        let sched = Scheduler::new(1, cfg(1000));
+        let filler = sched.register_gang(TenantId(9), 0, 1, vec![0]);
         let slot = filler.next_task().unwrap();
 
-        let lo = sched.register_gang(TenantId(1), 0, 1, None);
-        let hi = sched.register_gang(TenantId(2), 3, 1, None);
+        let lo = sched.register_gang(TenantId(1), 0, 1, vec![0]);
+        let hi = sched.register_gang(TenantId(2), 3, 1, vec![0]);
         let order = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -647,16 +615,16 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_prefers_the_tenant_holding_fewer_slots() {
+    fn the_tenant_holding_fewer_slots_wins_over_priority() {
         let sched = Scheduler::new(2, cfg(1000));
         // Tenant 1 holds both slots; releasing one leaves tenant 1 still
         // holding a slot while tenant 2 holds none.
-        let holder = sched.register_gang(TenantId(1), 3, 2, None);
+        let holder = sched.register_gang(TenantId(1), 3, 2, (0..2).collect());
         let held_a = holder.next_task().unwrap();
         let held_b = holder.next_task().unwrap();
 
-        let rich = sched.register_gang(TenantId(1), 3, 1, None); // high priority
-        let poor = sched.register_gang(TenantId(2), 0, 1, None); // low priority
+        let rich = sched.register_gang(TenantId(1), 3, 1, vec![0]); // high priority
+        let poor = sched.register_gang(TenantId(2), 0, 1, vec![0]); // low priority
         let winner = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -755,7 +723,7 @@ mod tests {
     #[test]
     fn empty_gang_yields_no_grants() {
         let sched = Scheduler::new(1, cfg(100));
-        let gang = sched.register_gang(TenantId(1), 0, 0, None);
+        let gang = sched.register_gang(TenantId(1), 0, 0, vec![]);
         assert!(gang.next_task().is_none());
     }
 
@@ -763,7 +731,7 @@ mod tests {
     fn gated_gang_dispatches_only_ready_indices() {
         let sched = Scheduler::new(2, cfg(1000));
         // Tasks 1 and 3 are ready at registration; 0 and 2 are gated.
-        let gang = sched.register_gang(TenantId(1), 0, 4, Some(vec![1, 3]));
+        let gang = sched.register_gang(TenantId(1), 0, 4, vec![1, 3]);
         let a = gang.next_task().unwrap();
         let b = gang.next_task().unwrap();
         assert_eq!((a.index, b.index), (1, 3), "smallest ready index first");
@@ -788,7 +756,7 @@ mod tests {
     #[test]
     fn aborted_gang_drains_waiters_instead_of_deadlocking() {
         let sched = Scheduler::new(2, cfg(1000));
-        let gang = sched.register_gang(TenantId(1), 0, 3, Some(vec![0]));
+        let gang = sched.register_gang(TenantId(1), 0, 3, vec![0]);
         let first = gang.next_task().unwrap();
         assert_eq!(first.index, 0);
         drop(first);
@@ -806,12 +774,12 @@ mod tests {
     }
 
     #[test]
-    fn gated_and_ungated_gangs_share_the_pool() {
+    fn a_gang_with_nothing_ready_does_not_stall_the_pool() {
         let sched = Scheduler::new(1, cfg(1000));
-        let gated = sched.register_gang(TenantId(1), 0, 1, Some(vec![]));
-        let plain = sched.register_gang(TenantId(2), 0, 1, None);
-        // The gated gang has nothing runnable; the plain gang must still
-        // get the slot rather than the pool stalling on the gated one.
+        let gated = sched.register_gang(TenantId(1), 0, 1, vec![]);
+        let plain = sched.register_gang(TenantId(2), 0, 1, vec![0]);
+        // The first gang has nothing runnable; the second must still get
+        // the slot rather than the pool stalling on the first.
         let g = plain.next_task().unwrap();
         assert_eq!(g.index, 0);
         drop(g);

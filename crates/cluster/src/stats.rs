@@ -156,16 +156,18 @@ pub struct JobStats {
     /// `retransmitted_payload_bytes`: a decode reads survivors locally,
     /// so these bytes are exactly the retransmissions coding avoided.
     pub reconstruction_payload_bytes: u64,
-    /// Fraction of communication time hidden behind compute, `0..=1`:
-    /// `1 − stall_secs / comm_secs`. `None` when nothing was communicated,
-    /// and from the simulator's copy-then-compute model.
+    /// Share of communication time spent off the mult tasks' own threads,
+    /// `0..=1`: `1 − pull_secs / comm_secs`, where `pull_secs` is mult
+    /// tasks pulling their k-panels and the rest is pre-move and
+    /// aggregation traffic running as tasks of its own beside other
+    /// tasks' compute. `None` when nothing was communicated, and from the
+    /// simulator's copy-then-compute model.
     pub overlap_ratio: Option<f64>,
-    /// k-panels whose blocks had already landed when the consuming compute
-    /// loop reached them (the prefetch ran ahead — Algorithm 1's double
-    /// buffering paying off).
+    /// Always 0: a mult task pulls every panel itself, so none has landed
+    /// before its loop reaches it. Kept because the benchmark reads it.
     pub prefetch_hits: u64,
-    /// k-panels the compute loop had to wait for — either pulling the
-    /// panel's moves itself, or blocking on an in-flight prefetch.
+    /// k-panels pulled by mult tasks' loops (re-pulls by retried attempts
+    /// included).
     pub prefetch_stalls: u64,
 }
 

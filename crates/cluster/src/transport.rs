@@ -28,67 +28,8 @@ use crate::stats::Phase;
 use crate::store::{ClusterStores, StoreKey};
 use bytes::BytesMut;
 use distme_matrix::codec;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// The delivery-notification channel: every completed move publishes its
-/// `(destination node, destination key)` here, so a compute loop can ask
-/// "has the block my prefetch thread is pushing landed where I run?" — a
-/// per-block readiness signal instead of a phase barrier. A move of an
-/// implicitly-zero block publishes too (its *completion* is the event a
-/// dependent task waits on, even though no bytes shipped), so waiting on a
-/// sparse operand's key can never hang.
-#[derive(Debug, Default)]
-pub struct DeliveryBoard {
-    landed: Mutex<BTreeSet<(usize, StoreKey)>>,
-    cv: Condvar,
-}
-
-impl DeliveryBoard {
-    /// Records that the move installing `key` on `node` has completed, and
-    /// wakes every waiter.
-    pub fn publish(&self, node: usize, key: StoreKey) {
-        self.landed
-            .lock()
-            .expect("delivery board lock")
-            .insert((node, key));
-        self.cv.notify_all();
-    }
-
-    /// Whether every listed key has landed on `node` (a whole prefetch
-    /// panel's readiness test).
-    pub fn all_landed(&self, node: usize, keys: impl IntoIterator<Item = StoreKey>) -> bool {
-        let landed = self.landed.lock().expect("delivery board lock");
-        keys.into_iter().all(|k| landed.contains(&(node, k)))
-    }
-
-    /// Blocks until `key` lands on `node` (`true`) or `cancelled()` turns
-    /// true (`false`) — the waiter's producer died and the key will never
-    /// come. Whoever makes `cancelled()` true must call
-    /// [`DeliveryBoard::wake_all`] afterwards; the wait is otherwise
-    /// unbounded by design (a delivery's own retries are bounded).
-    pub fn wait_for(&self, node: usize, key: &StoreKey, cancelled: impl Fn() -> bool) -> bool {
-        let mut landed = self.landed.lock().expect("delivery board lock");
-        loop {
-            if landed.contains(&(node, *key)) {
-                return true;
-            }
-            if cancelled() {
-                return false;
-            }
-            landed = self.cv.wait(landed).expect("delivery board lock");
-        }
-    }
-
-    /// Wakes every waiter so it re-checks its cancellation condition.
-    /// Taking the board lock first orders the wake-up after any waiter's
-    /// check-then-sleep, so a cancellation can not be missed.
-    pub fn wake_all(&self) {
-        let _ordered = self.landed.lock().expect("delivery board lock");
-        self.cv.notify_all();
-    }
-}
+use std::sync::Arc;
 
 /// One executable move: ship the block under `src` on `from_node` to the
 /// `dst` key on `to_node`. `wire_bytes` is the plan's model estimate —
@@ -173,9 +114,6 @@ pub struct Transport<'a> {
     /// accounting registers a second `TransportStats` here; every counter
     /// update lands in both.
     job_stats: Option<&'a TransportStats>,
-    /// Optional delivery-notification board: completed moves publish their
-    /// landed `(node, key)` for dependency-gated consumers.
-    board: Option<&'a DeliveryBoard>,
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     replication: crate::coding::ReplicationPolicy,
@@ -194,7 +132,6 @@ impl<'a> Transport<'a> {
             stores,
             stats,
             job_stats: None,
-            board: None,
             faults,
             retry,
             replication: crate::coding::ReplicationPolicy::Off,
@@ -215,13 +152,6 @@ impl<'a> Transport<'a> {
     /// a concurrent job needs, since the shared stats mix all jobs.
     pub fn with_job_counters(mut self, job: &'a TransportStats) -> Self {
         self.job_stats = Some(job);
-        self
-    }
-
-    /// Publishes every completed move to `board` — the delivery
-    /// notifications a task's compute loop waits on for prefetched panels.
-    pub fn with_delivery_board(mut self, board: &'a DeliveryBoard) -> Self {
-        self.board = Some(board);
         self
     }
 
@@ -287,8 +217,7 @@ impl<'a> Transport<'a> {
         Some(bytes)
     }
 
-    /// Installs a decoded block at the move's destination and publishes the
-    /// delivery.
+    /// Installs a decoded block at the move's destination.
     fn install(&self, mv: &WireMove, decoded: distme_matrix::Block) {
         self.stores
             .node(mv.to_node)
@@ -296,9 +225,6 @@ impl<'a> Transport<'a> {
         self.each_stats(|s| {
             s.delivered.fetch_add(1, Ordering::Relaxed);
         });
-        if let Some(board) = self.board {
-            board.publish(mv.to_node, mv.dst);
-        }
     }
 
     /// Executes one move on behalf of task attempt `task_attempt`. The
@@ -328,12 +254,7 @@ impl<'a> Transport<'a> {
             s.moves.fetch_add(1, Ordering::Relaxed);
         });
         let Some(block) = self.stores.node(mv.from_node).get(&mv.src) else {
-            // Implicit zero: nothing ships, but the *move* is complete —
-            // publish so a consumer gated on this key cannot wait forever.
-            if let Some(board) = self.board {
-                board.publish(mv.to_node, mv.dst);
-            }
-            return Ok(0);
+            return Ok(0); // implicit zero: nothing ships
         };
         // Real serialized bytes flow on every move, even node-local ones
         // (Spark serializes through shuffle files regardless of locality).
@@ -480,39 +401,6 @@ mod tests {
         assert_eq!(stats.moves(), 1);
         assert_eq!(stats.delivered(), 0);
         assert!(!stores.node(1).contains(&key));
-    }
-
-    #[test]
-    fn completed_moves_publish_to_the_delivery_board() {
-        let (stores, stats) = setup();
-        let board = DeliveryBoard::default();
-        let block = Block::Dense(DenseBlock::from_fn(2, 2, |i, j| (i + j) as f64));
-        let real = StoreKey::operand(4, BlockId::new(0, 0));
-        let zero = StoreKey::operand(4, BlockId::new(1, 1));
-        stores.node(0).install(real, Arc::new(block));
-        let t = clean(&stores, &stats).with_delivery_board(&board);
-        let mv = |src: StoreKey| WireMove {
-            phase: Phase::Repartition,
-            from_node: 0,
-            to_node: 2,
-            wire_bytes: 8,
-            src,
-            dst: src,
-        };
-        assert!(!board.all_landed(2, [real]));
-        t.execute(&mv(real), 0).unwrap();
-        assert!(board.all_landed(2, [real]));
-        // The implicit-zero move ships nothing but still completes.
-        t.execute(&mv(zero), 0).unwrap();
-        assert!(board.all_landed(2, [zero]));
-        assert!(board.all_landed(2, [real, zero]));
-        assert!(!board.all_landed(1, [real]));
-        assert!(board.wait_for(2, &real, || false));
-        let ghost = StoreKey::operand(4, BlockId::new(9, 9));
-        assert!(
-            !board.wait_for(2, &ghost, || true),
-            "cancelled waits return"
-        );
     }
 
     #[test]

@@ -185,25 +185,44 @@ fn blackout_window_losses_decode_from_parity_before_lineage() {
     assert!(matches!(err, JobError::TaskFailed { .. }), "got: {err}");
 }
 
-/// Certain corruption defeats every redelivery; the exhausted retry
-/// budget must surface the attempt count in the error.
+/// Certain corruption, or certain loss with replication off, defeats every
+/// redelivery: the exhausted retry budget must surface as a typed failure
+/// carrying the attempt count and naming the block — and CPMM's
+/// aggregation tasks, gated behind the mult tasks that just failed, must
+/// drain instead of hanging the job.
 #[test]
-fn certain_corruption_exhausts_retries_with_attempt_count() {
+fn certain_faults_exhaust_retries_into_a_typed_failure() {
     let (a, b) = operands(3, 2, 2);
-    let spec = FaultSpec {
-        corrupt_rate: 1.0,
-        ..FaultSpec::quiet(2)
-    };
-    let Err(err) = run(&a, &b, MulMethod::Cpmm, Some(spec)) else {
-        panic!("certain corruption cannot succeed");
-    };
-    let attempts = ClusterConfig::laptop().retry.max_attempts;
-    let msg = err.to_string();
-    assert!(
-        msg.contains(&format!("failed after {attempts} attempts")),
-        "got: {msg}"
-    );
-    assert!(msg.contains("corrupt"), "got: {msg}");
+    let certain = [
+        (
+            FaultSpec {
+                corrupt_rate: 1.0,
+                ..FaultSpec::quiet(2)
+            },
+            "arrived corrupt",
+        ),
+        (
+            FaultSpec {
+                drop_rate: 1.0,
+                ..FaultSpec::quiet(2)
+            },
+            "lost in transit",
+        ),
+    ];
+    for (spec, what) in certain {
+        let Err(err) = run(&a, &b, MulMethod::Cpmm, Some(spec)) else {
+            panic!("a certain fault cannot succeed");
+        };
+        assert!(matches!(err, JobError::TaskFailed { .. }), "got: {err}");
+        let attempts = ClusterConfig::laptop().retry.max_attempts;
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("failed after {attempts} attempts")),
+            "got: {msg}"
+        );
+        assert!(msg.contains(what), "got: {msg}");
+        assert!(msg.contains("block ("), "names the block, got: {msg}");
+    }
 }
 
 proptest! {

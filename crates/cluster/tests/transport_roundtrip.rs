@@ -6,7 +6,7 @@ use distme_cluster::{
     BlockSource, BlockView, ClusterStores, Phase, RetryPolicy, StoreKey, TaskError, Transport,
     TransportStats, WireMove,
 };
-use distme_matrix::{Block, BlockId, CscBlock, CsrBlock, DenseBlock};
+use distme_matrix::{Block, BlockId, CsrBlock, DenseBlock};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -42,20 +42,8 @@ fn sparse_block() -> impl Strategy<Value = Block> {
     })
 }
 
-/// Strategy: a sparse block that has lived as column-major CSC — the
-/// third on-disk layout the substrate supports — converted back to the
-/// wire representation.
-fn csc_built_block() -> impl Strategy<Value = Block> {
-    sparse_block().prop_map(|b| {
-        let Block::Sparse(csr) = b else {
-            unreachable!()
-        };
-        Block::Sparse(CscBlock::from_csr(&csr).to_csr())
-    })
-}
-
 fn any_block() -> impl Strategy<Value = Block> {
-    prop_oneof![dense_block(), sparse_block(), csc_built_block()]
+    prop_oneof![dense_block(), sparse_block()]
 }
 
 /// One cross-node hop through the real transport, returning the delivered

@@ -32,8 +32,8 @@
 //!   cluster at paper scale;
 //! * [`real_exec`] — the one real executor: materializes each plan task's
 //!   blocks on the thread-backed cluster as a single dependency-gated
-//!   stage (per-task k-panel prefetch, aggregation released by its
-//!   producers), used to *prove* every method computes the same product as
+//!   stage (each mult task pulls its own k-panels, aggregation released by
+//!   its producers), used to *prove* every method computes the same product as
 //!   the single-node reference; it charges the ledger with the per-phase
 //!   bytes the plan stored at build time, the field the simulator reports,
 //!   so the two report the same communication;

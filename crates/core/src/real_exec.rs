@@ -20,21 +20,22 @@
 //! 3. an **epilogue**: the result is collected, placed at its future home
 //!    nodes, and the job's statistics are assembled.
 //!
-//! A mult task splits its routed inputs into k-panels. Every planned move
-//! executes exactly once per task attempt through [`Transport::execute`]:
-//! pushed by the task's prefetch thread, up to [`PREFETCH_DEPTH`] panels
-//! ahead of the compute loop (the k-axis double buffering of the paper's
-//! Algorithm 1, applied to network transfers instead of PCIe copies), or
-//! pulled inline by the compute loop when it reaches a panel first — which
-//! is always, for a task too small to prefetch ([`PREFETCH_MIN_BYTES`]):
-//! copy-then-compute is the degenerate case of the same loop. Tasks resolve
-//! inputs **only** from their own node's store (a miss on a materialized
-//! block is a hard [`TaskError::MissingBlock`]).
+//! A mult task splits its routed inputs into k-panels and pulls them itself,
+//! in k order, on the one thread it runs on: every planned move executes
+//! exactly once per task attempt through [`Transport::execute`], and the
+//! accumulate step for panel `k` starts when panel `k` has landed. A
+//! "network transfer" here is encode + CRC + decode on the cores the GEMM
+//! needs, so there is no idle engine for a second thread inside a task to
+//! hide behind; the overlap this executor has is *between* tasks —
+//! aggregation tasks released by their producers while other mult tasks
+//! still run. Tasks resolve inputs **only** from their own node's store (a
+//! miss on a materialized block is a hard [`TaskError::MissingBlock`]).
 //!
-//! `PhaseStats::secs` of repartition is the prologue plus the time compute
-//! loops spent *stalled* on communication; local multiplication is the rest
-//! of the stage's window (compute, and the communication hidden behind it);
-//! aggregation runs inside that window and reports bytes but no seconds.
+//! `PhaseStats::secs` of repartition is the prologue plus the time mult
+//! tasks spent pulling their panels; local multiplication is the rest of
+//! the stage's window (compute, and the pre-move and aggregation traffic
+//! running beside it); aggregation runs inside that window and reports
+//! bytes but no seconds.
 
 use crate::cuboid::Cuboid;
 use crate::gpu_local;
@@ -43,31 +44,17 @@ use crate::plan::{BlockMove, JobPlan, Operand, TaskSpec, TaskWork};
 use crate::problem::MatmulProblem;
 use distme_cluster::chaos::run_task;
 use distme_cluster::{
-    BlockSource, BlockView, DeliveryBoard, FaultPlan, JobError, JobStats, LocalCluster, NodeStore,
-    Phase, PinGuard, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats, WireMove,
+    BlockSource, BlockView, FaultPlan, JobError, JobStats, LocalCluster, NodeStore, Phase,
+    PinGuard, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats, WireMove,
     RESIDENCY_WINDOW_JOBS,
 };
 use distme_matrix::{
     codec, fresh_matrix_uid, kernels, Block, BlockId, BlockMatrix, CsrBlock, DenseBlock,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// How many k-panels a task's prefetch thread may run ahead of its compute
-/// loop: one panel multiplying, one in flight — Algorithm 1's double
-/// buffering. Deeper prefetch only grows the resident working set without
-/// hiding more latency (the compute loop consumes panels in order).
-const PREFETCH_DEPTH: usize = 2;
-
-/// Routed input bytes (the plan's model bytes) below which a mult task
-/// pulls its panels inline instead of running a prefetch thread: moving
-/// less than this takes about as long as starting the thread that would
-/// hide it. The benchmark's `serve_small` / `serve_c4` jobs (128³, tens
-/// of KiB per task) sit below it, `dense_square` / `dense_pipelined`
-/// (2048³, MiBs per task) above.
-const PREFETCH_MIN_BYTES: u64 = 1 << 20;
 
 /// Options for real execution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -298,132 +285,35 @@ struct Lowered {
 
 /// Where the job's communication time went, summed over its tasks.
 #[derive(Default)]
-struct Overlap {
-    comm_micros: AtomicU64,
-    stall_micros: AtomicU64,
-    hits: AtomicU64,
-    stalls: AtomicU64,
+struct CommTime {
+    /// Mult tasks pulling their own k-panels; the task's one thread does
+    /// nothing else meanwhile.
+    pull_micros: AtomicU64,
+    /// Pre-moves and aggregation fetches: tasks of their own, running
+    /// beside other tasks' compute.
+    beside_micros: AtomicU64,
+    /// k-panels pulled, re-pulls by retried attempts included.
+    panels: AtomicU64,
 }
 
-impl Overlap {
-    /// Executes `mv`, adding its duration to the communication total.
-    fn timed(
-        &self,
-        transport: &Transport<'_>,
-        mv: &WireMove,
-        attempt: u32,
-    ) -> Result<u64, TaskError> {
-        let t0 = Instant::now();
-        let payload = transport.execute(mv, attempt);
-        self.comm_micros
-            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-        payload
-    }
-
-    fn stalled_since(&self, t0: Instant) {
-        self.stall_micros
-            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-    }
-}
-
-/// One attempt of one mult task's input pipeline: the k-panels, who moved
-/// which, and how far the compute loop has come.
-struct Feed<'a> {
-    panels: &'a [Vec<WireMove>],
-    transport: &'a Transport<'a>,
-    board: &'a DeliveryBoard,
-    overlap: &'a Overlap,
-    attempt: u32,
-    /// Exclusive claims: each panel's moves execute exactly once per
-    /// attempt, pushed by the prefetch thread or pulled by the compute
-    /// loop, whoever claims the panel first.
-    claimed: Vec<AtomicBool>,
-    /// Panels the compute loop is done with (`usize::MAX` once it has
-    /// finished or bailed); the prefetch throttle reads it.
-    consumed: AtomicUsize,
-    /// Raised when the prefetch thread exits, however it exits: nothing
-    /// more will land from it, so a wait on one of its panels must end.
-    prefetch_exited: AtomicBool,
-}
-
-impl Feed<'_> {
-    /// The prefetch thread's body: push panels in order, at most
-    /// [`PREFETCH_DEPTH`] ahead of the compute loop, which unparks this
-    /// thread each time it advances.
-    fn push_ahead(&self) -> Result<(), TaskError> {
-        /// Wakes the compute loop's wait on the way out — error, panic or
-        /// clean finish alike.
-        struct Exit<'a>(&'a Feed<'a>);
-        impl Drop for Exit<'_> {
-            fn drop(&mut self) {
-                self.0.prefetch_exited.store(true, Ordering::Release);
-                self.0.board.wake_all();
-            }
-        }
-        let _exit = Exit(self);
-        for (p, panel) in self.panels.iter().enumerate() {
-            loop {
-                let consumed = self.consumed.load(Ordering::Acquire);
-                if consumed == usize::MAX {
-                    return Ok(());
-                }
-                if p < consumed.saturating_add(PREFETCH_DEPTH) {
-                    break;
-                }
-                std::thread::park();
-            }
-            if self.claimed[p].swap(true, Ordering::AcqRel) {
-                continue; // the compute loop pulled it
-            }
-            for mv in panel {
-                self.overlap.timed(self.transport, mv, self.attempt)?;
-            }
-        }
+/// Executes `moves` in plan order on the calling task's thread, adding the
+/// time they took to `spent`. θt: a serialization buffer counts against the
+/// task for the duration of its move.
+fn deliver(
+    ctx: &TaskCtx,
+    transport: &Transport<'_>,
+    moves: &[WireMove],
+    spent: &AtomicU64,
+) -> Result<(), TaskError> {
+    let t0 = Instant::now();
+    let delivered = moves.iter().try_for_each(|mv| {
+        let payload = transport.execute(mv, ctx.attempt)?;
+        ctx.alloc(payload)?;
+        ctx.free(payload);
         Ok(())
-    }
-
-    /// Returns once panel `p` has landed in `store`, the consuming task's
-    /// node store: pulls it inline if nobody claimed it, otherwise waits
-    /// for the prefetch thread's deliveries.
-    fn ensure(&self, ctx: &TaskCtx, store: &NodeStore, p: usize) -> Result<(), TaskError> {
-        let panel = &self.panels[p];
-        let t0 = Instant::now();
-        if !self.claimed[p].swap(true, Ordering::AcqRel) {
-            self.overlap.stalls.fetch_add(1, Ordering::Relaxed);
-            let pulled = panel.iter().try_for_each(|mv| {
-                self.overlap
-                    .timed(self.transport, mv, self.attempt)
-                    .map(drop)
-            });
-            self.overlap.stalled_since(t0);
-            pulled?;
-        } else if self.board.all_landed(ctx.node, panel.iter().map(|m| m.dst)) {
-            self.overlap.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.overlap.stalls.fetch_add(1, Ordering::Relaxed);
-            let exited = || self.prefetch_exited.load(Ordering::Acquire);
-            let landed = panel
-                .iter()
-                .all(|mv| self.board.wait_for(mv.to_node, &mv.dst, exited));
-            self.overlap.stalled_since(t0);
-            if !landed {
-                // The prefetch thread died short of this panel; its own
-                // error replaces this one when the task joins it.
-                return Err(TaskError::Compute("prefetch stopped early".into()));
-            }
-        }
-        // θt: a panel's serialization buffers count against the task that
-        // consumes it, here, whichever thread moved them and whenever — so
-        // the task's peak does not depend on thread timing.
-        for mv in panel {
-            if let Some(blk) = store.get(&mv.dst) {
-                let wire = codec::encoded_len(&blk);
-                ctx.alloc(wire)?;
-                ctx.free(wire);
-            }
-        }
-        Ok(())
-    }
+    });
+    spent.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+    delivered
 }
 
 /// Groups a mult task's routed inputs into one panel per k step of its
@@ -507,8 +397,8 @@ pub fn execute_plan(
 /// mult task gathers its output into the mask's row-stripe CSR pattern
 /// ([`multiply_cuboid_sddmm`]) instead of running the dense accumulator,
 /// and the result skips density normalization so the pattern survives
-/// verbatim. Everything else — ingest, routing, ledger charging,
-/// prefetch, aggregation, placement — is the dense path.
+/// verbatim. Everything else — ingest, routing, ledger charging, panel
+/// pulls, aggregation, placement — is the dense path.
 pub fn execute_plan_masked(
     cluster: &LocalCluster,
     a: &BlockMatrix,
@@ -586,12 +476,8 @@ pub fn execute_plan_masked(
         .map(|task| AtomicUsize::new(task.producers.len()))
         .collect();
 
-    let board = DeliveryBoard::default();
-    let transport = cluster
-        .transport()
-        .with_job_counters(job_transport)
-        .with_delivery_board(&board);
-    let overlap = Overlap::default();
+    let transport = cluster.transport().with_job_counters(job_transport);
+    let comm = CommTime::default();
     // The C blocks each mult task produced, set once by its surviving
     // attempt. An agg task only asks about copies of its own (finished,
     // gated-on) producers, so what it reads is always complete.
@@ -603,103 +489,64 @@ pub fn execute_plan_masked(
         let a_view = BlockView::new(store, a.uid(), &setup.a_index);
         let b_view = BlockView::new(store, b.uid(), &setup.b_index);
         let panels = &mult_panels[task];
-        let feed = Feed {
-            panels,
-            transport: &transport,
-            board: &board,
-            overlap: &overlap,
-            attempt: ctx.attempt,
-            claimed: panels.iter().map(|_| AtomicBool::new(false)).collect(),
-            consumed: AtomicUsize::new(0),
-            prefetch_exited: AtomicBool::new(false),
+        // Makes panel `p` readable: the task pulls the panel's moves itself.
+        let fetch = |p: usize| {
+            comm.panels.fetch_add(1, Ordering::Relaxed);
+            deliver(ctx, &transport, &panels[p], &comm.pull_micros)
         };
-        let compute = |advance_to: &dyn Fn(usize)| -> Result<Vec<(BlockId, Block)>, TaskError> {
-            // Makes panel `p` readable; the loop is then done with the
-            // panels before it.
-            let fetch = |p: usize| {
-                advance_to(p);
-                feed.ensure(ctx, store, p)
-            };
-            let drain = || (0..panels.len()).try_for_each(fetch);
-            match &spec.work {
-                TaskWork::Cuboid(cuboid) => {
-                    // SDDMM and the GPU subcuboid schedule consume the whole
-                    // input set at once: drain every panel (they still
-                    // stream in behind the prefetch), then run.
-                    type Blocks = Vec<(BlockId, Block)>;
-                    let on_whole_input = |run: &dyn Fn() -> Result<Blocks, TaskError>| {
-                        drain()?;
-                        ctx.alloc(cuboid_input_bytes(cuboid, &a_view, &b_view, broadcast_b)?)?;
-                        let blocks = run()?;
-                        for (_, blk) in &blocks {
-                            ctx.alloc(blk.mem_bytes())?;
-                        }
-                        Ok(blocks)
-                    };
-                    match (mask, opts.gpu_task_mem_bytes) {
-                        // The CPU loop accumulates each k-panel as it lands.
-                        (None, None) => multiply_cuboid_streamed(
-                            ctx,
-                            cuboid,
-                            &a_view,
-                            &b_view,
-                            problem,
-                            broadcast_b,
-                            fetch,
-                        ),
-                        (Some(mask), _) => on_whole_input(&|| {
-                            let gathered = multiply_cuboid_sddmm(cuboid, &a_view, &b_view, mask)?;
-                            Ok(gathered
-                                .into_iter()
-                                .map(|(id, csr)| (id, Block::Sparse(csr)))
-                                .collect())
-                        }),
-                        (None, Some(theta_g)) => on_whole_input(&|| {
-                            let scheduled = gpu_local::execute_cuboid_real(
-                                cuboid, &a_view, &b_view, problem, theta_g,
-                            )?;
-                            Ok(scheduled
-                                .blocks
-                                .into_iter()
-                                .map(|(id, d)| (id, Block::Dense(d)))
-                                .collect())
-                        }),
-                    }
-                }
-                TaskWork::Voxels(voxels) => {
+        let drain = || (0..panels.len()).try_for_each(fetch);
+        let blocks: Vec<(BlockId, Block)> = match &spec.work {
+            TaskWork::Cuboid(cuboid) => {
+                // SDDMM and the GPU subcuboid schedule consume the whole
+                // input set at once: drain every panel, then run.
+                type Blocks = Vec<(BlockId, Block)>;
+                let on_whole_input = |run: &dyn Fn() -> Result<Blocks, TaskError>| {
                     drain()?;
-                    Ok(multiply_voxels(ctx, voxels, &a_view, &b_view)?
-                        .into_iter()
-                        .collect())
-                }
-                // Map and aggregation work never reaches a mult task.
-                TaskWork::MapRead | TaskWork::Aggregate(_) => drain().map(|()| Vec::new()),
-            }
-        };
-        // Selected from the plan, not by the caller: see PREFETCH_MIN_BYTES.
-        let routed: u64 = spec.inputs.iter().map(|m| m.bytes).sum();
-        let blocks = if panels.len() > 1 && routed >= PREFETCH_MIN_BYTES {
-            std::thread::scope(|scope| {
-                let prefetcher = scope.spawn(|| feed.push_ahead());
-                let advance_to = |consumed: usize| {
-                    feed.consumed.store(consumed, Ordering::Release);
-                    prefetcher.thread().unpark();
+                    ctx.alloc(cuboid_input_bytes(cuboid, &a_view, &b_view, broadcast_b)?)?;
+                    let blocks = run()?;
+                    for (_, blk) in &blocks {
+                        ctx.alloc(blk.mem_bytes())?;
+                    }
+                    Ok(blocks)
                 };
-                let computed = compute(&advance_to);
-                // Release the prefetch throttle whether the loop finished
-                // or failed, and take the prefetch thread's verdict: a move
-                // it could not deliver fails the attempt like a move the
-                // loop pulled.
-                advance_to(usize::MAX);
-                match prefetcher.join() {
-                    Ok(Ok(())) => computed,
-                    Ok(Err(e)) => Err(e),
-                    Err(_) => Err(TaskError::Compute("prefetch thread panicked".into())),
+                match (mask, opts.gpu_task_mem_bytes) {
+                    // The CPU loop accumulates each k-panel as it lands.
+                    (None, None) => multiply_cuboid_streamed(
+                        ctx,
+                        cuboid,
+                        &a_view,
+                        &b_view,
+                        problem,
+                        broadcast_b,
+                        fetch,
+                    ),
+                    (Some(mask), _) => on_whole_input(&|| {
+                        let gathered = multiply_cuboid_sddmm(cuboid, &a_view, &b_view, mask)?;
+                        Ok(gathered
+                            .into_iter()
+                            .map(|(id, csr)| (id, Block::Sparse(csr)))
+                            .collect())
+                    }),
+                    (None, Some(theta_g)) => on_whole_input(&|| {
+                        let scheduled = gpu_local::execute_cuboid_real(
+                            cuboid, &a_view, &b_view, problem, theta_g,
+                        )?;
+                        Ok(scheduled
+                            .blocks
+                            .into_iter()
+                            .map(|(id, d)| (id, Block::Dense(d)))
+                            .collect())
+                    }),
                 }
-            })
-        } else {
-            // Nobody claims a panel ahead of the loop: it pulls each inline.
-            compute(&|_| {})
+            }
+            TaskWork::Voxels(voxels) => {
+                drain()?;
+                Ok(multiply_voxels(ctx, voxels, &a_view, &b_view)?
+                    .into_iter()
+                    .collect())
+            }
+            // Map and aggregation work never reaches a mult task.
+            TaskWork::MapRead | TaskWork::Aggregate(_) => drain().map(|()| Vec::new()),
         }?;
 
         // R = 1 products are final and get the dense/sparse normalization
@@ -720,7 +567,7 @@ pub fn execute_plan_masked(
         opts.tenant,
         opts.priority,
         vec![(); mult_n + lowered.len()],
-        Some(initially_ready),
+        initially_ready,
         |ctx, (), gate| {
             let Some(l) = ctx.task.checked_sub(mult_n) else {
                 let task = ctx.task;
@@ -745,12 +592,7 @@ pub fn execute_plan_masked(
             };
             let l = &lowered[l];
             run_task(faults, l.phase, l.task, l.node, ctx.attempt, || {
-                // A serialization buffer lives for the duration of its move.
-                for mv in &l.moves {
-                    let payload = overlap.timed(&transport, mv, ctx.attempt)?;
-                    ctx.alloc(payload)?;
-                    ctx.free(payload);
-                }
+                deliver(ctx, &transport, &l.moves, &comm.beside_micros)?;
                 if l.phase != Phase::Aggregation {
                     return Ok(Vec::new());
                 }
@@ -824,8 +666,9 @@ pub fn execute_plan_masked(
     // shared ledger); physical bytes come from the job-local transport
     // mirror. Neither reads shared state a concurrent job could be
     // mutating. Time splits by where it went; see the module docs.
-    let comm_secs = overlap.comm_micros.load(Ordering::Relaxed) as f64 / 1e6;
-    let stall_secs = (overlap.stall_micros.load(Ordering::Relaxed) as f64 / 1e6).min(stage_secs);
+    let pull_secs = comm.pull_micros.load(Ordering::Relaxed) as f64 / 1e6;
+    let comm_secs = pull_secs + comm.beside_micros.load(Ordering::Relaxed) as f64 / 1e6;
+    let stall_secs = pull_secs.min(stage_secs);
     let mut stats = JobStats {
         elapsed_secs: prep_secs + stage_secs,
         peak_task_mem_bytes: run.peak_task_mem_bytes,
@@ -837,8 +680,9 @@ pub fn execute_plan_masked(
         retransmitted_payload_bytes: job_transport.retransmitted_bytes(),
         overlap_ratio: (comm_secs > 0.0)
             .then(|| ((comm_secs - stall_secs) / comm_secs).clamp(0.0, 1.0)),
-        prefetch_hits: overlap.hits.load(Ordering::Relaxed),
-        prefetch_stalls: overlap.stalls.load(Ordering::Relaxed),
+        // No panel is ever moved ahead of the loop that consumes it.
+        prefetch_hits: 0,
+        prefetch_stalls: comm.panels.load(Ordering::Relaxed),
         parity_blocks_encoded,
         reconstructed_blocks: job_transport.reconstructed(),
         reconstruction_payload_bytes: job_transport.reconstruction_bytes(),

@@ -91,86 +91,6 @@ pub fn simulate_plan(cluster: &mut SimCluster, plan: &JobPlan) -> Result<JobStat
     Ok(stats)
 }
 
-/// [`simulate`] under the real executor's overlap model.
-///
-/// # Errors
-/// See [`simulate`].
-pub fn simulate_pipelined(
-    cluster: &mut SimCluster,
-    problem: &MatmulProblem,
-    method: MulMethod,
-) -> Result<JobStats, JobError> {
-    let plan = JobPlan::build(problem, method, cluster.config()).at_epoch(cluster.epoch());
-    simulate_plan_pipelined(cluster, &plan)
-}
-
-/// Simulates `plan` as the real executor runs it: [`simulate_plan`]'s
-/// copy-then-compute resource model, with the communication time the one
-/// gated stage hides subtracted afterwards. Communication *bytes* are
-/// untouched — overlap changes when deliveries happen, never the routing
-/// view they are charged from — so sim/real byte parity holds for this
-/// model exactly as for [`simulate_plan`].
-///
-/// The overlap model mirrors the real streamed stage:
-/// * repartition hides behind local mult up to one priming panel — with
-///   `panels` k-steps per task, the first panel's fetch cannot overlap
-///   anything (Algorithm 1's pipeline fill), the rest stream behind
-///   compute;
-/// * aggregation hides behind the mult tail: with `n` gated reduce
-///   waves, all but the last finish inside the fused window.
-///
-/// # Errors
-/// See [`simulate`].
-pub fn simulate_plan_pipelined(
-    cluster: &mut SimCluster,
-    plan: &JobPlan,
-) -> Result<JobStats, JobError> {
-    use crate::plan::TaskWork;
-    let mut stats = simulate_plan(cluster, plan)?;
-    let rep = stats.phase(Phase::Repartition).secs;
-    let mult = stats.phase(Phase::LocalMult).secs;
-    let agg = stats.phase(Phase::Aggregation).secs;
-
-    let mut panels = 1u64;
-    let mut hits = 0u64;
-    let mut stalls = 0u64;
-    if let Some(stage) = plan.stage(Phase::LocalMult) {
-        for t in &stage.tasks {
-            let p = match &t.work {
-                TaskWork::Cuboid(c) => u64::from(c.k1.saturating_sub(c.k0)).max(1),
-                _ => 1,
-            };
-            panels = panels.max(p);
-            // Each task stalls once priming its first panel; every later
-            // panel lands behind the double-buffered prefetch.
-            stalls += 1;
-            hits += p - 1;
-        }
-    }
-    let prime = rep / panels as f64;
-    let hidden_rep = (rep - prime).min(mult).max(0.0);
-    let n_agg = plan.stage(Phase::Aggregation).map_or(0, |s| s.tasks.len());
-    let hidden_agg = if n_agg > 0 {
-        agg * (n_agg - 1) as f64 / n_agg as f64
-    } else {
-        0.0
-    };
-    let hidden = hidden_rep + hidden_agg;
-
-    stats.phase_mut(Phase::Repartition).secs = rep - hidden_rep;
-    stats.phase_mut(Phase::Aggregation).secs = agg - hidden_agg;
-    stats.elapsed_secs = (stats.elapsed_secs - hidden).max(mult);
-    let comm = rep + agg;
-    stats.overlap_ratio = if comm > 0.0 {
-        Some((hidden / comm).clamp(0.0, 1.0))
-    } else {
-        None
-    };
-    stats.prefetch_hits = hits;
-    stats.prefetch_stalls = stalls;
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,46 +133,6 @@ mod tests {
             assert!(
                 cuboid.communication_bytes() < stats.communication_bytes(),
                 "CuboidMM comm not lower than {name}"
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_sim_hides_communication_but_not_bytes() {
-        let p = MatmulProblem::dense(70_000, 70_000, 70_000);
-        for m in [MulMethod::Cpmm, MulMethod::CuboidAuto, MulMethod::Rmm] {
-            let barrier = simulate(&mut paper_sim_gpu(), &p, m).unwrap();
-            let streamed = simulate_pipelined(&mut paper_sim_gpu(), &p, m).unwrap();
-            assert!(
-                streamed.elapsed_secs < barrier.elapsed_secs,
-                "{}: {} vs {}",
-                m.name(),
-                streamed.elapsed_secs,
-                barrier.elapsed_secs
-            );
-            assert!(streamed.elapsed_secs >= barrier.phase(Phase::LocalMult).secs);
-            let ratio = streamed.overlap_ratio.unwrap();
-            assert!(ratio > 0.0 && ratio <= 1.0, "{}: ratio {ratio}", m.name());
-            assert!(streamed.prefetch_stalls > 0);
-            // The routing view — and therefore every byte column — is the
-            // barrier plan's, untouched.
-            for phase in Phase::ALL {
-                assert_eq!(
-                    barrier.phase(phase).shuffle_bytes,
-                    streamed.phase(phase).shuffle_bytes
-                );
-                assert_eq!(
-                    barrier.phase(phase).cross_node_bytes,
-                    streamed.phase(phase).cross_node_bytes
-                );
-                assert_eq!(
-                    barrier.phase(phase).broadcast_bytes,
-                    streamed.phase(phase).broadcast_bytes
-                );
-            }
-            assert_eq!(
-                barrier.communication_bytes(),
-                streamed.communication_bytes()
             );
         }
     }

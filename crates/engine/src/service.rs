@@ -41,6 +41,7 @@ use distme_cluster::{
 };
 use distme_core::real_exec::RealExecOptions;
 use distme_core::{JobPlan, PlanCache, PlanCacheStats};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 
@@ -162,8 +163,8 @@ impl<T> JobHandle<T> {
     ///
     /// # Errors
     /// The submission rejection ([`JobError::QueueFull`],
-    /// [`JobError::InvalidSubmission`]) or whatever the job's operators
-    /// failed with.
+    /// [`JobError::InvalidSubmission`]), whatever the job's operators
+    /// failed with, or [`JobError::Panicked`] if its closure panicked.
     pub fn wait(self) -> Result<JobOutput<T>, JobError> {
         let mut slot = self.state.slot.lock().unwrap_or_else(|p| p.into_inner());
         loop {
@@ -216,7 +217,8 @@ impl JobService {
     /// handle. The job passes admission control on a driver thread: while
     /// the declared demand would overshoot the cluster memory budget it
     /// *queues* (status [`JobStatus::Queued`]); a full submission queue or
-    /// an out-of-range priority fails the handle instead.
+    /// an out-of-range priority fails the handle instead, and so does a
+    /// panic in `job` ([`JobError::Panicked`], scoped to this handle).
     pub fn submit<T, F>(&self, spec: JobSpec, job: F) -> JobHandle<T>
     where
         T: Send + 'static,
@@ -232,39 +234,50 @@ impl JobService {
         let shared = Arc::clone(&self.shared);
         let thread_state = Arc::clone(&state);
         thread::spawn(move || {
-            let ticket =
-                match shared
-                    .scheduler
-                    .submit(spec.tenant, spec.priority, spec.demand_bytes)
-                {
-                    Ok(t) => t,
-                    Err(e) => return thread_state.finish(Err(e)),
-                };
-            thread_state.set_status(JobStatus::Running);
-            let queue_wait_secs = ticket.queue_wait_secs;
-            let cluster = shared.cluster.read().unwrap_or_else(|p| p.into_inner());
-            let mut tally = Tally::default();
-            let value = job(&mut TenantSession {
-                cluster: &cluster,
-                plans: &shared.plans,
-                profile: shared.profile,
-                opts: RealExecOptions {
+            // The driver runs under `catch_unwind`: a panic in the tenant's
+            // closure unwinds out of it — dropping the cluster read lock
+            // and the admission ticket on the way — and fails this handle
+            // with a typed error, instead of killing the only thread that
+            // could ever wake `wait`.
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                let ticket =
+                    shared
+                        .scheduler
+                        .submit(spec.tenant, spec.priority, spec.demand_bytes)?;
+                thread_state.set_status(JobStatus::Running);
+                let queue_wait_secs = ticket.queue_wait_secs;
+                let cluster = shared.cluster.read().unwrap_or_else(|p| p.into_inner());
+                let mut tally = Tally::default();
+                let value = job(&mut TenantSession {
+                    cluster: &cluster,
+                    plans: &shared.plans,
+                    profile: shared.profile,
+                    opts: RealExecOptions {
+                        tenant: spec.tenant,
+                        priority: spec.priority,
+                        ..Default::default()
+                    },
+                    tally: &mut tally,
+                });
+                drop(cluster);
+                // Admission released only now: the budget bounds *concurrent*
+                // resident jobs, so the ticket must outlive the work.
+                drop(ticket);
+                value.map(|value| JobOutput {
+                    value,
+                    stats: tally.stats,
+                    ops_run: tally.ops_run,
+                    queue_wait_secs,
                     tenant: spec.tenant,
-                    priority: spec.priority,
-                    ..Default::default()
-                },
-                tally: &mut tally,
-            });
-            drop(cluster);
-            // Admission released only now: the budget bounds *concurrent*
-            // resident jobs, so the ticket must outlive the work.
-            drop(ticket);
-            thread_state.finish(value.map(|value| JobOutput {
-                value,
-                stats: tally.stats,
-                ops_run: tally.ops_run,
-                queue_wait_secs,
-                tenant: spec.tenant,
+                })
+            }));
+            thread_state.finish(outcome.unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                Err(JobError::Panicked { message })
             }));
         });
         JobHandle { state }

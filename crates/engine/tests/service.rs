@@ -9,9 +9,12 @@
 //! * **Admission** — a submission whose declared demand would overshoot
 //!   the cluster memory budget *queues* (bounding concurrent resident
 //!   memory) instead of failing or OOMing, and runs once capacity frees;
-//!   a full queue and an out-of-range priority are the only rejections.
+//!   a full queue and an out-of-range priority are the only rejections;
+//! * **Isolation** — a panic in one tenant's job closure fails that job's
+//!   handle with a typed error and releases what the job held; nobody
+//!   else's job notices.
 
-use distme_cluster::{ClusterConfig, JobStats, LedgerSnapshot, Phase, TenantId};
+use distme_cluster::{ClusterConfig, JobError, JobStats, LedgerSnapshot, Phase, TenantId};
 use distme_engine::expr::Expr;
 use distme_engine::service::{JobService, JobSpec, JobStatus};
 use distme_engine::session::RealOps;
@@ -318,9 +321,7 @@ fn tight_budget_config(budget: u64, queue_depth: usize) -> ClusterConfig {
 /// returns — the tool for freezing the admission controller mid-state.
 fn gated_job(
     gate: Arc<AtomicBool>,
-) -> impl FnOnce(&mut distme_engine::TenantSession<'_>) -> Result<u32, distme_cluster::JobError>
-       + Send
-       + 'static {
+) -> impl FnOnce(&mut distme_engine::TenantSession<'_>) -> Result<u32, JobError> + Send + 'static {
     move |_s| {
         while !gate.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
@@ -403,6 +404,84 @@ fn a_full_submission_queue_rejects_with_queue_full() {
     gate.store(true, Ordering::SeqCst);
     first.wait().unwrap();
     second.wait().unwrap();
+}
+
+#[test]
+fn a_panicking_job_fails_only_its_own_handle() {
+    let a = Arc::new(dense(80, 64, 5));
+    let b = Arc::new(dense(64, 48, 6));
+    let multiply = |a: Arc<BlockMatrix>, b: Arc<BlockMatrix>| {
+        move |s: &mut distme_engine::TenantSession<'_>| s.matmul(&a, &b)
+    };
+    let solo = service()
+        .submit(
+            JobSpec::new(TenantId(2)),
+            multiply(Arc::clone(&a), Arc::clone(&b)),
+        )
+        .wait()
+        .unwrap();
+
+    // The doomed job holds 80 of the budget's 100 bytes, runs an operator,
+    // then parks until its neighbour is mid-job — so the panic strikes
+    // while another tenant's stages share the pool.
+    let svc = JobService::new(tight_budget_config(100, 8), SystemProfile::DistMe);
+    let neighbour_running = Arc::new(AtomicBool::new(false));
+    let doomed = svc.submit(JobSpec::new(TenantId(1)).demand_bytes(80), {
+        let (a, b, go) = (
+            Arc::clone(&a),
+            Arc::clone(&b),
+            Arc::clone(&neighbour_running),
+        );
+        move |s: &mut distme_engine::TenantSession<'_>| -> Result<(), JobError> {
+            s.matmul(&a, &b)?;
+            while !go.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("tenant bug")
+        }
+    });
+    spin_until(Duration::from_secs(10), || {
+        doomed.status() == JobStatus::Running
+    });
+    let neighbour = svc.submit(JobSpec::new(TenantId(2)), {
+        let (go, job) = (
+            Arc::clone(&neighbour_running),
+            multiply(Arc::clone(&a), Arc::clone(&b)),
+        );
+        move |s: &mut distme_engine::TenantSession<'_>| {
+            go.store(true, Ordering::SeqCst);
+            job(s)
+        }
+    });
+
+    // The handle fails instead of blocking forever on a dead driver thread.
+    spin_until(Duration::from_secs(10), || {
+        doomed.status() == JobStatus::Failed
+    });
+    let err = doomed.wait().unwrap_err();
+    assert!(
+        matches!(&err, JobError::Panicked { message } if message == "tenant bug"),
+        "got: {err:?}"
+    );
+
+    let out = neighbour.wait().unwrap();
+    assert_eq!(fingerprint(&out.value), fingerprint(&solo.value));
+    assert_eq!(comm_signature(&out.stats), comm_signature(&solo.stats));
+
+    // The admission ticket came back: 80 more bytes fit only if the
+    // panicked job's 80 were released.
+    let next = svc.submit(
+        JobSpec::new(TenantId(3)).demand_bytes(80),
+        multiply(Arc::clone(&a), Arc::clone(&b)),
+    );
+    spin_until(Duration::from_secs(10), || {
+        next.status() == JobStatus::Finished
+    });
+    assert_eq!(
+        fingerprint(&next.wait().unwrap().value),
+        fingerprint(&solo.value)
+    );
+    assert_eq!(svc.load().admitted_mem_bytes, 0);
 }
 
 #[test]

@@ -419,10 +419,15 @@ mod tests {
         // Shapes that straddle every tile edge: MR/NR, MC/KC, and the
         // panel-internal padding rows/cols.
         for &(m, k, n) in &[
+            (1, 1, 1),
+            (7, 5, 3),
             (MR, KC, NR),
             (MR - 1, KC + 1, NR + 1),
+            (MR + 1, 3, NR - 1),
             (MC, KC, NR * 3),
             (MC + 1, KC - 1, NR * 3 + 2),
+            (MC + 1, KC + 1, NR + 1),
+            (3, 2, NC + 1),
             (MR * 2 + 3, 2 * KC + 5, NR + 3),
         ] {
             let a = pseudo_random(m, k, 7);
@@ -432,7 +437,13 @@ mod tests {
             gemm(1.0, &a, &b, 0.0, &mut c).unwrap();
             assert!(
                 c.max_abs_diff(&expect).unwrap() < 1e-8,
-                "mismatch at {m}x{k}x{n}"
+                "gemm mismatch at {m}x{k}x{n}"
+            );
+            let mut c = DenseBlock::zeros(m, n);
+            gemm_tn(1.0, &a.transpose(), &b, 0.0, &mut c).unwrap();
+            assert!(
+                c.max_abs_diff(&expect).unwrap() < 1e-8,
+                "gemm_tn mismatch at {m}x{k}x{n}"
             );
         }
     }

@@ -26,7 +26,6 @@
 pub mod block;
 pub mod block_matrix;
 pub mod codec;
-pub mod csc;
 pub mod dense;
 pub mod elementwise;
 pub mod error;
@@ -39,7 +38,6 @@ pub mod sparse;
 
 pub use block::{Block, BlockFormat, BlockId};
 pub use block_matrix::{fresh_matrix_uid, BlockMatrix};
-pub use csc::CscBlock;
 pub use dense::DenseBlock;
 pub use error::{MatrixError, Result};
 pub use generator::MatrixGenerator;

@@ -5,9 +5,7 @@ use distme_matrix::elementwise::{ew, EwOp};
 use distme_matrix::kernels;
 use distme_matrix::kernels::gemm::{gemm, gemm_tn};
 use distme_matrix::kernels::{spgemm, spmm};
-use distme_matrix::{
-    codec, Block, BlockMatrix, CscBlock, CsrBlock, DenseBlock, MatrixGenerator, MatrixMeta,
-};
+use distme_matrix::{codec, Block, BlockMatrix, CsrBlock, DenseBlock, MatrixGenerator, MatrixMeta};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary dense block up to 24 x 24.
@@ -294,15 +292,6 @@ proptest! {
     fn csr_dense_csr_roundtrip(s in sparse_block()) {
         let back = CsrBlock::from_dense(&s.to_dense());
         prop_assert_eq!(s, back);
-    }
-
-    #[test]
-    fn csc_is_a_faithful_dual(s in sparse_block()) {
-        let csc = CscBlock::from_csr(&s);
-        csc.validate().expect("valid CSC");
-        prop_assert_eq!(csc.nnz(), s.nnz());
-        prop_assert_eq!(csc.to_dense(), s.to_dense());
-        prop_assert_eq!(csc.to_csr(), s);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`matrix`] | `distme-matrix` | dense/CSR blocks, GEMM/SpMM/SpGEMM kernels, codec, generators |
 //! | [`sim`] | `distme-sim` | virtual-time resource simulation (FIFO servers, slot pools, gauges) |
-//! | [`cluster`] | `distme-cluster` | partitioners, shuffle accounting, real + simulated executors, failure modes |
+//! | [`cluster`] | `distme-cluster` | shuffle accounting, block stores + transport, scheduler, real + simulated executors, failure modes |
 //! | [`gpu`] | `distme-gpu` | simulated GPU device: PCI-E engines, streams, MPS, kernel model |
 //! | [`core`] | `distme-core` | the paper's contribution: cuboids, optimizers, methods, Algorithm 1, SUMMA |
 //! | [`engine`] | `distme-engine` | expression API, sessions, system profiles, GNMF, datasets |

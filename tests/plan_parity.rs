@@ -234,16 +234,15 @@ fn result_bits(m: &BlockMatrix) -> Vec<(BlockId, bool, Vec<u64>)> {
 #[test]
 fn executor_matches_a_serial_reference_bit_for_bit() {
     // One executor, so nothing to compare it with but the definition: for
-    // every method (SDDMM included), dense and 8 % sparse operands, tasks
-    // under and over the prefetch threshold, θg off and on, the result is
-    // the serial reference's bits; the ledger, the job's stats and the
-    // simulator's overlap model all report the plan's routed bytes; and the
-    // job says how its communication overlapped.
+    // every method (SDDMM included), dense and 8 % sparse operands, one
+    // k-panel a task and several, θg off and on, the result is the serial
+    // reference's bits; the ledger, the job's stats and the simulator all
+    // report the plan's routed bytes; and the job says how many panels its
+    // mult tasks pulled and how its communication overlapped.
     //
-    // The small shape pulls every panel inline (2 KiB blocks). The large
-    // one is tall and deep but 16 columns wide — 512 KiB A blocks, three
-    // k-panels a task, few FLOPs — so its tasks prefetch; its single block
-    // column rules out the two fixed `Q = 2` grids.
+    // The large shape is tall and deep but 16 columns wide — three
+    // 512 KiB-block k-panels a task, few FLOPs; its single block column
+    // rules out the two fixed `Q = 2` grids.
     let sampled = (MulMethod::Sddmm, "SDDMM");
     for (rows, inner, cols, bs) in [(5 * BS, 4 * BS, 3 * BS, BS), (512, 768, 16, 256)] {
         for sparsity in [1.0, 0.08] {
@@ -269,14 +268,6 @@ fn executor_matches_a_serial_reference_bit_for_bit() {
 
                     let cluster = LocalCluster::new(ClusterConfig::laptop());
                     let plan = JobPlan::build(&problem, method, cluster.config());
-                    if bs > BS && sparsity == 1.0 && name == "BMM" {
-                        // The executor's prefetch threshold is 1 MiB.
-                        let mult = plan.stage(Phase::LocalMult).unwrap();
-                        let routed = |t: &distme_core::TaskSpec| -> u64 {
-                            t.inputs.iter().map(|m| m.bytes).sum()
-                        };
-                        assert!(mult.tasks.iter().all(|t| routed(t) >= 1 << 20), "{label}");
-                    }
                     let opts = RealExecOptions {
                         gpu_task_mem_bytes: theta_g,
                         ..Default::default()
@@ -291,7 +282,7 @@ fn executor_matches_a_serial_reference_bit_for_bit() {
                     );
 
                     let mut sim = SimCluster::new(ClusterConfig::laptop());
-                    let sim_stats = sim_exec::simulate_pipelined(&mut sim, &problem, method)
+                    let sim_stats = sim_exec::simulate(&mut sim, &problem, method)
                         .unwrap_or_else(|e| panic!("{label} sim: {e}"));
                     for phase in Phase::ALL {
                         let routed = plan.phase_comm(phase);
@@ -325,7 +316,7 @@ fn executor_matches_a_serial_reference_bit_for_bit() {
                         assert_eq!(
                             sim_stats.phase(phase).shuffle_bytes,
                             stats.phase(phase).shuffle_bytes,
-                            "{label}: overlap-model sim bytes diverge in {}",
+                            "{label}: sim bytes diverge in {}",
                             phase.label()
                         );
                     }
@@ -333,9 +324,20 @@ fn executor_matches_a_serial_reference_bit_for_bit() {
                         .overlap_ratio
                         .unwrap_or_else(|| panic!("{label}: jobs report overlap"));
                     assert!((0.0..=1.0).contains(&ratio), "{label}: ratio {ratio}");
-                    assert!(
-                        stats.prefetch_hits + stats.prefetch_stalls > 0,
-                        "{label}: every panel is a hit or a stall"
+                    let panels: u64 = plan
+                        .stage(Phase::LocalMult)
+                        .unwrap()
+                        .tasks
+                        .iter()
+                        .map(|t| match &t.work {
+                            TaskWork::Cuboid(c) => u64::from(c.k1 - c.k0),
+                            _ => 1,
+                        })
+                        .sum();
+                    assert_eq!(
+                        (stats.prefetch_hits, stats.prefetch_stalls),
+                        (0, panels),
+                        "{label}: every panel is pulled by the task that consumes it"
                     );
                 }
             }
