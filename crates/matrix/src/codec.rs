@@ -116,12 +116,17 @@ mod pclmul {
         let mut len = bytes.len();
 
         let k1k2 = _mm_set_epi64x(K2, K1);
-        let mut x1 = _mm_loadu_si128(p.cast());
-        let mut x2 = _mm_loadu_si128(p.add(16).cast());
-        let mut x3 = _mm_loadu_si128(p.add(32).cast());
-        let mut x4 = _mm_loadu_si128(p.add(48).cast());
+        let (mut x1, mut x2, mut x3, mut x4);
+        // SAFETY: the caller guarantees `bytes.len() >= 64`, so the four
+        // 16-byte loads and the 64-byte advance stay inside `bytes`.
+        unsafe {
+            x1 = _mm_loadu_si128(p.cast());
+            x2 = _mm_loadu_si128(p.add(16).cast());
+            x3 = _mm_loadu_si128(p.add(32).cast());
+            x4 = _mm_loadu_si128(p.add(48).cast());
+            p = p.add(64);
+        }
         x1 = _mm_xor_si128(x1, _mm_cvtsi32_si128(crc as i32));
-        p = p.add(64);
         len -= 64;
 
         // Four independent lanes, 64 bytes per step.
@@ -135,11 +140,15 @@ mod pclmul {
                     next,
                 )
             };
-            x1 = f(x1, _mm_loadu_si128(p.cast()));
-            x2 = f(x2, _mm_loadu_si128(p.add(16).cast()));
-            x3 = f(x3, _mm_loadu_si128(p.add(32).cast()));
-            x4 = f(x4, _mm_loadu_si128(p.add(48).cast()));
-            p = p.add(64);
+            // SAFETY: `len >= 64` bytes of `bytes` remain at `p`: four
+            // 16-byte loads, then `p` steps over the 64 just read.
+            unsafe {
+                x1 = f(x1, _mm_loadu_si128(p.cast()));
+                x2 = f(x2, _mm_loadu_si128(p.add(16).cast()));
+                x3 = f(x3, _mm_loadu_si128(p.add(32).cast()));
+                x4 = f(x4, _mm_loadu_si128(p.add(48).cast()));
+                p = p.add(64);
+            }
             len -= 64;
         }
 
@@ -158,8 +167,11 @@ mod pclmul {
         x = fold1(x, x3);
         x = fold1(x, x4);
         while len >= 16 {
-            x = fold1(x, _mm_loadu_si128(p.cast()));
-            p = p.add(16);
+            // SAFETY: `len >= 16` bytes of `bytes` remain at `p`.
+            unsafe {
+                x = fold1(x, _mm_loadu_si128(p.cast()));
+                p = p.add(16);
+            }
             len -= 16;
         }
 

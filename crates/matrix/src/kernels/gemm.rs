@@ -7,32 +7,105 @@
 //!   row panels, B into `NR`-strided column panels — so the micro-kernel
 //!   streams both with unit stride and no edge branches;
 //! * the loop nest blocks by `NC` (B columns, L3), `KC` (panel depth, L1/L2)
-//!   and `MC` (A rows, L2), with an `MR × NR = 8 × 4` register-tiled
-//!   micro-kernel at the bottom;
-//! * on x86-64 the micro-kernel dispatches at runtime to an AVX2+FMA
-//!   instantiation (`mul_add` compiles to `vfmadd`) when the CPU supports
-//!   it, with a portable mul+add fallback everywhere else.
+//!   and `MC` (A rows, L2), with an `MR × NR` register-tiled micro-kernel at
+//!   the bottom;
+//! * the register tile is chosen per ISA, once per process, by runtime
+//!   detection ([`Tile`]): **8 × 24** on `avx512f` (24 `zmm` accumulators),
+//!   **6 × 8** on `avx2+fma` (12 `ymm` accumulators), and a portable
+//!   **8 × 4** mul+add body everywhere else. The driver, the packing
+//!   routines and the macro-kernel are one generic body over `<MR, NR>`;
+//!   only the micro-kernels are written per ISA, in `std::arch` intrinsics.
+//!
+//! **The summation order is the contract, not the tile.** Every element of
+//! `C` is computed as: for each `KC`-deep slab of the inner dimension, one
+//! sequential fused-multiply-add chain `acc = fma(a[i,p], b[p,j], acc)`
+//! from `acc = 0`, then `c = fma(alpha, acc, c)`. No tile shape, `MC` or
+//! `NC` enters that expression, so both FMA tiles produce the same bits
+//! (and the same bits as the 8 × 4 FMA tile they replaced); the engine's
+//! bit-identity suites rest on it. `KC` does enter it and must not change.
+//! The portable tile rounds twice per step (mul, then add) and agrees only
+//! to rounding error.
 //!
 //! [`gemm_tn`] (`C = alpha * aᵀ * b + beta * C`) shares the same driver:
 //! packing A reads it column-wise, so the transpose costs nothing extra and
 //! the micro-kernel is identical.
 
+use std::sync::OnceLock;
+
 use crate::dense::DenseBlock;
 use crate::error::{MatrixError, Result};
 
 /// Tile size along the k dimension (panel depth; A and B panels of this
-/// depth stay L1/L2-resident under the micro-kernel).
+/// depth stay L1/L2-resident under the micro-kernel). Each `KC` slab is one
+/// rounding chain, so this value is part of every result's bits.
 const KC: usize = 256;
 /// Tile size along the m dimension (rows of A packed per panel).
 const MC: usize = 128;
 /// Tile size along the n dimension (columns of B packed per panel).
 const NC: usize = 2048;
-/// Register block: the micro-kernel computes an `MR × NR` sub-tile.
-const MR: usize = 8;
-/// See [`MR`].
-const NR: usize = 4;
+
+/// A register tile: the `MR × NR` block of `C` one micro-kernel call
+/// computes, and the instruction set its accumulators live in.
+///
+/// Invariant the `unsafe` dispatch in [`gemm_on`] relies on: a SIMD variant
+/// is only ever taken out of [`Tile::supported`], i.e. after
+/// `is_x86_feature_detected!` confirmed its ISA on this CPU.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tile {
+    /// 8 × 24 in 24 `zmm` accumulators (`avx512f`).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// 6 × 8 in 12 `ymm` accumulators (`avx2` + `fma`).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// 8 × 4 scalar mul+add, left to the auto-vectorizer.
+    Portable,
+}
+
+impl Tile {
+    /// Every tile compiled into this build, widest first.
+    const ALL: &'static [Tile] = &[
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx2,
+        Tile::Portable,
+    ];
+
+    fn is_supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
+            Tile::Portable => true,
+        }
+    }
+
+    /// The tiles this CPU can run, widest first.
+    fn supported() -> impl Iterator<Item = Tile> {
+        Tile::ALL.iter().copied().filter(|t| t.is_supported())
+    }
+
+    /// The widest supported tile, detected once per process: the only
+    /// dispatch point of [`gemm`] and [`gemm_tn`].
+    fn best() -> Tile {
+        static BEST: OnceLock<Tile> = OnceLock::new();
+        *BEST.get_or_init(|| {
+            Tile::supported()
+                .next()
+                .expect("the portable tile is always supported")
+        })
+    }
+}
 
 /// `c = alpha * a * b + beta * c`.
+///
+/// `beta == 0.0` overwrites: `c`'s prior contents are not read, so a reused
+/// accumulator holding `NaN` or `∞` is safe to pass (the BLAS convention).
 ///
 /// # Errors
 /// Returns [`MatrixError::DimensionMismatch`] when operand shapes are
@@ -44,21 +117,7 @@ pub fn gemm(
     beta: f64,
     c: &mut DenseBlock,
 ) -> Result<()> {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    if k != kb || c.rows() != m || c.cols() != n {
-        return Err(MatrixError::DimensionMismatch {
-            op: "gemm",
-            lhs: (m as u64, k as u64),
-            rhs: (kb as u64, n as u64),
-        });
-    }
-    scale_c(beta, c);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return Ok(());
-    }
-    blocked_driver::<false>(alpha, a.data(), b.data(), c.data_mut(), m, n, k);
-    Ok(())
+    gemm_on::<false>(Tile::best(), alpha, a, b, beta, c)
 }
 
 /// `c = alpha * aᵀ * b + beta * c` without materializing `aᵀ`.
@@ -66,7 +125,7 @@ pub fn gemm(
 /// The `WᵀV` / `WᵀW` pattern of GNMF and the Gram-matrix pattern of least
 /// squares both left-multiply by a transpose; packing `A` column-wise here
 /// absorbs the transpose into the packing pass, so the blocked kernel runs
-/// at the same rate as [`gemm`].
+/// at the same rate as [`gemm`]. `beta == 0.0` overwrites, as in [`gemm`].
 ///
 /// # Errors
 /// Returns [`MatrixError::DimensionMismatch`] when operand shapes are
@@ -78,12 +137,31 @@ pub fn gemm_tn(
     beta: f64,
     c: &mut DenseBlock,
 ) -> Result<()> {
-    let (k, m) = (a.rows(), a.cols());
+    gemm_on::<true>(Tile::best(), alpha, a, b, beta, c)
+}
+
+/// [`gemm`] (`TN = false`) or [`gemm_tn`] (`TN = true`) on one register
+/// tile. The public entry points pass [`Tile::best`]; the tests walk
+/// [`Tile::supported`] so every compiled-in body runs on every host that
+/// can run it.
+fn gemm_on<const TN: bool>(
+    tile: Tile,
+    alpha: f64,
+    a: &DenseBlock,
+    b: &DenseBlock,
+    beta: f64,
+    c: &mut DenseBlock,
+) -> Result<()> {
+    let (m, k) = if TN {
+        (a.cols(), a.rows())
+    } else {
+        (a.rows(), a.cols())
+    };
     let (kb, n) = (b.rows(), b.cols());
     if k != kb || c.rows() != m || c.cols() != n {
         return Err(MatrixError::DimensionMismatch {
-            op: "gemm_tn",
-            lhs: (k as u64, m as u64),
+            op: if TN { "gemm_tn" } else { "gemm" },
+            lhs: (a.rows() as u64, a.cols() as u64),
             rhs: (kb as u64, n as u64),
         });
     }
@@ -91,22 +169,52 @@ pub fn gemm_tn(
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return Ok(());
     }
-    blocked_driver::<true>(alpha, a.data(), b.data(), c.data_mut(), m, n, k);
+    let (av, bv, cv) = (a.data(), b.data(), c.data_mut());
+    match tile {
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx512 => {
+            // SAFETY: `Tile::Avx512` comes out of `Tile::supported` only
+            // after `is_x86_feature_detected!("avx512f")` (see `Tile`).
+            let kernel = |alpha, ap: &[f64], bp: &[f64], cv: &mut [f64], c0, ldc, mr, nr| unsafe {
+                micro_kernel_avx512(alpha, ap, bp, cv, c0, ldc, mr, nr)
+            };
+            blocked_driver::<8, 24, TN>(kernel, alpha, av, bv, cv, m, n, k)
+        }
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx2 => {
+            // SAFETY: `Tile::Avx2` comes out of `Tile::supported` only after
+            // `is_x86_feature_detected!` saw both "avx2" and "fma".
+            let kernel = |alpha, ap: &[f64], bp: &[f64], cv: &mut [f64], c0, ldc, mr, nr| unsafe {
+                micro_kernel_avx2(alpha, ap, bp, cv, c0, ldc, mr, nr)
+            };
+            blocked_driver::<6, 8, TN>(kernel, alpha, av, bv, cv, m, n, k)
+        }
+        Tile::Portable => {
+            blocked_driver::<8, 4, TN>(micro_kernel_portable, alpha, av, bv, cv, m, n, k)
+        }
+    }
     Ok(())
 }
 
+/// `c = beta * c`, with the two BLAS special cases: `beta == 1` leaves `c`
+/// alone and `beta == 0` overwrites it (`0 * NaN` would keep the `NaN`).
 fn scale_c(beta: f64, c: &mut DenseBlock) {
-    if beta != 1.0 {
+    if beta == 0.0 {
+        c.data_mut().fill(0.0);
+    } else if beta != 1.0 {
         for v in c.data_mut() {
             *v *= beta;
         }
     }
 }
 
-/// The five-loop blocked driver. `TN` selects how A is read during packing:
+/// The five-loop blocked driver over an `MR × NR` register tile, whose
+/// micro-kernel is `kernel`. `TN` selects how A is read during packing:
 /// `false` — A is `m × k` row-major; `true` — A is `k × m` row-major and the
 /// packed panels hold `aᵀ`.
-fn blocked_driver<const TN: bool>(
+#[allow(clippy::too_many_arguments)]
+fn blocked_driver<const MR: usize, const NR: usize, const TN: bool>(
+    kernel: impl Fn(f64, &[f64], &[f64], &mut [f64], usize, usize, usize, usize),
     alpha: f64,
     av: &[f64],
     bv: &[f64],
@@ -115,9 +223,10 @@ fn blocked_driver<const TN: bool>(
     n: usize,
     k: usize,
 ) {
-    let use_fma = fma_available();
     // Panel buffers are rounded up to full MR/NR tiles and zero-padded, so
     // the micro-kernel never branches on edges; the write-back masks them.
+    // They keep the full MC×KC / NC×KC size whatever the operands: sizing
+    // and reusing them is ROADMAP item 2(a).
     let mut apack = vec![0.0f64; MC.div_ceil(MR) * MR * KC];
     let mut bpack = vec![0.0f64; NC.div_ceil(NR) * NR * KC];
 
@@ -127,16 +236,18 @@ fn blocked_driver<const TN: bool>(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(&mut bpack, bv, n, pc, jc, kc, nc);
+            pack_b::<NR>(&mut bpack, bv, n, pc, jc, kc, nc);
             let mut ic = 0;
             while ic < m {
                 let mc = MC.min(m - ic);
                 if TN {
-                    pack_a_tn(&mut apack, av, m, pc, ic, kc, mc);
+                    // A stored `k × m` holds a panel row's MR values side by
+                    // side, exactly as B holds NR of them.
+                    pack_b::<MR>(&mut apack, av, m, pc, ic, kc, mc);
                 } else {
-                    pack_a(&mut apack, av, k, pc, ic, kc, mc);
+                    pack_a::<MR>(&mut apack, av, k, pc, ic, kc, mc);
                 }
-                macro_kernel(alpha, &apack, &bpack, cv, ic, jc, mc, nc, kc, n, use_fma);
+                macro_kernel::<MR, NR>(&kernel, alpha, &apack, &bpack, cv, ic, jc, mc, nc, kc, n);
                 ic += mc;
             }
             pc += kc;
@@ -148,71 +259,59 @@ fn blocked_driver<const TN: bool>(
 /// Packs `A[ic..ic+mc, pc..pc+kc]` (row-major, leading dimension `lda`)
 /// into MR-strided panels: panel `ir` holds, for each depth `p`, the MR
 /// consecutive values `A[ic+ir.., pc+p]`. Rows past `mc` pad with zero.
-fn pack_a(apack: &mut [f64], av: &[f64], lda: usize, pc: usize, ic: usize, kc: usize, mc: usize) {
-    let mut dst = 0;
-    let mut ir = 0;
-    while ir < mc {
+/// Each source row is read once, left to right; the strided side of the
+/// transpose is the write, into a panel that stays cache-resident.
+fn pack_a<const MR: usize>(
+    apack: &mut [f64],
+    av: &[f64],
+    lda: usize,
+    pc: usize,
+    ic: usize,
+    kc: usize,
+    mc: usize,
+) {
+    for (panel, ir) in apack.chunks_exact_mut(kc * MR).zip((0..mc).step_by(MR)) {
         let rows = MR.min(mc - ir);
-        for p in 0..kc {
-            let base = dst + p * MR;
-            for r in 0..rows {
-                apack[base + r] = av[(ic + ir + r) * lda + pc + p];
-            }
-            for r in rows..MR {
-                apack[base + r] = 0.0;
+        for r in 0..rows {
+            let arow = &av[(ic + ir + r) * lda + pc..][..kc];
+            for (p, &v) in arow.iter().enumerate() {
+                panel[p * MR + r] = v;
             }
         }
-        dst += kc * MR;
-        ir += MR;
-    }
-}
-
-/// [`pack_a`] for the transposed layout: A is `k × m` row-major and the
-/// packed panel holds `aᵀ[ic.., pc..]`, i.e. element `(r, p)` reads
-/// `A[pc+p, ic+ir+r]`. Reading row `pc+p` of A is sequential, so the
-/// transpose costs one strided write pattern into a cache-resident panel.
-fn pack_a_tn(apack: &mut [f64], av: &[f64], m: usize, pc: usize, ic: usize, kc: usize, mc: usize) {
-    let mut dst = 0;
-    let mut ir = 0;
-    while ir < mc {
-        let rows = MR.min(mc - ir);
-        for p in 0..kc {
-            let arow = (pc + p) * m + ic + ir;
-            let base = dst + p * MR;
-            apack[base..base + rows].copy_from_slice(&av[arow..arow + rows]);
-            for r in rows..MR {
-                apack[base + r] = 0.0;
+        for r in rows..MR {
+            for p in 0..kc {
+                panel[p * MR + r] = 0.0;
             }
         }
-        dst += kc * MR;
-        ir += MR;
     }
 }
 
 /// Packs `B[pc..pc+kc, jc..jc+nc]` (row-major, leading dimension `ldb`)
 /// into NR-strided panels: panel `jr` holds, for each depth `p`, the NR
 /// consecutive values `B[pc+p, jc+jr..]`. Columns past `nc` pad with zero.
-fn pack_b(bpack: &mut [f64], bv: &[f64], ldb: usize, pc: usize, jc: usize, kc: usize, nc: usize) {
-    let mut dst = 0;
-    let mut jr = 0;
-    while jr < nc {
+fn pack_b<const NR: usize>(
+    bpack: &mut [f64],
+    bv: &[f64],
+    ldb: usize,
+    pc: usize,
+    jc: usize,
+    kc: usize,
+    nc: usize,
+) {
+    for (panel, jr) in bpack.chunks_exact_mut(kc * NR).zip((0..nc).step_by(NR)) {
         let cols = NR.min(nc - jr);
-        for p in 0..kc {
+        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
             let brow = (pc + p) * ldb + jc + jr;
-            let base = dst + p * NR;
-            bpack[base..base + cols].copy_from_slice(&bv[brow..brow + cols]);
-            for q in cols..NR {
-                bpack[base + q] = 0.0;
-            }
+            dst[..cols].copy_from_slice(&bv[brow..brow + cols]);
+            dst[cols..].fill(0.0);
         }
-        dst += kc * NR;
-        jr += NR;
     }
 }
 
 /// Walks the packed panels, invoking the micro-kernel per `MR × NR` tile.
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel(
+fn macro_kernel<const MR: usize, const NR: usize>(
+    kernel: &impl Fn(f64, &[f64], &[f64], &mut [f64], usize, usize, usize, usize),
     alpha: f64,
     apack: &[f64],
     bpack: &[f64],
@@ -223,86 +322,21 @@ fn macro_kernel(
     nc: usize,
     kc: usize,
     ldc: usize,
-    use_fma: bool,
 ) {
-    let mut jr = 0;
-    while jr < nc {
+    for (bp, jr) in bpack.chunks_exact(kc * NR).zip((0..nc).step_by(NR)) {
         let nr = NR.min(nc - jr);
-        let bp = &bpack[(jr / NR) * kc * NR..][..kc * NR];
-        let mut ir = 0;
-        while ir < mc {
+        for (ap, ir) in apack.chunks_exact(kc * MR).zip((0..mc).step_by(MR)) {
             let mr = MR.min(mc - ir);
-            let ap = &apack[(ir / MR) * kc * MR..][..kc * MR];
             let c0 = (ic + ir) * ldc + jc + jr;
-            if use_fma {
-                // SAFETY: `use_fma` is true only when `fma_available`
-                // confirmed AVX2+FMA support on this CPU at runtime.
-                unsafe { micro_kernel_avx2(alpha, ap, bp, cv, c0, ldc, mr, nr) };
-            } else {
-                micro_kernel_portable(alpha, ap, bp, cv, c0, ldc, mr, nr);
-            }
-            ir += MR;
-        }
-        jr += NR;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn fma_available() -> bool {
-    false
-}
-
-/// The register-tiled inner kernel over one `MR`-panel of A and one
-/// `NR`-panel of B: 32 accumulators, fully unrolled across the tile, one
-/// multiply-add per element per depth step. `FMA` selects `mul_add`
-/// (single rounding, compiles to `vfmadd` under the fma feature) versus
-/// plain mul+add, so the portable build never hits the libm soft-fma path.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn micro_kernel_body<const FMA: bool>(
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    cv: &mut [f64],
-    c0: usize,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for (avec, bvec) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        let avec: &[f64; MR] = avec.try_into().expect("exact chunk");
-        let bvec: &[f64; NR] = bvec.try_into().expect("exact chunk");
-        for r in 0..MR {
-            let ar = avec[r];
-            for q in 0..NR {
-                if FMA {
-                    acc[r][q] = ar.mul_add(bvec[q], acc[r][q]);
-                } else {
-                    acc[r][q] += ar * bvec[q];
-                }
-            }
-        }
-    }
-    // Edge masking happens here, not in the hot loop: the panels are
-    // zero-padded to full MR × NR, so only the write-back needs `mr`/`nr`.
-    for (r, accr) in acc.iter().enumerate().take(mr) {
-        let crow = &mut cv[c0 + r * ldc..][..nr];
-        for (cq, &v) in crow.iter_mut().zip(accr.iter()) {
-            if FMA {
-                *cq = alpha.mul_add(v, *cq);
-            } else {
-                *cq += alpha * v;
-            }
+            kernel(alpha, ap, bp, cv, c0, ldc, mr, nr);
         }
     }
 }
 
+/// The portable register tile, 8 × 4: 32 scalar accumulators, fully
+/// unrolled across the tile, one multiply and one add per element per depth
+/// step (two roundings — no `mul_add`, which without the `fma` target
+/// feature would fall to the libm soft-fma path).
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel_portable(
     alpha: f64,
@@ -314,11 +348,94 @@ fn micro_kernel_portable(
     mr: usize,
     nr: usize,
 ) {
-    micro_kernel_body::<false>(alpha, ap, bp, cv, c0, ldc, mr, nr);
+    const MR: usize = 8;
+    const NR: usize = 4;
+    let mut acc = [[0.0f64; NR]; MR];
+    for (avec, bvec) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        let avec: &[f64; MR] = avec.try_into().expect("exact chunk");
+        let bvec: &[f64; NR] = bvec.try_into().expect("exact chunk");
+        for r in 0..MR {
+            for q in 0..NR {
+                acc[r][q] += avec[r] * bvec[q];
+            }
+        }
+    }
+    // Edge masking happens here, not in the hot loop: the panels are
+    // zero-padded to full MR × NR, so only the write-back needs `mr`/`nr`.
+    for (r, accr) in acc.iter().enumerate().take(mr) {
+        let crow = &mut cv[c0 + r * ldc..][..nr];
+        for (cq, &v) in crow.iter_mut().zip(accr) {
+            *cq += alpha * v;
+        }
+    }
 }
 
-/// AVX2+FMA instantiation of the same body: with the features enabled the
-/// compiler vectorizes the NR-wide accumulator rows into `vfmadd231pd`.
+/// The `avx512f` register tile, 8 × 24: each of the 8 rows keeps three
+/// `zmm` accumulators (24 of the 32 registers), and a depth step is 3 loads
+/// of B and, per row, one broadcast of A feeding 3 FMAs — 24 FMAs on 11
+/// loads, so the FMA ports, not the load ports, set the pace.
+///
+/// Per element this is the chain the module docs fix: `acc = fma(a, b,
+/// acc)` down the panel, then `c = fma(alpha, acc, c)`.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+fn micro_kernel_avx512(
+    alpha: f64,
+    ap: &[f64],
+    bp: &[f64],
+    cv: &mut [f64],
+    c0: usize,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::*;
+    const MR: usize = 8;
+    const NR: usize = 24;
+    let mut acc = [[_mm512_setzero_pd(); NR / 8]; MR];
+    for (avec, bvec) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        let avec: &[f64; MR] = avec.try_into().expect("exact chunk");
+        let bvec: &[f64; NR] = bvec.try_into().expect("exact chunk");
+        // SAFETY: `bvec` is 24 elements; the three 8-lane loads cover
+        // elements 0..8, 8..16 and 16..24 of it.
+        let b = unsafe {
+            [
+                _mm512_loadu_pd(bvec.as_ptr()),
+                _mm512_loadu_pd(bvec.as_ptr().add(8)),
+                _mm512_loadu_pd(bvec.as_ptr().add(16)),
+            ]
+        };
+        for r in 0..MR {
+            let a = _mm512_set1_pd(avec[r]);
+            for j in 0..NR / 8 {
+                acc[r][j] = _mm512_fmadd_pd(a, b[j], acc[r][j]);
+            }
+        }
+    }
+    // The panels are zero-padded to the full tile, so only this write-back
+    // sees `mr`/`nr`: rows past `mr` are skipped, columns past `nr` are
+    // masked out of both the load and the store.
+    let alpha = _mm512_set1_pd(alpha);
+    for (r, accr) in acc.iter().enumerate().take(mr) {
+        let crow = &mut cv[c0 + r * ldc..][..nr];
+        for (cvec, &v) in crow.chunks_mut(8).zip(accr) {
+            let mask: __mmask8 = 0xFF >> (8 - cvec.len());
+            // SAFETY: `mask` enables exactly the first `cvec.len()` (1..=8)
+            // lanes, so the masked load and store touch only `cvec`.
+            unsafe {
+                let c = _mm512_maskz_loadu_pd(mask, cvec.as_ptr());
+                _mm512_mask_storeu_pd(cvec.as_mut_ptr(), mask, _mm512_fmadd_pd(alpha, v, c));
+            }
+        }
+    }
+}
+
+/// The `avx2+fma` register tile, 6 × 8: each of the 6 rows keeps two `ymm`
+/// accumulators (12 of the 16 registers, leaving two for the B loads and
+/// one for the A broadcast), and a depth step is 2 loads of B and, per row,
+/// one broadcast of A feeding 2 FMAs. Same per-element chain as
+/// [`micro_kernel_avx512`], hence the same bits.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
@@ -332,22 +449,51 @@ fn micro_kernel_avx2(
     mr: usize,
     nr: usize,
 ) {
-    micro_kernel_body::<true>(alpha, ap, bp, cv, c0, ldc, mr, nr);
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-unsafe fn micro_kernel_avx2(
-    _alpha: f64,
-    _ap: &[f64],
-    _bp: &[f64],
-    _cv: &mut [f64],
-    _c0: usize,
-    _ldc: usize,
-    _mr: usize,
-    _nr: usize,
-) {
-    unreachable!("fma_available() is false off x86-64");
+    use std::arch::x86_64::*;
+    const MR: usize = 6;
+    const NR: usize = 8;
+    let mut acc = [[_mm256_setzero_pd(); NR / 4]; MR];
+    for (avec, bvec) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        let avec: &[f64; MR] = avec.try_into().expect("exact chunk");
+        let bvec: &[f64; NR] = bvec.try_into().expect("exact chunk");
+        // SAFETY: `bvec` is 8 elements; the two 4-lane loads cover elements
+        // 0..4 and 4..8 of it.
+        let b = unsafe {
+            [
+                _mm256_loadu_pd(bvec.as_ptr()),
+                _mm256_loadu_pd(bvec.as_ptr().add(4)),
+            ]
+        };
+        for r in 0..MR {
+            let a = _mm256_set1_pd(avec[r]);
+            for j in 0..NR / 4 {
+                acc[r][j] = _mm256_fmadd_pd(a, b[j], acc[r][j]);
+            }
+        }
+    }
+    // AVX2 has no cheap masked store, so a full 4-lane group of the row goes
+    // through vector load/FMA/store and a ragged one is spilled and finished
+    // in scalar `mul_add` (one `vfmadd` each under this function's `fma`).
+    let valpha = _mm256_set1_pd(alpha);
+    for (r, accr) in acc.iter().enumerate().take(mr) {
+        let crow = &mut cv[c0 + r * ldc..][..nr];
+        for (cvec, &v) in crow.chunks_mut(4).zip(accr) {
+            if cvec.len() == 4 {
+                // SAFETY: `cvec` is 4 elements, the width of one `ymm`.
+                unsafe {
+                    let c = _mm256_loadu_pd(cvec.as_ptr());
+                    _mm256_storeu_pd(cvec.as_mut_ptr(), _mm256_fmadd_pd(valpha, v, c));
+                }
+            } else {
+                let mut lanes = [0.0f64; 4];
+                // SAFETY: `lanes` is 4 elements, the width of one `ymm`.
+                unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), v) };
+                for (cq, &x) in cvec.iter_mut().zip(&lanes) {
+                    *cq = alpha.mul_add(x, *cq);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -414,22 +560,31 @@ mod tests {
         }
     }
 
+    /// `(MR, NR)` of every register tile, whichever of them this host runs.
+    const TILE_DIMS: [(usize, usize); 3] = [(8, 24), (6, 8), (8, 4)];
+
+    /// Shapes that straddle every tile edge: each tile's MR/NR and their
+    /// neighbours, MC/KC/NC and theirs, and the panel-internal padding
+    /// rows/cols.
+    fn boundary_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![(1, 1, 1), (7, 5, 3), (3, 2, NC + 1)];
+        for (mr, nr) in TILE_DIMS {
+            shapes.extend([
+                (mr, KC, nr),
+                (mr - 1, KC + 1, nr + 1),
+                (mr + 1, 3, nr - 1),
+                (MC, KC, nr * 3),
+                (MC + 1, KC - 1, nr * 3 + 2),
+                (MC + 1, KC + 1, nr + 1),
+                (mr * 2 + 3, 2 * KC + 5, nr + 3),
+            ]);
+        }
+        shapes
+    }
+
     #[test]
     fn blocking_boundaries_are_exact() {
-        // Shapes that straddle every tile edge: MR/NR, MC/KC, and the
-        // panel-internal padding rows/cols.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (7, 5, 3),
-            (MR, KC, NR),
-            (MR - 1, KC + 1, NR + 1),
-            (MR + 1, 3, NR - 1),
-            (MC, KC, NR * 3),
-            (MC + 1, KC - 1, NR * 3 + 2),
-            (MC + 1, KC + 1, NR + 1),
-            (3, 2, NC + 1),
-            (MR * 2 + 3, 2 * KC + 5, NR + 3),
-        ] {
+        for (m, k, n) in boundary_shapes() {
             let a = pseudo_random(m, k, 7);
             let b = pseudo_random(k, n, 8);
             let expect = naive(&a, &b);
@@ -445,6 +600,152 @@ mod tests {
                 c.max_abs_diff(&expect).unwrap() < 1e-8,
                 "gemm_tn mismatch at {m}x{k}x{n}"
             );
+        }
+    }
+
+    /// The summation order, spelled out serially. First half: per `KC` slab
+    /// of the inner dimension, each element's dot product as one `mul_add`
+    /// chain from zero, in depth order.
+    fn slab_sums(a: &DenseBlock, b: &DenseBlock) -> Vec<Vec<f64>> {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let (av, bv) = (a.data(), b.data());
+        (0..k)
+            .step_by(KC)
+            .map(|pc| {
+                let mut slab = vec![0.0f64; m * n];
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0.0f64;
+                        for p in pc..(pc + KC).min(k) {
+                            acc = av[i * k + p].mul_add(bv[p * n + j], acc);
+                        }
+                        slab[i * n + j] = acc;
+                    }
+                }
+                slab
+            })
+            .collect()
+    }
+
+    /// Second half: `c` is scaled by `beta` (overwritten when `beta == 0`),
+    /// then takes each slab in depth order as `c = fma(alpha, acc, c)`.
+    fn reference(alpha: f64, slabs: &[Vec<f64>], beta: f64, c0: &DenseBlock) -> DenseBlock {
+        let mut c = c0.clone();
+        for v in c.data_mut() {
+            *v = if beta == 0.0 { 0.0 } else { *v * beta };
+        }
+        for slab in slabs {
+            for (cq, &acc) in c.data_mut().iter_mut().zip(slab) {
+                *cq = alpha.mul_add(acc, *cq);
+            }
+        }
+        c
+    }
+
+    fn bits(block: &DenseBlock) -> Vec<u64> {
+        block.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every supported tile against [`reference`]: the FMA tiles bit for
+    /// bit, the portable mul+add tile to rounding error.
+    fn assert_summation_order(shapes: &[(usize, usize, usize)]) {
+        for &(m, k, n) in shapes {
+            let a = pseudo_random(m, k, 7);
+            let at = a.transpose();
+            let b = pseudo_random(k, n, 8);
+            let c0 = pseudo_random(m, n, 9);
+            let slabs = slab_sums(&a, &b);
+            // 256³ crosses no edge the smaller shapes do not and would be two
+            // thirds of the arithmetic here: it takes the engine's own
+            // (1, 0) and one general pair instead of the whole grid.
+            let grid: &[(f64, f64)] = if m * k * n < 256 * 256 * 256 {
+                &[
+                    (1.0, 0.0),
+                    (1.0, 0.5),
+                    (1.0, 1.0),
+                    (1.5, 0.0),
+                    (1.5, 0.5),
+                    (1.5, 1.0),
+                ]
+            } else {
+                &[(1.0, 0.0), (1.5, 0.5)]
+            };
+            for &(alpha, beta) in grid {
+                let expect = reference(alpha, &slabs, beta, &c0);
+                for tile in Tile::supported() {
+                    let mut c = c0.clone();
+                    gemm_on::<false>(tile, alpha, &a, &b, beta, &mut c).unwrap();
+                    let mut ct = c0.clone();
+                    gemm_on::<true>(tile, alpha, &at, &b, beta, &mut ct).unwrap();
+                    let case = format!("{tile:?} {m}x{k}x{n} alpha={alpha} beta={beta}");
+                    if tile == Tile::Portable {
+                        // Two roundings per step: close, not equal.
+                        assert!(c.max_abs_diff(&expect).unwrap() < 1e-9, "{case}");
+                        assert!(ct.max_abs_diff(&expect).unwrap() < 1e-9, "{case}");
+                    } else {
+                        assert_eq!(bits(&c), bits(&expect), "gemm {case}");
+                        assert_eq!(bits(&ct), bits(&expect), "gemm_tn {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tile_follows_the_summation_order_at_blocking_boundaries() {
+        assert_summation_order(&boundary_shapes());
+    }
+
+    #[test]
+    fn every_tile_follows_the_summation_order_on_workload_shapes() {
+        // The block products the benchmark's workloads run: serve 32³,
+        // GNMF's 128×64×128 and 64×128×64, dense 256³.
+        assert_summation_order(&[(32, 32, 32), (128, 64, 128), (64, 128, 64), (256, 256, 256)]);
+    }
+
+    #[test]
+    fn every_compiled_tile_runs_and_dispatch_picks_the_widest() {
+        let (m, k, n) = (129, 257, 70);
+        let a = pseudo_random(m, k, 21);
+        let b = pseudo_random(k, n, 22);
+        let c0 = pseudo_random(m, n, 23);
+        let mut dispatched = c0.clone();
+        gemm(1.5, &a, &b, 0.5, &mut dispatched).unwrap();
+        let mut widest = None;
+        for &tile in Tile::ALL {
+            if !tile.is_supported() {
+                eprintln!("skipping {tile:?}: this CPU lacks its instruction set");
+                continue;
+            }
+            let mut c = c0.clone();
+            gemm_on::<false>(tile, 1.5, &a, &b, 0.5, &mut c).unwrap();
+            assert!(
+                c.max_abs_diff(&dispatched).unwrap() < 1e-9,
+                "{tile:?} disagrees with the dispatching gemm"
+            );
+            widest.get_or_insert(c);
+        }
+        let widest = widest.expect("the portable tile always runs");
+        assert_eq!(bits(&dispatched), bits(&widest));
+    }
+
+    #[test]
+    fn beta_zero_ignores_prior_contents() {
+        let a = pseudo_random(9, 5, 1);
+        let b = pseudo_random(5, 26, 2);
+        let mut expect = DenseBlock::zeros(9, 26);
+        gemm(1.0, &a, &b, 0.0, &mut expect).unwrap();
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = DenseBlock::from_fn(9, 26, |_, _| poison);
+            gemm(1.0, &a, &b, 0.0, &mut c).unwrap();
+            assert_eq!(bits(&c), bits(&expect), "gemm over {poison}");
+            let mut c = DenseBlock::from_fn(9, 26, |_, _| poison);
+            gemm_tn(1.0, &a.transpose(), &b, 0.0, &mut c).unwrap();
+            assert_eq!(bits(&c), bits(&expect), "gemm_tn over {poison}");
+            // alpha == 0 returns before the kernel: still an overwrite.
+            let mut c = DenseBlock::from_fn(9, 26, |_, _| poison);
+            gemm(0.0, &a, &b, 0.0, &mut c).unwrap();
+            assert!(c.data().iter().all(|&v| v == 0.0), "alpha = beta = 0");
         }
     }
 
@@ -492,7 +793,7 @@ mod tests {
             (5usize, 3usize, 7usize),
             (64, 32, 16),
             (33, 65, 9),
-            (KC + 3, MC + 2, NR * 2 + 1),
+            (KC + 3, MC + 2, 24 * 2 + 1),
         ] {
             let a = pseudo_random(k, m, 71);
             let b = pseudo_random(k, n, 72);

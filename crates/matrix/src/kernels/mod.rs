@@ -4,6 +4,13 @@
 //! `cublasDgemm` / MKL `dgemm` for dense blocks and `cusparseDcsrmm` for
 //! sparse ones (§4.4). The [`multiply`] entry point dispatches on operand
 //! formats exactly like DistME's local-multiplication step.
+//!
+//! The dense kernel ([`gemm`]) is where a large job's time goes, so it is
+//! the one written to the hardware: one packed, cache-blocked driver with a
+//! register tile per instruction set (8 × 24 on AVX-512, 6 × 8 on AVX2+FMA,
+//! 8 × 4 portable), detected once per process. Its per-element summation
+//! order is fixed independently of the tile, so a product's bits do not
+//! depend on which FMA tile computed it.
 
 pub mod gemm;
 pub mod sddmm;

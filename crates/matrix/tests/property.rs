@@ -70,8 +70,10 @@ fn seeded_sparse(rows: usize, cols: usize, every: usize, seed: u64) -> CsrBlock 
 
 /// Strategy: GEMM shapes that stress the packed kernel's blocking edges —
 /// dot products (1 × k × 1), tall/skinny and short/wide panels crossing the
-/// MC = 128 cache block, deep k crossing the KC = 256 panel depth, and
-/// general small shapes exercising the MR × NR = 8 × 4 edge masks.
+/// MC = 128 cache block, deep k crossing the KC = 256 panel depth, general
+/// small shapes, and ragged ones up to 70 × 300 × 70: two or three panels
+/// plus a remainder along m and n for every register tile the dispatching
+/// entry point may pick (8 × 24, 6 × 8, 8 × 4), across the KC edge.
 fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
     prop_oneof![
         (Just(1usize), 1usize..500, Just(1usize)),
@@ -79,6 +81,7 @@ fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
         (1usize..6, 1usize..6, 90usize..300),
         (1usize..10, 200usize..300, 1usize..10),
         (1usize..40, 1usize..40, 1usize..40),
+        (1usize..71, 1usize..301, 1usize..71),
     ]
 }
 
