@@ -23,6 +23,18 @@
 //! byte payload stored as f64 bit patterns), stored under
 //! [`StoreKind::Parity`] keys that arithmetic and `BlockView` never see.
 //!
+//! Encoding is a fold, not a gather: [`parity_groups`] turns one
+//! resident-key snapshot into the groups of every matrix to code, and
+//! [`encode_group`] — one call per group, so the executor runs all groups
+//! as one gang — serializes each member into one reused frame buffer and
+//! folds those `frame_len` bytes straight into the parity envelope(s),
+//! laid out beforehand from the members' `codec::encoded_len`s. The zero
+//! pad is never materialized (folding zeros changes nothing): one buffer
+//! per group plus one envelope per parity block, where gathering padded
+//! frames first costs four block-sized buffers per member.
+//! [`encode_stripes`] over padded frames remains the definition the fold
+//! is tested against.
+//!
 //! Recovery precedence everywhere: parity decode → lineage → typed
 //! failure. Beyond-budget erasures return [`CodingError`], never wrong
 //! bytes.
@@ -184,21 +196,27 @@ fn mul_xor_into(dst: &mut [u8], src: &[u8], coef: u8) {
 // Stripe-level encode / decode.
 // ---------------------------------------------------------------------------
 
+/// Folds member `i`'s frame `d` into its group's parity stripe `p`
+/// (`P ^= d`, `Q ^= gⁱ·d`), touching only `d.len()` bytes: a shorter
+/// member's zero pad contributes nothing to either sum.
+fn fold_member(stripe: &mut [u8], p: usize, i: usize, d: &[u8]) {
+    match p {
+        0 => xor_into(stripe, d),
+        _ => mul_xor_into(stripe, d, gen_coef(i)),
+    }
+}
+
 /// Encodes the parity stripes for one group. `stripes[i]` is member `i`'s
 /// frame zero-padded to the common stripe length; returns `parity_count`
-/// stripes (P = ⊕dᵢ, then Q = ⊕ gⁱ·dᵢ).
+/// stripes (P = ⊕dᵢ, then Q = ⊕ gⁱ·dᵢ) — the definition of the code;
+/// [`encode_group`] computes the same stripes without the padding.
 pub fn encode_stripes(stripes: &[Vec<u8>], parity_count: usize, stripe_len: usize) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(parity_count);
-    for p in 0..parity_count {
-        let mut parity = vec![0u8; stripe_len];
+    let mut out = vec![vec![0u8; stripe_len]; parity_count];
+    for (p, parity) in out.iter_mut().enumerate() {
         for (i, d) in stripes.iter().enumerate() {
             debug_assert_eq!(d.len(), stripe_len);
-            match p {
-                0 => xor_into(&mut parity, d),
-                _ => mul_xor_into(&mut parity, d, gen_coef(i)),
-            }
+            fold_member(parity, p, i, d);
         }
-        out.push(parity);
     }
     out
 }
@@ -389,43 +407,73 @@ pub struct ParityPayload {
     pub stripe: Vec<u8>,
 }
 
-/// Serializes a parity payload into an ordinary dense block: a length
-/// prefix plus the raw bytes as f64 bit patterns (bit-exact through any
-/// store or codec hop, untouched by arithmetic — parity keys are never
-/// operands).
-pub fn pack_parity(payload: &ParityPayload) -> Block {
-    let mut bytes = Vec::with_capacity(32 + 20 * payload.members.len() + payload.stripe.len());
+/// A parity block's envelope with the stripe still all zeros: the header,
+/// then `stripe_len` bytes for the stripe to be folded or copied into.
+fn envelope(
+    policy: ReplicationPolicy,
+    parity_index: u8,
+    members: &[ParityMember],
+    stripe_len: usize,
+) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(16 + 20 * members.len() + stripe_len);
     bytes.extend_from_slice(&PARITY_MAGIC.to_le_bytes());
     bytes.push(PARITY_VERSION);
-    bytes.push(match payload.policy {
+    bytes.push(match policy {
         ReplicationPolicy::Off => 0,
         ReplicationPolicy::Xor => 1,
         ReplicationPolicy::RsLite => 2,
     });
-    bytes.push(payload.parity_index);
-    bytes.push(u8::try_from(payload.members.len()).expect("group fits MAX_GROUP"));
-    bytes.extend_from_slice(&(payload.stripe.len() as u64).to_le_bytes());
-    for m in &payload.members {
+    bytes.push(parity_index);
+    bytes.push(u8::try_from(members.len()).expect("group fits MAX_GROUP"));
+    bytes.extend_from_slice(&(stripe_len as u64).to_le_bytes());
+    for m in members {
         bytes.extend_from_slice(&m.id.row.to_le_bytes());
         bytes.extend_from_slice(&m.id.col.to_le_bytes());
         bytes.extend_from_slice(&m.copy.to_le_bytes());
         bytes.extend_from_slice(&m.frame_len.to_le_bytes());
     }
-    bytes.extend_from_slice(&payload.stripe);
+    bytes.resize(bytes.len() + stripe_len, 0);
+    bytes
+}
 
+/// Wraps a finished envelope (header + stripe) in an ordinary dense
+/// block: a length prefix plus the raw bytes as f64 bit patterns
+/// (bit-exact through any store or codec hop, untouched by arithmetic —
+/// parity keys are never operands).
+fn envelope_block(bytes: &[u8]) -> Block {
     let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(8));
     words.push(f64::from_bits(bytes.len() as u64));
-    for chunk in bytes.chunks(8) {
+    let whole = bytes.chunks_exact(8);
+    let tail = whole.remainder();
+    words.extend(
+        whole.map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")))),
+    );
+    if !tail.is_empty() {
         let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
+        w[..tail.len()].copy_from_slice(tail);
         words.push(f64::from_bits(u64::from_le_bytes(w)));
     }
     let cols = words.len();
     Block::Dense(DenseBlock::from_vec(1, cols, words).expect("length matches"))
 }
 
+/// Serializes a parity payload into its store block.
+pub fn pack_parity(payload: &ParityPayload) -> Block {
+    let stripe = &payload.stripe;
+    let mut bytes = envelope(
+        payload.policy,
+        payload.parity_index,
+        &payload.members,
+        stripe.len(),
+    );
+    let stripe_at = bytes.len() - stripe.len();
+    bytes[stripe_at..].copy_from_slice(stripe);
+    envelope_block(&bytes)
+}
+
 /// Parses a block produced by [`pack_parity`]. `None` if the block is not a
-/// parity envelope (wrong shape, magic, or version).
+/// parity envelope (wrong shape, magic, or version) or describes a member
+/// frame longer than the stripe that is supposed to cover it.
 pub fn unpack_parity(block: &Block) -> Option<ParityPayload> {
     let Block::Dense(d) = block else { return None };
     let data = d.data();
@@ -458,6 +506,9 @@ pub fn unpack_parity(block: &Block) -> Option<ParityPayload> {
             copy: r.u32()?,
             frame_len: r.u64()?,
         });
+    }
+    if members.iter().any(|m| m.frame_len > stripe_len as u64) {
+        return None;
     }
     let stripe = r.take(stripe_len)?.to_vec();
     Some(ParityPayload {
@@ -496,99 +547,102 @@ impl<'a> Reader<'a> {
 // Store-level encode and reconstruct.
 // ---------------------------------------------------------------------------
 
-/// A block's canonical wire frame — the bytes parity is computed over.
-fn frame_bytes(block: &Block) -> Vec<u8> {
+/// A block's canonical wire frame — the bytes parity is computed over —
+/// zero-padded to its group's stripe length (the decode side's operand).
+fn padded_frame(block: &Block, stripe_len: usize) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(codec::encoded_len(block) as usize);
     codec::encode_into(block, &mut buf);
-    buf.to_vec()
+    let mut frame = buf.to_vec();
+    frame.resize(stripe_len, 0);
+    frame
 }
 
-fn padded(frame: Vec<u8>, stripe_len: usize) -> Vec<u8> {
-    let mut f = frame;
-    f.resize(stripe_len, 0);
-    f
+/// One coded group awaiting encode: its members in member-index order,
+/// each with a node holding a copy.
+pub type ParityGroup = Vec<(StoreKey, usize)>;
+
+/// The groups to encode for `matrices` over the `nodes`-node grid, from
+/// one resident-key snapshot: every resident copy-0 block of each matrix,
+/// grouped by [`assign_groups`]. Empty when the policy is off or the grid
+/// is too small to place parity off-member; a matrix that already has
+/// parity resident contributes nothing (encoding is idempotent).
+pub fn parity_groups(
+    snapshot: &BTreeMap<StoreKey, BTreeSet<usize>>,
+    matrices: &BTreeSet<u64>,
+    nodes: usize,
+    policy: ReplicationPolicy,
+) -> Vec<ParityGroup> {
+    let mut groups = Vec::new();
+    if policy.parity_count() == 0 {
+        return groups;
+    }
+    for &matrix in matrices {
+        let resident = || snapshot.iter().filter(move |(k, _)| k.matrix == matrix);
+        if resident().any(|(k, _)| k.is_parity()) {
+            continue;
+        }
+        let holder_of: BTreeMap<StoreKey, usize> = resident()
+            .filter(|(k, _)| k.copy == 0)
+            .filter_map(|(k, holders)| Some((*k, *holders.first()?)))
+            .collect();
+        let keys: Vec<StoreKey> = holder_of.keys().copied().collect();
+        for group in assign_groups(&keys, nodes, policy) {
+            groups.push(group.into_iter().map(|k| (k, holder_of[&k])).collect());
+        }
+    }
+    groups
 }
 
-/// Materializes parity for every copy-0 block of `matrix` currently
-/// resident, grouped deterministically over the `nodes`-node grid. A no-op
-/// (returns 0) when the policy is off, the grid is too small to place
-/// parity off-member, or the matrix already has parity resident. Returns
-/// the number of parity blocks installed.
-pub fn encode_matrix_parity(
+/// Encodes one group and installs its parity block(s) — bit for bit
+/// [`pack_parity`] over [`encode_stripes`] of the padded member frames.
+/// Returns how many were installed: 0 if a member was evicted since the
+/// snapshot (the group is abandoned quietly; parity is derived state).
+pub fn encode_group(
     stores: &ClusterStores,
-    matrix: u64,
+    group: &ParityGroup,
     nodes: usize,
     policy: ReplicationPolicy,
 ) -> u64 {
-    let m = policy.parity_count();
-    if m == 0 || group_size_cap(nodes, policy) == 0 {
-        return 0;
+    let blocks: Option<Vec<Arc<Block>>> = group
+        .iter()
+        .map(|(k, holder)| stores.node(*holder).get(k))
+        .collect();
+    let Some(blocks) = blocks else { return 0 };
+    let members: Vec<ParityMember> = group
+        .iter()
+        .zip(&blocks)
+        .map(|((k, _), blk)| ParityMember {
+            id: k.id,
+            copy: k.copy,
+            frame_len: codec::encoded_len(blk),
+        })
+        .collect();
+    let stripe_len = members.iter().map(|m| m.frame_len).max().unwrap_or(0) as usize;
+    let mut envelopes: Vec<Vec<u8>> = (0..policy.parity_count())
+        .map(|p| envelope(policy, p as u8, &members, stripe_len))
+        .collect();
+    let mut frame = BytesMut::with_capacity(stripe_len);
+    for (i, blk) in blocks.iter().enumerate() {
+        frame.clear();
+        codec::encode_into(blk, &mut frame);
+        for (p, env) in envelopes.iter_mut().enumerate() {
+            let stripe_at = env.len() - stripe_len;
+            fold_member(&mut env[stripe_at..], p, i, &frame);
+        }
     }
-    let snapshot = stores.resident_keys();
-    let mut keys = Vec::new();
-    for (k, holders) in &snapshot {
-        if k.matrix != matrix {
-            continue;
-        }
-        if k.is_parity() {
-            return 0; // already coded — encoding is idempotent per matrix
-        }
-        if k.copy == 0 && !holders.is_empty() {
-            keys.push((*k, *holders.first().expect("non-empty holder set")));
-        }
-    }
-    let groups = assign_groups(
-        &keys.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-        nodes,
-        policy,
-    );
-    let holder_of: BTreeMap<StoreKey, usize> = keys.into_iter().collect();
 
-    let mut installed = 0u64;
-    for group in groups {
-        let mut stripes = Vec::with_capacity(group.len());
-        let mut members = Vec::with_capacity(group.len());
-        let mut stripe_len = 0usize;
-        let mut frames = Vec::with_capacity(group.len());
-        for k in &group {
-            let holder = holder_of[k];
-            let Some(blk) = stores.node(holder).get(k) else {
-                return installed; // concurrent eviction: abandon quietly
-            };
-            let frame = frame_bytes(&blk);
-            stripe_len = stripe_len.max(frame.len());
-            members.push(ParityMember {
-                id: k.id,
-                copy: k.copy,
-                frame_len: frame.len() as u64,
-            });
-            frames.push(frame);
-        }
-        for frame in frames {
-            stripes.push(padded(frame, stripe_len));
-        }
-        let parity_stripes = encode_stripes(&stripes, m, stripe_len);
-
-        let leader = group[0].id;
-        let mut avoid: BTreeSet<usize> = group.iter().map(|k| home_node(k.id, 0, nodes)).collect();
-        for (p, stripe) in parity_stripes.into_iter().enumerate() {
-            let home = parity_home(leader, &avoid, nodes);
-            avoid.insert(home);
-            let payload = ParityPayload {
-                policy,
-                parity_index: p as u8,
-                members: members.clone(),
-                stripe,
-            };
-            stores.ingest(
-                home,
-                StoreKey::parity(matrix, leader, p as u32),
-                Arc::new(pack_parity(&payload)),
-            );
-            installed += 1;
-        }
+    let (leader, _) = group[0];
+    let mut avoid: BTreeSet<usize> = members.iter().map(|m| home_node(m.id, 0, nodes)).collect();
+    for (p, env) in envelopes.iter().enumerate() {
+        let home = parity_home(leader.id, &avoid, nodes);
+        avoid.insert(home);
+        stores.ingest(
+            home,
+            StoreKey::parity(leader.matrix, leader.id, p as u32),
+            Arc::new(envelope_block(env)),
+        );
     }
-    installed
+    envelopes.len() as u64
 }
 
 /// Attempts a k-of-n reconstruction of `target` (a copy-0 data key) from
@@ -646,7 +700,7 @@ pub fn reconstruct_block(
         let blk = (0..stores.num_nodes())
             .filter(|&n| Some(n) != exclude)
             .find_map(|n| stores.node(n).get(&key));
-        data.push(blk.map(|b| padded(frame_bytes(&b), stripe_len)));
+        data.push(blk.map(|b| padded_frame(&b, stripe_len)));
     }
     let target_idx = target_idx?;
 
@@ -654,8 +708,7 @@ pub fn reconstruct_block(
     let parity_count = payload.policy.parity_count();
     let mut parity_stripes: Vec<Option<Vec<u8>>> = vec![None; parity_count];
     for (key, env) in &envelopes {
-        debug_assert_eq!(key.id, leader_key.id);
-        if (env.parity_index as usize) < parity_count {
+        if key.id == leader_key.id && (env.parity_index as usize) < parity_count {
             parity_stripes[env.parity_index as usize] = Some(env.stripe.clone());
         }
     }
@@ -665,37 +718,25 @@ pub fn reconstruct_block(
 
     let frame_len = payload.members[target_idx].frame_len as usize;
     let stripe = data[target_idx].take().expect("decode filled the erasure");
-    let block = codec::decode_slice(&stripe[..frame_len]).ok()?;
+    let block = codec::decode_slice(stripe.get(..frame_len)?).ok()?;
     Some((block, frame_len as u64))
 }
 
-/// Matrix uids that currently have parity resident — the set to re-encode
-/// after a membership change invalidates group assignment.
-pub fn matrices_with_parity(stores: &ClusterStores) -> BTreeSet<u64> {
-    let mut out = BTreeSet::new();
-    for n in 0..stores.num_nodes() {
-        for key in stores.node(n).keys() {
-            if key.is_parity() {
-                out.insert(key.matrix);
-            }
-        }
-    }
-    out
-}
-
-/// Drops every parity key from every store. Group assignment and parity
-/// placement are functions of the node count, so a membership change
-/// invalidates all parity; callers rebalance the data normally and then
-/// re-encode via [`encode_matrix_parity`].
-pub fn evict_all_parity(stores: &ClusterStores) {
+/// Drops every parity key from every store and returns the matrices that
+/// had any. Group assignment and parity placement are functions of the
+/// node count, so a membership change invalidates all parity; callers
+/// rebalance the data normally and then re-encode the returned matrices
+/// ([`parity_groups`], [`encode_group`]).
+pub fn evict_all_parity(stores: &ClusterStores) -> BTreeSet<u64> {
+    let mut coded = BTreeSet::new();
     for n in 0..stores.num_nodes() {
         let store = stores.node(n);
-        for key in store.keys() {
-            if key.is_parity() {
-                store.remove(&key);
-            }
+        for key in store.keys().into_iter().filter(StoreKey::is_parity) {
+            store.remove(&key);
+            coded.insert(key.matrix);
         }
     }
+    coded
 }
 
 #[cfg(test)]
@@ -703,6 +744,34 @@ mod tests {
     use super::*;
     use distme_matrix::CsrBlock;
     use proptest::prelude::*;
+
+    fn frame_bytes(block: &Block) -> Vec<u8> {
+        codec::encode(block).to_vec()
+    }
+
+    fn padded(mut frame: Vec<u8>, stripe_len: usize) -> Vec<u8> {
+        frame.resize(stripe_len, 0);
+        frame
+    }
+
+    /// One matrix's groups encoded one after another — what the executor
+    /// runs as a gang.
+    fn encode_matrix_parity(
+        stores: &ClusterStores,
+        matrix: u64,
+        nodes: usize,
+        policy: ReplicationPolicy,
+    ) -> u64 {
+        parity_groups(
+            &stores.resident_keys(),
+            &BTreeSet::from([matrix]),
+            nodes,
+            policy,
+        )
+        .iter()
+        .map(|g| encode_group(stores, g, nodes, policy))
+        .sum()
+    }
 
     fn dense(seed: u64, r: usize, c: usize) -> Block {
         let mut state = seed | 1;
@@ -893,14 +962,8 @@ mod tests {
             assert_eq!(&rebuilt, original, "reconstruction must be bit-identical");
             assert!(bytes > 0);
         }
-        assert_eq!(
-            matrices_with_parity(&stores)
-                .into_iter()
-                .collect::<Vec<_>>(),
-            vec![matrix]
-        );
-        evict_all_parity(&stores);
-        assert!(matrices_with_parity(&stores).is_empty());
+        assert_eq!(evict_all_parity(&stores), BTreeSet::from([matrix]));
+        assert!(evict_all_parity(&stores).is_empty());
         assert!(
             reconstruct_block(&stores, keys[0].0, None).is_none(),
             "no parity, no decode"
@@ -947,8 +1010,215 @@ mod tests {
         assert!(reconstruct_block(&stores, target, Some(0)).is_none());
     }
 
+    /// The bit patterns of a store block's words — parity envelopes hold
+    /// arbitrary bytes as `f64`s, NaNs among them, so `==` will not do.
+    fn word_bits(block: &Block) -> Vec<u64> {
+        let Block::Dense(d) = block else {
+            panic!("parity envelopes are dense blocks")
+        };
+        d.data().iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// Every resident parity block as `(node, key) -> word bits`.
+    fn resident_parity(stores: &ClusterStores) -> BTreeMap<(usize, StoreKey), Vec<u64>> {
+        let mut out = BTreeMap::new();
+        for n in 0..stores.num_nodes() {
+            for key in stores
+                .node(n)
+                .keys()
+                .into_iter()
+                .filter(StoreKey::is_parity)
+            {
+                out.insert((n, key), word_bits(&stores.node(n).get(&key).unwrap()));
+            }
+        }
+        out
+    }
+
+    /// `blocks[i]` ingested at its canonical home as block `(i / 3, i % 3)`
+    /// of `matrix`.
+    fn ingest_grid(stores: &ClusterStores, matrix: u64, blocks: &[Block]) -> Vec<StoreKey> {
+        let nodes = stores.num_nodes();
+        blocks
+            .iter()
+            .enumerate()
+            .map(|(i, blk)| {
+                let id = BlockId::new(i as u32 / 3, i as u32 % 3);
+                let key = StoreKey::operand(matrix, id);
+                stores.ingest(home_node(id, 0, nodes), key, Arc::new(blk.clone()));
+                key
+            })
+            .collect()
+    }
+
+    #[test]
+    fn folded_encode_installs_exactly_what_the_padded_reference_packs() {
+        for policy in [ReplicationPolicy::Xor, ReplicationPolicy::RsLite] {
+            let (nodes, matrix) = (6, 31u64);
+            let stores = ClusterStores::new(nodes);
+            let blocks = mixed_blocks(5, 17);
+            let keys = ingest_grid(&stores, matrix, &blocks);
+            let block_of: BTreeMap<StoreKey, &Block> = keys.iter().copied().zip(&blocks).collect();
+
+            // The definition: pad every member frame to the group's
+            // longest, encode the stripes, pack each into an envelope.
+            let mut expected = BTreeMap::new();
+            let (mut mixed_kinds, mut unequal_lengths) = (false, false);
+            for group in assign_groups(&keys, nodes, policy) {
+                let frames: Vec<Vec<u8>> = group.iter().map(|k| frame_bytes(block_of[k])).collect();
+                let stripe_len = frames.iter().map(Vec::len).max().unwrap();
+                unequal_lengths |= frames.iter().any(|f| f.len() < stripe_len);
+                mixed_kinds |= group.iter().any(|k| matches!(block_of[k], Block::Dense(_)))
+                    && group
+                        .iter()
+                        .any(|k| matches!(block_of[k], Block::Sparse(_)));
+                let members: Vec<ParityMember> = group
+                    .iter()
+                    .zip(&frames)
+                    .map(|(k, f)| ParityMember {
+                        id: k.id,
+                        copy: k.copy,
+                        frame_len: f.len() as u64,
+                    })
+                    .collect();
+                let stripes: Vec<Vec<u8>> =
+                    frames.into_iter().map(|f| padded(f, stripe_len)).collect();
+                let leader = group[0].id;
+                let mut avoid: BTreeSet<usize> =
+                    group.iter().map(|k| home_node(k.id, 0, nodes)).collect();
+                let parity = encode_stripes(&stripes, policy.parity_count(), stripe_len);
+                for (p, stripe) in parity.into_iter().enumerate() {
+                    let home = parity_home(leader, &avoid, nodes);
+                    avoid.insert(home);
+                    let envelope = pack_parity(&ParityPayload {
+                        policy,
+                        parity_index: p as u8,
+                        members: members.clone(),
+                        stripe,
+                    });
+                    expected.insert(
+                        (home, StoreKey::parity(matrix, leader, p as u32)),
+                        word_bits(&envelope),
+                    );
+                }
+            }
+            assert!(
+                mixed_kinds && unequal_lengths,
+                "the groups must exercise the pad"
+            );
+
+            let installed = encode_matrix_parity(&stores, matrix, nodes, policy);
+            assert_eq!(installed as usize, expected.len());
+            assert_eq!(
+                resident_parity(&stores),
+                expected,
+                "{policy:?}: keys, homes, envelope bits"
+            );
+            for (key, original) in &block_of {
+                let (rebuilt, bytes) = reconstruct_block(&stores, *key, None).expect("decodes");
+                assert_eq!(frame_bytes(&rebuilt), frame_bytes(original), "{key:?}");
+                assert_eq!(bytes, codec::encoded_len(original));
+            }
+        }
+    }
+
+    #[test]
+    fn one_snapshot_groups_every_uncoded_matrix_and_skips_the_coded() {
+        let nodes = 5;
+        let stores = ClusterStores::new(nodes);
+        for matrix in [3u64, 4, 9] {
+            ingest_grid(&stores, matrix, &mixed_blocks(matrix, 7));
+        }
+        let policy = ReplicationPolicy::Xor;
+        assert!(encode_matrix_parity(&stores, 4, nodes, policy) > 0);
+        let groups = parity_groups(
+            &stores.resident_keys(),
+            &BTreeSet::from([3, 4, 9]),
+            nodes,
+            policy,
+        );
+        let coded: BTreeSet<u64> = groups.iter().map(|g| g[0].0.matrix).collect();
+        assert_eq!(coded, BTreeSet::from([3, 9]), "4 already has parity");
+        for g in &groups {
+            assert!(g.iter().all(|(k, _)| k.matrix == g[0].0.matrix));
+        }
+        // Per matrix, the groups are the ones a single-matrix call makes.
+        let alone = parity_groups(&stores.resident_keys(), &BTreeSet::from([9]), nodes, policy);
+        let of_nine: Vec<&ParityGroup> = groups.iter().filter(|g| g[0].0.matrix == 9).collect();
+        assert_eq!(of_nine, alone.iter().collect::<Vec<_>>());
+        assert!(parity_groups(
+            &stores.resident_keys(),
+            &BTreeSet::from([3]),
+            nodes,
+            ReplicationPolicy::Off
+        )
+        .is_empty());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Parity envelopes are bytes a store hands back: whatever has
+        /// happened to them, parsing one and decoding through one must
+        /// neither panic nor produce more bytes than the block carried.
+        #[test]
+        fn mutated_envelopes_never_panic_and_never_overrun_their_block(
+            seed in any::<u64>(),
+            rs in any::<bool>(),
+            kind in 0usize..5,
+            at in any::<usize>(),
+            value in any::<u64>(),
+        ) {
+            let policy = if rs { ReplicationPolicy::RsLite } else { ReplicationPolicy::Xor };
+            let (nodes, matrix) = (5, 8u64);
+            let stores = ClusterStores::new(nodes);
+            let keys = ingest_grid(&stores, matrix, &mixed_blocks(seed, 6));
+            prop_assert!(encode_matrix_parity(&stores, matrix, nodes, policy) > 0);
+            let parity = resident_parity(&stores);
+            let ((node, key), words) = parity.iter().nth(at % parity.len()).unwrap();
+
+            // Envelope byte `i` sits at `8 + i`, after the length word.
+            let mut raw: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let members = raw[8 + 7] as usize;
+            let header_len = 16 + 20 * members;
+            let bump = |raw: &mut [u8], offset: usize| {
+                let old = u64::from_le_bytes(raw[offset..offset + 8].try_into().unwrap());
+                let new = if value.is_multiple_of(2) { value } else { old + 1 + value % 4096 };
+                raw[offset..offset + 8].copy_from_slice(&new.to_le_bytes());
+            };
+            match kind {
+                0 => raw.truncate(8 * (1 + at % (raw.len() / 8))),
+                1 => raw[8 + at % header_len] = value as u8,
+                2 => bump(&mut raw, 8 + 16 + 20 * (at % members) + 12), // a frame_len
+                3 => bump(&mut raw, if at.is_multiple_of(2) { 8 + 8 } else { 0 }), // stripe_len, length word
+                _ => raw[8 + 7] = raw[8 + 7].max(value as u8),          // member count
+            }
+            let carried = raw.len() - 8;
+            let words: Vec<f64> = raw
+                .chunks_exact(8)
+                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
+                .collect();
+            let cols = words.len();
+            let mutated = Block::Dense(DenseBlock::from_vec(1, cols, words).unwrap());
+
+            if let Some(payload) = unpack_parity(&mutated) {
+                prop_assert!(payload.stripe.len() <= carried);
+                prop_assert!(payload
+                    .members
+                    .iter()
+                    .all(|m| m.frame_len <= payload.stripe.len() as u64));
+            }
+            stores.node(*node).remove(key);
+            stores.node(*node).install(*key, Arc::new(mutated));
+            // A target of another group decodes through its own, intact
+            // envelope; either way no frame outgrows what carried it.
+            let largest = resident_parity(&stores).values().map(|w| 8 * (w.len() - 1)).max();
+            for target in keys {
+                if let Some((_, bytes)) = reconstruct_block(&stores, target, None) {
+                    prop_assert!(bytes as usize <= largest.unwrap());
+                }
+            }
+        }
 
         /// The satellite contract: random group sizes × erasure patterns
         /// within budget decode bit-identically for dense and CSR members;

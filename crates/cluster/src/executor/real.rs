@@ -21,7 +21,7 @@ use crate::chaos::{FaultPlan, FaultSpec};
 use crate::config::ClusterConfig;
 use crate::failure::{JobError, TaskError};
 use crate::membership::{Membership, MembershipEvent};
-use crate::rebalance::{RebalancePlan, RebalanceReport};
+use crate::rebalance::{RebalancePlan, RebalanceReport, RebalanceUnit};
 use crate::scheduler::{Gang, Scheduler};
 use crate::shuffle::ShuffleLedger;
 use crate::stats::{JobStats, Phase, TenantId};
@@ -199,15 +199,37 @@ impl LocalCluster {
     /// [`ReplicationPolicy`](crate::coding::ReplicationPolicy): copy-0
     /// blocks are grouped by canonical home and each group's parity is
     /// installed on a node holding none of its members (see
-    /// [`crate::coding`]). Idempotent; a no-op when replication is off.
-    /// Returns the number of parity blocks installed.
+    /// [`crate::coding`]). Idempotent; with replication off it returns
+    /// before looking at a store or starting a thread. Returns the number
+    /// of parity blocks installed.
     pub fn encode_parity(&self, matrix: u64) -> u64 {
-        crate::coding::encode_matrix_parity(
-            &self.stores,
-            matrix,
-            self.cfg.nodes,
-            self.cfg.replication,
-        )
+        self.encode_parity_of(&BTreeSet::from([matrix]))
+    }
+
+    /// [`encode_parity`](Self::encode_parity) for several matrices: the
+    /// groups of all of them, from one resident-key snapshot, encode as
+    /// one gang (a group is a task). Parity is derived state: a stage the
+    /// scheduler refuses (more groups than `max_tasks`) installs none.
+    fn encode_parity_of(&self, matrices: &BTreeSet<u64>) -> u64 {
+        let (nodes, policy) = (self.cfg.nodes, self.cfg.replication);
+        if policy.parity_count() == 0 {
+            return 0;
+        }
+        let groups =
+            crate::coding::parity_groups(&self.stores.resident_keys(), matrices, nodes, policy);
+        if groups.is_empty() {
+            return 0;
+        }
+        let (tasks, ready) = (groups.iter().collect(), (0..groups.len()).collect());
+        self.run_stage(TenantId::ANONYMOUS, 0, tasks, ready, |_, group, _| {
+            Ok(crate::coding::encode_group(
+                &self.stores,
+                group,
+                nodes,
+                policy,
+            ))
+        })
+        .map_or(0, |run| run.outputs.iter().sum())
     }
 
     /// Virtual node a stage-task index runs on (round-robin, matching
@@ -237,9 +259,17 @@ impl LocalCluster {
     /// every plan built for the old grid. `scale_to(current)` is a no-op
     /// and does not bump the epoch.
     ///
+    /// A resize is two gangs: the per-key units of the [`RebalancePlan`]
+    /// (each ships its key, then drops the stranded copies, so the
+    /// migration's extra memory is a few blocks, not a second copy of
+    /// everything resident), then the parity groups of every matrix that
+    /// was coded before the change.
+    ///
     /// # Errors
     /// A transport failure during migration (codec bug — migration runs
-    /// fault-free and all sources are readable).
+    /// fault-free and all sources are readable), or
+    /// [`JobError::TooManyTasks`] when more keys need re-homing than one
+    /// stage may hold tasks (nothing has moved then).
     pub fn scale_to(&mut self, n: usize) -> Result<RebalanceReport, JobError> {
         assert!(n > 0, "cannot scale to an empty cluster");
         let from_nodes = self.cfg.nodes;
@@ -259,8 +289,7 @@ impl LocalCluster {
         // plan (data rebalances normally) and re-encode under the new grid
         // afterwards. Re-encoding installs directly — no transport, no
         // ledger traffic — so the elastic ledger deltas stay data-only.
-        let coded = crate::coding::matrices_with_parity(&self.stores);
-        crate::coding::evict_all_parity(&self.stores);
+        let coded = crate::coding::evict_all_parity(&self.stores);
         let snapshot = self.stores.resident_keys();
         let plan = RebalancePlan::derive(&snapshot, n);
         debug_assert!(plan.lost.is_empty(), "graceful resize cannot lose blocks");
@@ -275,9 +304,7 @@ impl LocalCluster {
             to: n,
         });
         let mut report = Self::rebalance_report(epoch, from_nodes, n, traffic, 0);
-        for uid in &coded {
-            report.stats.parity_blocks_encoded += self.encode_parity(*uid);
-        }
+        report.stats.parity_blocks_encoded = self.encode_parity_of(&coded);
         Ok(report)
     }
 
@@ -308,7 +335,6 @@ impl LocalCluster {
         assert!(self.cfg.nodes > 1, "cannot decommission the last node");
         let from_nodes = self.cfg.nodes;
         let new_nodes = from_nodes - 1;
-        let coded = crate::coding::matrices_with_parity(&self.stores);
 
         // Partition the resident data keys by whether a surviving replica
         // exists, remapping holder ids through the renumbering (old id j
@@ -357,8 +383,8 @@ impl LocalCluster {
                 }
             });
         }
+        let coded = crate::coding::evict_all_parity(&self.stores);
         self.stores.remove_node(node);
-        crate::coding::evict_all_parity(&self.stores);
 
         // A matrix with an unrecoverable block is unusable as a resident
         // placement: evict it everywhere so the next job re-ingests (or
@@ -379,10 +405,7 @@ impl LocalCluster {
         // Re-encode parity for the shrunk grid — even on the error path,
         // so surviving coded matrices keep their protection. Evicted
         // matrices have no resident blocks and encode to nothing.
-        let mut parity_encoded = 0u64;
-        for uid in &coded {
-            parity_encoded += self.encode_parity(*uid);
-        }
+        let parity_encoded = self.encode_parity_of(&coded);
         if lost_keys.is_empty() {
             let mut report = Self::rebalance_report(epoch, from_nodes, new_nodes, traffic, 0);
             report.stats.reconstructed_blocks = reconstructed;
@@ -397,43 +420,55 @@ impl LocalCluster {
         }
     }
 
-    /// Executes a rebalance plan's moves through the transport and applies
-    /// its evictions. Migration traffic is charged to the ledger under
-    /// [`Phase::Rebalance`] but kept out of the cluster's per-job
-    /// [`TransportStats`] (payload accounting of jobs must not shift when
-    /// a resize happens between them) and runs fault-free — it belongs to
-    /// no job, so the fault plan's job-keyed decisions do not apply.
-    /// Returns `(moves, payload_bytes, cross_node_payload_bytes)`.
+    /// Executes a rebalance plan as one gang of its units. Migration
+    /// traffic is charged to the ledger under [`Phase::Rebalance`] but
+    /// kept out of the cluster's per-job [`TransportStats`] (payload
+    /// accounting of jobs must not shift when a resize happens between
+    /// them) and runs fault-free — it belongs to no job, so the fault
+    /// plan's job-keyed decisions do not apply. Returns `(moves,
+    /// payload_bytes, cross_node_payload_bytes)`, order-free sums.
+    ///
+    /// # Errors
+    /// A failed move aborts the gang; the error names the lowest failing
+    /// unit's index. A unit evicts nothing until all its moves have
+    /// landed, so after an abort every key is still readable on all of
+    /// its old homes (unit unfinished) or all of its new ones.
     fn run_rebalance(&self, plan: &RebalancePlan) -> Result<(u64, u64, u64), JobError> {
         let migration_stats = TransportStats::default();
         let transport = Transport::new(&self.stores, &migration_stats, None, self.cfg.retry);
-        let (mut moves, mut payload, mut cross) = (0u64, 0u64, 0u64);
-        for m in &plan.moves {
-            let wire = WireMove {
-                phase: Phase::Rebalance,
-                from_node: m.from,
-                to_node: m.to,
-                wire_bytes: 0,
-                src: m.key,
-                dst: m.key,
-            };
-            let bytes = transport
-                .execute(&wire, 0)
-                .map_err(|e| JobError::from_task(0, e))?;
-            if bytes > 0 {
-                moves += 1;
-                payload += bytes;
-                if m.from != m.to {
-                    cross += bytes;
+        let units: Vec<&RebalanceUnit> = plan.units.iter().collect();
+        let ready = (0..units.len()).collect();
+        let run = self.run_stage(TenantId::ANONYMOUS, 0, units, ready, |_, unit, _| {
+            let (mut moves, mut payload, mut cross) = (0u64, 0u64, 0u64);
+            for &to in &unit.to {
+                let wire = WireMove {
+                    phase: Phase::Rebalance,
+                    from_node: unit.from,
+                    to_node: to,
+                    wire_bytes: 0,
+                    src: unit.key,
+                    dst: unit.key,
+                };
+                let bytes = transport.execute(&wire, 0)?;
+                if bytes > 0 {
+                    moves += 1;
+                    payload += bytes;
+                    if unit.from != to {
+                        cross += bytes;
+                    }
+                    self.ledger
+                        .record_shuffle(Phase::Rebalance, unit.from, to, bytes);
                 }
-                self.ledger
-                    .record_shuffle(Phase::Rebalance, m.from, m.to, bytes);
             }
-        }
-        for (node, key) in &plan.evictions {
-            self.stores.node(*node).remove(key);
-        }
-        Ok((moves, payload, cross))
+            for &node in &unit.evict {
+                self.stores.node(node).remove(&unit.key);
+            }
+            Ok((moves, payload, cross))
+        })?;
+        Ok(run
+            .outputs
+            .iter()
+            .fold((0, 0, 0), |(m, p, c), u| (m + u.0, p + u.1, c + u.2)))
     }
 
     fn rebalance_report(
@@ -1121,6 +1156,108 @@ mod tests {
         assert_eq!(c.epoch(), 1);
         assert_eq!(c.config().nodes, 3);
         assert!(c.stores().resident_keys().is_empty());
+    }
+
+    #[test]
+    fn resize_cycles_repeat_exactly_whatever_order_the_gang_ran_in() {
+        use crate::coding::ReplicationPolicy;
+        use crate::rebalance::home_node;
+        use distme_matrix::{codec, Block, BlockId, CsrBlock, DenseBlock};
+        let mut c =
+            LocalCluster::new(ClusterConfig::laptop().with_replication(ReplicationPolicy::Xor));
+        // Two matrices, dense and sparse blocks of unequal size, resident
+        // on both homes of the 4-node grid — where a cycle leaves them, so
+        // every cycle starts from the same placement.
+        for uid in [11u64, 12] {
+            for row in 0..5u32 {
+                for col in 0..4u32 {
+                    let id = BlockId::new(row, col);
+                    let n = 3 + (row + col) as usize % 4;
+                    let blk = Arc::new(if (row + col + uid as u32).is_multiple_of(3) {
+                        let trips = (0..n).map(|i| (i, (i * 2) % n, 1.5 + (i + n) as f64));
+                        Block::Sparse(CsrBlock::from_triplets(n, n, trips).unwrap())
+                    } else {
+                        Block::Dense(DenseBlock::from_fn(n, n, |i, j| {
+                            (uid as usize * 31 + i * n + j) as f64 / 7.0
+                        }))
+                    });
+                    for which in 0..2 {
+                        c.stores().ingest(
+                            home_node(id, which, 4),
+                            StoreKey::operand(uid, id),
+                            blk.clone(),
+                        );
+                    }
+                }
+            }
+            assert!(c.encode_parity(uid) > 0);
+        }
+        // Every node's keys and the exact bytes of every block, parity
+        // envelopes included.
+        let placement = |c: &LocalCluster| -> Vec<Vec<(StoreKey, Vec<u8>)>> {
+            (0..c.stores().num_nodes())
+                .map(|n| {
+                    let store = c.stores().node(n);
+                    let frame = |k| codec::encode(&store.get(&k).unwrap()).to_vec();
+                    store.keys().into_iter().map(|k| (k, frame(k))).collect()
+                })
+                .collect()
+        };
+        let mut cycle = || {
+            let mark = c.ledger().snapshot();
+            let grown = c.scale_to(9).unwrap();
+            let at_nine = placement(&c);
+            let shrunk = c.scale_to(4).unwrap();
+            let delta = c.ledger().since(&mark);
+            (
+                [grown, shrunk].map(|r| (r.moves, r.payload_bytes, r.stats)),
+                (
+                    delta.shuffle_bytes(Phase::Rebalance),
+                    delta.cross_node_bytes(Phase::Rebalance),
+                ),
+                at_nine,
+                placement(&c),
+            )
+        };
+        let first = cycle();
+        let [(moves, payload, stats), _] = first.0;
+        assert!(moves > 0 && payload > 0 && stats.parity_blocks_encoded > 0);
+        assert_eq!(first.1 .0, first.0[0].1 + first.0[1].1, "ledger = reports");
+        for n in 1..20 {
+            assert!(cycle() == first, "cycle {n} differs from the first");
+        }
+    }
+
+    #[test]
+    fn a_resize_the_task_limit_refuses_moves_nothing() {
+        use distme_matrix::{Block, BlockId, DenseBlock};
+        // The one failure a fault-free migration can reach: its units are
+        // a stage, and a stage may hold at most `max_tasks` tasks.
+        let mut cfg = ClusterConfig::laptop();
+        cfg.max_tasks = 2;
+        let mut c = LocalCluster::new(cfg);
+        for col in 0..3u32 {
+            let blk = Block::Dense(DenseBlock::from_fn(2, 2, |i, j| {
+                (i + j + col as usize) as f64
+            }));
+            c.stores()
+                .ingest(3, StoreKey::operand(9, BlockId::new(0, col)), Arc::new(blk));
+        }
+        let before = c.stores().resident_keys();
+        let err = c.scale_to(9).unwrap_err();
+        assert_eq!(
+            err,
+            JobError::TooManyTasks {
+                requested: 3,
+                limit: 2
+            }
+        );
+        assert_eq!(
+            c.stores().resident_keys(),
+            before,
+            "every key on its old homes"
+        );
+        assert_eq!((c.epoch(), c.config().nodes), (0, 4));
     }
 
     #[test]

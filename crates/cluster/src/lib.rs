@@ -58,7 +58,7 @@ pub use executor::real::{LocalCluster, StageGate, TaskCtx};
 pub use executor::sim::{ComputeWork, SimCluster, SimTask, StageOutcome};
 pub use failure::{JobError, TaskError};
 pub use membership::{ElasticPolicy, Membership, MembershipEvent};
-pub use rebalance::{BlockMove, RebalancePlan, RebalanceReport};
+pub use rebalance::{RebalancePlan, RebalanceReport, RebalanceUnit};
 pub use scheduler::{AdmissionTicket, Gang, QueueWaitStats, Scheduler, SchedulerLoad, TaskGrant};
 pub use shuffle::{LedgerSnapshot, ShuffleLedger};
 pub use stats::{JobStats, Phase, PhaseStats, TenantId};

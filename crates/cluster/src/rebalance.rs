@@ -6,13 +6,23 @@
 //! holders ([`ClusterStores::resident_keys`]) and lists, in deterministic
 //! key order:
 //!
-//! * [`BlockMove`]s shipping each key from one surviving holder onto its
-//!   homes under the **new** grid — executed through the codec-backed
-//!   transport, charged to the ledger under [`Phase::Rebalance`];
-//! * evictions dropping copies stranded at nodes that are no longer homes
-//!   (this is what empties a leaving node's store);
+//! * one [`RebalanceUnit`] per key that has anything to do — the new homes
+//!   to ship it to from one surviving holder (through the codec-backed
+//!   transport, charged to the ledger under [`Phase::Rebalance`]), then
+//!   the copies stranded at nodes that are no longer homes (dropping them
+//!   is what empties a leaving node's store);
 //! * `lost` keys with no readable holder at all — only possible after a
 //!   permanent decommission severed the sole copy.
+//!
+//! A unit is the grain of execution. Moves of distinct keys are
+//! independent one-sided transfers, so the executor runs all units as one
+//! gang, and each unit drops its stranded copies the moment its own moves
+//! have landed — never before, since the source may be one of them. A
+//! resize therefore holds at most a few keys' worth of extra copies at a
+//! time, and the blocks one unit frees are the memory the next unit's
+//! moves decode into, instead of the heap growing by the whole migration
+//! before anything is dropped. Totals (moves, bytes, ledger charges) are
+//! sums over units and do not depend on the order they ran in.
 //!
 //! Every key is re-homed to **both** salted homes (`which` 0 and 1 — the
 //! A-operand and B-operand spaces of the plan's routing), matching how the
@@ -44,27 +54,27 @@ pub fn home_node(id: BlockId, which: u64, nodes: usize) -> usize {
     (z ^ (z >> 31)) as usize % nodes
 }
 
-/// One planned migration: ship `key` from the store of `from` to the store
-/// of `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockMove {
-    /// The resident key to ship (same key at source and destination).
+/// One key's share of a membership change: ship it from `from` to every
+/// node in `to`, then drop the copies in `evict`. The order is the
+/// contract — `evict` may name `from` itself, so nothing is dropped until
+/// every move of the unit has landed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RebalanceUnit {
+    /// The resident key (the same key at source and destinations).
     pub key: StoreKey,
-    /// A current holder of the key.
+    /// A current holder of the key: the source of every move.
     pub from: usize,
-    /// A home of the key under the new grid.
-    pub to: usize,
+    /// Homes under the new grid that do not hold the key yet, ascending.
+    pub to: Vec<usize>,
+    /// Holders that are not homes under the new grid, ascending.
+    pub evict: Vec<usize>,
 }
 
 /// The deterministic migration schedule for one membership change.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RebalancePlan {
-    /// Node count of the new grid.
-    pub new_nodes: usize,
-    /// Migrations, in `(key, to)` order.
-    pub moves: Vec<BlockMove>,
-    /// `(node, key)` copies to drop once the moves have landed.
-    pub evictions: Vec<(usize, StoreKey)>,
+    /// One unit per key with a move or an eviction to make, in key order.
+    pub units: Vec<RebalanceUnit>,
     /// Keys with no readable holder — unrecoverable without re-running the
     /// producing job.
     pub lost: Vec<StoreKey>,
@@ -77,34 +87,25 @@ impl RebalancePlan {
     /// snapshot and node count produce the identical plan.
     pub fn derive(snapshot: &BTreeMap<StoreKey, BTreeSet<usize>>, new_nodes: usize) -> Self {
         assert!(new_nodes > 0, "cannot rebalance onto an empty grid");
-        let mut plan = RebalancePlan {
-            new_nodes,
-            ..Default::default()
-        };
+        let mut plan = RebalancePlan::default();
         for (key, holders) in snapshot {
-            let Some(&source) = holders.iter().next() else {
+            let Some(&from) = holders.first() else {
                 plan.lost.push(*key);
                 continue;
             };
-            let targets: BTreeSet<usize> = [
+            let homes = BTreeSet::from([
                 home_node(key.id, 0, new_nodes),
                 home_node(key.id, 1, new_nodes),
-            ]
-            .into_iter()
-            .collect();
-            for &t in &targets {
-                if !holders.contains(&t) {
-                    plan.moves.push(BlockMove {
-                        key: *key,
-                        from: source,
-                        to: t,
-                    });
-                }
-            }
-            for &h in holders {
-                if !targets.contains(&h) {
-                    plan.evictions.push((h, *key));
-                }
+            ]);
+            let to: Vec<usize> = homes.difference(holders).copied().collect();
+            let evict: Vec<usize> = holders.difference(&homes).copied().collect();
+            if !to.is_empty() || !evict.is_empty() {
+                plan.units.push(RebalanceUnit {
+                    key: *key,
+                    from,
+                    to,
+                    evict,
+                });
             }
         }
         plan
@@ -112,7 +113,7 @@ impl RebalancePlan {
 
     /// Whether the plan migrates or drops anything at all.
     pub fn is_empty(&self) -> bool {
-        self.moves.is_empty() && self.evictions.is_empty() && self.lost.is_empty()
+        self.units.is_empty() && self.lost.is_empty()
     }
 }
 
@@ -163,7 +164,7 @@ mod tests {
         let a = RebalancePlan::derive(&snap, 9);
         let b = RebalancePlan::derive(&snap, 9);
         assert_eq!(a, b);
-        assert!(!a.moves.is_empty() || !a.evictions.is_empty());
+        assert!(!a.units.is_empty());
     }
 
     #[test]
@@ -176,7 +177,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let moved_to: BTreeSet<usize> = plan.moves.iter().map(|m| m.to).collect();
+        let moved_to: BTreeSet<usize> = plan.units.iter().flat_map(|u| &u.to).copied().collect();
         let kept: BTreeSet<usize> = targets.iter().copied().filter(|t| *t == 0).collect();
         // Every target is either moved to or was already held.
         assert_eq!(
@@ -184,7 +185,7 @@ mod tests {
             targets
         );
         // The old copy survives only if node 0 is a new home.
-        let evicted_at_0 = plan.evictions.iter().any(|(n, _)| *n == 0);
+        let evicted_at_0 = plan.units.iter().any(|u| u.evict.contains(&0));
         assert_eq!(evicted_at_0, !targets.contains(&0));
     }
 
@@ -194,9 +195,12 @@ mod tests {
         // surviving prefix and the tail copy must be evicted.
         let snap = snapshot(&[(key(3, 1, 1), &[8])]);
         let plan = RebalancePlan::derive(&snap, 4);
-        assert!(plan.moves.iter().all(|m| m.from == 8 && m.to < 4));
-        assert!(!plan.moves.is_empty());
-        assert!(plan.evictions.contains(&(8, key(3, 1, 1))));
+        let [unit] = plan.units.as_slice() else {
+            panic!("one key, one unit: {plan:?}");
+        };
+        assert_eq!((unit.key, unit.from), (key(3, 1, 1), 8));
+        assert!(!unit.to.is_empty() && unit.to.iter().all(|&t| t < 4));
+        assert_eq!(unit.evict, vec![8]);
         assert!(plan.lost.is_empty());
     }
 
@@ -205,7 +209,7 @@ mod tests {
         let snap = snapshot(&[(key(5, 0, 0), &[])]);
         let plan = RebalancePlan::derive(&snap, 4);
         assert_eq!(plan.lost, vec![key(5, 0, 0)]);
-        assert!(plan.moves.is_empty());
+        assert!(plan.units.is_empty());
     }
 
     #[test]
@@ -218,6 +222,56 @@ mod tests {
         let snap: BTreeMap<StoreKey, BTreeSet<usize>> = [(k, homes)].into_iter().collect();
         let plan = RebalancePlan::derive(&snap, 6);
         assert!(plan.is_empty());
+    }
+
+    #[test]
+    fn a_unit_holds_its_own_keys_moves_and_only_then_its_evictions() {
+        // 6 x 6 blocks, each held by one or two nodes of a 9-node grid
+        // (some of them its future homes), shrunk to 4: every shape of
+        // unit turns up — source kept, source stranded, nothing to move.
+        let mut snap = BTreeMap::new();
+        for row in 0..6u32 {
+            for col in 0..6u32 {
+                let id = BlockId::new(row, col);
+                let holders = BTreeSet::from([home_node(id, 0, 9), home_node(id, 2, 4)]);
+                snap.insert(key(1, row, col), holders);
+            }
+        }
+        let plan = RebalancePlan::derive(&snap, 4);
+        assert!(plan.lost.is_empty());
+        assert!(
+            plan.units.windows(2).all(|w| w[0].key < w[1].key),
+            "at most one unit per key, in key order"
+        );
+        let stranded_sources = plan
+            .units
+            .iter()
+            .filter(|u| u.evict.contains(&u.from))
+            .count();
+        assert!(stranded_sources > 0, "the case the ordering exists for");
+        let mut seen = BTreeSet::new();
+        for unit in &plan.units {
+            seen.insert(unit.key);
+            let holders = &snap[&unit.key];
+            let homes =
+                BTreeSet::from([home_node(unit.key.id, 0, 4), home_node(unit.key.id, 1, 4)]);
+            assert!(holders.contains(&unit.from), "the source holds the key");
+            // Moves then evictions leave the key on exactly its new homes,
+            // and every eviction is of a copy of this unit's own key.
+            let mut after = holders.clone();
+            after.extend(&unit.to);
+            assert!(unit.evict.iter().all(|n| after.remove(n)));
+            assert_eq!(after, homes, "{unit:?}");
+            // A move never targets a holder, so no move is lost to an
+            // eviction of the same unit, whichever order the two lists
+            // name the nodes in.
+            assert!(unit.to.iter().all(|t| !holders.contains(t)));
+        }
+        // Keys without a unit were already exactly at home.
+        for (k, holders) in &snap {
+            let homes = BTreeSet::from([home_node(k.id, 0, 4), home_node(k.id, 1, 4)]);
+            assert_eq!(seen.contains(k), *holders != homes, "{k:?}");
+        }
     }
 
     #[test]
