@@ -13,9 +13,9 @@
 //! | `fig9`   | Fig. 9(a–b) — (P, Q, R) sweep around the optimum |
 //! | `table5` | Table 5 — ScaLAPACK/SciDB/DistME(C) |
 //!
-//! Run with `cargo run -p distme-bench --release --bin <target>`.
-//! Criterion micro-benchmarks for the real-execution hot paths live under
-//! `benches/`.
+//! Run with `cargo run -p distme-bench --release --bin <target>`. The
+//! real-execution hot paths are measured by the repository's benchmark,
+//! the stand-alone `e2e/` package, not here.
 //!
 //! Absolute paper numbers come from a Spark cluster whose shuffle
 //! compression, serialization, and scheduler we can only calibrate, so the

@@ -205,7 +205,7 @@ pub struct ClusterConfig {
     /// never faults, so it ignores this).
     pub retry: RetryPolicy,
     /// Shared job-scheduler tuning: submission queue depth, admission
-    /// memory budget, priority range, fair-share strength.
+    /// memory budget, priority range.
     pub scheduler: SchedulerConfig,
     /// Coded-replication policy (`cluster::coding`): off by default so
     /// placement, wire frames, and ledger bytes stay byte-identical to the

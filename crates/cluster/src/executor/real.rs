@@ -21,7 +21,7 @@ use crate::chaos::{FaultPlan, FaultSpec};
 use crate::config::ClusterConfig;
 use crate::failure::{JobError, TaskError};
 use crate::membership::{Membership, MembershipEvent};
-use crate::rebalance::{RebalancePlan, RebalanceReport, RebalanceUnit};
+use crate::rebalance::{RebalancePlan, RebalanceReport};
 use crate::scheduler::{Gang, Scheduler};
 use crate::shuffle::ShuffleLedger;
 use crate::stats::{JobStats, Phase, TenantId};
@@ -220,11 +220,11 @@ impl LocalCluster {
         if groups.is_empty() {
             return 0;
         }
-        let (tasks, ready) = (groups.iter().collect(), (0..groups.len()).collect());
-        self.run_stage(TenantId::ANONYMOUS, 0, tasks, ready, |_, group, _| {
+        let ready = (0..groups.len()).collect();
+        self.run_stage(TenantId::ANONYMOUS, 0, groups.len(), ready, |ctx, _| {
             Ok(crate::coding::encode_group(
                 &self.stores,
-                group,
+                &groups[ctx.task],
                 nodes,
                 policy,
             ))
@@ -436,9 +436,10 @@ impl LocalCluster {
     fn run_rebalance(&self, plan: &RebalancePlan) -> Result<(u64, u64, u64), JobError> {
         let migration_stats = TransportStats::default();
         let transport = Transport::new(&self.stores, &migration_stats, None, self.cfg.retry);
-        let units: Vec<&RebalanceUnit> = plan.units.iter().collect();
+        let units = &plan.units;
         let ready = (0..units.len()).collect();
-        let run = self.run_stage(TenantId::ANONYMOUS, 0, units, ready, |_, unit, _| {
+        let run = self.run_stage(TenantId::ANONYMOUS, 0, units.len(), ready, |ctx, _| {
+            let unit = &units[ctx.task];
             let (mut moves, mut payload, mut cross) = (0u64, 0u64, 0u64);
             for &to in &unit.to {
                 let wire = WireMove {
@@ -498,10 +499,11 @@ impl LocalCluster {
         }
     }
 
-    /// Runs one stage: `f` is applied to every input on a worker pool of at
-    /// most `M · Tc` threads (capped by host parallelism times the
-    /// configured oversubscription), registered with the shared scheduler
-    /// as one gang under `tenant` at `priority`. Task memory is enforced
+    /// Runs one stage of `n` tasks: `f` runs once per task index
+    /// ([`TaskCtx::task`] names the item) on a worker pool of at most
+    /// `M · Tc` threads (capped by host parallelism times the configured
+    /// oversubscription), registered with the shared scheduler as one gang
+    /// under `tenant` at `priority`. Task memory is enforced
     /// through [`TaskCtx::alloc`]. Workers buffer outputs locally, merging
     /// once at exit; outputs are returned in task order regardless of which
     /// worker ran what, or when.
@@ -516,34 +518,29 @@ impl LocalCluster {
     /// dependencies drain instead of deadlocking.
     ///
     /// A task that fails with a *transient* error (crash, lost or corrupt
-    /// shuffle block — see [`TaskError::is_transient`]) is re-run in place
-    /// with a cloned input, up to `ClusterConfig::retry` attempts; each
-    /// re-run charges exponential backoff to the stage's *modeled* time
-    /// (`StageRun::backoff_secs`), never the wall clock. Inputs must be
-    /// `Clone` for exactly this re-run path (stage inputs are routing
-    /// metadata — moves and block ids — not matrix payloads).
+    /// shuffle block — see [`TaskError::is_transient`]) is re-run in place,
+    /// up to `ClusterConfig::retry` attempts; each re-run charges
+    /// exponential backoff to the stage's *modeled* time
+    /// (`StageRun::backoff_secs`), never the wall clock.
     ///
     /// # Errors
-    /// * [`JobError::TooManyTasks`] when `inputs.len()` exceeds the
-    ///   scheduler limit;
+    /// * [`JobError::TooManyTasks`] when `n` exceeds the scheduler limit;
     /// * the first task failure, promoted via
     ///   [`JobError::from_task_attempts`] (lowest task index wins,
     ///   deterministically; the message carries the attempt count when
     ///   retries were exhausted).
-    pub fn run_stage<I, O, F>(
+    pub fn run_stage<O, F>(
         &self,
         tenant: TenantId,
         priority: u8,
-        inputs: Vec<I>,
+        n: usize,
         ready: Vec<usize>,
         f: F,
     ) -> Result<StageRun<O>, JobError>
     where
-        I: Send + Clone,
         O: Send,
-        F: Fn(&TaskCtx, I, &StageGate<'_>) -> Result<O, TaskError> + Sync,
+        F: Fn(&TaskCtx, &StageGate<'_>) -> Result<O, TaskError> + Sync,
     {
-        let n = inputs.len();
         if n > self.cfg.max_tasks {
             return Err(JobError::TooManyTasks {
                 requested: n,
@@ -563,13 +560,10 @@ impl LocalCluster {
         // The claim queue is the shared scheduler: the stage registers its
         // task count as a gang, and each worker pulls `(lease, index)`
         // grants, while the lease pool bounds how many tasks run at once
-        // *across every concurrent job*. The per-slot mutex below is only
-        // ever taken once per task and never contended, because a grant
-        // hands out each index exactly once.
+        // *across every concurrent job*. A grant hands out each index
+        // exactly once.
         let gang = self.scheduler.register_gang(tenant, priority, n, ready);
         let gate = StageGate { gang: &gang };
-        let slots: Vec<Mutex<Option<I>>> =
-            inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
         type TaskReport<O> = (usize, u32, Result<O, TaskError>);
         let done: Mutex<Vec<TaskReport<O>>> = Mutex::new(Vec::with_capacity(n));
         let peak = AtomicU64::new(0);
@@ -582,11 +576,6 @@ impl LocalCluster {
                     let mut local: Vec<TaskReport<O>> = Vec::new();
                     while let Some(grant) = gang.next_task() {
                         let idx = grant.index;
-                        let mut item = slots[idx]
-                            .lock()
-                            .expect("no worker panics while taking its slot")
-                            .take();
-                        debug_assert!(item.is_some(), "each index is claimed exactly once");
                         let mut attempt: u32 = 0;
                         let (attempts, out) = loop {
                             let ctx = TaskCtx {
@@ -597,15 +586,7 @@ impl LocalCluster {
                                 mem_used: Cell::new(0),
                                 mem_peak: Cell::new(0),
                             };
-                            // The final permitted attempt moves the input;
-                            // earlier ones clone it so a retry has
-                            // something to re-run.
-                            let input = if attempt + 1 < max_attempts {
-                                item.clone().expect("item retained for retries")
-                            } else {
-                                item.take().expect("item retained for retries")
-                            };
-                            let res = f(&ctx, input, &gate);
+                            let res = f(&ctx, &gate);
                             peak.fetch_max(ctx.peak(), Ordering::Relaxed);
                             match res {
                                 Err(e) if e.is_transient() && attempt + 1 < max_attempts => {
@@ -677,12 +658,12 @@ mod tests {
         f: impl Fn(&TaskCtx, I) -> Result<O, TaskError> + Sync,
     ) -> Result<StageRun<O>, JobError>
     where
-        I: Send + Clone,
+        I: Sync + Clone,
         O: Send,
     {
         let ready = (0..inputs.len()).collect();
-        c.run_stage(TenantId::ANONYMOUS, 0, inputs, ready, |ctx, item, _| {
-            f(ctx, item)
+        c.run_stage(TenantId::ANONYMOUS, 0, inputs.len(), ready, |ctx, _| {
+            f(ctx, inputs[ctx.task].clone())
         })
     }
 
@@ -950,26 +931,20 @@ mod tests {
         let produced = Mutex::new(Vec::new());
         let remaining = AtomicU64::new(4);
         let run = c
-            .run_stage(
-                TenantId::ANONYMOUS,
-                0,
-                (0..5).collect(),
-                (0..4).collect(),
-                |ctx, x: usize, gate| {
-                    assert_eq!(ctx.task, x);
-                    if x < 4 {
-                        produced.lock().unwrap().push(x);
-                        if remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
-                            gate.mark_ready(4);
-                        }
-                        Ok(x * 10)
-                    } else {
-                        let seen = produced.lock().unwrap().len();
-                        assert_eq!(seen, 4, "consumer ran before its producers");
-                        Ok(seen)
+            .run_stage(TenantId::ANONYMOUS, 0, 5, (0..4).collect(), |ctx, gate| {
+                let x = ctx.task;
+                if x < 4 {
+                    produced.lock().unwrap().push(x);
+                    if remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
+                        gate.mark_ready(4);
                     }
-                },
-            )
+                    Ok(x * 10)
+                } else {
+                    let seen = produced.lock().unwrap().len();
+                    assert_eq!(seen, 4, "consumer ran before its producers");
+                    Ok(seen)
+                }
+            })
             .unwrap();
         assert_eq!(run.outputs, vec![0, 10, 20, 30, 4]);
     }
@@ -980,20 +955,15 @@ mod tests {
         // terminally; the stage must return the error, not hang.
         let c = cluster();
         let err = c
-            .run_stage(
-                TenantId::ANONYMOUS,
-                0,
-                vec![0usize, 1],
-                vec![0],
-                |_, x, gate| {
-                    if x == 0 {
-                        Err(TaskError::Compute("producer bug".into()))
-                    } else {
-                        gate.mark_ready(1); // unreachable
-                        Ok(x)
-                    }
-                },
-            )
+            .run_stage(TenantId::ANONYMOUS, 0, 2, vec![0], |ctx, gate| {
+                let x = ctx.task;
+                if x == 0 {
+                    Err(TaskError::Compute("producer bug".into()))
+                } else {
+                    gate.mark_ready(1); // unreachable
+                    Ok(x)
+                }
+            })
             .unwrap_err();
         assert!(matches!(err, JobError::TaskFailed { task: 0, .. }));
     }
@@ -1010,24 +980,18 @@ mod tests {
         // marks again. The consumer must still run exactly once.
         let consumer_runs = AtomicU64::new(0);
         let run = c
-            .run_stage(
-                TenantId::ANONYMOUS,
-                0,
-                vec![0usize, 1],
-                vec![0],
-                |ctx, x, gate| {
-                    if x == 0 {
-                        gate.mark_ready(1);
-                        if ctx.attempt == 0 {
-                            return Err(TaskError::Crashed { node: ctx.node });
-                        }
-                        Ok(100)
-                    } else {
-                        consumer_runs.fetch_add(1, Ordering::Relaxed);
-                        Ok(200)
+            .run_stage(TenantId::ANONYMOUS, 0, 2, vec![0], |ctx, gate| {
+                if ctx.task == 0 {
+                    gate.mark_ready(1);
+                    if ctx.attempt == 0 {
+                        return Err(TaskError::Crashed { node: ctx.node });
                     }
-                },
-            )
+                    Ok(100)
+                } else {
+                    consumer_runs.fetch_add(1, Ordering::Relaxed);
+                    Ok(200)
+                }
+            })
             .unwrap();
         assert_eq!(run.outputs, vec![100, 200]);
         assert_eq!(consumer_runs.load(Ordering::Relaxed), 1);

@@ -196,6 +196,23 @@ pub enum JobError {
         /// Human-readable reason.
         reason: String,
     },
+    /// The plan was built at a membership epoch the cluster has since left:
+    /// its routing assumed a grid that no longer exists. Rejected before
+    /// any task runs.
+    StaleEpoch {
+        /// Epoch the plan was built at.
+        plan: u64,
+        /// The cluster's current epoch.
+        cluster: u64,
+    },
+    /// The plan was routed for a different node count than the cluster
+    /// has. Rejected before any task runs.
+    NodeCountMismatch {
+        /// Nodes the plan was routed for.
+        plan: usize,
+        /// Nodes the cluster has.
+        cluster: usize,
+    },
     /// The closure a tenant submitted to the job service panicked. Only
     /// that job fails; its admission and cluster hold are released.
     Panicked {
@@ -212,7 +229,9 @@ impl JobError {
             JobError::Timeout { .. } => "T.O.",
             JobError::ExceededDiskCapacity { .. } => "E.D.C.",
             JobError::TooManyTasks { .. } => "T.M.T.",
-            JobError::TaskFailed { .. } => "FAIL",
+            JobError::TaskFailed { .. }
+            | JobError::StaleEpoch { .. }
+            | JobError::NodeCountMismatch { .. } => "FAIL",
             JobError::NodeDecommissioned { .. } => "N.D.",
             JobError::QueueFull { .. } => "Q.F.",
             JobError::InvalidSubmission { .. } => "INV",
@@ -285,6 +304,14 @@ impl fmt::Display for JobError {
             JobError::InvalidSubmission { reason } => {
                 write!(f, "invalid submission: {reason}")
             }
+            JobError::StaleEpoch { plan, cluster } => write!(
+                f,
+                "plan built at membership epoch {plan} is stale: the cluster is now at epoch {cluster}"
+            ),
+            JobError::NodeCountMismatch { plan, cluster } => write!(
+                f,
+                "plan routed for {plan} nodes cannot run on a {cluster}-node cluster"
+            ),
             JobError::Panicked { message } => write!(f, "job panicked: {message}"),
         }
     }

@@ -225,6 +225,37 @@ fn certain_faults_exhaust_retries_into_a_typed_failure() {
     }
 }
 
+/// The same seeded 1 % drop schedule with coding off and on: XOR parity
+/// turns lineage retransmissions of coded blocks into reconstructions from
+/// group survivors, so strictly fewer bytes re-ride the wire, and what is
+/// retransmitted plus what is read to reconstruct never exceeds what pure
+/// redelivery retransmits.
+#[test]
+fn xor_parity_saves_retransmitted_bytes_under_seeded_drops() {
+    let bs = 64;
+    let am = MatrixMeta::dense(6 * bs, 5 * bs).with_block_size(bs);
+    let bm = MatrixMeta::dense(5 * bs, 4 * bs).with_block_size(bs);
+    let a = MatrixGenerator::with_seed(11).generate(&am).unwrap();
+    let b = MatrixGenerator::with_seed(22).generate(&bm).unwrap();
+    let run = |policy: ReplicationPolicy| {
+        let cluster = LocalCluster::new(ClusterConfig::laptop().with_replication(policy));
+        cluster.inject_faults(FaultSpec {
+            drop_rate: 0.01,
+            ..FaultSpec::quiet(70)
+        });
+        let (_, stats) = real_exec::multiply(&cluster, &a, &b, MulMethod::CuboidAuto)
+            .expect("recovers under faults");
+        stats
+    };
+    let (off, xor) = (run(ReplicationPolicy::Off), run(ReplicationPolicy::Xor));
+    assert!(off.retransmitted_payload_bytes > 0, "the seed must drop");
+    assert!(xor.retransmitted_payload_bytes < off.retransmitted_payload_bytes);
+    assert!(
+        xor.retransmitted_payload_bytes + xor.reconstruction_payload_bytes
+            <= off.retransmitted_payload_bytes
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 

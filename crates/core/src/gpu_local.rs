@@ -1,5 +1,5 @@
 //! Algorithm 1 — GPU-accelerated local multiplication of one cuboid
-//! (§4.3–4.4).
+//! (§4.3–4.4), and the only dense cuboid body the engine has.
 //!
 //! Two faces of the same schedule:
 //!
@@ -12,8 +12,11 @@
 //! * [`execute_cuboid_real`] *runs* the schedule with real blocks (kernels
 //!   execute on the CPU standing in for `cublasDgemm`/`cusparseDcsrmm`),
 //!   iterating subcuboids in `(p2, q2, r2)` order and keeping the `C'`
-//!   accumulator resident across the k-axis — proving the schedule computes
-//!   the same product as a plain loop.
+//!   accumulator resident across the k-axis. A cluster without a device is
+//!   the case where the whole cuboid is one subcuboid, so every dense mult
+//!   task of the real executor runs this loop: with or without θg each
+//!   output cell is one `multiply_accumulate` chain over k ascending from
+//!   a zero block, which is why the product's bits cannot depend on θg.
 
 use crate::cuboid::Cuboid;
 use crate::problem::MatmulProblem;
@@ -65,6 +68,12 @@ pub struct CuboidGpuResult {
 /// on the distributed path, or a plain `BlockMatrix` on single-node call
 /// paths.
 ///
+/// `gpu_task_mem_bytes` is θg; `None` (no device) walks the cuboid as the
+/// single subcuboid `(1, 1, 1)`. `on_panel(p)` is called once per k step
+/// `k0 + p`, ascending, the first time the walk reaches that step and
+/// before any block of it is read — the caller makes the panel readable
+/// there, so a panel is accumulated as it lands.
+///
 /// Blocks absent from sparse operands are treated as zero (their kernels
 /// are skipped, like a csrmm on an empty block). The `C'` accumulator for
 /// a `(p2, q2)` cell stays "device-resident" across the `r2` iterations and
@@ -73,37 +82,43 @@ pub struct CuboidGpuResult {
 ///
 /// # Errors
 /// Returns [`TaskError::OutOfMemory`] when even single-voxel subcuboids
-/// exceed θg, and propagates the source's locality errors
-/// ([`TaskError::MissingBlock`]).
+/// exceed θg, and propagates `on_panel`'s errors and the source's locality
+/// errors ([`TaskError::MissingBlock`]).
 pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
     cuboid: &Cuboid,
     a: &A,
     b: &B,
     problem: &MatmulProblem,
-    gpu_task_mem_bytes: u64,
+    gpu_task_mem_bytes: Option<u64>,
+    mut on_panel: impl FnMut(usize) -> Result<(), TaskError>,
 ) -> Result<CuboidGpuResult, TaskError> {
     let c_meta = &problem.c;
-    let sides = CuboidSides::of(
-        cuboid,
-        problem.a.block_bytes(),
-        problem.b.block_bytes(),
-        c_meta.block_bytes(),
-    );
-    let Some((spec, _)) = subcuboid::optimize(&sides, gpu_task_mem_bytes) else {
-        return Err(TaskError::OutOfMemory {
-            needed: subcuboid::mem_bytes(
-                &sides,
-                SubcuboidSpec {
-                    p2: sides.extents.0,
-                    q2: sides.extents.1,
-                    r2: sides.extents.2,
-                },
-            ),
-            budget: gpu_task_mem_bytes,
-        });
-    };
-
     let (ie, je, ke) = cuboid.extents();
+    let spec = match gpu_task_mem_bytes {
+        None => SubcuboidSpec {
+            p2: 1,
+            q2: 1,
+            r2: 1,
+        },
+        Some(budget) => {
+            let sides = CuboidSides::of(
+                cuboid,
+                problem.a.block_bytes(),
+                problem.b.block_bytes(),
+                c_meta.block_bytes(),
+            );
+            let single_voxels = SubcuboidSpec {
+                p2: ie,
+                q2: je,
+                r2: ke,
+            };
+            let fits = subcuboid::optimize(&sides, budget).ok_or(TaskError::OutOfMemory {
+                needed: subcuboid::mem_bytes(&sides, single_voxels),
+                budget,
+            })?;
+            fits.0
+        }
+    };
     let (wi, wj, wk) = (
         ie.div_ceil(spec.p2),
         je.div_ceil(spec.q2),
@@ -126,8 +141,8 @@ pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
                 continue;
             }
             // BufC: accumulators for this (p2, q2) cell, "in GPU memory".
-            let mut bufc: Vec<Vec<Option<DenseBlock>>> =
-                vec![vec![None; (j_hi - j_lo) as usize]; (i_hi - i_lo) as usize];
+            let nj = (j_hi - j_lo) as usize;
+            let mut bufc: Vec<Option<DenseBlock>> = vec![None; (i_hi - i_lo) as usize * nj];
 
             for r2 in 0..spec.r2 {
                 let k_lo = cuboid.k0 + r2 * wk;
@@ -136,29 +151,40 @@ pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
                     continue;
                 }
                 iterations += 1;
-                // Lines 13–18: per (k, j) copy B block, then I' kernels.
+                // Lines 13–18: per k step, the subcuboid's A column and B
+                // row, then one kernel per block pair.
                 for k in k_lo..k_hi {
-                    for j in j_lo..j_hi {
-                        let Some(bblk) = b.block(k, j)? else { continue };
-                        for i in i_lo..i_hi {
-                            let Some(ablk) = a.block(i, k)? else { continue };
-                            let slot = &mut bufc[(i - i_lo) as usize][(j - j_lo) as usize];
+                    // The first cell walks every k step, in order; later
+                    // cells find the panels landed.
+                    if (p2, q2) == (0, 0) {
+                        on_panel((k - cuboid.k0) as usize)?;
+                    }
+                    let a_col: Vec<_> = (i_lo..i_hi)
+                        .map(|i| a.block(i, k))
+                        .collect::<Result<_, _>>()?;
+                    let b_row: Vec<_> = (j_lo..j_hi)
+                        .map(|j| b.block(k, j))
+                        .collect::<Result<_, _>>()?;
+                    for (i, ablk) in (i_lo..i_hi).zip(&a_col) {
+                        let Some(ablk) = ablk else { continue };
+                        for (j, bblk) in (j_lo..j_hi).zip(&b_row) {
+                            let Some(bblk) = bblk else { continue };
+                            let slot = &mut bufc[(i - i_lo) as usize * nj + (j - j_lo) as usize];
                             let acc = slot.get_or_insert_with(|| {
                                 let (r, c) = c_meta.block_dims(i, j);
                                 DenseBlock::zeros(r as usize, c as usize)
                             });
-                            kernels::multiply_accumulate(acc, &ablk, &bblk)?;
+                            kernels::multiply_accumulate(acc, ablk, bblk)?;
                             kernel_calls += 1;
                         }
                     }
                 }
             }
             // Lines 19–21: after the last k-subcuboid, copy C' back.
-            for (di, row) in bufc.into_iter().enumerate() {
-                for (dj, slot) in row.into_iter().enumerate() {
-                    if let Some(block) = slot {
-                        out.push((BlockId::new(i_lo + di as u32, j_lo + dj as u32), block));
-                    }
+            for (cell, slot) in bufc.into_iter().enumerate() {
+                if let Some(block) = slot {
+                    let id = BlockId::new(i_lo + (cell / nj) as u32, j_lo + (cell % nj) as u32);
+                    out.push((id, block));
                 }
             }
         }
@@ -248,8 +274,17 @@ mod tests {
         let theta_g = 20_000u64;
         let mut c = BlockMatrix::new(p.c);
         for cuboid in grid.cuboids() {
-            let res = execute_cuboid_real(&cuboid, &a, &b, &p, theta_g).unwrap();
+            let mut announced = Vec::new();
+            let res = execute_cuboid_real(&cuboid, &a, &b, &p, Some(theta_g), |panel| {
+                announced.push(panel);
+                Ok(())
+            })
+            .unwrap();
             assert!(res.iterations > 1, "θg should force multiple iterations");
+            // Each k step is announced once, ascending, however many
+            // subcuboids walk it afterwards.
+            let k_steps = (cuboid.k1 - cuboid.k0) as usize;
+            assert_eq!(announced, (0..k_steps).collect::<Vec<_>>());
             for (id, blk) in res.blocks {
                 // Aggregate intermediate blocks across the R = 2 cuboids.
                 let merged = match c.get(id.row, id.col) {
@@ -270,7 +305,7 @@ mod tests {
         let (a, b, p) = setup(8);
         let grid = CuboidGrid::new(&p, CuboidSpec::new(1, 1, 1));
         let cuboid = grid.cuboid(0, 0, 0);
-        let res = execute_cuboid_real(&cuboid, &a, &b, &p, u64::MAX).unwrap();
+        let res = execute_cuboid_real(&cuboid, &a, &b, &p, None, |_| Ok(())).unwrap();
         assert_eq!(res.kernel_calls, cuboid.voxels());
         assert_eq!(res.iterations, 1);
         assert_eq!(res.spec.iterations(), 1);
@@ -281,7 +316,7 @@ mod tests {
         let (a, b, p) = setup(8);
         let grid = CuboidGrid::new(&p, CuboidSpec::new(2, 2, 2));
         let cuboid = grid.cuboid(0, 0, 0);
-        let err = execute_cuboid_real(&cuboid, &a, &b, &p, 16).unwrap_err();
+        let err = execute_cuboid_real(&cuboid, &a, &b, &p, Some(16), |_| Ok(())).unwrap_err();
         assert!(matches!(err, TaskError::OutOfMemory { .. }));
     }
 
@@ -294,7 +329,7 @@ mod tests {
         a.put(0, 0, gen.generate_block(&p.a, 0, 0).unwrap())
             .unwrap();
         let grid = CuboidGrid::new(&p, CuboidSpec::new(1, 1, 1));
-        let res = execute_cuboid_real(&grid.cuboid(0, 0, 0), &a, &b, &p, u64::MAX).unwrap();
+        let res = execute_cuboid_real(&grid.cuboid(0, 0, 0), &a, &b, &p, None, |_| Ok(())).unwrap();
         let reference = a.multiply(&b).unwrap();
         // Only C-row 0 blocks can be non-zero.
         assert!(res.blocks.iter().all(|(id, _)| id.row == 0));

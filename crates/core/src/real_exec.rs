@@ -31,6 +31,13 @@
 //! still run. Tasks resolve inputs **only** from their own node's store (a
 //! miss on a materialized block is a hard [`TaskError::MissingBlock`]).
 //!
+//! The dense cuboid body is Algorithm 1's loop,
+//! [`gpu_local::execute_cuboid_real`], for every job: it calls the task
+//! back at each k step, which is where the panel is pulled and charged to
+//! θt. θg is the cluster's (`ClusterConfig::gpu`'s `task_mem_bytes`, the
+//! field the plan and the simulator read); without a device the cuboid is
+//! one subcuboid. SDDMM and RMM's voxel buckets keep their own bodies.
+//!
 //! `PhaseStats::secs` of repartition is the prologue plus the time mult
 //! tasks spent pulling their panels; local multiplication is the rest of
 //! the stage's window (compute, and the pre-move and aggregation traffic
@@ -44,13 +51,11 @@ use crate::plan::{BlockMove, JobPlan, Operand, TaskSpec, TaskWork};
 use crate::problem::MatmulProblem;
 use distme_cluster::chaos::run_task;
 use distme_cluster::{
-    BlockSource, BlockView, FaultPlan, JobError, JobStats, LocalCluster, NodeStore, Phase,
-    PinGuard, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats, WireMove,
+    BlockSource, BlockView, ClusterStores, FaultPlan, JobError, JobStats, LocalCluster, NodeStore,
+    Phase, PinGuard, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats, WireMove,
     RESIDENCY_WINDOW_JOBS,
 };
-use distme_matrix::{
-    codec, fresh_matrix_uid, kernels, Block, BlockId, BlockMatrix, CsrBlock, DenseBlock,
-};
+use distme_matrix::{codec, fresh_matrix_uid, kernels, Block, BlockId, BlockMatrix, CsrBlock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -59,10 +64,6 @@ use std::time::Instant;
 /// Options for real execution.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RealExecOptions {
-    /// When set, local multiplication runs through Algorithm 1's subcuboid
-    /// schedule with this per-task device-memory budget θg (the schedule's
-    /// arithmetic runs on the CPU; see `distme-gpu`'s crate docs).
-    pub gpu_task_mem_bytes: Option<u64>,
     /// Tenant the job's ledger traffic and scheduler leases are attributed
     /// to. Defaults to [`TenantId::ANONYMOUS`], preserving the single-user
     /// behaviour for direct callers.
@@ -84,20 +85,9 @@ pub fn multiply(
     b: &BlockMatrix,
     method: MulMethod,
 ) -> Result<(BlockMatrix, JobStats), JobError> {
-    multiply_with(cluster, a, b, method, RealExecOptions::default())
-}
-
-/// [`multiply`] with explicit options.
-pub fn multiply_with(
-    cluster: &LocalCluster,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    method: MulMethod,
-    opts: RealExecOptions,
-) -> Result<(BlockMatrix, JobStats), JobError> {
     let problem = MatmulProblem::new(*a.meta(), *b.meta())?;
     let plan = JobPlan::build(&problem, method, cluster.config()).at_epoch(cluster.epoch());
-    execute_plan(cluster, a, b, &plan, opts)
+    execute_plan(cluster, a, b, &plan, RealExecOptions::default())
 }
 
 /// Distributed SDDMM: `C = mask ⊙ (A · B)` gathered into the mask's CSR
@@ -145,10 +135,26 @@ struct JobSetup<'a> {
     /// Parity blocks materialized for the operands at ingest (coded
     /// replication; 0 when [`ReplicationPolicy::Off`](distme_cluster::ReplicationPolicy)).
     parity_blocks_encoded: u64,
+    /// Intermediate copies die with the job, however it ends: `c_uid` is
+    /// never `touch`ed, so nothing else would ever reclaim what a failed
+    /// job's finished tasks installed.
+    _intermediates: EvictOnDrop<'a>,
     /// Operands and the intermediate result stay resident for the whole
     /// job even when concurrent job completions advance the residency
     /// clock past the eviction window.
     _pins: [PinGuard<'a>; 3],
+}
+
+/// Drops every block of `matrix` from the stores when it goes out of scope.
+struct EvictOnDrop<'a> {
+    stores: &'a ClusterStores,
+    matrix: u64,
+}
+
+impl Drop for EvictOnDrop<'_> {
+    fn drop(&mut self) {
+        self.stores.evict_matrix(self.matrix);
+    }
 }
 
 /// Validates `plan` against the cluster, ingests the operands at their
@@ -163,22 +169,15 @@ fn prepare_job<'a>(
     let resolved = &plan.resolved;
     let nodes = cluster.config().nodes;
     if plan.nodes != nodes {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: format!(
-                "plan routed for {} nodes cannot run on a {nodes}-node cluster",
-                plan.nodes
-            ),
+        return Err(JobError::NodeCountMismatch {
+            plan: plan.nodes,
+            cluster: nodes,
         });
     }
     if plan.epoch != cluster.epoch() {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: format!(
-                "plan built at membership epoch {} is stale: the cluster is now at epoch {}",
-                plan.epoch,
-                cluster.epoch()
-            ),
+        return Err(JobError::StaleEpoch {
+            plan: plan.epoch,
+            cluster: cluster.epoch(),
         });
     }
 
@@ -266,6 +265,10 @@ fn prepare_job<'a>(
         b_index,
         c_uid,
         parity_blocks_encoded,
+        _intermediates: EvictOnDrop {
+            stores,
+            matrix: c_uid,
+        },
         _pins: [pin_a, pin_b, pin_c],
     })
 }
@@ -382,7 +385,8 @@ fn lower_move(a_uid: u64, b_uid: u64, c_uid: u64, phase: Phase, m: &BlockMove) -
 /// Executes `plan` against materialized operands.
 ///
 /// # Errors
-/// See [`multiply`].
+/// See [`multiply`]; [`JobError::NodeCountMismatch`] or
+/// [`JobError::StaleEpoch`] when `plan` was routed for another grid.
 pub fn execute_plan(
     cluster: &LocalCluster,
     a: &BlockMatrix,
@@ -410,6 +414,9 @@ pub fn execute_plan_masked(
     let problem = &plan.problem;
     let nodes = cluster.config().nodes;
     let broadcast_b = plan.resolved.broadcast_b;
+    // θg comes from the cluster the job runs on, like the plan's and the
+    // simulator's; a cluster without a device has none.
+    let theta_g = cluster.config().gpu.map(|g| g.task_mem_bytes);
 
     let prep_timer = Instant::now();
     let setup = prepare_job(cluster, a, b, plan, &opts)?;
@@ -497,47 +504,43 @@ pub fn execute_plan_masked(
         let drain = || (0..panels.len()).try_for_each(fetch);
         let blocks: Vec<(BlockId, Block)> = match &spec.work {
             TaskWork::Cuboid(cuboid) => {
-                // SDDMM and the GPU subcuboid schedule consume the whole
-                // input set at once: drain every panel, then run.
-                type Blocks = Vec<(BlockId, Block)>;
-                let on_whole_input = |run: &dyn Fn() -> Result<Blocks, TaskError>| {
-                    drain()?;
-                    ctx.alloc(cuboid_input_bytes(cuboid, &a_view, &b_view, broadcast_b)?)?;
-                    let blocks = run()?;
-                    for (_, blk) in &blocks {
-                        ctx.alloc(blk.mem_bytes())?;
-                    }
-                    Ok(blocks)
-                };
-                match (mask, opts.gpu_task_mem_bytes) {
-                    // The CPU loop accumulates each k-panel as it lands.
-                    (None, None) => multiply_cuboid_streamed(
-                        ctx,
+                // θt: the operand blocks of k step `k0 + p`.
+                let panel_bytes =
+                    |p: usize| panel_input_bytes(cuboid, p as u32, &a_view, &b_view, broadcast_b);
+                let products: Vec<(BlockId, Block)> = match mask {
+                    // Algorithm 1 accumulates each k-panel as it lands,
+                    // charging its inputs then.
+                    None => gpu_local::execute_cuboid_real(
                         cuboid,
                         &a_view,
                         &b_view,
                         problem,
-                        broadcast_b,
-                        fetch,
-                    ),
-                    (Some(mask), _) => on_whole_input(&|| {
-                        let gathered = multiply_cuboid_sddmm(cuboid, &a_view, &b_view, mask)?;
-                        Ok(gathered
+                        theta_g,
+                        |p| {
+                            fetch(p)?;
+                            ctx.alloc(panel_bytes(p)?)
+                        },
+                    )?
+                    .blocks
+                    .into_iter()
+                    .map(|(id, d)| (id, Block::Dense(d)))
+                    .collect(),
+                    // SDDMM consumes the whole input set at once: drain
+                    // every panel, then run.
+                    Some(mask) => {
+                        drain()?;
+                        let whole: Result<u64, _> = (0..panels.len()).map(panel_bytes).sum();
+                        ctx.alloc(whole?)?;
+                        multiply_cuboid_sddmm(cuboid, &a_view, &b_view, mask)?
                             .into_iter()
                             .map(|(id, csr)| (id, Block::Sparse(csr)))
-                            .collect())
-                    }),
-                    (None, Some(theta_g)) => on_whole_input(&|| {
-                        let scheduled = gpu_local::execute_cuboid_real(
-                            cuboid, &a_view, &b_view, problem, theta_g,
-                        )?;
-                        Ok(scheduled
-                            .blocks
-                            .into_iter()
-                            .map(|(id, d)| (id, Block::Dense(d)))
-                            .collect())
-                    }),
+                            .collect()
+                    }
+                };
+                for (_, blk) in &products {
+                    ctx.alloc(blk.mem_bytes())?;
                 }
+                Ok(products)
             }
             TaskWork::Voxels(voxels) => {
                 drain()?;
@@ -566,9 +569,9 @@ pub fn execute_plan_masked(
     let run = cluster.run_stage(
         opts.tenant,
         opts.priority,
-        vec![(); mult_n + lowered.len()],
+        mult_n + lowered.len(),
         initially_ready,
-        |ctx, (), gate| {
+        |ctx, gate| {
             let Some(l) = ctx.task.checked_sub(mult_n) else {
                 let task = ctx.task;
                 let ids = run_task(
@@ -641,11 +644,10 @@ pub fn execute_plan_masked(
         }
     }
 
-    // Intermediate copies die with the job; the *result* placement is
-    // registered at the blocks' future home nodes so a chained operation
-    // consuming `c` as an operand (GNMF's repeated factors) re-ingests
-    // nothing. Stale placements age out after RESIDENCY_WINDOW_JOBS.
-    stores.evict_matrix(c_uid);
+    // The *result* placement is registered at the blocks' future home
+    // nodes so a chained operation consuming `c` as an operand (GNMF's
+    // repeated factors) re-ingests nothing. Stale placements age out after
+    // RESIDENCY_WINDOW_JOBS.
     for (id, blk) in c.blocks_shared() {
         let key = StoreKey::operand(c.uid(), id);
         stores.ingest(
@@ -701,81 +703,31 @@ pub fn execute_plan_masked(
     Ok((c, stats))
 }
 
-/// Encoded bytes of the operand blocks a cuboid reads from its node store
-/// (a broadcast B is node-level and charged there, not to the task).
-fn cuboid_input_bytes<A: BlockSource, B: BlockSource>(
+/// Encoded bytes of the operand blocks k step `k0 + p` of a cuboid reads
+/// from its node store (a broadcast B is node-level and charged there, not
+/// to the task).
+fn panel_input_bytes<A: BlockSource, B: BlockSource>(
     cuboid: &Cuboid,
+    p: u32,
     a: &A,
     b: &B,
     broadcast_b: bool,
 ) -> Result<u64, TaskError> {
+    let k = cuboid.k0 + p;
     let mut bytes = 0u64;
-    for id in cuboid.a_block_ids() {
-        if let Some(blk) = a.block(id.row, id.col)? {
+    for i in cuboid.i0..cuboid.i1 {
+        if let Some(blk) = a.block(i, k)? {
             bytes += codec::encoded_len(&blk);
         }
     }
     if !broadcast_b {
-        for id in cuboid.b_block_ids() {
-            if let Some(blk) = b.block(id.row, id.col)? {
+        for j in cuboid.j0..cuboid.j1 {
+            if let Some(blk) = b.block(k, j)? {
                 bytes += codec::encoded_len(&blk);
             }
         }
     }
     Ok(bytes)
-}
-
-/// Dense cuboid multiplication, one k-panel at a time: `fetch(p)` returns
-/// once panel `p` (the blocks of k step `k0 + p`) is readable. Each output
-/// cell accumulates over `k` ascending from a zero block created at its
-/// first contributing step, so result bits are a function of the cuboid
-/// alone. Each panel's input bytes are charged as it lands and every output
-/// block once at the end.
-fn multiply_cuboid_streamed<A: BlockSource, B: BlockSource>(
-    ctx: &TaskCtx,
-    cuboid: &Cuboid,
-    a: &A,
-    b: &B,
-    problem: &MatmulProblem,
-    broadcast_b: bool,
-    fetch: impl Fn(usize) -> Result<(), TaskError>,
-) -> Result<Vec<(BlockId, Block)>, TaskError> {
-    let nj = (cuboid.j1 - cuboid.j0) as usize;
-    let mut acc: Vec<Option<DenseBlock>> = vec![None; (cuboid.i1 - cuboid.i0) as usize * nj];
-    for (p, k) in (cuboid.k0..cuboid.k1).enumerate() {
-        fetch(p)?;
-        let a_col: Vec<_> = (cuboid.i0..cuboid.i1)
-            .map(|i| a.block(i, k))
-            .collect::<Result<_, _>>()?;
-        let b_row: Vec<_> = (cuboid.j0..cuboid.j1)
-            .map(|j| b.block(k, j))
-            .collect::<Result<_, _>>()?;
-        let moved = a_col
-            .iter()
-            .chain(b_row.iter().filter(|_| !broadcast_b))
-            .flatten();
-        ctx.alloc(moved.map(|blk| codec::encoded_len(blk)).sum())?;
-        for (i, ab) in (cuboid.i0..cuboid.i1).zip(&a_col) {
-            let Some(ab) = ab else { continue };
-            for (j, bb) in (cuboid.j0..cuboid.j1).zip(&b_row) {
-                let Some(bb) = bb else { continue };
-                let cell = &mut acc[(i - cuboid.i0) as usize * nj + (j - cuboid.j0) as usize];
-                let slot = cell.get_or_insert_with(|| {
-                    let (rows, cols) = problem.c.block_dims(i, j);
-                    DenseBlock::zeros(rows as usize, cols as usize)
-                });
-                kernels::multiply_accumulate(slot, ab, bb)?;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (id, cell) in cuboid.c_block_ids().zip(acc) {
-        if let Some(dense) = cell {
-            ctx.alloc(dense.mem_bytes())?;
-            out.push((id, Block::Dense(dense)));
-        }
-    }
-    Ok(out)
 }
 
 /// RMM voxel work: one isolated block product per voxel, no sharing.
@@ -973,9 +925,8 @@ mod tests {
 
     #[test]
     fn repeated_runs_report_identical_counters() {
-        // 512 KiB A blocks, three k-panels per task: the tasks prefetch, so
-        // which thread moves a panel — and whether the loop finds it landed
-        // — varies run to run. What the job reports must not.
+        // 512 KiB A blocks, three k-panels per task: which worker runs a
+        // task, and when, varies run to run. What the job reports must not.
         let am = MatrixMeta::dense(512, 768).with_block_size(256);
         let bm = MatrixMeta::dense(768, 16).with_block_size(256);
         let a = MatrixGenerator::with_seed(11).generate(&am).unwrap();
@@ -1118,6 +1069,33 @@ mod tests {
         // two membership changes gone.
         let err = execute_plan(&c, &a, &b, &plan, RealExecOptions::default()).unwrap_err();
         assert!(err.to_string().contains("stale"), "got: {err}");
+    }
+
+    #[test]
+    fn a_failed_job_leaves_no_intermediates_resident() {
+        use distme_cluster::{Blackout, FaultSpec};
+        let (a, b, _) = operands(16, 1.0);
+        let c = cluster();
+        c.inject_faults(FaultSpec {
+            blackouts: vec![Blackout {
+                node: 1,
+                from: (0, Phase::Aggregation),
+                until: (0, Phase::Aggregation),
+            }],
+            ..FaultSpec::quiet(1)
+        });
+        // Node 1 goes dark for the aggregation phase only: the mult tasks
+        // an aggregation task waits on have installed their C copies by the
+        // time it exhausts its retries and fails the job.
+        let err = multiply(&c, &a, &b, MulMethod::Cpmm).unwrap_err();
+        assert!(matches!(err, JobError::TaskFailed { .. }), "got: {err}");
+        let stray: Vec<StoreKey> = c
+            .stores()
+            .resident_keys()
+            .into_keys()
+            .filter(|key| key.matrix != a.uid() && key.matrix != b.uid())
+            .collect();
+        assert!(stray.is_empty(), "the dead job's copies: {stray:?}");
     }
 
     #[test]

@@ -51,13 +51,9 @@ pub fn simulate_resolved(
 /// Propagates the cluster's failure modes (O.O.M., T.O., E.D.C., ...).
 pub fn simulate_plan(cluster: &mut SimCluster, plan: &JobPlan) -> Result<JobStats, JobError> {
     if plan.epoch != cluster.epoch() {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: format!(
-                "plan built at membership epoch {} is stale: the cluster is now at epoch {}",
-                plan.epoch,
-                cluster.epoch()
-            ),
+        return Err(JobError::StaleEpoch {
+            plan: plan.epoch,
+            cluster: cluster.epoch(),
         });
     }
     cluster.start_job();

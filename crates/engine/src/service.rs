@@ -255,7 +255,6 @@ impl JobService {
                     opts: RealExecOptions {
                         tenant: spec.tenant,
                         priority: spec.priority,
-                        ..Default::default()
                     },
                     tally: &mut tally,
                 });

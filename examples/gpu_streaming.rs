@@ -42,8 +42,9 @@ fn main() {
     );
     for blocks_budget in [200u64, 48, 24, 12, 6] {
         let theta_g = blocks_budget * block_bytes;
-        let result = gpu_local::execute_cuboid_real(&cuboid, &a, &b, &problem, theta_g)
-            .expect("feasible budget");
+        let result =
+            gpu_local::execute_cuboid_real(&cuboid, &a, &b, &problem, Some(theta_g), |_| Ok(()))
+                .expect("feasible budget");
         let mut c = BlockMatrix::new(problem.c);
         for (id, blk) in result.blocks {
             c.put(id.row, id.col, Block::Dense(blk)).expect("in grid");

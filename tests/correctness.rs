@@ -83,15 +83,13 @@ proptest! {
         let a = generate(4 * bs, 6 * bs, bs, 1.0, seed);
         let b = generate(6 * bs, 3 * bs, bs, 1.0, seed ^ 0x5A5A);
         let reference = a.multiply(&b).expect("reference");
-        let cluster = LocalCluster::new(ClusterConfig::laptop());
         let theta_g = budget_blocks * 8 * bs * bs;
-        let opts = distme::core::real_exec::RealExecOptions {
-            gpu_task_mem_bytes: Some(theta_g),
-            ..Default::default()
-        };
-        let (c, _) = distme::core::real_exec::multiply_with(
-            &cluster, &a, &b, MulMethod::CuboidAuto, opts,
-        ).expect("multiply succeeds");
+        let cluster = LocalCluster::new(ClusterConfig {
+            gpu: Some(distme::gpu::GpuConfig::tiny(theta_g)),
+            ..ClusterConfig::laptop()
+        });
+        let (c, _) = real_exec::multiply(&cluster, &a, &b, MulMethod::CuboidAuto)
+            .expect("multiply succeeds");
         let diff = c.max_abs_diff(&reference).expect("same shape");
         prop_assert!(diff < 1e-9, "θg = {theta_g}: diff {diff}");
     }

@@ -192,3 +192,52 @@ fn gnmf_handles_empty_rows_and_columns() {
     .expect("gnmf runs");
     assert!(res.objective.iter().all(|o| o.is_finite()));
 }
+
+#[test]
+fn a_session_on_a_gpu_cluster_returns_the_cpu_clusters_bits() {
+    // θg comes from the cluster config, so Algorithm 1's subcuboid walk is
+    // reachable from the engine's front door. A budget of four blocks
+    // admits single-voxel subcuboids only (A + B + C block = 3), so every
+    // cuboid with more than one voxel is split — and no bit may move.
+    let bs = 16u64;
+    let generate = |rows, cols, seed| {
+        MatrixGenerator::with_seed(seed)
+            .generate(&MatrixMeta::dense(rows * bs, cols * bs).with_block_size(bs))
+            .expect("generation succeeds")
+    };
+    let (a, b) = (generate(6, 5, 1), generate(5, 4, 2));
+    let v = rating_matrix(64, 48, 0.3, 7);
+    let gnmf_cfg = GnmfConfig {
+        factor_dim: 8,
+        iterations: 2,
+    };
+    let bits = |m: &BlockMatrix| -> Vec<_> {
+        m.blocks()
+            .map(|(id, blk)| {
+                let dense = blk.to_dense();
+                let bits: Vec<u64> = dense.data().iter().map(|x| x.to_bits()).collect();
+                (id, bits)
+            })
+            .collect()
+    };
+    let run = |cfg: ClusterConfig| {
+        let mut s = RealSession::new(cfg, SystemProfile::DistMe);
+        let prod = s.matmul(&a, &b).expect("matmul");
+        let res = gnmf::run_real(&mut s, &v, &gnmf_cfg, 7).expect("gnmf runs");
+        (bits(&prod), bits(&res.w), bits(&res.h))
+    };
+    let with_theta_g = |blocks: u64| ClusterConfig {
+        gpu: Some(distme::gpu::GpuConfig::tiny(blocks * 8 * bs * bs)),
+        ..ClusterConfig::laptop()
+    };
+    let on_cpu = run(ClusterConfig::laptop());
+    assert!(
+        run(with_theta_g(4)) == on_cpu,
+        "matmul / W / H bits moved under θg"
+    );
+    // The budget really reaches the loop: below one voxel nothing fits.
+    let starved = RealSession::new(with_theta_g(2), SystemProfile::DistMe)
+        .matmul(&a, &b)
+        .unwrap_err();
+    assert_eq!(starved.annotation(), "O.O.M.");
+}

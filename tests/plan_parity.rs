@@ -32,7 +32,7 @@ fn operands(ib: u64, kb: u64, jb: u64, sparsity: f64) -> (BlockMatrix, BlockMatr
 fn assert_parity(a: &BlockMatrix, b: &BlockMatrix, method: MulMethod, gpu: bool, label: &str) {
     let mut cfg = ClusterConfig::laptop();
     if gpu {
-        cfg.gpu = Some(GpuConfig::gtx_1080_ti());
+        cfg.gpu = Some(GpuConfig::tiny(1 << 20));
     }
 
     let problem = MatmulProblem::new(*a.meta(), *b.meta()).expect("consistent operands");
@@ -40,14 +40,9 @@ fn assert_parity(a: &BlockMatrix, b: &BlockMatrix, method: MulMethod, gpu: bool,
     let sim_stats = sim_exec::simulate(&mut sim, &problem, method)
         .unwrap_or_else(|e| panic!("{label}: sim failed: {e}"));
 
-    // The real cluster never has a simulated GPU device; Algorithm 1's
-    // schedule is selected via the θg option instead.
-    let real_cluster = LocalCluster::new(ClusterConfig::laptop());
-    let opts = RealExecOptions {
-        gpu_task_mem_bytes: gpu.then_some(1 << 20),
-        ..Default::default()
-    };
-    let (_, real_stats) = real_exec::multiply_with(&real_cluster, a, b, method, opts)
+    // The real cluster runs Algorithm 1 under the same config's θg.
+    let real_cluster = LocalCluster::new(cfg);
+    let (_, real_stats) = real_exec::multiply(&real_cluster, a, b, method)
         .unwrap_or_else(|e| panic!("{label}: real failed: {e}"));
 
     let ledger = real_cluster.ledger();
@@ -266,12 +261,12 @@ fn executor_matches_a_serial_reference_bit_for_bit() {
                     }
                     .expect("consistent operands");
 
-                    let cluster = LocalCluster::new(ClusterConfig::laptop());
+                    let cluster = LocalCluster::new(ClusterConfig {
+                        gpu: theta_g.map(GpuConfig::tiny),
+                        ..ClusterConfig::laptop()
+                    });
                     let plan = JobPlan::build(&problem, method, cluster.config());
-                    let opts = RealExecOptions {
-                        gpu_task_mem_bytes: theta_g,
-                        ..Default::default()
-                    };
+                    let opts = RealExecOptions::default();
                     let (c, stats) =
                         real_exec::execute_plan_masked(&cluster, &a, &b, mask, &plan, opts)
                             .unwrap_or_else(|e| panic!("{label}: {e}"));
