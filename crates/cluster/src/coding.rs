@@ -26,12 +26,17 @@
 //! Encoding is a fold, not a gather: [`parity_groups`] turns one
 //! resident-key snapshot into the groups of every matrix to code, and
 //! [`encode_group`] — one call per group, so the executor runs all groups
-//! as one gang — serializes each member into one reused frame buffer and
-//! folds those `frame_len` bytes straight into the parity envelope(s),
-//! laid out beforehand from the members' `codec::encoded_len`s. The zero
-//! pad is never materialized (folding zeros changes nothing): one buffer
-//! per group plus one envelope per parity block, where gathering padded
-//! frames first costs four block-sized buffers per member.
+//! as one gang — folds each member's `frame_len` frame bytes straight into
+//! the parity envelope(s), laid out beforehand from the members'
+//! `codec::encoded_len`s in the very buffer the installed parity block
+//! aliases. A member that is a view of its wire frame (every dense block
+//! a delivery installed) is folded from those resident bytes where they
+//! lie; only owned and sparse members are serialized, into one frame
+//! buffer the group reuses. The zero pad is never materialized (folding
+//! zeros changes nothing): one buffer per parity block, plus at most one
+//! scratch frame per group, where gathering padded frames first costs four
+//! block-sized buffers per member. During a resize the envelope buffers
+//! come from the blocks the resize evicted (`store::FreeBuffers`).
 //! [`encode_stripes`] over padded frames remains the definition the fold
 //! is tested against.
 //!
@@ -43,8 +48,8 @@
 //! [`StoreKind::Parity`]: crate::store::StoreKind
 
 use crate::rebalance::home_node;
-use crate::store::{ClusterStores, StoreKey};
-use bytes::BytesMut;
+use crate::store::{ClusterStores, FreeBuffers, StoreKey};
+use bytes::{BufMut, BytesMut};
 use distme_matrix::{codec, Block, BlockId, DenseBlock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -407,15 +412,15 @@ pub struct ParityPayload {
     pub stripe: Vec<u8>,
 }
 
-/// A parity block's envelope with the stripe still all zeros: the header,
-/// then `stripe_len` bytes for the stripe to be folded or copied into.
-fn envelope(
+/// The header of a parity block's envelope; `stripe_len` bytes of stripe
+/// follow it.
+fn envelope_header(
     policy: ReplicationPolicy,
     parity_index: u8,
     members: &[ParityMember],
     stripe_len: usize,
 ) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(16 + 20 * members.len() + stripe_len);
+    let mut bytes = Vec::with_capacity(16 + 20 * members.len());
     bytes.extend_from_slice(&PARITY_MAGIC.to_le_bytes());
     bytes.push(PARITY_VERSION);
     bytes.push(match policy {
@@ -432,14 +437,14 @@ fn envelope(
         bytes.extend_from_slice(&m.copy.to_le_bytes());
         bytes.extend_from_slice(&m.frame_len.to_le_bytes());
     }
-    bytes.resize(bytes.len() + stripe_len, 0);
     bytes
 }
 
 /// Wraps a finished envelope (header + stripe) in an ordinary dense
 /// block: a length prefix plus the raw bytes as f64 bit patterns
 /// (bit-exact through any store or codec hop, untouched by arithmetic —
-/// parity keys are never operands).
+/// parity keys are never operands). [`encode_group`] lays the same words
+/// out in place instead.
 fn envelope_block(bytes: &[u8]) -> Block {
     let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(8));
     words.push(f64::from_bits(bytes.len() as u64));
@@ -460,14 +465,13 @@ fn envelope_block(bytes: &[u8]) -> Block {
 /// Serializes a parity payload into its store block.
 pub fn pack_parity(payload: &ParityPayload) -> Block {
     let stripe = &payload.stripe;
-    let mut bytes = envelope(
+    let mut bytes = envelope_header(
         payload.policy,
         payload.parity_index,
         &payload.members,
         stripe.len(),
     );
-    let stripe_at = bytes.len() - stripe.len();
-    bytes[stripe_at..].copy_from_slice(stripe);
+    bytes.extend_from_slice(stripe);
     envelope_block(&bytes)
 }
 
@@ -597,11 +601,18 @@ pub fn parity_groups(
 /// [`pack_parity`] over [`encode_stripes`] of the padded member frames.
 /// Returns how many were installed: 0 if a member was evicted since the
 /// snapshot (the group is abandoned quietly; parity is derived state).
+///
+/// Each envelope is laid out once, in the buffer the installed block will
+/// alias — length word, header, zeroed stripe, drawn from `buffers` — and
+/// the members are folded into it where it lies: a member that is a view
+/// of its wire frame contributes those resident bytes as they are, any
+/// other is serialized into one frame buffer the group reuses.
 pub fn encode_group(
     stores: &ClusterStores,
     group: &ParityGroup,
     nodes: usize,
     policy: ReplicationPolicy,
+    buffers: &FreeBuffers,
 ) -> u64 {
     let blocks: Option<Vec<Arc<Block>>> = group
         .iter()
@@ -618,31 +629,54 @@ pub fn encode_group(
         })
         .collect();
     let stripe_len = members.iter().map(|m| m.frame_len).max().unwrap_or(0) as usize;
-    let mut envelopes: Vec<Vec<u8>> = (0..policy.parity_count())
-        .map(|p| envelope(policy, p as u8, &members, stripe_len))
+
+    // The words of `envelope_block`, written where they will stay: the
+    // buffer's first 0–7 bytes are skipped so the words sit 8-byte aligned.
+    let mut envelopes: Vec<(BytesMut, usize, std::ops::Range<usize>)> = (0..policy.parity_count())
+        .map(|p| {
+            let header = envelope_header(policy, p as u8, &members, stripe_len);
+            let len = header.len() + stripe_len;
+            let mut buf = buffers.take(7 + 8 + len.next_multiple_of(8));
+            let skip = (buf.as_ref().as_ptr() as usize).wrapping_neg() & 7;
+            buf.resize(skip, 0);
+            buf.put_slice(&(len as u64).to_le_bytes());
+            buf.put_slice(&header);
+            let stripe_at = buf.len();
+            buf.resize(skip + 8 + len.next_multiple_of(8), 0);
+            (buf, skip, stripe_at..stripe_at + stripe_len)
+        })
         .collect();
-    let mut frame = BytesMut::with_capacity(stripe_len);
+    let mut scratch = BytesMut::default();
     for (i, blk) in blocks.iter().enumerate() {
-        frame.clear();
-        codec::encode_into(blk, &mut frame);
-        for (p, env) in envelopes.iter_mut().enumerate() {
-            let stripe_at = env.len() - stripe_len;
-            fold_member(&mut env[stripe_at..], p, i, &frame);
+        let frame: &[u8] = match codec::resident_frame(blk) {
+            Some(frame) => frame,
+            None => {
+                scratch.clear();
+                codec::encode_into(blk, &mut scratch);
+                &scratch
+            }
+        };
+        for (p, (buf, _, stripe)) in envelopes.iter_mut().enumerate() {
+            fold_member(&mut buf[stripe.clone()], p, i, frame);
         }
     }
 
     let (leader, _) = group[0];
     let mut avoid: BTreeSet<usize> = members.iter().map(|m| home_node(m.id, 0, nodes)).collect();
-    for (p, env) in envelopes.iter().enumerate() {
+    for (p, (buf, skip, _)) in envelopes.into_iter().enumerate() {
         let home = parity_home(leader.id, &avoid, nodes);
         avoid.insert(home);
+        let words = buf.freeze();
+        let words = words.slice(skip..words.len());
+        let block = DenseBlock::from_shared_bytes(1, words.len() / 8, words)
+            .expect("whole words, laid out 8-byte aligned");
         stores.ingest(
             home,
             StoreKey::parity(leader.matrix, leader.id, p as u32),
-            Arc::new(envelope_block(env)),
+            Arc::new(Block::Dense(block)),
         );
     }
-    envelopes.len() as u64
+    policy.parity_count() as u64
 }
 
 /// Attempts a k-of-n reconstruction of `target` (a copy-0 data key) from
@@ -728,11 +762,22 @@ pub fn reconstruct_block(
 /// rebalance the data normally and then re-encode the returned matrices
 /// ([`parity_groups`], [`encode_group`]).
 pub fn evict_all_parity(stores: &ClusterStores) -> BTreeSet<u64> {
+    evict_parity_with(stores, drop)
+}
+
+/// [`evict_all_parity`], handing each evicted block to `evicted` — a
+/// resize keeps their envelope buffers for what it installs next.
+pub(crate) fn evict_parity_with(
+    stores: &ClusterStores,
+    mut evicted: impl FnMut(Arc<Block>),
+) -> BTreeSet<u64> {
     let mut coded = BTreeSet::new();
     for n in 0..stores.num_nodes() {
         let store = stores.node(n);
         for key in store.keys().into_iter().filter(StoreKey::is_parity) {
-            store.remove(&key);
+            if let Some(block) = store.take(&key) {
+                evicted(block);
+            }
             coded.insert(key.matrix);
         }
     }
@@ -769,7 +814,7 @@ mod tests {
             policy,
         )
         .iter()
-        .map(|g| encode_group(stores, g, nodes, policy))
+        .map(|g| encode_group(stores, g, nodes, policy, &FreeBuffers::default()))
         .sum()
     }
 
@@ -1051,20 +1096,52 @@ mod tests {
             .collect()
     }
 
+    /// `block` as a delivery installs it: a dense block comes back as a
+    /// view of its wire frame, a sparse one as an owned copy.
+    fn over_the_wire(block: &Block) -> Block {
+        let mut buf = BytesMut::default();
+        let pad = codec::encode_aligned(block, &mut buf);
+        let wire = buf.freeze();
+        codec::decode_view(&wire.slice(pad..wire.len())).expect("a clean frame decodes")
+    }
+
     #[test]
     fn folded_encode_installs_exactly_what_the_padded_reference_packs() {
         for policy in [ReplicationPolicy::Xor, ReplicationPolicy::RsLite] {
             let (nodes, matrix) = (6, 31u64);
             let stores = ClusterStores::new(nodes);
             let blocks = mixed_blocks(5, 17);
-            let keys = ingest_grid(&stores, matrix, &blocks);
+            // Every other block is resident as a delivery left it — the
+            // dense ones views whose frame the fold reads in place — so
+            // groups mix views with owned dense and sparse members.
+            let resident: Vec<Block> = blocks
+                .iter()
+                .enumerate()
+                .map(|(i, b)| {
+                    if i % 2 == 0 {
+                        over_the_wire(b)
+                    } else {
+                        b.clone()
+                    }
+                })
+                .collect();
+            let keys = ingest_grid(&stores, matrix, &resident);
+            let is_view: BTreeMap<StoreKey, bool> = keys
+                .iter()
+                .zip(&resident)
+                .map(|(k, b)| (*k, codec::resident_frame(b).is_some()))
+                .collect();
             let block_of: BTreeMap<StoreKey, &Block> = keys.iter().copied().zip(&blocks).collect();
 
             // The definition: pad every member frame to the group's
             // longest, encode the stripes, pack each into an envelope.
             let mut expected = BTreeMap::new();
-            let (mut mixed_kinds, mut unequal_lengths) = (false, false);
+            let (mut mixed_kinds, mut unequal_lengths, mut mixed_storage) = (false, false, false);
             for group in assign_groups(&keys, nodes, policy) {
+                mixed_storage |= group.iter().any(|k| is_view[k])
+                    && group
+                        .iter()
+                        .any(|k| !is_view[k] && matches!(block_of[k], Block::Dense(_)));
                 let frames: Vec<Vec<u8>> = group.iter().map(|k| frame_bytes(block_of[k])).collect();
                 let stripe_len = frames.iter().map(Vec::len).max().unwrap();
                 unequal_lengths |= frames.iter().any(|f| f.len() < stripe_len);
@@ -1103,8 +1180,8 @@ mod tests {
                 }
             }
             assert!(
-                mixed_kinds && unequal_lengths,
-                "the groups must exercise the pad"
+                mixed_kinds && unequal_lengths && mixed_storage,
+                "the groups must exercise the pad, with resident and serialized frames"
             );
 
             let installed = encode_matrix_parity(&stores, matrix, nodes, policy);

@@ -25,7 +25,7 @@ use crate::rebalance::{RebalancePlan, RebalanceReport};
 use crate::scheduler::{Gang, Scheduler};
 use crate::shuffle::ShuffleLedger;
 use crate::stats::{JobStats, Phase, TenantId};
-use crate::store::{ClusterStores, StoreKey};
+use crate::store::{ClusterStores, FreeBuffers, StoreKey};
 use crate::transport::{Transport, TransportStats, WireMove};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -203,14 +203,15 @@ impl LocalCluster {
     /// before looking at a store or starting a thread. Returns the number
     /// of parity blocks installed.
     pub fn encode_parity(&self, matrix: u64) -> u64 {
-        self.encode_parity_of(&BTreeSet::from([matrix]))
+        self.encode_parity_of(&BTreeSet::from([matrix]), &FreeBuffers::default())
     }
 
     /// [`encode_parity`](Self::encode_parity) for several matrices: the
     /// groups of all of them, from one resident-key snapshot, encode as
-    /// one gang (a group is a task). Parity is derived state: a stage the
-    /// scheduler refuses (more groups than `max_tasks`) installs none.
-    fn encode_parity_of(&self, matrices: &BTreeSet<u64>) -> u64 {
+    /// one gang (a group is a task), each envelope in a buffer drawn from
+    /// `buffers`. Parity is derived state: a stage the scheduler refuses
+    /// (more groups than `max_tasks`) installs none.
+    fn encode_parity_of(&self, matrices: &BTreeSet<u64>, buffers: &FreeBuffers) -> u64 {
         let (nodes, policy) = (self.cfg.nodes, self.cfg.replication);
         if policy.parity_count() == 0 {
             return 0;
@@ -227,6 +228,7 @@ impl LocalCluster {
                 &groups[ctx.task],
                 nodes,
                 policy,
+                buffers,
             ))
         })
         .map_or(0, |run| run.outputs.iter().sum())
@@ -263,14 +265,23 @@ impl LocalCluster {
     /// (each ships its key, then drops the stranded copies, so the
     /// migration's extra memory is a few blocks, not a second copy of
     /// everything resident), then the parity groups of every matrix that
-    /// was coded before the change.
+    /// was coded before the change. Both fill the buffers the resize has
+    /// just emptied: evicted parity and stranded copies leave theirs on a
+    /// [`FreeBuffers`] list that lives exactly as long as this call.
     ///
     /// # Errors
     /// A transport failure during migration (codec bug — migration runs
     /// fault-free and all sources are readable), or
     /// [`JobError::TooManyTasks`] when more keys need re-homing than one
-    /// stage may hold tasks (nothing has moved then).
+    /// stage may hold tasks — refused before the first side effect: every
+    /// block, parity included, is where it was and the stores are as many
+    /// as the nodes.
     pub fn scale_to(&mut self, n: usize) -> Result<RebalanceReport, JobError> {
+        self.resize(n, &FreeBuffers::default())
+    }
+
+    /// [`scale_to`](Self::scale_to) over the free list it owns.
+    fn resize(&mut self, n: usize, buffers: &FreeBuffers) -> Result<RebalanceReport, JobError> {
         assert!(n > 0, "cannot scale to an empty cluster");
         let from_nodes = self.cfg.nodes;
         if n == from_nodes {
@@ -281,19 +292,27 @@ impl LocalCluster {
                 ..Default::default()
             });
         }
+        // Parity groups are a function of the node count, so a resize
+        // invalidates every parity block: they stay out of the plan (data
+        // rebalances normally), are dropped, and are re-encoded under the
+        // new grid afterwards. Re-encoding installs directly — no
+        // transport, no ledger traffic — so the elastic ledger deltas stay
+        // data-only.
+        let mut snapshot = self.stores.resident_keys();
+        snapshot.retain(|key, _| !key.is_parity());
+        let plan = RebalancePlan::derive(&snapshot, n);
+        debug_assert!(plan.lost.is_empty(), "graceful resize cannot lose blocks");
+        if plan.units.len() > self.cfg.max_tasks {
+            return Err(JobError::TooManyTasks {
+                requested: plan.units.len(),
+                limit: self.cfg.max_tasks,
+            });
+        }
         if n > from_nodes {
             self.stores.grow_to(n);
         }
-        // Parity groups are a function of the node count, so resize
-        // invalidates every parity block: drop them before deriving the
-        // plan (data rebalances normally) and re-encode under the new grid
-        // afterwards. Re-encoding installs directly — no transport, no
-        // ledger traffic — so the elastic ledger deltas stay data-only.
-        let coded = crate::coding::evict_all_parity(&self.stores);
-        let snapshot = self.stores.resident_keys();
-        let plan = RebalancePlan::derive(&snapshot, n);
-        debug_assert!(plan.lost.is_empty(), "graceful resize cannot lose blocks");
-        let traffic = self.run_rebalance(&plan)?;
+        let coded = crate::coding::evict_parity_with(&self.stores, |block| buffers.reclaim(block));
+        let traffic = self.run_rebalance(&plan, buffers)?;
         if n < from_nodes {
             self.stores.truncate_to(n);
         }
@@ -304,7 +323,7 @@ impl LocalCluster {
             to: n,
         });
         let mut report = Self::rebalance_report(epoch, from_nodes, n, traffic, 0);
-        report.stats.parity_blocks_encoded = self.encode_parity_of(&coded);
+        report.stats.parity_blocks_encoded = self.encode_parity_of(&coded, buffers);
         Ok(report)
     }
 
@@ -396,7 +415,8 @@ impl LocalCluster {
         survivors.retain(|k, _| !lost_uids.contains(&k.matrix));
 
         let plan = RebalancePlan::derive(&survivors, new_nodes);
-        let traffic = self.run_rebalance(&plan)?;
+        let buffers = FreeBuffers::default();
+        let traffic = self.run_rebalance(&plan, &buffers)?;
         self.cfg.nodes = new_nodes;
         self.scheduler.set_total_slots(self.cfg.total_slots());
         let epoch = self
@@ -405,7 +425,7 @@ impl LocalCluster {
         // Re-encode parity for the shrunk grid — even on the error path,
         // so surviving coded matrices keep their protection. Evicted
         // matrices have no resident blocks and encode to nothing.
-        let parity_encoded = self.encode_parity_of(&coded);
+        let parity_encoded = self.encode_parity_of(&coded, &buffers);
         if lost_keys.is_empty() {
             let mut report = Self::rebalance_report(epoch, from_nodes, new_nodes, traffic, 0);
             report.stats.reconstructed_blocks = reconstructed;
@@ -425,17 +445,23 @@ impl LocalCluster {
     /// kept out of the cluster's per-job [`TransportStats`] (payload
     /// accounting of jobs must not shift when a resize happens between
     /// them) and runs fault-free — it belongs to no job, so the fault
-    /// plan's job-keyed decisions do not apply. Returns `(moves,
-    /// payload_bytes, cross_node_payload_bytes)`, order-free sums.
+    /// plan's job-keyed decisions do not apply. A unit's moves draw their
+    /// wire buffers from `buffers` and its evictions refill it. Returns
+    /// `(moves, payload_bytes, cross_node_payload_bytes)`, order-free sums.
     ///
     /// # Errors
     /// A failed move aborts the gang; the error names the lowest failing
     /// unit's index. A unit evicts nothing until all its moves have
     /// landed, so after an abort every key is still readable on all of
     /// its old homes (unit unfinished) or all of its new ones.
-    fn run_rebalance(&self, plan: &RebalancePlan) -> Result<(u64, u64, u64), JobError> {
+    fn run_rebalance(
+        &self,
+        plan: &RebalancePlan,
+        buffers: &FreeBuffers,
+    ) -> Result<(u64, u64, u64), JobError> {
         let migration_stats = TransportStats::default();
-        let transport = Transport::new(&self.stores, &migration_stats, None, self.cfg.retry);
+        let transport = Transport::new(&self.stores, &migration_stats, None, self.cfg.retry)
+            .with_buffers(buffers);
         let units = &plan.units;
         let ready = (0..units.len()).collect();
         let run = self.run_stage(TenantId::ANONYMOUS, 0, units.len(), ready, |ctx, _| {
@@ -462,7 +488,9 @@ impl LocalCluster {
                 }
             }
             for &node in &unit.evict {
-                self.stores.node(node).remove(&unit.key);
+                if let Some(stranded) = self.stores.node(node).take(&unit.key) {
+                    buffers.reclaim(stranded);
+                }
             }
             Ok((moves, payload, cross))
         })?;
@@ -1194,34 +1222,116 @@ mod tests {
 
     #[test]
     fn a_resize_the_task_limit_refuses_moves_nothing() {
+        use crate::coding::ReplicationPolicy;
+        use crate::rebalance::home_node;
         use distme_matrix::{Block, BlockId, DenseBlock};
         // The one failure a fault-free migration can reach: its units are
-        // a stage, and a stage may hold at most `max_tasks` tasks.
-        let mut cfg = ClusterConfig::laptop();
-        cfg.max_tasks = 2;
+        // a stage, and a stage may hold at most `max_tasks` tasks. On a
+        // coded cluster, so that parity is among what must not move.
+        let mut cfg = ClusterConfig::laptop().with_replication(ReplicationPolicy::Xor);
+        cfg.max_tasks = 4;
         let mut c = LocalCluster::new(cfg);
-        for col in 0..3u32 {
+        for col in 0..6u32 {
+            let id = BlockId::new(0, col);
             let blk = Block::Dense(DenseBlock::from_fn(2, 2, |i, j| {
                 (i + j + col as usize) as f64
             }));
             c.stores()
-                .ingest(3, StoreKey::operand(9, BlockId::new(0, col)), Arc::new(blk));
+                .ingest(home_node(id, 0, 4), StoreKey::operand(9, id), Arc::new(blk));
         }
+        assert_eq!(c.encode_parity(9), 3);
         let before = c.stores().resident_keys();
+        assert_eq!(before.keys().filter(|k| k.is_parity()).count(), 3);
         let err = c.scale_to(9).unwrap_err();
         assert_eq!(
             err,
             JobError::TooManyTasks {
-                requested: 3,
-                limit: 2
+                requested: 6,
+                limit: 4
             }
         );
         assert_eq!(
             c.stores().resident_keys(),
             before,
-            "every key on its old homes"
+            "every key, parity included, on its old homes"
         );
+        assert_eq!(c.stores().num_nodes(), 4, "no store was commissioned");
         assert_eq!((c.epoch(), c.config().nodes), (0, 4));
+    }
+
+    #[test]
+    fn a_steady_state_cycle_fills_the_buffers_it_empties() {
+        use crate::coding::ReplicationPolicy;
+        use crate::rebalance::home_node;
+        use distme_matrix::{codec, Block, BlockId, DenseBlock};
+        let mut c =
+            LocalCluster::new(ClusterConfig::laptop().with_replication(ReplicationPolicy::Xor));
+        for uid in [21u64, 22] {
+            for row in 0..6u32 {
+                for col in 0..6u32 {
+                    let id = BlockId::new(row, col);
+                    let blk = Arc::new(Block::Dense(DenseBlock::from_fn(24, 24, |i, j| {
+                        (uid as usize + 7 * i + j) as f64 / (1 + row + col) as f64
+                    })));
+                    for which in 0..2 {
+                        c.stores().ingest(
+                            home_node(id, which, 4),
+                            StoreKey::operand(uid, id),
+                            blk.clone(),
+                        );
+                    }
+                }
+            }
+            assert!(c.encode_parity(uid) > 0);
+        }
+        let frames = |c: &LocalCluster| -> Vec<Vec<(StoreKey, Vec<u8>)>> {
+            (0..c.stores().num_nodes())
+                .map(|n| {
+                    let store = c.stores().node(n);
+                    let frame = |k| codec::encode(&store.get(&k).unwrap()).to_vec();
+                    store.keys().into_iter().map(|k| (k, frame(k))).collect()
+                })
+                .collect()
+        };
+        // The first cycle turns the ingested blocks into what a resize
+        // leaves behind: views of wire frames, envelopes in their buffers.
+        for n in [9, 4] {
+            c.scale_to(n).unwrap();
+        }
+        let settled = frames(&c);
+
+        // Someone still holds a block the cycle will evict: its buffer is
+        // not the free list's to hand out, whatever gets written next.
+        let (held_key, held_at) = (0..4)
+            .flat_map(|n| c.stores().node(n).keys().into_iter().map(move |k| (k, n)))
+            .find(|(k, n)| !k.is_parity() && (0..2).all(|w| home_node(k.id, w, 9) != *n))
+            .expect("some copy is stranded by the grow");
+        let held = c.stores().node(held_at).get(&held_key).unwrap();
+        let held_bits = codec::resident_frame(&held).expect("a view").to_vec();
+
+        let (mut recycled, mut allocated) = (0, 0);
+        for n in [9, 4] {
+            let buffers = FreeBuffers::default();
+            let report = c.resize(n, &buffers).unwrap();
+            let (r, a) = buffers.draws();
+            assert_eq!(
+                r + a,
+                report.moves + report.stats.parity_blocks_encoded,
+                "one buffer per delivery and per envelope"
+            );
+            recycled += r;
+            allocated += a;
+        }
+        assert!(
+            recycled >= allocated,
+            "a steady-state cycle draws most buffers from its own evictions: {recycled} recycled, {allocated} allocated"
+        );
+        assert_eq!(frames(&c), settled, "recycled buffers, identical bits");
+        assert_eq!(
+            codec::resident_frame(&held).unwrap().as_ref(),
+            &held_bits[..],
+            "a block someone still held was not reclaimed"
+        );
     }
 
     #[test]

@@ -219,6 +219,19 @@ pub enum JobError {
         /// The panic payload, when it was a string.
         message: String,
     },
+    /// An algorithm was handed a matrix of a shape it is not defined on (a
+    /// non-square Gram, a target that is not a column). Rejected by the
+    /// driver before any job runs.
+    ShapeMismatch {
+        /// What was needed and what arrived.
+        message: String,
+    },
+    /// The numbers, not the shapes, are degenerate: a singular system, an
+    /// iterate that collapsed to the zero vector. No task failed.
+    Singular {
+        /// Where the computation lost rank.
+        message: String,
+    },
 }
 
 impl JobError {
@@ -231,11 +244,27 @@ impl JobError {
             JobError::TooManyTasks { .. } => "T.M.T.",
             JobError::TaskFailed { .. }
             | JobError::StaleEpoch { .. }
-            | JobError::NodeCountMismatch { .. } => "FAIL",
+            | JobError::NodeCountMismatch { .. }
+            | JobError::ShapeMismatch { .. }
+            | JobError::Singular { .. } => "FAIL",
             JobError::NodeDecommissioned { .. } => "N.D.",
             JobError::QueueFull { .. } => "Q.F.",
             JobError::InvalidSubmission { .. } => "INV",
             JobError::Panicked { .. } => "PANIC",
+        }
+    }
+
+    /// A driver-side shape rejection.
+    pub fn shape_mismatch(message: impl Into<String>) -> Self {
+        JobError::ShapeMismatch {
+            message: message.into(),
+        }
+    }
+
+    /// A driver-side rejection of degenerate values.
+    pub fn singular(message: impl Into<String>) -> Self {
+        JobError::Singular {
+            message: message.into(),
         }
     }
 
@@ -313,6 +342,8 @@ impl fmt::Display for JobError {
                 "plan routed for {plan} nodes cannot run on a {cluster}-node cluster"
             ),
             JobError::Panicked { message } => write!(f, "job panicked: {message}"),
+            JobError::ShapeMismatch { message } => write!(f, "shape mismatch: {message}"),
+            JobError::Singular { message } => write!(f, "singular: {message}"),
         }
     }
 }
@@ -363,6 +394,19 @@ mod tests {
         assert!(msg.contains("node 3"), "{msg}");
         assert!(msg.contains("2 unreplicated"), "{msg}");
         assert!(msg.contains("lineage"), "{msg}");
+    }
+
+    #[test]
+    fn driver_side_rejections_name_no_task() {
+        let shape = JobError::shape_mismatch("pagerank needs a square link matrix");
+        let rank = JobError::singular("singular regularized Gram at column 3");
+        assert!(matches!(shape, JobError::ShapeMismatch { .. }));
+        assert!(matches!(rank, JobError::Singular { .. }));
+        for (e, words) in [(shape, "square link matrix"), (rank, "Gram at column 3")] {
+            assert_eq!(e.annotation(), "FAIL");
+            let msg = e.to_string();
+            assert!(msg.contains(words) && !msg.contains("task"), "{msg}");
+        }
     }
 
     #[test]

@@ -19,10 +19,14 @@
 //! gang, and each unit drops its stranded copies the moment its own moves
 //! have landed — never before, since the source may be one of them. A
 //! resize therefore holds at most a few keys' worth of extra copies at a
-//! time, and the blocks one unit frees are the memory the next unit's
-//! moves decode into, instead of the heap growing by the whole migration
-//! before anything is dropped. Totals (moves, bytes, ledger charges) are
-//! sums over units and do not depend on the order they ran in.
+//! time, and the blocks one unit frees are, literally, the memory the next
+//! unit's moves decode into: a dropped copy whose last reference died
+//! hands its wire buffer to the resize's free list
+//! ([`FreeBuffers`](crate::store::FreeBuffers)), and the transport draws
+//! its receive buffers from there. A move of a block that already crossed
+//! the wire once copies the frame it is a view of — nothing is serialized
+//! again. Totals (moves, bytes, ledger charges) are sums over units and do
+//! not depend on the order they ran in.
 //!
 //! Every key is re-homed to **both** salted homes (`which` 0 and 1 — the
 //! A-operand and B-operand spaces of the plan's routing), matching how the

@@ -9,6 +9,7 @@
 //! duplication.
 
 use crate::failure::TaskError;
+use bytes::{Bytes, BytesMut};
 use distme_matrix::{Block, BlockId, BlockMatrix};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,7 +134,12 @@ impl NodeStore {
 
     /// Removes `key`, returning whether it was resident.
     pub fn remove(&self, key: &StoreKey) -> bool {
-        self.blocks.lock().unwrap().remove(key).is_some()
+        self.take(key).is_some()
+    }
+
+    /// Removes `key`, handing back the store's reference to the block.
+    pub fn take(&self, key: &StoreKey) -> Option<Arc<Block>> {
+        self.blocks.lock().unwrap().remove(key)
     }
 
     /// All resident keys, in key order.
@@ -346,6 +352,79 @@ impl ClusterStores {
         for (i, store) in self.nodes.iter_mut().enumerate() {
             store.node = i;
         }
+    }
+}
+
+/// The free list of one resize: the byte buffers of the blocks it has
+/// evicted so far, for the blocks it installs next.
+///
+/// A block that crossed the wire *is* its receive buffer (a dense view,
+/// see `codec::decode_view`) and a parity block *is* its envelope buffer,
+/// so evicting one frees exactly the allocation the next delivery or the
+/// next envelope needs. [`reclaim`](Self::reclaim) keeps that allocation
+/// when the evicted reference was the last one to the block and the block
+/// the last view of its buffer — anything still referenced anywhere is
+/// left alone — and [`take`](Self::take) hands it out again. The list
+/// belongs to the `scale_to` that created it and is dropped, with whatever
+/// it still holds, when that returns: jobs never draw from one and
+/// nothing is retained between resizes.
+#[derive(Debug, Default)]
+pub struct FreeBuffers {
+    free: Mutex<Vec<BytesMut>>,
+    /// Draws served from the list / by a fresh allocation (read by tests).
+    recycled: AtomicU64,
+    allocated: AtomicU64,
+}
+
+impl FreeBuffers {
+    /// Fresh allocations are whole pages, so that a wire buffer and an
+    /// envelope buffer for blocks of one size — a few bytes apart — can
+    /// each serve as the other.
+    const PAGE: usize = 4096;
+
+    /// An empty buffer that holds `capacity` bytes without reallocating:
+    /// the most recently reclaimed one that is large enough, else a fresh
+    /// allocation.
+    pub fn take(&self, capacity: usize) -> BytesMut {
+        let reclaimed = {
+            let mut free = self.free.lock().expect("free list lock");
+            free.iter()
+                .rposition(|buf| buf.capacity() >= capacity)
+                .map(|i| free.swap_remove(i))
+        };
+        match reclaimed {
+            Some(buf) => {
+                self.recycled.fetch_add(1, Ordering::Relaxed);
+                buf
+            }
+            None => {
+                self.allocated.fetch_add(1, Ordering::Relaxed);
+                BytesMut::with_capacity(capacity.next_multiple_of(Self::PAGE))
+            }
+        }
+    }
+
+    /// Keeps the buffer behind an evicted block — if `block` was the last
+    /// reference to it and it the last view of its buffer; otherwise this
+    /// is a plain drop.
+    pub fn reclaim(&self, block: Arc<Block>) {
+        let Ok(Block::Dense(dense)) = Arc::try_unwrap(block) else {
+            return;
+        };
+        if let Some(Ok(mut buf)) = dense.into_shared_bytes().map(Bytes::try_into_mut) {
+            buf.clear();
+            self.free.lock().expect("free list lock").push(buf);
+        }
+    }
+
+    /// `(recycled, allocated)`: how many [`take`](Self::take)s a reclaimed
+    /// buffer served, and how many had to allocate.
+    #[cfg(test)]
+    pub(crate) fn draws(&self) -> (u64, u64) {
+        (
+            self.recycled.load(Ordering::Relaxed),
+            self.allocated.load(Ordering::Relaxed),
+        )
     }
 }
 

@@ -3,8 +3,16 @@
 //! Every cross-store movement goes through [`Transport::execute`]: the
 //! source block is encoded via `distme_matrix::codec`, the bytes "cross the
 //! wire", and the decoded block is installed in the destination node's
-//! store. The ledger's *model* bytes are charged by the driver with the
-//! plan's per-phase totals (see `core::real_exec`), never here — so
+//! store. A dense block installed this way is a view of the frame it
+//! arrived in, and its next hop re-sends that frame as it is stored — one
+//! copy into the receive buffer, no re-serialization, no second checksum
+//! on the sending side — while the receiver verifies and decodes every
+//! delivery exactly as before (`codec::resident_frame`). The receive
+//! buffer is a fresh exact-size allocation, except inside a resize, whose
+//! migration draws from the buffers of the blocks it has just evicted
+//! ([`Transport::with_buffers`]). The ledger's *model* bytes are charged
+//! by the driver with the plan's per-phase totals (see
+//! `core::real_exec`), never here — so
 //! fault-driven redelivery can neither double-charge nor under-charge the
 //! model. The transport counts only *physical* traffic:
 //!
@@ -25,8 +33,8 @@ use crate::chaos::FaultPlan;
 use crate::config::RetryPolicy;
 use crate::failure::TaskError;
 use crate::stats::Phase;
-use crate::store::{ClusterStores, StoreKey};
-use bytes::BytesMut;
+use crate::store::{ClusterStores, FreeBuffers, StoreKey};
+use bytes::{Bytes, BytesMut};
 use distme_matrix::codec;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,6 +122,9 @@ pub struct Transport<'a> {
     /// accounting registers a second `TransportStats` here; every counter
     /// update lands in both.
     job_stats: Option<&'a TransportStats>,
+    /// Where wire buffers come from when not freshly allocated: the free
+    /// list of the resize this transport migrates for. Jobs have none.
+    buffers: Option<&'a FreeBuffers>,
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     replication: crate::coding::ReplicationPolicy,
@@ -132,6 +143,7 @@ impl<'a> Transport<'a> {
             stores,
             stats,
             job_stats: None,
+            buffers: None,
             faults,
             retry,
             replication: crate::coding::ReplicationPolicy::Off,
@@ -152,6 +164,14 @@ impl<'a> Transport<'a> {
     /// a concurrent job needs, since the shared stats mix all jobs.
     pub fn with_job_counters(mut self, job: &'a TransportStats) -> Self {
         self.job_stats = Some(job);
+        self
+    }
+
+    /// Draws every wire buffer from `buffers` before allocating one — the
+    /// buffers of the blocks a resize has evicted, which are the size its
+    /// next deliveries need.
+    pub fn with_buffers(mut self, buffers: &'a FreeBuffers) -> Self {
+        self.buffers = Some(buffers);
         self
     }
 
@@ -217,6 +237,13 @@ impl<'a> Transport<'a> {
         Some(bytes)
     }
 
+    /// The receiving end of a delivery: the frame passes the codec's
+    /// checksum and structure gate or nothing is installed.
+    fn receive(&self, mv: &WireMove, frame: &Bytes) -> distme_matrix::Result<()> {
+        self.install(mv, codec::decode_view(frame)?);
+        Ok(())
+    }
+
     /// Installs a decoded block at the move's destination.
     fn install(&self, mv: &WireMove, decoded: distme_matrix::Block) {
         self.stores
@@ -232,12 +259,15 @@ impl<'a> Transport<'a> {
     /// block exists (implicit zeros ship nothing). Returns the encoded
     /// payload length (0 for an implicit zero).
     ///
-    /// Each transmission gets a fresh exact-size buffer: the frame is
-    /// encoded with a dense payload 8-byte aligned, the wire buffer is
+    /// Each transmission gets a buffer of its own — freshly allocated at
+    /// the exact size, or drawn from the free list of the resize this
+    /// transport migrates for: the frame is written with a dense payload
+    /// 8-byte aligned (serialized, or copied as it is when the source block
+    /// still is a view of the frame it arrived in), the wire buffer is
     /// frozen, and `decode_view` installs a dense block that aliases the
-    /// frame's `f64` section in place — the buffer *becomes* the installed
-    /// block's storage. A sparse frame takes no pad and its CSR arrays are
-    /// materialized on decode.
+    /// frame in place — the buffer *becomes* the installed block's storage.
+    /// A sparse frame takes no pad and its CSR arrays are materialized on
+    /// decode.
     ///
     /// Recovery precedence, for a delivery the fault plan drops or whose
     /// injected corruption the CRC gate catches: parity decode from the
@@ -261,8 +291,12 @@ impl<'a> Transport<'a> {
         let (node, id) = (mv.to_node, mv.dst.id);
         let faults = self.faults.as_deref();
         let deliveries = self.retry.max_attempts.max(1);
+        let wire_len = codec::encoded_len(&block) as usize + 7;
         for delivery in 0..deliveries {
-            let mut buf = BytesMut::with_capacity(codec::encoded_len(&block) as usize + 7);
+            let mut buf = match self.buffers {
+                Some(free) => free.take(wire_len),
+                None => BytesMut::with_capacity(wire_len),
+            };
             let pad = codec::encode_aligned(&block, &mut buf);
             let payload = (buf.len() - pad) as u64;
             self.charge_transmission(payload, task_attempt == 0 && delivery == 0);
@@ -276,11 +310,8 @@ impl<'a> Transport<'a> {
                     f.corrupt_payload(mv, task_attempt, delivery, &mut buf[pad..])
                 });
                 let wire = buf.freeze();
-                match codec::decode_view(&wire.slice(pad..wire.len())) {
-                    Ok(decoded) => {
-                        self.install(mv, decoded);
-                        return Ok(payload);
-                    }
+                match self.receive(mv, &wire.slice(pad..wire.len())) {
+                    Ok(()) => return Ok(payload),
                     Err(_) if injected => TaskError::CorruptBlock { node, id },
                     Err(e) => return Err(TaskError::Compute(format!("transport: {e}"))),
                 }
@@ -377,6 +408,153 @@ mod tests {
             ),
             Block::Sparse(_) => panic!("dense move installed sparse"),
         }
+    }
+
+    /// A dense block at `key` on node 1 that is a view of the wire frame
+    /// it arrived in, and its owned twin at `key` on node 0.
+    fn view_and_owned_twin(stores: &ClusterStores, key: StoreKey) -> Block {
+        let block = Block::Dense(DenseBlock::from_fn(9, 7, |i, j| i as f64 - 0.25 * j as f64));
+        stores.node(0).install(key, Arc::new(block.clone()));
+        let first_hop = WireMove {
+            phase: Phase::Repartition,
+            from_node: 0,
+            to_node: 1,
+            wire_bytes: 0,
+            src: key,
+            dst: key,
+        };
+        let warm_up = TransportStats::default();
+        clean(stores, &warm_up).execute(&first_hop, 0).unwrap();
+        let view = stores.node(1).get(&key).unwrap();
+        assert!(codec::resident_frame(&view).is_some());
+        assert!(codec::resident_frame(&stores.node(0).get(&key).unwrap()).is_none());
+        block
+    }
+
+    #[test]
+    fn a_view_moves_exactly_like_its_owned_twin() {
+        let (stores, _) = setup();
+        let key = StoreKey::operand(3, BlockId::new(1, 2));
+        let block = view_and_owned_twin(&stores, key);
+        // The same block to node 2, once from the view and once from the
+        // owned copy: what lands and what is counted cannot tell them apart.
+        let landed = [1usize, 0].map(|from_node| {
+            let stats = TransportStats::default();
+            let dst = StoreKey::replica(3, key.id, 1 + from_node as u32);
+            let mv = WireMove {
+                phase: Phase::Repartition,
+                from_node,
+                to_node: 2,
+                wire_bytes: 0,
+                src: key,
+                dst,
+            };
+            let payload = clean(&stores, &stats).execute(&mv, 0).unwrap();
+            let installed = stores.node(2).get(&dst).unwrap();
+            (
+                payload,
+                (stats.moves(), stats.delivered(), stats.payload_bytes()),
+                (stats.redelivered(), stats.retransmitted_bytes()),
+                codec::resident_frame(&installed).unwrap().to_vec(),
+            )
+        });
+        assert_eq!(landed[0], landed[1]);
+        let (payload, counted, _, frame) = &landed[0];
+        assert_eq!(*payload, codec::encoded_len(&block));
+        assert_eq!(*counted, (1, 1, *payload));
+        assert_eq!(codec::decode_slice(frame).unwrap(), block);
+    }
+
+    #[test]
+    fn corruption_strikes_the_copy_in_flight_never_the_resident_frame() {
+        let (stores, stats) = setup();
+        let key = StoreKey::operand(4, BlockId::new(0, 3));
+        let block = view_and_owned_twin(&stores, key);
+        let mv = WireMove {
+            phase: Phase::Repartition,
+            from_node: 1,
+            to_node: 2,
+            wire_bytes: 0,
+            src: key,
+            dst: key,
+        };
+        // A seed that corrupts the first delivery of this re-send and lets
+        // a later one through.
+        let spec_for = |seed| FaultSpec {
+            corrupt_rate: 0.5,
+            ..FaultSpec::quiet(seed)
+        };
+        let (seed, resent) = (0..64)
+            .find_map(|s| {
+                let probe = FaultPlan::new(spec_for(s));
+                let first_clean =
+                    (0..8).find(|&d| !probe.corrupt_payload(&mv, 0, d, &mut [0u8; 64]))?;
+                (first_clean > 0).then_some((s, u64::from(first_clean)))
+            })
+            .expect("a 50% corruption rate hits within 64 seeds");
+        let source = stores.node(1).get(&key).unwrap();
+        let resident = codec::resident_frame(&source).unwrap();
+        let (before, at) = (resident.to_vec(), resident.as_ref().as_ptr());
+        let plan = Arc::new(FaultPlan::new(spec_for(seed)));
+        let t = Transport::new(
+            &stores,
+            &stats,
+            Some(plan.clone()),
+            RetryPolicy {
+                max_attempts: 8,
+                backoff_secs: 0.0,
+            },
+        );
+        let payload = t.execute(&mv, 0).unwrap();
+        // The checksum gate refused every corrupted copy...
+        assert_eq!(plan.corrupted(), resent);
+        assert_eq!(stats.redelivered(), resent);
+        assert_eq!(stats.retransmitted_bytes(), resent * payload);
+        assert_eq!((stats.payload_bytes(), stats.delivered()), (payload, 1));
+        // ...the source still is the same view of the same bytes...
+        let resident = codec::resident_frame(&source).unwrap();
+        assert_eq!(resident.as_ref().as_ptr(), at);
+        assert_eq!(resident.as_ref(), &before[..]);
+        assert_eq!(&*source, &block);
+        // ...and what finally landed is the original, bit for bit.
+        let installed = stores.node(2).get(&key).unwrap();
+        assert_eq!(
+            codec::resident_frame(&installed).unwrap().as_ref(),
+            &before[..]
+        );
+    }
+
+    #[test]
+    fn a_malformed_frame_with_a_valid_checksum_installs_nothing() {
+        let (stores, stats) = setup();
+        let t = clean(&stores, &stats);
+        let key = StoreKey::operand(12, BlockId::new(0, 0));
+        let mv = WireMove {
+            phase: Phase::Repartition,
+            from_node: 0,
+            to_node: 1,
+            wire_bytes: 0,
+            src: key,
+            dst: key,
+        };
+        // Header lies, each resealed so that the checksum agrees with it.
+        let [dense, sparse] = dense_and_sparse();
+        let lies: [(&Block, usize, &[u8]); 4] = [
+            (&dense, 2, &[5, 0, 0, 0]),         // a row more than the payload holds
+            (&dense, 2, &[0xff; 8]),            // dimensions whose product overflows
+            (&dense, 1, &[0x7f]),               // a tag nobody assigned
+            (&sparse, 10, &[0xff, 0xff, 0, 0]), // more entries than it carries
+        ];
+        for (which, (block, at, patch)) in lies.into_iter().enumerate() {
+            let mut raw = codec::encode(block).to_vec();
+            raw[at..at + patch.len()].copy_from_slice(patch);
+            let body = raw.len() - 4;
+            let crc = codec::crc32(&raw[..body]);
+            raw[body..].copy_from_slice(&crc.to_le_bytes());
+            assert!(t.receive(&mv, &Bytes::from(raw)).is_err(), "lie {which}");
+        }
+        assert!(!stores.node(1).contains(&key), "nothing was installed");
+        assert_eq!(stats.delivered(), 0);
     }
 
     #[test]

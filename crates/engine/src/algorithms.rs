@@ -43,13 +43,10 @@ pub fn power_iteration<S: RealOps>(
 ) -> Result<EigenPair, JobError> {
     let n = a.meta().rows;
     if n != a.meta().cols {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: format!(
-                "power iteration needs a square matrix, got {n}x{}",
-                a.meta().cols
-            ),
-        });
+        return Err(JobError::shape_mismatch(format!(
+            "power iteration needs a square matrix, got {n}x{}",
+            a.meta().cols
+        )));
     }
     let bs = a.meta().block_size;
     let mut v = MatrixGenerator::with_seed(seed)
@@ -62,10 +59,9 @@ pub fn power_iteration<S: RealOps>(
         let av = session.matmul(a, &v)?;
         let norm = av.frobenius_norm();
         if norm == 0.0 {
-            return Err(JobError::TaskFailed {
-                task: 0,
-                message: "power iteration collapsed to the zero vector".into(),
-            });
+            return Err(JobError::singular(
+                "power iteration collapsed to the zero vector",
+            ));
         }
         // Rayleigh quotient λ = vᵀ(Av) (v is unit length).
         value = dot(&v, &av);
@@ -96,10 +92,9 @@ pub fn pagerank<S: RealOps>(
 ) -> Result<BlockMatrix, JobError> {
     let n = links.meta().rows;
     if n != links.meta().cols {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: "pagerank needs a square link matrix".into(),
-        });
+        return Err(JobError::shape_mismatch(
+            "pagerank needs a square link matrix",
+        ));
     }
     let bs = links.meta().block_size;
     let uniform = 1.0 / n as f64;
@@ -150,14 +145,11 @@ pub fn ridge_regression_gd<S: RealOps>(
 ) -> Result<RidgeFit, JobError> {
     let (n, d) = (x.meta().rows, x.meta().cols);
     if y.meta().rows != n || y.meta().cols != 1 {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: format!(
-                "ridge regression needs y of {n}x1, got {}x{}",
-                y.meta().rows,
-                y.meta().cols
-            ),
-        });
+        return Err(JobError::shape_mismatch(format!(
+            "ridge regression needs y of {n}x1, got {}x{}",
+            y.meta().rows,
+            y.meta().cols
+        )));
     }
     let bs = x.meta().block_size;
     let mut w = MatrixGenerator::with_seed(seed)
@@ -191,10 +183,7 @@ fn dot(a: &BlockMatrix, b: &BlockMatrix) -> f64 {
 fn normalize(v: &mut BlockMatrix) -> Result<(), JobError> {
     let norm = v.frobenius_norm();
     if norm == 0.0 {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: "cannot normalize the zero vector".into(),
-        });
+        return Err(JobError::singular("cannot normalize the zero vector"));
     }
     *v = v.scale(1.0 / norm);
     Ok(())
@@ -247,7 +236,8 @@ mod tests {
     fn power_iteration_rejects_rectangular() {
         let meta = MatrixMeta::dense(32, 16).with_block_size(16);
         let a = MatrixGenerator::with_seed(1).generate(&meta).unwrap();
-        assert!(power_iteration(&mut session(), &a, 3, 1).is_err());
+        let err = power_iteration(&mut session(), &a, 3, 1).unwrap_err();
+        assert!(matches!(err, JobError::ShapeMismatch { .. }), "{err}");
     }
 
     #[test]
@@ -341,6 +331,7 @@ mod tests {
         let bad_y = MatrixGenerator::with_seed(2)
             .generate(&MatrixMeta::dense(32, 2).with_block_size(16))
             .unwrap();
-        assert!(ridge_regression_gd(&mut session(), &x, &bad_y, 0.1, 0.01, 3, 1).is_err());
+        let err = ridge_regression_gd(&mut session(), &x, &bad_y, 0.1, 0.01, 3, 1).unwrap_err();
+        assert!(matches!(err, JobError::ShapeMismatch { .. }), "{err}");
     }
 }

@@ -213,18 +213,16 @@ where
 /// concurrent ALS runs bit-comparable.
 ///
 /// # Errors
-/// Returns a task failure when the regularized Gram is singular.
+/// [`JobError::ShapeMismatch`] for a non-square Gram, [`JobError::Singular`]
+/// when the regularized Gram is singular.
 fn ridge_inverse(gram: &BlockMatrix, lambda: f64, bs: u64) -> Result<BlockMatrix, JobError> {
     let n = gram.meta().rows as usize;
     if gram.meta().cols as usize != n {
-        return Err(JobError::TaskFailed {
-            task: 0,
-            message: format!(
-                "ridge_inverse needs a square Gram, got {}x{}",
-                gram.meta().rows,
-                gram.meta().cols
-            ),
-        });
+        return Err(JobError::shape_mismatch(format!(
+            "ridge_inverse needs a square Gram, got {}x{}",
+            gram.meta().rows,
+            gram.meta().cols
+        )));
     }
     let mut a = vec![0.0_f64; n * n];
     for (i, row) in a.chunks_exact_mut(n).enumerate() {
@@ -246,10 +244,9 @@ fn ridge_inverse(gram: &BlockMatrix, lambda: f64, bs: u64) -> Result<BlockMatrix
             }
         }
         if a[piv * n + col].abs() < 1e-12 {
-            return Err(JobError::TaskFailed {
-                task: 0,
-                message: format!("singular regularized Gram at column {col}"),
-            });
+            return Err(JobError::singular(format!(
+                "singular regularized Gram at column {col}"
+            )));
         }
         if piv != col {
             for j in 0..n {
@@ -381,7 +378,8 @@ mod tests {
     fn ridge_inverse_rejects_a_singular_gram() {
         // The zero Gram with λ = 0 is singular.
         let zero = BlockMatrix::new(MatrixMeta::dense(8, 8).with_block_size(8));
-        assert!(ridge_inverse(&zero, 0.0, 8).is_err());
+        let err = ridge_inverse(&zero, 0.0, 8).unwrap_err();
+        assert!(matches!(err, JobError::Singular { .. }), "{err}");
         // ... and invertible once regularized.
         assert!(ridge_inverse(&zero, 0.1, 8).is_ok());
     }

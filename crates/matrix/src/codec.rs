@@ -26,6 +26,11 @@
 //! big-endian targets fall back to the per-element loop. The produced bytes
 //! are identical either way, so `tests/plan_parity.rs` and every ledger
 //! charge are unaffected.
+//!
+//! A dense block that [`decode_view`] installs in place keeps the whole
+//! frame it arrived in ([`resident_frame`]), and that frame *is* the
+//! block's encoding for as long as nobody writes to the block: encoding it
+//! again appends those bytes as they are.
 
 use crate::block::Block;
 use crate::dense::DenseBlock;
@@ -325,10 +330,30 @@ pub fn encode(block: &Block) -> Bytes {
     buf.freeze()
 }
 
+/// The wire frame `block` is a zero-copy view of — byte for byte what
+/// [`encode_into`] writes for it — when [`decode_view`] installed it in
+/// place and nothing has written to it since. `None` for owned, sparse and
+/// empty blocks and for frames that had to be decoded by copy. A caller
+/// about to serialize the block can send, fold or copy these bytes
+/// instead: they passed the checksum gate on arrival and are immutable.
+pub fn resident_frame(block: &Block) -> Option<&Bytes> {
+    match block {
+        Block::Dense(d) => d.frame(),
+        Block::Sparse(_) => None,
+    }
+}
+
 /// Serializes a block, appending to a caller-owned buffer.
 /// Checksumming is fused into the write: each section is folded into the
 /// running CRC as it lands in the buffer, so no second full-frame scan.
+/// A block that still is a view of the frame it arrived in
+/// ([`resident_frame`]) is not serialized again: its frame is appended as
+/// it is, one copy and no checksum pass.
 pub fn encode_into(block: &Block, buf: &mut BytesMut) {
+    if let Some(frame) = resident_frame(block) {
+        buf.put_slice(frame);
+        return;
+    }
     buf.reserve(encoded_len(block) as usize);
     let mut w = FrameWriter::begin(buf);
     match block {
@@ -579,9 +604,11 @@ fn parse_body(mut buf: &[u8]) -> Result<Block> {
 /// [`encode_aligned`] arranges), the returned block aliases the frame's
 /// payload bytes through the `Bytes` refcount instead of copying them out —
 /// the wire buffer *becomes* the block's storage and stays alive exactly as
-/// long as the block does. Falls back to [`decode_slice`]'s materializing
-/// path for sparse frames, empty blocks, misaligned payloads, and
-/// big-endian targets; the decoded value is identical either way.
+/// long as the block does — and keeps the whole frame, so the next hop can
+/// re-send it as it is ([`resident_frame`]). Falls back to
+/// [`decode_slice`]'s materializing path for sparse frames, empty blocks,
+/// misaligned payloads, and big-endian targets; the decoded value is
+/// identical either way.
 ///
 /// # Errors
 /// See [`decode`]. The checksum is verified before any view is taken.
@@ -594,10 +621,11 @@ pub fn decode_view(frame: &Bytes) -> Result<Block> {
         if let Some(n) = rows.checked_mul(cols) {
             let payload = (n as u64).checked_mul(8);
             if n > 0 && payload == Some(body.len() as u64 - 9) {
-                let view = frame.slice(DENSE_PAYLOAD_OFFSET..DENSE_PAYLOAD_OFFSET + n * 8);
                 // Misalignment is the only way this errors (length and
                 // endianness are checked above) — materialize instead.
-                if let Ok(d) = DenseBlock::from_shared_bytes(rows, cols, view) {
+                if let Ok(d) =
+                    DenseBlock::from_frame(rows, cols, frame.clone(), DENSE_PAYLOAD_OFFSET)
+                {
                     return Ok(Block::Dense(d));
                 }
             }

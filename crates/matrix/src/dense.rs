@@ -6,18 +6,26 @@ use bytes::Bytes;
 
 /// Backing storage of a dense block.
 ///
-/// `Shared` aliases an 8-byte-aligned region of a reference-counted wire
-/// buffer (the codec's `decode_view` path): the block's elements are the
-/// received bytes themselves, never copied out of the frame. The `Bytes`
-/// clone keeps the whole receive buffer alive for as long as the block is
-/// resident; any mutation first materializes into `Owned` (copy-on-write),
-/// so shared storage is observationally identical to owned storage.
+/// `Shared` aliases an 8-byte-aligned region of a reference-counted byte
+/// buffer: the block's elements are those bytes themselves, never copied
+/// out. The one `Bytes` handle keeps the buffer alive for as long as the
+/// block is resident; any mutation first materializes into `Owned`
+/// (copy-on-write), so shared storage is observationally identical to
+/// owned storage.
 #[derive(Debug, Clone)]
 enum Storage {
     Owned(Vec<f64>),
-    /// Invariants (checked at construction): the view's base address is
-    /// 8-byte aligned and its length is exactly `rows * cols * 8` bytes.
-    Shared(Bytes),
+    /// The elements are `bytes[at..at + rows * cols * 8]`. `at` is 0 for a
+    /// bare payload ([`DenseBlock::from_shared_bytes`]); for a block the
+    /// codec decoded in place, `bytes` is the whole checksum-verified wire
+    /// frame and `at` the payload's offset behind its header.
+    ///
+    /// Invariants (checked at construction): that range lies inside
+    /// `bytes` and starts on an 8-byte boundary.
+    Shared {
+        bytes: Bytes,
+        at: usize,
+    },
 }
 
 /// A dense matrix block in row-major order.
@@ -75,21 +83,38 @@ impl DenseBlock {
     /// 8-byte aligned, its length is not exactly `rows * cols * 8`, or the
     /// target is big-endian — callers fall back to a copying decode.
     pub fn from_shared_bytes(rows: usize, cols: usize, bytes: Bytes) -> Result<Self> {
-        if cfg!(not(target_endian = "little")) {
-            return Err(MatrixError::InvalidParameter(
-                "shared wire views require a little-endian target".into(),
-            ));
-        }
-        let n = rows.checked_mul(cols).ok_or_else(|| {
-            MatrixError::InvalidParameter(format!("{rows}x{cols} block overflows usize"))
-        })?;
-        if bytes.len() != n * 8 {
+        let payload = rows.checked_mul(cols).and_then(|n| n.checked_mul(8));
+        if payload != Some(bytes.len()) {
             return Err(MatrixError::InvalidParameter(format!(
                 "view of {} bytes cannot back a {rows}x{cols} block",
                 bytes.len()
             )));
         }
-        if !(bytes.as_ref().as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>()) {
+        Self::from_frame(rows, cols, bytes, 0)
+    }
+
+    /// [`from_shared_bytes`](Self::from_shared_bytes) for a payload that
+    /// sits `at` bytes into a wire frame: the block keeps the whole frame.
+    /// Crate-private because the frame must be the verified encoding of
+    /// this very block — `codec::decode_view` is the one caller with a
+    /// frame (`at > 0`), and `codec::resident_frame` trusts it.
+    pub(crate) fn from_frame(rows: usize, cols: usize, bytes: Bytes, at: usize) -> Result<Self> {
+        if cfg!(not(target_endian = "little")) {
+            return Err(MatrixError::InvalidParameter(
+                "shared wire views require a little-endian target".into(),
+            ));
+        }
+        let end = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(8))
+            .and_then(|payload| payload.checked_add(at));
+        if end.is_none_or(|end| end > bytes.len()) {
+            return Err(MatrixError::InvalidParameter(format!(
+                "{} bytes cannot back a {rows}x{cols} block at offset {at}",
+                bytes.len()
+            )));
+        }
+        if !(bytes.as_ref().as_ptr() as usize + at).is_multiple_of(std::mem::align_of::<f64>()) {
             return Err(MatrixError::InvalidParameter(
                 "shared view is not 8-byte aligned".into(),
             ));
@@ -97,14 +122,33 @@ impl DenseBlock {
         Ok(DenseBlock {
             rows,
             cols,
-            data: Storage::Shared(bytes),
+            data: Storage::Shared { bytes, at },
         })
     }
 
     /// Whether this block's storage is a zero-copy view into a shared wire
     /// buffer (diagnostics/tests; semantics are identical either way).
     pub fn is_shared(&self) -> bool {
-        matches!(self.data, Storage::Shared(_))
+        matches!(self.data, Storage::Shared { .. })
+    }
+
+    /// The wire frame this block is a view of, when the codec decoded it
+    /// in place and nothing has written to it since.
+    pub(crate) fn frame(&self) -> Option<&Bytes> {
+        match &self.data {
+            Storage::Shared { bytes, at } if *at > 0 => Some(bytes),
+            _ => None,
+        }
+    }
+
+    /// Consumes the block, returning the handle to the buffer it aliased;
+    /// `None` for owned storage. The last holder of that buffer can turn
+    /// it back into a builder (`Bytes::try_into_mut`) and fill it again.
+    pub fn into_shared_bytes(self) -> Option<Bytes> {
+        match self.data {
+            Storage::Owned(_) => None,
+            Storage::Shared { bytes, .. } => Some(bytes),
+        }
     }
 
     /// Builds a block from a closure over `(row, col)`.
@@ -144,13 +188,17 @@ impl DenseBlock {
     pub fn data(&self) -> &[f64] {
         match &self.data {
             Storage::Owned(v) => v,
-            // SAFETY: `from_shared_bytes` established that the view is
-            // 8-byte aligned and exactly `rows * cols * 8` bytes long; the
-            // bytes are immutable for the `Bytes` lifetime, every bit
-            // pattern is a valid `f64`, and the returned slice borrows
-            // `self`, which keeps the `Bytes` (and its Arc) alive.
-            Storage::Shared(b) => unsafe {
-                std::slice::from_raw_parts(b.as_ref().as_ptr().cast::<f64>(), b.len() / 8)
+            // SAFETY: `from_frame` established that `rows * cols * 8`
+            // bytes starting 8-byte aligned at `at` lie inside `bytes`
+            // (and no field has changed since); the bytes are immutable
+            // for the `Bytes` lifetime, every bit pattern is a valid
+            // `f64`, and the returned slice borrows `self`, which keeps
+            // the `Bytes` (and its Arc) alive.
+            Storage::Shared { bytes, at } => unsafe {
+                std::slice::from_raw_parts(
+                    bytes.as_ref().as_ptr().add(*at).cast::<f64>(),
+                    self.rows * self.cols,
+                )
             },
         }
     }
@@ -165,7 +213,7 @@ impl DenseBlock {
         }
         match &mut self.data {
             Storage::Owned(v) => v,
-            Storage::Shared(_) => unreachable!("shared storage materialized above"),
+            Storage::Shared { .. } => unreachable!("shared storage materialized above"),
         }
     }
 
@@ -173,7 +221,7 @@ impl DenseBlock {
     pub fn into_vec(self) -> Vec<f64> {
         match self.data {
             Storage::Owned(v) => v,
-            Storage::Shared(_) => self.data().to_vec(),
+            Storage::Shared { .. } => self.data().to_vec(),
         }
     }
 

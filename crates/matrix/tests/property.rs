@@ -292,6 +292,120 @@ proptest! {
     }
 
     #[test]
+    fn a_resident_frame_is_the_encoding(
+        b in dense_block(),
+        s in sparse_block(),
+        shift in 0usize..8,
+        write in 0usize..4,
+    ) {
+        let owned = Block::Dense(b.clone());
+        let canonical = codec::encode(&owned);
+        prop_assert!(codec::resident_frame(&owned).is_none(), "owned storage has no frame");
+
+        // One hop over the wire: the view keeps the frame it arrived in,
+        // and that frame is what serializing the owned block produces.
+        let hop = |block: &Block| {
+            let mut buf = bytes::BytesMut::default();
+            let pad = codec::encode_aligned(block, &mut buf);
+            let wire = buf.freeze();
+            (codec::decode_view(&wire.slice(pad..wire.len())).expect("decodes"), wire, pad)
+        };
+        let (view, wire, pad) = hop(&owned);
+        let frame = codec::resident_frame(&view).expect("an aligned dense decode is a view");
+        prop_assert_eq!(frame.as_ref(), canonical.as_ref());
+        prop_assert_eq!(frame.as_ref().as_ptr(), wire.as_ref()[pad..].as_ptr(), "the frame, not a copy");
+        // Every way of serializing the view re-sends those bytes, and the
+        // next hop's view holds them again.
+        prop_assert_eq!(codec::encode(&view).as_ref(), canonical.as_ref());
+        let (second, _, _) = hop(&view);
+        prop_assert_eq!(codec::resident_frame(&second).expect("a view again").as_ref(), canonical.as_ref());
+        prop_assert_eq!(&second, &owned);
+
+        // Any write materializes owned storage and drops the frame; the
+        // written block serializes like its owned twin, and the view it
+        // was cloned from still holds the original frame.
+        let other = seeded_dense(b.rows(), b.cols(), 99);
+        let apply = |d: &mut DenseBlock| match write {
+            0 => d.data_mut()[0] = 4.25,
+            1 => d.set(b.rows() - 1, b.cols() - 1, -1.5),
+            2 => d.add_assign(&other).expect("same shape"),
+            _ => d.scale(0.5),
+        };
+        let (Block::Dense(mut written), mut twin) = (view.clone(), b.clone()) else {
+            panic!("dense frame decoded as sparse")
+        };
+        apply(&mut written);
+        apply(&mut twin);
+        let written = Block::Dense(written);
+        prop_assert!(codec::resident_frame(&written).is_none(), "write {write} kept the frame");
+        prop_assert_eq!(codec::encode(&written).as_ref(), codec::encode(&Block::Dense(twin)).as_ref());
+        prop_assert_eq!(codec::resident_frame(&view).expect("untouched").as_ref(), canonical.as_ref());
+
+        // Blocks decoded by copy have no frame: sparse, empty, and a dense
+        // frame whose payload landed off an 8-byte boundary.
+        let (sparse, _, _) = hop(&Block::Sparse(s));
+        prop_assert!(codec::resident_frame(&sparse).is_none());
+        let (empty, _, _) = hop(&Block::Dense(DenseBlock::zeros(0, b.cols())));
+        prop_assert!(codec::resident_frame(&empty).is_none());
+        let mut host = vec![0u8; shift];
+        host.extend_from_slice(canonical.as_ref());
+        let rehosted = bytes::Bytes::from(host);
+        let rehosted = rehosted.slice(shift..rehosted.len());
+        let aligned = (rehosted.as_ref()[codec::DENSE_PAYLOAD_OFFSET..].as_ptr() as usize).is_multiple_of(8);
+        let back = codec::decode_view(&rehosted).expect("decodes");
+        prop_assert_eq!(codec::resident_frame(&back).is_some(), aligned, "shift {shift}");
+        prop_assert_eq!(back, owned);
+    }
+
+    #[test]
+    fn crc_valid_but_malformed_frames_are_refused_or_stay_within_their_bytes(
+        d in dense_block(),
+        s in sparse_block(),
+        sparse in any::<bool>(),
+        field in 0usize..4,
+        value in any::<u32>(),
+        nearby in any::<bool>(),
+    ) {
+        // A frame whose header lies and whose checksum agrees with the lie
+        // — what the checksum gate cannot catch. Offsets: tag 1, rows 2,
+        // cols 6, nnz 10 (in a dense frame that is the first payload word).
+        let block = if sparse { Block::Sparse(s) } else { Block::Dense(d) };
+        let mut buf = bytes::BytesMut::default();
+        let pad = codec::encode_aligned(&block, &mut buf);
+        if field == 0 {
+            buf[pad + 1] = value as u8;
+        } else {
+            let at = pad + 2 + 4 * (field - 1);
+            let old = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+            // Off by a little keeps the lie plausible (one row short, one
+            // entry over); anything at all covers the overflow checks.
+            let new = if nearby { old.wrapping_add(value % 5).wrapping_sub(2) } else { value };
+            buf[at..at + 4].copy_from_slice(&new.to_le_bytes());
+        }
+        let body_end = buf.len() - 4;
+        let crc = codec::crc32(&buf[pad..body_end]);
+        buf[body_end..].copy_from_slice(&crc.to_le_bytes());
+        let wire = buf.freeze();
+        let frame = wire.slice(pad..wire.len());
+
+        // Typed error, or a block no larger than the bytes that carried
+        // it: no header field sizes an allocation unchecked. The view
+        // decode and the copying decode agree on which.
+        let copied = codec::decode_slice(frame.as_ref());
+        let viewed = codec::decode_view(&frame);
+        prop_assert_eq!(copied.is_ok(), viewed.is_ok());
+        if let (Ok(copied), Ok(viewed)) = (copied, viewed) {
+            prop_assert!(copied.mem_bytes() <= frame.len() as u64);
+            prop_assert!(viewed.mem_bytes() <= frame.len() as u64);
+            prop_assert_eq!(&copied, &viewed);
+            // A frame accepted as a view is, exactly, its block's encoding.
+            if let Some(resident) = codec::resident_frame(&viewed) {
+                prop_assert_eq!(resident.as_ref(), codec::encode(&copied).as_ref());
+            }
+        }
+    }
+
+    #[test]
     fn csr_dense_csr_roundtrip(s in sparse_block()) {
         let back = CsrBlock::from_dense(&s.to_dense());
         prop_assert_eq!(s, back);
