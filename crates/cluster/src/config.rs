@@ -50,10 +50,10 @@ impl RetryPolicy {
         }
     }
 
-    /// Total modeled backoff charged before reaching attempt index
-    /// `attempt` (0-based): `backoff_secs · (2^attempt − 1)`.
-    pub fn backoff_before_attempt(&self, attempt: u32) -> f64 {
-        self.backoff_secs * ((1u64 << attempt.min(62)) - 1) as f64
+    /// Modeled backoff charged after attempt index `failed` (0-based)
+    /// fails, before the next one: `backoff_secs · 2^failed`.
+    pub fn backoff_after(&self, failed: u32) -> f64 {
+        self.backoff_secs * (1u64 << failed.min(62)) as f64
     }
 
     /// Panics on nonsensical values.
@@ -428,10 +428,9 @@ mod tests {
             backoff_secs: 0.1,
         };
         r.assert_valid();
-        assert_eq!(r.backoff_before_attempt(0), 0.0);
-        assert!((r.backoff_before_attempt(1) - 0.1).abs() < 1e-12);
-        assert!((r.backoff_before_attempt(2) - 0.3).abs() < 1e-12);
-        assert!((r.backoff_before_attempt(3) - 0.7).abs() < 1e-12);
+        assert_eq!(r.backoff_after(0), 0.1);
+        assert_eq!(r.backoff_after(1), 0.2);
+        assert_eq!(r.backoff_after(2), 0.4);
         assert_eq!(RetryPolicy::no_retry().max_attempts, 1);
     }
 

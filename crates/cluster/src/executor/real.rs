@@ -619,8 +619,7 @@ impl LocalCluster {
                             match res {
                                 Err(e) if e.is_transient() && attempt + 1 < max_attempts => {
                                     retries.fetch_add(1, Ordering::Relaxed);
-                                    let wait = self.cfg.retry.backoff_secs
-                                        * (1u64 << attempt.min(62)) as f64;
+                                    let wait = self.cfg.retry.backoff_after(attempt);
                                     backoff_micros
                                         .fetch_add((wait * 1e6) as u64, Ordering::Relaxed);
                                     attempt += 1;

@@ -125,16 +125,8 @@ impl ElasticPolicy {
         nodes: usize,
         tasks_per_node: usize,
     ) -> Option<usize> {
-        let slots = (nodes * tasks_per_node).max(1) as f64;
-        let waves = stats.phase(Phase::LocalMult).tasks as f64 / slots;
-        let target = if waves > self.scale_up_tasks_per_slot {
-            (nodes + self.step).min(self.max_nodes)
-        } else if waves < self.scale_down_tasks_per_slot {
-            nodes.saturating_sub(self.step).max(self.min_nodes.max(1))
-        } else {
-            nodes
-        };
-        (target != nodes).then_some(target)
+        let mult_tasks = stats.phase(Phase::LocalMult).tasks;
+        self.step_for(mult_tasks, nodes, tasks_per_node, true)
     }
 
     /// Recommends a new node count from the scheduler's *live* load — the
@@ -153,12 +145,25 @@ impl ElasticPolicy {
         nodes: usize,
         tasks_per_node: usize,
     ) -> Option<usize> {
-        let slots = (nodes * tasks_per_node).max(1) as f64;
         let runnable = load.held_slots + load.pending_tasks;
-        let pressure = runnable as f64 / slots;
-        let target = if pressure > self.scale_up_tasks_per_slot {
+        self.step_for(runnable, nodes, tasks_per_node, load.queued_jobs == 0)
+    }
+
+    /// The band: one step up when `tasks` per slot exceed the grow
+    /// threshold, one step down when they fall below the shrink threshold
+    /// and `may_shrink`, clamped to `[min_nodes, max_nodes]`; `None` when
+    /// that leaves `nodes` where it is.
+    fn step_for(
+        &self,
+        tasks: usize,
+        nodes: usize,
+        tasks_per_node: usize,
+        may_shrink: bool,
+    ) -> Option<usize> {
+        let per_slot = tasks as f64 / (nodes * tasks_per_node).max(1) as f64;
+        let target = if per_slot > self.scale_up_tasks_per_slot {
             (nodes + self.step).min(self.max_nodes)
-        } else if pressure < self.scale_down_tasks_per_slot && load.queued_jobs == 0 {
+        } else if per_slot < self.scale_down_tasks_per_slot && may_shrink {
             nodes.saturating_sub(self.step).max(self.min_nodes.max(1))
         } else {
             nodes

@@ -5,7 +5,7 @@
 //! All plan construction lives in [`crate::plan`]; this module is a pure
 //! plan consumer over the cluster's physical substrate. A job is:
 //!
-//! 1. a **prologue** ([`prepare_job`]): the plan is validated against the
+//! 1. a **prologue** (`prepare_job`): the plan is validated against the
 //!    cluster's width and membership epoch, operand blocks are installed
 //!    into their home nodes' stores (reusing placements still resident from
 //!    earlier jobs), and the ledger is charged, once per phase, with the
@@ -399,7 +399,7 @@ pub fn execute_plan(
 
 /// [`execute_plan`] with an optional SDDMM sampling mask. With a mask, a
 /// mult task gathers its output into the mask's row-stripe CSR pattern
-/// ([`multiply_cuboid_sddmm`]) instead of running the dense accumulator,
+/// (`multiply_cuboid_sddmm`) instead of running the dense accumulator,
 /// and the result skips density normalization so the pattern survives
 /// verbatim. Everything else — ingest, routing, ledger charging, panel
 /// pulls, aggregation, placement — is the dense path.

@@ -5,7 +5,7 @@
 //! betweenness centrality, and deep neural network" — workloads whose
 //! inner loop is distributed matrix multiplication. Besides GNMF
 //! ([`crate::gnmf`]), this module implements three more members of that
-//! family, each driving a [`RealOps`] session — solo or a job-service
+//! family, each driving a real [`Ops`] session — solo or a job-service
 //! tenant's — the way a user program would:
 //!
 //! * [`power_iteration`] — dominant eigenpair (the SVD/PCA building block);
@@ -13,7 +13,7 @@
 //! * [`ridge_regression_gd`] — L2-regularized least squares by gradient
 //!   descent (the simplest "ML training loop" shape: Xᵀ(Xw − y) per step).
 
-use crate::session::RealOps;
+use crate::session::Ops;
 use distme_cluster::JobError;
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{BlockMatrix, MatrixGenerator, MatrixMeta};
@@ -35,7 +35,7 @@ pub struct EigenPair {
 /// # Errors
 /// Returns a job error on shape mismatch or cluster failure; converging to
 /// a zero vector (nilpotent A) is reported as a task failure.
-pub fn power_iteration<S: RealOps>(
+pub fn power_iteration<S: Ops>(
     session: &mut S,
     a: &BlockMatrix,
     iterations: usize,
@@ -84,7 +84,7 @@ pub fn power_iteration<S: RealOps>(
 ///
 /// # Errors
 /// Returns a job error on a non-square input or cluster failure.
-pub fn pagerank<S: RealOps>(
+pub fn pagerank<S: Ops>(
     session: &mut S,
     links: &BlockMatrix,
     damping: f64,
@@ -134,7 +134,7 @@ pub struct RidgeFit {
 ///
 /// # Errors
 /// Returns a job error on shape mismatch or cluster failure.
-pub fn ridge_regression_gd<S: RealOps>(
+pub fn ridge_regression_gd<S: Ops>(
     session: &mut S,
     x: &BlockMatrix,
     y: &BlockMatrix,

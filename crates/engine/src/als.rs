@@ -18,17 +18,20 @@
 //! deterministic Gauss–Jordan inverse), re-entering the cluster as a
 //! dense multiply by the inverted Gram.
 //!
-//! Like GNMF, the algorithm has two faces: [`run_real`] factorizes
-//! materialized matrices through any [`RealOps`] session (solo
-//! [`RealSession`](crate::session::RealSession) or a multi-tenant
-//! [`TenantSession`](crate::service::TenantSession)), and [`simulate`]
-//! replays the identical operator sequence per iteration on the simulated
+//! Like GNMF, the round is written once, as [`iteration`] over
+//! [`Ops<M>`]: [`run_real`] drives it with materialized matrices through
+//! any real session (solo [`RealSession`](crate::session::RealSession) or a
+//! multi-tenant [`TenantSession`](crate::session::TenantSession)), and
+//! [`simulate`] drives the same function with descriptors on the simulated
 //! cluster for Table-3-scale datasets.
+//!
+//! [`MulMethod::SpmmShift`]: distme_core::MulMethod::SpmmShift
+//! [`MulMethod::Sddmm`]: distme_core::MulMethod::Sddmm
 
 use crate::datasets::RatingDataset;
-use crate::session::{RealOps, SimSession};
+use crate::session::{Ops, SimReport, SimSession};
 use crate::systems::SystemProfile;
-use distme_cluster::{ClusterConfig, JobError, JobStats};
+use distme_cluster::{ClusterConfig, JobError};
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{Block, BlockMatrix, DenseBlock, MatrixGenerator, MatrixMeta};
 
@@ -53,24 +56,36 @@ impl Default for AlsConfig {
     }
 }
 
-/// Result of a simulated ALS run.
-#[derive(Debug, Clone)]
-pub struct AlsReport {
-    /// Dataset name.
-    pub dataset: &'static str,
-    /// System that ran it.
-    pub system: &'static str,
-    /// Accumulated elapsed seconds *after* each iteration.
-    pub cumulative_secs: Vec<f64>,
-    /// Statistics accumulated over the whole run.
-    pub stats: JobStats,
-}
-
-impl AlsReport {
-    /// Total elapsed seconds over all iterations.
-    pub fn total_secs(&self) -> f64 {
-        self.cumulative_secs.last().copied().unwrap_or(0.0)
-    }
+/// One alternating round — 11 operators — returning the next `(W, H)`
+/// and the sampled residual `P(V) ⊙ (W H) − V`. `ridge_inverse` is the
+/// driver-side `f × f` solve `G ↦ (G + λI)⁻¹`; it moves no data, so under
+/// simulation it is the identity on shapes.
+///
+/// # Errors
+/// Propagates the first operator failure and `ridge_inverse`'s.
+pub fn iteration<M, S: Ops<M>>(
+    s: &mut S,
+    v: &M,
+    vt: &M,
+    h: &M,
+    mut ridge_inverse: impl FnMut(&M) -> Result<M, JobError>,
+) -> Result<(M, M, M), JobError> {
+    // W ← (V Hᵀ) (H Hᵀ + λI)⁻¹
+    let ht = s.transpose(h)?;
+    let vht = s.spmm(v, &ht)?;
+    let hht = s.matmul(h, &ht)?;
+    let w = s.matmul(&vht, &ridge_inverse(&hht)?)?;
+    // Hᵀ ← (Vᵀ W) (Wᵀ W + λI)⁻¹
+    let wt = s.transpose(&w)?;
+    let wtw = s.matmul(&wt, &w)?;
+    let gram_w = ridge_inverse(&wtw)?;
+    let vtw = s.spmm(vt, &w)?;
+    let ht_next = s.matmul(&vtw, &gram_w)?;
+    let h = s.transpose(&ht_next)?;
+    // Sampled objective via SDDMM: never materializes the dense W·H.
+    let pred = s.sddmm(&w, &h, v)?;
+    let diff = s.elementwise(&pred, EwOp::Sub, v)?;
+    Ok((w, h, diff))
 }
 
 /// Simulates `iterations` of ALS for `dataset` under `profile`.
@@ -82,51 +97,14 @@ pub fn simulate(
     profile: SystemProfile,
     dataset: &RatingDataset,
     als: &AlsConfig,
-) -> Result<AlsReport, JobError> {
+) -> Result<SimReport, JobError> {
     let mut session = SimSession::new(cfg, profile);
     let v = dataset.meta();
-    let f = als.factor_dim;
-    let h = MatrixMeta::dense(f, v.cols);
-    let gram_inv = MatrixMeta::dense(f, f);
-
+    let h = MatrixMeta::dense(als.factor_dim, v.cols);
     let vt = session.transpose(&v)?;
-    let mut cumulative = Vec::with_capacity(als.iterations);
-    for _ in 0..als.iterations {
-        iteration_sim(&mut session, &v, &vt, &h, &gram_inv)?;
-        cumulative.push(session.stats().elapsed_secs);
-    }
-    Ok(AlsReport {
-        dataset: dataset.name,
-        system: profile.name(),
-        cumulative_secs: cumulative,
-        stats: *session.stats(),
+    session.run_rounds(dataset.name, als.iterations, |s| {
+        iteration(s, &v, &vt, &h, |gram| Ok(*gram)).map(drop)
     })
-}
-
-/// One simulated alternating round — the exact operator sequence of the
-/// real face, minus the zero-communication driver-side `f × f` solves.
-fn iteration_sim(
-    s: &mut SimSession,
-    v: &MatrixMeta,
-    vt: &MatrixMeta,
-    h: &MatrixMeta,
-    gram_inv: &MatrixMeta,
-) -> Result<(), JobError> {
-    // --- W update: W ← (V Hᵀ) (H Hᵀ + λI)⁻¹ ---
-    let ht = s.transpose(h)?;
-    let vht = s.spmm(v, &ht)?;
-    let _hht = s.matmul(h, &ht)?;
-    let w = s.matmul(&vht, gram_inv)?;
-    // --- H update: Hᵀ ← (Vᵀ W) (Wᵀ W + λI)⁻¹ ---
-    let wt = s.transpose(&w)?;
-    let _wtw = s.matmul(&wt, &w)?;
-    let vtw = s.spmm(vt, &w)?;
-    let ht_next = s.matmul(&vtw, gram_inv)?;
-    let h_next = s.transpose(&ht_next)?;
-    // --- sampled objective: ‖P(V) ⊙ (W H) − V‖F ---
-    let pred = s.sddmm(&w, &h_next, v)?;
-    let _diff = s.elementwise(&pred, EwOp::Sub, v)?;
-    Ok(())
 }
 
 /// Result of a real ALS factorization.
@@ -146,7 +124,7 @@ pub struct AlsResult {
 /// # Errors
 /// Propagates operator failures and a singular regularized Gram (only
 /// possible at `lambda == 0` with degenerate factors).
-pub fn run_real<S: RealOps>(
+pub fn run_real<S: Ops>(
     session: &mut S,
     v: &BlockMatrix,
     cfg: &AlsConfig,
@@ -161,17 +139,13 @@ pub fn run_real<S: RealOps>(
 ///
 /// # Errors
 /// Propagates operator failures and errors returned by the hook.
-pub fn run_real_with<S, F>(
+pub fn run_real_with<S: Ops>(
     session: &mut S,
     v: &BlockMatrix,
     cfg: &AlsConfig,
     seed: u64,
-    mut after_iteration: F,
-) -> Result<AlsResult, JobError>
-where
-    S: RealOps,
-    F: FnMut(&mut S, usize) -> Result<(), JobError>,
-{
+    mut after_iteration: impl FnMut(&mut S, usize) -> Result<(), JobError>,
+) -> Result<AlsResult, JobError> {
     let bs = v.meta().block_size;
     let f = cfg.factor_dim;
     let gen_h = MatrixGenerator::with_seed(seed ^ 0x515).value_range(0.1, 1.0);
@@ -183,22 +157,10 @@ where
 
     let mut objective = Vec::with_capacity(cfg.iterations);
     for iter in 0..cfg.iterations {
-        // W ← (V Hᵀ) (H Hᵀ + λI)⁻¹
-        let ht = session.transpose(&h)?;
-        let vht = session.spmm(v, &ht)?;
-        let hht = session.matmul(&h, &ht)?;
-        let gram_h = ridge_inverse(&hht, cfg.lambda, bs)?;
-        w = session.matmul(&vht, &gram_h)?;
-        // Hᵀ ← (Vᵀ W) (Wᵀ W + λI)⁻¹
-        let wt = session.transpose(&w)?;
-        let wtw = session.matmul(&wt, &w)?;
-        let gram_w = ridge_inverse(&wtw, cfg.lambda, bs)?;
-        let vtw = session.spmm(&vt, &w)?;
-        let ht_next = session.matmul(&vtw, &gram_w)?;
-        h = session.transpose(&ht_next)?;
-        // Sampled objective via SDDMM: never materializes the dense W·H.
-        let pred = session.sddmm(&w, &h, v)?;
-        let diff = session.elementwise(&pred, EwOp::Sub, v)?;
+        let diff;
+        (w, h, diff) = iteration(session, v, &vt, &h, |gram| {
+            ridge_inverse(gram, cfg.lambda, bs)
+        })?;
         objective.push(diff.frobenius_norm());
         after_iteration(session, iter)?;
     }
@@ -443,6 +405,24 @@ mod tests {
         assert_eq!(factor_bits(&res.h), factor_bits(&baseline.h));
         let bits = |o: &[f64]| o.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&res.objective), bits(&baseline.objective));
+    }
+
+    #[test]
+    fn one_iteration_is_twelve_operators_on_either_face() {
+        // The hoisted Vᵀ plus the round's 11.
+        let v = small_v();
+        let cfg = AlsConfig {
+            factor_dim: 16,
+            iterations: 1,
+            lambda: 0.1,
+        };
+        let mut real = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let res = run_real(&mut real, &v, &cfg, 7).unwrap();
+        let mut sim = SimSession::new(ClusterConfig::paper_cluster(), SystemProfile::DistMe);
+        let vt = sim.transpose(v.meta()).unwrap();
+        let (w, h, _) = iteration(&mut sim, v.meta(), &vt, res.h.meta(), |g| Ok(*g)).unwrap();
+        assert_eq!((sim.ops_run(), real.ops_run()), (12, 12));
+        assert_eq!((w.rows, w.cols, h.rows, h.cols), (64, 16, 16, 48));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! assert_eq!(gram.meta().rows, 64);
 //! ```
 
-use crate::session::{RealOps, SimSession};
+use crate::session::{Ops, SimSession};
 use distme_cluster::JobError;
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{BlockMatrix, MatrixMeta};
@@ -101,35 +101,20 @@ impl Expr {
         }
     }
 
-    /// Evaluates with real blocks on any [`RealOps`] session — a
+    /// Evaluates with real blocks on any real [`Ops`] session — a
     /// [`RealSession`](crate::session::RealSession) or a job-service
     /// tenant's (post-order; each multiply is planned by the session's
     /// profile).
     ///
     /// # Errors
-    /// Fails on virtual inputs, shape mismatches, or cluster failures.
-    pub fn eval_real<S: RealOps>(&self, session: &mut S) -> Result<BlockMatrix, JobError> {
-        match self {
-            Expr::Value(m) => Ok((**m).clone()),
-            Expr::Virtual(_) => Err(JobError::TaskFailed {
-                task: 0,
-                message: "virtual inputs cannot be evaluated for real".into(),
-            }),
-            Expr::MatMul(a, b) => {
-                let av = a.eval_real(session)?;
-                let bv = b.eval_real(session)?;
-                session.matmul(&av, &bv)
-            }
-            Expr::Transpose(x) => {
-                let xv = x.eval_real(session)?;
-                session.transpose(&xv)
-            }
-            Expr::Elementwise(op, a, b) => {
-                let av = a.eval_real(session)?;
-                let bv = b.eval_real(session)?;
-                session.elementwise(&av, *op, &bv)
-            }
-        }
+    /// [`JobError::InvalidSubmission`] on a virtual input; shape mismatches
+    /// and cluster failures.
+    pub fn eval_real<S: Ops>(&self, session: &mut S) -> Result<BlockMatrix, JobError> {
+        self.eval(session, &|blocks, _| {
+            blocks.cloned().ok_or_else(|| JobError::InvalidSubmission {
+                reason: "virtual inputs cannot be evaluated for real".into(),
+            })
+        })
     }
 
     /// Evaluates shapes/costs on a [`SimSession`] at paper scale.
@@ -137,22 +122,31 @@ impl Expr {
     /// # Errors
     /// Propagates simulated failure modes (O.O.M. / T.O. / E.D.C.).
     pub fn eval_sim(&self, session: &mut SimSession) -> Result<MatrixMeta, JobError> {
+        self.eval(session, &|_, meta| Ok(*meta))
+    }
+
+    /// The one evaluator: post-order over the tree, `leaf` turning an
+    /// input — its blocks when materialized, always its descriptor — into
+    /// what flows on `session`.
+    fn eval<M, S: Ops<M>>(
+        &self,
+        session: &mut S,
+        leaf: &impl Fn(Option<&BlockMatrix>, &MatrixMeta) -> Result<M, JobError>,
+    ) -> Result<M, JobError> {
         match self {
-            Expr::Value(m) => Ok(*m.meta()),
-            Expr::Virtual(meta) => Ok(*meta),
+            Expr::Value(m) => leaf(Some(m), m.meta()),
+            Expr::Virtual(meta) => leaf(None, meta),
             Expr::MatMul(a, b) => {
-                let am = a.eval_sim(session)?;
-                let bm = b.eval_sim(session)?;
-                session.matmul(&am, &bm)
+                let (a, b) = (a.eval(session, leaf)?, b.eval(session, leaf)?);
+                session.matmul(&a, &b)
             }
             Expr::Transpose(x) => {
-                let xm = x.eval_sim(session)?;
-                session.transpose(&xm)
+                let x = x.eval(session, leaf)?;
+                session.transpose(&x)
             }
             Expr::Elementwise(op, a, b) => {
-                let am = a.eval_sim(session)?;
-                let bm = b.eval_sim(session)?;
-                session.elementwise(&am, *op, &bm)
+                let (a, b) = (a.eval(session, leaf)?, b.eval(session, leaf)?);
+                session.elementwise(&a, *op, &b)
             }
         }
     }
@@ -183,6 +177,10 @@ mod tests {
         let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
         let got = q.eval_real(&mut s).unwrap();
         assert!(got.max_abs_diff(&expect).unwrap() < 1e-9);
+        // The simulated face is the same evaluator: one operator per node.
+        let mut sim = SimSession::new(ClusterConfig::paper_cluster(), SystemProfile::DistMe);
+        assert_eq!(q.eval_sim(&mut sim).unwrap(), *got.meta());
+        assert_eq!((sim.ops_run(), s.ops_run()), (2, 2));
     }
 
     #[test]
@@ -219,6 +217,7 @@ mod tests {
     fn virtual_inputs_rejected_in_real_mode() {
         let q = Expr::virtual_input(MatrixMeta::dense(10, 10));
         let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
-        assert!(q.eval_real(&mut s).is_err());
+        let err = q.eval_real(&mut s).unwrap_err();
+        assert!(matches!(err, JobError::InvalidSubmission { .. }), "{err}");
     }
 }

@@ -7,18 +7,18 @@
 //! H ← H ∗ (Wᵀ V) / (Wᵀ W H)        W ← W ∗ (V Hᵀ) / (W H Hᵀ)
 //! ```
 //!
-//! This module provides both faces: [`run_real`] performs the actual
-//! factorization on materialized matrices (its objective `‖V − WH‖F` is
-//! non-increasing — property-tested), and [`simulate`] replays the same
-//! operator sequence per iteration on the simulated cluster for the
-//! paper-scale experiments of Fig. 8. The operator sequence follows the
+//! The update is written once, as [`iteration`] over [`Ops<M>`]:
+//! [`run_real`] drives it with materialized matrices (its objective
+//! `‖V − WH‖F` is non-increasing — property-tested), and [`simulate`]
+//! drives the same function with descriptors on the simulated cluster for
+//! the paper-scale experiments of Fig. 8. The operator sequence follows the
 //! DMac-style plan the paper adopts ("We use the same query plan with DMac
 //! for the GNMF query").
 
 use crate::datasets::RatingDataset;
-use crate::session::{RealOps, SimSession};
+use crate::session::{Ops, SimReport, SimSession};
 use crate::systems::SystemProfile;
-use distme_cluster::{ClusterConfig, JobError, JobStats};
+use distme_cluster::{ClusterConfig, JobError};
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{BlockMatrix, MatrixGenerator, MatrixMeta};
 
@@ -41,25 +41,27 @@ impl Default for GnmfConfig {
     }
 }
 
-/// Result of a simulated GNMF run.
-#[derive(Debug, Clone)]
-pub struct GnmfReport {
-    /// Dataset name.
-    pub dataset: &'static str,
-    /// System that ran it.
-    pub system: &'static str,
-    /// Accumulated elapsed seconds *after* each iteration — the series the
-    /// Fig. 8(a–c) curves plot.
-    pub cumulative_secs: Vec<f64>,
-    /// Statistics accumulated over the whole run.
-    pub stats: JobStats,
-}
-
-impl GnmfReport {
-    /// Total elapsed seconds over all iterations.
-    pub fn total_secs(&self) -> f64 {
-        self.cumulative_secs.last().copied().unwrap_or(0.0)
-    }
+/// One multiplicative-update iteration — both factor updates, 12
+/// operators — returning the next `(W, H)`.
+///
+/// # Errors
+/// Propagates the first operator failure.
+pub fn iteration<M, S: Ops<M>>(s: &mut S, v: &M, w: &M, h: &M) -> Result<(M, M), JobError> {
+    // H ← H ∗ (WᵀV) / (WᵀW H)
+    let wt = s.transpose(w)?;
+    let wtv = s.matmul(&wt, v)?;
+    let wtw = s.matmul(&wt, w)?;
+    let wtwh = s.matmul(&wtw, h)?;
+    let num = s.elementwise(h, EwOp::Mul, &wtv)?;
+    let h = s.elementwise(&num, EwOp::Div, &wtwh)?;
+    // W ← W ∗ (V Hᵀ) / (W H Hᵀ)
+    let ht = s.transpose(&h)?;
+    let vht = s.matmul(v, &ht)?;
+    let hht = s.matmul(&h, &ht)?;
+    let whht = s.matmul(w, &hht)?;
+    let num = s.elementwise(w, EwOp::Mul, &vht)?;
+    let w = s.elementwise(&num, EwOp::Div, &whht)?;
+    Ok((w, h))
 }
 
 /// Simulates `iterations` of GNMF for `dataset` under `profile`.
@@ -72,48 +74,14 @@ pub fn simulate(
     profile: SystemProfile,
     dataset: &RatingDataset,
     gnmf: &GnmfConfig,
-) -> Result<GnmfReport, JobError> {
-    let mut session = SimSession::new(cfg, profile);
+) -> Result<SimReport, JobError> {
     let v = dataset.meta();
-    let f = gnmf.factor_dim;
-    let w = MatrixMeta::dense(v.rows, f);
-    let h = MatrixMeta::dense(f, v.cols);
-
-    let mut cumulative = Vec::with_capacity(gnmf.iterations);
-    for _ in 0..gnmf.iterations {
-        iteration_sim(&mut session, &v, &w, &h)?;
-        cumulative.push(session.stats().elapsed_secs);
-    }
-    Ok(GnmfReport {
-        dataset: dataset.name,
-        system: profile.name(),
-        cumulative_secs: cumulative,
-        stats: *session.stats(),
+    let w = MatrixMeta::dense(v.rows, gnmf.factor_dim);
+    let h = MatrixMeta::dense(gnmf.factor_dim, v.cols);
+    // An update leaves both descriptors as they are.
+    SimSession::new(cfg, profile).run_rounds(dataset.name, gnmf.iterations, |s| {
+        iteration(s, &v, &w, &h).map(drop)
     })
-}
-
-/// One simulated multiplicative-update iteration (both factor updates).
-fn iteration_sim(
-    s: &mut SimSession,
-    v: &MatrixMeta,
-    w: &MatrixMeta,
-    h: &MatrixMeta,
-) -> Result<(), JobError> {
-    // --- H update: H ∗ (WᵀV) / (WᵀW H) ---
-    let wt = s.transpose(w)?;
-    let wtv = s.matmul(&wt, v)?;
-    let wtw = s.matmul(&wt, w)?;
-    let wtwh = s.matmul(&wtw, h)?;
-    let num = s.elementwise(h, EwOp::Mul, &wtv)?;
-    let _h_next = s.elementwise(&num, EwOp::Div, &wtwh)?;
-    // --- W update: W ∗ (V Hᵀ) / (W H Hᵀ) ---
-    let ht = s.transpose(h)?;
-    let vht = s.matmul(v, &ht)?;
-    let hht = s.matmul(h, &ht)?;
-    let whht = s.matmul(w, &hht)?;
-    let num = s.elementwise(w, EwOp::Mul, &vht)?;
-    let _w_next = s.elementwise(&num, EwOp::Div, &whht)?;
-    Ok(())
 }
 
 /// Result of a real GNMF factorization.
@@ -131,7 +99,7 @@ pub struct GnmfResult {
 ///
 /// # Errors
 /// Propagates operator failures (shape errors, O.O.M. under tight θt).
-pub fn run_real<S: RealOps>(
+pub fn run_real<S: Ops>(
     session: &mut S,
     v: &BlockMatrix,
     cfg: &GnmfConfig,
@@ -145,19 +113,18 @@ pub fn run_real<S: RealOps>(
 /// ([`RealSession::scale_to`], [`RealSession::autoscale`]) slot into a
 /// factorization without perturbing its arithmetic.
 ///
+/// [`RealSession::scale_to`]: crate::session::RealSession::scale_to
+/// [`RealSession::autoscale`]: crate::session::RealSession::autoscale
+///
 /// # Errors
 /// Propagates operator failures and errors returned by the hook.
-pub fn run_real_with<S, F>(
+pub fn run_real_with<S: Ops>(
     session: &mut S,
     v: &BlockMatrix,
     cfg: &GnmfConfig,
     seed: u64,
-    mut after_iteration: F,
-) -> Result<GnmfResult, JobError>
-where
-    S: RealOps,
-    F: FnMut(&mut S, usize) -> Result<(), JobError>,
-{
+    mut after_iteration: impl FnMut(&mut S, usize) -> Result<(), JobError>,
+) -> Result<GnmfResult, JobError> {
     let bs = v.meta().block_size;
     let f = cfg.factor_dim;
     let gen_w = MatrixGenerator::with_seed(seed).value_range(0.1, 1.0);
@@ -167,21 +134,7 @@ where
 
     let mut objective = Vec::with_capacity(cfg.iterations);
     for iter in 0..cfg.iterations {
-        // H ← H ∗ (WᵀV) / (WᵀW H)
-        let wt = session.transpose(&w)?;
-        let wtv = session.matmul(&wt, v)?;
-        let wtw = session.matmul(&wt, &w)?;
-        let wtwh = session.matmul(&wtw, &h)?;
-        let num = session.elementwise(&h, EwOp::Mul, &wtv)?;
-        h = session.elementwise(&num, EwOp::Div, &wtwh)?;
-        // W ← W ∗ (V Hᵀ) / (W H Hᵀ)
-        let ht = session.transpose(&h)?;
-        let vht = session.matmul(v, &ht)?;
-        let hht = session.matmul(&h, &ht)?;
-        let whht = session.matmul(&w, &hht)?;
-        let num = session.elementwise(&w, EwOp::Mul, &vht)?;
-        w = session.elementwise(&num, EwOp::Div, &whht)?;
-
+        (w, h) = iteration(session, v, &w, &h)?;
         objective.push(frobenius_residual(v, &w, &h)?);
         after_iteration(session, iter)?;
     }
@@ -397,6 +350,21 @@ mod tests {
                 "objective increased across a resize"
             );
         }
+    }
+
+    #[test]
+    fn one_iteration_is_twelve_operators_on_either_face() {
+        let v = small_v();
+        let cfg = GnmfConfig {
+            factor_dim: 16,
+            iterations: 1,
+        };
+        let mut real = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let res = run_real(&mut real, &v, &cfg, 7).unwrap();
+        let mut sim = SimSession::new(ClusterConfig::paper_cluster(), SystemProfile::DistMe);
+        let (w, h) = iteration(&mut sim, v.meta(), res.w.meta(), res.h.meta()).unwrap();
+        assert_eq!((sim.ops_run(), real.ops_run()), (12, 12));
+        assert_eq!((w.rows, w.cols, h.rows, h.cols), (64, 16, 16, 48));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! * [`session`] — the evaluation contexts: [`session::SimSession`] runs
 //!   operators against the paper-scale simulated cluster,
 //!   [`session::RealSession`] runs them with real blocks on the
-//!   thread-backed cluster; the real operators are written once, on
-//!   [`session::TenantSession`];
+//!   thread-backed cluster; both are one operator surface,
+//!   [`session::Ops<M>`] over what flows (descriptors or blocks), and every
+//!   query below is one operator sequence written against it; the real
+//!   operators are written once, on [`session::TenantSession`];
 //! * [`service`] — the multi-tenant front end on the real cluster: jobs
 //!   from several tenants pass admission control and interleave on the
 //!   shared worker pool, running the same operator body as a solo session
@@ -21,9 +23,9 @@
 //! * [`ops`] — the non-multiply operators (transpose, element-wise) in both
 //!   execution modes;
 //! * [`gnmf`] — Gaussian Non-negative Matrix Factorization (Appendix A),
-//!   the paper's complex-query benchmark, with a real numeric
-//!   implementation (multiplicative updates, monotone objective) and a
-//!   paper-scale simulation;
+//!   the paper's complex-query benchmark: one iteration over `Ops<M>`,
+//!   driven for real (multiplicative updates, monotone objective) and at
+//!   paper scale on the simulator;
 //! * [`als`] — an Alternating Least Squares recommender on the sparse
 //!   method family: `V Hᵀ`/`Vᵀ W` as SpMM jobs, the sampled objective as
 //!   an SDDMM job, driver-side `f × f` ridge solves;
@@ -42,9 +44,9 @@ pub mod service;
 pub mod session;
 pub mod systems;
 
-pub use als::{AlsConfig, AlsReport, AlsResult};
+pub use als::{AlsConfig, AlsResult};
 pub use datasets::RatingDataset;
-pub use gnmf::{GnmfConfig, GnmfReport};
+pub use gnmf::GnmfConfig;
 pub use service::{JobHandle, JobOutput, JobService, JobSpec, JobStatus};
-pub use session::{RealOps, RealSession, SimSession, TenantSession};
+pub use session::{Ops, RealSession, SimReport, SimSession, TenantSession};
 pub use systems::SystemProfile;

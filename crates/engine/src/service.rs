@@ -23,7 +23,7 @@
 //!
 //! ```no_run
 //! use distme_engine::service::{JobService, JobSpec};
-//! use distme_engine::session::RealOps;
+//! use distme_engine::session::Ops;
 //! use distme_engine::systems::SystemProfile;
 //! use distme_cluster::{ClusterConfig, TenantId};
 //! # let (a, b) = unimplemented!();

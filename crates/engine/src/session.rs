@@ -2,7 +2,9 @@
 //!
 //! [`SimSession`] runs operators against the paper-scale simulated cluster
 //! and only *descriptors* flow; [`RealSession`] runs them with real blocks
-//! on the thread-backed cluster. Both plan a multiply through the one
+//! on the thread-backed cluster. Both are one operator surface, [`Ops<M>`]
+//! over what flows (`MatrixMeta` or `BlockMatrix`), so a query is written
+//! once and runs on either. Both plan a multiply through the one
 //! `plan_for`, and both accumulate per-operator statistics across the
 //! expression being evaluated.
 //!
@@ -120,59 +122,29 @@ impl SimSession {
         self.tally = Tally::default();
     }
 
-    /// Distributed multiply `a × b` with the profile's planner.
+    /// Runs `rounds` rounds of an iterative query (`round` is one GNMF or
+    /// ALS iteration) and reports the elapsed seconds accumulated after
+    /// each.
     ///
     /// # Errors
-    /// Propagates shape errors and the cluster failure modes.
-    pub fn matmul(&mut self, a: &MatrixMeta, b: &MatrixMeta) -> Result<MatrixMeta, JobError> {
-        self.multiply(MatmulProblem::new(*a, *b)?, None)
-    }
-
-    /// Distributed transpose.
-    ///
-    /// # Errors
-    /// Propagates cluster failure modes.
-    pub fn transpose(&mut self, x: &MatrixMeta) -> Result<MatrixMeta, JobError> {
-        let done = ops::sim_transpose(&mut self.cluster, x, self.profile.reuses_partitioning())?;
-        Ok(self.tally.absorb(done))
-    }
-
-    /// Element-wise combination of co-partitioned matrices (the sim cost
-    /// model is op-independent: one arithmetic pass).
-    ///
-    /// # Errors
-    /// Returns a task failure on shape mismatch.
-    pub fn elementwise(
-        &mut self,
-        x: &MatrixMeta,
-        _op: EwOp,
-        y: &MatrixMeta,
-    ) -> Result<MatrixMeta, JobError> {
-        let done = ops::sim_elementwise(&mut self.cluster, x, y)?;
-        Ok(self.tally.absorb(done))
-    }
-
-    /// Distributed sparse × dense multiply via the shift schedule
-    /// ([`MulMethod::SpmmShift`]).
-    ///
-    /// # Errors
-    /// Propagates shape errors and the cluster failure modes.
-    pub fn spmm(&mut self, a: &MatrixMeta, b: &MatrixMeta) -> Result<MatrixMeta, JobError> {
-        self.multiply(MatmulProblem::new(*a, *b)?, Some(MulMethod::SpmmShift))
-    }
-
-    /// Distributed SDDMM `mask ⊙ (a · b)` ([`MulMethod::Sddmm`]).
-    ///
-    /// # Errors
-    /// Propagates shape errors (including a mask/operand mismatch) and the
-    /// cluster failure modes.
-    pub fn sddmm(
-        &mut self,
-        a: &MatrixMeta,
-        b: &MatrixMeta,
-        mask: &MatrixMeta,
-    ) -> Result<MatrixMeta, JobError> {
-        self.multiply(MatmulProblem::sddmm(*a, *b, *mask)?, Some(MulMethod::Sddmm))
+    /// Propagates the first operator failure.
+    pub fn run_rounds(
+        mut self,
+        dataset: &'static str,
+        rounds: usize,
+        mut round: impl FnMut(&mut SimSession) -> Result<(), JobError>,
+    ) -> Result<SimReport, JobError> {
+        let mut cumulative_secs = Vec::with_capacity(rounds);
+        for _ in 0..rounds {
+            round(&mut self)?;
+            cumulative_secs.push(self.stats().elapsed_secs);
+        }
+        Ok(SimReport {
+            dataset,
+            system: self.profile.name(),
+            cumulative_secs,
+            stats: *self.stats(),
+        })
     }
 
     /// Resizes the simulated cluster mid-session: the membership epoch
@@ -200,50 +172,107 @@ impl SimSession {
     }
 }
 
-/// The real operator surface of [`RealSession`] and of the job service's
-/// [`TenantSession`]: algorithms written against it (GNMF, ALS, power
-/// iteration, expression trees) run unchanged whether they are called
-/// directly by the session owner or submitted as a multi-tenant job.
-pub trait RealOps {
-    /// Distributed multiply `a × b`.
+/// Result of a simulated iterative query (GNMF, ALS).
+#[derive(Debug, Clone)]
+pub struct SimReport {
+    /// Dataset name.
+    pub dataset: &'static str,
+    /// System that ran it.
+    pub system: &'static str,
+    /// Accumulated elapsed seconds *after* each iteration — the series the
+    /// Fig. 8(a–c) curves plot.
+    pub cumulative_secs: Vec<f64>,
+    /// Statistics accumulated over the whole run.
+    pub stats: JobStats,
+}
+
+impl SimReport {
+    /// Total elapsed seconds over all iterations.
+    pub fn total_secs(&self) -> f64 {
+        self.cumulative_secs.last().copied().unwrap_or(0.0)
+    }
+}
+
+/// The operator surface every query is written against, generic over what
+/// flows between operators: real blocks (`M = BlockMatrix`, the default —
+/// [`RealSession`] and the job service's [`TenantSession`]) or descriptors
+/// (`M = MatrixMeta`, [`SimSession`]). GNMF, ALS and expression trees are
+/// one operator sequence over `Ops<M>`, so the simulated figure and the
+/// measured workload cannot drift apart; with the default `M` the same
+/// code runs unchanged whether it is called by the session owner or
+/// submitted as a multi-tenant job.
+pub trait Ops<M = BlockMatrix> {
+    /// Distributed multiply `a × b` with the profile's planner.
     ///
     /// # Errors
     /// Propagates shape errors and the cluster failure modes.
-    fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError>;
+    fn matmul(&mut self, a: &M, b: &M) -> Result<M, JobError>;
 
     /// Distributed transpose.
     ///
     /// # Errors
     /// Propagates cluster failure modes.
-    fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError>;
+    fn transpose(&mut self, x: &M) -> Result<M, JobError>;
 
     /// Element-wise combination of co-partitioned matrices.
     ///
     /// # Errors
     /// Returns a task failure on shape mismatch.
+    fn elementwise(&mut self, x: &M, op: EwOp, y: &M) -> Result<M, JobError>;
+
+    /// Distributed sparse × dense multiply via the shift schedule
+    /// ([`MulMethod::SpmmShift`]; the sparse method family plans
+    /// identically under every profile).
+    ///
+    /// # Errors
+    /// Propagates shape errors and the cluster failure modes.
+    fn spmm(&mut self, a: &M, b: &M) -> Result<M, JobError>;
+
+    /// Distributed SDDMM `mask ⊙ (a · b)` into the mask's CSR pattern
+    /// ([`MulMethod::Sddmm`]).
+    ///
+    /// # Errors
+    /// Propagates shape errors (including a mask/operand mismatch) and the
+    /// cluster failure modes.
+    fn sddmm(&mut self, a: &M, b: &M, mask: &M) -> Result<M, JobError>;
+}
+
+/// The name `e2e/` implements the real operator surface by.
+pub use Ops as RealOps;
+
+impl Ops<MatrixMeta> for SimSession {
+    fn matmul(&mut self, a: &MatrixMeta, b: &MatrixMeta) -> Result<MatrixMeta, JobError> {
+        self.multiply(MatmulProblem::new(*a, *b)?, None)
+    }
+
+    fn transpose(&mut self, x: &MatrixMeta) -> Result<MatrixMeta, JobError> {
+        let done = ops::sim_transpose(&mut self.cluster, x, self.profile.reuses_partitioning())?;
+        Ok(self.tally.absorb(done))
+    }
+
+    /// The sim cost model is op-independent: one arithmetic pass.
     fn elementwise(
         &mut self,
-        x: &BlockMatrix,
-        op: EwOp,
-        y: &BlockMatrix,
-    ) -> Result<BlockMatrix, JobError>;
+        x: &MatrixMeta,
+        _op: EwOp,
+        y: &MatrixMeta,
+    ) -> Result<MatrixMeta, JobError> {
+        let done = ops::sim_elementwise(&mut self.cluster, x, y)?;
+        Ok(self.tally.absorb(done))
+    }
 
-    /// Distributed sparse × dense multiply (shift schedule).
-    ///
-    /// # Errors
-    /// Propagates shape errors and the cluster failure modes.
-    fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError>;
+    fn spmm(&mut self, a: &MatrixMeta, b: &MatrixMeta) -> Result<MatrixMeta, JobError> {
+        self.multiply(MatmulProblem::new(*a, *b)?, Some(MulMethod::SpmmShift))
+    }
 
-    /// Distributed SDDMM `mask ⊙ (a · b)` into the mask's CSR pattern.
-    ///
-    /// # Errors
-    /// Propagates shape errors and the cluster failure modes.
     fn sddmm(
         &mut self,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-        mask: &BlockMatrix,
-    ) -> Result<BlockMatrix, JobError>;
+        a: &MatrixMeta,
+        b: &MatrixMeta,
+        mask: &MatrixMeta,
+    ) -> Result<MatrixMeta, JobError> {
+        self.multiply(MatmulProblem::sddmm(*a, *b, *mask)?, Some(MulMethod::Sddmm))
+    }
 }
 
 /// The real operators: one job's view of a cluster, with every stage
@@ -303,7 +332,7 @@ impl TenantSession<'_> {
     }
 }
 
-impl RealOps for TenantSession<'_> {
+impl Ops for TenantSession<'_> {
     fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
         self.multiply(a, b, None, None)
     }
@@ -394,55 +423,12 @@ impl RealSession {
         self.tally = Tally::default();
     }
 
-    /// Distributed multiply `a × b` with the profile's planner.
+    /// [`Ops::matmul`], callable without the trait in scope.
     ///
     /// # Errors
     /// Propagates shape errors and the cluster failure modes.
     pub fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
         self.ops().matmul(a, b)
-    }
-
-    /// Distributed transpose.
-    ///
-    /// # Errors
-    /// Propagates cluster failure modes.
-    pub fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        self.ops().transpose(x)
-    }
-
-    /// Element-wise combination of co-partitioned matrices.
-    ///
-    /// # Errors
-    /// Returns a task failure on shape mismatch.
-    pub fn elementwise(
-        &mut self,
-        x: &BlockMatrix,
-        op: EwOp,
-        y: &BlockMatrix,
-    ) -> Result<BlockMatrix, JobError> {
-        self.ops().elementwise(x, op, y)
-    }
-
-    /// Distributed sparse × dense multiply via the shift schedule (the
-    /// sparse method family plans identically under every profile).
-    ///
-    /// # Errors
-    /// Propagates shape errors and the cluster failure modes.
-    pub fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        self.ops().spmm(a, b)
-    }
-
-    /// Distributed SDDMM `mask ⊙ (a · b)` into the mask's CSR pattern.
-    ///
-    /// # Errors
-    /// Propagates shape errors and the cluster failure modes.
-    pub fn sddmm(
-        &mut self,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-        mask: &BlockMatrix,
-    ) -> Result<BlockMatrix, JobError> {
-        self.ops().sddmm(a, b, mask)
     }
 
     /// Arms seeded fault injection on the session's cluster: every
@@ -517,13 +503,13 @@ impl RealSession {
     }
 }
 
-impl RealOps for RealSession {
+impl Ops for RealSession {
     fn matmul(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        RealSession::matmul(self, a, b)
+        self.ops().matmul(a, b)
     }
 
     fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        RealSession::transpose(self, x)
+        self.ops().transpose(x)
     }
 
     fn elementwise(
@@ -532,11 +518,11 @@ impl RealOps for RealSession {
         op: EwOp,
         y: &BlockMatrix,
     ) -> Result<BlockMatrix, JobError> {
-        RealSession::elementwise(self, x, op, y)
+        self.ops().elementwise(x, op, y)
     }
 
     fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        RealSession::spmm(self, a, b)
+        self.ops().spmm(a, b)
     }
 
     fn sddmm(
@@ -545,7 +531,7 @@ impl RealOps for RealSession {
         b: &BlockMatrix,
         mask: &BlockMatrix,
     ) -> Result<BlockMatrix, JobError> {
-        RealSession::sddmm(self, a, b, mask)
+        self.ops().sddmm(a, b, mask)
     }
 }
 

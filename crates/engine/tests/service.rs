@@ -17,7 +17,7 @@
 use distme_cluster::{ClusterConfig, JobError, JobStats, LedgerSnapshot, Phase, TenantId};
 use distme_engine::expr::Expr;
 use distme_engine::service::{JobService, JobSpec, JobStatus};
-use distme_engine::session::RealOps;
+use distme_engine::session::Ops;
 use distme_engine::systems::SystemProfile;
 use distme_engine::{algorithms, gnmf, GnmfConfig, RealSession};
 use distme_matrix::elementwise::EwOp;
@@ -228,7 +228,7 @@ fn concurrent_als_matches_its_solo_run_bit_for_bit() {
     }
 }
 
-/// Anything written against `RealOps` runs under the service: PageRank and
+/// Anything written against `Ops` runs under the service: PageRank and
 /// an expression tree submitted as jobs produce the bytes and byte stats
 /// of the same calls on a solo `RealSession`.
 #[test]

@@ -10,7 +10,7 @@
 //!   and `MC` (A rows, L2), with an `MR × NR` register-tiled micro-kernel at
 //!   the bottom;
 //! * the register tile is chosen per ISA, once per process, by runtime
-//!   detection ([`Tile`]): **8 × 24** on `avx512f` (24 `zmm` accumulators),
+//!   detection (`Tile`): **8 × 24** on `avx512f` (24 `zmm` accumulators),
 //!   **6 × 8** on `avx2+fma` (12 `ymm` accumulators), and a portable
 //!   **8 × 4** mul+add body everywhere else. The driver, the packing
 //!   routines and the macro-kernel are one generic body over `<MR, NR>`;

@@ -62,8 +62,8 @@ pub mod prelude {
         real_exec, sim_exec, CuboidSpec, MatmulProblem, MulMethod, OptimizerConfig,
     };
     pub use distme_engine::{
-        algorithms, expr::Expr, gnmf, GnmfConfig, JobService, JobSpec, JobStatus, RatingDataset,
-        RealOps, RealSession, SimSession, SystemProfile,
+        algorithms, expr::Expr, gnmf, GnmfConfig, JobService, JobSpec, JobStatus, Ops,
+        RatingDataset, RealSession, SimSession, SystemProfile,
     };
     pub use distme_matrix::{
         elementwise::EwOp, Block, BlockMatrix, CsrBlock, DenseBlock, MatrixGenerator, MatrixMeta,
