@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint doc test e2e-check results-check build
+.PHONY: ci fmt lint doc test e2e-check results-check build loc
 
 ci: fmt lint doc test e2e-check results-check
 
@@ -48,3 +48,12 @@ results-check:
 
 build:
 	$(CARGO) build --release
+
+# Non-test lines per crate and in total: what sits above each file's
+# top-level `#[cfg(test)]` — the count every CHANGES.md entry quotes.
+loc:
+	@find crates/*/src src -name '*.rs' | xargs awk ' \
+		FNR == 1 { tests = 0; crate = FILENAME; sub(/\/?src\/.*/, "", crate); if (crate == "") crate = "(root)" } \
+		/^#\[cfg\(test\)\]/ { tests = 1 } \
+		!tests { n[crate]++; total++ } \
+		END { for (c in n) printf "%6d  %s\n", n[c], c | "sort -k2"; close("sort -k2"); printf "%6d  total\n", total }'

@@ -1,10 +1,10 @@
 //! Coded replication: k-of-n block recovery without lineage recompute.
 //!
-//! Placement already dual-homes every block, but a block whose two salted
-//! homes coincide has a single physical copy — lose that node and PR 5's
-//! decommission surfaces a typed [`NodeDecommissioned`] failure, and PR 4's
-//! blackout recovery must replay the full lineage. This module treats loss
-//! as a *planning input* instead (Kiani et al.'s coded cuboid
+//! Placement dual-homes every block, but a block whose two salted homes
+//! coincide has a single physical copy — lose that node and a
+//! decommission can only surface a typed [`NodeDecommissioned`] failure,
+//! and a blackout recovery must replay the full lineage. This module
+//! treats loss as a *planning input* instead (Kiani et al.'s coded cuboid
 //! partitioning): the copy-0 blocks of each matrix are bucketed by their
 //! canonical home and grouped so every group's members live on **distinct**
 //! canonical homes, then each group gets one XOR parity stripe

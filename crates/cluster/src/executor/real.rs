@@ -292,39 +292,15 @@ impl LocalCluster {
                 ..Default::default()
             });
         }
-        // Parity groups are a function of the node count, so a resize
-        // invalidates every parity block: they stay out of the plan (data
-        // rebalances normally), are dropped, and are re-encoded under the
-        // new grid afterwards. Re-encoding installs directly — no
-        // transport, no ledger traffic — so the elastic ledger deltas stay
-        // data-only.
-        let mut snapshot = self.stores.resident_keys();
-        snapshot.retain(|key, _| !key.is_parity());
-        let plan = RebalancePlan::derive(&snapshot, n);
-        debug_assert!(plan.lost.is_empty(), "graceful resize cannot lose blocks");
-        if plan.units.len() > self.cfg.max_tasks {
-            return Err(JobError::TooManyTasks {
-                requested: plan.units.len(),
-                limit: self.cfg.max_tasks,
-            });
-        }
-        if n > from_nodes {
-            self.stores.grow_to(n);
-        }
-        let coded = crate::coding::evict_parity_with(&self.stores, |block| buffers.reclaim(block));
-        let traffic = self.run_rebalance(&plan, buffers)?;
-        if n < from_nodes {
-            self.stores.truncate_to(n);
-        }
-        self.cfg.nodes = n;
-        self.scheduler.set_total_slots(self.cfg.total_slots());
-        let epoch = self.membership.record(MembershipEvent::ScaleTo {
+        // Parity is derived state: it stays out of the snapshot the data
+        // rebalances from.
+        let mut holders = self.stores.resident_keys();
+        holders.retain(|key, _| !key.is_parity());
+        let event = MembershipEvent::ScaleTo {
             from: from_nodes,
             to: n,
-        });
-        let mut report = Self::rebalance_report(epoch, from_nodes, n, traffic, 0);
-        report.stats.parity_blocks_encoded = self.encode_parity_of(&coded, buffers);
-        Ok(report)
+        };
+        self.change_membership(event, &holders, buffers)
     }
 
     /// Permanently decommissions `node`: its store is lost, not drained.
@@ -345,6 +321,8 @@ impl LocalCluster {
     /// matrices are evicted everywhere (re-running their producing jobs
     /// re-materializes them) and the surviving blocks are still
     /// rebalanced, so the cluster stays usable.
+    /// [`JobError::TooManyTasks`] as for [`scale_to`](Self::scale_to):
+    /// refused with the node still a member and its store in place.
     pub fn decommission_node(&mut self, node: usize) -> Result<RebalanceReport, JobError> {
         assert!(
             node < self.cfg.nodes,
@@ -352,14 +330,13 @@ impl LocalCluster {
             self.cfg.nodes
         );
         assert!(self.cfg.nodes > 1, "cannot decommission the last node");
-        let from_nodes = self.cfg.nodes;
-        let new_nodes = from_nodes - 1;
+        let after_removal = |h: usize| if h > node { h - 1 } else { h };
 
         // Partition the resident data keys by whether a surviving replica
-        // exists, remapping holder ids through the renumbering (old id j
-        // becomes j-1 for j > node). Parity keys are derived state: losing
-        // one is not a loss, and the survivors are re-encoded for the new
-        // grid below, so they stay out of both sides of the partition.
+        // exists, naming holders as they will be numbered once `node` is
+        // gone. Parity keys are derived state: losing one is not a loss,
+        // and the survivors are re-encoded for the new grid, so they stay
+        // out of both sides of the partition.
         let mut lost_keys: Vec<StoreKey> = Vec::new();
         let mut survivors: BTreeMap<StoreKey, BTreeSet<usize>> = BTreeMap::new();
         for (key, holders) in self.stores.resident_keys() {
@@ -369,7 +346,7 @@ impl LocalCluster {
             let remapped: BTreeSet<usize> = holders
                 .into_iter()
                 .filter(|&h| h != node)
-                .map(|h| if h > node { h - 1 } else { h })
+                .map(after_removal)
                 .collect();
             if remapped.is_empty() {
                 lost_keys.push(key);
@@ -390,10 +367,9 @@ impl LocalCluster {
             lost_keys.retain(|key| {
                 match crate::coding::reconstruct_block(&self.stores, *key, Some(node)) {
                     Some((block, bytes)) => {
-                        let host = (node + 1) % from_nodes;
+                        let host = (node + 1) % self.cfg.nodes;
                         self.stores.ingest(host, *key, Arc::new(block));
-                        let remapped = if host > node { host - 1 } else { host };
-                        survivors.insert(*key, BTreeSet::from([remapped]));
+                        survivors.insert(*key, BTreeSet::from([after_removal(host)]));
                         reconstructed += 1;
                         reconstruction_bytes += bytes;
                         false
@@ -402,42 +378,92 @@ impl LocalCluster {
                 }
             });
         }
-        let coded = crate::coding::evict_all_parity(&self.stores);
-        self.stores.remove_node(node);
 
         // A matrix with an unrecoverable block is unusable as a resident
-        // placement: evict it everywhere so the next job re-ingests (or
-        // re-produces) it instead of tripping over a hole.
+        // placement: its surviving blocks are not re-homed, and it is
+        // evicted everywhere once the node is gone, so the next job
+        // re-ingests (or re-produces) it instead of tripping over a hole.
         let lost_uids: BTreeSet<u64> = lost_keys.iter().map(|k| k.matrix).collect();
-        for uid in &lost_uids {
-            self.stores.evict_matrix(*uid);
-        }
         survivors.retain(|k, _| !lost_uids.contains(&k.matrix));
-
-        let plan = RebalancePlan::derive(&survivors, new_nodes);
-        let buffers = FreeBuffers::default();
-        let traffic = self.run_rebalance(&plan, &buffers)?;
-        self.cfg.nodes = new_nodes;
-        self.scheduler.set_total_slots(self.cfg.total_slots());
-        let epoch = self
-            .membership
-            .record(MembershipEvent::Decommission { node });
-        // Re-encode parity for the shrunk grid — even on the error path,
-        // so surviving coded matrices keep their protection. Evicted
-        // matrices have no resident blocks and encode to nothing.
-        let parity_encoded = self.encode_parity_of(&coded, &buffers);
+        let event = MembershipEvent::Decommission { node };
+        let mut report = self.change_membership(event, &survivors, &FreeBuffers::default())?;
         if lost_keys.is_empty() {
-            let mut report = Self::rebalance_report(epoch, from_nodes, new_nodes, traffic, 0);
             report.stats.reconstructed_blocks = reconstructed;
             report.stats.reconstruction_payload_bytes = reconstruction_bytes;
-            report.stats.parity_blocks_encoded = parity_encoded;
             Ok(report)
         } else {
+            for uid in lost_uids {
+                self.stores.evict_matrix(uid);
+            }
             Err(JobError::NodeDecommissioned {
                 node,
                 lost_blocks: lost_keys.len(),
             })
         }
+    }
+
+    /// Commits one membership change; the grid's size changes nowhere
+    /// else. `holders` is every data key to keep with the nodes holding a
+    /// copy of it, numbered as they will be once a decommissioned node is
+    /// gone.
+    ///
+    /// The [`RebalancePlan`] is derived and held against `max_tasks` before
+    /// the first side effect. Then all parity goes (groups are a function
+    /// of the node count; its buffers go to `buffers`), stores are
+    /// commissioned or the lost one removed, the plan runs as one gang, a
+    /// shrink's drained tail is dropped, node count, scheduler slots and
+    /// epoch move together, and what was coded is re-encoded for the new
+    /// grid — installed directly, no transport and no ledger traffic, so
+    /// the ledger's `Rebalance` deltas stay data-only.
+    fn change_membership(
+        &mut self,
+        event: MembershipEvent,
+        holders: &BTreeMap<StoreKey, BTreeSet<usize>>,
+        buffers: &FreeBuffers,
+    ) -> Result<RebalanceReport, JobError> {
+        let from_nodes = self.cfg.nodes;
+        let to_nodes = match event {
+            MembershipEvent::ScaleTo { to, .. } => to,
+            MembershipEvent::Decommission { .. } => from_nodes - 1,
+        };
+        let plan = RebalancePlan::derive(holders, to_nodes);
+        if plan.units.len() > self.cfg.max_tasks {
+            return Err(JobError::TooManyTasks {
+                requested: plan.units.len(),
+                limit: self.cfg.max_tasks,
+            });
+        }
+        let coded = crate::coding::evict_parity_with(&self.stores, |block| buffers.reclaim(block));
+        match event {
+            MembershipEvent::ScaleTo { to, .. } => self.stores.grow_to(to),
+            MembershipEvent::Decommission { node } => self.stores.remove_node(node),
+        }
+        let (moves, payload, cross) = self.run_rebalance(&plan, buffers)?;
+        self.stores.truncate_to(to_nodes);
+        self.cfg.nodes = to_nodes;
+        self.scheduler.set_total_slots(self.cfg.total_slots());
+        let epoch = self.membership.record(event);
+        let parity_blocks_encoded = self.encode_parity_of(&coded, buffers);
+
+        let mut stats = JobStats {
+            rebalanced_moves: moves,
+            rebalanced_payload_bytes: payload,
+            parity_blocks_encoded,
+            ..Default::default()
+        };
+        let phase = stats.phase_mut(Phase::Rebalance);
+        phase.shuffle_bytes = payload;
+        phase.cross_node_bytes = cross;
+        phase.tasks = moves as usize;
+        Ok(RebalanceReport {
+            epoch,
+            from_nodes,
+            to_nodes,
+            moves,
+            payload_bytes: payload,
+            lost_blocks: 0,
+            stats,
+        })
     }
 
     /// Executes a rebalance plan as one gang of its units. Migration
@@ -498,33 +524,6 @@ impl LocalCluster {
             .outputs
             .iter()
             .fold((0, 0, 0), |(m, p, c), u| (m + u.0, p + u.1, c + u.2)))
-    }
-
-    fn rebalance_report(
-        epoch: u64,
-        from_nodes: usize,
-        to_nodes: usize,
-        (moves, payload, cross): (u64, u64, u64),
-        lost_blocks: usize,
-    ) -> RebalanceReport {
-        let mut stats = JobStats {
-            rebalanced_moves: moves,
-            rebalanced_payload_bytes: payload,
-            ..Default::default()
-        };
-        let phase = stats.phase_mut(Phase::Rebalance);
-        phase.shuffle_bytes = payload;
-        phase.cross_node_bytes = cross;
-        phase.tasks = moves as usize;
-        RebalanceReport {
-            epoch,
-            from_nodes,
-            to_nodes,
-            moves,
-            payload_bytes: payload,
-            lost_blocks,
-            stats,
-        }
     }
 
     /// Runs one stage of `n` tasks: `f` runs once per task index
@@ -1256,6 +1255,37 @@ mod tests {
         );
         assert_eq!(c.stores().num_nodes(), 4, "no store was commissioned");
         assert_eq!((c.epoch(), c.config().nodes), (0, 4));
+    }
+
+    #[test]
+    fn a_decommission_the_task_limit_refuses_leaves_the_cluster_whole() {
+        use distme_matrix::{Block, BlockId, DenseBlock};
+        let mut cfg = ClusterConfig::laptop();
+        cfg.max_tasks = 2;
+        let mut c = LocalCluster::new(cfg);
+        // Twelve blocks, none on the victim: nothing is lost, but every key
+        // has a new home on the 3-node grid — more units than a stage holds.
+        for col in 0..12u32 {
+            let blk = Block::Dense(DenseBlock::from_fn(2, 2, |i, j| {
+                (i + j + col as usize) as f64
+            }));
+            let node = [0, 2, 3][col as usize % 3];
+            let key = StoreKey::operand(9, BlockId::new(0, col));
+            c.stores().ingest(node, key, Arc::new(blk));
+        }
+        let before = c.stores().resident_keys();
+        let err = c.decommission_node(1).unwrap_err();
+        assert!(
+            matches!(err, JobError::TooManyTasks { limit: 2, .. }),
+            "{err}"
+        );
+        assert_eq!(c.stores().num_nodes(), c.config().nodes, "a store per node");
+        assert_eq!((c.epoch(), c.config().nodes), (0, 4));
+        assert_eq!(
+            c.stores().resident_keys(),
+            before,
+            "every key still readable"
+        );
     }
 
     #[test]

@@ -194,11 +194,6 @@ impl SimCluster {
         self.intermediates.in_use()
     }
 
-    /// Peak intermediate-data footprint since the job started.
-    pub fn peak_intermediate_bytes(&self) -> u64 {
-        self.intermediates.peak()
-    }
-
     /// Marks the start of a new job: resets the job clock epoch and frees
     /// intermediate shuffle data of the previous job.
     pub fn start_job(&mut self) {

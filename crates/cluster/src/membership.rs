@@ -11,7 +11,7 @@
 //!
 //! [`ElasticPolicy`] is the small autoscaler on top: given the previous
 //! job's [`JobStats`], it recommends a new node count when local-mult
-//! parallelism over- or under-shoots the configured utilization band.
+//! parallelism over- or under-shoots the utilization band.
 //!
 //! [`JobPlan`]: ../../distme_core/plan/struct.JobPlan.html
 
@@ -86,33 +86,23 @@ impl Membership {
 
 /// Utilization-threshold autoscaler driven by [`JobStats`]: the measured
 /// signal is local-mult tasks per slot (how many waves of the compute
-/// phase the grid ran). Above `scale_up_tasks_per_slot`, the job was
-/// parallelism-starved — recommend growing; below
-/// `scale_down_tasks_per_slot`, the grid idled — recommend shrinking.
+/// phase the grid ran). Above one wave the job was parallelism-starved —
+/// recommend growing; below a quarter wave the grid idled — recommend
+/// shrinking; one node at a time either way.
 #[derive(Debug, Clone, Copy)]
 pub struct ElasticPolicy {
     /// Never shrink below this node count.
     pub min_nodes: usize,
     /// Never grow beyond this node count.
     pub max_nodes: usize,
-    /// Grow when local-mult tasks per slot exceed this.
-    pub scale_up_tasks_per_slot: f64,
-    /// Shrink when local-mult tasks per slot fall below this.
-    pub scale_down_tasks_per_slot: f64,
-    /// Nodes added or removed per recommendation.
-    pub step: usize,
 }
 
 impl ElasticPolicy {
-    /// A policy that grows on more than one task wave per slot and shrinks
-    /// below a quarter wave, one node at a time.
+    /// The band between `min_nodes` and `max_nodes`.
     pub fn default_band(min_nodes: usize, max_nodes: usize) -> Self {
         ElasticPolicy {
             min_nodes,
             max_nodes,
-            scale_up_tasks_per_slot: 1.0,
-            scale_down_tasks_per_slot: 0.25,
-            step: 1,
         }
     }
 
@@ -149,10 +139,10 @@ impl ElasticPolicy {
         self.step_for(runnable, nodes, tasks_per_node, load.queued_jobs == 0)
     }
 
-    /// The band: one step up when `tasks` per slot exceed the grow
-    /// threshold, one step down when they fall below the shrink threshold
-    /// and `may_shrink`, clamped to `[min_nodes, max_nodes]`; `None` when
-    /// that leaves `nodes` where it is.
+    /// The band: one node up when `tasks` per slot exceed one wave, one
+    /// node down when they fall below a quarter wave and `may_shrink`,
+    /// clamped to `[min_nodes, max_nodes]`; `None` when that leaves `nodes`
+    /// where it is.
     fn step_for(
         &self,
         tasks: usize,
@@ -160,11 +150,14 @@ impl ElasticPolicy {
         tasks_per_node: usize,
         may_shrink: bool,
     ) -> Option<usize> {
+        const GROW_ABOVE_TASKS_PER_SLOT: f64 = 1.0;
+        const SHRINK_BELOW_TASKS_PER_SLOT: f64 = 0.25;
+        const STEP: usize = 1;
         let per_slot = tasks as f64 / (nodes * tasks_per_node).max(1) as f64;
-        let target = if per_slot > self.scale_up_tasks_per_slot {
-            (nodes + self.step).min(self.max_nodes)
-        } else if per_slot < self.scale_down_tasks_per_slot && may_shrink {
-            nodes.saturating_sub(self.step).max(self.min_nodes.max(1))
+        let target = if per_slot > GROW_ABOVE_TASKS_PER_SLOT {
+            (nodes + STEP).min(self.max_nodes)
+        } else if per_slot < SHRINK_BELOW_TASKS_PER_SLOT && may_shrink {
+            nodes.saturating_sub(STEP).max(self.min_nodes.max(1))
         } else {
             nodes
         };

@@ -10,9 +10,12 @@
 //!   to ship it to from one surviving holder (through the codec-backed
 //!   transport, charged to the ledger under [`Phase::Rebalance`]), then
 //!   the copies stranded at nodes that are no longer homes (dropping them
-//!   is what empties a leaving node's store);
-//! * `lost` keys with no readable holder at all — only possible after a
-//!   permanent decommission severed the sole copy.
+//!   is what empties a leaving node's store).
+//!
+//! Every key of the snapshot has a holder: a key whose sole copy a
+//! permanent decommission severed is the caller's to account for
+//! (`LocalCluster::decommission_node` reconstructs it from parity or
+//! reports it lost) and never reaches a plan.
 //!
 //! A unit is the grain of execution. Moves of distinct keys are
 //! independent one-sided transfers, so the executor runs all units as one
@@ -79,24 +82,19 @@ pub struct RebalanceUnit {
 pub struct RebalancePlan {
     /// One unit per key with a move or an eviction to make, in key order.
     pub units: Vec<RebalanceUnit>,
-    /// Keys with no readable holder — unrecoverable without re-running the
-    /// producing job.
-    pub lost: Vec<StoreKey>,
 }
 
 impl RebalancePlan {
-    /// Derives the schedule from a resident-key snapshot. Holder node ids
-    /// may exceed `new_nodes` (a graceful shrink drains the leaving tail);
-    /// targets are always within the new grid. Deterministic: the same
-    /// snapshot and node count produce the identical plan.
+    /// Derives the schedule from a resident-key snapshot, every key of
+    /// which names at least one holder. Holder node ids may exceed
+    /// `new_nodes` (a graceful shrink drains the leaving tail); targets are
+    /// always within the new grid. Deterministic: the same snapshot and
+    /// node count produce the identical plan.
     pub fn derive(snapshot: &BTreeMap<StoreKey, BTreeSet<usize>>, new_nodes: usize) -> Self {
         assert!(new_nodes > 0, "cannot rebalance onto an empty grid");
         let mut plan = RebalancePlan::default();
         for (key, holders) in snapshot {
-            let Some(&from) = holders.first() else {
-                plan.lost.push(*key);
-                continue;
-            };
+            let from = *holders.first().expect("a resident key has a holder");
             let homes = BTreeSet::from([
                 home_node(key.id, 0, new_nodes),
                 home_node(key.id, 1, new_nodes),
@@ -113,11 +111,6 @@ impl RebalancePlan {
             }
         }
         plan
-    }
-
-    /// Whether the plan migrates or drops anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.units.is_empty() && self.lost.is_empty()
     }
 }
 
@@ -137,7 +130,10 @@ pub struct RebalanceReport {
     pub moves: u64,
     /// Encoded payload bytes of those migrations.
     pub payload_bytes: u64,
-    /// Resident blocks lost to a decommission (0 on any graceful resize).
+    /// Resident blocks lost to the change: 0 in every report, since a
+    /// decommission that loses blocks returns
+    /// [`JobError::NodeDecommissioned`](crate::failure::JobError::NodeDecommissioned)
+    /// in its place.
     pub lost_blocks: usize,
     /// The migration traffic as mergeable job stats.
     pub stats: JobStats,
@@ -205,15 +201,6 @@ mod tests {
         assert_eq!((unit.key, unit.from), (key(3, 1, 1), 8));
         assert!(!unit.to.is_empty() && unit.to.iter().all(|&t| t < 4));
         assert_eq!(unit.evict, vec![8]);
-        assert!(plan.lost.is_empty());
-    }
-
-    #[test]
-    fn holderless_keys_are_lost() {
-        let snap = snapshot(&[(key(5, 0, 0), &[])]);
-        let plan = RebalancePlan::derive(&snap, 4);
-        assert_eq!(plan.lost, vec![key(5, 0, 0)]);
-        assert!(plan.units.is_empty());
     }
 
     #[test]
@@ -225,7 +212,7 @@ mod tests {
         let k = StoreKey::operand(11, id);
         let snap: BTreeMap<StoreKey, BTreeSet<usize>> = [(k, homes)].into_iter().collect();
         let plan = RebalancePlan::derive(&snap, 6);
-        assert!(plan.is_empty());
+        assert!(plan.units.is_empty());
     }
 
     #[test]
@@ -242,7 +229,6 @@ mod tests {
             }
         }
         let plan = RebalancePlan::derive(&snap, 4);
-        assert!(plan.lost.is_empty());
         assert!(
             plan.units.windows(2).all(|w| w[0].key < w[1].key),
             "at most one unit per key, in key order"

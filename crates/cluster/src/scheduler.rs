@@ -1,7 +1,6 @@
 //! Shared multi-job task scheduler: the cluster-wide worker pool.
 //!
-//! Before this module, each job monopolized `run_stage`'s worker threads:
-//! one `Session` = one job = the whole cluster. The scheduler turns the
+//! No job owns `run_stage`'s worker threads: the scheduler turns the
 //! cluster's task slots into a *lease pool* shared by every concurrently
 //! running job, with two layers of control:
 //!

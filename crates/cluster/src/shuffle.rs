@@ -83,14 +83,6 @@ impl ShuffleLedger {
         self.broadcast[phase.index()].load(Ordering::Relaxed)
     }
 
-    /// Sum over phases of shuffle + broadcast bytes.
-    pub fn total_communication(&self) -> u64 {
-        Phase::ALL
-            .iter()
-            .map(|&p| self.shuffle_bytes(p) + self.broadcast_bytes(p))
-            .sum()
-    }
-
     /// Every tenant that has been charged at least once, in id order.
     pub fn tenants(&self) -> Vec<TenantId> {
         self.tenants
@@ -113,12 +105,6 @@ impl ShuffleLedger {
             cross_node: t.cross_node,
             broadcast: t.broadcast,
         }
-    }
-
-    /// `tenant`'s bytes recorded since `earlier` (a previous
-    /// [`tenant_snapshot`](Self::tenant_snapshot) of the same tenant).
-    pub fn tenant_since(&self, tenant: TenantId, earlier: &LedgerSnapshot) -> LedgerSnapshot {
-        self.tenant_snapshot(tenant).minus(earlier)
     }
 
     /// Captures the current counter values. Jobs take a snapshot on entry
@@ -212,7 +198,6 @@ mod tests {
         assert_eq!(l.shuffle_bytes(Phase::Repartition), 150);
         assert_eq!(l.cross_node_bytes(Phase::Repartition), 100);
         assert_eq!(l.broadcast_bytes(Phase::Repartition), 9000);
-        assert_eq!(l.total_communication(), 9150);
         assert_eq!(l.tenant_snapshot(TenantId(3)), l.snapshot());
     }
 
@@ -261,15 +246,8 @@ mod tests {
                 .shuffle_bytes(Phase::Aggregation),
             9
         );
-        // Uncharged tenants read zero; deltas subtract cleanly.
+        // Uncharged tenants read zero.
         assert_eq!(l.tenant_snapshot(TenantId(9)), LedgerSnapshot::default());
-        let mark = l.tenant_snapshot(TenantId(1));
-        l.record_phase_for(TenantId(1), Phase::Repartition, 5, 5, 0);
-        assert_eq!(
-            l.tenant_since(TenantId(1), &mark)
-                .shuffle_bytes(Phase::Repartition),
-            5
-        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 /// Identity of the tenant a job was submitted on behalf of. Every byte a
 /// job charges to the shared [`crate::ShuffleLedger`] is attributed to
 /// exactly one tenant, so per-tenant deltas always sum to the cluster
-/// totals. Work run outside the job service (the legacy synchronous
-/// session path, rebalances, direct ledger records) is charged to
+/// totals. Work that belongs to no tenant (a solo session's jobs,
+/// rebalances, direct ledger records) is charged to
 /// [`TenantId::ANONYMOUS`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
@@ -210,7 +210,20 @@ impl JobStats {
     }
 
     /// Merges another job's stats (for multi-operation queries like GNMF).
+    /// The two ratios merge as means weighted by `elapsed_secs`, so an
+    /// accumulated value is the time-weighted mean of its jobs' whatever
+    /// order they were merged in (a plain mean where no time was recorded).
     pub fn merge(&mut self, other: &JobStats) {
+        let (mine, theirs) = (self.elapsed_secs, other.elapsed_secs);
+        let weighted = |a: Option<f64>, b: Option<f64>| match (a, b) {
+            (Some(a), Some(b)) if mine + theirs > 0.0 => {
+                Some((a * mine + b * theirs) / (mine + theirs))
+            }
+            (Some(a), Some(b)) => Some((a + b) / 2.0),
+            (a, b) => a.or(b),
+        };
+        self.gpu_utilization = weighted(self.gpu_utilization, other.gpu_utilization);
+        self.overlap_ratio = weighted(self.overlap_ratio, other.overlap_ratio);
         for (a, b) in self.phases.iter_mut().zip(other.phases.iter()) {
             a.merge(b);
         }
@@ -226,14 +239,6 @@ impl JobStats {
         self.parity_blocks_encoded += other.parity_blocks_encoded;
         self.reconstructed_blocks += other.reconstructed_blocks;
         self.reconstruction_payload_bytes += other.reconstruction_payload_bytes;
-        self.gpu_utilization = match (self.gpu_utilization, other.gpu_utilization) {
-            (Some(a), Some(b)) => Some((a + b) / 2.0),
-            (a, b) => a.or(b),
-        };
-        self.overlap_ratio = match (self.overlap_ratio, other.overlap_ratio) {
-            (Some(a), Some(b)) => Some((a + b) / 2.0),
-            (a, b) => a.or(b),
-        };
         self.prefetch_hits += other.prefetch_hits;
         self.prefetch_stalls += other.prefetch_stalls;
     }
@@ -355,6 +360,37 @@ mod tests {
         let mut c = JobStats::default();
         c.merge(&b);
         assert_eq!(c.gpu_utilization, Some(0.4));
+    }
+
+    #[test]
+    fn merged_ratios_are_time_weighted_means_in_either_association() {
+        let job = |ratio: f64, secs: f64| JobStats {
+            gpu_utilization: Some(ratio),
+            overlap_ratio: Some(ratio),
+            elapsed_secs: secs,
+            ..Default::default()
+        };
+        let jobs = [job(0.9, 1.0), job(0.5, 2.0), job(0.1, 5.0)];
+        let expect = (0.9 * 1.0 + 0.5 * 2.0 + 0.1 * 5.0) / 8.0;
+        // ((a + b) + c) — how a session accumulates.
+        let mut left = jobs[0];
+        left.merge(&jobs[1]);
+        left.merge(&jobs[2]);
+        // (a + (b + c))
+        let mut tail = jobs[1];
+        tail.merge(&jobs[2]);
+        let mut right = jobs[0];
+        right.merge(&tail);
+        for merged in [left, right] {
+            assert!((merged.gpu_utilization.unwrap() - expect).abs() < 1e-12);
+            assert!((merged.overlap_ratio.unwrap() - expect).abs() < 1e-12);
+        }
+        // Equal-length jobs: the plain mean of all three, not the last
+        // weighted one half.
+        let mut equal = job(0.9, 1.0);
+        equal.merge(&job(0.5, 1.0));
+        equal.merge(&job(0.1, 1.0));
+        assert!((equal.overlap_ratio.unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]

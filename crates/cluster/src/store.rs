@@ -194,7 +194,6 @@ pub struct ClusterStores {
     /// concurrent job completions advance the job counter while it is in
     /// flight.
     pins: Mutex<BTreeMap<u64, u64>>,
-    installed: AtomicU64,
     reused: AtomicU64,
 }
 
@@ -206,7 +205,6 @@ impl ClusterStores {
             jobs: AtomicU64::new(0),
             last_used: Mutex::new(BTreeMap::new()),
             pins: Mutex::new(BTreeMap::new()),
-            installed: AtomicU64::new(0),
             reused: AtomicU64::new(0),
         }
     }
@@ -237,16 +235,9 @@ impl ClusterStores {
     /// placement when the same content version was ingested before
     /// (sessions keep factor matrices resident across chained multiplies).
     pub fn ingest(&self, node: usize, key: StoreKey, block: Arc<Block>) {
-        if self.nodes[node].install(key, block) {
-            self.installed.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if !self.nodes[node].install(key, block) {
             self.reused.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Blocks newly installed by `ingest` so far.
-    pub fn ingest_installed(&self) -> u64 {
-        self.installed.load(Ordering::Relaxed)
     }
 
     /// Ingest calls satisfied by an already-resident placement.
@@ -552,7 +543,6 @@ mod tests {
         let k = StoreKey::operand(3, BlockId::new(1, 1));
         s.ingest(0, k, blk(1.0));
         s.ingest(0, k, blk(1.0));
-        assert_eq!(s.ingest_installed(), 1);
         assert_eq!(s.ingest_reused(), 1);
     }
 

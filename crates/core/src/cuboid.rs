@@ -177,18 +177,9 @@ impl CuboidGrid {
         self.cuboids().count()
     }
 
-    /// Replication factor of each A block under this grid: every A block is
-    /// read by `Q` cuboids (one per j-partition) — Fig. 3(b) case 1.
-    pub fn a_replication(&self) -> u32 {
-        self.spec.q
-    }
-
-    /// Replication factor of each B block: `P` (case 2).
-    pub fn b_replication(&self) -> u32 {
-        self.spec.p
-    }
-
-    /// Copies of each C block shuffled in aggregation: `R` (case 3).
+    /// Copies of each C block shuffled in aggregation: `R` (Fig. 3(b)
+    /// case 3; each A block is likewise read by `Q` cuboids, each B block
+    /// by `P`).
     pub fn c_replication(&self) -> u32 {
         self.spec.r
     }
@@ -228,9 +219,10 @@ mod tests {
         assert_eq!(total_voxels, 4 * 6 * 8);
         // Every A block is read by exactly Q = 2 cuboids.
         let a_reads: u64 = g.cuboids().map(|c| c.a_blocks()).sum();
-        assert_eq!(a_reads, 4 * 8 * g.a_replication() as u64);
+        assert_eq!(a_reads, 4 * 8 * 2);
         let b_reads: u64 = g.cuboids().map(|c| c.b_blocks()).sum();
-        assert_eq!(b_reads, 8 * 6 * g.b_replication() as u64);
+        // ...and every B block by exactly P = 2.
+        assert_eq!(b_reads, 8 * 6 * 2);
         let c_writes: u64 = g.cuboids().map(|c| c.c_blocks()).sum();
         assert_eq!(c_writes, 4 * 6 * g.c_replication() as u64);
     }

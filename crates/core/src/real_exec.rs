@@ -17,8 +17,10 @@
 //!    on the mult tasks that produce its inputs
 //!    ([`crate::plan::TaskSpec::producer_tasks`]), so reduction of early C
 //!    blocks overlaps multiplication of late ones;
-//! 3. an **epilogue**: the result is collected, placed at its future home
-//!    nodes, and the job's statistics are assembled.
+//! 3. an **epilogue**: the result blocks the stage's items handed back — a
+//!    mult task's products when the plan does not aggregate (`R = 1`), a
+//!    reduce's sums when it does — are placed at their future home nodes,
+//!    and the job's statistics are assembled.
 //!
 //! A mult task splits its routed inputs into k-panels and pulls them itself,
 //! in k order, on the one thread it runs on: every planned move executes
@@ -130,7 +132,10 @@ struct JobSetup<'a> {
     /// this to tell an implicit zero from a locality violation.
     a_index: BTreeSet<BlockId>,
     b_index: BTreeSet<BlockId>,
-    /// Identity of this job's intermediate C copies in the stores.
+    /// Identity of this job's intermediate C copies in the stores: what
+    /// the mult tasks of an aggregating plan (`R > 1`) install for its
+    /// reduces to fetch. A plan that does not aggregate installs nothing
+    /// under it.
     c_uid: u64,
     /// Parity blocks materialized for the operands at ingest (coded
     /// replication; 0 when [`ReplicationPolicy::Off`](distme_cluster::ReplicationPolicy)).
@@ -139,9 +144,9 @@ struct JobSetup<'a> {
     /// never `touch`ed, so nothing else would ever reclaim what a failed
     /// job's finished tasks installed.
     _intermediates: EvictOnDrop<'a>,
-    /// Operands and the intermediate result stay resident for the whole
-    /// job even when concurrent job completions advance the residency
-    /// clock past the eviction window.
+    /// Operands and intermediate copies stay resident for the whole job
+    /// even when concurrent job completions advance the residency clock
+    /// past the eviction window.
     _pins: [PinGuard<'a>; 3],
 }
 
@@ -485,11 +490,13 @@ pub fn execute_plan_masked(
 
     let transport = cluster.transport().with_job_counters(job_transport);
     let comm = CommTime::default();
-    // The C blocks each mult task produced, set once by its surviving
-    // attempt. An agg task only asks about copies of its own (finished,
-    // gated-on) producers, so what it reads is always complete.
+    // The C copies each mult task of an aggregating plan installed. An
+    // attempt that crashes at completion leaves the same installs behind as
+    // its retry makes, so whichever attempt sets this describes both; an agg
+    // task only asks about its own (finished, gated-on) producers, so what
+    // it reads is always complete.
     let produced: Vec<OnceLock<Vec<BlockId>>> = (0..mult_n).map(|_| OnceLock::new()).collect();
-    let run_mult = |ctx: &TaskCtx, task: usize| -> Result<Vec<BlockId>, TaskError> {
+    let run_mult = |ctx: &TaskCtx, task: usize| -> Result<Vec<(BlockId, Block)>, TaskError> {
         let spec = &mult_stage.tasks[task];
         debug_assert_eq!(spec.node, ctx.node);
         let store = stores.node(ctx.node);
@@ -552,20 +559,29 @@ pub fn execute_plan_masked(
             TaskWork::MapRead | TaskWork::Aggregate(_) => drain().map(|()| Vec::new()),
         }?;
 
-        // R = 1 products are final and get the dense/sparse normalization
-        // the aggregation reduce would apply; a sampled product keeps the
-        // mask's pattern (explicit zeros included) verbatim.
-        let as_is = needs_agg || mask.is_some();
-        let mut ids = Vec::with_capacity(blocks.len());
-        for (id, blk) in blocks {
-            let blk = if as_is { blk } else { blk.normalize() };
-            store.install(StoreKey::replica(c_uid, id, task as u32), Arc::new(blk));
-            ids.push(id);
+        if needs_agg {
+            // R > 1: the products are copies for the reduce to fetch.
+            let ids = blocks.iter().map(|(id, _)| *id).collect();
+            for (id, blk) in blocks {
+                store.install(StoreKey::replica(c_uid, id, task as u32), Arc::new(blk));
+            }
+            let _ = produced[task].set(ids);
+            return Ok(Vec::new());
         }
-        Ok(ids)
+        // R = 1 products are final where they were computed, and get the
+        // dense/sparse normalization a reduce would apply; a sampled product
+        // keeps the mask's pattern (explicit zeros included) verbatim.
+        Ok(match mask {
+            Some(_) => blocks,
+            None => blocks
+                .into_iter()
+                .map(|(id, blk)| (id, blk.normalize()))
+                .collect(),
+        })
     };
 
-    // An item hands the driver the blocks it reduced, if it is a reduce.
+    // An item hands the driver the result blocks it finished: a mult task's
+    // products when nothing aggregates them, a reduce's sums.
     let run = cluster.run_stage(
         opts.tenant,
         opts.priority,
@@ -574,7 +590,7 @@ pub fn execute_plan_masked(
         |ctx, gate| {
             let Some(l) = ctx.task.checked_sub(mult_n) else {
                 let task = ctx.task;
-                let ids = run_task(
+                let finals = run_task(
                     faults,
                     Phase::LocalMult,
                     task,
@@ -585,13 +601,12 @@ pub fn execute_plan_masked(
                 // Only an attempt that survived signals: installs of a
                 // crashed attempt stay behind (its retry re-installs the
                 // same bytes), but consumers count each producer once.
-                let _ = produced[task].set(ids);
                 for &l in &consumers[task] {
                     if remaining[l].fetch_sub(1, Ordering::AcqRel) == 1 {
                         gate.mark_ready(mult_n + l);
                     }
                 }
-                return Ok(Vec::new());
+                return Ok(finals);
             };
             let l = &lowered[l];
             run_task(faults, l.phase, l.task, l.node, ctx.attempt, || {
@@ -614,33 +629,12 @@ pub fn execute_plan_masked(
     let stage_secs = stage_timer.elapsed().as_secs_f64() + run.backoff_secs;
 
     // ------------- Result assembly ----------------------------------------
+    // Every block arrives from the task that finished it, per the plan's
+    // routing — never from a driver-side regroup or a store read.
     let mut c = BlockMatrix::new(problem.c);
-    if needs_agg {
-        // Each aggregation task reduced its planned copies on the workers,
-        // per the plan's routing, not in a driver-side regroup.
-        for (id, blk) in run.outputs.into_iter().flatten() {
-            if blk.nnz() > 0 {
-                c.put_shared(id.row, id.col, Arc::new(blk))?;
-            }
-        }
-    } else {
-        // R = 1: every intermediate copy is final; collect each task's
-        // locally-installed outputs (a driver `collect()`, not a regroup —
-        // each block has exactly one producer).
-        for (t, ids) in produced.iter().enumerate() {
-            let store = stores.node(mult_stage.tasks[t].node);
-            for &id in ids.get().into_iter().flatten() {
-                let blk = store
-                    .get(&StoreKey::replica(c_uid, id, t as u32))
-                    .ok_or(TaskError::MissingBlock {
-                        node: store.node(),
-                        id,
-                    })
-                    .map_err(|e| JobError::from_task(t, e))?;
-                if blk.nnz() > 0 {
-                    c.put_shared(id.row, id.col, blk)?;
-                }
-            }
+    for (id, blk) in run.outputs.into_iter().flatten() {
+        if blk.nnz() > 0 {
+            c.put_shared(id.row, id.col, Arc::new(blk))?;
         }
     }
 
@@ -1096,6 +1090,47 @@ mod tests {
             .filter(|key| key.matrix != a.uid() && key.matrix != b.uid())
             .collect();
         assert!(stray.is_empty(), "the dead job's copies: {stray:?}");
+    }
+
+    #[test]
+    fn a_crashed_final_product_task_hands_its_blocks_back_exactly_once() {
+        use distme_cluster::FaultSpec;
+        // GNMF's W·(HHᵀ): eight row stripes times one block, an (8,1,1)
+        // grid — no aggregation, so each mult task's products are final
+        // and come back through the stage's outputs.
+        let am = MatrixMeta::dense(8 * 16, 16).with_block_size(16);
+        let bm = MatrixMeta::dense(16, 16).with_block_size(16);
+        let a = MatrixGenerator::with_seed(51).generate(&am).unwrap();
+        let b = MatrixGenerator::with_seed(52).generate(&bm).unwrap();
+        let method = MulMethod::Cuboid(CuboidSpec::new(8, 1, 1));
+        let bits = |m: &BlockMatrix| -> Vec<(BlockId, Vec<u8>)> {
+            m.blocks()
+                .map(|(id, blk)| (id, codec::encode(blk).to_vec()))
+                .collect()
+        };
+        let (clean, clean_stats) = multiply(&cluster(), &a, &b, method).unwrap();
+        assert_eq!((clean.num_materialized(), clean_stats.retries), (8, 0));
+
+        let c = cluster();
+        let faults = c.inject_faults(FaultSpec {
+            crash_rate: 0.1,
+            ..FaultSpec::quiet(3)
+        });
+        let (prod, stats) = multiply(&c, &a, &b, method).unwrap();
+        // One mult task crashed at completion, its products with it; the
+        // retry's are the only ones the driver sees.
+        assert_eq!((faults.crashed(), stats.retries), (1, 1));
+        assert_eq!(bits(&prod), bits(&clean));
+        let stray: Vec<StoreKey> = c
+            .stores()
+            .resident_keys()
+            .into_keys()
+            .filter(|key| ![a.uid(), b.uid(), prod.uid()].contains(&key.matrix))
+            .collect();
+        assert!(
+            stray.is_empty(),
+            "neither attempt installed a copy: {stray:?}"
+        );
     }
 
     #[test]

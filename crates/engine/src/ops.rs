@@ -1,10 +1,10 @@
-//! Non-multiply operators: transpose and element-wise (§5 lists
-//! element-wise, matrix multiplication, and transpose as DistME's
-//! operator set).
+//! Simulator models of the non-multiply operators: transpose and
+//! element-wise (§5 lists element-wise, matrix multiplication, and
+//! transpose as DistME's operator set). The real bodies are
+//! [`TenantSession`](crate::session::TenantSession)'s.
 
 use distme_cluster::{ComputeWork, JobError, JobStats, Phase, PhaseStats, SimCluster, SimTask};
-use distme_matrix::elementwise::EwOp;
-use distme_matrix::{BlockMatrix, MatrixError, MatrixMeta};
+use distme_matrix::{MatrixError, MatrixMeta};
 
 /// Simulates a distributed transpose: every block is shuffled to its
 /// transposed grid position (one full pass over the matrix), unless the
@@ -99,51 +99,6 @@ pub fn sim_elementwise(
     Ok((*x, stats))
 }
 
-/// Real transpose with shuffle accounting on the thread-backed cluster.
-pub fn real_transpose(
-    cluster: &distme_cluster::LocalCluster,
-    x: &BlockMatrix,
-    reuse_partitioning: bool,
-) -> (BlockMatrix, JobStats) {
-    let t0 = std::time::Instant::now();
-    let out = x.transpose();
-    let mut stats = JobStats::default();
-    if !reuse_partitioning {
-        for (id, blk) in x.blocks() {
-            let from = (id.row as usize + id.col as usize) % cluster.config().nodes;
-            let to = (id.col as usize + id.row as usize * 7) % cluster.config().nodes;
-            cluster.ledger().record_shuffle(
-                Phase::Repartition,
-                from,
-                to,
-                distme_matrix::codec::encoded_len(blk),
-            );
-        }
-    }
-    stats.elapsed_secs = t0.elapsed().as_secs_f64();
-    stats.phase_mut(Phase::Repartition).secs = stats.elapsed_secs;
-    (out, stats)
-}
-
-/// Real element-wise combination.
-///
-/// # Errors
-/// Returns [`JobError::TaskFailed`] on shape mismatch.
-pub fn real_elementwise(
-    x: &BlockMatrix,
-    op: EwOp,
-    y: &BlockMatrix,
-) -> Result<(BlockMatrix, JobStats), JobError> {
-    let t0 = std::time::Instant::now();
-    let out = x.elementwise(op, y)?;
-    let mut stats = JobStats {
-        elapsed_secs: t0.elapsed().as_secs_f64(),
-        ..JobStats::default()
-    };
-    stats.phase_mut(Phase::LocalMult).secs = stats.elapsed_secs;
-    Ok((out, stats))
-}
-
 fn split(total: u64, parts: u64, idx: u64) -> u64 {
     let base = total / parts;
     base + u64::from(idx < total % parts)
@@ -153,7 +108,6 @@ fn split(total: u64, parts: u64, idx: u64) -> u64 {
 mod tests {
     use super::*;
     use distme_cluster::ClusterConfig;
-    use distme_matrix::MatrixGenerator;
 
     fn sim() -> SimCluster {
         SimCluster::new(ClusterConfig::paper_cluster())
@@ -189,27 +143,5 @@ mod tests {
         assert_eq!(out.rows, 100);
         assert!(stats.elapsed_secs > 0.0);
         assert_eq!(stats.total_shuffle_bytes(), 0);
-    }
-
-    #[test]
-    fn real_ops_compute_correctly() {
-        let meta = MatrixMeta::dense(60, 40).with_block_size(20);
-        let x = MatrixGenerator::with_seed(1).generate(&meta).unwrap();
-        let cluster = distme_cluster::LocalCluster::new(ClusterConfig::laptop());
-        let (t, stats) = real_transpose(&cluster, &x, false);
-        assert_eq!(t.meta().rows, 40);
-        assert!(stats.elapsed_secs >= 0.0);
-        assert!(cluster.ledger().shuffle_bytes(Phase::Repartition) > 0);
-
-        let y = MatrixGenerator::with_seed(2).generate(&meta).unwrap();
-        let (sum, _) = real_elementwise(&x, EwOp::Add, &y).unwrap();
-        assert_eq!(
-            sum.get_element(5, 5),
-            x.get_element(5, 5) + y.get_element(5, 5)
-        );
-        let z = MatrixGenerator::with_seed(3)
-            .generate(&MatrixMeta::dense(10, 10).with_block_size(5))
-            .unwrap();
-        assert!(real_elementwise(&x, EwOp::Add, &z).is_err());
     }
 }

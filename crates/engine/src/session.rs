@@ -17,9 +17,10 @@
 
 use crate::ops;
 use crate::systems::SystemProfile;
+use distme_cluster::rebalance::home_node;
 use distme_cluster::{
-    ClusterConfig, ElasticPolicy, JobError, JobStats, LocalCluster, RebalanceReport, SimCluster,
-    TenantId,
+    ClusterConfig, ElasticPolicy, JobError, JobStats, LocalCluster, Phase, RebalanceReport,
+    SimCluster, TenantId,
 };
 use distme_core::real_exec::{self, RealExecOptions};
 use distme_core::{
@@ -27,8 +28,9 @@ use distme_core::{
     ResolvedMethod,
 };
 use distme_matrix::elementwise::EwOp;
-use distme_matrix::{BlockMatrix, MatrixMeta};
+use distme_matrix::{codec, BlockId, BlockMatrix, MatrixMeta};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The plan for `problem` on the grid of `cfg`, built at most once per
 /// membership epoch — the one place either session goes from a problem to
@@ -74,6 +76,17 @@ impl Tally {
         self.stats.merge(&stats);
         self.ops_run += 1;
         out
+    }
+
+    /// [`absorb`](Self::absorb) for an operator the driver ran itself: all
+    /// its time since `started` belongs to `phase`.
+    fn absorb_timed<T>(&mut self, out: T, phase: Phase, started: Instant) -> T {
+        let mut stats = JobStats {
+            elapsed_secs: started.elapsed().as_secs_f64(),
+            ..Default::default()
+        };
+        stats.phase_mut(phase).secs = stats.elapsed_secs;
+        self.absorb((out, stats))
     }
 }
 
@@ -337,9 +350,31 @@ impl Ops for TenantSession<'_> {
         self.multiply(a, b, None, None)
     }
 
+    /// Unless the profile reuses partitioning, every block is shuffled
+    /// from its home to the home of its transposed position — one
+    /// repartition pass, charged to the job's tenant.
     fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
-        let done = ops::real_transpose(self.cluster, x, self.profile.reuses_partitioning());
-        Ok(self.tally.absorb(done))
+        let t0 = Instant::now();
+        let out = x.transpose();
+        if !self.profile.reuses_partitioning() {
+            let nodes = self.cluster.config().nodes;
+            let (mut shuffled, mut cross_node) = (0, 0);
+            for (id, blk) in x.blocks() {
+                let bytes = codec::encoded_len(blk);
+                shuffled += bytes;
+                if home_node(id, 0, nodes) != home_node(BlockId::new(id.col, id.row), 0, nodes) {
+                    cross_node += bytes;
+                }
+            }
+            self.cluster.ledger().record_phase_for(
+                self.opts.tenant,
+                Phase::Repartition,
+                shuffled,
+                cross_node,
+                0,
+            );
+        }
+        Ok(self.tally.absorb_timed(out, Phase::Repartition, t0))
     }
 
     fn elementwise(
@@ -348,8 +383,9 @@ impl Ops for TenantSession<'_> {
         op: EwOp,
         y: &BlockMatrix,
     ) -> Result<BlockMatrix, JobError> {
-        let done = ops::real_elementwise(x, op, y)?;
-        Ok(self.tally.absorb(done))
+        let t0 = Instant::now();
+        let out = x.elementwise(op, y)?;
+        Ok(self.tally.absorb_timed(out, Phase::LocalMult, t0))
     }
 
     fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
@@ -627,7 +663,6 @@ mod tests {
 
     #[test]
     fn real_session_ledger_accumulates_across_ops() {
-        use distme_cluster::Phase;
         let meta_a = MatrixMeta::dense(80, 64).with_block_size(16);
         let meta_b = MatrixMeta::dense(64, 48).with_block_size(16);
         let a = MatrixGenerator::with_seed(5).generate(&meta_a).unwrap();
@@ -736,6 +771,34 @@ mod tests {
         assert_eq!(s.cluster().config().nodes, 3);
         let c = s.matmul(&a, &b).unwrap();
         assert!(c.max_abs_diff(&reference).unwrap() < 1e-9);
+    }
+
+    #[test]
+    fn real_ops_compute_correctly() {
+        let meta = MatrixMeta::dense(60, 40).with_block_size(20);
+        let x = MatrixGenerator::with_seed(1).generate(&meta).unwrap();
+        // MatFast does not reuse partitioning: its transpose shuffles.
+        let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::MatFast);
+        let t = s.transpose(&x).unwrap();
+        assert_eq!(t.meta().rows, 40);
+        assert_eq!(t.get_element(7, 31), x.get_element(31, 7));
+        assert_eq!(
+            s.cluster().ledger().shuffle_bytes(Phase::Repartition),
+            x.blocks()
+                .map(|(_, blk)| codec::encoded_len(blk))
+                .sum::<u64>()
+        );
+
+        let y = MatrixGenerator::with_seed(2).generate(&meta).unwrap();
+        let sum = s.elementwise(&x, EwOp::Add, &y).unwrap();
+        assert_eq!(
+            sum.get_element(5, 5),
+            x.get_element(5, 5) + y.get_element(5, 5)
+        );
+        let z = MatrixGenerator::with_seed(3)
+            .generate(&MatrixMeta::dense(10, 10).with_block_size(5))
+            .unwrap();
+        assert!(s.elementwise(&x, EwOp::Add, &z).is_err());
     }
 
     #[test]

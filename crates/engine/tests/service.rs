@@ -310,6 +310,30 @@ fn per_tenant_ledger_deltas_sum_to_the_cluster_total() {
     }
 }
 
+#[test]
+fn a_tenants_transpose_is_charged_to_that_tenant() {
+    // MatFast does not reuse partitioning, so its transpose is a shuffle:
+    // one pass over the matrix, and the tenant's like any job's bytes.
+    let svc = JobService::new(ClusterConfig::laptop(), SystemProfile::MatFast);
+    let x = Arc::new(dense(80, 48, 13));
+    let one_pass: u64 = x.blocks().map(|(_, blk)| codec::encoded_len(blk)).sum();
+    let tenant = TenantId(7);
+    let job = svc.submit(JobSpec::new(tenant), {
+        let x = Arc::clone(&x);
+        move |s| s.transpose(&x)
+    });
+    assert_eq!(
+        fingerprint(&job.wait().unwrap().value),
+        fingerprint(&x.transpose())
+    );
+    assert_eq!(
+        svc.tenant_comm(tenant).shuffle_bytes(Phase::Repartition),
+        one_pass
+    );
+    assert_eq!(svc.tenants(), vec![tenant], "nothing under ANONYMOUS");
+    assert_eq!(svc.tenant_comm(tenant), svc.ledger_snapshot());
+}
+
 fn tight_budget_config(budget: u64, queue_depth: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::laptop();
     cfg.scheduler.admission_budget_bytes = budget;

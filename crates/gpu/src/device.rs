@@ -107,11 +107,6 @@ impl GpuDevice {
         self.kernel_busy.busy_secs()
     }
 
-    /// Kernel-engine utilization over a window — the Fig. 7(g) metric.
-    pub fn kernel_utilization(&self, start: SimTime, end: SimTime) -> f64 {
-        self.kernel_busy.utilization(start, end)
-    }
-
     /// Total kernels launched (Algorithm 1 issues `I'` per B-block copy).
     pub fn kernels_launched(&self) -> u64 {
         self.kernels_launched
@@ -175,8 +170,8 @@ mod tests {
         let mut d = device();
         d.launch_kernel(SimTime::ZERO, 1000.0, false); // busy [0,1]
         d.launch_kernel(SimTime::from_secs(3.0), 1000.0, false); // busy [3,4]
-        let u = d.kernel_utilization(SimTime::ZERO, SimTime::from_secs(4.0));
-        assert!((u - 0.5).abs() < 1e-12);
+                                                                 // Two of the four seconds: Fig. 7(g)'s numerator leaves the gap out.
+        assert_eq!(d.kernel_busy_secs(), 2.0);
     }
 
     #[test]

@@ -124,14 +124,6 @@ impl BlockMatrix {
         self.blocks.iter().map(|(id, b)| (*id, Arc::clone(b)))
     }
 
-    /// Consumes the matrix, yielding its blocks (cloning only blocks still
-    /// shared elsewhere).
-    pub fn into_blocks(self) -> impl Iterator<Item = (BlockId, Block)> {
-        self.blocks
-            .into_iter()
-            .map(|(id, b)| (id, Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone())))
-    }
-
     /// Number of materialized blocks.
     pub fn num_materialized(&self) -> usize {
         self.blocks.len()

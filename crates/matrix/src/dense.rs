@@ -217,14 +217,6 @@ impl DenseBlock {
         }
     }
 
-    /// Consumes the block, returning its buffer (copying a shared view out).
-    pub fn into_vec(self) -> Vec<f64> {
-        match self.data {
-            Storage::Owned(v) => v,
-            Storage::Shared { .. } => self.data().to_vec(),
-        }
-    }
-
     /// Element accessor (debug/tests; kernels index the raw slice).
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -429,7 +421,6 @@ mod tests {
         assert_eq!(shared.get(1, 0), 9.25);
         assert_eq!(shared.mem_bytes(), 48);
         assert_eq!(shared.transpose(), owned.transpose());
-        assert_eq!(shared.clone().into_vec(), vals.to_vec());
     }
 
     #[test]

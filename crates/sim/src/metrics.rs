@@ -72,11 +72,6 @@ impl BusyTracker {
         };
         clipped.busy_secs() / (we - ws)
     }
-
-    /// Latest recorded end time.
-    pub fn last_end(&self) -> SimTime {
-        SimTime::from_secs(self.intervals.iter().map(|&(_, e)| e).fold(0.0, f64::max))
-    }
 }
 
 #[cfg(test)]
@@ -126,14 +121,5 @@ mod tests {
         let mut b = BusyTracker::new();
         b.record(t(1.0), t(1.0));
         assert_eq!(b.busy_secs(), 0.0);
-        assert_eq!(b.last_end().as_secs(), 0.0);
-    }
-
-    #[test]
-    fn last_end_tracks_max() {
-        let mut b = BusyTracker::new();
-        b.record(t(0.0), t(9.0));
-        b.record(t(1.0), t(2.0));
-        assert_eq!(b.last_end().as_secs(), 9.0);
     }
 }

@@ -161,16 +161,6 @@ impl SlotPool {
         SimTime::from_secs(*t)
     }
 
-    /// Time when all slots are idle (makespan of admitted work).
-    pub fn all_free_at(&self) -> SimTime {
-        let latest = self
-            .free_times
-            .iter()
-            .map(|Reverse(OrderedTime(t))| *t)
-            .fold(0.0, f64::max);
-        SimTime::from_secs(latest)
-    }
-
     /// Number of slots.
     pub fn slots(&self) -> usize {
         self.slots
@@ -312,7 +302,6 @@ mod tests {
         let (s3, d3) = pool.acquire(SimTime::ZERO, 5.0);
         assert_eq!(s3.as_secs(), 10.0);
         assert_eq!(d3.as_secs(), 15.0);
-        assert_eq!(pool.all_free_at().as_secs(), 15.0);
     }
 
     #[test]
@@ -343,7 +332,6 @@ mod tests {
         let start2 = pool.acquire_at(SimTime::from_secs(1.0));
         assert_eq!(start2.as_secs(), 3.0);
         pool.release(SimTime::from_secs(4.0));
-        assert_eq!(pool.all_free_at().as_secs(), 4.0);
     }
 
     #[test]
