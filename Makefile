@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint doc test e2e-check results-check build loc
+.PHONY: ci fmt lint doc test e2e-check results-check build loc dead
 
 ci: fmt lint doc test e2e-check results-check
 
@@ -57,3 +57,17 @@ loc:
 		/^#\[cfg\(test\)\]/ { tests = 1 } \
 		!tests { n[crate]++; total++ } \
 		END { for (c in n) printf "%6d  %s\n", n[c], c | "sort -k2"; close("sort -k2"); printf "%6d  total\n", total }'
+
+# Informational, not part of `ci`: every `pub`/`pub(crate) fn` in the
+# non-test part of crates/*/src whose name occurs nowhere else in non-test
+# code under crates/*/src, src, examples or e2e/src — candidates for
+# deletion (a trait impl or a name shared with another item can hide one).
+NON_TEST_RS = find crates/*/src src examples e2e/src -name '*.rs' | xargs awk \
+	'FNR == 1 { tests = 0 } /^\#\[cfg\(test\)\]/ { tests = 1 } !tests { print FILENAME ":" $$0 }'
+
+dead:
+	@code=$$(mktemp); trap 'rm -f $$code' EXIT; $(NON_TEST_RS) > $$code; \
+	sed -nE 's/^(crates\/[^:]*):[[:space:]]*pub(\(crate\))? fn ([A-Za-z0-9_]+).*/\1 \3/p' $$code | sort -u | \
+	while read file name; do \
+		[ "$$(cut -d: -f2- $$code | grep -ow "$$name" | wc -l)" -le 1 ] && echo "$$file: $$name"; \
+	done; true

@@ -7,13 +7,11 @@
 //! treats loss as a *planning input* instead (Kiani et al.'s coded cuboid
 //! partitioning): the copy-0 blocks of each matrix are bucketed by their
 //! canonical home and grouped so every group's members live on **distinct**
-//! canonical homes, then each group gets one XOR parity stripe
-//! ([`ReplicationPolicy::Xor`], erasure budget 1) or a RAID-6-style P+Q
-//! pair over GF(256) ([`ReplicationPolicy::RsLite`], budget 2),
-//! materialized on a node that is none of the members' homes. A single
-//! node loss therefore erases at most one member per group, and any
-//! k-of-n survivors reconstruct the missing block bit-identically from
-//! the parity — no producer copy, no lineage recompute.
+//! canonical homes, then each group gets one XOR parity block (erasure
+//! budget 1), materialized on a node that is none of the members' homes. A
+//! single node loss therefore erases at most one member per group, and any
+//! k-of-n survivors reconstruct the missing block bit-identically from the
+//! parity — no producer copy, no lineage recompute.
 //!
 //! Parity is computed over the **canonical wire frames**
 //! (`codec::encode_into` bytes, CRC and all) zero-padded to the group's
@@ -26,19 +24,16 @@
 //! Encoding is a fold, not a gather: [`parity_groups`] turns one
 //! resident-key snapshot into the groups of every matrix to code, and
 //! [`encode_group`] — one call per group, so the executor runs all groups
-//! as one gang — folds each member's `frame_len` frame bytes straight into
-//! the parity envelope(s), laid out beforehand from the members'
+//! as one gang — XORs each member's `frame_len` frame bytes straight into
+//! the parity envelope, laid out beforehand from the members'
 //! `codec::encoded_len`s in the very buffer the installed parity block
 //! aliases. A member that is a view of its wire frame (every dense block
 //! a delivery installed) is folded from those resident bytes where they
 //! lie; only owned and sparse members are serialized, into one frame
 //! buffer the group reuses. The zero pad is never materialized (folding
-//! zeros changes nothing): one buffer per parity block, plus at most one
-//! scratch frame per group, where gathering padded frames first costs four
-//! block-sized buffers per member. During a resize the envelope buffers
-//! come from the blocks the resize evicted (`store::FreeBuffers`).
-//! [`encode_stripes`] over padded frames remains the definition the fold
-//! is tested against.
+//! zeros changes nothing). During a resize the envelope buffer comes from
+//! the blocks the resize evicted (`store::FreeBuffers`). [`encode_stripes`]
+//! over padded frames remains the definition the fold is tested against.
 //!
 //! Recovery precedence everywhere: parity decode → lineage → typed
 //! failure. Beyond-budget erasures return [`CodingError`], never wrong
@@ -55,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// How much derived redundancy placement materializes per coded group.
+/// Whether placement materializes parity for coded groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplicationPolicy {
     /// No parity: placement and recovery behave exactly as before coding
@@ -66,28 +61,14 @@ pub enum ReplicationPolicy {
     /// One XOR parity block per group: any single erased member decodes
     /// from the survivors. Storage overhead ≈ 1/group_size.
     Xor,
-    /// Reed–Solomon-lite (RAID-6 P+Q over GF(256)): any two erased members
-    /// decode. Storage overhead ≈ 2/group_size.
-    RsLite,
 }
 
 impl ReplicationPolicy {
-    /// Parity blocks per group — also the erasure budget (`m` of the
-    /// `k + m` code).
+    /// Parity blocks per group — also the erasure budget.
     pub fn parity_count(self) -> usize {
         match self {
             ReplicationPolicy::Off => 0,
             ReplicationPolicy::Xor => 1,
-            ReplicationPolicy::RsLite => 2,
-        }
-    }
-
-    /// Human-readable knob name (config validation messages).
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplicationPolicy::Off => "off",
-            ReplicationPolicy::Xor => "xor",
-            ReplicationPolicy::RsLite => "rs-lite",
         }
     }
 }
@@ -120,197 +101,57 @@ impl std::error::Error for CodingError {}
 pub const MAX_GROUP: usize = 8;
 
 // ---------------------------------------------------------------------------
-// GF(256) arithmetic (polynomial 0x11d), built at compile time.
+// Stripe-level encode / decode.
 // ---------------------------------------------------------------------------
 
-const fn gf_tables() -> ([u8; 512], [u8; 256]) {
-    let mut exp = [0u8; 512];
-    let mut log = [0u8; 256];
-    let mut x: u16 = 1;
-    let mut i = 0;
-    while i < 255 {
-        exp[i] = x as u8;
-        log[x as usize] = i as u8;
-        x <<= 1;
-        if x & 0x100 != 0 {
-            x ^= 0x11d;
-        }
-        i += 1;
-    }
-    // Mirror the cycle so `exp[log a + log b]` and `exp[255 + log a - log b]`
-    // never need a modulo.
-    let mut j = 255;
-    while j < 512 {
-        exp[j] = exp[j - 255];
-        j += 1;
-    }
-    (exp, log)
-}
-
-const GF: ([u8; 512], [u8; 256]) = gf_tables();
-const GF_EXP: [u8; 512] = GF.0;
-const GF_LOG: [u8; 256] = GF.1;
-
-fn gf_mul(a: u8, b: u8) -> u8 {
-    if a == 0 || b == 0 {
-        0
-    } else {
-        GF_EXP[GF_LOG[a as usize] as usize + GF_LOG[b as usize] as usize]
-    }
-}
-
-fn gf_div(a: u8, b: u8) -> u8 {
-    debug_assert!(b != 0, "GF(256) division by zero");
-    if a == 0 {
-        0
-    } else {
-        GF_EXP[255 + GF_LOG[a as usize] as usize - GF_LOG[b as usize] as usize]
-    }
-}
-
-/// The RS generator coefficient of member `i`: `g^i` with `g = 2`.
-fn gen_coef(i: usize) -> u8 {
-    GF_EXP[i]
-}
-
+/// `dst ^= src` over `src`'s length: a shorter member's zero pad
+/// contributes nothing.
 fn xor_into(dst: &mut [u8], src: &[u8]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
     }
 }
 
-/// `dst ^= coef · src` over GF(256), via a per-coefficient product table
-/// (one 256-byte build amortized over the whole stripe).
-fn mul_xor_into(dst: &mut [u8], src: &[u8], coef: u8) {
-    match coef {
-        0 => {}
-        1 => xor_into(dst, src),
-        _ => {
-            let mut table = [0u8; 256];
-            for (b, t) in table.iter_mut().enumerate() {
-                *t = gf_mul(coef, b as u8);
-            }
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d ^= table[*s as usize];
-            }
-        }
+/// Encodes one group's parity stripe `P = ⊕dᵢ`, where `stripes[i]` is
+/// member `i`'s frame zero-padded to the common stripe length — the
+/// definition of the code; [`encode_group`] computes the same stripe
+/// without the padding.
+pub fn encode_stripes(stripes: &[Vec<u8>], stripe_len: usize) -> Vec<u8> {
+    let mut parity = vec![0u8; stripe_len];
+    for d in stripes {
+        debug_assert_eq!(d.len(), stripe_len);
+        xor_into(&mut parity, d);
     }
+    parity
 }
 
-// ---------------------------------------------------------------------------
-// Stripe-level encode / decode.
-// ---------------------------------------------------------------------------
-
-/// Folds member `i`'s frame `d` into its group's parity stripe `p`
-/// (`P ^= d`, `Q ^= gⁱ·d`), touching only `d.len()` bytes: a shorter
-/// member's zero pad contributes nothing to either sum.
-fn fold_member(stripe: &mut [u8], p: usize, i: usize, d: &[u8]) {
-    match p {
-        0 => xor_into(stripe, d),
-        _ => mul_xor_into(stripe, d, gen_coef(i)),
-    }
-}
-
-/// Encodes the parity stripes for one group. `stripes[i]` is member `i`'s
-/// frame zero-padded to the common stripe length; returns `parity_count`
-/// stripes (P = ⊕dᵢ, then Q = ⊕ gⁱ·dᵢ) — the definition of the code;
-/// [`encode_group`] computes the same stripes without the padding.
-pub fn encode_stripes(stripes: &[Vec<u8>], parity_count: usize, stripe_len: usize) -> Vec<Vec<u8>> {
-    let mut out = vec![vec![0u8; stripe_len]; parity_count];
-    for (p, parity) in out.iter_mut().enumerate() {
-        for (i, d) in stripes.iter().enumerate() {
-            debug_assert_eq!(d.len(), stripe_len);
-            fold_member(parity, p, i, d);
-        }
-    }
-    out
-}
-
-/// Reconstructs the erased members of one group in place. `data[i]` is
-/// `Some` for survivors and `None` for erasures; `parity[p]` likewise for
-/// the parity stripes (`parity[0]` = P, `parity[1]` = Q). On success every
-/// `data[i]` is `Some` and bit-identical to what was encoded.
+/// Reconstructs the erased member of one group in place:
+/// `d_j = P ⊕ ⊕_{i≠j} dᵢ`. `data[i]` is `Some` for survivors and `None`
+/// for erasures; `parity` is the group's stripe if it survived. On success
+/// every `data[i]` is `Some` and bit-identical to what was encoded.
 ///
 /// # Errors
-/// [`CodingError`] when more members are erased than the surviving parity
-/// can decode — `data` is left untouched, never filled with wrong bytes.
+/// [`CodingError`] when more members are erased than the parity present
+/// can cover — `data` is left untouched, never filled with wrong bytes.
 pub fn decode_group(
     data: &mut [Option<Vec<u8>>],
-    parity: &[Option<&[u8]>],
+    parity: Option<&[u8]>,
     stripe_len: usize,
 ) -> Result<(), CodingError> {
-    let missing: Vec<usize> = data
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    let p = parity.first().copied().flatten();
-    let q = parity.get(1).copied().flatten();
-    let budget = usize::from(p.is_some()) + usize::from(q.is_some());
-    if missing.len() > budget {
-        return Err(CodingError {
-            lost: missing.len(),
-            budget,
-        });
+    debug_assert!(data.iter().flatten().all(|d| d.len() == stripe_len));
+    let lost = data.iter().filter(|d| d.is_none()).count();
+    let budget = usize::from(parity.is_some());
+    if lost > budget {
+        return Err(CodingError { lost, budget });
     }
-    match missing.as_slice() {
-        [] => Ok(()),
-        [j] => {
-            let j = *j;
-            let rebuilt = if let Some(p) = p {
-                // d_j = P ⊕ ⊕_{i≠j} d_i
-                let mut acc = p.to_vec();
-                for d in data.iter().flatten() {
-                    xor_into(&mut acc, d);
-                }
-                acc
-            } else {
-                // d_j = (Q ⊕ ⊕_{i≠j} gⁱ·d_i) / gʲ
-                let q = q.expect("budget covers the erasure");
-                let mut acc = q.to_vec();
-                for (i, d) in data.iter().enumerate() {
-                    if let Some(d) = d {
-                        mul_xor_into(&mut acc, d, gen_coef(i));
-                    }
-                }
-                let inv = gf_div(1, gen_coef(j));
-                let mut rebuilt = vec![0u8; stripe_len];
-                mul_xor_into(&mut rebuilt, &acc, inv);
-                rebuilt
-            };
-            data[j] = Some(rebuilt);
-            Ok(())
+    if let (Some(j), Some(p)) = (data.iter().position(Option::is_none), parity) {
+        let mut rebuilt = p.to_vec();
+        for d in data.iter().flatten() {
+            xor_into(&mut rebuilt, d);
         }
-        [a, b] => {
-            // RAID-6 two-erasure decode: with x = d_a ⊕ d_b and
-            // y = gᵃ·d_a ⊕ gᵇ·d_b,
-            //   d_b = (y ⊕ gᵃ·x) / (gᵃ ⊕ gᵇ),   d_a = x ⊕ d_b.
-            let (a, b) = (*a, *b);
-            let (p, q) = (
-                p.expect("budget 2 requires P"),
-                q.expect("budget 2 requires Q"),
-            );
-            let mut x = p.to_vec();
-            let mut y = q.to_vec();
-            for (i, d) in data.iter().enumerate() {
-                if let Some(d) = d {
-                    xor_into(&mut x, d);
-                    mul_xor_into(&mut y, d, gen_coef(i));
-                }
-            }
-            let (ga, gb) = (gen_coef(a), gen_coef(b));
-            mul_xor_into(&mut y, &x, ga); // y ⊕= gᵃ·x
-            let inv = gf_div(1, ga ^ gb);
-            let mut db = vec![0u8; stripe_len];
-            mul_xor_into(&mut db, &y, inv);
-            xor_into(&mut x, &db);
-            data[a] = Some(x);
-            data[b] = Some(db);
-            Ok(())
-        }
-        _ => unreachable!("missing.len() <= budget <= 2"),
+        data[j] = Some(rebuilt);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -318,9 +159,9 @@ pub fn decode_group(
 // ---------------------------------------------------------------------------
 
 /// Largest group the grid supports: every member needs a distinct canonical
-/// home and the parity block(s) need homes of their own.
-pub fn group_size_cap(nodes: usize, policy: ReplicationPolicy) -> usize {
-    nodes.saturating_sub(policy.parity_count()).min(MAX_GROUP)
+/// home and the parity block needs a home of its own.
+pub fn group_size_cap(nodes: usize) -> usize {
+    nodes.saturating_sub(1).min(MAX_GROUP)
 }
 
 /// Deterministic group assignment for a matrix's copy-0 keys: bucket by
@@ -328,12 +169,8 @@ pub fn group_size_cap(nodes: usize, policy: ReplicationPolicy) -> usize {
 /// bucket per round (node order) and chunk each round to the grid's cap —
 /// so members of a group always sit on **distinct** canonical homes, and a
 /// single node loss erases at most one sole-copy member per group.
-pub fn assign_groups(
-    keys: &[StoreKey],
-    nodes: usize,
-    policy: ReplicationPolicy,
-) -> Vec<Vec<StoreKey>> {
-    let cap = group_size_cap(nodes, policy);
+pub fn assign_groups(keys: &[StoreKey], nodes: usize) -> Vec<Vec<StoreKey>> {
+    let cap = group_size_cap(nodes);
     if cap == 0 {
         return Vec::new();
     }
@@ -365,9 +202,8 @@ pub fn assign_groups(
 }
 
 /// Deterministic parity placement: probe the placement hash at salts ≥ 3
-/// (0–2 are the data spaces) until a node that is neither a member's
-/// canonical home nor already holding this group's other parity turns up.
-/// The group-size cap guarantees such a node exists.
+/// (0–2 are the data spaces) until a node that is no member's canonical
+/// home turns up. The group-size cap guarantees such a node exists.
 pub fn parity_home(leader: BlockId, avoid: &BTreeSet<usize>, nodes: usize) -> usize {
     for salt in 3..3 + 4 * nodes as u64 {
         let cand = home_node(leader, salt, nodes);
@@ -385,7 +221,7 @@ pub fn parity_home(leader: BlockId, avoid: &BTreeSet<usize>, nodes: usize) -> us
 // ---------------------------------------------------------------------------
 
 const PARITY_MAGIC: u32 = 0x4350_4152; // "CPAR"
-const PARITY_VERSION: u8 = 1;
+const PARITY_VERSION: u8 = 2;
 
 /// One group member as recorded in a parity block's header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -402,33 +238,19 @@ pub struct ParityMember {
 /// Decoded header + stripe of one parity block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParityPayload {
-    /// Which scheme encoded this group.
-    pub policy: ReplicationPolicy,
-    /// Index of this stripe (0 = P, 1 = Q).
-    pub parity_index: u8,
     /// The group's members, in member-index order.
     pub members: Vec<ParityMember>,
     /// The parity stripe (group's longest frame, zero-padded).
     pub stripe: Vec<u8>,
 }
 
-/// The header of a parity block's envelope; `stripe_len` bytes of stripe
+/// The header of a parity block's envelope — magic, version, member count,
+/// stripe length, then 20 bytes per member; `stripe_len` bytes of stripe
 /// follow it.
-fn envelope_header(
-    policy: ReplicationPolicy,
-    parity_index: u8,
-    members: &[ParityMember],
-    stripe_len: usize,
-) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(16 + 20 * members.len());
+fn envelope_header(members: &[ParityMember], stripe_len: usize) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(14 + 20 * members.len());
     bytes.extend_from_slice(&PARITY_MAGIC.to_le_bytes());
     bytes.push(PARITY_VERSION);
-    bytes.push(match policy {
-        ReplicationPolicy::Off => 0,
-        ReplicationPolicy::Xor => 1,
-        ReplicationPolicy::RsLite => 2,
-    });
-    bytes.push(parity_index);
     bytes.push(u8::try_from(members.len()).expect("group fits MAX_GROUP"));
     bytes.extend_from_slice(&(stripe_len as u64).to_le_bytes());
     for m in members {
@@ -440,12 +262,14 @@ fn envelope_header(
     bytes
 }
 
-/// Wraps a finished envelope (header + stripe) in an ordinary dense
-/// block: a length prefix plus the raw bytes as f64 bit patterns
-/// (bit-exact through any store or codec hop, untouched by arithmetic —
-/// parity keys are never operands). [`encode_group`] lays the same words
-/// out in place instead.
-fn envelope_block(bytes: &[u8]) -> Block {
+/// Serializes a parity payload into its store block: a length prefix plus
+/// the envelope (header + stripe) as f64 bit patterns — bit-exact through
+/// any store or codec hop, untouched by arithmetic, as parity keys are
+/// never operands. [`encode_group`] lays the same words out in place
+/// instead.
+pub fn pack_parity(payload: &ParityPayload) -> Block {
+    let mut bytes = envelope_header(&payload.members, payload.stripe.len());
+    bytes.extend_from_slice(&payload.stripe);
     let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(8));
     words.push(f64::from_bits(bytes.len() as u64));
     let whole = bytes.chunks_exact(8);
@@ -460,19 +284,6 @@ fn envelope_block(bytes: &[u8]) -> Block {
     }
     let cols = words.len();
     Block::Dense(DenseBlock::from_vec(1, cols, words).expect("length matches"))
-}
-
-/// Serializes a parity payload into its store block.
-pub fn pack_parity(payload: &ParityPayload) -> Block {
-    let stripe = &payload.stripe;
-    let mut bytes = envelope_header(
-        payload.policy,
-        payload.parity_index,
-        &payload.members,
-        stripe.len(),
-    );
-    bytes.extend_from_slice(stripe);
-    envelope_block(&bytes)
 }
 
 /// Parses a block produced by [`pack_parity`]. `None` if the block is not a
@@ -495,12 +306,6 @@ pub fn unpack_parity(block: &Block) -> Option<ParityPayload> {
     if r.u32()? != PARITY_MAGIC || r.u8()? != PARITY_VERSION {
         return None;
     }
-    let policy = match r.u8()? {
-        1 => ReplicationPolicy::Xor,
-        2 => ReplicationPolicy::RsLite,
-        _ => return None,
-    };
-    let parity_index = r.u8()?;
     let count = r.u8()? as usize;
     let stripe_len = r.u64()? as usize;
     let mut members = Vec::with_capacity(count);
@@ -515,12 +320,7 @@ pub fn unpack_parity(block: &Block) -> Option<ParityPayload> {
         return None;
     }
     let stripe = r.take(stripe_len)?.to_vec();
-    Some(ParityPayload {
-        policy,
-        parity_index,
-        members,
-        stripe,
-    })
+    Some(ParityPayload { members, stripe })
 }
 
 struct Reader<'a>(&'a [u8]);
@@ -567,19 +367,15 @@ pub type ParityGroup = Vec<(StoreKey, usize)>;
 
 /// The groups to encode for `matrices` over the `nodes`-node grid, from
 /// one resident-key snapshot: every resident copy-0 block of each matrix,
-/// grouped by [`assign_groups`]. Empty when the policy is off or the grid
-/// is too small to place parity off-member; a matrix that already has
-/// parity resident contributes nothing (encoding is idempotent).
+/// grouped by [`assign_groups`]. Empty when the grid is too small to place
+/// parity off-member; a matrix that already has parity resident
+/// contributes nothing (encoding is idempotent).
 pub fn parity_groups(
     snapshot: &BTreeMap<StoreKey, BTreeSet<usize>>,
     matrices: &BTreeSet<u64>,
     nodes: usize,
-    policy: ReplicationPolicy,
 ) -> Vec<ParityGroup> {
     let mut groups = Vec::new();
-    if policy.parity_count() == 0 {
-        return groups;
-    }
     for &matrix in matrices {
         let resident = || snapshot.iter().filter(move |(k, _)| k.matrix == matrix);
         if resident().any(|(k, _)| k.is_parity()) {
@@ -590,19 +386,20 @@ pub fn parity_groups(
             .filter_map(|(k, holders)| Some((*k, *holders.first()?)))
             .collect();
         let keys: Vec<StoreKey> = holder_of.keys().copied().collect();
-        for group in assign_groups(&keys, nodes, policy) {
+        for group in assign_groups(&keys, nodes) {
             groups.push(group.into_iter().map(|k| (k, holder_of[&k])).collect());
         }
     }
     groups
 }
 
-/// Encodes one group and installs its parity block(s) — bit for bit
+/// Encodes one group and installs its parity block — bit for bit
 /// [`pack_parity`] over [`encode_stripes`] of the padded member frames.
-/// Returns how many were installed: 0 if a member was evicted since the
-/// snapshot (the group is abandoned quietly; parity is derived state).
+/// Returns how many blocks were installed: 1, or 0 if a member was evicted
+/// since the snapshot (the group is abandoned quietly; parity is derived
+/// state).
 ///
-/// Each envelope is laid out once, in the buffer the installed block will
+/// The envelope is laid out once, in the buffer the installed block will
 /// alias — length word, header, zeroed stripe, drawn from `buffers` — and
 /// the members are folded into it where it lies: a member that is a view
 /// of its wire frame contributes those resident bytes as they are, any
@@ -611,7 +408,6 @@ pub fn encode_group(
     stores: &ClusterStores,
     group: &ParityGroup,
     nodes: usize,
-    policy: ReplicationPolicy,
     buffers: &FreeBuffers,
 ) -> u64 {
     let blocks: Option<Vec<Arc<Block>>> = group
@@ -630,24 +426,19 @@ pub fn encode_group(
         .collect();
     let stripe_len = members.iter().map(|m| m.frame_len).max().unwrap_or(0) as usize;
 
-    // The words of `envelope_block`, written where they will stay: the
+    // The words of `pack_parity`, written where they will stay: the
     // buffer's first 0–7 bytes are skipped so the words sit 8-byte aligned.
-    let mut envelopes: Vec<(BytesMut, usize, std::ops::Range<usize>)> = (0..policy.parity_count())
-        .map(|p| {
-            let header = envelope_header(policy, p as u8, &members, stripe_len);
-            let len = header.len() + stripe_len;
-            let mut buf = buffers.take(7 + 8 + len.next_multiple_of(8));
-            let skip = (buf.as_ref().as_ptr() as usize).wrapping_neg() & 7;
-            buf.resize(skip, 0);
-            buf.put_slice(&(len as u64).to_le_bytes());
-            buf.put_slice(&header);
-            let stripe_at = buf.len();
-            buf.resize(skip + 8 + len.next_multiple_of(8), 0);
-            (buf, skip, stripe_at..stripe_at + stripe_len)
-        })
-        .collect();
+    let header = envelope_header(&members, stripe_len);
+    let len = header.len() + stripe_len;
+    let mut buf = buffers.take(7 + 8 + len.next_multiple_of(8));
+    let skip = (buf.as_ref().as_ptr() as usize).wrapping_neg() & 7;
+    buf.resize(skip, 0);
+    buf.put_slice(&(len as u64).to_le_bytes());
+    buf.put_slice(&header);
+    let stripe = buf.len()..buf.len() + stripe_len;
+    buf.resize(skip + 8 + len.next_multiple_of(8), 0);
     let mut scratch = BytesMut::default();
-    for (i, blk) in blocks.iter().enumerate() {
+    for blk in &blocks {
         let frame: &[u8] = match codec::resident_frame(blk) {
             Some(frame) => frame,
             None => {
@@ -656,27 +447,21 @@ pub fn encode_group(
                 &scratch
             }
         };
-        for (p, (buf, _, stripe)) in envelopes.iter_mut().enumerate() {
-            fold_member(&mut buf[stripe.clone()], p, i, frame);
-        }
+        xor_into(&mut buf[stripe.clone()], frame);
     }
 
     let (leader, _) = group[0];
-    let mut avoid: BTreeSet<usize> = members.iter().map(|m| home_node(m.id, 0, nodes)).collect();
-    for (p, (buf, skip, _)) in envelopes.into_iter().enumerate() {
-        let home = parity_home(leader.id, &avoid, nodes);
-        avoid.insert(home);
-        let words = buf.freeze();
-        let words = words.slice(skip..words.len());
-        let block = DenseBlock::from_shared_bytes(1, words.len() / 8, words)
-            .expect("whole words, laid out 8-byte aligned");
-        stores.ingest(
-            home,
-            StoreKey::parity(leader.matrix, leader.id, p as u32),
-            Arc::new(Block::Dense(block)),
-        );
-    }
-    policy.parity_count() as u64
+    let avoid: BTreeSet<usize> = members.iter().map(|m| home_node(m.id, 0, nodes)).collect();
+    let words = buf.freeze();
+    let words = words.slice(skip..words.len());
+    let block = DenseBlock::from_shared_bytes(1, words.len() / 8, words)
+        .expect("whole words, laid out 8-byte aligned");
+    stores.ingest(
+        parity_home(leader.id, &avoid, nodes),
+        StoreKey::parity(leader.matrix, leader.id),
+        Arc::new(Block::Dense(block)),
+    );
+    1
 }
 
 /// Attempts a k-of-n reconstruction of `target` (a copy-0 data key) from
@@ -684,7 +469,8 @@ pub fn encode_group(
 /// and treating `target` itself as erased (so a success is a genuine
 /// decode, never a trivial copy). Returns the rebuilt block — content
 /// bit-identical to the original — and its frame length in bytes, or
-/// `None` when no parity covers the key or the erasure budget is exceeded.
+/// `None` when no readable parity covers the key or the erasure budget is
+/// exceeded.
 pub fn reconstruct_block(
     stores: &ClusterStores,
     target: StoreKey,
@@ -693,65 +479,36 @@ pub fn reconstruct_block(
     if target.is_parity() || target.copy != 0 {
         return None;
     }
-    // Find the group: scan resident parity envelopes of the same matrix.
-    let mut group: Option<(StoreKey, ParityPayload)> = None;
-    let mut envelopes: BTreeMap<StoreKey, ParityPayload> = BTreeMap::new();
-    for n in 0..stores.num_nodes() {
-        if Some(n) == exclude {
-            continue;
-        }
-        for key in stores.node(n).keys() {
-            if key.matrix != target.matrix || !key.is_parity() || envelopes.contains_key(&key) {
-                continue;
-            }
-            let blk = stores.node(n).get(&key)?;
-            let payload = unpack_parity(&blk)?;
-            if payload
-                .members
-                .iter()
-                .any(|m| m.id == target.id && m.copy == target.copy)
-            {
-                if group.is_none() {
-                    group = Some((key, payload.clone()));
-                }
-                envelopes.insert(key, payload);
-            }
-        }
-    }
-    let (leader_key, payload) = group?;
+    let readable = || (0..stores.num_nodes()).filter(move |&n| Some(n) != exclude);
+    let is_target = |m: &ParityMember| m.id == target.id && m.copy == target.copy;
+    // The group's parity is the envelope of the matrix whose member list
+    // names the target. One that cannot be read or parsed is skipped: it
+    // blinds its own group, not every group of the matrix.
+    let payload = readable()
+        .flat_map(|n| stores.node(n).keys().into_iter().map(move |k| (n, k)))
+        .filter(|(_, key)| key.matrix == target.matrix && key.is_parity())
+        .filter_map(|(n, key)| unpack_parity(&*stores.node(n).get(&key)?))
+        .find(|payload| payload.members.iter().any(is_target))?;
     let stripe_len = payload.stripe.len();
 
     // Gather survivor member stripes (the target stays erased).
-    let mut target_idx = None;
-    let mut data: Vec<Option<Vec<u8>>> = Vec::with_capacity(payload.members.len());
-    for (i, m) in payload.members.iter().enumerate() {
-        if m.id == target.id && m.copy == target.copy {
-            target_idx = Some(i);
-            data.push(None);
-            continue;
-        }
-        let key = StoreKey::replica(target.matrix, m.id, m.copy);
-        let blk = (0..stores.num_nodes())
-            .filter(|&n| Some(n) != exclude)
-            .find_map(|n| stores.node(n).get(&key));
-        data.push(blk.map(|b| padded_frame(&b, stripe_len)));
-    }
-    let target_idx = target_idx?;
+    let mut data: Vec<Option<Vec<u8>>> = payload
+        .members
+        .iter()
+        .map(|m| {
+            if is_target(m) {
+                return None;
+            }
+            let key = StoreKey::replica(target.matrix, m.id, m.copy);
+            let blk = readable().find_map(|n| stores.node(n).get(&key))?;
+            Some(padded_frame(&blk, stripe_len))
+        })
+        .collect();
+    decode_group(&mut data, Some(&payload.stripe), stripe_len).ok()?;
 
-    // Collect the group's parity stripes that survived.
-    let parity_count = payload.policy.parity_count();
-    let mut parity_stripes: Vec<Option<Vec<u8>>> = vec![None; parity_count];
-    for (key, env) in &envelopes {
-        if key.id == leader_key.id && (env.parity_index as usize) < parity_count {
-            parity_stripes[env.parity_index as usize] = Some(env.stripe.clone());
-        }
-    }
-    let parity_refs: Vec<Option<&[u8]>> = parity_stripes.iter().map(|p| p.as_deref()).collect();
-
-    decode_group(&mut data, &parity_refs, stripe_len).ok()?;
-
+    let target_idx = payload.members.iter().position(is_target)?;
     let frame_len = payload.members[target_idx].frame_len as usize;
-    let stripe = data[target_idx].take().expect("decode filled the erasure");
+    let stripe = data[target_idx].take()?;
     let block = codec::decode_slice(stripe.get(..frame_len)?).ok()?;
     Some((block, frame_len as u64))
 }
@@ -801,21 +558,11 @@ mod tests {
 
     /// One matrix's groups encoded one after another — what the executor
     /// runs as a gang.
-    fn encode_matrix_parity(
-        stores: &ClusterStores,
-        matrix: u64,
-        nodes: usize,
-        policy: ReplicationPolicy,
-    ) -> u64 {
-        parity_groups(
-            &stores.resident_keys(),
-            &BTreeSet::from([matrix]),
-            nodes,
-            policy,
-        )
-        .iter()
-        .map(|g| encode_group(stores, g, nodes, policy, &FreeBuffers::default()))
-        .sum()
+    fn encode_matrix_parity(stores: &ClusterStores, matrix: u64, nodes: usize) -> u64 {
+        parity_groups(&stores.resident_keys(), &BTreeSet::from([matrix]), nodes)
+            .iter()
+            .map(|g| encode_group(stores, g, nodes, &FreeBuffers::default()))
+            .sum()
     }
 
     fn dense(seed: u64, r: usize, c: usize) -> Block {
@@ -858,21 +605,20 @@ mod tests {
             .collect()
     }
 
-    fn roundtrip(blocks: &[Block], policy: ReplicationPolicy, erased: &[usize]) {
+    fn roundtrip(blocks: &[Block], erased: usize) {
         let frames: Vec<Vec<u8>> = blocks.iter().map(frame_bytes).collect();
         let stripe_len = frames.iter().map(Vec::len).max().unwrap();
         let stripes: Vec<Vec<u8>> = frames
             .iter()
             .map(|f| padded(f.clone(), stripe_len))
             .collect();
-        let parity = encode_stripes(&stripes, policy.parity_count(), stripe_len);
+        let parity = encode_stripes(&stripes, stripe_len);
         let mut data: Vec<Option<Vec<u8>>> = stripes
             .iter()
             .enumerate()
-            .map(|(i, s)| (!erased.contains(&i)).then(|| s.clone()))
+            .map(|(i, s)| (i != erased).then(|| s.clone()))
             .collect();
-        let parity_refs: Vec<Option<&[u8]>> = parity.iter().map(|p| Some(p.as_slice())).collect();
-        decode_group(&mut data, &parity_refs, stripe_len).expect("within budget");
+        decode_group(&mut data, Some(&parity), stripe_len).expect("within budget");
         for (i, frame) in frames.iter().enumerate() {
             let got = data[i].as_ref().unwrap();
             assert_eq!(&got[..frame.len()], &frame[..], "member {i} bytes differ");
@@ -885,17 +631,7 @@ mod tests {
     fn xor_round_trips_a_single_erasure() {
         let blocks = mixed_blocks(7, 5);
         for erased in 0..blocks.len() {
-            roundtrip(&blocks, ReplicationPolicy::Xor, &[erased]);
-        }
-    }
-
-    #[test]
-    fn rs_lite_round_trips_any_double_erasure() {
-        let blocks = mixed_blocks(21, 6);
-        for a in 0..blocks.len() {
-            for b in a + 1..blocks.len() {
-                roundtrip(&blocks, ReplicationPolicy::RsLite, &[a, b]);
-            }
+            roundtrip(&blocks, erased);
         }
     }
 
@@ -908,41 +644,27 @@ mod tests {
             .iter()
             .map(|f| padded(f.clone(), stripe_len))
             .collect();
-        let parity = encode_stripes(&stripes, 1, stripe_len);
-        let mut data: Vec<Option<Vec<u8>>> = vec![
-            None,
-            None,
-            Some(stripes[2].clone()),
-            Some(stripes[3].clone()),
-        ];
-        let err = decode_group(&mut data, &[Some(parity[0].as_slice())], stripe_len).unwrap_err();
-        assert_eq!(err, CodingError { lost: 2, budget: 1 });
-        assert!(data[0].is_none() && data[1].is_none(), "no wrong bytes");
-    }
-
-    #[test]
-    fn q_only_decode_recovers_when_p_is_also_lost() {
-        // RS-lite with P erased alongside one data member: Q alone decodes.
-        let blocks = mixed_blocks(11, 4);
-        let frames: Vec<Vec<u8>> = blocks.iter().map(frame_bytes).collect();
-        let stripe_len = frames.iter().map(Vec::len).max().unwrap();
-        let stripes: Vec<Vec<u8>> = frames
-            .iter()
-            .map(|f| padded(f.clone(), stripe_len))
-            .collect();
-        let parity = encode_stripes(&stripes, 2, stripe_len);
-        let mut data: Vec<Option<Vec<u8>>> = stripes.iter().cloned().map(Some).collect();
-        data[2] = None;
-        decode_group(&mut data, &[None, Some(parity[1].as_slice())], stripe_len)
-            .expect("Q decodes one erasure");
-        assert_eq!(data[2].as_ref().unwrap(), &stripes[2]);
+        let parity = encode_stripes(&stripes, stripe_len);
+        // Two members lost against one parity stripe; one member lost with
+        // the parity gone too.
+        for (erased, parity, lost, budget) in [
+            (&[0, 1][..], Some(parity.as_slice()), 2, 1),
+            (&[2][..], None, 1, 0),
+        ] {
+            let mut data: Vec<Option<Vec<u8>>> = stripes
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (!erased.contains(&i)).then(|| s.clone()))
+                .collect();
+            let err = decode_group(&mut data, parity, stripe_len).unwrap_err();
+            assert_eq!(err, CodingError { lost, budget });
+            assert!(erased.iter().all(|&i| data[i].is_none()), "no wrong bytes");
+        }
     }
 
     #[test]
     fn parity_envelope_round_trips() {
         let payload = ParityPayload {
-            policy: ReplicationPolicy::RsLite,
-            parity_index: 1,
             members: vec![
                 ParityMember {
                     id: BlockId::new(3, 1),
@@ -969,11 +691,11 @@ mod tests {
         let keys: Vec<StoreKey> = (0..6)
             .flat_map(|r| (0..5).map(move |c| StoreKey::operand(9, BlockId::new(r, c))))
             .collect();
-        let groups = assign_groups(&keys, nodes, ReplicationPolicy::Xor);
+        let groups = assign_groups(&keys, nodes);
         let total: usize = groups.iter().map(Vec::len).sum();
         assert_eq!(total, keys.len(), "every key is coded exactly once");
         for g in &groups {
-            assert!(g.len() <= group_size_cap(nodes, ReplicationPolicy::Xor));
+            assert!(g.len() <= group_size_cap(nodes));
             let homes: BTreeSet<usize> = g.iter().map(|k| home_node(k.id, 0, nodes)).collect();
             assert_eq!(homes.len(), g.len(), "member homes must be distinct");
             let p = parity_home(g[0].id, &homes, nodes);
@@ -994,13 +716,10 @@ mod tests {
             stores.ingest(home_node(id, 0, nodes), key, Arc::new(blk.clone()));
             keys.push((key, blk.clone()));
         }
-        let installed = encode_matrix_parity(&stores, matrix, nodes, ReplicationPolicy::Xor);
+        let installed = encode_matrix_parity(&stores, matrix, nodes);
         assert!(installed > 0);
         // Idempotent: a second encode is a no-op.
-        assert_eq!(
-            encode_matrix_parity(&stores, matrix, nodes, ReplicationPolicy::Xor),
-            0
-        );
+        assert_eq!(encode_matrix_parity(&stores, matrix, nodes), 0);
         for (key, original) in &keys {
             let (rebuilt, bytes) =
                 reconstruct_block(&stores, *key, None).expect("single erasure decodes");
@@ -1047,7 +766,7 @@ mod tests {
                 Arc::new(dense(i as u64 + 1, 3, 3)),
             );
         }
-        assert!(encode_matrix_parity(&stores, matrix, nodes, ReplicationPolicy::Xor) > 0);
+        assert!(encode_matrix_parity(&stores, matrix, nodes) > 0);
         let target = StoreKey::operand(matrix, picked[0]);
         // Without exclusion the sibling is readable: decode succeeds.
         assert!(reconstruct_block(&stores, target, None).is_some());
@@ -1107,96 +826,118 @@ mod tests {
 
     #[test]
     fn folded_encode_installs_exactly_what_the_padded_reference_packs() {
-        for policy in [ReplicationPolicy::Xor, ReplicationPolicy::RsLite] {
-            let (nodes, matrix) = (6, 31u64);
-            let stores = ClusterStores::new(nodes);
-            let blocks = mixed_blocks(5, 17);
-            // Every other block is resident as a delivery left it — the
-            // dense ones views whose frame the fold reads in place — so
-            // groups mix views with owned dense and sparse members.
-            let resident: Vec<Block> = blocks
+        let (nodes, matrix) = (6, 31u64);
+        let stores = ClusterStores::new(nodes);
+        let blocks = mixed_blocks(5, 17);
+        // Every other block is resident as a delivery left it — the dense
+        // ones views whose frame the fold reads in place — so groups mix
+        // views with owned dense and sparse members.
+        let resident: Vec<Block> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                if i % 2 == 0 {
+                    over_the_wire(b)
+                } else {
+                    b.clone()
+                }
+            })
+            .collect();
+        let keys = ingest_grid(&stores, matrix, &resident);
+        let is_view: BTreeMap<StoreKey, bool> = keys
+            .iter()
+            .zip(&resident)
+            .map(|(k, b)| (*k, codec::resident_frame(b).is_some()))
+            .collect();
+        let block_of: BTreeMap<StoreKey, &Block> = keys.iter().copied().zip(&blocks).collect();
+
+        // The definition: pad every member frame to the group's longest,
+        // encode the stripe, pack it into an envelope.
+        let mut expected = BTreeMap::new();
+        let (mut mixed_kinds, mut unequal_lengths, mut mixed_storage) = (false, false, false);
+        for group in assign_groups(&keys, nodes) {
+            mixed_storage |= group.iter().any(|k| is_view[k])
+                && group
+                    .iter()
+                    .any(|k| !is_view[k] && matches!(block_of[k], Block::Dense(_)));
+            let frames: Vec<Vec<u8>> = group.iter().map(|k| frame_bytes(block_of[k])).collect();
+            let stripe_len = frames.iter().map(Vec::len).max().unwrap();
+            unequal_lengths |= frames.iter().any(|f| f.len() < stripe_len);
+            mixed_kinds |= group.iter().any(|k| matches!(block_of[k], Block::Dense(_)))
+                && group
+                    .iter()
+                    .any(|k| matches!(block_of[k], Block::Sparse(_)));
+            let members: Vec<ParityMember> = group
                 .iter()
-                .enumerate()
-                .map(|(i, b)| {
-                    if i % 2 == 0 {
-                        over_the_wire(b)
-                    } else {
-                        b.clone()
-                    }
+                .zip(&frames)
+                .map(|(k, f)| ParityMember {
+                    id: k.id,
+                    copy: k.copy,
+                    frame_len: f.len() as u64,
                 })
                 .collect();
-            let keys = ingest_grid(&stores, matrix, &resident);
-            let is_view: BTreeMap<StoreKey, bool> = keys
-                .iter()
-                .zip(&resident)
-                .map(|(k, b)| (*k, codec::resident_frame(b).is_some()))
-                .collect();
-            let block_of: BTreeMap<StoreKey, &Block> = keys.iter().copied().zip(&blocks).collect();
-
-            // The definition: pad every member frame to the group's
-            // longest, encode the stripes, pack each into an envelope.
-            let mut expected = BTreeMap::new();
-            let (mut mixed_kinds, mut unequal_lengths, mut mixed_storage) = (false, false, false);
-            for group in assign_groups(&keys, nodes, policy) {
-                mixed_storage |= group.iter().any(|k| is_view[k])
-                    && group
-                        .iter()
-                        .any(|k| !is_view[k] && matches!(block_of[k], Block::Dense(_)));
-                let frames: Vec<Vec<u8>> = group.iter().map(|k| frame_bytes(block_of[k])).collect();
-                let stripe_len = frames.iter().map(Vec::len).max().unwrap();
-                unequal_lengths |= frames.iter().any(|f| f.len() < stripe_len);
-                mixed_kinds |= group.iter().any(|k| matches!(block_of[k], Block::Dense(_)))
-                    && group
-                        .iter()
-                        .any(|k| matches!(block_of[k], Block::Sparse(_)));
-                let members: Vec<ParityMember> = group
-                    .iter()
-                    .zip(&frames)
-                    .map(|(k, f)| ParityMember {
-                        id: k.id,
-                        copy: k.copy,
-                        frame_len: f.len() as u64,
-                    })
-                    .collect();
-                let stripes: Vec<Vec<u8>> =
-                    frames.into_iter().map(|f| padded(f, stripe_len)).collect();
-                let leader = group[0].id;
-                let mut avoid: BTreeSet<usize> =
-                    group.iter().map(|k| home_node(k.id, 0, nodes)).collect();
-                let parity = encode_stripes(&stripes, policy.parity_count(), stripe_len);
-                for (p, stripe) in parity.into_iter().enumerate() {
-                    let home = parity_home(leader, &avoid, nodes);
-                    avoid.insert(home);
-                    let envelope = pack_parity(&ParityPayload {
-                        policy,
-                        parity_index: p as u8,
-                        members: members.clone(),
-                        stripe,
-                    });
-                    expected.insert(
-                        (home, StoreKey::parity(matrix, leader, p as u32)),
-                        word_bits(&envelope),
-                    );
-                }
-            }
-            assert!(
-                mixed_kinds && unequal_lengths && mixed_storage,
-                "the groups must exercise the pad, with resident and serialized frames"
+            let stripes: Vec<Vec<u8>> = frames.into_iter().map(|f| padded(f, stripe_len)).collect();
+            let leader = group[0].id;
+            let homes: BTreeSet<usize> = group.iter().map(|k| home_node(k.id, 0, nodes)).collect();
+            let envelope = pack_parity(&ParityPayload {
+                members,
+                stripe: encode_stripes(&stripes, stripe_len),
+            });
+            expected.insert(
+                (
+                    parity_home(leader, &homes, nodes),
+                    StoreKey::parity(matrix, leader),
+                ),
+                word_bits(&envelope),
             );
+        }
+        assert!(
+            mixed_kinds && unequal_lengths && mixed_storage,
+            "the groups must exercise the pad, with resident and serialized frames"
+        );
 
-            let installed = encode_matrix_parity(&stores, matrix, nodes, policy);
-            assert_eq!(installed as usize, expected.len());
-            assert_eq!(
-                resident_parity(&stores),
-                expected,
-                "{policy:?}: keys, homes, envelope bits"
-            );
-            for (key, original) in &block_of {
-                let (rebuilt, bytes) = reconstruct_block(&stores, *key, None).expect("decodes");
-                assert_eq!(frame_bytes(&rebuilt), frame_bytes(original), "{key:?}");
-                assert_eq!(bytes, codec::encoded_len(original));
+        let installed = encode_matrix_parity(&stores, matrix, nodes);
+        assert_eq!(installed as usize, expected.len(), "one block per group");
+        assert_eq!(
+            resident_parity(&stores),
+            expected,
+            "keys, homes, envelope bits"
+        );
+        for (key, original) in &block_of {
+            let (rebuilt, bytes) = reconstruct_block(&stores, *key, None).expect("decodes");
+            assert_eq!(frame_bytes(&rebuilt), frame_bytes(original), "{key:?}");
+            assert_eq!(bytes, codec::encoded_len(original));
+        }
+    }
+
+    #[test]
+    fn a_bad_envelope_blinds_only_its_own_group() {
+        let (nodes, matrix) = (5, 12u64);
+        let stores = ClusterStores::new(nodes);
+        let blocks = mixed_blocks(9, 12);
+        let keys = ingest_grid(&stores, matrix, &blocks);
+        let groups = encode_matrix_parity(&stores, matrix, nodes);
+        assert!(groups > 1, "the matrix must span several groups");
+        // A block that is not an envelope takes one group's parity key.
+        let (node, key) = *resident_parity(&stores).keys().next().unwrap();
+        let blinded = unpack_parity(&stores.node(node).get(&key).unwrap())
+            .unwrap()
+            .members;
+        stores.node(node).remove(&key);
+        stores.node(node).install(key, Arc::new(dense(1, 4, 4)));
+
+        let mut decoded = 0;
+        for (key, original) in keys.iter().zip(&blocks) {
+            let rebuilt = reconstruct_block(&stores, *key, None);
+            if blinded.iter().any(|m| m.id == key.id) {
+                assert!(rebuilt.is_none(), "{key:?}: its group has no parity");
+            } else {
+                let (rebuilt, _) = rebuilt.expect("an intact group decodes");
+                assert_eq!(&rebuilt, original, "{key:?}");
+                decoded += 1;
             }
         }
+        assert_eq!(decoded, keys.len() - blinded.len());
     }
 
     #[test]
@@ -1206,30 +947,17 @@ mod tests {
         for matrix in [3u64, 4, 9] {
             ingest_grid(&stores, matrix, &mixed_blocks(matrix, 7));
         }
-        let policy = ReplicationPolicy::Xor;
-        assert!(encode_matrix_parity(&stores, 4, nodes, policy) > 0);
-        let groups = parity_groups(
-            &stores.resident_keys(),
-            &BTreeSet::from([3, 4, 9]),
-            nodes,
-            policy,
-        );
+        assert!(encode_matrix_parity(&stores, 4, nodes) > 0);
+        let groups = parity_groups(&stores.resident_keys(), &BTreeSet::from([3, 4, 9]), nodes);
         let coded: BTreeSet<u64> = groups.iter().map(|g| g[0].0.matrix).collect();
         assert_eq!(coded, BTreeSet::from([3, 9]), "4 already has parity");
         for g in &groups {
             assert!(g.iter().all(|(k, _)| k.matrix == g[0].0.matrix));
         }
         // Per matrix, the groups are the ones a single-matrix call makes.
-        let alone = parity_groups(&stores.resident_keys(), &BTreeSet::from([9]), nodes, policy);
+        let alone = parity_groups(&stores.resident_keys(), &BTreeSet::from([9]), nodes);
         let of_nine: Vec<&ParityGroup> = groups.iter().filter(|g| g[0].0.matrix == 9).collect();
         assert_eq!(of_nine, alone.iter().collect::<Vec<_>>());
-        assert!(parity_groups(
-            &stores.resident_keys(),
-            &BTreeSet::from([3]),
-            nodes,
-            ReplicationPolicy::Off
-        )
-        .is_empty());
     }
 
     proptest! {
@@ -1241,23 +969,23 @@ mod tests {
         #[test]
         fn mutated_envelopes_never_panic_and_never_overrun_their_block(
             seed in any::<u64>(),
-            rs in any::<bool>(),
             kind in 0usize..5,
             at in any::<usize>(),
             value in any::<u64>(),
         ) {
-            let policy = if rs { ReplicationPolicy::RsLite } else { ReplicationPolicy::Xor };
             let (nodes, matrix) = (5, 8u64);
             let stores = ClusterStores::new(nodes);
-            let keys = ingest_grid(&stores, matrix, &mixed_blocks(seed, 6));
-            prop_assert!(encode_matrix_parity(&stores, matrix, nodes, policy) > 0);
+            let blocks = mixed_blocks(seed, 6);
+            let keys = ingest_grid(&stores, matrix, &blocks);
+            prop_assert!(encode_matrix_parity(&stores, matrix, nodes) > 0);
             let parity = resident_parity(&stores);
             let ((node, key), words) = parity.iter().nth(at % parity.len()).unwrap();
+            let own_group = unpack_parity(&stores.node(*node).get(key).unwrap()).unwrap().members;
 
             // Envelope byte `i` sits at `8 + i`, after the length word.
             let mut raw: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-            let members = raw[8 + 7] as usize;
-            let header_len = 16 + 20 * members;
+            let members = raw[8 + 5] as usize;
+            let header_len = 14 + 20 * members;
             let bump = |raw: &mut [u8], offset: usize| {
                 let old = u64::from_le_bytes(raw[offset..offset + 8].try_into().unwrap());
                 let new = if value.is_multiple_of(2) { value } else { old + 1 + value % 4096 };
@@ -1266,9 +994,9 @@ mod tests {
             match kind {
                 0 => raw.truncate(8 * (1 + at % (raw.len() / 8))),
                 1 => raw[8 + at % header_len] = value as u8,
-                2 => bump(&mut raw, 8 + 16 + 20 * (at % members) + 12), // a frame_len
-                3 => bump(&mut raw, if at.is_multiple_of(2) { 8 + 8 } else { 0 }), // stripe_len, length word
-                _ => raw[8 + 7] = raw[8 + 7].max(value as u8),          // member count
+                2 => bump(&mut raw, 8 + 14 + 20 * (at % members) + 12), // a frame_len
+                3 => bump(&mut raw, if at.is_multiple_of(2) { 8 + 6 } else { 0 }), // stripe_len, length word
+                _ => raw[8 + 5] = raw[8 + 5].max(value as u8),          // member count
             }
             let carried = raw.len() - 8;
             let words: Vec<f64> = raw
@@ -1278,46 +1006,44 @@ mod tests {
             let cols = words.len();
             let mutated = Block::Dense(DenseBlock::from_vec(1, cols, words).unwrap());
 
+            let mut named = own_group;
             if let Some(payload) = unpack_parity(&mutated) {
                 prop_assert!(payload.stripe.len() <= carried);
                 prop_assert!(payload
                     .members
                     .iter()
                     .all(|m| m.frame_len <= payload.stripe.len() as u64));
+                named.extend(payload.members);
             }
             stores.node(*node).remove(key);
             stores.node(*node).install(*key, Arc::new(mutated));
-            // A target of another group decodes through its own, intact
-            // envelope; either way no frame outgrows what carried it.
+            // A target the mutated envelope names, before or after the
+            // mutation, may fail to decode, but no frame outgrows what
+            // carried it; every other target decodes through its own,
+            // intact envelope.
             let largest = resident_parity(&stores).values().map(|w| 8 * (w.len() - 1)).max();
-            for target in keys {
-                if let Some((_, bytes)) = reconstruct_block(&stores, target, None) {
-                    prop_assert!(bytes as usize <= largest.unwrap());
+            for (target, original) in keys.iter().zip(&blocks) {
+                let rebuilt = reconstruct_block(&stores, *target, None);
+                if named.iter().any(|m| m.id == target.id) {
+                    if let Some((_, bytes)) = rebuilt {
+                        prop_assert!(bytes as usize <= largest.unwrap());
+                    }
+                } else {
+                    prop_assert_eq!(rebuilt.map(|(b, _)| b).as_ref(), Some(original));
                 }
             }
         }
 
-        /// The satellite contract: random group sizes × erasure patterns
-        /// within budget decode bit-identically for dense and CSR members;
+        /// The satellite contract: random group sizes × erasure positions
+        /// decode bit-identically for dense and CSR members;
         /// beyond-budget erasures are a typed error, never wrong bytes.
         #[test]
         fn any_within_budget_erasure_decodes_bit_identically(
             seed in any::<u64>(),
             size in 1usize..MAX_GROUP + 1,
-            rs in any::<bool>(),
-            first_pick in any::<u64>(),
-            second_pick in any::<u64>(),
+            pick in any::<u64>(),
         ) {
-            let policy = if rs { ReplicationPolicy::RsLite } else { ReplicationPolicy::Xor };
-            let blocks = mixed_blocks(seed, size);
-            let mut erased = vec![first_pick as usize % size];
-            if policy == ReplicationPolicy::RsLite && size > 1 {
-                let second = second_pick as usize % size;
-                if !erased.contains(&second) {
-                    erased.push(second);
-                }
-            }
-            roundtrip(&blocks, policy, &erased);
+            roundtrip(&mixed_blocks(seed, size), pick as usize % size);
         }
 
         #[test]
@@ -1333,11 +1059,11 @@ mod tests {
                 .iter()
                 .map(|f| padded(f.clone(), stripe_len))
                 .collect();
-            let parity = encode_stripes(&stripes, 1, stripe_len);
+            let parity = encode_stripes(&stripes, stripe_len);
             let mut data: Vec<Option<Vec<u8>>> = stripes.iter().cloned().map(Some).collect();
             data[0] = None;
             data[1] = None;
-            let err = decode_group(&mut data, &[Some(parity[0].as_slice())], stripe_len);
+            let err = decode_group(&mut data, Some(&parity), stripe_len);
             prop_assert_eq!(err, Err(CodingError { lost: 2, budget: 1 }));
             prop_assert!(data[0].is_none() && data[1].is_none());
         }

@@ -209,8 +209,8 @@ pub struct ClusterConfig {
     pub scheduler: SchedulerConfig,
     /// Coded-replication policy (`cluster::coding`): off by default so
     /// placement, wire frames, and ledger bytes stay byte-identical to the
-    /// pre-coding engine; `Xor`/`RsLite` materialize parity groups that
-    /// recovery decodes instead of replaying lineage.
+    /// pre-coding engine; `Xor` materializes one parity block per group,
+    /// which recovery decodes instead of replaying lineage.
     pub replication: ReplicationPolicy,
 }
 
@@ -486,7 +486,6 @@ mod tests {
         c.assert_valid();
         assert_eq!(ReplicationPolicy::Off.parity_count(), 0);
         assert_eq!(ReplicationPolicy::Xor.parity_count(), 1);
-        assert_eq!(ReplicationPolicy::RsLite.parity_count(), 2);
     }
 
     #[test]

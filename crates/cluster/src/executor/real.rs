@@ -212,12 +212,11 @@ impl LocalCluster {
     /// `buffers`. Parity is derived state: a stage the scheduler refuses
     /// (more groups than `max_tasks`) installs none.
     fn encode_parity_of(&self, matrices: &BTreeSet<u64>, buffers: &FreeBuffers) -> u64 {
-        let (nodes, policy) = (self.cfg.nodes, self.cfg.replication);
-        if policy.parity_count() == 0 {
+        let nodes = self.cfg.nodes;
+        if self.cfg.replication.parity_count() == 0 {
             return 0;
         }
-        let groups =
-            crate::coding::parity_groups(&self.stores.resident_keys(), matrices, nodes, policy);
+        let groups = crate::coding::parity_groups(&self.stores.resident_keys(), matrices, nodes);
         if groups.is_empty() {
             return 0;
         }
@@ -227,7 +226,6 @@ impl LocalCluster {
                 &self.stores,
                 &groups[ctx.task],
                 nodes,
-                policy,
                 buffers,
             ))
         })
@@ -358,10 +356,9 @@ impl LocalCluster {
         // Parity decode, while the dying node is still addressable (its
         // store is excluded from every read — reconstruction must succeed
         // from group survivors alone). Rebuilt blocks are installed on a
-        // surviving node and rejoin the survivor set; recoveries install
-        // as they land, so an RS-lite group with two members on `node`
-        // decodes the first from P+Q and the second from the now-resident
-        // first. Whatever remains lost exceeded its group's budget.
+        // surviving node and rejoin the survivor set. Whatever remains lost
+        // exceeded its group's budget: two sole-copy members of one group
+        // both physically on `node`.
         let (mut reconstructed, mut reconstruction_bytes) = (0u64, 0u64);
         if self.cfg.replication.parity_count() > 0 {
             lost_keys.retain(|key| {

@@ -32,8 +32,8 @@
 //!   block re-homing onto the resized grid ([`Phase::Rebalance`] traffic),
 //!   lineage recovery from surviving replicas, and a utilization-band
 //!   autoscaler ([`ElasticPolicy`]);
-//! * [`coding`] — coded replication ([`ReplicationPolicy`]): XOR /
-//!   Reed–Solomon-lite parity groups materialized at placement time so
+//! * [`coding`] — coded replication ([`ReplicationPolicy`]): one XOR
+//!   parity block per group, materialized at placement time so
 //!   recovery reconstructs a lost block from any k-of-n group survivors
 //!   instead of requiring the producer copy (recovery precedence: parity
 //!   decode → lineage → typed failure).

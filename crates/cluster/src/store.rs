@@ -43,8 +43,7 @@ pub struct StoreKey {
     pub matrix: u64,
     /// Grid position (for parity: the group leader's position).
     pub id: BlockId,
-    /// Producer copy index (0 for operands and final results; for parity:
-    /// the parity index within the group, 0 = XOR/P, 1 = RS/Q).
+    /// Producer copy index (0 for operands, final results and parity).
     pub copy: u32,
     /// Content block or derived parity.
     pub kind: StoreKind,
@@ -71,12 +70,12 @@ impl StoreKey {
         }
     }
 
-    /// Key for parity block `copy` of the coded group led by `id`.
-    pub fn parity(matrix: u64, id: BlockId, copy: u32) -> Self {
+    /// Key for the parity block of the coded group led by `id`.
+    pub fn parity(matrix: u64, id: BlockId) -> Self {
         StoreKey {
             matrix,
             id,
-            copy,
+            copy: 0,
             kind: StoreKind::Parity,
         }
     }
@@ -521,7 +520,7 @@ mod tests {
     #[test]
     fn parity_keys_order_after_the_data_key_with_the_same_copy() {
         let d = StoreKey::operand(1, BlockId::new(0, 0));
-        let p = StoreKey::parity(1, BlockId::new(0, 0), 0);
+        let p = StoreKey::parity(1, BlockId::new(0, 0));
         assert!(d < p);
         assert!(p.is_parity());
         assert!(!d.is_parity());

@@ -256,6 +256,7 @@ fn ridge_inverse(gram: &BlockMatrix, lambda: f64, bs: u64) -> Result<BlockMatrix
 mod tests {
     use super::*;
     use crate::session::RealSession;
+    use crate::test_support::{elastic_cfg, factor_bits, small_v};
 
     fn tiny_v() -> BlockMatrix {
         let meta = MatrixMeta::sparse(96, 64, 0.2).with_block_size(16);
@@ -344,36 +345,6 @@ mod tests {
         assert!(matches!(err, JobError::Singular { .. }), "{err}");
         // ... and invertible once regularized.
         assert!(ridge_inverse(&zero, 0.1, 8).is_ok());
-    }
-
-    /// A grid where every ALS distributed op falls under the optimizer's
-    /// §3.2 voxel exception, making the decomposition — and therefore the
-    /// floating-point summation order — independent of the node count.
-    fn elastic_cfg(nodes: usize) -> ClusterConfig {
-        ClusterConfig {
-            nodes,
-            tasks_per_node: 10,
-            ..ClusterConfig::laptop()
-        }
-    }
-
-    fn small_v() -> BlockMatrix {
-        let meta = MatrixMeta::sparse(64, 48, 0.3).with_block_size(16);
-        MatrixGenerator::with_seed(3)
-            .value_range(1.0, 5.0)
-            .generate(&meta)
-            .unwrap()
-    }
-
-    /// Exact bit pattern of a factor: block ids plus every f64's bits.
-    fn factor_bits(m: &BlockMatrix) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (id, blk) in m.blocks() {
-            out.push(u64::from(id.row));
-            out.push(u64::from(id.col));
-            out.extend(blk.to_dense().data().iter().map(|x| x.to_bits()));
-        }
-        out
     }
 
     #[test]

@@ -152,6 +152,7 @@ fn frobenius_residual(v: &BlockMatrix, w: &BlockMatrix, h: &BlockMatrix) -> Resu
 mod tests {
     use super::*;
     use crate::session::RealSession;
+    use crate::test_support::{elastic_cfg, factor_bits, small_v};
 
     fn tiny_v() -> BlockMatrix {
         // A small positive rating matrix.
@@ -215,40 +216,6 @@ mod tests {
         for (_, blk) in res.h.blocks() {
             assert!(blk.to_dense().data().iter().all(|&x| x >= 0.0));
         }
-    }
-
-    /// A grid where every GNMF matmul falls under the optimizer's §3.2
-    /// voxel exception (`voxels < M·Tc` ⇒ spec `(I, J, K)`, no search):
-    /// the decomposition — and therefore the floating-point summation
-    /// order — is then *independent of the node count*, which is what
-    /// makes elastic runs bit-comparable to fixed-grid runs.
-    fn elastic_cfg(nodes: usize) -> ClusterConfig {
-        ClusterConfig {
-            nodes,
-            tasks_per_node: 10,
-            ..ClusterConfig::laptop()
-        }
-    }
-
-    fn small_v() -> BlockMatrix {
-        // 4 x 3 blocks: at factor_dim 16 the largest matmul has 12 voxels,
-        // under even the 4-node grid's 40 slots.
-        let meta = MatrixMeta::sparse(64, 48, 0.3).with_block_size(16);
-        MatrixGenerator::with_seed(3)
-            .value_range(1.0, 5.0)
-            .generate(&meta)
-            .unwrap()
-    }
-
-    /// Exact bit pattern of a factor: block ids plus every f64's bits.
-    fn factor_bits(m: &BlockMatrix) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (id, blk) in m.blocks() {
-            out.push(u64::from(id.row));
-            out.push(u64::from(id.col));
-            out.extend(blk.to_dense().data().iter().map(|x| x.to_bits()));
-        }
-        out
     }
 
     #[test]

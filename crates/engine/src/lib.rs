@@ -50,3 +50,45 @@ pub use gnmf::GnmfConfig;
 pub use service::{JobHandle, JobOutput, JobService, JobSpec, JobStatus};
 pub use session::{Ops, RealSession, SimReport, SimSession, TenantSession};
 pub use systems::SystemProfile;
+
+#[cfg(test)]
+/// Fixtures the elastic GNMF and ALS tests share.
+pub(crate) mod test_support {
+    use distme_cluster::ClusterConfig;
+    use distme_matrix::{BlockMatrix, MatrixGenerator, MatrixMeta};
+
+    /// A grid where every GNMF and ALS distributed op falls under the
+    /// optimizer's §3.2 voxel exception (`voxels < M·Tc` ⇒ spec
+    /// `(I, J, K)`, no search): the decomposition — and therefore the
+    /// floating-point summation order — is then *independent of the node
+    /// count*, which is what makes elastic runs bit-comparable to
+    /// fixed-grid runs.
+    pub(crate) fn elastic_cfg(nodes: usize) -> ClusterConfig {
+        ClusterConfig {
+            nodes,
+            tasks_per_node: 10,
+            ..ClusterConfig::laptop()
+        }
+    }
+
+    /// 4 x 3 blocks: at factor_dim 16 the largest matmul has 12 voxels,
+    /// under even the 4-node grid's 40 slots.
+    pub(crate) fn small_v() -> BlockMatrix {
+        let meta = MatrixMeta::sparse(64, 48, 0.3).with_block_size(16);
+        MatrixGenerator::with_seed(3)
+            .value_range(1.0, 5.0)
+            .generate(&meta)
+            .unwrap()
+    }
+
+    /// Exact bit pattern of a factor: block ids plus every f64's bits.
+    pub(crate) fn factor_bits(m: &BlockMatrix) -> Vec<u64> {
+        let mut out = Vec::new();
+        for (id, blk) in m.blocks() {
+            out.push(u64::from(id.row));
+            out.push(u64::from(id.col));
+            out.extend(blk.to_dense().data().iter().map(|x| x.to_bits()));
+        }
+        out
+    }
+}

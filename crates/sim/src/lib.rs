@@ -14,9 +14,9 @@
 //!   a GPU's SM array) that serves requests in request order;
 //! * [`SlotPool`] — `k` parallel servers (Spark's `Tc` task slots per node,
 //!   CUDA's concurrent-stream limit);
-//! * [`Gauge`] — a capacity counter with peak tracking (task heap memory,
-//!   GPU device memory, cluster disk) used to detect the paper's O.O.M. and
-//!   E.D.C. failure modes;
+//! * [`Gauge`] — a capacity counter (task heap memory, GPU device memory,
+//!   cluster disk) used to detect the paper's O.O.M. and E.D.C. failure
+//!   modes;
 //! * [`BusyTracker`] — busy-time accumulation for utilization metrics
 //!   (Fig. 7(g)'s GPU core utilization).
 //!

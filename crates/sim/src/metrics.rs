@@ -2,12 +2,11 @@
 
 use crate::time::SimTime;
 
-/// Accumulates busy intervals of a resource to compute utilization over a
-/// window — used for the GPU core utilization the paper measures with
-//  `nvidia-smi` (Fig. 7(g)).
+/// Accumulates busy intervals of a resource — the busy time behind the GPU
+/// core utilization the paper measures with `nvidia-smi` (Fig. 7(g)).
 ///
 /// Intervals may be recorded out of order; overlapping intervals are merged
-/// when utilization is computed, so concurrent kernels on different streams
+/// when busy time is computed, so concurrent kernels on different streams
 /// don't double-count.
 #[derive(Debug, Clone, Default)]
 pub struct BusyTracker {
@@ -40,7 +39,6 @@ impl BusyTracker {
                 Some((cs, ce)) => {
                     total += ce - cs;
                     cur = Some((s, e));
-                    let _ = cs;
                 }
                 None => cur = Some((s, e)),
             }
@@ -49,28 +47,6 @@ impl BusyTracker {
             total += ce - cs;
         }
         total
-    }
-
-    /// Utilization over `[window_start, window_end]`: merged busy time
-    /// clipped to the window, divided by the window length. Returns 0 for an
-    /// empty window.
-    pub fn utilization(&self, window_start: SimTime, window_end: SimTime) -> f64 {
-        let (ws, we) = (window_start.as_secs(), window_end.as_secs());
-        if we <= ws {
-            return 0.0;
-        }
-        let clipped = BusyTracker {
-            intervals: self
-                .intervals
-                .iter()
-                .filter_map(|&(s, e)| {
-                    let cs = s.max(ws);
-                    let ce = e.min(we);
-                    (ce > cs).then_some((cs, ce))
-                })
-                .collect(),
-        };
-        clipped.busy_secs() / (we - ws)
     }
 }
 
@@ -105,15 +81,6 @@ mod tests {
         b.record(t(5.0), t(6.0));
         b.record(t(0.0), t(1.0));
         assert_eq!(b.busy_secs(), 2.0);
-    }
-
-    #[test]
-    fn utilization_clips_to_window() {
-        let mut b = BusyTracker::new();
-        b.record(t(0.0), t(4.0));
-        assert!((b.utilization(t(2.0), t(6.0)) - 0.5).abs() < 1e-12);
-        assert_eq!(b.utilization(t(10.0), t(12.0)), 0.0);
-        assert_eq!(b.utilization(t(3.0), t(3.0)), 0.0);
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl std::fmt::Display for GaugeError {
 
 impl std::error::Error for GaugeError {}
 
-/// A capacity counter with peak tracking.
+/// A capacity counter.
 ///
 /// Models bounded memories: a task's heap budget θt, GPU device memory θg,
 /// or cluster disk. Exceeding the capacity is reported as an error so the
@@ -199,7 +199,6 @@ impl std::error::Error for GaugeError {}
 pub struct Gauge {
     capacity: u64,
     in_use: u64,
-    peak: u64,
 }
 
 impl Gauge {
@@ -208,7 +207,6 @@ impl Gauge {
         Gauge {
             capacity,
             in_use: 0,
-            peak: 0,
         }
     }
 
@@ -227,7 +225,6 @@ impl Gauge {
             });
         }
         self.in_use = new;
-        self.peak = self.peak.max(new);
         Ok(())
     }
 
@@ -239,11 +236,6 @@ impl Gauge {
     /// Currently allocated units.
     pub fn in_use(&self) -> u64 {
         self.in_use
-    }
-
-    /// High-water mark since creation.
-    pub fn peak(&self) -> u64 {
-        self.peak
     }
 
     /// Capacity limit.
@@ -346,7 +338,6 @@ mod tests {
         let mut g = Gauge::new(100);
         g.alloc(60).unwrap();
         g.alloc(40).unwrap();
-        assert_eq!(g.peak(), 100);
         assert_eq!(g.available(), 0);
         let err = g.alloc(1).unwrap_err();
         assert_eq!(err.in_use, 100);
@@ -355,9 +346,7 @@ mod tests {
         assert_eq!(g.in_use(), 100);
         g.free(70);
         assert_eq!(g.in_use(), 30);
-        assert_eq!(g.peak(), 100);
         g.alloc(50).unwrap();
-        assert_eq!(g.peak(), 100);
     }
 
     #[test]
