@@ -14,6 +14,17 @@
 //! the paper-scale experiments of Fig. 8. The operator sequence follows the
 //! DMac-style plan the paper adopts ("We use the same query plan with DMac
 //! for the GNMF query").
+//!
+//! The objective never forms the dense `W H`. The W update already computes
+//! `V Hᵀ` and `H Hᵀ` for the new H, and
+//!
+//! ```text
+//! ‖V − WH‖² = ‖V‖² − 2⟨V Hᵀ, W⟩ + ⟨WᵀW, H Hᵀ⟩
+//! ```
+//!
+//! (`⟨·,·⟩` the Frobenius inner product), so the driver adds only `‖V‖²`
+//! once per factorization, one `f × f` Gram `WᵀW` and two inner products
+//! the size of the factors.
 
 use crate::datasets::RatingDataset;
 use crate::session::{Ops, SimReport, SimSession};
@@ -42,11 +53,12 @@ impl Default for GnmfConfig {
 }
 
 /// One multiplicative-update iteration — both factor updates, 12
-/// operators — returning the next `(W, H)`.
+/// operators — returning the next `(W, H)` and the W update's `V Hᵀ` and
+/// `H Hᵀ` of that new H, from which [`run_real_with`] reads the objective.
 ///
 /// # Errors
 /// Propagates the first operator failure.
-pub fn iteration<M, S: Ops<M>>(s: &mut S, v: &M, w: &M, h: &M) -> Result<(M, M), JobError> {
+pub fn iteration<M, S: Ops<M>>(s: &mut S, v: &M, w: &M, h: &M) -> Result<(M, M, M, M), JobError> {
     // H ← H ∗ (WᵀV) / (WᵀW H)
     let wt = s.transpose(w)?;
     let wtv = s.matmul(&wt, v)?;
@@ -61,7 +73,7 @@ pub fn iteration<M, S: Ops<M>>(s: &mut S, v: &M, w: &M, h: &M) -> Result<(M, M),
     let whht = s.matmul(w, &hht)?;
     let num = s.elementwise(w, EwOp::Mul, &vht)?;
     let w = s.elementwise(&num, EwOp::Div, &whht)?;
-    Ok((w, h))
+    Ok((w, h, vht, hht))
 }
 
 /// Simulates `iterations` of GNMF for `dataset` under `profile`.
@@ -91,7 +103,9 @@ pub struct GnmfResult {
     pub w: BlockMatrix,
     /// Right factor, `factor_dim × items`.
     pub h: BlockMatrix,
-    /// `‖V − WH‖F` after each iteration (non-increasing).
+    /// `‖V − WH‖F` after each iteration (non-increasing), read as
+    /// `sqrt(‖V‖² − 2⟨V Hᵀ, W⟩ + ⟨WᵀW, H Hᵀ⟩)` from the iteration's own
+    /// `V Hᵀ` and `H Hᵀ`, clamped at 0 against rounding.
     pub objective: Vec<f64>,
 }
 
@@ -132,20 +146,16 @@ pub fn run_real_with<S: Ops>(
     let mut w = gen_w.generate(&MatrixMeta::dense(v.meta().rows, f).with_block_size(bs))?;
     let mut h = gen_h.generate(&MatrixMeta::dense(f, v.meta().cols).with_block_size(bs))?;
 
+    let v_sq = v.inner(v)?;
     let mut objective = Vec::with_capacity(cfg.iterations);
     for iter in 0..cfg.iterations {
-        (w, h) = iteration(session, v, &w, &h)?;
-        objective.push(frobenius_residual(v, &w, &h)?);
+        let (vht, hht);
+        (w, h, vht, hht) = iteration(session, v, &w, &h)?;
+        let sq = v_sq - 2.0 * vht.inner(&w)? + w.gram().inner(&hht)?;
+        objective.push(sq.max(0.0).sqrt());
         after_iteration(session, iter)?;
     }
     Ok(GnmfResult { w, h, objective })
-}
-
-/// `‖V − WH‖F` on materialized matrices.
-fn frobenius_residual(v: &BlockMatrix, w: &BlockMatrix, h: &BlockMatrix) -> Result<f64, JobError> {
-    let wh = w.multiply(h)?;
-    let diff = v.elementwise(EwOp::Sub, &wh)?;
-    Ok(diff.frobenius_norm())
 }
 
 #[cfg(test)]
@@ -199,6 +209,60 @@ mod tests {
         let first = res.objective[0];
         let last = *res.objective.last().unwrap();
         assert!(last < first * 0.9, "no real progress: {first} -> {last}");
+    }
+
+    /// The dense reference: `‖V − WH‖F` with `W H` materialized.
+    fn frobenius_residual(v: &BlockMatrix, w: &BlockMatrix, h: &BlockMatrix) -> f64 {
+        let wh = w.multiply(h).unwrap();
+        v.elementwise(EwOp::Sub, &wh).unwrap().frobenius_norm()
+    }
+
+    #[test]
+    fn objective_matches_the_dense_residual() {
+        // A run of n iterations ends on the factors its n-th objective
+        // describes, so each prefix checks one more iteration.
+        for v in [tiny_v(), small_v()] {
+            for seed in [1, 7, 42] {
+                for iterations in 1..=3 {
+                    let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+                    let cfg = GnmfConfig {
+                        factor_dim: 16,
+                        iterations,
+                    };
+                    let res = run_real(&mut s, &v, &cfg, seed).unwrap();
+                    let got = res.objective[iterations - 1];
+                    let want = frobenius_residual(&v, &res.w, &res.h);
+                    assert!(
+                        (got - want).abs() <= 1e-9 * want,
+                        "seed {seed}, iteration {iterations}: {got} vs dense {want}"
+                    );
+                    assert_eq!(
+                        s.ops_run(),
+                        12 * iterations,
+                        "the objective adds no operator"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn without_ratings_the_objective_is_the_norm_of_wh() {
+        // With V = 0 both V terms vanish, and H ← H ∗ 0 / (WᵀW H) leaves no
+        // block, so every product downstream is missing: the missing-block
+        // arms must read exactly +0.0, never NaN or -0.0.
+        let v = BlockMatrix::new(MatrixMeta::sparse(64, 48, 0.0).with_block_size(16));
+        let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let cfg = GnmfConfig {
+            factor_dim: 8,
+            iterations: 2,
+        };
+        let res = run_real(&mut s, &v, &cfg, 5).unwrap();
+        let wh = res.w.multiply(&res.h).unwrap().frobenius_norm();
+        for o in &res.objective {
+            assert_eq!(o.to_bits(), wh.to_bits());
+            assert_eq!(o.to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]
@@ -329,7 +393,7 @@ mod tests {
         let mut real = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
         let res = run_real(&mut real, &v, &cfg, 7).unwrap();
         let mut sim = SimSession::new(ClusterConfig::paper_cluster(), SystemProfile::DistMe);
-        let (w, h) = iteration(&mut sim, v.meta(), res.w.meta(), res.h.meta()).unwrap();
+        let (w, h, _, _) = iteration(&mut sim, v.meta(), res.w.meta(), res.h.meta()).unwrap();
         assert_eq!((sim.ops_run(), real.ops_run()), (12, 12));
         assert_eq!((w.rows, w.cols, h.rows, h.cols), (64, 16, 16, 48));
     }

@@ -252,23 +252,85 @@ impl BlockMatrix {
         Some(worst)
     }
 
-    /// Frobenius norm over materialized blocks.
+    /// Frobenius norm over materialized blocks. A CSR block reads only its
+    /// stored entries, in CSR order: the non-zero squares a row-major scan
+    /// of the densified block would add, in the same order, without the
+    /// zeros, whose addition is exact. The result bits therefore do not
+    /// depend on a block's storage format.
     pub fn frobenius_norm(&self) -> f64 {
         self.blocks
             .values()
-            .map(|b| {
-                let d = b.to_dense();
-                d.data().iter().map(|v| v * v).sum::<f64>()
-            })
-            .sum::<f64>()
+            .map(|b| block_inner(b, b))
+            .fold(0.0, |acc, x| acc + x)
             .sqrt()
+    }
+
+    /// Frobenius inner product `⟨self, rhs⟩ = Σᵢⱼ selfᵢⱼ · rhsᵢⱼ`. A block
+    /// missing on either side contributes nothing, and no CSR block is
+    /// densified.
+    ///
+    /// # Errors
+    /// Returns [`MatrixError::DimensionMismatch`] when shapes or block sizes
+    /// differ.
+    pub fn inner(&self, rhs: &BlockMatrix) -> Result<f64> {
+        if self.meta.rows != rhs.meta.rows
+            || self.meta.cols != rhs.meta.cols
+            || self.meta.block_size != rhs.meta.block_size
+        {
+            return Err(MatrixError::DimensionMismatch {
+                op: "inner",
+                lhs: (self.meta.rows, self.meta.cols),
+                rhs: (rhs.meta.rows, rhs.meta.cols),
+            });
+        }
+        Ok(self
+            .blocks
+            .iter()
+            .filter_map(|(id, a)| rhs.blocks.get(id).map(|b| block_inner(a, b)))
+            .fold(0.0, |acc, x| acc + x))
+    }
+}
+
+/// `Σᵢⱼ aᵢⱼ · bᵢⱼ` over two blocks of one grid slot, summed from `+0.0` in
+/// row-major order. A CSR side contributes only its stored entries.
+fn block_inner(a: &Block, b: &Block) -> f64 {
+    match (a, b) {
+        (Block::Dense(x), Block::Dense(y)) => x
+            .data()
+            .iter()
+            .zip(y.data())
+            .fold(0.0, |acc, (p, q)| acc + p * q),
+        (Block::Sparse(s), Block::Dense(d)) | (Block::Dense(d), Block::Sparse(s)) => {
+            let (cols, data) = (d.cols(), d.data());
+            s.iter()
+                .fold(0.0, |acc, (i, j, v)| acc + v * data[i * cols + j])
+        }
+        (Block::Sparse(x), Block::Sparse(y)) => {
+            let mut acc = 0.0;
+            for i in 0..x.rows() {
+                let (xs, xe) = (x.row_ptr()[i] as usize, x.row_ptr()[i + 1] as usize);
+                let (mut q, ye) = (y.row_ptr()[i] as usize, y.row_ptr()[i + 1] as usize);
+                for p in xs..xe {
+                    let col = x.col_idx()[p];
+                    while q < ye && y.col_idx()[q] < col {
+                        q += 1;
+                    }
+                    if q < ye && y.col_idx()[q] == col {
+                        acc += x.values()[p] * y.values()[q];
+                    }
+                }
+            }
+            acc
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockFormat;
     use crate::generator::MatrixGenerator;
+    use crate::sparse::CsrBlock;
 
     fn gen(rows: u64, cols: u64, bs: u64, sparsity: f64, seed: u64) -> BlockMatrix {
         let meta = MatrixMeta::sparse(rows, cols, sparsity).with_block_size(bs);
@@ -391,5 +453,124 @@ mod tests {
         let m = BlockMatrix::new(meta);
         assert_eq!(m.get_element(7, 13), 0.0);
         assert_eq!(m.nnz(), 0);
+    }
+
+    /// Dense, CSR and missing blocks on one 3×2 grid: signed values, and
+    /// CSR blocks that store explicit `+0.0` and `-0.0` entries.
+    fn mixed(seed: u32) -> BlockMatrix {
+        let meta = MatrixMeta::dense(40, 30).with_block_size(16);
+        let full = MatrixGenerator::with_seed(seed.into())
+            .value_range(-1.0, 1.0)
+            .generate(&meta)
+            .unwrap();
+        let mut out = BlockMatrix::new(meta);
+        for (id, blk) in full.blocks() {
+            let d = blk.to_dense();
+            let block = match (id.row + id.col + seed) % 3 {
+                0 => Block::Dense(d),
+                1 => {
+                    let (mut row_ptr, mut col_idx, mut values) = (vec![0], vec![], vec![]);
+                    for i in 0..d.rows() {
+                        for j in (i % 3..d.cols()).step_by(3) {
+                            col_idx.push(j as u32);
+                            values.push(match (i + j) % 9 {
+                                0 => 0.0,
+                                4 => -0.0,
+                                _ => d.get(i, j),
+                            });
+                        }
+                        row_ptr.push(col_idx.len() as u32);
+                    }
+                    let csr =
+                        CsrBlock::from_raw_parts(d.rows(), d.cols(), row_ptr, col_idx, values);
+                    Block::Sparse(csr.unwrap())
+                }
+                _ => continue,
+            };
+            out.put(id.row, id.col, block).unwrap();
+        }
+        out
+    }
+
+    /// `Σ aᵢⱼ · bᵢⱼ` scanned over every densified slot, missing ones as zeros.
+    fn densified_inner(a: &BlockMatrix, b: &BlockMatrix) -> f64 {
+        let meta = a.meta();
+        let mut total = 0.0;
+        for bi in 0..meta.block_rows() {
+            for bj in 0..meta.block_cols() {
+                let (r, c) = meta.block_dims(bi, bj);
+                let dense = |m: &BlockMatrix| match m.get(bi, bj) {
+                    Some(blk) => blk.to_dense(),
+                    None => DenseBlock::zeros(r as usize, c as usize),
+                };
+                let (x, y) = (dense(a), dense(b));
+                total += x
+                    .data()
+                    .iter()
+                    .zip(y.data())
+                    .map(|(p, q)| p * q)
+                    .sum::<f64>();
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn frobenius_reductions_match_the_densified_scan_bit_for_bit() {
+        for seed in 0..3 {
+            let a = mixed(seed);
+            let formats: Vec<_> = a.blocks().map(|(_, b)| b.format()).collect();
+            assert!(formats.contains(&BlockFormat::Dense));
+            assert!(formats.contains(&BlockFormat::Sparse));
+            assert!(a.num_materialized() < 6, "one slot is left missing");
+            // The densified reference: every block scanned as a dense array.
+            let reference = a
+                .blocks()
+                .map(|(_, b)| b.to_dense().data().iter().map(|v| v * v).sum::<f64>())
+                .sum::<f64>()
+                .sqrt();
+            assert_eq!(a.frobenius_norm().to_bits(), reference.to_bits());
+            assert_eq!(
+                a.inner(&a).unwrap().to_bits(),
+                densified_inner(&a, &a).to_bits()
+            );
+            // Across formats: each slot pairs dense with CSR, CSR with
+            // dense, or either with a missing block.
+            let b = mixed(seed + 1);
+            assert_eq!(
+                a.inner(&b).unwrap().to_bits(),
+                densified_inner(&a, &b).to_bits()
+            );
+            assert_eq!(
+                b.inner(&a).unwrap().to_bits(),
+                densified_inner(&b, &a).to_bits()
+            );
+        }
+        // CSR against CSR with different patterns.
+        let meta = MatrixMeta::sparse(4, 4, 0.5).with_block_size(4);
+        let csr = |t: Vec<(usize, usize, f64)>| {
+            let mut m = BlockMatrix::new(meta);
+            m.put(
+                0,
+                0,
+                Block::Sparse(CsrBlock::from_triplets(4, 4, t).unwrap()),
+            )
+            .unwrap();
+            m
+        };
+        let x = csr(vec![(0, 0, 2.0), (0, 3, 3.0), (2, 1, 5.0), (3, 3, 7.0)]);
+        let y = csr(vec![(0, 3, 0.5), (1, 1, 9.0), (2, 1, -1.0), (2, 2, 4.0)]);
+        assert_eq!(x.inner(&y).unwrap(), 1.5 - 5.0);
+        // An empty matrix reads +0.0, not -0.0.
+        let empty = BlockMatrix::new(meta);
+        assert_eq!(empty.frobenius_norm().to_bits(), 0.0f64.to_bits());
+        assert_eq!(empty.inner(&x).unwrap().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn inner_rejects_mismatched_shapes() {
+        let a = gen(20, 20, 10, 1.0, 1);
+        assert!(a.inner(&gen(20, 30, 10, 1.0, 2)).is_err());
+        assert!(a.inner(&gen(20, 20, 5, 1.0, 2)).is_err());
     }
 }

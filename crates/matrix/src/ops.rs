@@ -1,6 +1,6 @@
 //! Whole-matrix convenience operations on [`BlockMatrix`].
 //!
-//! The reductions here (row/column sums, trace, scaling) are the building
+//! The reductions here (row sums, trace, scaling, Grams) are the building
 //! blocks the paper's application list needs around multiplication:
 //! normalization steps in factorization, degree vectors for graph
 //! algorithms, convergence checks.
@@ -11,6 +11,7 @@ use crate::dense::DenseBlock;
 use crate::elementwise::map;
 use crate::error::{MatrixError, Result};
 use crate::meta::MatrixMeta;
+use std::borrow::Cow;
 
 impl BlockMatrix {
     /// Returns `alpha · self`.
@@ -20,30 +21,6 @@ impl BlockMatrix {
             let scaled = map(block, |v| alpha * v).expect("map never fails on matching shapes");
             out.put(id.row, id.col, scaled)
                 .expect("same grid as source");
-        }
-        out
-    }
-
-    /// Applies `f` to every element (including implicit zeros when
-    /// `f(0) != 0`, which densifies missing blocks).
-    pub fn map_elements(&self, f: impl Fn(f64) -> f64 + Copy) -> BlockMatrix {
-        let mut out = BlockMatrix::new(*self.meta());
-        let densify = f(0.0) != 0.0;
-        for bi in 0..self.meta().block_rows() {
-            for bj in 0..self.meta().block_cols() {
-                let mapped = match self.get(bi, bj) {
-                    Some(block) => map(block, f).expect("shape preserved"),
-                    None if densify => {
-                        let (r, c) = self.meta().block_dims(bi, bj);
-                        map(&Block::Dense(DenseBlock::zeros(r as usize, c as usize)), f)
-                            .expect("shape preserved")
-                    }
-                    None => continue,
-                };
-                if mapped.nnz() > 0 {
-                    out.put(bi, bj, mapped).expect("same grid");
-                }
-            }
         }
         out
     }
@@ -64,30 +41,6 @@ impl BlockMatrix {
                     for i in 0..d.rows() {
                         let row = &d.data()[i * d.cols()..(i + 1) * d.cols()];
                         sums[(base + i as u64) as usize] += row.iter().sum::<f64>();
-                    }
-                }
-            }
-        }
-        sums
-    }
-
-    /// Sum of each column, as a dense vector of length `cols`.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.meta().cols as usize];
-        let bs = self.meta().block_size;
-        for (id, block) in self.blocks() {
-            let base = id.col as u64 * bs;
-            match block {
-                Block::Sparse(s) => {
-                    for (_, j, v) in s.iter() {
-                        sums[(base + j as u64) as usize] += v;
-                    }
-                }
-                Block::Dense(d) => {
-                    for i in 0..d.rows() {
-                        for j in 0..d.cols() {
-                            sums[(base + j as u64) as usize] += d.get(i, j);
-                        }
                     }
                 }
             }
@@ -118,8 +71,15 @@ impl BlockMatrix {
 
     /// The Gram matrix `selfᵀ · self` computed without materializing the
     /// transpose (the `WᵀW` of GNMF and `XᵀX` of least squares), using the
-    /// [`crate::kernels::gemm::gemm_tn`] kernel per block pair.
+    /// [`crate::kernels::gemm::gemm_tn`] kernel per block pair. Dense blocks
+    /// feed the kernel as they are; only CSR blocks are converted.
     pub fn gram(&self) -> BlockMatrix {
+        fn dense(b: &Block) -> Cow<'_, DenseBlock> {
+            match b {
+                Block::Dense(d) => Cow::Borrowed(d),
+                Block::Sparse(s) => Cow::Owned(s.to_dense()),
+            }
+        }
         let meta = self.meta();
         let out_meta = MatrixMeta {
             rows: meta.cols,
@@ -137,7 +97,7 @@ impl BlockMatrix {
                     let (Some(a), Some(b)) = (self.get(bk, bi), self.get(bk, bj)) else {
                         continue;
                     };
-                    crate::kernels::gemm::gemm_tn(1.0, &a.to_dense(), &b.to_dense(), 1.0, &mut acc)
+                    crate::kernels::gemm::gemm_tn(1.0, &dense(a), &dense(b), 1.0, &mut acc)
                         .expect("block shapes align by construction");
                     any = true;
                 }
@@ -148,38 +108,6 @@ impl BlockMatrix {
             }
         }
         out
-    }
-
-    /// Block-aligned sub-matrix: block rows `[r0, r1)` × block cols
-    /// `[c0, c1)`, re-indexed from (0, 0).
-    ///
-    /// # Errors
-    /// Returns [`MatrixError::BlockOutOfBounds`] for ranges outside the
-    /// grid or empty ranges.
-    pub fn slice_blocks(&self, r0: u32, r1: u32, c0: u32, c1: u32) -> Result<BlockMatrix> {
-        let meta = self.meta();
-        if r0 >= r1 || c0 >= c1 || r1 > meta.block_rows() || c1 > meta.block_cols() {
-            return Err(MatrixError::BlockOutOfBounds {
-                id: (r1.saturating_sub(1), c1.saturating_sub(1)),
-                grid: (meta.block_rows(), meta.block_cols()),
-            });
-        }
-        let bs = meta.block_size;
-        let rows = (r1 as u64 * bs).min(meta.rows) - r0 as u64 * bs;
-        let cols = (c1 as u64 * bs).min(meta.cols) - c0 as u64 * bs;
-        let out_meta = MatrixMeta {
-            rows,
-            cols,
-            block_size: bs,
-            sparsity: meta.sparsity,
-        };
-        let mut out = BlockMatrix::new(out_meta);
-        for (id, block) in self.blocks() {
-            if id.row >= r0 && id.row < r1 && id.col >= c0 && id.col < c1 {
-                out.put(id.row - r0, id.col - c0, block.clone())?;
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -207,29 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn map_densifies_when_f0_nonzero() {
-        let meta = MatrixMeta::sparse(20, 20, 0.0).with_block_size(10);
-        let empty = BlockMatrix::new(meta);
-        let shifted = empty.map_elements(|v| v + 1.0);
-        assert_eq!(shifted.get_element(7, 13), 1.0);
-        assert_eq!(shifted.nnz(), 400);
-        // And zero-preserving maps keep the pattern.
-        let doubled = empty.map_elements(|v| v * 2.0);
-        assert_eq!(doubled.nnz(), 0);
-    }
-
-    #[test]
-    fn row_and_col_sums_agree_with_elementwise_scan() {
+    fn row_sums_agree_with_elementwise_scan() {
         let m = sample(0.4);
         let rows = m.row_sums();
-        let cols = m.col_sums();
         for i in 0..50 {
             let expect: f64 = (0..30).map(|j| m.get_element(i, j)).sum();
             assert!((rows[i as usize] - expect).abs() < 1e-9, "row {i}");
-        }
-        for j in 0..30 {
-            let expect: f64 = (0..50).map(|i| m.get_element(i, j)).sum();
-            assert!((cols[j as usize] - expect).abs() < 1e-9, "col {j}");
         }
         assert!((m.total_sum() - rows.iter().sum::<f64>()).abs() < 1e-9);
     }
@@ -245,19 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_blocks_reindexes() {
-        let m = sample(1.0);
-        let s = m.slice_blocks(1, 3, 0, 2).unwrap();
-        assert_eq!(s.meta().rows, 32);
-        assert_eq!(s.meta().cols, 30); // col blocks 0..2 cover all 30 cols
-        for i in 0..32 {
-            for j in 0..30 {
-                assert_eq!(s.get_element(i, j), m.get_element(16 + i, j));
-            }
-        }
-    }
-
-    #[test]
     fn gram_matches_explicit_transpose_product() {
         let m = sample(0.6);
         let expect = m.transpose().multiply(&m).unwrap();
@@ -265,12 +163,5 @@ mod tests {
         assert!(got.max_abs_diff(&expect).unwrap() < 1e-9);
         // Gram matrices are symmetric.
         assert!(got.max_abs_diff(&got.transpose()).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn slice_blocks_validates_ranges() {
-        let m = sample(1.0);
-        assert!(m.slice_blocks(0, 0, 0, 1).is_err()); // empty
-        assert!(m.slice_blocks(0, 9, 0, 1).is_err()); // out of grid
     }
 }
