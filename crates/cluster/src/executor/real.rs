@@ -132,7 +132,7 @@ impl LocalCluster {
             stores: ClusterStores::new(cfg.nodes),
             transport_stats: TransportStats::default(),
             faults: Mutex::new(None),
-            membership: Membership::new(cfg.nodes),
+            membership: Membership::default(),
             scheduler: Scheduler::new(cfg.total_slots(), cfg.scheduler),
         }
     }
@@ -245,7 +245,7 @@ impl LocalCluster {
         self.membership.epoch()
     }
 
-    /// The membership state (epoch, node count, change log).
+    /// The membership history (epoch, change log).
     pub fn membership(&self) -> &Membership {
         &self.membership
     }

@@ -62,8 +62,5 @@ pub use rebalance::{RebalancePlan, RebalanceReport, RebalanceUnit};
 pub use scheduler::{AdmissionTicket, Gang, QueueWaitStats, Scheduler, SchedulerLoad, TaskGrant};
 pub use shuffle::{LedgerSnapshot, ShuffleLedger};
 pub use stats::{JobStats, Phase, PhaseStats, TenantId};
-pub use store::{
-    BlockSource, BlockView, ClusterStores, NodeStore, PinGuard, StoreKey, StoreKind,
-    RESIDENCY_WINDOW_JOBS,
-};
+pub use store::{BlockSource, BlockView, ClusterStores, NodeStore, StoreKey, StoreKind};
 pub use transport::{Transport, TransportStats, WireMove};

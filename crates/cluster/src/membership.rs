@@ -1,8 +1,8 @@
 //! Cluster membership: the epoch model behind elastic scaling.
 //!
 //! The paper's engine is *elastic*: the node grid is not fixed for the
-//! lifetime of a session. [`Membership`] tracks the current node count and
-//! a monotonically increasing **epoch** that bumps on every change —
+//! lifetime of a session. [`Membership`] logs every change under a
+//! monotonically increasing **epoch** that bumps on each one —
 //! commissioning nodes, graceful decommissioning (blocks drained first),
 //! or permanent loss of a node. The epoch is the invalidation token for
 //! everything derived from the grid size: cached [`JobPlan`]s (the
@@ -36,43 +36,24 @@ pub enum MembershipEvent {
     },
 }
 
-/// The cluster's membership state: node count, epoch, and change log.
-#[derive(Debug, Clone)]
+/// The cluster's membership history: the epoch and the change log. The
+/// node count itself is `ClusterConfig::nodes`, which the same commit
+/// updates.
+#[derive(Debug, Clone, Default)]
 pub struct Membership {
     epoch: u64,
-    nodes: usize,
     log: Vec<(u64, MembershipEvent)>,
 }
 
 impl Membership {
-    /// Initial membership at epoch 0 with `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "a cluster needs at least one node");
-        Membership {
-            epoch: 0,
-            nodes,
-            log: Vec::new(),
-        }
-    }
-
     /// The current epoch (0 until the first membership change).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The current node count.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Records a membership change: bumps the epoch, updates the node
-    /// count, and appends to the log. Returns the new epoch.
+    /// Records a membership change: bumps the epoch and appends to the
+    /// log. Returns the new epoch.
     pub fn record(&mut self, event: MembershipEvent) -> u64 {
-        self.nodes = match event {
-            MembershipEvent::ScaleTo { to, .. } => to,
-            MembershipEvent::Decommission { .. } => self.nodes - 1,
-        };
-        assert!(self.nodes > 0, "membership change emptied the cluster");
         self.epoch += 1;
         self.log.push((self.epoch, event));
         self.epoch
@@ -171,21 +152,15 @@ mod tests {
 
     #[test]
     fn epochs_bump_on_every_change() {
-        let mut m = Membership::new(4);
+        let mut m = Membership::default();
         assert_eq!(m.epoch(), 0);
-        assert_eq!(m.nodes(), 4);
-        assert_eq!(m.record(MembershipEvent::ScaleTo { from: 4, to: 9 }), 1);
-        assert_eq!(m.nodes(), 9);
-        assert_eq!(m.record(MembershipEvent::Decommission { node: 2 }), 2);
-        assert_eq!(m.nodes(), 8);
-        assert_eq!(m.log().len(), 2);
-        assert_eq!(m.log()[0].0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn empty_membership_rejected() {
-        Membership::new(0);
+        assert!(m.log().is_empty());
+        let grow = MembershipEvent::ScaleTo { from: 4, to: 9 };
+        let loss = MembershipEvent::Decommission { node: 2 };
+        assert_eq!(m.record(grow), 1);
+        assert_eq!(m.record(loss), 2);
+        assert_eq!(m.epoch(), 2);
+        assert_eq!(m.log(), &[(1, grow), (2, loss)]);
     }
 
     fn stats_with_mult_tasks(tasks: usize) -> JobStats {

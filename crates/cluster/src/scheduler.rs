@@ -173,15 +173,10 @@ pub struct QueueWaitStats {
 }
 
 /// Proof of admission: holds the job's θt demand against the cluster
-/// budget until dropped. Carries the tenant/priority the job submitted
-/// with, so downstream gang registration can't mislabel work.
+/// budget until dropped.
 #[derive(Debug)]
 pub struct AdmissionTicket {
     sched: Scheduler,
-    /// Tenant the job runs on behalf of.
-    pub tenant: TenantId,
-    /// Priority granted (validated against `priority_levels` at submit).
-    pub priority: u8,
     demand_bytes: u64,
     /// Seconds this submission spent queued before admission.
     pub queue_wait_secs: f64,
@@ -286,12 +281,7 @@ impl Scheduler {
     /// `Err(QueueFull)` when `queue_depth` jobs are already waiting and
     /// `Err(InvalidSubmission)` for a priority outside the configured
     /// range; never rejects for memory.
-    pub fn submit(
-        &self,
-        tenant: TenantId,
-        priority: u8,
-        demand_bytes: u64,
-    ) -> Result<AdmissionTicket, JobError> {
+    pub fn submit(&self, priority: u8, demand_bytes: u64) -> Result<AdmissionTicket, JobError> {
         let cfg = self.inner.cfg;
         if priority >= cfg.priority_levels {
             return Err(JobError::InvalidSubmission {
@@ -327,8 +317,6 @@ impl Scheduler {
         drop(st);
         Ok(AdmissionTicket {
             sched: self.clone(),
-            tenant,
-            priority,
             demand_bytes,
             queue_wait_secs,
         })
@@ -654,13 +642,13 @@ mod tests {
     #[test]
     fn admission_queues_rather_than_rejects_over_budget() {
         let sched = Scheduler::new(2, cfg(100));
-        let first = sched.submit(TenantId(1), 0, 60).unwrap();
+        let first = sched.submit(0, 60).unwrap();
         assert!(first.queue_wait_secs >= 0.0);
         let admitted = Mutex::new(None);
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 // 60 + 60 > 100: must block, never error.
-                let t = sched.submit(TenantId(2), 0, 60).unwrap();
+                let t = sched.submit(0, 60).unwrap();
                 *admitted.lock().unwrap() = Some(t);
             });
             spin_until(&sched, |l| l.queued_jobs == 1);
@@ -680,7 +668,7 @@ mod tests {
     #[test]
     fn lone_over_budget_job_is_admitted_on_an_idle_cluster() {
         let sched = Scheduler::new(2, cfg(100));
-        let t = sched.submit(TenantId(1), 0, 10_000).unwrap();
+        let t = sched.submit(0, 10_000).unwrap();
         assert_eq!(sched.load().admitted_jobs, 1);
         drop(t);
         assert_eq!(sched.load().admitted_mem_bytes, 0);
@@ -691,14 +679,14 @@ mod tests {
         let mut c = cfg(100);
         c.queue_depth = 1;
         let sched = Scheduler::new(2, c);
-        let _hog = sched.submit(TenantId(1), 0, 100).unwrap();
+        let _hog = sched.submit(0, 100).unwrap();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 // Fills the depth-1 queue (blocks on memory).
-                let _t = sched.submit(TenantId(2), 0, 100).unwrap();
+                let _t = sched.submit(0, 100).unwrap();
             });
             spin_until(&sched, |l| l.queued_jobs == 1);
-            let err = sched.submit(TenantId(3), 0, 1).unwrap_err();
+            let err = sched.submit(0, 1).unwrap_err();
             assert!(matches!(
                 err,
                 JobError::QueueFull {
@@ -714,7 +702,7 @@ mod tests {
     #[test]
     fn out_of_range_priority_is_rejected_at_submit() {
         let sched = Scheduler::new(1, cfg(100));
-        let err = sched.submit(TenantId(1), 4, 1).unwrap_err();
+        let err = sched.submit(4, 1).unwrap_err();
         assert!(matches!(err, JobError::InvalidSubmission { .. }));
         assert!(err.to_string().contains("priority 4"));
     }

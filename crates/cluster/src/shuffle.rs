@@ -1,33 +1,22 @@
 //! Shuffle byte accounting.
 //!
 //! Both executors record every block movement here; the benchmark figures'
-//! "amount of transferred data" series read these counters. Counters are
-//! atomic so the real executor's worker threads can record concurrently.
+//! "amount of transferred data" series read these counters.
 
 use crate::stats::{Phase, TenantId};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Thread-safe per-phase shuffle/broadcast byte counters, with per-tenant
-/// attribution: every record lands in the cluster-wide atomics *and* in
-/// exactly one tenant's bucket ([`TenantId::ANONYMOUS`] for untagged
-/// records), so per-tenant snapshots always sum to the cluster totals.
+/// Thread-safe per-phase shuffle/broadcast byte counters, kept per tenant:
+/// every record lands in exactly one tenant's counters
+/// ([`TenantId::ANONYMOUS`] for untagged records), and the cluster totals
+/// are their sum, so per-tenant snapshots sum to the totals by
+/// construction.
 #[derive(Debug, Default)]
 pub struct ShuffleLedger {
-    shuffle: [AtomicU64; Phase::COUNT],
-    cross_node: [AtomicU64; Phase::COUNT],
-    broadcast: [AtomicU64; Phase::COUNT],
-    /// Per-tenant counters. Model-byte charges are driver-side (once per
-    /// phase of a job), so this mutex is never on a worker's hot path.
-    tenants: Mutex<BTreeMap<TenantId, TenantCounters>>,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct TenantCounters {
-    shuffle: [u64; Phase::COUNT],
-    cross_node: [u64; Phase::COUNT],
-    broadcast: [u64; Phase::COUNT],
+    /// Model-byte charges are driver-side, once per phase of a job; only a
+    /// resize's migration units record from workers, once per move.
+    tenants: Mutex<BTreeMap<TenantId, LedgerSnapshot>>,
 }
 
 impl ShuffleLedger {
@@ -58,39 +47,33 @@ impl ShuffleLedger {
         broadcast_bytes: u64,
     ) {
         let i = phase.index();
-        self.shuffle[i].fetch_add(shuffle_bytes, Ordering::Relaxed);
-        self.cross_node[i].fetch_add(cross_node_bytes, Ordering::Relaxed);
-        self.broadcast[i].fetch_add(broadcast_bytes, Ordering::Relaxed);
-        let mut tenants = self.tenants.lock().unwrap_or_else(|p| p.into_inner());
+        let mut charge = LedgerSnapshot::default();
+        charge.shuffle[i] = shuffle_bytes;
+        charge.cross_node[i] = cross_node_bytes;
+        charge.broadcast[i] = broadcast_bytes;
+        let mut tenants = self.lock();
         let t = tenants.entry(tenant).or_default();
-        t.shuffle[i] += shuffle_bytes;
-        t.cross_node[i] += cross_node_bytes;
-        t.broadcast[i] = t.broadcast[i].saturating_add(broadcast_bytes);
+        *t = t.plus(&charge);
     }
 
     /// Total shuffled bytes in `phase`.
     pub fn shuffle_bytes(&self, phase: Phase) -> u64 {
-        self.shuffle[phase.index()].load(Ordering::Relaxed)
+        self.snapshot().shuffle_bytes(phase)
     }
 
     /// Cross-node shuffled bytes in `phase`.
     pub fn cross_node_bytes(&self, phase: Phase) -> u64 {
-        self.cross_node[phase.index()].load(Ordering::Relaxed)
+        self.snapshot().cross_node_bytes(phase)
     }
 
     /// Broadcast bytes in `phase`.
     pub fn broadcast_bytes(&self, phase: Phase) -> u64 {
-        self.broadcast[phase.index()].load(Ordering::Relaxed)
+        self.snapshot().broadcast_bytes(phase)
     }
 
     /// Every tenant that has been charged at least once, in id order.
     pub fn tenants(&self) -> Vec<TenantId> {
-        self.tenants
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .keys()
-            .copied()
-            .collect()
+        self.lock().keys().copied().collect()
     }
 
     /// Captures `tenant`'s counters (all zero for an uncharged tenant).
@@ -98,26 +81,21 @@ impl ShuffleLedger {
     /// included — reproduces [`snapshot`](Self::snapshot) exactly: a byte
     /// is attributed to one tenant or none, never two.
     pub fn tenant_snapshot(&self, tenant: TenantId) -> LedgerSnapshot {
-        let tenants = self.tenants.lock().unwrap_or_else(|p| p.into_inner());
-        let t = tenants.get(&tenant).copied().unwrap_or_default();
-        LedgerSnapshot {
-            shuffle: t.shuffle,
-            cross_node: t.cross_node,
-            broadcast: t.broadcast,
-        }
+        self.lock().get(&tenant).copied().unwrap_or_default()
     }
 
-    /// Captures the current counter values. Jobs take a snapshot on entry
-    /// and report [`since`](Self::since) deltas, so one ledger can
-    /// accumulate session-level totals across many jobs without resets.
+    /// Captures the current cluster totals: every tenant's counters,
+    /// summed. Jobs take a snapshot on entry and report
+    /// [`since`](Self::since) deltas, so one ledger can accumulate
+    /// session-level totals across many jobs without resets.
     pub fn snapshot(&self) -> LedgerSnapshot {
-        let mut s = LedgerSnapshot::default();
-        for (i, &p) in Phase::ALL.iter().enumerate() {
-            s.shuffle[i] = self.shuffle_bytes(p);
-            s.cross_node[i] = self.cross_node_bytes(p);
-            s.broadcast[i] = self.broadcast_bytes(p);
-        }
-        s
+        self.lock()
+            .values()
+            .fold(LedgerSnapshot::default(), |acc, t| acc.plus(t))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<TenantId, LedgerSnapshot>> {
+        self.tenants.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The bytes recorded since `earlier` was taken.

@@ -7,17 +7,22 @@
 //! memory. Blocks are `Arc`-shared so a broadcast installs one physical
 //! copy per node and residency caching across jobs costs no element
 //! duplication.
+//!
+//! Residency follows the handle: a matrix's keys — its data, its
+//! transported copies and its parity, all under its uid — stay in the
+//! stores exactly as long as some [`BlockMatrix`] of that content version
+//! is alive. A job [`track`](ClusterStores::track)s the matrices it ingests
+//! and produces, and [`evict_dropped`](ClusterStores::evict_dropped) drops
+//! every tracked matrix whose last handle is gone. A matrix a job reads
+//! cannot be evicted under it: the job borrows its handle. Keys installed
+//! by raw uid, with no handle tracked, stay until evicted by name.
 
 use crate::failure::TaskError;
 use bytes::{Bytes, BytesMut};
 use distme_matrix::{Block, BlockId, BlockMatrix};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Jobs a matrix's placement survives in the stores without being touched
-/// before [`ClusterStores::evict_stale`] reclaims it.
-pub const RESIDENCY_WINDOW_JOBS: u64 = 64;
+use std::sync::{Arc, Mutex, Weak};
 
 /// What a store entry holds: matrix content, or derived parity over a
 /// coded group of content blocks (see `crate::coding`). Parity entries are
@@ -180,19 +185,13 @@ impl NodeStore {
     }
 }
 
-/// All nodes' stores plus residency bookkeeping for cross-job reuse.
+/// All nodes' stores plus the residency index for cross-job reuse.
 #[derive(Debug)]
 pub struct ClusterStores {
     nodes: Vec<NodeStore>,
-    /// Monotonic job counter; drives the staleness window.
-    jobs: AtomicU64,
-    /// matrix uid → job counter when last used.
-    last_used: Mutex<BTreeMap<u64, u64>>,
-    /// Refcounted pins: a matrix with a positive pin count is never
-    /// reclaimed by [`evict_stale`](Self::evict_stale), no matter how many
-    /// concurrent job completions advance the job counter while it is in
-    /// flight.
-    pins: Mutex<BTreeMap<u64, u64>>,
+    /// matrix uid → the liveness of its handles (see
+    /// [`BlockMatrix::downgrade`]).
+    tracked: Mutex<BTreeMap<u64, Weak<u64>>>,
     reused: AtomicU64,
 }
 
@@ -201,9 +200,7 @@ impl ClusterStores {
     pub fn new(nodes: usize) -> Self {
         ClusterStores {
             nodes: (0..nodes).map(NodeStore::new).collect(),
-            jobs: AtomicU64::new(0),
-            last_used: Mutex::new(BTreeMap::new()),
-            pins: Mutex::new(BTreeMap::new()),
+            tracked: Mutex::new(BTreeMap::new()),
             reused: AtomicU64::new(0),
         }
     }
@@ -218,16 +215,29 @@ impl ClusterStores {
         &self.nodes[n]
     }
 
-    /// Advances the job counter (call once per job).
-    pub fn begin_job(&self) -> u64 {
-        self.jobs.fetch_add(1, Ordering::Relaxed) + 1
+    /// Ties the residency of `matrix`'s keys to its handles: once every
+    /// handle to this content version is dropped,
+    /// [`evict_dropped`](Self::evict_dropped) reclaims them.
+    pub fn track(&self, matrix: &BlockMatrix) {
+        self.tracked
+            .lock()
+            .expect("residency index lock")
+            .insert(matrix.uid(), matrix.downgrade());
     }
 
-    /// Marks `matrix` as used by the current job, protecting its placement
-    /// from [`evict_stale`](Self::evict_stale).
-    pub fn touch(&self, matrix: u64) {
-        let now = self.jobs.load(Ordering::Relaxed);
-        self.last_used.lock().unwrap().insert(matrix, now);
+    /// Evicts every tracked matrix whose handles have all been dropped.
+    pub fn evict_dropped(&self) {
+        let dropped: Vec<u64> = self
+            .tracked
+            .lock()
+            .expect("residency index lock")
+            .iter()
+            .filter(|(_, handle)| handle.strong_count() == 0)
+            .map(|(&uid, _)| uid)
+            .collect();
+        for uid in dropped {
+            self.evict_matrix(uid);
+        }
     }
 
     /// Ingests one operand block to `node`, reusing an already-resident
@@ -249,54 +259,10 @@ impl ClusterStores {
         for n in &self.nodes {
             n.evict_matrix(matrix);
         }
-        self.last_used.lock().unwrap().remove(&matrix);
-    }
-
-    /// Pins `matrix` against [`evict_stale`](Self::evict_stale) until the
-    /// guard drops. Jobs pin their operands and intermediates for their
-    /// whole run: with many concurrent jobs completing, the job counter
-    /// can advance a full residency window while one job is still
-    /// executing, and an in-flight operand must never be reclaimed under
-    /// it. Pins nest (refcounted).
-    pub fn pin(&self, matrix: u64) -> PinGuard<'_> {
-        *self.pins.lock().unwrap().entry(matrix).or_insert(0) += 1;
-        PinGuard {
-            stores: self,
-            matrix,
-        }
-    }
-
-    fn unpin(&self, matrix: u64) {
-        let mut pins = self.pins.lock().unwrap();
-        let n = pins.get_mut(&matrix).expect("unpin of an unpinned matrix");
-        *n -= 1;
-        if *n == 0 {
-            pins.remove(&matrix);
-        }
-    }
-
-    /// Whether `matrix` is currently pinned by any in-flight job.
-    pub fn is_pinned(&self, matrix: u64) -> bool {
-        self.pins.lock().unwrap().contains_key(&matrix)
-    }
-
-    /// Evicts every matrix not touched within the last `window` jobs,
-    /// except matrices pinned by in-flight jobs.
-    pub fn evict_stale(&self, window: u64) {
-        let now = self.jobs.load(Ordering::Relaxed);
-        let pins = self.pins.lock().unwrap();
-        let stale: Vec<u64> = self
-            .last_used
+        self.tracked
             .lock()
-            .unwrap()
-            .iter()
-            .filter(|(uid, &used)| now.saturating_sub(used) > window && !pins.contains_key(uid))
-            .map(|(&uid, _)| uid)
-            .collect();
-        drop(pins);
-        for uid in stale {
-            self.evict_matrix(uid);
-        }
+            .expect("residency index lock")
+            .remove(&matrix);
     }
 
     /// Total resident bytes across all nodes.
@@ -418,19 +384,6 @@ impl FreeBuffers {
     }
 }
 
-/// RAII pin on one matrix's residency (see [`ClusterStores::pin`]).
-#[derive(Debug)]
-pub struct PinGuard<'a> {
-    stores: &'a ClusterStores,
-    matrix: u64,
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        self.stores.unpin(self.matrix);
-    }
-}
-
 /// Something a mult task can resolve input blocks from. Implementations
 /// return `Ok(None)` for an implicitly-zero block and an error for a
 /// locality violation.
@@ -546,48 +499,59 @@ mod tests {
     }
 
     #[test]
-    fn stale_matrices_are_evicted_touched_ones_survive() {
+    fn a_matrix_stays_resident_exactly_while_a_handle_to_it_lives() {
+        use distme_matrix::MatrixMeta;
         let s = ClusterStores::new(1);
-        s.ingest(0, StoreKey::operand(10, BlockId::new(0, 0)), blk(1.0));
-        s.ingest(0, StoreKey::operand(11, BlockId::new(0, 0)), blk(2.0));
-        s.begin_job();
-        s.touch(10);
-        s.touch(11);
-        for _ in 0..3 {
-            s.begin_job();
-            s.touch(10);
-        }
-        s.evict_stale(2);
-        assert!(s
-            .node(0)
-            .contains(&StoreKey::operand(10, BlockId::new(0, 0))));
-        assert!(!s
-            .node(0)
-            .contains(&StoreKey::operand(11, BlockId::new(0, 0))));
-    }
+        let id = BlockId::new(0, 0);
+        let resident = |m: u64| s.node(0).contains(&StoreKey::operand(m, id));
+        let matrix = |v: f64| {
+            let mut m = BlockMatrix::new(MatrixMeta::dense(2, 2).with_block_size(2));
+            m.put_shared(0, 0, blk(v)).unwrap();
+            m
+        };
+        let place = |m: &BlockMatrix| {
+            s.ingest(
+                0,
+                StoreKey::operand(m.uid(), id),
+                m.get_shared(0, 0).unwrap(),
+            );
+            s.track(m);
+        };
 
-    #[test]
-    fn pinned_matrices_survive_a_whole_residency_window_of_other_jobs() {
-        let s = ClusterStores::new(1);
-        let k = StoreKey::operand(10, BlockId::new(0, 0));
-        s.ingest(0, k, blk(1.0));
-        s.begin_job();
-        s.touch(10);
-        let pin = s.pin(10);
-        let nested = s.pin(10);
-        // A full residency window of concurrent job completions passes
-        // while the matrix's own job is still in flight.
-        for _ in 0..=RESIDENCY_WINDOW_JOBS {
-            s.begin_job();
-            s.evict_stale(RESIDENCY_WINDOW_JOBS);
-        }
-        assert!(s.node(0).contains(&k), "pinned operand evicted mid-job");
-        drop(nested);
-        assert!(s.is_pinned(10), "pins must nest");
-        drop(pin);
-        assert!(!s.is_pinned(10));
-        s.evict_stale(RESIDENCY_WINDOW_JOBS);
-        assert!(!s.node(0).contains(&k), "unpinned stale matrix survives");
+        // A dropped matrix leaves; a raw-uid key nobody tracks stays.
+        let gone = matrix(1.0);
+        let gone_uid = gone.uid();
+        place(&gone);
+        s.ingest(0, StoreKey::operand(99, id), blk(9.0));
+        drop(gone);
+        s.evict_dropped();
+        assert!(!resident(gone_uid));
+        assert!(resident(99));
+
+        // A live clone keeps its version resident.
+        let kept = matrix(2.0);
+        let kept_uid = kept.uid();
+        place(&kept);
+        let mut clone = kept.clone();
+        drop(kept);
+        s.evict_dropped();
+        assert!(resident(kept_uid), "a clone is a live handle");
+
+        // A put on a clone makes a new version: dropping that one leaves
+        // the old version resident while a handle to it lives on.
+        let old_version = clone.clone();
+        clone.put_shared(0, 0, blk(3.0)).unwrap();
+        assert_ne!(clone.uid(), kept_uid);
+        place(&clone);
+        let new_uid = clone.uid();
+        drop(clone);
+        s.evict_dropped();
+        assert!(!resident(new_uid));
+        assert!(resident(kept_uid));
+        drop(old_version);
+        s.evict_dropped();
+        assert!(!resident(kept_uid));
+        assert_eq!(s.node(0).len(), 1, "only the untracked key is left");
     }
 
     #[test]

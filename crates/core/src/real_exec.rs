@@ -54,8 +54,7 @@ use crate::problem::MatmulProblem;
 use distme_cluster::chaos::run_task;
 use distme_cluster::{
     BlockSource, BlockView, ClusterStores, FaultPlan, JobError, JobStats, LocalCluster, NodeStore,
-    Phase, PinGuard, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats, WireMove,
-    RESIDENCY_WINDOW_JOBS,
+    Phase, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats, WireMove,
 };
 use distme_matrix::{codec, fresh_matrix_uid, kernels, Block, BlockId, BlockMatrix, CsrBlock};
 use std::collections::{BTreeMap, BTreeSet};
@@ -140,14 +139,10 @@ struct JobSetup<'a> {
     /// Parity blocks materialized for the operands at ingest (coded
     /// replication; 0 when [`ReplicationPolicy::Off`](distme_cluster::ReplicationPolicy)).
     parity_blocks_encoded: u64,
-    /// Intermediate copies die with the job, however it ends: `c_uid` is
-    /// never `touch`ed, so nothing else would ever reclaim what a failed
-    /// job's finished tasks installed.
+    /// Intermediate copies die with the job, however it ends: no handle
+    /// carries `c_uid`, so it is never tracked and nothing else would ever
+    /// reclaim what a failed job's finished tasks installed.
     _intermediates: EvictOnDrop<'a>,
-    /// Operands and intermediate copies stay resident for the whole job
-    /// even when concurrent job completions advance the residency clock
-    /// past the eviction window.
-    _pins: [PinGuard<'a>; 3],
 }
 
 /// Drops every block of `matrix` from the stores when it goes out of scope.
@@ -192,10 +187,11 @@ fn prepare_job<'a>(
     if let Some(faults) = &faults {
         faults.begin_job();
     }
+    // Residency follows the handle: what no one holds any more leaves
+    // before this job adds its operands. `a` and `b` are borrowed for the
+    // whole job, so no concurrent job's sweep can reclaim them under it.
     let stores = cluster.stores();
-    stores.begin_job();
-    let pin_a = stores.pin(a.uid());
-    let pin_b = stores.pin(b.uid());
+    stores.evict_dropped();
 
     // Broadcast variables are node-level: one shared copy per node must
     // fit. The admission check uses the *backend-local* encoded sizes (the
@@ -216,6 +212,8 @@ fn prepare_job<'a>(
 
     // Operands land on their plan-placement home nodes; a broadcast B
     // installs one shared `Arc` copy per node instead.
+    stores.track(a);
+    stores.track(b);
     for (id, blk) in a.blocks_shared() {
         stores.ingest(
             plan.home_of(Operand::A, id),
@@ -236,8 +234,6 @@ fn prepare_job<'a>(
             );
         }
     }
-    stores.touch(a.uid());
-    stores.touch(b.uid());
     // Coded replication: materialize parity for the operands now that
     // placement is final, so a node loss during this job can be decoded
     // from group survivors instead of forcing a re-ingest. Idempotent —
@@ -262,7 +258,6 @@ fn prepare_job<'a>(
     }
 
     let c_uid = fresh_matrix_uid();
-    let pin_c = stores.pin(c_uid);
     Ok(JobSetup {
         job_transport: TransportStats::default(),
         faults,
@@ -274,7 +269,6 @@ fn prepare_job<'a>(
             stores,
             matrix: c_uid,
         },
-        _pins: [pin_a, pin_b, pin_c],
     })
 }
 
@@ -640,8 +634,9 @@ pub fn execute_plan_masked(
 
     // The *result* placement is registered at the blocks' future home
     // nodes so a chained operation consuming `c` as an operand (GNMF's
-    // repeated factors) re-ingests nothing. Stale placements age out after
-    // RESIDENCY_WINDOW_JOBS.
+    // repeated factors) re-ingests nothing. It stays as long as the
+    // caller keeps a handle to `c`.
+    stores.track(&c);
     for (id, blk) in c.blocks_shared() {
         let key = StoreKey::operand(c.uid(), id);
         stores.ingest(
@@ -651,8 +646,6 @@ pub fn execute_plan_masked(
         );
         stores.ingest(crate::plan::operand_home(Operand::B, id, nodes), key, blk);
     }
-    stores.touch(c.uid());
-    stores.evict_stale(RESIDENCY_WINDOW_JOBS);
     // Result blocks whose two placement hashes collide are sole copies;
     // parity over the result keeps those recoverable too.
     let parity_blocks_encoded = setup.parity_blocks_encoded + cluster.encode_parity(c.uid());

@@ -64,7 +64,7 @@ pub fn power_iteration<S: Ops>(
             ));
         }
         // Rayleigh quotient λ = vᵀ(Av) (v is unit length).
-        value = dot(&v, &av);
+        value = v.inner(&av)?;
         v = av.scale(1.0 / norm);
     }
     let av = session.matmul(a, &v)?;
@@ -166,17 +166,9 @@ pub fn ridge_regression_gd<S: Ops>(
             .scale(2.0)
             .elementwise(EwOp::Add, &w.scale(2.0 * lambda))?;
         w = w.elementwise(EwOp::Sub, &grad.scale(learning_rate))?;
-        let l = resid.frobenius_norm().powi(2) + lambda * w.frobenius_norm().powi(2);
-        loss.push(l);
+        loss.push(resid.inner(&resid)? + lambda * w.inner(&w)?);
     }
     Ok(RidgeFit { weights: w, loss })
-}
-
-/// Dot product of two equal-shape matrices (used on `n × 1` vectors).
-fn dot(a: &BlockMatrix, b: &BlockMatrix) -> f64 {
-    a.elementwise(EwOp::Mul, b)
-        .expect("shapes checked by caller")
-        .total_sum()
 }
 
 /// Normalizes a vector to unit Frobenius norm in place.

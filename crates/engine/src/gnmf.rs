@@ -247,6 +247,30 @@ mod tests {
     }
 
     #[test]
+    fn resident_bytes_do_not_grow_with_the_iteration_count() {
+        // What an iteration drops leaves the stores at the next job's
+        // prologue, so every iteration ends holding what the second did.
+        // (The first differs: its factors were drawn on the driver and
+        // ingested at one home, a result is placed at both.)
+        let v = small_v();
+        let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let cfg = GnmfConfig {
+            factor_dim: 16,
+            iterations: 5,
+        };
+        let mut resident = Vec::new();
+        run_real_with(&mut s, &v, &cfg, 7, |s, _| {
+            resident.push(s.cluster().stores().resident_bytes());
+            Ok(())
+        })
+        .unwrap();
+        assert!(
+            resident[2..].iter().all(|&r| r <= resident[1]),
+            "{resident:?}"
+        );
+    }
+
+    #[test]
     fn without_ratings_the_objective_is_the_norm_of_wh() {
         // With V = 0 both V terms vanish, and H ← H ∗ 0 / (WᵀW H) leaves no
         // block, so every product downstream is missing: the missing-block

@@ -240,10 +240,7 @@ impl JobService {
             // with a typed error, instead of killing the only thread that
             // could ever wake `wait`.
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                let ticket =
-                    shared
-                        .scheduler
-                        .submit(spec.tenant, spec.priority, spec.demand_bytes)?;
+                let ticket = shared.scheduler.submit(spec.priority, spec.demand_bytes)?;
                 thread_state.set_status(JobStatus::Running);
                 let queue_wait_secs = ticket.queue_wait_secs;
                 let cluster = shared.cluster.read().unwrap_or_else(|p| p.into_inner());

@@ -662,6 +662,31 @@ mod tests {
     }
 
     #[test]
+    fn dropped_results_leave_the_stores_at_the_next_job() {
+        let meta_a = MatrixMeta::dense(80, 64).with_block_size(16);
+        let meta_b = MatrixMeta::dense(64, 48).with_block_size(16);
+        let a = MatrixGenerator::with_seed(5).generate(&meta_a).unwrap();
+        let b = MatrixGenerator::with_seed(6).generate(&meta_b).unwrap();
+        let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        for _ in 0..3 {
+            s.matmul(&a, &b).unwrap();
+        }
+        let c = s.matmul(&a, &b).unwrap();
+        let resident: std::collections::BTreeSet<u64> = s
+            .cluster()
+            .stores()
+            .resident_keys()
+            .keys()
+            .map(|k| k.matrix)
+            .collect();
+        assert_eq!(
+            resident,
+            [a.uid(), b.uid(), c.uid()].into(),
+            "only matrices with a live handle stay resident"
+        );
+    }
+
+    #[test]
     fn real_session_ledger_accumulates_across_ops() {
         let meta_a = MatrixMeta::dense(80, 64).with_block_size(16);
         let meta_b = MatrixMeta::dense(64, 48).with_block_size(16);

@@ -508,6 +508,90 @@ fn a_panicking_job_fails_only_its_own_handle() {
     assert_eq!(svc.load().admitted_mem_bytes, 0);
 }
 
+/// Residency follows the handle under concurrency: while one tenant's job
+/// holds its operands and a first product, other tenants' jobs start —
+/// each sweeping dropped matrices out of the shared stores — and drop
+/// their results. The long job's matrices stay, its products keep their
+/// solo bytes, and the others' dropped results leave.
+#[test]
+fn a_long_jobs_matrices_stay_resident_while_other_tenants_drop_results() {
+    let a = Arc::new(dense(80, 64, 5));
+    let b = Arc::new(dense(64, 48, 6));
+    let solo = service()
+        .submit(JobSpec::new(TenantId(1)), {
+            let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+            move |s| s.matmul(&a, &b)
+        })
+        .wait()
+        .unwrap();
+
+    let svc = service();
+    let (first_done, others_done) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let long = svc.submit(JobSpec::new(TenantId(1)), {
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        let (first_done, others_done) = (Arc::clone(&first_done), Arc::clone(&others_done));
+        move |s: &mut distme_engine::TenantSession<'_>| {
+            let resident_keys = |s: &distme_engine::TenantSession<'_>, uids: &[u64]| {
+                let all = s.cluster().stores().resident_keys();
+                all.into_keys()
+                    .filter(|k| uids.contains(&k.matrix))
+                    .collect::<Vec<_>>()
+            };
+            let first = s.matmul(&a, &b)?;
+            let mine = [a.uid(), b.uid(), first.uid()];
+            let before = resident_keys(s, &mine);
+            first_done.store(true, Ordering::SeqCst);
+            while !others_done.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let during = resident_keys(s, &mine);
+            let second = s.matmul(&a, &b)?;
+            let resident = s.cluster().stores().resident_keys();
+            Ok((before, during, first, second, resident))
+        }
+    });
+    spin_until(Duration::from_secs(10), || {
+        first_done.load(Ordering::SeqCst)
+    });
+
+    let others: Vec<_> = (2..5u32)
+        .map(|t| {
+            let (x, y) = (
+                dense(64, 48, 30 + u64::from(t)),
+                dense(48, 32, 40 + u64::from(t)),
+            );
+            svc.submit(JobSpec::new(TenantId(t)), move |s| {
+                let mut dropped = Vec::new();
+                for _ in 0..2 {
+                    dropped.push(s.matmul(&x, &y)?.uid());
+                }
+                Ok(dropped)
+            })
+        })
+        .collect();
+    let dropped: Vec<u64> = others
+        .into_iter()
+        .flat_map(|h| h.wait().unwrap().value)
+        .collect();
+    others_done.store(true, Ordering::SeqCst);
+
+    let (before, during, first, second, resident) = long.wait().unwrap().value;
+    assert!(!before.is_empty());
+    assert_eq!(
+        during, before,
+        "other tenants' jobs evicted a live job's matrices"
+    );
+    assert_eq!(fingerprint(&first), fingerprint(&solo.value));
+    assert_eq!(fingerprint(&second), fingerprint(&solo.value));
+    assert!(
+        resident.keys().all(|k| !dropped.contains(&k.matrix)),
+        "a dropped result outlived the next job's prologue"
+    );
+}
+
 #[test]
 fn an_out_of_range_priority_fails_the_handle() {
     let svc = service();

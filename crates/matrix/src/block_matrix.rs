@@ -9,7 +9,7 @@ use crate::kernels;
 use crate::meta::MatrixMeta;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
@@ -18,7 +18,8 @@ static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 /// A uid names one *content version* of a block set (RDD-lineage style):
 /// clones and moves keep it, mutation mints a new one. Placement caches
 /// (the cluster's per-node block stores) key residency by uid, so a stale
-/// cache entry can never alias changed content.
+/// cache entry can never alias changed content, and hold it exactly as
+/// long as a handle to that version is alive ([`BlockMatrix::downgrade`]).
 pub fn fresh_matrix_uid() -> u64 {
     NEXT_UID.fetch_add(1, Ordering::Relaxed)
 }
@@ -32,7 +33,9 @@ pub fn fresh_matrix_uid() -> u64 {
 #[derive(Debug, Clone)]
 pub struct BlockMatrix {
     meta: MatrixMeta,
-    uid: u64,
+    /// Shared by every clone of this content version, so its strong count
+    /// is the number of live handles to the version.
+    uid: Arc<u64>,
     blocks: BTreeMap<BlockId, Arc<Block>>,
 }
 
@@ -49,7 +52,7 @@ impl BlockMatrix {
     pub fn new(meta: MatrixMeta) -> Self {
         BlockMatrix {
             meta,
-            uid: fresh_matrix_uid(),
+            uid: Arc::new(fresh_matrix_uid()),
             blocks: BTreeMap::new(),
         }
     }
@@ -62,7 +65,14 @@ impl BlockMatrix {
     /// This content version's identity (see [`fresh_matrix_uid`]). Stable
     /// across clones and moves; every [`put`](Self::put) mints a new one.
     pub fn uid(&self) -> u64 {
-        self.uid
+        *self.uid
+    }
+
+    /// A weak reference to this content version's uid: it upgrades exactly
+    /// while some handle to the version — this one or a clone that has not
+    /// been [`put`](Self::put) into since — is alive.
+    pub fn downgrade(&self) -> Weak<u64> {
+        Arc::downgrade(&self.uid)
     }
 
     fn check_slot(&self, bi: u32, bj: u32, block: &Block) -> Result<()> {
@@ -100,7 +110,7 @@ impl BlockMatrix {
     pub fn put_shared(&mut self, bi: u32, bj: u32, block: Arc<Block>) -> Result<()> {
         self.check_slot(bi, bj, &block)?;
         self.blocks.insert(BlockId::new(bi, bj), block);
-        self.uid = fresh_matrix_uid();
+        self.uid = Arc::new(fresh_matrix_uid());
         Ok(())
     }
 
