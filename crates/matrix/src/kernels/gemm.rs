@@ -14,7 +14,11 @@
 //!   **6 × 8** on `avx2+fma` (12 `ymm` accumulators), and a portable
 //!   **8 × 4** mul+add body everywhere else. The driver, the packing
 //!   routines and the macro-kernel are one generic body over `<MR, NR>`;
-//!   only the micro-kernels are written per ISA, in `std::arch` intrinsics.
+//!   only the micro-kernels are written per ISA, in `std::arch` intrinsics;
+//! * the two packing buffers are sized per call from `m, n, k` and live per
+//!   thread: they only grow, are reused by every later call on that thread
+//!   (a stage worker's whole run of block products), and are capped at one
+//!   full `MC×KC` + `NC×KC` blocking, ~4.3 MB.
 //!
 //! **The summation order is the contract, not the tile.** Every element of
 //! `C` is computed as: for each `KC`-deep slab of the inner dimension, one
@@ -30,6 +34,7 @@
 //! packing A reads it column-wise, so the transpose costs nothing extra and
 //! the micro-kernel is identical.
 
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use crate::dense::DenseBlock;
@@ -225,35 +230,48 @@ fn blocked_driver<const MR: usize, const NR: usize, const TN: bool>(
 ) {
     // Panel buffers are rounded up to full MR/NR tiles and zero-padded, so
     // the micro-kernel never branches on edges; the write-back masks them.
-    // They keep the full MC×KC / NC×KC size whatever the operands: sizing
-    // and reusing them is ROADMAP item 2(a).
-    let mut apack = vec![0.0f64; MC.div_ceil(MR) * MR * KC];
-    let mut bpack = vec![0.0f64; NC.div_ceil(NR) * NR * KC];
-
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            pack_b::<NR>(&mut bpack, bv, n, pc, jc, kc, nc);
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                if TN {
-                    // A stored `k × m` holds a panel row's MR values side by
-                    // side, exactly as B holds NR of them.
-                    pack_b::<MR>(&mut apack, av, m, pc, ic, kc, mc);
-                } else {
-                    pack_a::<MR>(&mut apack, av, k, pc, ic, kc, mc);
-                }
-                macro_kernel::<MR, NR>(&kernel, alpha, &apack, &bpack, cv, ic, jc, mc, nc, kc, n);
-                ic += mc;
+    // They are this thread's `PACK`, so they may hold an earlier call's
+    // values: the packing routines overwrite every padding lane, and the
+    // micro-kernel reads only the `kc·MR` / `kc·NR` they just wrote.
+    let a_len = m.min(MC).div_ceil(MR) * MR * k.min(KC);
+    let b_len = n.min(NC).div_ceil(NR) * NR * k.min(KC);
+    PACK.with_borrow_mut(|(apack, bpack)| {
+        for (buf, len) in [(&mut *apack, a_len), (&mut *bpack, b_len)] {
+            if buf.len() < len {
+                buf.resize(len, 0.0);
             }
-            pc += kc;
         }
-        jc += nc;
-    }
+        let (apack, bpack) = (&mut apack[..a_len], &mut bpack[..b_len]);
+        let mut jc = 0;
+        while jc < n {
+            let nc = NC.min(n - jc);
+            let mut pc = 0;
+            while pc < k {
+                let kc = KC.min(k - pc);
+                pack_b::<NR>(bpack, bv, n, pc, jc, kc, nc);
+                let mut ic = 0;
+                while ic < m {
+                    let mc = MC.min(m - ic);
+                    if TN {
+                        // A stored `k × m` holds a panel row's MR values side
+                        // by side, exactly as B holds NR of them.
+                        pack_b::<MR>(apack, av, m, pc, ic, kc, mc);
+                    } else {
+                        pack_a::<MR>(apack, av, k, pc, ic, kc, mc);
+                    }
+                    macro_kernel::<MR, NR>(&kernel, alpha, apack, bpack, cv, ic, jc, mc, nc, kc, n);
+                    ic += mc;
+                }
+                pc += kc;
+            }
+            jc += nc;
+        }
+    });
+}
+
+thread_local! {
+    /// This thread's `(apack, bpack)`, sized as the module docs say.
+    static PACK: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Packs `A[ic..ic+mc, pc..pc+kc]` (row-major, leading dimension `lda`)
@@ -701,6 +719,95 @@ mod tests {
         // The block products the benchmark's workloads run: serve 32³,
         // GNMF's 128×64×128 and 64×128×64, dense 256³.
         assert_summation_order(&[(32, 32, 32), (128, 64, 128), (64, 128, 64), (256, 256, 256)]);
+    }
+
+    impl Tile {
+        /// `(MR, NR)` of this tile.
+        fn dims(self) -> (usize, usize) {
+            match self {
+                #[cfg(target_arch = "x86_64")]
+                Tile::Avx512 => (8, 24),
+                #[cfg(target_arch = "x86_64")]
+                Tile::Avx2 => (6, 8),
+                Tile::Portable => (8, 4),
+            }
+        }
+    }
+
+    /// This thread's packing buffers `(apack, bpack)`, as bits.
+    fn packed_bits() -> (Vec<u64>, Vec<u64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        PACK.with_borrow(|(a, b)| (bits(a), bits(b)))
+    }
+
+    #[test]
+    fn a_reused_packing_buffer_gives_the_bits_of_a_fresh_one() {
+        // Dirty both buffers of this thread at full size.
+        let (m, k, n) = (MC + 1, KC + 1, NC + 1);
+        let (a, b) = (pseudo_random(m, k, 1), pseudo_random(k, n, 2));
+        gemm(1.0, &a, &b, 0.0, &mut DenseBlock::zeros(m, n)).unwrap();
+        let mut shapes = boundary_shapes();
+        shapes.extend([(32, 32, 32), (128, 64, 128), (64, 128, 64), (256, 256, 256)]);
+        shapes.sort_by_key(|&(m, k, n)| std::cmp::Reverse(m * k * n));
+        let ascending: Vec<_> = shapes.iter().rev().copied().collect();
+        // Descending, then ascending: each shape runs once as `gemm` and
+        // once as `gemm_tn`, after larger and after smaller calls.
+        for (i, (m, k, n)) in shapes.into_iter().chain(ascending).enumerate() {
+            let (a, b, c0) = (
+                pseudo_random(m, k, 7),
+                pseudo_random(k, n, 8),
+                pseudo_random(m, n, 9),
+            );
+            let at = a.transpose();
+            let expect = reference(1.5, &slab_sums(&a, &b), 0.5, &c0);
+            for tile in Tile::supported() {
+                let run = || {
+                    let mut c = c0.clone();
+                    if i % 2 == 0 {
+                        gemm_on::<false>(tile, 1.5, &a, &b, 0.5, &mut c).unwrap();
+                    } else {
+                        gemm_on::<true>(tile, 1.5, &at, &b, 0.5, &mut c).unwrap();
+                    }
+                    (c, packed_bits())
+                };
+                let (c, (apack, bpack)) = run();
+                let (fresh, (fresh_a, fresh_b)) =
+                    std::thread::scope(|s| s.spawn(run).join().unwrap());
+                let case = format!("{tile:?} {m}x{k}x{n} tn={}", i % 2);
+                assert_eq!(bits(&c), bits(&fresh), "result, {case}");
+                // The padding lanes are masked at write-back, so only the
+                // panels themselves show a lane the packing left stale.
+                assert_eq!(apack[..fresh_a.len()], fresh_a, "A panels, {case}");
+                assert_eq!(bpack[..fresh_b.len()], fresh_b, "B panels, {case}");
+                if tile == Tile::Portable {
+                    assert!(c.max_abs_diff(&expect).unwrap() < 1e-9, "{case}");
+                } else {
+                    assert_eq!(bits(&c), bits(&expect), "reference, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packing_buffers_are_sized_by_the_operands() {
+        let tile = Tile::best();
+        let (mr, nr) = tile.dims();
+        let lens = move |(m, k, n): (usize, usize, usize)| {
+            let (a, b) = (pseudo_random(m, k, 1), pseudo_random(k, n, 2));
+            gemm_on::<false>(tile, 1.0, &a, &b, 0.0, &mut DenseBlock::zeros(m, n)).unwrap();
+            let (apack, bpack) = packed_bits();
+            (apack.len(), bpack.len())
+        };
+        std::thread::spawn(move || {
+            let (a, b) = lens((32, 32, 32));
+            assert!(a + b <= (32usize.div_ceil(mr) * mr + 32usize.div_ceil(nr) * nr) * 32);
+            // Past every blocking edge: as large as the buffers get.
+            let (a, b) = lens((MC + 1, KC + 1, NC + 1));
+            assert!(a <= MC.div_ceil(mr) * mr * KC, "apack {a}");
+            assert!(b <= NC.div_ceil(nr) * nr * KC, "bpack {b}");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
