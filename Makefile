@@ -2,9 +2,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint doc test e2e-check results-check build loc dead
+.PHONY: ci fmt lint doc test examples e2e-check results-check build loc dead
 
-ci: fmt lint doc test e2e-check results-check
+ci: fmt lint doc test examples e2e-check results-check
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -22,6 +22,17 @@ doc:
 # (crates/cluster/tests), the job service (crates/engine/tests).
 test:
 	$(CARGO) test -q --workspace
+
+# Every example runs to completion in release: several assert their own
+# results (multi_tenant its per-tenant attribution; quickstart,
+# gpu_streaming and centrality their products), so a non-zero exit fails.
+EXAMPLES = quickstart gpu_streaming elastic_scaling gnmf_recommender multi_tenant centrality
+
+examples:
+	$(CARGO) build --release --examples
+	@for e in $(EXAMPLES); do \
+		$(CARGO) run -q --release --example $$e > /dev/null || { echo "example $$e failed"; exit 1; }; \
+	done; echo "examples: all $(words $(EXAMPLES)) ran"
 
 # CI gate: the repository's benchmark (e2e/, a package outside the
 # workspace that sees only the engine's public API) must still compile and

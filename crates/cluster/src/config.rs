@@ -208,7 +208,7 @@ pub struct ClusterConfig {
     /// memory budget, priority range.
     pub scheduler: SchedulerConfig,
     /// Coded-replication policy (`cluster::coding`): off by default so
-    /// placement, wire frames, and ledger bytes stay byte-identical to the
+    /// placement, wire frames, and model bytes stay byte-identical to the
     /// pre-coding engine; `Xor` materializes one parity block per group,
     /// which recovery decodes instead of replaying lineage.
     pub replication: ReplicationPolicy,

@@ -2,9 +2,9 @@
 //!
 //! [`LocalCluster`] emulates a Spark cluster inside one process: `M`
 //! virtual nodes × `Tc` slots, tasks assigned round-robin, per-task memory
-//! budgets, per-node block stores, and a codec-backed [`Transport`] whose
-//! [`ShuffleLedger`] counts every block movement between (virtual) node
-//! boundaries. This is the correctness path: the distributed methods in
+//! budgets, per-node block stores, and a codec-backed [`Transport`] that
+//! serializes every block movement between (virtual) node boundaries.
+//! This is the correctness path: the distributed methods in
 //! `distme-core` must produce bit-identical results to the single-node
 //! reference through this executor, with locality enforced — a task reads
 //! only blocks resident in its own node's store.
@@ -23,7 +23,6 @@ use crate::failure::{JobError, TaskError};
 use crate::membership::{Membership, MembershipEvent};
 use crate::rebalance::{RebalancePlan, RebalanceReport};
 use crate::scheduler::{Gang, Scheduler};
-use crate::shuffle::ShuffleLedger;
 use crate::stats::{JobStats, Phase, TenantId};
 use crate::store::{ClusterStores, FreeBuffers, StoreKey};
 use crate::transport::{Transport, TransportStats, WireMove};
@@ -114,7 +113,6 @@ pub struct StageRun<O> {
 /// An in-process "cluster" of `M` virtual nodes with real worker threads.
 pub struct LocalCluster {
     cfg: ClusterConfig,
-    ledger: Arc<ShuffleLedger>,
     stores: ClusterStores,
     transport_stats: TransportStats,
     faults: Mutex<Option<Arc<FaultPlan>>>,
@@ -128,7 +126,6 @@ impl LocalCluster {
         cfg.assert_valid();
         LocalCluster {
             cfg,
-            ledger: Arc::new(ShuffleLedger::new()),
             stores: ClusterStores::new(cfg.nodes),
             transport_stats: TransportStats::default(),
             faults: Mutex::new(None),
@@ -165,11 +162,6 @@ impl LocalCluster {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
-    }
-
-    /// The shared byte ledger.
-    pub fn ledger(&self) -> &ShuffleLedger {
-        &self.ledger
     }
 
     /// The per-node block stores.
@@ -254,8 +246,8 @@ impl LocalCluster {
     /// empty nodes; a shrink drains the leaving tail's blocks onto the
     /// survivors before their stores are dropped — either way, every
     /// resident block is re-homed onto the new grid through the
-    /// codec-backed transport (ledger [`Phase::Rebalance`], counted in the
-    /// report's `rebalanced_*` stats) and the epoch bumps, invalidating
+    /// codec-backed transport (the report's [`Phase::Rebalance`] bytes and
+    /// `rebalanced_*` stats) and the epoch bumps, invalidating
     /// every plan built for the old grid. `scale_to(current)` is a no-op
     /// and does not bump the epoch.
     ///
@@ -410,8 +402,8 @@ impl LocalCluster {
     /// commissioned or the lost one removed, the plan runs as one gang, a
     /// shrink's drained tail is dropped, node count, scheduler slots and
     /// epoch move together, and what was coded is re-encoded for the new
-    /// grid — installed directly, no transport and no ledger traffic, so
-    /// the ledger's `Rebalance` deltas stay data-only.
+    /// grid — installed directly, no transport, so the report's
+    /// `Rebalance` bytes stay data-only.
     fn change_membership(
         &mut self,
         event: MembershipEvent,
@@ -464,12 +456,11 @@ impl LocalCluster {
     }
 
     /// Executes a rebalance plan as one gang of its units. Migration
-    /// traffic is charged to the ledger under [`Phase::Rebalance`] but
-    /// kept out of the cluster's per-job [`TransportStats`] (payload
-    /// accounting of jobs must not shift when a resize happens between
-    /// them) and runs fault-free — it belongs to no job, so the fault
-    /// plan's job-keyed decisions do not apply. A unit's moves draw their
-    /// wire buffers from `buffers` and its evictions refill it. Returns
+    /// traffic is kept out of the cluster's per-job [`TransportStats`]
+    /// (payload accounting of jobs must not shift when a resize happens
+    /// between them) and runs fault-free — it belongs to no job, so the
+    /// fault plan's job-keyed decisions do not apply. A unit's moves draw
+    /// their wire buffers from `buffers` and its evictions refill it. Returns
     /// `(moves, payload_bytes, cross_node_payload_bytes)`, order-free sums.
     ///
     /// # Errors
@@ -506,8 +497,6 @@ impl LocalCluster {
                     if unit.from != to {
                         cross += bytes;
                     }
-                    self.ledger
-                        .record_shuffle(Phase::Rebalance, unit.from, to, bytes);
                 }
             }
             for &node in &unit.evict {
@@ -1044,10 +1033,10 @@ mod tests {
         assert!(report.moves > 0);
         assert_eq!(report.stats.rebalanced_moves, report.moves);
         assert_eq!(report.stats.rebalanced_payload_bytes, report.payload_bytes);
-        // Migration traffic is ledger'd under its own phase and stays out
+        // Migration traffic is reported under its own phase and stays out
         // of the per-job transport counters.
         assert_eq!(
-            c.ledger().shuffle_bytes(Phase::Rebalance),
+            report.stats.phase(Phase::Rebalance).shuffle_bytes,
             report.payload_bytes
         );
         assert_eq!(c.transport_stats().payload_bytes(), 0);
@@ -1191,17 +1180,11 @@ mod tests {
                 .collect()
         };
         let mut cycle = || {
-            let mark = c.ledger().snapshot();
             let grown = c.scale_to(9).unwrap();
             let at_nine = placement(&c);
             let shrunk = c.scale_to(4).unwrap();
-            let delta = c.ledger().since(&mark);
             (
                 [grown, shrunk].map(|r| (r.moves, r.payload_bytes, r.stats)),
-                (
-                    delta.shuffle_bytes(Phase::Rebalance),
-                    delta.cross_node_bytes(Phase::Rebalance),
-                ),
                 at_nine,
                 placement(&c),
             )
@@ -1209,10 +1192,18 @@ mod tests {
         let first = cycle();
         let [(moves, payload, stats), _] = first.0;
         assert!(moves > 0 && payload > 0 && stats.parity_blocks_encoded > 0);
-        assert_eq!(first.1 .0, first.0[0].1 + first.0[1].1, "ledger = reports");
+        for (_, payload, stats) in first.0 {
+            let rebalance = stats.phase(Phase::Rebalance);
+            assert_eq!(rebalance.shuffle_bytes, payload, "phase bytes = payload");
+            assert!(rebalance.cross_node_bytes <= payload);
+        }
         for n in 1..20 {
             assert!(cycle() == first, "cycle {n} differs from the first");
         }
+        // A resize to the current size moves nothing and says so.
+        let noop = c.scale_to(4).unwrap();
+        assert_eq!((noop.moves, noop.payload_bytes), (0, 0));
+        assert_eq!(noop.stats.phase(Phase::Rebalance).shuffle_bytes, 0);
     }
 
     #[test]

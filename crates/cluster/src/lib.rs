@@ -19,9 +19,9 @@
 //!     virtual time against NIC / disk / CPU / GPU resource models — the
 //!     paper-scale path, including the O.O.M. / T.O. / E.D.C. failure modes
 //!     annotated in Figs. 6–8;
-//! * [`ShuffleLedger`] — byte accounting shared by both executors;
 //! * [`JobStats`] — per-phase elapsed/communication breakdowns backing
-//!   Figs. 6(d–f), 7(e–f) and Table 5.
+//!   Figs. 6(d–f), 7(e–f) and Table 5: every byte a job moves is written
+//!   once, into the stats of the operation that moved it.
 
 //! * [`chaos::FaultPlan`] — seeded, deterministic fault injection (dropped
 //!   and corrupted deliveries, task crashes, node blackouts) driving the
@@ -46,7 +46,6 @@ pub mod failure;
 pub mod membership;
 pub mod rebalance;
 pub mod scheduler;
-pub mod shuffle;
 pub mod stats;
 pub mod store;
 pub mod transport;
@@ -60,7 +59,6 @@ pub use failure::{JobError, TaskError};
 pub use membership::{ElasticPolicy, Membership, MembershipEvent};
 pub use rebalance::{RebalancePlan, RebalanceReport, RebalanceUnit};
 pub use scheduler::{AdmissionTicket, Gang, QueueWaitStats, Scheduler, SchedulerLoad, TaskGrant};
-pub use shuffle::{LedgerSnapshot, ShuffleLedger};
 pub use stats::{JobStats, Phase, PhaseStats, TenantId};
 pub use store::{BlockSource, BlockView, ClusterStores, NodeStore, StoreKey, StoreKind};
 pub use transport::{Transport, TransportStats, WireMove};

@@ -8,9 +8,9 @@
 //!
 //! * one [`RebalanceUnit`] per key that has anything to do — the new homes
 //!   to ship it to from one surviving holder (through the codec-backed
-//!   transport, charged to the ledger under [`Phase::Rebalance`]), then
-//!   the copies stranded at nodes that are no longer homes (dropping them
-//!   is what empties a leaving node's store).
+//!   transport, reported under [`Phase::Rebalance`]), then the copies
+//!   stranded at nodes that are no longer homes (dropping them is what
+//!   empties a leaving node's store).
 //!
 //! Every key of the snapshot has a holder: a key whose sole copy a
 //! permanent decommission severed is the caller's to account for
@@ -28,8 +28,8 @@
 //! ([`FreeBuffers`](crate::store::FreeBuffers)), and the transport draws
 //! its receive buffers from there. A move of a block that already crossed
 //! the wire once copies the frame it is a view of — nothing is serialized
-//! again. Totals (moves, bytes, ledger charges) are sums over units and do
-//! not depend on the order they ran in.
+//! again. Totals (moves, payload and cross-node bytes) are sums over
+//! units and do not depend on the order they ran in.
 //!
 //! Every key is re-homed to **both** salted homes (`which` 0 and 1 — the
 //! A-operand and B-operand spaces of the plan's routing), matching how the

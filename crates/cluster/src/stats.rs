@@ -6,12 +6,10 @@
 //! volumes (Figs. 6(d–f), 7(f)). [`JobStats`] carries exactly those
 //! measurements, filled in by either executor.
 
-/// Identity of the tenant a job was submitted on behalf of. Every byte a
-/// job charges to the shared [`crate::ShuffleLedger`] is attributed to
-/// exactly one tenant, so per-tenant deltas always sum to the cluster
-/// totals. Work that belongs to no tenant (a solo session's jobs,
-/// rebalances, direct ledger records) is charged to
-/// [`TenantId::ANONYMOUS`].
+/// Identity of the tenant a job was submitted on behalf of: its stages'
+/// scheduler leases and its [`JobStats`] are attributed to exactly one
+/// tenant. Work that belongs to no tenant (a solo session's jobs,
+/// rebalances) runs as [`TenantId::ANONYMOUS`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
@@ -123,7 +121,7 @@ pub struct JobStats {
     pub gpu_utilization: Option<f64>,
     /// Physically encoded transport payload bytes (real executor only; the
     /// simulator has no physical blocks and leaves this 0). Differs from
-    /// the model-byte ledger counts: sparse blocks encode smaller than
+    /// the per-phase model bytes: sparse blocks encode smaller than
     /// their dense estimate and implicit-zero moves carry nothing.
     pub transport_payload_bytes: u64,
     /// Task attempts re-executed after a transient failure (real executor
@@ -133,7 +131,7 @@ pub struct JobStats {
     /// (lineage re-delivery from the producer's store).
     pub redelivered_moves: u64,
     /// Physical payload bytes of repeated deliveries and re-run task
-    /// attempts. Kept apart from both the ledger's model bytes and
+    /// attempts. Kept apart from both the per-phase model bytes and
     /// `transport_payload_bytes` so fault-free byte accounting stays
     /// bit-identical under injected faults.
     pub retransmitted_payload_bytes: u64,

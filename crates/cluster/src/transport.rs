@@ -10,11 +10,10 @@
 //! delivery exactly as before (`codec::resident_frame`). The receive
 //! buffer is a fresh exact-size allocation, except inside a resize, whose
 //! migration draws from the buffers of the blocks it has just evicted
-//! ([`Transport::with_buffers`]). The ledger's *model* bytes are charged
-//! by the driver with the plan's per-phase totals (see
-//! `core::real_exec`), never here — so
-//! fault-driven redelivery can neither double-charge nor under-charge the
-//! model. The transport counts only *physical* traffic:
+//! ([`Transport::with_buffers`]). A job's *model* bytes are the plan's
+//! per-phase totals, copied into its stats by the driver (see
+//! `core::real_exec`), never counted here — so fault-driven redelivery
+//! can neither double-count nor under-count the model. The transport counts only *physical* traffic:
 //!
 //! * [`TransportStats::payload_bytes`] — the first transmission of every
 //!   materialized block (identical between a faulted and fault-free run);
@@ -41,11 +40,11 @@ use std::sync::Arc;
 
 /// One executable move: ship the block under `src` on `from_node` to the
 /// `dst` key on `to_node`. `wire_bytes` is the plan's model estimate —
-/// charged to the ledger by the driver, carried here so fault decisions
-/// and diagnostics can see it.
+/// reported by the driver, carried here so fault decisions and
+/// diagnostics can see it.
 #[derive(Debug, Clone, Copy)]
 pub struct WireMove {
-    /// Ledger phase the move belongs to.
+    /// Phase the move belongs to.
     pub phase: Phase,
     /// Source node.
     pub from_node: usize,

@@ -1,14 +1,15 @@
-//! Elastic membership at the cluster layer: ledger snapshot deltas that
-//! span a membership change, and the membership log across a session of
-//! resizes.
+//! Elastic membership at the cluster layer: the byte counts a membership
+//! change reports, and the membership log across a session of resizes.
 //!
-//! The invariant under test for the snapshots: a rebalance's migration
-//! bytes land in a spanning [`LedgerSnapshot::since`] delta **exactly
-//! once**, under [`Phase::Rebalance`] and no other phase — never smeared
-//! into job phases, never double-counted by later deltas.
+//! The invariant under test for the reports: a rebalance's migration
+//! bytes land in its `RebalanceReport`'s stats **exactly once**, under
+//! [`Phase::Rebalance`] and no other phase — never smeared into job
+//! phases, never repeated by a later resize.
 
 use distme_cluster::rebalance::home_node;
-use distme_cluster::{ClusterConfig, LocalCluster, MembershipEvent, Phase, StoreKey};
+use distme_cluster::{
+    ClusterConfig, LocalCluster, MembershipEvent, Phase, PhaseStats, RebalancePlan, StoreKey,
+};
 use distme_matrix::{Block, BlockId, DenseBlock};
 use std::sync::Arc;
 
@@ -35,56 +36,55 @@ fn seeded_cluster() -> LocalCluster {
 #[test]
 fn snapshot_deltas_span_a_membership_change_exactly_once() {
     let mut c = seeded_cluster();
-    // Pre-existing job traffic: must stay out of the spanning delta.
-    c.ledger().record_shuffle(Phase::Repartition, 0, 1, 100);
-    let mark = c.ledger().snapshot();
+    // Every seeded block is one 4×4 dense frame, so the moves the plan
+    // lists fix the bytes: all of them shuffled, the off-node ones crossed.
+    let plan = RebalancePlan::derive(&c.stores().resident_keys(), 9);
+    let moves = plan
+        .units
+        .iter()
+        .flat_map(|u| u.to.iter().map(|&to| (u.from, to)));
+    let (all, off_node) = moves.fold((0, 0), |(n, x), (from, to)| {
+        (n + 1, x + u64::from(from != to))
+    });
+    let frame = distme_matrix::codec::encoded_len(&block(0));
 
     let report = c.scale_to(9).expect("grow");
     assert!(
         report.payload_bytes > 0,
         "a grow on a seeded store migrates"
     );
-
-    let delta = c.ledger().since(&mark);
+    let rebalance = report.stats.phase(Phase::Rebalance);
     assert_eq!(
-        delta.shuffle_bytes(Phase::Rebalance),
-        report.payload_bytes,
-        "the spanning delta must carry the migration bytes"
+        rebalance.shuffle_bytes, report.payload_bytes,
+        "the report's phase bytes carry the migration bytes"
     );
-    assert_eq!(
-        delta.cross_node_bytes(Phase::Rebalance),
-        report.stats.phase(Phase::Rebalance).cross_node_bytes
-    );
+    assert_eq!(rebalance.shuffle_bytes, all * frame);
+    assert_eq!(rebalance.cross_node_bytes, off_node * frame);
     for phase in [Phase::Repartition, Phase::LocalMult, Phase::Aggregation] {
         assert_eq!(
-            delta.shuffle_bytes(phase),
-            0,
+            *report.stats.phase(phase),
+            PhaseStats::default(),
             "migration must not smear into {}",
             phase.label()
         );
     }
 
-    // A delta taken after the resize reports the bytes zero more times.
-    let after = c.ledger().snapshot();
-    assert_eq!(c.ledger().since(&after).shuffle_bytes(Phase::Rebalance), 0);
+    // A resize to the current size reports the bytes zero more times.
+    let noop = c.scale_to(9).expect("no-op");
+    assert_eq!((noop.moves, noop.payload_bytes), (0, 0));
+    assert_eq!(noop.stats.communication_bytes(), 0);
 
-    // Cumulative counters: prior traffic untouched, rebalance accumulated.
-    assert_eq!(c.ledger().shuffle_bytes(Phase::Repartition), 100);
-    assert_eq!(
-        c.ledger().shuffle_bytes(Phase::Rebalance),
-        report.payload_bytes
-    );
-
-    // A second resize stacks on top cumulatively, and a snapshot taken
-    // between the two sees only the second migration.
-    let between = c.ledger().snapshot();
+    // A second resize reports only its own migration; merged, the two
+    // reports are the session's migration total.
     let shrink = c.scale_to(4).expect("shrink");
     assert_eq!(
-        c.ledger().since(&between).shuffle_bytes(Phase::Rebalance),
+        shrink.stats.phase(Phase::Rebalance).shuffle_bytes,
         shrink.payload_bytes
     );
+    let mut total = report.stats;
+    total.merge(&shrink.stats);
     assert_eq!(
-        c.ledger().shuffle_bytes(Phase::Rebalance),
+        total.phase(Phase::Rebalance).shuffle_bytes,
         report.payload_bytes + shrink.payload_bytes
     );
 }

@@ -34,9 +34,9 @@
 //!   blocks on the thread-backed cluster as a single dependency-gated
 //!   stage (each mult task pulls its own k-panels, aggregation released by
 //!   its producers), used to *prove* every method computes the same product as
-//!   the single-node reference; it charges the ledger with the per-phase
-//!   bytes the plan stored at build time, the field the simulator reports,
-//!   so the two report the same communication;
+//!   the single-node reference; it reports the per-phase bytes the plan
+//!   stored at build time, the field the simulator reports, so the two
+//!   report the same communication;
 //! * [`pipelined`] — `multiply_pipelined`, the benchmark's name for
 //!   [`real_exec::multiply`];
 //! * [`summa`] — SUMMA on an MPI-style process grid, the ScaLAPACK/SciDB

@@ -18,9 +18,9 @@
 //! *summary* onto the simulated cluster, `real_exec` materializes each
 //! task's blocks. Communication bytes are summed over the routing once, at
 //! build time, into the plan's per-phase [`PhaseComm`]
-//! ([`JobPlan::phase_comm`]); the simulator reports that field and the real
-//! executor charges its ledger from it, so the two are the same numbers by
-//! construction.
+//! ([`JobPlan::phase_comm`]), and both executors copy that field into
+//! their job's stats ([`JobPlan::report_comm`]), so the two report the
+//! same numbers by construction.
 
 use crate::cuboid::{Cuboid, CuboidGrid};
 use crate::gpu_local;
@@ -222,9 +222,8 @@ impl JobPlan {
 
     /// Communication charged to `phase`: the routed moves of every stage
     /// whose inputs are accounted there, plus the broadcast for
-    /// repartition — summed once when the plan was built. The simulator
-    /// reports these numbers and the real executor charges its ledger with
-    /// them.
+    /// repartition — summed once when the plan was built. Both executors
+    /// report these numbers.
     pub fn phase_comm(&self, phase: Phase) -> PhaseComm {
         self.comm[phase.index()]
     }

@@ -8,9 +8,7 @@
 //! 1. a **prologue** (`prepare_job`): the plan is validated against the
 //!    cluster's width and membership epoch, operand blocks are installed
 //!    into their home nodes' stores (reusing placements still resident from
-//!    earlier jobs), and the ledger is charged, once per phase, with the
-//!    totals the plan stored at build time — the field the simulator
-//!    reports for the same plan, so simulated bytes are the measured ones;
+//!    earlier jobs);
 //! 2. **one stage** ([`LocalCluster::run_stage`]) holding every task of the
 //!    plan: the local-multiplication tasks, the pre-moves of a map stage
 //!    (CRMM's re-blocking), and the aggregation tasks, each of these gated
@@ -20,7 +18,10 @@
 //! 3. an **epilogue**: the result blocks the stage's items handed back — a
 //!    mult task's products when the plan does not aggregate (`R = 1`), a
 //!    reduce's sums when it does — are placed at their future home nodes,
-//!    and the job's statistics are assembled.
+//!    and the job's statistics are assembled, its model bytes copied once
+//!    from the per-phase totals the plan stored at build time — the field
+//!    the simulator reports for the same plan, so simulated bytes are the
+//!    measured ones.
 //!
 //! A mult task splits its routed inputs into k-panels and pulls them itself,
 //! in k order, on the one thread it runs on: every planned move executes
@@ -65,9 +66,9 @@ use std::time::Instant;
 /// Options for real execution.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RealExecOptions {
-    /// Tenant the job's ledger traffic and scheduler leases are attributed
-    /// to. Defaults to [`TenantId::ANONYMOUS`], preserving the single-user
-    /// behaviour for direct callers.
+    /// Tenant the job's scheduler leases are attributed to. Defaults to
+    /// [`TenantId::ANONYMOUS`], preserving the single-user behaviour for
+    /// direct callers.
     pub tenant: TenantId,
     /// Scheduler priority of this job's stage (clamped to the cluster's
     /// configured `priority_levels`; higher wins freed slots first).
@@ -157,14 +158,13 @@ impl Drop for EvictOnDrop<'_> {
     }
 }
 
-/// Validates `plan` against the cluster, ingests the operands at their
-/// plan homes and charges the ledger with the plan's per-phase totals.
+/// Validates `plan` against the cluster and ingests the operands at their
+/// plan homes.
 fn prepare_job<'a>(
     cluster: &'a LocalCluster,
     a: &BlockMatrix,
     b: &BlockMatrix,
     plan: &JobPlan,
-    opts: &RealExecOptions,
 ) -> Result<JobSetup<'a>, JobError> {
     let resolved = &plan.resolved;
     let nodes = cluster.config().nodes;
@@ -239,23 +239,6 @@ fn prepare_job<'a>(
     // from group survivors instead of forcing a re-ingest. Idempotent —
     // an operand already coded by an earlier job encodes to nothing.
     let parity_blocks_encoded = cluster.encode_parity(a.uid()) + cluster.encode_parity(b.uid());
-
-    // Model bytes are charged once per phase, from the totals the plan
-    // stored when it was built — never per physical delivery. Fault-injected
-    // drops and lineage redeliveries therefore cannot skew the model, and
-    // the job's stats read the same field back (`JobPlan::report_comm`), as
-    // the simulator's do: the retransmitted bytes show up only in the
-    // transport's own counters.
-    for phase in Phase::ALL {
-        let comm = plan.phase_comm(phase);
-        cluster.ledger().record_phase_for(
-            opts.tenant,
-            phase,
-            comm.shuffle_bytes,
-            comm.cross_node_bytes,
-            comm.broadcast_bytes,
-        );
-    }
 
     let c_uid = fresh_matrix_uid();
     Ok(JobSetup {
@@ -400,8 +383,8 @@ pub fn execute_plan(
 /// mult task gathers its output into the mask's row-stripe CSR pattern
 /// (`multiply_cuboid_sddmm`) instead of running the dense accumulator,
 /// and the result skips density normalization so the pattern survives
-/// verbatim. Everything else — ingest, routing, ledger charging, panel
-/// pulls, aggregation, placement — is the dense path.
+/// verbatim. Everything else — ingest, routing, model bytes, panel pulls,
+/// aggregation, placement — is the dense path.
 pub fn execute_plan_masked(
     cluster: &LocalCluster,
     a: &BlockMatrix,
@@ -418,7 +401,7 @@ pub fn execute_plan_masked(
     let theta_g = cluster.config().gpu.map(|g| g.task_mem_bytes);
 
     let prep_timer = Instant::now();
-    let setup = prepare_job(cluster, a, b, plan, &opts)?;
+    let setup = prepare_job(cluster, a, b, plan)?;
     let (c_uid, job_transport) = (setup.c_uid, &setup.job_transport);
     // Task faults key on an item's plan identity, known here and not in the
     // stage runner, so the items consult the fault plan themselves.
@@ -651,10 +634,13 @@ pub fn execute_plan_masked(
     let parity_blocks_encoded = setup.parity_blocks_encoded + cluster.encode_parity(c.uid());
 
     // ------------- Statistics ---------------------------------------------
-    // Model bytes are the plan's (the totals the prologue charged to the
-    // shared ledger); physical bytes come from the job-local transport
-    // mirror. Neither reads shared state a concurrent job could be
-    // mutating. Time splits by where it went; see the module docs.
+    // Model bytes are the plan's, copied once from the per-phase totals
+    // it stored when it was built — never counted per physical delivery,
+    // so fault-injected drops and lineage redeliveries cannot skew them
+    // (retransmitted bytes show up only in the transport's own counters).
+    // Physical bytes come from the job-local transport mirror. Neither
+    // reads shared state a concurrent job could be mutating. Time splits
+    // by where it went; see the module docs.
     let pull_secs = comm.pull_micros.load(Ordering::Relaxed) as f64 / 1e6;
     let comm_secs = pull_secs + comm.beside_micros.load(Ordering::Relaxed) as f64 / 1e6;
     let stall_secs = pull_secs.min(stage_secs);
@@ -986,17 +972,33 @@ mod tests {
 
     #[test]
     fn ledger_accumulates_across_jobs() {
+        // A job's stats carry its own model bytes — the plan's, copied
+        // once — never a running total of the cluster's: a second identical
+        // job reports exactly what the first did, and merging the two is
+        // what accumulates.
         let (a, b, _) = operands(16, 1.0);
         let c = cluster();
+        let problem = MatmulProblem::new(*a.meta(), *b.meta()).unwrap();
+        let plan = JobPlan::build(&problem, MulMethod::Cpmm, c.config());
         let (_, first) = multiply(&c, &a, &b, MulMethod::Cpmm).unwrap();
-        let after_one = c.ledger().shuffle_bytes(Phase::Repartition);
         let (_, second) = multiply(&c, &a, &b, MulMethod::Cpmm).unwrap();
-        // Per-job stats are deltas; the ledger keeps the running total.
-        assert_eq!(
-            first.phase(Phase::Repartition).shuffle_bytes,
-            second.phase(Phase::Repartition).shuffle_bytes
-        );
-        assert_eq!(c.ledger().shuffle_bytes(Phase::Repartition), 2 * after_one);
+        assert!(first.phase(Phase::Repartition).shuffle_bytes > 0);
+        for phase in Phase::ALL {
+            let comm = plan.phase_comm(phase);
+            let planned = (
+                comm.shuffle_bytes,
+                comm.cross_node_bytes,
+                comm.broadcast_bytes,
+            );
+            for stats in [&first, &second] {
+                let ps = stats.phase(phase);
+                let reported = (ps.shuffle_bytes, ps.cross_node_bytes, ps.broadcast_bytes);
+                assert_eq!(reported, planned, "{}", phase.label());
+            }
+        }
+        let mut both = first;
+        both.merge(&second);
+        assert_eq!(both.communication_bytes(), 2 * first.communication_bytes());
     }
 
     #[test]

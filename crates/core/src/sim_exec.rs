@@ -6,7 +6,7 @@
 //! stage's task *summaries* to the simulated cluster's resource models,
 //! and assembles [`JobStats`]. Communication bytes are read back from the
 //! plan's stored per-phase totals ([`JobPlan::report_comm`]), the same
-//! field the real executor charges its shuffle ledger from.
+//! field the real executor reports.
 //!
 //! Nothing is materialized: each task is a byte/FLOP summary, which is
 //! what lets the harness replay the paper's 80 GB-to-multi-TB workloads.
@@ -81,7 +81,7 @@ pub fn simulate_plan(cluster: &mut SimCluster, plan: &JobPlan) -> Result<JobStat
         ps.tasks = outcome.tasks;
     }
     // Communication is read from the plan's routing, not the resource
-    // models — the same numbers the real executor charges to its ledger.
+    // models — the same numbers the real executor reports.
     plan.report_comm(&mut stats);
     stats.elapsed_secs = cluster.job_elapsed_secs();
     Ok(stats)

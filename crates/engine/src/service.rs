@@ -36,13 +36,14 @@
 use crate::session::{Tally, TenantSession};
 use crate::systems::SystemProfile;
 use distme_cluster::{
-    ClusterConfig, ElasticPolicy, JobError, JobStats, LedgerSnapshot, LocalCluster, QueueWaitStats,
+    ClusterConfig, ElasticPolicy, JobError, JobStats, LocalCluster, QueueWaitStats,
     RebalanceReport, Scheduler, SchedulerLoad, TenantId,
 };
 use distme_core::real_exec::RealExecOptions;
 use distme_core::{JobPlan, PlanCache, PlanCacheStats};
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread;
 
 /// What a submission declares about itself: identity, scheduling class,
@@ -189,6 +190,20 @@ struct Shared {
     /// exactly-once under concurrency; see `core::plan_cache`).
     plans: PlanCache<Arc<JobPlan>>,
     profile: SystemProfile,
+    /// Each tenant's finished jobs' statistics, merged; resizes under
+    /// [`TenantId::ANONYMOUS`].
+    by_tenant: Mutex<BTreeMap<TenantId, JobStats>>,
+}
+
+impl Shared {
+    fn by_tenant(&self) -> MutexGuard<'_, BTreeMap<TenantId, JobStats>> {
+        self.by_tenant.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Folds `stats` into `tenant`'s entry.
+    fn attribute(&self, tenant: TenantId, stats: &JobStats) {
+        self.by_tenant().entry(tenant).or_default().merge(stats);
+    }
 }
 
 /// The multi-tenant engine front end: a shared cluster behind a
@@ -209,6 +224,7 @@ impl JobService {
                 scheduler,
                 plans: PlanCache::new(),
                 profile,
+                by_tenant: Mutex::default(),
             }),
         }
     }
@@ -256,6 +272,7 @@ impl JobService {
                     tally: &mut tally,
                 });
                 drop(cluster);
+                shared.attribute(spec.tenant, &tally.stats);
                 // Admission released only now: the budget bounds *concurrent*
                 // resident jobs, so the ticket must outlive the work.
                 drop(ticket);
@@ -290,20 +307,21 @@ impl JobService {
         self.shared.scheduler.queue_wait_stats()
     }
 
-    /// Cluster-wide communication totals.
-    pub fn ledger_snapshot(&self) -> LedgerSnapshot {
-        self.read_cluster().ledger().snapshot()
+    /// The statistics of every job `tenant` has finished — returned `Ok`
+    /// or `Err` — merged ([`JobStats::merge`]); all zero for a tenant with
+    /// none. Resizes ([`scale_to`](Self::scale_to),
+    /// [`autoscale`](Self::autoscale)) are [`TenantId::ANONYMOUS`]'s.
+    pub fn tenant_stats(&self, tenant: TenantId) -> JobStats {
+        self.shared
+            .by_tenant()
+            .get(&tenant)
+            .copied()
+            .unwrap_or_default()
     }
 
-    /// Communication attributed to `tenant` (its jobs' ledger charges).
-    /// Tenant snapshots sum to the cluster total by construction.
-    pub fn tenant_comm(&self, tenant: TenantId) -> LedgerSnapshot {
-        self.read_cluster().ledger().tenant_snapshot(tenant)
-    }
-
-    /// Every tenant the ledger has seen traffic from.
+    /// Every tenant with statistics, in id order.
     pub fn tenants(&self) -> Vec<TenantId> {
-        self.read_cluster().ledger().tenants()
+        self.shared.by_tenant().keys().copied().collect()
     }
 
     /// Hit/miss/invalidation counters of the shared plan cache.
@@ -322,16 +340,20 @@ impl JobService {
     }
 
     /// Resizes the cluster once in-flight jobs drain (write lock); queued
-    /// submissions then plan against the new epoch.
+    /// submissions then plan against the new epoch. The report's stats
+    /// are attributed to [`TenantId::ANONYMOUS`].
     ///
     /// # Errors
     /// Propagates transport failures during the resize's migration.
     pub fn scale_to(&self, nodes: usize) -> Result<RebalanceReport, JobError> {
-        self.shared
+        let mut cluster = self
+            .shared
             .cluster
             .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .scale_to(nodes)
+            .unwrap_or_else(|p| p.into_inner());
+        let report = cluster.scale_to(nodes)?;
+        self.shared.attribute(TenantId::ANONYMOUS, &report.stats);
+        Ok(report)
     }
 
     /// Applies `policy` to the scheduler's live load

@@ -19,8 +19,8 @@ use crate::ops;
 use crate::systems::SystemProfile;
 use distme_cluster::rebalance::home_node;
 use distme_cluster::{
-    ClusterConfig, ElasticPolicy, JobError, JobStats, LocalCluster, Phase, RebalanceReport,
-    SimCluster, TenantId,
+    ClusterConfig, ElasticPolicy, JobError, JobStats, LocalCluster, Phase, PhaseStats,
+    RebalanceReport, SimCluster, TenantId,
 };
 use distme_core::real_exec::{self, RealExecOptions};
 use distme_core::{
@@ -79,13 +79,17 @@ impl Tally {
     }
 
     /// [`absorb`](Self::absorb) for an operator the driver ran itself: all
-    /// its time since `started` belongs to `phase`.
-    fn absorb_timed<T>(&mut self, out: T, phase: Phase, started: Instant) -> T {
+    /// its time since `started`, and the bytes it `moved`, belong to
+    /// `phase`.
+    fn absorb_timed<T>(&mut self, out: T, phase: Phase, moved: PhaseStats, started: Instant) -> T {
         let mut stats = JobStats {
             elapsed_secs: started.elapsed().as_secs_f64(),
             ..Default::default()
         };
-        stats.phase_mut(phase).secs = stats.elapsed_secs;
+        *stats.phase_mut(phase) = PhaseStats {
+            secs: stats.elapsed_secs,
+            ..moved
+        };
         self.absorb((out, stats))
     }
 }
@@ -320,7 +324,7 @@ impl TenantSession<'_> {
         self.tally.ops_run
     }
 
-    /// The underlying cluster (read-only: ledger and store access).
+    /// The underlying cluster (read-only: configuration and store access).
     pub fn cluster(&self) -> &LocalCluster {
         self.cluster
     }
@@ -352,29 +356,22 @@ impl Ops for TenantSession<'_> {
 
     /// Unless the profile reuses partitioning, every block is shuffled
     /// from its home to the home of its transposed position — one
-    /// repartition pass, charged to the job's tenant.
+    /// repartition pass, reported in the operator's stats.
     fn transpose(&mut self, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
         let t0 = Instant::now();
         let out = x.transpose();
+        let mut moved = PhaseStats::default();
         if !self.profile.reuses_partitioning() {
             let nodes = self.cluster.config().nodes;
-            let (mut shuffled, mut cross_node) = (0, 0);
             for (id, blk) in x.blocks() {
                 let bytes = codec::encoded_len(blk);
-                shuffled += bytes;
+                moved.shuffle_bytes += bytes;
                 if home_node(id, 0, nodes) != home_node(BlockId::new(id.col, id.row), 0, nodes) {
-                    cross_node += bytes;
+                    moved.cross_node_bytes += bytes;
                 }
             }
-            self.cluster.ledger().record_phase_for(
-                self.opts.tenant,
-                Phase::Repartition,
-                shuffled,
-                cross_node,
-                0,
-            );
         }
-        Ok(self.tally.absorb_timed(out, Phase::Repartition, t0))
+        Ok(self.tally.absorb_timed(out, Phase::Repartition, moved, t0))
     }
 
     fn elementwise(
@@ -385,7 +382,9 @@ impl Ops for TenantSession<'_> {
     ) -> Result<BlockMatrix, JobError> {
         let t0 = Instant::now();
         let out = x.elementwise(op, y)?;
-        Ok(self.tally.absorb_timed(out, Phase::LocalMult, t0))
+        Ok(self
+            .tally
+            .absorb_timed(out, Phase::LocalMult, PhaseStats::default(), t0))
     }
 
     fn spmm(&mut self, a: &BlockMatrix, b: &BlockMatrix) -> Result<BlockMatrix, JobError> {
@@ -439,7 +438,7 @@ impl RealSession {
         self.profile
     }
 
-    /// The underlying cluster (ledger access for tests).
+    /// The underlying cluster (configuration and store access).
     pub fn cluster(&self) -> &LocalCluster {
         &self.cluster
     }
@@ -694,19 +693,49 @@ mod tests {
         let b = MatrixGenerator::with_seed(6).generate(&meta_b).unwrap();
         let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
         s.matmul(&a, &b).unwrap();
-        let after_one: u64 = Phase::ALL
-            .iter()
-            .map(|&p| s.cluster().ledger().shuffle_bytes(p))
-            .sum();
+        let after_one = s.stats().total_shuffle_bytes();
         assert!(after_one > 0);
         s.matmul(&a, &b).unwrap();
         // No per-job reset: session-level totals are running sums, and an
-        // identical plan charges identical bytes.
-        let after_two: u64 = Phase::ALL
-            .iter()
-            .map(|&p| s.cluster().ledger().shuffle_bytes(p))
-            .sum();
-        assert_eq!(after_two, 2 * after_one);
+        // identical plan reports identical bytes.
+        assert_eq!(s.stats().total_shuffle_bytes(), 2 * after_one);
+    }
+
+    #[test]
+    fn a_transpose_reports_its_repartition_bytes_on_every_front_end() {
+        // MatFast does not reuse partitioning: a transpose ships every
+        // block from its home to its transposed position's home, and those
+        // bytes belong in the stats of whoever ran it — a session's, or a
+        // tenant's job's.
+        let x = MatrixGenerator::with_seed(4)
+            .generate(&MatrixMeta::dense(80, 48).with_block_size(16))
+            .unwrap();
+        let nodes = ClusterConfig::laptop().nodes;
+        let (mut shuffled, mut cross_node) = (0, 0);
+        for (id, blk) in x.blocks() {
+            let bytes = codec::encoded_len(blk);
+            shuffled += bytes;
+            if home_node(id, 0, nodes) != home_node(BlockId::new(id.col, id.row), 0, nodes) {
+                cross_node += bytes;
+            }
+        }
+        assert!(0 < cross_node && cross_node < shuffled);
+        let expected = (shuffled, cross_node, 0);
+        let comm = |stats: &JobStats| {
+            let p = stats.phase(Phase::Repartition);
+            (p.shuffle_bytes, p.cross_node_bytes, p.broadcast_bytes)
+        };
+
+        let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::MatFast);
+        s.transpose(&x).unwrap();
+        assert_eq!(comm(s.stats()), expected, "session");
+
+        let svc = crate::service::JobService::new(ClusterConfig::laptop(), SystemProfile::MatFast);
+        let x = Arc::new(x);
+        let job = svc.submit(crate::service::JobSpec::new(TenantId(3)), move |s| {
+            s.transpose(&x)
+        });
+        assert_eq!(comm(&job.wait().unwrap().stats), expected, "tenant job");
     }
 
     #[test]
@@ -808,7 +837,7 @@ mod tests {
         assert_eq!(t.meta().rows, 40);
         assert_eq!(t.get_element(7, 31), x.get_element(31, 7));
         assert_eq!(
-            s.cluster().ledger().shuffle_bytes(Phase::Repartition),
+            s.stats().phase(Phase::Repartition).shuffle_bytes,
             x.blocks()
                 .map(|(_, blk)| codec::encoded_len(blk))
                 .sum::<u64>()

@@ -4,8 +4,8 @@
 //!   tenants' jobs on the shared worker pool, produces result bytes and
 //!   per-job byte statistics identical to the same job run solo — on an
 //!   idle service, or directly on a `RealSession`;
-//! * **Attribution** — per-tenant ledger deltas sum exactly to the
-//!   cluster-wide totals;
+//! * **Attribution** — a tenant's stats are exactly the sum of its
+//!   finished jobs' stats, and a resize is the anonymous tenant's;
 //! * **Admission** — a submission whose declared demand would overshoot
 //!   the cluster memory budget *queues* (bounding concurrent resident
 //!   memory) instead of failing or OOMing, and runs once capacity frees;
@@ -14,7 +14,7 @@
 //!   handle with a typed error and releases what the job held; nobody
 //!   else's job notices.
 
-use distme_cluster::{ClusterConfig, JobError, JobStats, LedgerSnapshot, Phase, TenantId};
+use distme_cluster::{ClusterConfig, JobError, JobStats, Phase, TenantId};
 use distme_engine::expr::Expr;
 use distme_engine::service::{JobService, JobSpec, JobStatus};
 use distme_engine::session::Ops;
@@ -22,6 +22,7 @@ use distme_engine::systems::SystemProfile;
 use distme_engine::{algorithms, gnmf, GnmfConfig, RealSession};
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{codec, BlockMatrix, MatrixGenerator, MatrixMeta};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,6 +70,19 @@ fn comm_signature(s: &JobStats) -> Vec<u64> {
         ]);
     }
     v
+}
+
+/// Per-phase (shuffle, cross-node, broadcast) bytes — the integers of a
+/// stats value, which sum exactly however jobs are merged (the f64 times
+/// do not).
+fn phase_bytes(s: &JobStats) -> Vec<[u64; 3]> {
+    Phase::ALL
+        .iter()
+        .map(|&p| {
+            let ph = s.phase(p);
+            [ph.shuffle_bytes, ph.cross_node_bytes, ph.broadcast_bytes]
+        })
+        .collect()
 }
 
 fn spin_until(deadline: Duration, mut pred: impl FnMut() -> bool) {
@@ -280,6 +294,8 @@ fn algorithms_and_expressions_match_a_solo_real_session() {
 
 #[test]
 fn per_tenant_ledger_deltas_sum_to_the_cluster_total() {
+    // The cluster's total is every finished job's stats; the tenants'
+    // entries partition it — each job lands in exactly one.
     let a = Arc::new(dense(80, 64, 11));
     let b = Arc::new(dense(64, 48, 12));
     let svc = service();
@@ -292,21 +308,68 @@ fn per_tenant_ledger_deltas_sum_to_the_cluster_total() {
             )
         })
         .collect();
+    let mut total = JobStats::default();
     for h in handles {
-        h.wait().unwrap();
+        total.merge(&h.wait().unwrap().stats);
     }
-    let total = svc.ledger_snapshot();
     let tenants = svc.tenants();
     assert_eq!(tenants, vec![TenantId(1), TenantId(2), TenantId(3)]);
-    let summed = tenants.iter().fold(LedgerSnapshot::default(), |acc, &t| {
-        acc.plus(&svc.tenant_comm(t))
+    let summed = tenants.iter().fold(JobStats::default(), |mut acc, &t| {
+        acc.merge(&svc.tenant_stats(t));
+        acc
     });
     assert_eq!(
-        summed, total,
-        "per-tenant attribution must account for every cluster byte"
+        phase_bytes(&summed),
+        phase_bytes(&total),
+        "per-tenant attribution must account for every job's bytes"
     );
     for t in tenants {
-        assert!(svc.tenant_comm(t).shuffle_bytes(Phase::Repartition) > 0);
+        assert!(svc.tenant_stats(t).phase(Phase::Repartition).shuffle_bytes > 0);
+    }
+}
+
+#[test]
+fn tenant_stats_are_the_sum_of_that_tenants_jobs() {
+    // Three tenants, each with jobs of its own shapes, all in flight at
+    // once: a tenant's entry is exactly what its jobs returned, whatever
+    // order they finished in. A resize then lands under ANONYMOUS alone.
+    let svc = service();
+    let mut handles = Vec::new();
+    for (tenant, (m, k, n)) in [(1, (80, 64, 48)), (2, (48, 96, 32)), (3, (64, 32, 80))] {
+        let a = Arc::new(dense(m, k, 20 + tenant));
+        let b = Arc::new(dense(k, n, 30 + tenant));
+        for round in 0..3 {
+            let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+            let spec = JobSpec::new(TenantId(tenant as u32)).priority(round);
+            handles.push(svc.submit(spec, move |s| {
+                let c = s.matmul(&a, &b)?;
+                if round == 2 {
+                    let bt = s.transpose(&b)?;
+                    s.matmul(&c, &bt)?;
+                }
+                Ok(())
+            }));
+        }
+    }
+    let mut by_tenant: BTreeMap<TenantId, JobStats> = BTreeMap::new();
+    for h in handles {
+        let out = h.wait().unwrap();
+        by_tenant.entry(out.tenant).or_default().merge(&out.stats);
+    }
+    assert_eq!(svc.tenants(), by_tenant.keys().copied().collect::<Vec<_>>());
+    for (&t, jobs) in &by_tenant {
+        assert!(jobs.communication_bytes() > 0, "{t}");
+        assert_eq!(phase_bytes(&svc.tenant_stats(t)), phase_bytes(jobs), "{t}");
+    }
+
+    let report = svc.scale_to(6).expect("grow");
+    assert!(report.payload_bytes > 0, "resident results migrate");
+    assert_eq!(
+        phase_bytes(&svc.tenant_stats(TenantId::ANONYMOUS)),
+        phase_bytes(&report.stats)
+    );
+    for (&t, jobs) in &by_tenant {
+        assert_eq!(phase_bytes(&svc.tenant_stats(t)), phase_bytes(jobs), "{t}");
     }
 }
 
@@ -322,16 +385,12 @@ fn a_tenants_transpose_is_charged_to_that_tenant() {
         let x = Arc::clone(&x);
         move |s| s.transpose(&x)
     });
-    assert_eq!(
-        fingerprint(&job.wait().unwrap().value),
-        fingerprint(&x.transpose())
-    );
-    assert_eq!(
-        svc.tenant_comm(tenant).shuffle_bytes(Phase::Repartition),
-        one_pass
-    );
+    let out = job.wait().unwrap();
+    assert_eq!(fingerprint(&out.value), fingerprint(&x.transpose()));
+    let charged = svc.tenant_stats(tenant);
+    assert_eq!(charged.phase(Phase::Repartition).shuffle_bytes, one_pass);
+    assert_eq!(phase_bytes(&charged), phase_bytes(&out.stats));
     assert_eq!(svc.tenants(), vec![tenant], "nothing under ANONYMOUS");
-    assert_eq!(svc.tenant_comm(tenant), svc.ledger_snapshot());
 }
 
 fn tight_budget_config(budget: u64, queue_depth: usize) -> ClusterConfig {

@@ -1,7 +1,7 @@
 //! The simulated device: copy engines, kernel engine, memory, utilization.
 
 use crate::config::GpuConfig;
-use distme_sim::{BusyTracker, FifoServer, Gauge, SimTime};
+use distme_sim::{FifoServer, Gauge, SimTime};
 
 /// A simulated GPU shared by every task on a node (via MPS, §4.1).
 ///
@@ -18,7 +18,6 @@ pub struct GpuDevice {
     /// Serves kernel *durations* (rate 1.0 s/s) so dense and sparse kernels
     /// with different throughputs share one engine.
     kernel_engine: FifoServer,
-    kernel_busy: BusyTracker,
     mem: Gauge,
     kernels_launched: u64,
 }
@@ -32,7 +31,6 @@ impl GpuDevice {
             h2d: FifoServer::new(cfg.h2d_bytes_per_sec),
             d2h: FifoServer::new(cfg.d2h_bytes_per_sec),
             kernel_engine: FifoServer::new(1.0),
-            kernel_busy: BusyTracker::new(),
             mem: Gauge::new(cfg.device_mem_bytes),
             kernels_launched: 0,
         }
@@ -88,10 +86,8 @@ impl GpuDevice {
             self.cfg.kernel_flops_per_sec
         };
         let duration = self.cfg.kernel_launch_secs * calls as f64 + flops / rate;
-        let (start, done) = self.kernel_engine.request(ready, duration);
-        self.kernel_busy.record(start, done);
         self.kernels_launched += calls;
-        (start, done)
+        self.kernel_engine.request(ready, duration)
     }
 
     /// Time when all three engines are idle.
@@ -102,9 +98,10 @@ impl GpuDevice {
             .max(self.kernel_engine.free_at())
     }
 
-    /// Kernel-engine busy seconds (merged).
+    /// Kernel-engine busy seconds: the engine serves one kernel at a
+    /// time, so this is the sum of their durations, idle gaps left out.
     pub fn kernel_busy_secs(&self) -> f64 {
-        self.kernel_busy.busy_secs()
+        self.kernel_engine.busy_secs()
     }
 
     /// Total kernels launched (Algorithm 1 issues `I'` per B-block copy).

@@ -24,8 +24,8 @@
 //! On little-endian targets the `f64`/`u32` payload sections move as whole
 //! slices (one `memcpy` each way) rather than element-at-a-time puts/gets;
 //! big-endian targets fall back to the per-element loop. The produced bytes
-//! are identical either way, so `tests/plan_parity.rs` and every ledger
-//! charge are unaffected.
+//! are identical either way, so `tests/plan_parity.rs` and every byte
+//! count are unaffected.
 //!
 //! A dense block that [`decode_view`] installs in place keeps the whole
 //! frame it arrived in ([`resident_frame`]), and that frame *is* the

@@ -16,17 +16,13 @@
 //!   CUDA's concurrent-stream limit);
 //! * [`Gauge`] — a capacity counter (task heap memory, GPU device memory,
 //!   cluster disk) used to detect the paper's O.O.M. and E.D.C. failure
-//!   modes;
-//! * [`BusyTracker`] — busy-time accumulation for utilization metrics
-//!   (Fig. 7(g)'s GPU core utilization).
+//!   modes.
 //!
 //! All state is plain and deterministic: simulating the same plan twice gives
 //! identical times, which the test suite relies on.
 
-pub mod metrics;
 pub mod resource;
 pub mod time;
 
-pub use metrics::BusyTracker;
 pub use resource::{FifoServer, Gauge, GaugeError, SlotPool};
 pub use time::SimTime;

@@ -5,8 +5,9 @@
 //! short GNMF factorization — through the [`JobService`]. All of them
 //! interleave on the same worker pool under the scheduler's
 //! priority/fair-share policy, admission control bounds how much declared
-//! memory is resident at once, and the ledger attributes every byte to
-//! the tenant that caused it.
+//! memory is resident at once, and every finished job's statistics are
+//! merged into its tenant's, so each byte is attributed to the tenant
+//! that caused it.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
@@ -76,7 +77,10 @@ fn main() {
         })
     };
 
+    // What the jobs themselves reported moving, summed as they finish.
+    let mut jobs_total = 0u64;
     let out = interactive.wait().expect("interactive job");
+    jobs_total += out.stats.communication_bytes();
     println!(
         "tenant-2 interactive: {}x{} result, {} ops",
         out.value.meta().rows,
@@ -85,6 +89,7 @@ fn main() {
     );
     for h in bulk {
         let out = h.wait().expect("bulk job");
+        jobs_total += out.stats.communication_bytes();
         let (i, rows, cols) = out.value;
         println!(
             "tenant-1 bulk #{i}: {rows}x{cols} result, waited {:.1} ms in queue",
@@ -92,6 +97,7 @@ fn main() {
         );
     }
     let out = factorize.wait().expect("gnmf job");
+    jobs_total += out.stats.communication_bytes();
     println!(
         "tenant-3 GNMF: objective {:.3} -> {:.3} over {} ops\n",
         out.value.objective.first().unwrap(),
@@ -99,24 +105,15 @@ fn main() {
         out.ops_run
     );
 
-    println!("per-tenant communication (ledger attribution):");
-    let total = svc.ledger_snapshot();
+    println!("per-tenant communication (merged job statistics):");
     let mut summed = 0u64;
     for t in svc.tenants() {
-        let snap = svc.tenant_comm(t);
-        let bytes: u64 = Phase::ALL
-            .iter()
-            .map(|&p| snap.shuffle_bytes(p) + snap.broadcast_bytes(p))
-            .sum();
+        let bytes = svc.tenant_stats(t).communication_bytes();
         summed += bytes;
         println!("  {t}: {bytes} bytes moved");
     }
-    let cluster_total: u64 = Phase::ALL
-        .iter()
-        .map(|&p| total.shuffle_bytes(p) + total.broadcast_bytes(p))
-        .sum();
-    println!("  cluster total: {cluster_total} bytes (tenant sum {summed})");
-    assert_eq!(summed, cluster_total, "attribution accounts for every byte");
+    println!("  all jobs: {jobs_total} bytes (tenant sum {summed})");
+    assert_eq!(summed, jobs_total, "attribution accounts for every byte");
 
     let waits = svc.queue_wait_stats();
     println!(

@@ -1,12 +1,12 @@
 //! Sim/real byte parity: the invariant the physical-plan IR enforces.
 //!
 //! Both backends consume the same `JobPlan` for a given (problem, method,
-//! cluster config): the simulator reports the plan's routed communication,
-//! and the real executor charges its shuffle ledger from the very same
-//! routed moves. Per-phase shuffle, cross-node, and broadcast bytes must
-//! therefore be **bit-identical** between the two backends — not merely
-//! close — for every method, replication regime, and GPU setting. The
-//! real executor's *result* is held to a serial reference written here.
+//! cluster config), and both copy its routed communication into their
+//! job's `JobStats`. Per-phase shuffle, cross-node, and broadcast bytes
+//! must therefore be **bit-identical** between the two backends' stats —
+//! not merely close — for every method, replication regime, and GPU
+//! setting. The real executor's *result* is held to a serial reference
+//! written here.
 
 use distme::matrix::{kernels, BlockId};
 use distme::prelude::*;
@@ -23,6 +23,12 @@ fn operands(ib: u64, kb: u64, jb: u64, sparsity: f64) -> (BlockMatrix, BlockMatr
     let a = MatrixGenerator::with_seed(101).generate(&am).unwrap();
     let b = MatrixGenerator::with_seed(202).generate(&bm).unwrap();
     (a, b)
+}
+
+/// A phase's (shuffle, cross-node, broadcast) bytes.
+fn comm(stats: &JobStats, phase: Phase) -> (u64, u64, u64) {
+    let p = stats.phase(phase);
+    (p.shuffle_bytes, p.cross_node_bytes, p.broadcast_bytes)
 }
 
 /// Runs one (shape, method) case on both backends and asserts per-phase
@@ -45,33 +51,12 @@ fn assert_parity(a: &BlockMatrix, b: &BlockMatrix, method: MulMethod, gpu: bool,
     let (_, real_stats) = real_exec::multiply(&real_cluster, a, b, method)
         .unwrap_or_else(|e| panic!("{label}: real failed: {e}"));
 
-    let ledger = real_cluster.ledger();
     for phase in Phase::ALL {
-        let s = sim_stats.phase(phase);
         assert_eq!(
-            s.shuffle_bytes,
-            ledger.shuffle_bytes(phase),
-            "{label}: shuffle bytes diverge in {}",
+            comm(&sim_stats, phase),
+            comm(&real_stats, phase),
+            "{label}: (shuffle, cross-node, broadcast) bytes diverge in {}",
             phase.label()
-        );
-        assert_eq!(
-            s.cross_node_bytes,
-            ledger.cross_node_bytes(phase),
-            "{label}: cross-node bytes diverge in {}",
-            phase.label()
-        );
-        assert_eq!(
-            s.broadcast_bytes,
-            ledger.broadcast_bytes(phase),
-            "{label}: broadcast bytes diverge in {}",
-            phase.label()
-        );
-        // The real stats are read off the ledger — they must agree too.
-        let r = real_stats.phase(phase);
-        assert_eq!(s.shuffle_bytes, r.shuffle_bytes, "{label}: stats shuffle");
-        assert_eq!(
-            s.broadcast_bytes, r.broadcast_bytes,
-            "{label}: stats broadcast"
         );
     }
 }
@@ -231,8 +216,8 @@ fn executor_matches_a_serial_reference_bit_for_bit() {
     // One executor, so nothing to compare it with but the definition: for
     // every method (SDDMM included), dense and 8 % sparse operands, one
     // k-panel a task and several, θg off and on, the result is the serial
-    // reference's bits; the ledger, the job's stats and the simulator all
-    // report the plan's routed bytes; and the job says how many panels its
+    // reference's bits; the job's stats and the simulator's both report
+    // the plan's routed bytes; and the job says how many panels its
     // mult tasks pulled and how its communication overlapped.
     //
     // The large shape is tall and deep but 16 columns wide — three
@@ -286,31 +271,15 @@ fn executor_matches_a_serial_reference_bit_for_bit() {
                             routed.cross_node_bytes,
                             routed.broadcast_bytes,
                         );
-                        let ledger = cluster.ledger();
                         assert_eq!(
-                            (
-                                ledger.shuffle_bytes(phase),
-                                ledger.cross_node_bytes(phase),
-                                ledger.broadcast_bytes(phase),
-                            ),
-                            routed,
-                            "{label}: ledger (shuffle, cross-node, broadcast) bytes diverge in {}",
-                            phase.label()
-                        );
-                        let real = stats.phase(phase);
-                        assert_eq!(
-                            (
-                                real.shuffle_bytes,
-                                real.cross_node_bytes,
-                                real.broadcast_bytes
-                            ),
+                            comm(&stats, phase),
                             routed,
                             "{label}: stats (shuffle, cross-node, broadcast) bytes diverge in {}",
                             phase.label()
                         );
                         assert_eq!(
-                            sim_stats.phase(phase).shuffle_bytes,
-                            stats.phase(phase).shuffle_bytes,
+                            comm(&sim_stats, phase),
+                            comm(&stats, phase),
                             "{label}: sim bytes diverge in {}",
                             phase.label()
                         );
@@ -343,10 +312,10 @@ fn executor_matches_a_serial_reference_bit_for_bit() {
 #[test]
 fn fault_recovery_preserves_parity() {
     // The recovery invariant meets the parity invariant: a run that drops,
-    // corrupts, and crashes its way to completion must charge the exact
-    // model bytes of the fault-free run (the ledger is driven by the
-    // plan's routing, not by physical deliveries) and the exact
-    // first-transmission payload. Recovery traffic is visible only in the
+    // corrupts, and crashes its way to completion must report the exact
+    // model bytes of the fault-free run (they are the plan's routing, not
+    // a count of physical deliveries) and the exact first-transmission
+    // payload. Recovery traffic is visible only in the
     // dedicated retransmission counters.
     use distme::cluster::FaultSpec;
     let (a, b) = operands(5, 4, 3, 1.0);
@@ -380,15 +349,9 @@ fn fault_recovery_preserves_parity() {
         );
         for phase in Phase::ALL {
             assert_eq!(
-                faulted_cluster.ledger().shuffle_bytes(phase),
-                clean_cluster.ledger().shuffle_bytes(phase),
-                "{name}: model shuffle bytes diverged in {}",
-                phase.label()
-            );
-            assert_eq!(
-                faulted_cluster.ledger().cross_node_bytes(phase),
-                clean_cluster.ledger().cross_node_bytes(phase),
-                "{name}: model cross-node bytes diverged in {}",
+                comm(&s_faulted, phase),
+                comm(&s_clean, phase),
+                "{name}: model bytes diverged in {}",
                 phase.label()
             );
         }
@@ -410,11 +373,10 @@ fn fault_recovery_preserves_parity() {
 fn resized_grids_rederive_parity() {
     // Elastic membership meets the parity invariant: after a mid-session
     // resize both backends re-derive their plans against the new node
-    // count, and the re-derived routing must stay bit-identical. Job bytes
-    // are compared as ledger *deltas* so the resize's own physical
-    // `Phase::Rebalance` migration (real-only) stays out of the job-phase
-    // comparison — and is then checked to have landed in the cumulative
-    // ledger under its own phase.
+    // count, and the re-derived routing must stay bit-identical. The
+    // resize's own physical `Phase::Rebalance` migration (real-only) is
+    // its report's, not any job's — and is checked to have landed there
+    // under its own phase.
     let (a, b) = operands(5, 4, 3, 1.0);
     let problem = MatmulProblem::new(*a.meta(), *b.meta()).expect("consistent operands");
     let mut sim = SimCluster::new(ClusterConfig::laptop());
@@ -422,8 +384,14 @@ fn resized_grids_rederive_parity() {
     for (nodes, stage) in [(4, "before resize"), (9, "after grow"), (3, "after shrink")] {
         if sim.config().nodes != nodes {
             sim.scale_to(nodes);
-            real.scale_to(nodes).expect("resize");
+            let report = real.scale_to(nodes).expect("resize");
             assert_eq!(sim.epoch(), real.epoch(), "{stage}: epochs diverged");
+            assert!(report.payload_bytes > 0, "{stage}: resident blocks migrate");
+            assert_eq!(
+                report.stats.phase(Phase::Rebalance).shuffle_bytes,
+                report.payload_bytes,
+                "{stage}: migrations are reported under their own phase"
+            );
         }
         for (method, name) in [
             (MulMethod::Cpmm, "CPMM"),
@@ -432,37 +400,18 @@ fn resized_grids_rederive_parity() {
             let label = format!("{stage} ({nodes} nodes) {name}");
             let sim_stats = sim_exec::simulate(&mut sim, &problem, method)
                 .unwrap_or_else(|e| panic!("{label}: sim failed: {e}"));
-            let mark = real.ledger().snapshot();
-            real_exec::multiply(&real, &a, &b, method)
+            let (_, real_stats) = real_exec::multiply(&real, &a, &b, method)
                 .unwrap_or_else(|e| panic!("{label}: real failed: {e}"));
-            let delta = real.ledger().since(&mark);
             for phase in Phase::ALL {
-                let s = sim_stats.phase(phase);
                 assert_eq!(
-                    s.shuffle_bytes,
-                    delta.shuffle_bytes(phase),
-                    "{label}: shuffle bytes diverge in {}",
-                    phase.label()
-                );
-                assert_eq!(
-                    s.cross_node_bytes,
-                    delta.cross_node_bytes(phase),
-                    "{label}: cross-node bytes diverge in {}",
-                    phase.label()
-                );
-                assert_eq!(
-                    s.broadcast_bytes,
-                    delta.broadcast_bytes(phase),
-                    "{label}: broadcast bytes diverge in {}",
+                    comm(&sim_stats, phase),
+                    comm(&real_stats, phase),
+                    "{label}: (shuffle, cross-node, broadcast) bytes diverge in {}",
                     phase.label()
                 );
             }
         }
     }
-    assert!(
-        real.ledger().shuffle_bytes(Phase::Rebalance) > 0,
-        "migrations must be charged under their own phase"
-    );
 }
 
 #[test]
@@ -521,17 +470,10 @@ fn sddmm_keeps_parity_across_ragged_grids() {
                 "{label}: sampled jobs run the one executor, which reports overlap"
             );
             for phase in Phase::ALL {
-                let s = sim_stats.phase(phase);
                 assert_eq!(
-                    s.shuffle_bytes,
-                    real_cluster.ledger().shuffle_bytes(phase),
-                    "{label}: shuffle bytes diverge in {}",
-                    phase.label()
-                );
-                assert_eq!(
-                    s.broadcast_bytes,
-                    real_cluster.ledger().broadcast_bytes(phase),
-                    "{label}: broadcast bytes diverge in {}",
+                    comm(&sim_stats, phase),
+                    comm(&real_stats, phase),
+                    "{label}: (shuffle, cross-node, broadcast) bytes diverge in {}",
                     phase.label()
                 );
             }
@@ -547,7 +489,7 @@ fn sddmm_keeps_parity_across_ragged_grids() {
 /// Coded replication must be invisible when off — the default — and
 /// byte-transparent when on: for every method, a fault-free run under
 /// `ReplicationPolicy::Xor` produces the same result bits, the same
-/// per-phase ledger model bytes, the same physical payload, and the same
+/// per-phase model bytes, the same physical payload, and the same
 /// data-key placements as the `Off` run. Parity only *adds* keys (under
 /// its own `StoreKind`); it never perturbs the data path.
 #[test]
@@ -592,15 +534,9 @@ fn replication_off_is_the_default_and_xor_is_byte_transparent() {
         );
         for phase in Phase::ALL {
             assert_eq!(
-                off.ledger().shuffle_bytes(phase),
-                xor.ledger().shuffle_bytes(phase),
-                "{name}: ledger bytes diverge in {}",
-                phase.label()
-            );
-            assert_eq!(
-                off.ledger().broadcast_bytes(phase),
-                xor.ledger().broadcast_bytes(phase),
-                "{name}: broadcast bytes diverge in {}",
+                comm(&s_off, phase),
+                comm(&s_xor, phase),
+                "{name}: model bytes diverge in {}",
                 phase.label()
             );
         }
