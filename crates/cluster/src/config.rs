@@ -197,9 +197,9 @@ pub struct ClusterConfig {
     /// Use Algorithm 1's streamed GPU schedule; `false` selects the naive
     /// copy-all-then-compute method of §4.3 (ablation).
     pub gpu_streaming: bool,
-    /// Cap on the real executor's worker threads, as a multiple of the
-    /// host's available parallelism. Virtual slots beyond this cap are
-    /// time-sliced rather than given their own OS thread.
+    /// Cap on one stage's workers, as a multiple of the host's available
+    /// parallelism. They run on the caller and a pool sized once to twice
+    /// that parallelism less one, so a larger factor adds no threads.
     pub host_worker_oversubscription: usize,
     /// Task retry/recovery policy for the real executor (the simulator
     /// never faults, so it ignores this).

@@ -9,14 +9,16 @@
 //! reference through this executor, with locality enforced — a task reads
 //! only blocks resident in its own node's store.
 //!
-//! A job is one [`LocalCluster::run_stage`] call: a gang of items on a
-//! worker pool that lives for the whole job, dispatched by readiness
-//! (smallest ready index first; items release one another through the
-//! [`StageGate`]), each item retried in place on a transient error. Fault
+//! A job is one [`LocalCluster::run_stage`] call: a gang of items run by
+//! the caller and helpers that outlive every stage, dispatched by
+//! readiness (smallest ready index first; items release one another
+//! through the [`StageGate`]), each item retried in place on a transient
+//! error. Fault
 //! injection is not this module's business: deliveries consult the armed
 //! [`FaultPlan`] inside the [`Transport`], tasks consult it inside the
 //! executor's item closure, where the item's plan identity is known.
 
+use super::pool;
 use crate::chaos::{FaultPlan, FaultSpec};
 use crate::config::ClusterConfig;
 use crate::failure::{JobError, TaskError};
@@ -28,8 +30,9 @@ use crate::store::{ClusterStores, FreeBuffers, StoreKey};
 use crate::transport::{Transport, TransportStats, WireMove};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Per-task execution context handed to stage closures.
 pub struct TaskCtx {
@@ -260,8 +263,9 @@ impl LocalCluster {
     /// [`FreeBuffers`] list that lives exactly as long as this call.
     ///
     /// # Errors
-    /// A transport failure during migration (codec bug — migration runs
-    /// fault-free and all sources are readable), or
+    /// [`JobError::InvalidSubmission`] for `n == 0`, before any side
+    /// effect. A transport failure during migration (codec bug — migration
+    /// runs fault-free and all sources are readable), or
     /// [`JobError::TooManyTasks`] when more keys need re-homing than one
     /// stage may hold tasks — refused before the first side effect: every
     /// block, parity included, is where it was and the stores are as many
@@ -272,7 +276,11 @@ impl LocalCluster {
 
     /// [`scale_to`](Self::scale_to) over the free list it owns.
     fn resize(&mut self, n: usize, buffers: &FreeBuffers) -> Result<RebalanceReport, JobError> {
-        assert!(n > 0, "cannot scale to an empty cluster");
+        if n == 0 {
+            return Err(JobError::InvalidSubmission {
+                reason: "cannot scale to an empty cluster".to_owned(),
+            });
+        }
         let from_nodes = self.cfg.nodes;
         if n == from_nodes {
             return Ok(RebalanceReport {
@@ -513,13 +521,13 @@ impl LocalCluster {
     }
 
     /// Runs one stage of `n` tasks: `f` runs once per task index
-    /// ([`TaskCtx::task`] names the item) on a worker pool of at most
-    /// `M · Tc` threads (capped by host parallelism times the configured
-    /// oversubscription), registered with the shared scheduler as one gang
-    /// under `tenant` at `priority`. Task memory is enforced
-    /// through [`TaskCtx::alloc`]. Workers buffer outputs locally, merging
-    /// once at exit; outputs are returned in task order regardless of which
-    /// worker ran what, or when.
+    /// ([`TaskCtx::task`] names the item) on at most `M · Tc` workers
+    /// (capped by host parallelism times the configured oversubscription):
+    /// the calling thread, and helpers from one process-wide pool that
+    /// outlives every stage. The stage is one gang of the shared scheduler
+    /// under `tenant` at `priority`. Task memory is enforced through
+    /// [`TaskCtx::alloc`]. Workers buffer outputs locally, merging once at
+    /// exit; outputs are returned in task order whoever ran what, or when.
     ///
     /// Only the indices in `ready` are dispatchable at the start (smallest
     /// first — `(0..n).collect()` runs the stage in index order), and a
@@ -541,7 +549,8 @@ impl LocalCluster {
     /// * the first task failure, promoted via
     ///   [`JobError::from_task_attempts`] (lowest task index wins,
     ///   deterministically; the message carries the attempt count when
-    ///   retries were exhausted).
+    ///   retries were exhausted), or [`JobError::Panicked`] naming the
+    ///   task when `f` panicked (not retried).
     pub fn run_stage<O, F>(
         &self,
         tenant: TenantId,
@@ -577,70 +586,69 @@ impl LocalCluster {
         // exactly once.
         let gang = self.scheduler.register_gang(tenant, priority, n, ready);
         let gate = StageGate { gang: &gang };
-        type TaskReport<O> = (usize, u32, Result<O, TaskError>);
-        let done: Mutex<Vec<TaskReport<O>>> = Mutex::new(Vec::with_capacity(n));
+        let done: Mutex<Vec<(usize, Result<O, JobError>)>> = Mutex::new(Vec::with_capacity(n));
         let peak = AtomicU64::new(0);
         let retries = AtomicU64::new(0);
         let backoff_micros = AtomicU64::new(0);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local: Vec<TaskReport<O>> = Vec::new();
-                    while let Some(grant) = gang.next_task() {
-                        let idx = grant.index;
-                        let mut attempt: u32 = 0;
-                        let (attempts, out) = loop {
-                            let ctx = TaskCtx {
-                                task: idx,
-                                node: self.node_of_task(idx),
-                                attempt,
-                                mem_budget: self.cfg.task_mem_bytes,
-                                mem_used: Cell::new(0),
-                                mem_peak: Cell::new(0),
-                            };
-                            let res = f(&ctx, &gate);
-                            peak.fetch_max(ctx.peak(), Ordering::Relaxed);
-                            match res {
-                                Err(e) if e.is_transient() && attempt + 1 < max_attempts => {
-                                    retries.fetch_add(1, Ordering::Relaxed);
-                                    let wait = self.cfg.retry.backoff_after(attempt);
-                                    backoff_micros
-                                        .fetch_add((wait * 1e6) as u64, Ordering::Relaxed);
-                                    attempt += 1;
-                                }
-                                res => break (attempt + 1, res),
-                            }
-                        };
-                        if out.is_err() {
-                            // Readiness this task would have signalled
-                            // never comes: poison the gang so workers
-                            // blocked on unready indices drain instead of
-                            // deadlocking.
-                            gang.abort();
+        let worker = || {
+            let mut local = Vec::new();
+            while let Some(grant) = gang.next_task() {
+                let idx = grant.index;
+                let mut attempt: u32 = 0;
+                let out = loop {
+                    let ctx = TaskCtx {
+                        task: idx,
+                        node: self.node_of_task(idx),
+                        attempt,
+                        mem_budget: self.cfg.task_mem_bytes,
+                        mem_used: Cell::new(0),
+                        mem_peak: Cell::new(0),
+                    };
+                    // The task boundary: a panic fails this task, not the
+                    // thread running it.
+                    let res = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx, &gate)));
+                    peak.fetch_max(ctx.peak(), Ordering::Relaxed);
+                    match res {
+                        Ok(Err(e)) if e.is_transient() && attempt + 1 < max_attempts => {
+                            retries.fetch_add(1, Ordering::Relaxed);
+                            let wait = self.cfg.retry.backoff_after(attempt);
+                            backoff_micros.fetch_add((wait * 1e6) as u64, Ordering::Relaxed);
+                            attempt += 1;
                         }
-                        local.push((idx, attempts, out));
-                        drop(grant); // lease returns to the pool per task
+                        Ok(res) => {
+                            break res
+                                .map_err(|e| JobError::from_task_attempts(idx, e, attempt + 1))
+                        }
+                        Err(payload) => {
+                            break Err(JobError::panicked(format!("task {idx}: "), &*payload))
+                        }
                     }
-                    done.lock()
-                        .expect("no worker panics while holding the merge lock")
-                        .extend(local);
-                });
+                };
+                if out.is_err() {
+                    // Readiness this task would have signalled never comes:
+                    // poison the gang so workers blocked on unready indices
+                    // drain instead of deadlocking.
+                    gang.abort();
+                }
+                local.push((idx, out));
+                drop(grant); // lease returns to the pool per task
             }
-        });
+            done.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(local);
+        };
+        pool::run_with_helpers(workers - 1, &worker);
 
-        let mut collected = done.into_inner().expect("no worker panicked");
-        collected.sort_unstable_by_key(|(idx, _, _)| *idx);
+        let mut collected = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+        collected.sort_unstable_by_key(|(idx, _)| *idx);
         // An aborted gang leaves its ungranted tasks unreported — the error
         // below covers them (indices are granted smallest first, so the
         // lowest failing one always reports); a clean stage reports all `n`.
-        let mut outputs = Vec::with_capacity(n);
-        for (idx, attempts, out) in collected {
-            match out {
-                Ok(o) => outputs.push(o),
-                Err(e) => return Err(JobError::from_task_attempts(idx, e, attempts)),
-            }
-        }
+        let outputs = collected
+            .into_iter()
+            .map(|(_, out)| out)
+            .collect::<Result<Vec<O>, JobError>>()?;
         debug_assert_eq!(
             outputs.len(),
             n,
@@ -829,6 +837,81 @@ mod tests {
             .map(|p| p.get())
             .unwrap_or(4);
         assert!(ids.into_inner().unwrap().len() <= host_par.min(c.config().total_slots()));
+    }
+
+    #[test]
+    fn a_panicking_task_fails_its_stage_and_the_next_stage_runs() {
+        let c = cluster();
+        let err = stage(&c, (0..16).collect(), |_, x: u32| {
+            if x == 3 {
+                panic!("bad block {x}");
+            }
+            Ok(x)
+        })
+        .unwrap_err();
+        match &err {
+            JobError::Panicked { message } => {
+                assert_eq!(message, "task 3: bad block 3");
+            }
+            other => panic!("unexpected error: {other:?}"),
+        }
+        // The threads that ran it are still in service.
+        let run = stage(&c, (0..64).collect(), |_, x: u32| Ok(x * 3)).unwrap();
+        assert_eq!(run.outputs, (0..64).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn stages_start_no_threads_once_the_pool_is_up() {
+        use std::collections::HashSet;
+        use std::thread::ThreadId;
+        let c = cluster();
+        let on = |ids: &Mutex<HashSet<ThreadId>>| {
+            stage(&c, vec![(); 16], |_, ()| {
+                ids.lock().unwrap().insert(std::thread::current().id());
+                std::thread::yield_now();
+                Ok(())
+            })
+            .unwrap();
+        };
+        on(&Mutex::default()); // warm-up: the pool exists from here on
+        let spawned = pool::spawned();
+        let ids = Mutex::default();
+        for _ in 0..200 {
+            on(&ids);
+        }
+        assert_eq!(pool::spawned(), spawned, "a stage started a thread");
+        // Thread ids are never reused: a stage with threads of its own
+        // would add fresh ones every time.
+        let distinct = ids.into_inner().unwrap().len();
+        assert!(distinct <= pool::size() + 1, "{distinct} threads ran tasks");
+    }
+
+    #[test]
+    fn concurrent_gated_stages_all_finish_in_order() {
+        // Eight callers at once, more than the pool has helpers, each with
+        // 32 producers and 32 consumers gated one-to-one on them.
+        let c = cluster();
+        std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..8u32)
+                .map(|caller| {
+                    let c = &c;
+                    scope.spawn(move || {
+                        c.run_stage(TenantId(caller), 0, 64, (0..32).collect(), |ctx, gate| {
+                            if ctx.task < 32 {
+                                gate.mark_ready(ctx.task + 32);
+                            }
+                            Ok(caller as usize * 1000 + ctx.task)
+                        })
+                        .unwrap()
+                        .outputs
+                    })
+                })
+                .collect();
+            for (caller, h) in callers.into_iter().enumerate() {
+                let expected: Vec<usize> = (0..64).map(|t| caller * 1000 + t).collect();
+                assert_eq!(h.join().unwrap(), expected);
+            }
+        });
     }
 
     #[test]
@@ -1064,6 +1147,21 @@ mod tests {
         let report = c.scale_to(4).unwrap();
         assert_eq!(c.epoch(), 0);
         assert_eq!(report.moves, 0);
+        assert!(c.membership().log().is_empty());
+    }
+
+    #[test]
+    fn scale_to_zero_is_a_typed_error_with_nothing_changed() {
+        use distme_matrix::{Block, BlockId, DenseBlock};
+        let mut c = cluster();
+        let key = StoreKey::operand(3, BlockId::new(0, 0));
+        let blk = Block::Dense(DenseBlock::from_fn(2, 2, |i, j| (i + j) as f64));
+        c.stores().ingest(1, key, Arc::new(blk));
+        let before = c.stores().resident_keys();
+        let err = c.scale_to(0).unwrap_err();
+        assert!(matches!(err, JobError::InvalidSubmission { .. }), "{err}");
+        assert_eq!((c.epoch(), c.config().nodes), (0, 4));
+        assert_eq!(c.stores().resident_keys(), before);
         assert!(c.membership().log().is_empty());
     }
 

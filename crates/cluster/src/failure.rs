@@ -213,10 +213,11 @@ pub enum JobError {
         /// Nodes the cluster has.
         cluster: usize,
     },
-    /// The closure a tenant submitted to the job service panicked. Only
-    /// that job fails; its admission and cluster hold are released.
+    /// A job's closure or one of its tasks panicked. Only that job fails;
+    /// its admission and cluster hold are released.
     Panicked {
-        /// The panic payload, when it was a string.
+        /// The panic payload, when it was a string; `task N: ` first when
+        /// task `N` panicked.
         message: String,
     },
     /// An algorithm was handed a matrix of a shape it is not defined on (a
@@ -266,6 +267,15 @@ impl JobError {
         JobError::Singular {
             message: message.into(),
         }
+    }
+
+    /// A panic caught at a job or task boundary: `payload` is what
+    /// [`std::panic::catch_unwind`] returned, `context` prefixes it.
+    pub fn panicked(context: String, payload: &(dyn std::any::Any + Send)) -> Self {
+        let what = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        let message = context + what.unwrap_or("non-string panic payload");
+        JobError::Panicked { message }
     }
 
     /// Promotes a task error at `task` to a job error.

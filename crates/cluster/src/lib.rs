@@ -38,6 +38,8 @@
 //!   instead of requiring the producer copy (recovery precedence: parity
 //!   decode → lineage → typed failure).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod chaos;
 pub mod coding;
 pub mod config;

@@ -1,8 +1,9 @@
 //! Shared multi-job task scheduler: the cluster-wide worker pool.
 //!
-//! No job owns `run_stage`'s worker threads: the scheduler turns the
-//! cluster's task slots into a *lease pool* shared by every concurrently
-//! running job, with two layers of control:
+//! No job owns the threads that run its tasks: each `run_stage` runs on
+//! its calling thread plus helpers from one process-wide pool, and the
+//! scheduler turns the cluster's task slots into a *lease pool* shared by
+//! every concurrently running job, with two layers of control:
 //!
 //! 1. **Admission** ([`Scheduler::submit`]): a job declares its θt memory
 //!    demand up front. The sum of admitted jobs' demands may not exceed
@@ -16,7 +17,7 @@
 //!
 //! 2. **Dispatch** ([`Scheduler::register_gang`] / [`Gang::next_task`]):
 //!    each stage registers its task count as a *gang* together with the
-//!    indices that are ready to run; stage worker threads then pull
+//!    indices that are ready to run; the stage's workers then pull
 //!    `(slot lease, task index)` grants, smallest ready index first, and
 //!    running tasks release further indices with [`Gang::mark_ready`]. A
 //!    gang registered all-ready is therefore handed out strictly in order.

@@ -43,6 +43,8 @@ use distme_core::real_exec::RealExecOptions;
 use distme_core::{JobPlan, PlanCache, PlanCacheStats};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread;
 
@@ -206,10 +208,52 @@ impl Shared {
     }
 }
 
+/// A job as its driver runs it; it returns the step publishing its result.
+type DriverJob = Box<dyn FnOnce() -> Box<dyn FnOnce() + Send> + Send>;
+
+/// The service's driver threads, each running one job at a time; never
+/// more than the most jobs ever in flight at once. Dropping the service
+/// drops the sender: the drivers finish the queued jobs, then exit.
+struct Drivers {
+    jobs: Sender<DriverJob>,
+    /// One share per driver, and the service's.
+    queue: Arc<Mutex<Receiver<DriverJob>>>,
+    /// Idle drivers no submission has claimed yet.
+    idle: Arc<AtomicUsize>,
+}
+
+impl Drivers {
+    /// Hands `job` to an idle driver, or to a new one when none is idle.
+    fn run(&self, job: DriverJob) {
+        let claimed = self.idle.fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1));
+        if claimed.is_ok() {
+            // Cannot fail: `self.queue` keeps the receiver alive.
+            let _ = self.jobs.send(job);
+            return;
+        }
+        let (queue, idle) = (Arc::clone(&self.queue), Arc::clone(&self.idle));
+        thread::spawn(move || {
+            let mut job = job;
+            loop {
+                let publish = job();
+                // Idle *before* publishing, so the submission the result
+                // unblocks finds this driver free.
+                idle.fetch_add(1, SeqCst);
+                publish();
+                match queue.lock().unwrap_or_else(|p| p.into_inner()).recv() {
+                    Ok(next) => job = next,
+                    Err(_) => return,
+                }
+            }
+        });
+    }
+}
+
 /// The multi-tenant engine front end: a shared cluster behind a
 /// submission queue. See the module docs for the determinism contract.
 pub struct JobService {
     shared: Arc<Shared>,
+    drivers: Drivers,
 }
 
 impl JobService {
@@ -218,6 +262,7 @@ impl JobService {
     pub fn new(cfg: ClusterConfig, profile: SystemProfile) -> Self {
         let cluster = LocalCluster::new(cfg);
         let scheduler = cluster.scheduler().clone();
+        let (jobs, queue) = mpsc::channel();
         JobService {
             shared: Arc::new(Shared {
                 cluster: RwLock::new(cluster),
@@ -226,15 +271,21 @@ impl JobService {
                 profile,
                 by_tenant: Mutex::default(),
             }),
+            drivers: Drivers {
+                jobs,
+                queue: Arc::new(Mutex::new(queue)),
+                idle: Arc::default(),
+            },
         }
     }
 
     /// Submits `job` for `spec`'s tenant and returns immediately with a
-    /// handle. The job passes admission control on a driver thread: while
-    /// the declared demand would overshoot the cluster memory budget it
-    /// *queues* (status [`JobStatus::Queued`]); a full submission queue or
-    /// an out-of-range priority fails the handle instead, and so does a
-    /// panic in `job` ([`JobError::Panicked`], scoped to this handle).
+    /// handle. An idle driver thread (a new one only if none is idle) passes
+    /// the job through admission control: while the declared demand would
+    /// overshoot the cluster memory budget it *queues* (status
+    /// [`JobStatus::Queued`]); a full submission queue or an out-of-range
+    /// priority fails the handle instead, and so does a panic in `job`
+    /// ([`JobError::Panicked`], scoped to this handle).
     pub fn submit<T, F>(&self, spec: JobSpec, job: F) -> JobHandle<T>
     where
         T: Send + 'static,
@@ -249,12 +300,11 @@ impl JobService {
         });
         let shared = Arc::clone(&self.shared);
         let thread_state = Arc::clone(&state);
-        thread::spawn(move || {
-            // The driver runs under `catch_unwind`: a panic in the tenant's
+        self.drivers.run(Box::new(move || {
+            // The job runs under `catch_unwind`: a panic in the tenant's
             // closure unwinds out of it — dropping the cluster read lock
             // and the admission ticket on the way — and fails this handle
-            // with a typed error, instead of killing the only thread that
-            // could ever wake `wait`.
+            // with a typed error, instead of leaving `wait` blocked.
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                 let ticket = shared.scheduler.submit(spec.priority, spec.demand_bytes)?;
                 thread_state.set_status(JobStatus::Running);
@@ -284,15 +334,10 @@ impl JobService {
                     tenant: spec.tenant,
                 })
             }));
-            thread_state.finish(outcome.unwrap_or_else(|payload| {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                Err(JobError::Panicked { message })
-            }));
-        });
+            let result =
+                outcome.unwrap_or_else(|payload| Err(JobError::panicked(String::new(), &*payload)));
+            Box::new(move || thread_state.finish(result))
+        }));
         JobHandle { state }
     }
 
@@ -344,7 +389,8 @@ impl JobService {
     /// are attributed to [`TenantId::ANONYMOUS`].
     ///
     /// # Errors
-    /// Propagates transport failures during the resize's migration.
+    /// [`JobError::InvalidSubmission`] for `nodes == 0`, with nothing
+    /// changed; transport failures during the resize's migration.
     pub fn scale_to(&self, nodes: usize) -> Result<RebalanceReport, JobError> {
         let mut cluster = self
             .shared
@@ -381,5 +427,86 @@ impl JobService {
             .cluster
             .read()
             .unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::Ops;
+    use distme_matrix::{BlockMatrix, MatrixGenerator, MatrixMeta};
+
+    impl JobService {
+        /// Driver threads started so far: each holds a share of the queue
+        /// until the service is gone.
+        fn drivers_started(&self) -> usize {
+            Arc::strong_count(&self.drivers.queue) - 1
+        }
+    }
+
+    #[test]
+    fn closed_loop_jobs_reuse_one_driver() {
+        let svc = JobService::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let a = Arc::new(
+            MatrixGenerator::with_seed(1)
+                .generate(&MatrixMeta::dense(64, 64).with_block_size(16))
+                .unwrap(),
+        );
+        let job = |a: &Arc<BlockMatrix>| {
+            let a = Arc::clone(a);
+            move |s: &mut TenantSession<'_>| {
+                s.matmul(&a, &a)?;
+                Ok(thread::current().id())
+            }
+        };
+        let spec = JobSpec::new(TenantId(1));
+        let warm = svc.submit(spec, job(&a)).wait().unwrap().value;
+        let spawned = svc.drivers_started();
+        for _ in 0..200 {
+            let driver = svc.submit(spec, job(&a)).wait().unwrap().value;
+            assert_eq!(driver, warm, "a closed-loop job ran on a new driver");
+        }
+        assert_eq!(svc.drivers_started(), spawned);
+        assert_eq!(spawned, 1);
+    }
+
+    #[test]
+    fn drivers_never_outnumber_the_jobs_in_flight_and_drain_on_drop() {
+        let svc = JobService::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let gate = Arc::new(std::sync::Barrier::new(4));
+        let four_at_once = |svc: &JobService| -> Vec<JobHandle<u32>> {
+            (0..4u32)
+                .map(|i| {
+                    let gate = Arc::clone(&gate);
+                    svc.submit(JobSpec::new(TenantId(i)), move |_| {
+                        gate.wait(); // all four in flight at once
+                        Ok(i)
+                    })
+                })
+                .collect()
+        };
+        for h in four_at_once(&svc) {
+            h.wait().unwrap();
+        }
+        // The second four run on the first four's drivers.
+        let handles = four_at_once(&svc);
+        assert_eq!(svc.drivers_started(), 4);
+        // Dropping the service first: the drivers still finish every job,
+        // then exit, each dropping its share of the queue.
+        let queue = Arc::clone(&svc.drivers.queue);
+        drop(svc);
+        let values: Vec<u32> = handles
+            .into_iter()
+            .map(|h| h.wait().unwrap().value)
+            .collect();
+        assert_eq!(values, vec![0, 1, 2, 3]);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while Arc::strong_count(&queue) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a driver outlived the service"
+            );
+            thread::yield_now();
+        }
     }
 }

@@ -490,7 +490,8 @@ impl RealSession {
     /// node count.
     ///
     /// # Errors
-    /// Propagates transport failures during migration.
+    /// [`JobError::InvalidSubmission`] for `nodes == 0`, with nothing
+    /// changed; transport failures during migration.
     pub fn scale_to(&mut self, nodes: usize) -> Result<RebalanceReport, JobError> {
         let report = self.cluster.scale_to(nodes)?;
         self.tally.stats.merge(&report.stats);
@@ -763,6 +764,15 @@ mod tests {
         assert_eq!(st.invalidations, 1);
         assert!(c.max_abs_diff(&reference).unwrap() < 1e-9);
         assert!(s.stats().rebalanced_moves > 0);
+    }
+
+    #[test]
+    fn scaling_a_session_to_zero_nodes_is_refused_with_nothing_changed() {
+        let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
+        let err = s.scale_to(0).unwrap_err();
+        assert!(matches!(err, JobError::InvalidSubmission { .. }), "{err}");
+        assert_eq!((s.cluster().epoch(), s.cluster().config().nodes), (0, 4));
+        assert_eq!(s.stats().rebalanced_moves, 0);
     }
 
     #[test]

@@ -567,6 +567,70 @@ fn a_panicking_job_fails_only_its_own_handle() {
     assert_eq!(svc.load().admitted_mem_bytes, 0);
 }
 
+/// A panic inside one job's *task* — on whichever pool thread ran it —
+/// fails that job with a typed error naming the task; a neighbour's
+/// multiplies, running beside it and after it on the same threads, keep
+/// their solo bytes.
+#[test]
+fn a_panicking_task_fails_only_its_own_job() {
+    let a = Arc::new(dense(80, 64, 5));
+    let b = Arc::new(dense(64, 48, 6));
+    let solo = {
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        service()
+            .submit(JobSpec::new(TenantId(2)), move |s| s.matmul(&a, &b))
+            .wait()
+            .unwrap()
+    };
+
+    let svc = service();
+    let neighbour_started = Arc::new(AtomicBool::new(false));
+    let doomed_done = Arc::new(AtomicBool::new(false));
+    let doomed = svc.submit(JobSpec::new(TenantId(1)), {
+        let (started, done) = (Arc::clone(&neighbour_started), Arc::clone(&doomed_done));
+        move |s: &mut distme_engine::TenantSession<'_>| -> Result<(), JobError> {
+            while !started.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let run = s
+                .cluster()
+                .run_stage(s.tenant(), 0, 16, (0..16).collect(), |ctx, _| {
+                    if ctx.task == 3 {
+                        panic!("tenant task bug");
+                    }
+                    Ok(ctx.task)
+                });
+            done.store(true, Ordering::SeqCst);
+            run.map(drop)
+        }
+    });
+    let neighbour = svc.submit(JobSpec::new(TenantId(2)), {
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        let (started, done) = (Arc::clone(&neighbour_started), Arc::clone(&doomed_done));
+        move |s: &mut distme_engine::TenantSession<'_>| {
+            started.store(true, Ordering::SeqCst);
+            let mut products = Vec::new();
+            // Until the panic is over, and once more after it.
+            loop {
+                let finished = done.load(Ordering::SeqCst);
+                products.push(fingerprint(&s.matmul(&a, &b)?));
+                if finished {
+                    return Ok(products);
+                }
+            }
+        }
+    });
+
+    let err = doomed.wait().unwrap_err();
+    assert!(
+        matches!(&err, JobError::Panicked { message } if message == "task 3: tenant task bug"),
+        "got: {err:?}"
+    );
+    for product in neighbour.wait().unwrap().value {
+        assert_eq!(product, fingerprint(&solo.value));
+    }
+}
+
 /// Residency follows the handle under concurrency: while one tenant's job
 /// holds its operands and a first product, other tenants' jobs start —
 /// each sweeping dropped matrices out of the shared stores — and drop
@@ -649,6 +713,19 @@ fn a_long_jobs_matrices_stay_resident_while_other_tenants_drop_results() {
         resident.keys().all(|k| !dropped.contains(&k.matrix)),
         "a dropped result outlived the next job's prologue"
     );
+}
+
+#[test]
+fn scaling_the_service_to_zero_nodes_is_refused_with_nothing_changed() {
+    let svc = service();
+    let err = svc.scale_to(0).unwrap_err();
+    assert_eq!(err.annotation(), "INV");
+    assert_eq!((svc.epoch(), svc.config().nodes), (0, 4));
+    assert!(svc.tenants().is_empty(), "no resize was attributed");
+    // The cluster still runs jobs.
+    let a = Arc::new(dense(32, 32, 1));
+    let h = svc.submit(JobSpec::new(TenantId(1)), move |s| s.matmul(&a, &a));
+    h.wait().unwrap();
 }
 
 #[test]
