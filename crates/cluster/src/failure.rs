@@ -408,11 +408,11 @@ mod tests {
 
     #[test]
     fn driver_side_rejections_name_no_task() {
-        let shape = JobError::shape_mismatch("pagerank needs a square link matrix");
+        let shape = JobError::shape_mismatch("operand shapes 64x48 and 32x16 do not chain");
         let rank = JobError::singular("singular regularized Gram at column 3");
         assert!(matches!(shape, JobError::ShapeMismatch { .. }));
         assert!(matches!(rank, JobError::Singular { .. }));
-        for (e, words) in [(shape, "square link matrix"), (rank, "Gram at column 3")] {
+        for (e, words) in [(shape, "64x48 and 32x16"), (rank, "Gram at column 3")] {
             assert_eq!(e.annotation(), "FAIL");
             let msg = e.to_string();
             assert!(msg.contains(words) && !msg.contains("task"), "{msg}");

@@ -3,15 +3,15 @@
 //! The user-facing engine of §5, plus the comparison-system emulation the
 //! evaluation needs:
 //!
-//! * [`expr`] — a matrix-expression API (the stand-in for DistME's Scala
-//!   API): build `W.t().matmul(&V)`-style trees and evaluate them;
-//! * [`session`] — the evaluation contexts: [`session::SimSession`] runs
-//!   operators against the paper-scale simulated cluster,
-//!   [`session::RealSession`] runs them with real blocks on the
-//!   thread-backed cluster; both are one operator surface,
-//!   [`session::Ops<M>`] over what flows (descriptors or blocks), and every
-//!   query below is one operator sequence written against it; the real
-//!   operators are written once, on [`session::TenantSession`];
+//! * [`session`] — the evaluation contexts and the one query surface:
+//!   [`session::Ops<M>`] is the paper's §5 matrix-expression API (the
+//!   stand-in for DistME's Scala API) — multiply, transpose and
+//!   element-wise over what flows (descriptors or blocks) — and every
+//!   query below is one operator sequence written against it.
+//!   [`session::SimSession`] runs operators against the paper-scale
+//!   simulated cluster, [`session::RealSession`] runs them with real
+//!   blocks on the thread-backed cluster; the real operators are written
+//!   once, on [`session::TenantSession`];
 //! * [`service`] — the multi-tenant front end on the real cluster: jobs
 //!   from several tenants pass admission control and interleave on the
 //!   shared worker pool, running the same operator body as a solo session
@@ -30,14 +30,10 @@
 //!   method family: `V Hᵀ`/`Vᵀ W` as SpMM jobs, the sampled objective as
 //!   an SDDMM job, driver-side `f × f` ridge solves;
 //! * [`datasets`] — the Table 3 rating datasets (MovieLens, Netflix,
-//!   YahooMusic) as synthetic equivalents with matching shape and nnz;
-//! * [`algorithms`] — more of §1's motivating workloads on the engine:
-//!   power iteration, PageRank, ridge regression.
+//!   YahooMusic) as synthetic equivalents with matching shape and nnz.
 
-pub mod algorithms;
 pub mod als;
 pub mod datasets;
-pub mod expr;
 pub mod gnmf;
 pub mod ops;
 pub mod service;

@@ -213,11 +213,12 @@ impl SimReport {
 /// The operator surface every query is written against, generic over what
 /// flows between operators: real blocks (`M = BlockMatrix`, the default —
 /// [`RealSession`] and the job service's [`TenantSession`]) or descriptors
-/// (`M = MatrixMeta`, [`SimSession`]). GNMF, ALS and expression trees are
-/// one operator sequence over `Ops<M>`, so the simulated figure and the
-/// measured workload cannot drift apart; with the default `M` the same
-/// code runs unchanged whether it is called by the session owner or
-/// submitted as a multi-tenant job.
+/// (`M = MatrixMeta`, [`SimSession`]). It is the paper's §5
+/// matrix-expression API: a query is a sequence of calls on it. GNMF and
+/// ALS are each one operator sequence over `Ops<M>`, so the simulated
+/// figure and the measured workload cannot drift apart; with the default
+/// `M` the same code runs unchanged whether it is called by the session
+/// owner or submitted as a multi-tenant job.
 pub trait Ops<M = BlockMatrix> {
     /// Distributed multiply `a × b` with the profile's planner.
     ///

@@ -15,11 +15,10 @@
 //!   else's job notices.
 
 use distme_cluster::{ClusterConfig, JobError, JobStats, Phase, TenantId};
-use distme_engine::expr::Expr;
 use distme_engine::service::{JobService, JobSpec, JobStatus};
 use distme_engine::session::Ops;
 use distme_engine::systems::SystemProfile;
-use distme_engine::{algorithms, gnmf, GnmfConfig, RealSession};
+use distme_engine::{gnmf, GnmfConfig, RealSession};
 use distme_matrix::elementwise::EwOp;
 use distme_matrix::{codec, BlockMatrix, MatrixGenerator, MatrixMeta};
 use std::collections::BTreeMap;
@@ -242,44 +241,57 @@ fn concurrent_als_matches_its_solo_run_bit_for_bit() {
     }
 }
 
-/// Anything written against `Ops` runs under the service: PageRank and
-/// an expression tree submitted as jobs produce the bytes and byte stats
-/// of the same calls on a solo `RealSession`.
+/// Four steps of `r ← links · r + teleport`: each a distributed multiply
+/// followed by a distributed element-wise add.
+fn rank_steps<S: Ops>(
+    s: &mut S,
+    links: &BlockMatrix,
+    teleport: &BlockMatrix,
+) -> Result<BlockMatrix, JobError> {
+    let mut r = teleport.clone();
+    for _ in 0..4 {
+        let walked = s.matmul(links, &r)?;
+        r = s.elementwise(&walked, EwOp::Add, teleport)?;
+    }
+    Ok(r)
+}
+
+/// `(XᵀX) + (XᵀX)`: transpose, multiply and element-wise in one job.
+fn gram_plus<S: Ops>(s: &mut S, x: &BlockMatrix) -> Result<BlockMatrix, JobError> {
+    let gram = |s: &mut S| {
+        let xt = s.transpose(x)?;
+        s.matmul(&xt, x)
+    };
+    let (a, b) = (gram(s)?, gram(s)?);
+    s.elementwise(&a, EwOp::Add, &b)
+}
+
+/// Anything written against `Ops` runs under the service: an iterative
+/// sparse multiply and a transpose–multiply–add sequence submitted as jobs
+/// produce the bytes and byte stats of the same calls on a solo
+/// `RealSession`.
 #[test]
-fn algorithms_and_expressions_match_a_solo_real_session() {
+fn ops_sequences_match_a_solo_real_session() {
     let links = Arc::new(
         MatrixGenerator::with_seed(8)
             .value_range(0.0, 0.05)
             .generate(&MatrixMeta::sparse(64, 64, 0.3).with_block_size(16))
             .unwrap(),
     );
+    let teleport = Arc::new(dense(64, 1, 10));
     let x = Arc::new(dense(48, 64, 9));
-    // (XᵀX) + (XᵀX): transpose, multiply and element-wise in one tree.
-    let gram_plus = |x: &Arc<BlockMatrix>| {
-        let gram = || {
-            Expr::shared(Arc::clone(x))
-                .t()
-                .matmul(Expr::shared(Arc::clone(x)))
-        };
-        gram().ew_add(gram())
-    };
 
     let mut solo = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
-    let solo_rank = algorithms::pagerank(&mut solo, &links, 0.85, 4).unwrap();
-    let solo_rank_stats = *solo.stats();
+    let solo_rank = rank_steps(&mut solo, &links, &teleport).unwrap();
+    let (solo_rank_stats, solo_rank_ops) = (*solo.stats(), solo.ops_run());
     solo.reset_stats();
-    let solo_gram = gram_plus(&x).eval_real(&mut solo).unwrap();
+    let solo_gram = gram_plus(&mut solo, &x).unwrap();
 
     let svc = service();
-    let rank_job = {
-        let links = Arc::clone(&links);
-        svc.submit(JobSpec::new(TenantId(1)).priority(1), move |s| {
-            algorithms::pagerank(s, &links, 0.85, 4)
-        })
-    };
-    let gram_job = svc.submit(JobSpec::new(TenantId(2)), move |s| {
-        gram_plus(&x).eval_real(s)
+    let rank_job = svc.submit(JobSpec::new(TenantId(1)).priority(1), move |s| {
+        rank_steps(s, &links, &teleport)
     });
+    let gram_job = svc.submit(JobSpec::new(TenantId(2)), move |s| gram_plus(s, &x));
     let rank = rank_job.wait().unwrap();
     let gram = gram_job.wait().unwrap();
     assert_eq!(fingerprint(&rank.value), fingerprint(&solo_rank));
@@ -287,6 +299,7 @@ fn algorithms_and_expressions_match_a_solo_real_session() {
         comm_signature(&rank.stats),
         comm_signature(&solo_rank_stats)
     );
+    assert_eq!(rank.ops_run, solo_rank_ops);
     assert_eq!(fingerprint(&gram.value), fingerprint(&solo_gram));
     assert_eq!(comm_signature(&gram.stats), comm_signature(solo.stats()));
     assert_eq!(gram.ops_run, solo.ops_run());

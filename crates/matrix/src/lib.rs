@@ -35,7 +35,6 @@ pub mod dense;
 pub mod elementwise;
 pub mod error;
 pub mod generator;
-pub mod io;
 pub mod kernels;
 pub mod meta;
 pub mod ops;

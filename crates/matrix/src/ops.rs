@@ -1,76 +1,16 @@
-//! Whole-matrix convenience operations on [`BlockMatrix`].
-//!
-//! The reductions here (row sums, trace, scaling, Grams) are the building
-//! blocks the paper's application list needs around multiplication:
-//! normalization steps in factorization, degree vectors for graph
-//! algorithms, convergence checks.
+//! Whole-matrix convenience operations on [`BlockMatrix`]: the Gram
+//! matrix `AᵀA` that the GNMF objective reads without materializing the
+//! transpose.
 
 use crate::block::Block;
 use crate::block_matrix::BlockMatrix;
 use crate::dense::DenseBlock;
-use crate::elementwise::map;
-use crate::error::{MatrixError, Result};
 use crate::meta::MatrixMeta;
 use std::borrow::Cow;
 
 impl BlockMatrix {
-    /// Returns `alpha · self`.
-    pub fn scale(&self, alpha: f64) -> BlockMatrix {
-        let mut out = BlockMatrix::new(*self.meta());
-        for (id, block) in self.blocks() {
-            let scaled = map(block, |v| alpha * v).expect("map never fails on matching shapes");
-            out.put(id.row, id.col, scaled)
-                .expect("same grid as source");
-        }
-        out
-    }
-
-    /// Sum of each row, as a dense vector of length `rows`.
-    pub fn row_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.meta().rows as usize];
-        let bs = self.meta().block_size;
-        for (id, block) in self.blocks() {
-            let base = id.row as u64 * bs;
-            match block {
-                Block::Sparse(s) => {
-                    for (i, _, v) in s.iter() {
-                        sums[(base + i as u64) as usize] += v;
-                    }
-                }
-                Block::Dense(d) => {
-                    for i in 0..d.rows() {
-                        let row = &d.data()[i * d.cols()..(i + 1) * d.cols()];
-                        sums[(base + i as u64) as usize] += row.iter().sum::<f64>();
-                    }
-                }
-            }
-        }
-        sums
-    }
-
-    /// Sum of the main diagonal.
-    ///
-    /// # Errors
-    /// Returns [`MatrixError::DimensionMismatch`] for non-square matrices.
-    pub fn trace(&self) -> Result<f64> {
-        let meta = self.meta();
-        if meta.rows != meta.cols {
-            return Err(MatrixError::DimensionMismatch {
-                op: "trace",
-                lhs: (meta.rows, meta.cols),
-                rhs: (meta.cols, meta.cols),
-            });
-        }
-        Ok((0..meta.rows).map(|i| self.get_element(i, i)).sum())
-    }
-
-    /// Sum of all elements.
-    pub fn total_sum(&self) -> f64 {
-        self.row_sums().iter().sum()
-    }
-
     /// The Gram matrix `selfᵀ · self` computed without materializing the
-    /// transpose (the `WᵀW` of GNMF and `XᵀX` of least squares), using the
+    /// transpose (the `WᵀW` of GNMF), using the
     /// [`crate::kernels::gemm::gemm_tn`] kernel per block pair. Dense blocks
     /// feed the kernel as they are; only CSR blocks are converted.
     pub fn gram(&self) -> BlockMatrix {
@@ -119,40 +59,6 @@ mod tests {
     fn sample(sparsity: f64) -> BlockMatrix {
         let meta = MatrixMeta::sparse(50, 30, sparsity).with_block_size(16);
         MatrixGenerator::with_seed(11).generate(&meta).unwrap()
-    }
-
-    #[test]
-    fn scale_scales_every_element() {
-        let m = sample(0.3);
-        let s = m.scale(2.5);
-        for i in (0..50).step_by(7) {
-            for j in (0..30).step_by(5) {
-                assert!((s.get_element(i, j) - 2.5 * m.get_element(i, j)).abs() < 1e-12);
-            }
-        }
-        // Sparsity pattern preserved.
-        assert_eq!(s.nnz(), m.nnz());
-    }
-
-    #[test]
-    fn row_sums_agree_with_elementwise_scan() {
-        let m = sample(0.4);
-        let rows = m.row_sums();
-        for i in 0..50 {
-            let expect: f64 = (0..30).map(|j| m.get_element(i, j)).sum();
-            assert!((rows[i as usize] - expect).abs() < 1e-9, "row {i}");
-        }
-        assert!((m.total_sum() - rows.iter().sum::<f64>()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trace_requires_square() {
-        let m = sample(1.0);
-        assert!(m.trace().is_err());
-        let meta = MatrixMeta::dense(32, 32).with_block_size(16);
-        let sq = MatrixGenerator::with_seed(3).generate(&meta).unwrap();
-        let expect: f64 = (0..32).map(|i| sq.get_element(i, i)).sum();
-        assert!((sq.trace().unwrap() - expect).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use distme_matrix::elementwise::{ew, EwOp};
 use distme_matrix::kernels;
 use distme_matrix::kernels::gemm::{gemm, gemm_tn};
 use distme_matrix::kernels::{spgemm, spmm};
-use distme_matrix::{codec, Block, BlockMatrix, CsrBlock, DenseBlock, MatrixGenerator, MatrixMeta};
+use distme_matrix::{codec, Block, CsrBlock, DenseBlock, MatrixGenerator, MatrixMeta};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary dense block up to 24 x 24.
@@ -480,25 +480,5 @@ proptest! {
             .elementwise(EwOp::Add, &a.multiply(&c).expect("ac"))
             .expect("ab+ac");
         prop_assert!(lhs.max_abs_diff(&rhs).expect("same shape") < 1e-8);
-    }
-
-    #[test]
-    fn row_sums_match_ones_product(seed in 0u64..10_000, sparsity in 0.05f64..1.0) {
-        // row_sums(A) == A · 1.
-        let bs = 8u64;
-        let meta = MatrixMeta::sparse(3 * bs, 2 * bs, sparsity).with_block_size(bs);
-        let a = MatrixGenerator::with_seed(seed).generate(&meta).expect("a");
-        let ones_meta = MatrixMeta::dense(2 * bs, 1).with_block_size(bs);
-        let mut ones = BlockMatrix::new(ones_meta);
-        for bi in 0..ones_meta.block_rows() {
-            let (r, c) = ones_meta.block_dims(bi, 0);
-            ones.put(bi, 0, Block::Dense(DenseBlock::from_fn(r as usize, c as usize, |_, _| 1.0)))
-                .expect("in grid");
-        }
-        let product = a.multiply(&ones).expect("a*1");
-        let sums = a.row_sums();
-        for (idx, s) in sums.iter().enumerate() {
-            prop_assert!((s - product.get_element(idx as u64, 0)).abs() < 1e-9);
-        }
     }
 }

@@ -18,7 +18,7 @@
 //! | [`cluster`] | `distme-cluster` | shuffle accounting, block stores + transport, scheduler, real + simulated executors, failure modes |
 //! | [`gpu`] | `distme-gpu` | simulated GPU device: PCI-E engines, streams, MPS, kernel model |
 //! | [`core`] | `distme-core` | the paper's contribution: cuboids, optimizers, methods, Algorithm 1, SUMMA |
-//! | [`engine`] | `distme-engine` | expression API, sessions, system profiles, GNMF, datasets |
+//! | [`engine`] | `distme-engine` | the `Ops` operator surface (§5's expression API), sessions, job service, system profiles, GNMF, ALS, datasets |
 //!
 //! ## Quickstart
 //!
@@ -62,8 +62,8 @@ pub mod prelude {
         real_exec, sim_exec, CuboidSpec, MatmulProblem, MulMethod, OptimizerConfig,
     };
     pub use distme_engine::{
-        algorithms, expr::Expr, gnmf, GnmfConfig, JobService, JobSpec, JobStatus, Ops,
-        RatingDataset, RealSession, SimSession, SystemProfile,
+        gnmf, GnmfConfig, JobService, JobSpec, JobStatus, Ops, RatingDataset, RealSession,
+        SimSession, SystemProfile,
     };
     pub use distme_matrix::{
         elementwise::EwOp, Block, BlockMatrix, CsrBlock, DenseBlock, MatrixGenerator, MatrixMeta,

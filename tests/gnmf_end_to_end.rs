@@ -92,8 +92,12 @@ fn simulated_gnmf_scales_with_dataset_size() {
 
 #[test]
 fn expression_api_builds_one_gnmf_numerator() {
-    // The Wᵀ V piece of the H update through the lazy expression API,
-    // evaluated in both modes.
+    // The Wᵀ V piece of the H update through the expression API — two
+    // `Ops` calls, transpose then multiply — evaluated in both modes.
+    fn numerator<M, S: Ops<M>>(s: &mut S, w: &M, v: &M) -> Result<M, JobError> {
+        let wt = s.transpose(w)?;
+        s.matmul(&wt, v)
+    }
     let v = rating_matrix(64, 48, 0.3, 3);
     let w_meta = MatrixMeta::dense(64, 16).with_block_size(16);
     let w = MatrixGenerator::with_seed(9)
@@ -103,20 +107,21 @@ fn expression_api_builds_one_gnmf_numerator() {
 
     // Real evaluation.
     let expect = w.transpose().multiply(&v).expect("reference");
-    let query = Expr::value(w).t().matmul(Expr::value(v.clone()));
     let mut real = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
-    let got = query.eval_real(&mut real).expect("evaluates");
+    let got = numerator(&mut real, &w, &v).expect("evaluates");
     assert!(got.max_abs_diff(&expect).expect("same shape") < 1e-9);
 
     // Simulated evaluation at paper scale.
-    let sim_q = Expr::virtual_input(MatrixMeta::dense(1_823_179, 200))
-        .t()
-        .matmul(Expr::virtual_input(RatingDataset::YAHOO_MUSIC.meta()));
     let mut sim = SimSession::new(
         ClusterConfig::paper_cluster_gpu().with_timeout(f64::MAX),
         SystemProfile::DistMe,
     );
-    let out = sim_q.eval_sim(&mut sim).expect("simulates");
+    let out = numerator(
+        &mut sim,
+        &MatrixMeta::dense(1_823_179, 200),
+        &RatingDataset::YAHOO_MUSIC.meta(),
+    )
+    .expect("simulates");
     assert_eq!((out.rows, out.cols), (200, 136_736));
     assert!(sim.stats().elapsed_secs > 0.0);
 }
