@@ -16,14 +16,18 @@
 //!   the case where the whole cuboid is one subcuboid, so every dense mult
 //!   task of the real executor runs this loop: with or without θg each
 //!   output cell is one `multiply_accumulate` chain over k ascending from
-//!   a zero block, which is why the product's bits cannot depend on θg.
+//!   a zero block, which is why the product's bits cannot depend on θg. A
+//!   k step whose B row holds a sparse block transposes each of its dense
+//!   A blocks once, and the dense × sparse pairs of the step read that
+//!   `Aᵀ` — the same kernel `multiply_accumulate` runs, so the same bits.
 
 use crate::cuboid::Cuboid;
 use crate::problem::MatmulProblem;
 use crate::subcuboid::{self, CuboidSides, SubcuboidSpec};
 use distme_cluster::{BlockSource, TaskError};
 use distme_gpu::GpuWork;
-use distme_matrix::{kernels, BlockId, DenseBlock};
+use distme_matrix::{kernels, Block, BlockId, DenseBlock};
+use std::sync::Arc;
 
 /// Plans the device work for a cuboid of the given sides under θg.
 ///
@@ -165,8 +169,10 @@ pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
                     let b_row: Vec<_> = (j_lo..j_hi)
                         .map(|j| b.block(k, j))
                         .collect::<Result<_, _>>()?;
-                    for (i, ablk) in (i_lo..i_hi).zip(&a_col) {
+                    let packed = transposed_dense_a(&a_col, &b_row);
+                    for (p, (i, ablk)) in (i_lo..i_hi).zip(&a_col).enumerate() {
                         let Some(ablk) = ablk else { continue };
+                        let at = packed.get(p).and_then(Option::as_ref);
                         for (j, bblk) in (j_lo..j_hi).zip(&b_row) {
                             let Some(bblk) = bblk else { continue };
                             let slot = &mut bufc[(i - i_lo) as usize * nj + (j - j_lo) as usize];
@@ -174,7 +180,12 @@ pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
                                 let (r, c) = c_meta.block_dims(i, j);
                                 DenseBlock::zeros(r as usize, c as usize)
                             });
-                            kernels::multiply_accumulate(acc, ablk, bblk)?;
+                            match (at, &**bblk) {
+                                (Some(at), Block::Sparse(sb)) => {
+                                    kernels::spmm::dense_csr_tn_acc(at, sb, acc)?
+                                }
+                                _ => kernels::multiply_accumulate(acc, ablk, bblk)?,
+                            }
                             kernel_calls += 1;
                         }
                     }
@@ -196,6 +207,27 @@ pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
         kernel_calls,
         spec,
     })
+}
+
+/// A k step's dense A blocks, transposed: what a dense × sparse product
+/// reads ([`kernels::spmm::dense_csr_tn_acc`]). Empty unless the step's B
+/// row holds a sparse block; otherwise each dense A block is transposed
+/// once here and serves every j of the step.
+fn transposed_dense_a(
+    a_col: &[Option<Arc<Block>>],
+    b_row: &[Option<Arc<Block>>],
+) -> Vec<Option<DenseBlock>> {
+    let sparse_b = |b: &Arc<Block>| matches!(**b, Block::Sparse(_));
+    if !b_row.iter().flatten().any(sparse_b) {
+        return Vec::new();
+    }
+    a_col
+        .iter()
+        .map(|a| match a.as_deref() {
+            Some(Block::Dense(d)) => Some(d.transpose()),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]

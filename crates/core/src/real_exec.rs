@@ -272,11 +272,12 @@ struct Lowered {
 #[derive(Default)]
 struct CommTime {
     /// Mult tasks pulling their own k-panels; the task's one thread does
-    /// nothing else meanwhile.
-    pull_micros: AtomicU64,
+    /// nothing else meanwhile. Nanoseconds, so that a job of sub-microsecond
+    /// pulls does not sum to zero.
+    pull_nanos: AtomicU64,
     /// Pre-moves and aggregation fetches: tasks of their own, running
     /// beside other tasks' compute.
-    beside_micros: AtomicU64,
+    beside_nanos: AtomicU64,
     /// k-panels pulled, re-pulls by retried attempts included.
     panels: AtomicU64,
 }
@@ -297,7 +298,7 @@ fn deliver(
         ctx.free(payload);
         Ok(())
     });
-    spent.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+    spent.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     delivered
 }
 
@@ -483,7 +484,7 @@ pub fn execute_plan_masked(
         // Makes panel `p` readable: the task pulls the panel's moves itself.
         let fetch = |p: usize| {
             comm.panels.fetch_add(1, Ordering::Relaxed);
-            deliver(ctx, &transport, &panels[p], &comm.pull_micros)
+            deliver(ctx, &transport, &panels[p], &comm.pull_nanos)
         };
         let drain = || (0..panels.len()).try_for_each(fetch);
         let blocks: Vec<(BlockId, Block)> = match &spec.work {
@@ -587,7 +588,7 @@ pub fn execute_plan_masked(
             };
             let l = &lowered[l];
             run_task(faults, l.phase, l.task, l.node, ctx.attempt, || {
-                deliver(ctx, &transport, &l.moves, &comm.beside_micros)?;
+                deliver(ctx, &transport, &l.moves, &comm.beside_nanos)?;
                 if l.phase != Phase::Aggregation {
                     return Ok(Vec::new());
                 }
@@ -641,8 +642,8 @@ pub fn execute_plan_masked(
     // Physical bytes come from the job-local transport mirror. Neither
     // reads shared state a concurrent job could be mutating. Time splits
     // by where it went; see the module docs.
-    let pull_secs = comm.pull_micros.load(Ordering::Relaxed) as f64 / 1e6;
-    let comm_secs = pull_secs + comm.beside_micros.load(Ordering::Relaxed) as f64 / 1e6;
+    let pull_secs = comm.pull_nanos.load(Ordering::Relaxed) as f64 / 1e9;
+    let comm_secs = pull_secs + comm.beside_nanos.load(Ordering::Relaxed) as f64 / 1e9;
     let stall_secs = pull_secs.min(stage_secs);
     let mut stats = JobStats {
         elapsed_secs: prep_secs + stage_secs,
@@ -917,6 +918,24 @@ mod tests {
         assert!(first.0 > 0 && first.1 > 0 && first.2 > 0);
         for _ in 1..10 {
             assert_eq!(run(), first, "(peak θt bytes, payload bytes, moves)");
+        }
+    }
+
+    #[test]
+    fn a_job_of_sub_microsecond_pulls_still_reports_overlap() {
+        // One 1×1 block a side: each pull can finish inside a microsecond,
+        // and a job whose pulls were each truncated to whole microseconds
+        // summed to zero and reported no overlap at all (most runs did).
+        let am = MatrixMeta::dense(1, 1).with_block_size(1);
+        let a = MatrixGenerator::with_seed(1).generate(&am).unwrap();
+        let b = MatrixGenerator::with_seed(2).generate(&am).unwrap();
+        let c = cluster();
+        for run in 0..300 {
+            let (_, stats) = multiply(&c, &a, &b, MulMethod::CuboidAuto).unwrap();
+            assert!(
+                stats.overlap_ratio.is_some(),
+                "run {run} reports no overlap"
+            );
         }
     }
 

@@ -50,13 +50,15 @@ const MC: usize = 128;
 const NC: usize = 2048;
 
 /// A register tile: the `MR × NR` block of `C` one micro-kernel call
-/// computes, and the instruction set its accumulators live in.
+/// computes, and the instruction set its accumulators live in. The sparse
+/// kernels ([`super::spmm`]) pick their axpy body by the same value, so the
+/// process detects its instruction set once.
 ///
-/// Invariant the `unsafe` dispatch in [`gemm_on`] relies on: a SIMD variant
-/// is only ever taken out of [`Tile::supported`], i.e. after
-/// `is_x86_feature_detected!` confirmed its ISA on this CPU.
+/// Invariant the `unsafe` dispatch in [`gemm_on`] and `spmm::axpy_of`
+/// relies on: a SIMD variant is only ever taken out of [`Tile::supported`],
+/// i.e. after `is_x86_feature_detected!` confirmed its ISA on this CPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Tile {
+pub(super) enum Tile {
     /// 8 × 24 in 24 `zmm` accumulators (`avx512f`).
     #[cfg(target_arch = "x86_64")]
     Avx512,
@@ -91,13 +93,13 @@ impl Tile {
     }
 
     /// The tiles this CPU can run, widest first.
-    fn supported() -> impl Iterator<Item = Tile> {
+    pub(super) fn supported() -> impl Iterator<Item = Tile> {
         Tile::ALL.iter().copied().filter(|t| t.is_supported())
     }
 
     /// The widest supported tile, detected once per process: the only
-    /// dispatch point of [`gemm`] and [`gemm_tn`].
-    fn best() -> Tile {
+    /// dispatch point of [`gemm`], [`gemm_tn`] and the sparse kernels.
+    pub(super) fn best() -> Tile {
         static BEST: OnceLock<Tile> = OnceLock::new();
         *BEST.get_or_init(|| {
             Tile::supported()

@@ -5,12 +5,15 @@
 //! sparse ones (§4.4). The [`multiply`] entry point dispatches on operand
 //! formats exactly like DistME's local-multiplication step.
 //!
-//! The dense kernel ([`gemm`]) is where a large job's time goes, so it is
-//! the one written to the hardware: one packed, cache-blocked driver with a
-//! register tile per instruction set (8 × 24 on AVX-512, 6 × 8 on AVX2+FMA,
-//! 8 × 4 portable), detected once per process. Its per-element summation
-//! order is fixed independently of the tile, so a product's bits do not
-//! depend on which FMA tile computed it.
+//! Both block products a job spends its time in are written to the
+//! hardware, through one instruction-set detection per process. The dense
+//! kernel ([`gemm`]) is one packed, cache-blocked driver with a register
+//! tile per instruction set (8 × 24 on AVX-512, 6 × 8 on AVX2+FMA, 8 × 4
+//! portable); its per-element summation order is fixed independently of the
+//! tile, so a product's bits do not depend on which FMA tile computed it.
+//! The sparse × dense kernels ([`spmm`], and [`sddmm::csr_t_dense_acc`])
+//! share one axpy body per instruction set (8, 4 or 1 lanes of multiply
+//! then add), so their bits do not depend on the width either.
 
 pub mod gemm;
 pub mod sddmm;
@@ -67,10 +70,7 @@ pub fn multiply_accumulate(c: &mut DenseBlock, a: &Block, b: &Block) -> Result<(
     match (a, b) {
         (Block::Dense(da), Block::Dense(db)) => gemm::gemm(1.0, da, db, 1.0, c),
         (Block::Sparse(sa), Block::Dense(db)) => spmm::csr_dense_acc(sa, db, c),
-        (Block::Dense(da), Block::Sparse(sb)) => {
-            let prod = spmm::dense_csr(da, sb)?;
-            c.add_assign(&prod)
-        }
+        (Block::Dense(da), Block::Sparse(sb)) => spmm::dense_csr_acc(da, sb, c),
         (Block::Sparse(sa), Block::Sparse(sb)) => {
             let prod = spgemm::csr_csr(sa, sb)?;
             c.add_assign(&prod.to_dense())

@@ -11,7 +11,8 @@
 //! * local kernels standing in for BLAS/cuBLAS/cuSPARSE:
 //!   [`kernels::gemm`] (packed, cache-blocked dense GEMM with a register
 //!   tile per ISA: 8×24 on AVX-512, 6×8 on AVX2+FMA, 8×4 portable),
-//!   [`kernels::spmm`] (CSR × dense), and [`kernels::spgemm`]
+//!   [`kernels::spmm`] (CSR × dense and dense × CSR, one SIMD axpy body
+//!   per ISA shared with `sddmm::csr_t_dense`), and [`kernels::spgemm`]
 //!   (CSR × CSR, Gustavson's algorithm);
 //! * [`BlockMatrix`] — a single-node blocked matrix used as the correctness
 //!   reference for every distributed method;

@@ -434,6 +434,81 @@ fn ragged_grids_keep_parity() {
     }
 }
 
+/// A cuboid cell whose k chain mixes the packed arm (a dense A block,
+/// transposed once for its step, times a sparse B block) with every other
+/// pairing keeps the serial reference's bits, with θg off and on.
+#[test]
+fn packed_and_unpacked_sparse_products_share_one_cell_bit_for_bit() {
+    // 2×3 A blocks and 3×2 B blocks, each dense (D) or sparse (S). Every
+    // step's A column and B row holds both formats, and every output
+    // cell's chain takes the packed arm (D × S) at some step and another
+    // kernel (D × D, S × D or S × S) at another.
+    const A: [[bool; 3]; 2] = [[false, true, false], [true, false, false]];
+    const B: [[bool; 2]; 3] = [[true, false], [false, true], [true, true]];
+    let block = |sparse: bool, seed: u64| {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let dense = DenseBlock::from_fn(BS as usize, BS as usize, |_, _| {
+            let keep = !sparse || next() < 0.3;
+            if keep {
+                next() * 2.0 - 1.0
+            } else {
+                0.0
+            }
+        });
+        if sparse {
+            Block::Sparse(CsrBlock::from_dense(&dense))
+        } else {
+            Block::Dense(dense)
+        }
+    };
+    let am = MatrixMeta::sparse(2 * BS, 3 * BS, 0.5).with_block_size(BS);
+    let bm = MatrixMeta::sparse(3 * BS, 2 * BS, 0.5).with_block_size(BS);
+    let (mut a, mut b) = (BlockMatrix::new(am), BlockMatrix::new(bm));
+    for (i, row) in A.iter().enumerate() {
+        for (k, &sparse) in row.iter().enumerate() {
+            a.put(i as u32, k as u32, block(sparse, (i * 3 + k) as u64))
+                .unwrap();
+        }
+    }
+    for (k, row) in B.iter().enumerate() {
+        for (j, &sparse) in row.iter().enumerate() {
+            b.put(k as u32, j as u32, block(sparse, 100 + (k * 2 + j) as u64))
+                .unwrap();
+        }
+    }
+    let problem = MatmulProblem::new(am, bm).unwrap();
+    for theta_g in [None, Some(4 * BS * BS * 8)] {
+        for spec in [CuboidSpec::new(1, 1, 1), CuboidSpec::new(2, 2, 1)] {
+            let label = format!("{spec:?} θg {theta_g:?}");
+            let cluster = LocalCluster::new(ClusterConfig {
+                gpu: theta_g.map(GpuConfig::tiny),
+                ..ClusterConfig::laptop()
+            });
+            let plan = JobPlan::build(&problem, MulMethod::Cuboid(spec), cluster.config());
+            let (c, _) = real_exec::execute_plan_masked(
+                &cluster,
+                &a,
+                &b,
+                None,
+                &plan,
+                RealExecOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(
+                result_bits(&c),
+                result_bits(&serial_reference(&plan, &a, &b, None)),
+                "{label}: result must be the serial reference's bits"
+            );
+        }
+    }
+}
+
 /// SDDMM meets the parity invariant: the masked problem routes through
 /// the same repartition/broadcast machinery, so sim and real per-phase
 /// bytes must be bit-identical on every grid — including ragged ones —
