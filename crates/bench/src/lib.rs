@@ -23,6 +23,8 @@
 //! failure annotations must match; absolute times should land within a
 //! small factor.
 
+#![forbid(unsafe_code)]
+
 use distme_cluster::{JobError, JobStats};
 
 /// A measured cell: seconds/bytes, or the failure annotation.

@@ -197,9 +197,10 @@ pub struct ClusterConfig {
     /// Use Algorithm 1's streamed GPU schedule; `false` selects the naive
     /// copy-all-then-compute method of §4.3 (ablation).
     pub gpu_streaming: bool,
-    /// Cap on one stage's workers, as a multiple of the host's available
-    /// parallelism. They run on the caller and a pool sized once to twice
-    /// that parallelism less one, so a larger factor adds no threads.
+    /// Threads that run one stage's tasks, as a multiple of the host's
+    /// available parallelism and at most the slot count: the cluster
+    /// starts helpers as ready work needs them, up to that cap less one,
+    /// and a stage's caller makes up the rest.
     pub host_worker_oversubscription: usize,
     /// Task retry/recovery policy for the real executor (the simulator
     /// never faults, so it ignores this).

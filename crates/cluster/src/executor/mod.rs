@@ -8,6 +8,5 @@
 //! * [`sim`] — virtual time + resource models; reproduces the paper-scale
 //!   experiments, including failure modes.
 
-mod pool;
 pub mod real;
 pub mod sim;

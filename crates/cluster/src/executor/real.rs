@@ -9,22 +9,22 @@
 //! reference through this executor, with locality enforced — a task reads
 //! only blocks resident in its own node's store.
 //!
-//! A job is one [`LocalCluster::run_stage`] call: a gang of items run by
-//! the caller and helpers that outlive every stage, dispatched by
-//! readiness (smallest ready index first; items release one another
-//! through the [`StageGate`]), each item retried in place on a transient
-//! error. Fault
+//! A job is one [`LocalCluster::run_stage`] call: a gang of items handed
+//! out by the cluster's one scheduler to the stage's caller and to the
+//! cluster's helpers, which live as long as the cluster and take their
+//! tasks from every stage. Items are dispatched by readiness (smallest
+//! ready index first; items release one another through the
+//! [`StageGate`]), each retried in place on a transient error. Fault
 //! injection is not this module's business: deliveries consult the armed
 //! [`FaultPlan`] inside the [`Transport`], tasks consult it inside the
 //! executor's item closure, where the item's plan identity is known.
 
-use super::pool;
 use crate::chaos::{FaultPlan, FaultSpec};
 use crate::config::ClusterConfig;
 use crate::failure::{JobError, TaskError};
 use crate::membership::{Membership, MembershipEvent};
 use crate::rebalance::{RebalancePlan, RebalanceReport};
-use crate::scheduler::{Gang, Scheduler};
+use crate::scheduler::{Scheduler, StageGate};
 use crate::stats::{JobStats, Phase, TenantId};
 use crate::store::{ClusterStores, FreeBuffers, StoreKey};
 use crate::transport::{Transport, TransportStats, WireMove};
@@ -83,22 +83,6 @@ impl TaskCtx {
     }
 }
 
-/// Handle a stage's task closure uses to declare *other* tasks of the
-/// same stage ready for dispatch — the mechanism by which a producer task
-/// (a local multiply installing its C copies) unlocks its consumers (the
-/// aggregation task reducing them) inside one stage. Marking is
-/// idempotent, so a retried producer re-satisfying its dependents is safe.
-pub struct StageGate<'a> {
-    gang: &'a Gang,
-}
-
-impl StageGate<'_> {
-    /// Declares task `index` of this stage dispatchable.
-    pub fn mark_ready(&self, index: usize) {
-        self.gang.mark_ready(index);
-    }
-}
-
 /// Result of one stage on the real executor.
 #[derive(Debug)]
 pub struct StageRun<O> {
@@ -113,6 +97,14 @@ pub struct StageRun<O> {
     pub backoff_secs: f64,
 }
 
+/// Threads one stage may run on, its caller included:
+/// `available_parallelism × host_worker_oversubscription`. The scheduler
+/// keeps its helpers below this and the slot count.
+fn stage_threads(cfg: &ClusterConfig) -> usize {
+    let host_par = std::thread::available_parallelism().map_or(4, |p| p.get());
+    host_par * cfg.host_worker_oversubscription
+}
+
 /// An in-process "cluster" of `M` virtual nodes with real worker threads.
 pub struct LocalCluster {
     cfg: ClusterConfig,
@@ -121,6 +113,12 @@ pub struct LocalCluster {
     faults: Mutex<Option<Arc<FaultPlan>>>,
     membership: Membership,
     scheduler: Scheduler,
+}
+
+impl Drop for LocalCluster {
+    fn drop(&mut self) {
+        self.scheduler.stop_helpers();
+    }
 }
 
 impl LocalCluster {
@@ -133,13 +131,13 @@ impl LocalCluster {
             transport_stats: TransportStats::default(),
             faults: Mutex::new(None),
             membership: Membership::default(),
-            scheduler: Scheduler::new(cfg.total_slots(), cfg.scheduler),
+            scheduler: Scheduler::new(cfg.total_slots(), cfg.scheduler, stage_threads(&cfg)),
         }
     }
 
-    /// The shared task scheduler — the cluster-wide lease pool every
-    /// concurrent job's stages draw worker slots from. Clone the handle to
-    /// submit jobs for admission or observe live load.
+    /// The cluster's scheduler — the lease pool every concurrent job's
+    /// stages draw slots from, and the one dispatcher of its helpers. Clone
+    /// the handle to submit jobs for admission or observe live load.
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
     }
@@ -521,13 +519,14 @@ impl LocalCluster {
     }
 
     /// Runs one stage of `n` tasks: `f` runs once per task index
-    /// ([`TaskCtx::task`] names the item) on at most `M · Tc` workers
-    /// (capped by host parallelism times the configured oversubscription):
-    /// the calling thread, and helpers from one process-wide pool that
-    /// outlives every stage. The stage is one gang of the shared scheduler
-    /// under `tenant` at `priority`. Task memory is enforced through
-    /// [`TaskCtx::alloc`]. Workers buffer outputs locally, merging once at
-    /// exit; outputs are returned in task order whoever ran what, or when.
+    /// ([`TaskCtx::task`] names the item) as one gang of the cluster's
+    /// scheduler under `tenant` at `priority`. The calling thread runs
+    /// tasks of this stage, and the cluster's helpers (see
+    /// [`ClusterConfig::host_worker_oversubscription`]) run tasks of
+    /// whichever stage the scheduler picks; at most `M · Tc` tasks run at
+    /// once across every concurrent stage. Task memory is enforced through
+    /// [`TaskCtx::alloc`]. Each task writes its output into its own slot,
+    /// so outputs are returned in task order whoever ran what, or when.
     ///
     /// Only the indices in `ready` are dispatchable at the start (smallest
     /// first — `(0..n).collect()` runs the stage in index order), and a
@@ -570,84 +569,57 @@ impl LocalCluster {
             });
         }
         let max_attempts = self.cfg.retry.max_attempts.max(1);
-        let host_par = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        let workers = self
-            .cfg
-            .total_slots()
-            .min(n.max(1))
-            .min(host_par * self.cfg.host_worker_oversubscription);
-
-        // The claim queue is the shared scheduler: the stage registers its
-        // task count as a gang, and each worker pulls `(lease, index)`
-        // grants, while the lease pool bounds how many tasks run at once
-        // *across every concurrent job*. A grant hands out each index
-        // exactly once.
-        let gang = self.scheduler.register_gang(tenant, priority, n, ready);
-        let gate = StageGate { gang: &gang };
-        let done: Mutex<Vec<(usize, Result<O, JobError>)>> = Mutex::new(Vec::with_capacity(n));
+        let slots: Vec<Mutex<Option<Result<O, JobError>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
         let peak = AtomicU64::new(0);
         let retries = AtomicU64::new(0);
         let backoff_micros = AtomicU64::new(0);
 
-        let worker = || {
-            let mut local = Vec::new();
-            while let Some(grant) = gang.next_task() {
-                let idx = grant.index;
-                let mut attempt: u32 = 0;
-                let out = loop {
-                    let ctx = TaskCtx {
-                        task: idx,
-                        node: self.node_of_task(idx),
-                        attempt,
-                        mem_budget: self.cfg.task_mem_bytes,
-                        mem_used: Cell::new(0),
-                        mem_peak: Cell::new(0),
-                    };
-                    // The task boundary: a panic fails this task, not the
-                    // thread running it.
-                    let res = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx, &gate)));
-                    peak.fetch_max(ctx.peak(), Ordering::Relaxed);
-                    match res {
-                        Ok(Err(e)) if e.is_transient() && attempt + 1 < max_attempts => {
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            let wait = self.cfg.retry.backoff_after(attempt);
-                            backoff_micros.fetch_add((wait * 1e6) as u64, Ordering::Relaxed);
-                            attempt += 1;
-                        }
-                        Ok(res) => {
-                            break res
-                                .map_err(|e| JobError::from_task_attempts(idx, e, attempt + 1))
-                        }
-                        Err(payload) => {
-                            break Err(JobError::panicked(format!("task {idx}: "), &*payload))
-                        }
-                    }
+        let task = |gate: &StageGate<'_>, idx: usize| {
+            let mut attempt: u32 = 0;
+            let out = loop {
+                let ctx = TaskCtx {
+                    task: idx,
+                    node: self.node_of_task(idx),
+                    attempt,
+                    mem_budget: self.cfg.task_mem_bytes,
+                    mem_used: Cell::new(0),
+                    mem_peak: Cell::new(0),
                 };
-                if out.is_err() {
-                    // Readiness this task would have signalled never comes:
-                    // poison the gang so workers blocked on unready indices
-                    // drain instead of deadlocking.
-                    gang.abort();
+                // The task boundary: a panic fails this task, not the
+                // thread running it.
+                let res = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx, gate)));
+                peak.fetch_max(ctx.peak(), Ordering::Relaxed);
+                match res {
+                    Ok(Err(e)) if e.is_transient() && attempt + 1 < max_attempts => {
+                        retries.fetch_add(1, Ordering::Relaxed);
+                        let wait = self.cfg.retry.backoff_after(attempt);
+                        backoff_micros.fetch_add((wait * 1e6) as u64, Ordering::Relaxed);
+                        attempt += 1;
+                    }
+                    Ok(res) => {
+                        break res.map_err(|e| JobError::from_task_attempts(idx, e, attempt + 1))
+                    }
+                    Err(payload) => {
+                        break Err(JobError::panicked(format!("task {idx}: "), &*payload))
+                    }
                 }
-                local.push((idx, out));
-                drop(grant); // lease returns to the pool per task
-            }
-            done.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .extend(local);
+            };
+            // A failure aborts the gang: readiness this task would have
+            // signalled never comes.
+            let failed = out.is_err();
+            *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+            failed
         };
-        pool::run_with_helpers(workers - 1, &worker);
+        self.scheduler.run_gang(tenant, priority, n, ready, &task);
 
-        let mut collected = done.into_inner().unwrap_or_else(PoisonError::into_inner);
-        collected.sort_unstable_by_key(|(idx, _)| *idx);
-        // An aborted gang leaves its ungranted tasks unreported — the error
-        // below covers them (indices are granted smallest first, so the
-        // lowest failing one always reports); a clean stage reports all `n`.
-        let outputs = collected
+        // An aborted gang leaves its ungranted tasks without output — the
+        // error below covers them (indices are granted smallest first, so
+        // the lowest failing one always reports); a clean stage reports
+        // all `n`.
+        let outputs = slots
             .into_iter()
-            .map(|(_, out)| out)
+            .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
             .collect::<Result<Vec<O>, JobError>>()?;
         debug_assert_eq!(
             outputs.len(),
@@ -685,6 +657,31 @@ mod tests {
         c.run_stage(TenantId::ANONYMOUS, 0, inputs.len(), ready, |ctx, _| {
             f(ctx, inputs[ctx.task].clone())
         })
+    }
+
+    /// Starts every helper `c` may have, through public API only: one
+    /// stage whose tasks wait until a stage's full thread cap is inside
+    /// them at once. Returns the helper count, that cap less the caller.
+    fn start_every_helper(c: &LocalCluster) -> usize {
+        use std::collections::HashSet;
+        use std::time::{Duration, Instant};
+        let host_par = std::thread::available_parallelism().map_or(4, |p| p.get());
+        let cfg = c.config();
+        let threads = cfg
+            .total_slots()
+            .min(host_par * cfg.host_worker_oversubscription);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let ids = Mutex::new(HashSet::new());
+        stage(c, vec![(); threads], |_, ()| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            while ids.lock().unwrap().len() < threads {
+                assert!(Instant::now() < deadline, "helpers never started");
+                std::thread::yield_now();
+            }
+            Ok(())
+        })
+        .unwrap();
+        threads - 1
     }
 
     #[test]
@@ -865,6 +862,9 @@ mod tests {
         use std::collections::HashSet;
         use std::thread::ThreadId;
         let c = cluster();
+        let helpers = start_every_helper(&c);
+        let live = c.scheduler().live_helpers();
+        assert_eq!(live, helpers);
         let on = |ids: &Mutex<HashSet<ThreadId>>| {
             stage(&c, vec![(); 16], |_, ()| {
                 ids.lock().unwrap().insert(std::thread::current().id());
@@ -873,17 +873,87 @@ mod tests {
             })
             .unwrap();
         };
-        on(&Mutex::default()); // warm-up: the pool exists from here on
-        let spawned = pool::spawned();
         let ids = Mutex::default();
         for _ in 0..200 {
             on(&ids);
         }
-        assert_eq!(pool::spawned(), spawned, "a stage started a thread");
+        assert_eq!(
+            c.scheduler().live_helpers(),
+            live,
+            "a stage started a thread"
+        );
         // Thread ids are never reused: a stage with threads of its own
         // would add fresh ones every time.
         let distinct = ids.into_inner().unwrap().len();
-        assert!(distinct <= pool::size() + 1, "{distinct} threads ran tasks");
+        assert!(distinct <= helpers + 1, "{distinct} threads ran tasks");
+    }
+
+    #[test]
+    fn helpers_live_exactly_as_long_as_their_cluster() {
+        for _ in 0..50 {
+            let c = cluster();
+            let helpers = start_every_helper(&c);
+            let sched = c.scheduler().clone();
+            assert_eq!(sched.live_helpers(), helpers);
+            drop(c);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while sched.live_helpers() > 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "helpers outlived their cluster"
+                );
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn idle_helpers_run_whichever_stage_has_ready_work() {
+        // Stage X parks its threads: task 0 waits for stage Y, and its
+        // other tasks are not ready before then. Y's tasks must still run
+        // on more than Y's caller.
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let c = cluster();
+        let slots = c.config().total_slots();
+        let parked = start_every_helper(&c);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let y_done = AtomicBool::new(false);
+        let ids = Mutex::new(HashSet::new());
+        std::thread::scope(|scope| {
+            let x = scope.spawn(|| {
+                c.run_stage(TenantId(1), 0, slots, vec![0], |ctx, gate| {
+                    if ctx.task == 0 {
+                        // Outlast Y's own bound, so Y cannot borrow X's
+                        // threads once X gives up.
+                        let x_deadline = deadline + Duration::from_secs(5);
+                        while !y_done.load(Ordering::Acquire) && Instant::now() < x_deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        (1..slots).for_each(|t| gate.mark_ready(t));
+                    }
+                    Ok(())
+                })
+            });
+            while c.scheduler().load().waiting_workers < parked {
+                assert!(Instant::now() < deadline, "stage X's threads never parked");
+                std::thread::yield_now();
+            }
+            stage(&c, vec![(); 8], |_, ()| {
+                ids.lock().unwrap().insert(std::thread::current().id());
+                // Leave room for a second thread to take a task.
+                while ids.lock().unwrap().len() < 2 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(())
+            })
+            .unwrap();
+            y_done.store(true, Ordering::Release);
+            x.join().unwrap().unwrap();
+        });
+        let threads = ids.into_inner().unwrap().len();
+        assert!(threads > 1, "stage Y ran on {threads} thread");
     }
 
     #[test]

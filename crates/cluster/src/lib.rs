@@ -55,12 +55,12 @@ pub mod transport;
 pub use chaos::{Blackout, FaultPlan, FaultSpec};
 pub use coding::{CodingError, ParityMember, ParityPayload, ReplicationPolicy};
 pub use config::{ClusterConfig, RetryPolicy, SchedulerConfig};
-pub use executor::real::{LocalCluster, StageGate, TaskCtx};
+pub use executor::real::{LocalCluster, TaskCtx};
 pub use executor::sim::{ComputeWork, SimCluster, SimTask, StageOutcome};
 pub use failure::{JobError, TaskError};
 pub use membership::{ElasticPolicy, Membership, MembershipEvent};
 pub use rebalance::{RebalancePlan, RebalanceReport, RebalanceUnit};
-pub use scheduler::{AdmissionTicket, Gang, QueueWaitStats, Scheduler, SchedulerLoad, TaskGrant};
+pub use scheduler::{AdmissionTicket, QueueWaitStats, Scheduler, SchedulerLoad, StageGate};
 pub use stats::{JobStats, Phase, PhaseStats, TenantId};
 pub use store::{BlockSource, BlockView, ClusterStores, NodeStore, StoreKey, StoreKind};
 pub use transport::{Transport, TransportStats, WireMove};

@@ -42,6 +42,8 @@
 //! * [`summa`] — SUMMA on an MPI-style process grid, the ScaLAPACK/SciDB
 //!   comparison model of §6.5.
 
+#![forbid(unsafe_code)]
+
 pub mod cuboid;
 pub mod gpu_local;
 pub mod methods;

@@ -32,6 +32,8 @@
 //! * [`datasets`] — the Table 3 rating datasets (MovieLens, Netflix,
 //!   YahooMusic) as synthetic equivalents with matching shape and nnz.
 
+#![forbid(unsafe_code)]
+
 pub mod als;
 pub mod datasets;
 pub mod gnmf;

@@ -27,6 +27,8 @@
 //! bit-correct results by running the kernels on the CPU; the simulated
 //! device supplies the timing and memory behaviour at paper scale.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod device;
 pub mod stream;

@@ -21,6 +21,8 @@
 //! All state is plain and deterministic: simulating the same plan twice gives
 //! identical times, which the test suite relies on.
 
+#![forbid(unsafe_code)]
+
 pub mod resource;
 pub mod time;
 

@@ -44,6 +44,8 @@
 //! `distme-bench` binaries (`table4`, `fig6`…`fig9`, `table5`) and
 //! EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 pub use distme_cluster as cluster;
 pub use distme_core as core;
 pub use distme_engine as engine;
