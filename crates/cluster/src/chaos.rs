@@ -241,9 +241,9 @@ impl FaultPlan {
 /// Runs one attempt of the plan's task `task` of `phase`, placed on `node`,
 /// under `faults` if a plan is armed. A task on a node that is dark for its
 /// phase never starts. An injected crash strikes at *completion*: the
-/// attempt's shuffle reads already hit the transport (so first-transmission
-/// payload accounting stays bit-identical to a fault-free run) and its
-/// installs stay behind, but its result dies with the executor — so `body`
+/// attempt's shuffle reads already hit the transport and its installs stay
+/// behind (so its retry finds them resident and the installed payload stays
+/// bit-identical to a fault-free run), but its result dies with the executor — so `body`
 /// must signal nothing to other tasks; the caller does that once this
 /// returns `Ok`. The caller is whoever knows the task's plan identity: the
 /// executor's item closure, not the stage runner.

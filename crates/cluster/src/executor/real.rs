@@ -27,7 +27,7 @@ use crate::rebalance::{RebalancePlan, RebalanceReport};
 use crate::scheduler::{Scheduler, StageGate};
 use crate::stats::{JobStats, Phase, TenantId};
 use crate::store::{ClusterStores, FreeBuffers, StoreKey};
-use crate::transport::{Transport, TransportStats, WireMove};
+use crate::transport::{MoveOutcome, Transport, TransportStats, WireMove};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -496,8 +496,7 @@ impl LocalCluster {
                     src: unit.key,
                     dst: unit.key,
                 };
-                let bytes = transport.execute(&wire, 0)?;
-                if bytes > 0 {
+                if let MoveOutcome::Shipped(bytes) = transport.execute(&wire, 0)? {
                     moves += 1;
                     payload += bytes;
                     if unit.from != to {

@@ -63,4 +63,4 @@ pub use rebalance::{RebalancePlan, RebalanceReport, RebalanceUnit};
 pub use scheduler::{AdmissionTicket, QueueWaitStats, Scheduler, SchedulerLoad, StageGate};
 pub use stats::{JobStats, Phase, PhaseStats, TenantId};
 pub use store::{BlockSource, BlockView, ClusterStores, NodeStore, StoreKey, StoreKind};
-pub use transport::{Transport, TransportStats, WireMove};
+pub use transport::{MoveOutcome, Transport, TransportStats, WireMove};

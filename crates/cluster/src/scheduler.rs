@@ -296,7 +296,7 @@ pub struct QueueWaitStats {
 pub struct AdmissionTicket {
     sched: Scheduler,
     demand_bytes: u64,
-    /// Seconds this submission spent queued before admission.
+    /// Seconds this submission waited for admission budget (0 if none).
     pub queue_wait_secs: f64,
 }
 
@@ -395,7 +395,6 @@ impl Scheduler {
                 ),
             });
         }
-        let start = Instant::now();
         let mut st = self.lock();
         if st.queued_jobs >= cfg.queue_depth {
             return Err(JobError::QueueFull {
@@ -406,16 +405,19 @@ impl Scheduler {
         st.queued_jobs += 1;
         // Block while the demand would overshoot the budget — unless the
         // cluster is otherwise empty, in which case a lone over-budget job
-        // runs (the budget bounds *concurrent* residency).
+        // runs (the budget bounds *concurrent* residency). Only this wait
+        // counts as queueing, not the wait for the lock.
+        let mut queued_since = None;
         while st.admitted_mem.saturating_add(demand_bytes) > cfg.admission_budget_bytes
             && st.admitted_jobs > 0
         {
+            queued_since.get_or_insert_with(Instant::now);
             st = self.wait(st);
         }
         st.queued_jobs -= 1;
         st.admitted_jobs += 1;
         st.admitted_mem = st.admitted_mem.saturating_add(demand_bytes);
-        let queue_wait_secs = start.elapsed().as_secs_f64();
+        let queue_wait_secs = queued_since.map_or(0.0, |t| t.elapsed().as_secs_f64());
         st.record_queue_wait(queue_wait_secs);
         drop(st);
         Ok(AdmissionTicket {
@@ -839,6 +841,31 @@ mod tests {
         let waits = sched.queue_wait_stats();
         assert_eq!(waits.submissions, 2);
         assert!(waits.p95_secs >= waits.p50_secs);
+    }
+
+    #[test]
+    fn a_job_that_never_queues_waited_exactly_zero() {
+        // A gang's task holds a slot and dispatch busy meanwhile; a job that
+        // fits the budget is admitted without queueing behind anything.
+        let sched = sched(2, 2);
+        let (running, release) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                sched.run_gang(TenantId(1), 0, 1, vec![0], &|_, _| {
+                    running.store(true, Ordering::Release);
+                    wait_for(&release);
+                    false
+                })
+            });
+            wait_for(&running);
+            let admitted: Vec<_> = (0..3).map(|_| sched.submit(0, 10).unwrap()).collect();
+            release.store(true, Ordering::Release);
+            for ticket in &admitted {
+                assert_eq!(ticket.queue_wait_secs, 0.0);
+            }
+        });
+        let waits = sched.queue_wait_stats();
+        assert_eq!((waits.submissions, waits.p95_secs), (3, 0.0));
     }
 
     #[test]

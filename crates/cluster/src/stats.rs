@@ -122,18 +122,22 @@ pub struct JobStats {
     /// Physically encoded transport payload bytes (real executor only; the
     /// simulator has no physical blocks and leaves this 0). Differs from
     /// the per-phase model bytes: sparse blocks encode smaller than
-    /// their dense estimate and implicit-zero moves carry nothing.
+    /// their dense estimate; implicit-zero and elided moves carry nothing.
     pub transport_payload_bytes: u64,
+    /// Planned moves whose destination node already held the block.
+    pub elided_moves: u64,
+    /// Encoded bytes of the blocks elided moves found resident.
+    pub elided_payload_bytes: u64,
     /// Task attempts re-executed after a transient failure (real executor
     /// under fault injection; 0 on a fault-free run).
     pub retries: u64,
     /// Transport deliveries repeated after a drop or checksum failure
     /// (lineage re-delivery from the producer's store).
     pub redelivered_moves: u64,
-    /// Physical payload bytes of repeated deliveries and re-run task
-    /// attempts. Kept apart from both the per-phase model bytes and
-    /// `transport_payload_bytes` so fault-free byte accounting stays
-    /// bit-identical under injected faults.
+    /// Physical payload bytes of every transmission that installed
+    /// nothing (a drop or a checksum failure). Kept apart from both the
+    /// per-phase model bytes and `transport_payload_bytes` so fault-free
+    /// byte accounting stays bit-identical under injected faults.
     pub retransmitted_payload_bytes: u64,
     /// Block moves executed by elastic rebalancing (membership changes),
     /// outside any job plan.
@@ -229,6 +233,8 @@ impl JobStats {
         self.peak_task_mem_bytes = self.peak_task_mem_bytes.max(other.peak_task_mem_bytes);
         self.intermediate_bytes += other.intermediate_bytes;
         self.transport_payload_bytes += other.transport_payload_bytes;
+        self.elided_moves += other.elided_moves;
+        self.elided_payload_bytes += other.elided_payload_bytes;
         self.retries += other.retries;
         self.redelivered_moves += other.redelivered_moves;
         self.retransmitted_payload_bytes += other.retransmitted_payload_bytes;

@@ -22,7 +22,7 @@ use bytes::{Bytes, BytesMut};
 use distme_matrix::{Block, BlockId, BlockMatrix};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 
 /// What a store entry holds: matrix content, or derived parity over a
 /// coded group of content blocks (see `crate::coding`). Parity entries are
@@ -95,15 +95,59 @@ impl StoreKey {
 #[derive(Debug)]
 pub struct NodeStore {
     node: usize,
-    blocks: Mutex<BTreeMap<StoreKey, Arc<Block>>>,
+    contents: Mutex<Contents>,
+    /// Signalled whenever a delivery claim is released.
+    released: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Contents {
+    blocks: BTreeMap<StoreKey, Arc<Block>>,
+    claimed: BTreeSet<StoreKey>,
+}
+
+/// The one delivery under way for a `(node, key)`: dropping it — after an
+/// install, a failure or an unwind — wakes the claimants waiting on it.
+#[derive(Debug)]
+pub(crate) struct DeliveryClaim<'a> {
+    store: &'a NodeStore,
+    key: StoreKey,
+}
+
+impl Drop for DeliveryClaim<'_> {
+    fn drop(&mut self) {
+        self.store.lock().claimed.remove(&self.key);
+        self.store.released.notify_all();
+    }
 }
 
 impl NodeStore {
     fn new(node: usize) -> Self {
         NodeStore {
             node,
-            blocks: Mutex::new(BTreeMap::new()),
+            contents: Mutex::new(Contents::default()),
+            released: Condvar::new(),
         }
+    }
+
+    /// Mutations are single map or set operations: never half-done.
+    fn lock(&self) -> MutexGuard<'_, Contents> {
+        self.contents.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The claim to deliver `key` here, or `None` once it is resident;
+    /// waits while another delivery of it is under way. A claim holder
+    /// never waits for a claim, so no wait cycle can form.
+    pub(crate) fn claim(&self, key: StoreKey) -> Option<DeliveryClaim<'_>> {
+        let mut contents = self.lock();
+        while !contents.blocks.contains_key(&key) {
+            if contents.claimed.insert(key) {
+                return Some(DeliveryClaim { store: self, key });
+            }
+            let waited = self.released.wait(contents);
+            contents = waited.unwrap_or_else(PoisonError::into_inner);
+        }
+        None
     }
 
     /// The node this store belongs to.
@@ -113,7 +157,7 @@ impl NodeStore {
 
     /// Fetches a shared handle to a resident block.
     pub fn get(&self, key: &StoreKey) -> Option<Arc<Block>> {
-        self.blocks.lock().unwrap().get(key).cloned()
+        self.lock().blocks.get(key).cloned()
     }
 
     /// Installs a block, keeping an existing entry on collision (a key
@@ -122,7 +166,7 @@ impl NodeStore {
     /// whether the block was newly installed.
     pub fn install(&self, key: StoreKey, block: Arc<Block>) -> bool {
         use std::collections::btree_map::Entry;
-        match self.blocks.lock().unwrap().entry(key) {
+        match self.lock().blocks.entry(key) {
             Entry::Occupied(_) => false,
             Entry::Vacant(v) => {
                 v.insert(block);
@@ -133,7 +177,7 @@ impl NodeStore {
 
     /// Whether `key` is resident.
     pub fn contains(&self, key: &StoreKey) -> bool {
-        self.blocks.lock().unwrap().contains_key(key)
+        self.lock().blocks.contains_key(key)
     }
 
     /// Removes `key`, returning whether it was resident.
@@ -143,22 +187,22 @@ impl NodeStore {
 
     /// Removes `key`, handing back the store's reference to the block.
     pub fn take(&self, key: &StoreKey) -> Option<Arc<Block>> {
-        self.blocks.lock().unwrap().remove(key)
+        self.lock().blocks.remove(key)
     }
 
     /// All resident keys, in key order.
     pub fn keys(&self) -> Vec<StoreKey> {
-        self.blocks.lock().unwrap().keys().copied().collect()
+        self.lock().blocks.keys().copied().collect()
     }
 
     /// Drops every resident block (a decommissioned node's store).
     pub fn clear(&self) {
-        self.blocks.lock().unwrap().clear();
+        self.lock().blocks.clear();
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.blocks.lock().unwrap().len()
+        self.lock().blocks.len()
     }
 
     /// Whether the store is empty.
@@ -168,20 +212,12 @@ impl NodeStore {
 
     /// In-memory bytes of all resident blocks.
     pub fn resident_bytes(&self) -> u64 {
-        self.blocks
-            .lock()
-            .unwrap()
-            .values()
-            .map(|b| b.mem_bytes())
-            .sum()
+        self.lock().blocks.values().map(|b| b.mem_bytes()).sum()
     }
 
     /// Drops every block belonging to `matrix`.
     pub fn evict_matrix(&self, matrix: u64) {
-        self.blocks
-            .lock()
-            .unwrap()
-            .retain(|k, _| k.matrix != matrix);
+        self.lock().blocks.retain(|k, _| k.matrix != matrix);
     }
 }
 
@@ -192,7 +228,6 @@ pub struct ClusterStores {
     /// matrix uid → the liveness of its handles (see
     /// [`BlockMatrix::downgrade`]).
     tracked: Mutex<BTreeMap<u64, Weak<u64>>>,
-    reused: AtomicU64,
 }
 
 impl ClusterStores {
@@ -201,7 +236,6 @@ impl ClusterStores {
         ClusterStores {
             nodes: (0..nodes).map(NodeStore::new).collect(),
             tracked: Mutex::new(BTreeMap::new()),
-            reused: AtomicU64::new(0),
         }
     }
 
@@ -240,18 +274,11 @@ impl ClusterStores {
         }
     }
 
-    /// Ingests one operand block to `node`, reusing an already-resident
+    /// Ingests one operand block to `node`, keeping an already-resident
     /// placement when the same content version was ingested before
     /// (sessions keep factor matrices resident across chained multiplies).
     pub fn ingest(&self, node: usize, key: StoreKey, block: Arc<Block>) {
-        if !self.nodes[node].install(key, block) {
-            self.reused.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Ingest calls satisfied by an already-resident placement.
-    pub fn ingest_reused(&self) -> u64 {
-        self.reused.load(Ordering::Relaxed)
+        self.nodes[node].install(key, block);
     }
 
     /// Drops `matrix` from every node and from the residency index.
@@ -442,9 +469,14 @@ impl BlockSource for BlockMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use distme_matrix::DenseBlock;
+
+    /// Delivery claims currently held on `store`.
+    pub(crate) fn claims_held(store: &NodeStore) -> usize {
+        store.lock().claimed.len()
+    }
 
     fn blk(v: f64) -> Arc<Block> {
         Arc::new(Block::Dense(DenseBlock::from_fn(2, 2, |_, _| v)))
@@ -490,12 +522,67 @@ mod tests {
     }
 
     #[test]
-    fn ingest_counts_reuse() {
+    fn a_reingested_key_claims_as_resident() {
         let s = ClusterStores::new(1);
         let k = StoreKey::operand(3, BlockId::new(1, 1));
+        assert!(s.node(0).claim(k).is_some());
         s.ingest(0, k, blk(1.0));
-        s.ingest(0, k, blk(1.0));
-        assert_eq!(s.ingest_reused(), 1);
+        s.ingest(0, k, blk(2.0));
+        assert!(s.node(0).claim(k).is_none(), "nothing to deliver");
+        assert_eq!(s.node(0).get(&k).unwrap().to_dense().data()[0], 1.0);
+    }
+
+    /// Within a 10 s bound, what a `claim` of `key` on `store`, started
+    /// on another thread while `hold` runs on this one, resolved to. The
+    /// claimant is not a scoped thread, so a claim never released fails
+    /// the test instead of hanging it.
+    fn claim_while(store: &Arc<NodeStore>, key: StoreKey, hold: impl FnOnce()) -> &'static str {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let claimant = Arc::clone(store);
+        let waiter = std::thread::spawn(move || {
+            let found = match claimant.claim(key) {
+                None => "resident",
+                Some(_) => "delivering",
+            };
+            tx.send(found).unwrap();
+        });
+        hold();
+        let found = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the waiting claimant finishes within 10 s");
+        waiter.join().unwrap();
+        found
+    }
+
+    #[test]
+    fn a_waiting_claimant_finds_the_block_its_holder_installed() {
+        let s = Arc::new(NodeStore::new(0));
+        let k = StoreKey::operand(4, BlockId::new(0, 0));
+        let held = s.claim(k).expect("an empty store has nothing resident");
+        let found = claim_while(&s, k, || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            s.install(k, blk(1.0));
+            drop(held);
+        });
+        assert_eq!(found, "resident");
+    }
+
+    #[test]
+    fn a_waiter_whose_holder_panics_takes_the_claim_itself() {
+        let s = Arc::new(NodeStore::new(0));
+        let k = StoreKey::operand(5, BlockId::new(0, 0));
+        let found = claim_while(&s, k, || {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _held = s.claim(k).expect("an empty store has nothing resident");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                panic!("the delivery dies mid-flight");
+            }));
+            assert!(unwound.is_err());
+        });
+        // Either the waiter queued behind the dead delivery or it came
+        // after it: both ways nothing landed and the claim was free again.
+        assert_eq!(found, "delivering");
+        assert_eq!(claims_held(&s), 0, "no claim is left behind");
     }
 
     #[test]

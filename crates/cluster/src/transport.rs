@@ -3,22 +3,27 @@
 //! Every cross-store movement goes through [`Transport::execute`]: the
 //! source block is encoded via `distme_matrix::codec`, the bytes "cross the
 //! wire", and the decoded block is installed in the destination node's
-//! store. A dense block installed this way is a view of the frame it
-//! arrived in, and its next hop re-sends that frame as it is stored — one
-//! copy into the receive buffer, no re-serialization, no second checksum
-//! on the sending side — while the receiver verifies and decodes every
-//! delivery exactly as before (`codec::resident_frame`). The receive
-//! buffer is a fresh exact-size allocation, except inside a resize, whose
-//! migration draws from the buffers of the blocks it has just evicted
-//! ([`Transport::with_buffers`]). A job's *model* bytes are the plan's
-//! per-phase totals, copied into its stats by the driver (see
-//! `core::real_exec`), never counted here — so fault-driven redelivery
-//! can neither double-count nor under-count the model. The transport counts only *physical* traffic:
+//! store — unless it already holds the key, when nothing ships
+//! ([`MoveOutcome::Elided`]); concurrent deliveries of one key to one node
+//! ship it once (the store's per-key claim). A dense block installed this
+//! way is a view of the frame it arrived in, and its next hop re-sends that
+//! frame as it is stored — one copy into the receive buffer, no
+//! re-serialization, no second checksum on the sending side — while the
+//! receiver verifies and decodes every delivery exactly as before
+//! (`codec::resident_frame`). The receive buffer is a fresh exact-size
+//! allocation, except inside a resize, whose migration draws from the
+//! buffers of the blocks it has just evicted ([`Transport::with_buffers`]).
+//! A job's *model* bytes are the plan's per-phase totals, copied into its
+//! stats by the driver (see `core::real_exec`), never counted here — so
+//! fault-driven redelivery can neither double-count nor under-count the
+//! model. The transport counts only *physical* traffic:
 //!
-//! * [`TransportStats::payload_bytes`] — the first transmission of every
-//!   materialized block (identical between a faulted and fault-free run);
-//! * [`TransportStats::retransmitted_bytes`] — every repeated transmission
-//!   caused by a drop, a checksum failure, or a re-run task attempt.
+//! * [`TransportStats::payload_bytes`] — the one transmission that installed
+//!   each shipped block: a `(node, key)` is installed once, so this is
+//!   identical between a faulted and fault-free run;
+//! * [`TransportStats::elided_payload_bytes`] — blocks found resident;
+//! * [`TransportStats::retransmitted_bytes`] — every transmission that
+//!   installed nothing: a drop or a checksum failure.
 //!
 //! Recovery lives here too, in the one delivery loop of
 //! [`Transport::execute`]: a dropped or corrupt delivery is first rebuilt
@@ -26,7 +31,7 @@
 //! (lineage re-delivery — the block is still where the plan produced it)
 //! up to the retry policy's attempt bound, before the typed transient
 //! error ([`TaskError::LostBlock`] / [`TaskError::CorruptBlock`]) is
-//! handed to the task-level retry loop.
+//! handed to the task-level retry loop. An elided move draws no fault.
 
 use crate::chaos::FaultPlan;
 use crate::config::RetryPolicy;
@@ -64,6 +69,8 @@ pub struct TransportStats {
     moves: AtomicU64,
     delivered: AtomicU64,
     payload_bytes: AtomicU64,
+    elided: AtomicU64,
+    elided_payload_bytes: AtomicU64,
     redelivered: AtomicU64,
     retransmitted_bytes: AtomicU64,
     reconstructed: AtomicU64,
@@ -71,8 +78,8 @@ pub struct TransportStats {
 }
 
 impl TransportStats {
-    /// Move executions (including moves of implicitly-zero blocks and
-    /// re-executions by retried tasks).
+    /// Move executions (including moves of implicitly-zero blocks, elided
+    /// moves, and re-executions by retried tasks).
     pub fn moves(&self) -> u64 {
         self.moves.load(Ordering::Relaxed)
     }
@@ -82,10 +89,20 @@ impl TransportStats {
         self.delivered.load(Ordering::Relaxed)
     }
 
-    /// Encoded payload bytes of first transmissions — identical between a
-    /// faulted run and its fault-free twin.
+    /// Encoded payload bytes of the transmissions that installed a block —
+    /// identical between a faulted run and its fault-free twin.
     pub fn payload_bytes(&self) -> u64 {
         self.payload_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Moves that found the block resident at the destination.
+    pub fn elided(&self) -> u64 {
+        self.elided.load(Ordering::Relaxed)
+    }
+
+    /// Encoded length of the blocks elided moves did not ship.
+    pub fn elided_payload_bytes(&self) -> u64 {
+        self.elided_payload_bytes.load(Ordering::Relaxed)
     }
 
     /// Transmissions repeated after a drop, checksum failure, or re-run
@@ -109,6 +126,27 @@ impl TransportStats {
     /// replication avoided.
     pub fn reconstruction_bytes(&self) -> u64 {
         self.reconstruction_bytes.load(Ordering::Relaxed)
+    }
+}
+
+/// How [`Transport::execute`] resolved a move; carries the encoded length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MoveOutcome {
+    /// The block crossed the wire.
+    Shipped(u64),
+    /// The destination already held the block: nothing shipped.
+    Elided(u64),
+    /// The source block is an implicit zero: nothing to ship.
+    ImplicitZero,
+}
+
+impl MoveOutcome {
+    /// What θt is charged for the move, shipped or found resident.
+    pub fn encoded_len(self) -> u64 {
+        match self {
+            MoveOutcome::Shipped(bytes) | MoveOutcome::Elided(bytes) => bytes,
+            MoveOutcome::ImplicitZero => 0,
+        }
     }
 }
 
@@ -181,14 +219,12 @@ impl<'a> Transport<'a> {
         }
     }
 
-    /// Charges one transmission's physical bytes: the very first
-    /// transmission lands in `payload_bytes` (identical between a faulted
-    /// run and its fault-free twin); everything after it — whether a
-    /// transport-level redelivery or a re-run task re-fetching — is
-    /// recovery traffic, kept out of `payload_bytes` so the fault-free
-    /// accounting stays bit-identical.
-    fn charge_transmission(&self, payload: u64, first: bool) {
-        if first {
+    /// Charges one transmission: the one that installs the block (received,
+    /// or lost and rebuilt from parity) lands in `payload_bytes` — a
+    /// `(node, key)` is installed once whether faults strike or not — and
+    /// every other is recovery traffic.
+    fn charge_transmission(&self, payload: u64, installed: bool) {
+        if installed {
             self.each_stats(|s| {
                 s.payload_bytes.fetch_add(payload, Ordering::Relaxed);
             });
@@ -253,10 +289,10 @@ impl<'a> Transport<'a> {
         });
     }
 
-    /// Executes one move on behalf of task attempt `task_attempt`. The
-    /// physical encode/wire/decode round-trip happens only when the source
-    /// block exists (implicit zeros ship nothing). Returns the encoded
-    /// payload length (0 for an implicit zero).
+    /// Executes one move on behalf of task attempt `task_attempt`: ships
+    /// the block unless it is an implicit zero or the destination already
+    /// holds `mv.dst`, after waiting out any delivery of that key already
+    /// under way (a failed one leaves the claim to this call).
     ///
     /// Each transmission gets a buffer of its own — freshly allocated at
     /// the exact size, or drawn from the free list of the resize this
@@ -278,19 +314,26 @@ impl<'a> Transport<'a> {
     /// [`TaskError::LostBlock`] / [`TaskError::CorruptBlock`] when
     /// redelivery is exhausted; [`TaskError::Compute`] if cleanly-delivered
     /// bytes fail to decode (a codec bug, not a fault).
-    pub fn execute(&self, mv: &WireMove, task_attempt: u32) -> Result<u64, TaskError> {
+    pub fn execute(&self, mv: &WireMove, task_attempt: u32) -> Result<MoveOutcome, TaskError> {
         self.each_stats(|s| {
             s.moves.fetch_add(1, Ordering::Relaxed);
         });
         let Some(block) = self.stores.node(mv.from_node).get(&mv.src) else {
-            return Ok(0); // implicit zero: nothing ships
+            return Ok(MoveOutcome::ImplicitZero);
         };
-        // Real serialized bytes flow on every move, even node-local ones
-        // (Spark serializes through shuffle files regardless of locality).
+        let encoded = codec::encoded_len(&block);
+        // Held until this call returns, however it returns.
+        let Some(_claim) = self.stores.node(mv.to_node).claim(mv.dst) else {
+            self.each_stats(|s| {
+                s.elided.fetch_add(1, Ordering::Relaxed);
+                s.elided_payload_bytes.fetch_add(encoded, Ordering::Relaxed);
+            });
+            return Ok(MoveOutcome::Elided(encoded));
+        };
         let (node, id) = (mv.to_node, mv.dst.id);
         let faults = self.faults.as_deref();
         let deliveries = self.retry.max_attempts.max(1);
-        let wire_len = codec::encoded_len(&block) as usize + 7;
+        let wire_len = encoded as usize + 7;
         for delivery in 0..deliveries {
             let mut buf = match self.buffers {
                 Some(free) => free.take(wire_len),
@@ -298,9 +341,8 @@ impl<'a> Transport<'a> {
             };
             let pad = codec::encode_aligned(&block, &mut buf);
             let payload = (buf.len() - pad) as u64;
-            self.charge_transmission(payload, task_attempt == 0 && delivery == 0);
-            let failure = if faults.is_some_and(|f| f.drop_delivery(mv, task_attempt, delivery)) {
-                TaskError::LostBlock { node, id }
+            let landed = if faults.is_some_and(|f| f.drop_delivery(mv, task_attempt, delivery)) {
+                Err(TaskError::LostBlock { node, id })
             } else {
                 // Corruption strikes the frame, never the pad — a flip
                 // landing in alignment filler would be invisible to the
@@ -310,16 +352,17 @@ impl<'a> Transport<'a> {
                 });
                 let wire = buf.freeze();
                 match self.receive(mv, &wire.slice(pad..wire.len())) {
-                    Ok(()) => return Ok(payload),
-                    Err(_) if injected => TaskError::CorruptBlock { node, id },
+                    Ok(()) => Ok(()),
+                    Err(_) if injected => Err(TaskError::CorruptBlock { node, id }),
                     Err(e) => return Err(TaskError::Compute(format!("transport: {e}"))),
                 }
             };
-            if self.try_reconstruct(mv).is_some() {
-                return Ok(payload);
-            }
-            if delivery + 1 == deliveries {
-                return Err(failure);
+            let landed = landed.or_else(|lost| self.try_reconstruct(mv).map(drop).ok_or(lost));
+            self.charge_transmission(payload, landed.is_ok());
+            match landed {
+                Ok(()) => return Ok(MoveOutcome::Shipped(payload)),
+                Err(failure) if delivery + 1 == deliveries => return Err(failure),
+                Err(_) => {}
             }
         }
         unreachable!("delivery loop returns on its final iteration")
@@ -330,6 +373,7 @@ impl<'a> Transport<'a> {
 mod tests {
     use super::*;
     use crate::chaos::FaultSpec;
+    use crate::store::tests::claims_held;
     use distme_matrix::{Block, BlockId, DenseBlock};
     use std::sync::Arc;
 
@@ -339,6 +383,14 @@ mod tests {
 
     fn clean<'a>(stores: &'a ClusterStores, stats: &'a TransportStats) -> Transport<'a> {
         Transport::new(stores, stats, None, RetryPolicy::no_retry())
+    }
+
+    /// The payload of a move that must have shipped.
+    fn shipped(outcome: MoveOutcome) -> u64 {
+        match outcome {
+            MoveOutcome::Shipped(payload) => payload,
+            other => panic!("expected the move to ship, got {other:?}"),
+        }
     }
 
     /// The inputs the fault cases run over: one dense block, one sparse.
@@ -372,6 +424,7 @@ mod tests {
                 },
                 0,
             )
+            .map(shipped)
             .unwrap();
         assert_eq!(payload, codec::encoded_len(&block));
         assert_eq!(&*stores.node(2).get(&dst).unwrap(), &block);
@@ -396,7 +449,7 @@ mod tests {
             src: key,
             dst: key,
         };
-        let payload = t.execute(&mv, 0).unwrap();
+        let payload = t.execute(&mv, 0).map(shipped).unwrap();
         assert_eq!(payload, codec::encoded_len(&block));
         let installed = stores.node(2).get(&key).unwrap();
         assert_eq!(&*installed, &block);
@@ -448,7 +501,7 @@ mod tests {
                 src: key,
                 dst,
             };
-            let payload = clean(&stores, &stats).execute(&mv, 0).unwrap();
+            let payload = clean(&stores, &stats).execute(&mv, 0).map(shipped).unwrap();
             let installed = stores.node(2).get(&dst).unwrap();
             (
                 payload,
@@ -504,7 +557,7 @@ mod tests {
                 backoff_secs: 0.0,
             },
         );
-        let payload = t.execute(&mv, 0).unwrap();
+        let payload = t.execute(&mv, 0).map(shipped).unwrap();
         // The checksum gate refused every corrupted copy...
         assert_eq!(plan.corrupted(), resent);
         assert_eq!(stats.redelivered(), resent);
@@ -561,7 +614,7 @@ mod tests {
         let (stores, stats) = setup();
         let t = clean(&stores, &stats);
         let key = StoreKey::operand(1, BlockId::new(3, 3));
-        let payload = t
+        let outcome = t
             .execute(
                 &WireMove {
                     phase: Phase::Aggregation,
@@ -574,10 +627,115 @@ mod tests {
                 0,
             )
             .unwrap();
-        assert_eq!(payload, 0);
+        assert_eq!(outcome, MoveOutcome::ImplicitZero);
         assert_eq!(stats.moves(), 1);
         assert_eq!(stats.delivered(), 0);
         assert!(!stores.node(1).contains(&key));
+    }
+
+    #[test]
+    fn a_same_node_move_ships_nothing() {
+        let (stores, stats) = setup();
+        let block = Block::Dense(DenseBlock::from_fn(4, 4, |i, j| (i + j) as f64));
+        let key = StoreKey::operand(13, BlockId::new(0, 0));
+        stores.node(1).install(key, Arc::new(block.clone()));
+        let mv = WireMove {
+            phase: Phase::Repartition,
+            from_node: 1,
+            to_node: 1,
+            wire_bytes: 64,
+            src: key,
+            dst: key,
+        };
+        let encoded = codec::encoded_len(&block);
+        let outcome = clean(&stores, &stats).execute(&mv, 0).unwrap();
+        assert_eq!(outcome, MoveOutcome::Elided(encoded));
+        assert_eq!(outcome.encoded_len(), encoded, "θt is charged the block");
+        assert_eq!(
+            (stats.moves(), stats.elided(), stats.delivered()),
+            (1, 1, 0)
+        );
+        assert_eq!(
+            (stats.payload_bytes(), stats.elided_payload_bytes()),
+            (0, encoded)
+        );
+    }
+
+    #[test]
+    fn concurrent_moves_of_one_block_to_one_node_ship_it_once() {
+        let (stores, stats) = setup();
+        let block = Block::Dense(DenseBlock::from_fn(64, 64, |i, j| (i * j) as f64));
+        let key = StoreKey::operand(14, BlockId::new(0, 0));
+        stores.node(0).install(key, Arc::new(block.clone()));
+        let mv = WireMove {
+            phase: Phase::Repartition,
+            from_node: 0,
+            to_node: 2,
+            wire_bytes: 0,
+            src: key,
+            dst: key,
+        };
+        let t = clean(&stores, &stats);
+        let outcomes: Vec<MoveOutcome> = std::thread::scope(|scope| {
+            let senders: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| t.execute(&mv, 0).unwrap()))
+                .collect();
+            senders.into_iter().map(|s| s.join().unwrap()).collect()
+        });
+        let encoded = codec::encoded_len(&block);
+        let shipped = outcomes
+            .iter()
+            .filter(|o| **o == MoveOutcome::Shipped(encoded))
+            .count();
+        assert_eq!(shipped, 1, "{outcomes:?}");
+        assert_eq!(
+            (stats.moves(), stats.delivered(), stats.elided()),
+            (4, 1, 3)
+        );
+        assert_eq!(stats.payload_bytes(), encoded);
+        assert_eq!(stats.elided_payload_bytes(), 3 * encoded);
+        assert_eq!(claims_held(stores.node(2)), 0);
+    }
+
+    #[test]
+    fn a_failed_delivery_leaves_no_claim_and_the_next_one_ships() {
+        let (stores, stats) = setup();
+        let block = Block::Dense(DenseBlock::from_fn(4, 4, |i, j| (i * j) as f64));
+        let key = StoreKey::operand(15, BlockId::new(0, 0));
+        stores.node(0).install(key, Arc::new(block.clone()));
+        let mv = WireMove {
+            phase: Phase::Repartition,
+            from_node: 0,
+            to_node: 1,
+            wire_bytes: 64,
+            src: key,
+            dst: key,
+        };
+        let certain_drop = Arc::new(FaultPlan::new(FaultSpec {
+            drop_rate: 1.0,
+            ..FaultSpec::quiet(2)
+        }));
+        let lossy = Transport::new(&stores, &stats, Some(certain_drop), RetryPolicy::no_retry());
+        let encoded = codec::encoded_len(&block);
+        // A second claimant with the same fault identity fails the same
+        // way: neither lost transmission counts as the block's payload.
+        for resent in 1..=2 {
+            let err = lossy.execute(&mv, 0).unwrap_err();
+            assert!(matches!(err, TaskError::LostBlock { node: 1, .. }));
+            assert_eq!(claims_held(stores.node(1)), 0, "the claim went with it");
+            assert_eq!(stats.payload_bytes(), 0);
+            assert_eq!(
+                (stats.redelivered(), stats.retransmitted_bytes()),
+                (resent, resent * encoded)
+            );
+        }
+        assert_eq!(
+            clean(&stores, &stats).execute(&mv, 1).unwrap(),
+            MoveOutcome::Shipped(encoded)
+        );
+        assert_eq!(&*stores.node(1).get(&key).unwrap(), &block);
+        assert_eq!((stats.delivered(), stats.elided()), (1, 0));
+        assert_eq!(stats.payload_bytes(), encoded, "as a clean run ships it");
     }
 
     #[test]
@@ -618,11 +776,11 @@ mod tests {
                     backoff_secs: 0.0,
                 },
             );
-            let payload = t.execute(&mv, 0).unwrap();
+            let payload = t.execute(&mv, 0).map(shipped).unwrap();
             assert_eq!(payload, codec::encoded_len(&block));
             assert_eq!(&*stores.node(1).get(&key).unwrap(), &block);
             assert_eq!(stats.redelivered(), resent, "one resend per drop");
-            assert_eq!(stats.payload_bytes(), payload, "first transmission only");
+            assert_eq!(stats.payload_bytes(), payload, "the installing one only");
             assert_eq!(stats.retransmitted_bytes(), resent * payload);
             assert_eq!((stats.moves(), stats.delivered()), (1, 1));
         }
@@ -661,13 +819,15 @@ mod tests {
             assert!(err.is_transient());
             assert_eq!(plan.corrupted(), 3, "every delivery was corrupted");
             assert!(!stores.node(2).contains(&key), "no garbage was installed");
+            // Nothing was installed: every transmission was recovery traffic.
             assert_eq!(
                 (
                     stats.payload_bytes(),
                     stats.redelivered(),
+                    stats.retransmitted_bytes(),
                     stats.delivered()
                 ),
-                (payload, 2, 0)
+                (0, 3, 3 * payload, 0)
             );
         }
     }
@@ -707,9 +867,10 @@ mod tests {
                 (
                     stats.payload_bytes(),
                     stats.redelivered(),
+                    stats.retransmitted_bytes(),
                     stats.delivered()
                 ),
-                (payload, 1, 0)
+                (0, 2, 2 * payload, 0)
             );
         }
     }

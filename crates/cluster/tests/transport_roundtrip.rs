@@ -3,8 +3,8 @@
 //! bit-identically, and locality violations must fail loudly.
 
 use distme_cluster::{
-    BlockSource, BlockView, ClusterStores, Phase, RetryPolicy, StoreKey, TaskError, Transport,
-    TransportStats, WireMove,
+    BlockSource, BlockView, ClusterStores, MoveOutcome, Phase, RetryPolicy, StoreKey, TaskError,
+    Transport, TransportStats, WireMove,
 };
 use distme_matrix::{Block, BlockId, CsrBlock, DenseBlock};
 use proptest::prelude::*;
@@ -62,8 +62,11 @@ fn ship(block: &Block) -> Arc<Block> {
         src: key,
         dst: key,
     };
-    let payload = transport.execute(&mv, 0).expect("transportable");
-    assert!(payload > 0, "a materialized block always has payload");
+    let outcome = transport.execute(&mv, 0).expect("transportable");
+    assert!(
+        matches!(outcome, MoveOutcome::Shipped(payload) if payload > 0),
+        "a materialized block always has payload"
+    );
     stores.node(1).get(&key).expect("delivered")
 }
 
@@ -115,7 +118,10 @@ fn unmaterialized_moves_carry_no_payload() {
     // The source block was never produced (implicit zero): the move is a
     // success that ships nothing. Model bytes for the planned move are the
     // driver's job — the transport only counts physical payload.
-    assert_eq!(transport.execute(&mv, 0).expect("not a failure"), 0);
+    assert_eq!(
+        transport.execute(&mv, 0).expect("not a failure"),
+        MoveOutcome::ImplicitZero
+    );
     assert_eq!(stats.payload_bytes(), 0);
     assert_eq!(stats.moves(), 1);
     assert!(stores.node(1).get(&key).is_none());

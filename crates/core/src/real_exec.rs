@@ -1,6 +1,5 @@
 //! The real executor: runs a [`JobPlan`] with materialized blocks (laptop
-//! scale) as **one** dependency-gated stage. DESIGN.md §12 has the long
-//! form.
+//! scale) as **one** dependency-gated stage (long form: DESIGN.md §12).
 //!
 //! All plan construction lives in [`crate::plan`]; this module is a pure
 //! plan consumer over the cluster's physical substrate. A job is:
@@ -24,15 +23,16 @@
 //!    measured ones.
 //!
 //! A mult task splits its routed inputs into k-panels and pulls them itself,
-//! in k order, on the one thread it runs on: every planned move executes
-//! exactly once per task attempt through [`Transport::execute`], and the
-//! accumulate step for panel `k` starts when panel `k` has landed. A
-//! "network transfer" here is encode + CRC + decode on the cores the GEMM
-//! needs, so there is no idle engine for a second thread inside a task to
-//! hide behind; the overlap this executor has is *between* tasks —
-//! aggregation tasks released by their producers while other mult tasks
-//! still run. Tasks resolve inputs **only** from their own node's store (a
-//! miss on a materialized block is a hard [`TaskError::MissingBlock`]).
+//! in k order, on the one thread it runs on: every planned move is resolved
+//! once per task attempt through [`Transport::execute`] — shipped, or found
+//! resident where another task or an earlier job left it — and the accumulate
+//! step for panel `k` starts when panel `k` has landed. A "network transfer"
+//! here is encode + CRC + decode on the cores the GEMM needs, so there is no
+//! idle engine for a second thread inside a task to hide behind; the overlap
+//! this executor has is *between* tasks — aggregation tasks released by their
+//! producers while other mult tasks still run. Tasks resolve inputs **only**
+//! from their own node's store (a miss on a materialized block is a hard
+//! [`TaskError::MissingBlock`]).
 //!
 //! The dense cuboid body is Algorithm 1's loop,
 //! [`gpu_local::execute_cuboid_real`], for every job: it calls the task
@@ -284,7 +284,7 @@ struct CommTime {
 
 /// Executes `moves` in plan order on the calling task's thread, adding the
 /// time they took to `spent`. θt: a serialization buffer counts against the
-/// task for the duration of its move.
+/// task for the duration of its move, shipped or found resident.
 fn deliver(
     ctx: &TaskCtx,
     transport: &Transport<'_>,
@@ -293,9 +293,9 @@ fn deliver(
 ) -> Result<(), TaskError> {
     let t0 = Instant::now();
     let delivered = moves.iter().try_for_each(|mv| {
-        let payload = transport.execute(mv, ctx.attempt)?;
-        ctx.alloc(payload)?;
-        ctx.free(payload);
+        let bytes = transport.execute(mv, ctx.attempt)?.encoded_len();
+        ctx.alloc(bytes)?;
+        ctx.free(bytes);
         Ok(())
     });
     spent.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -651,6 +651,8 @@ pub fn execute_plan_masked(
         intermediate_bytes: plan.phase_comm(Phase::Repartition).shuffle_bytes
             + plan.phase_comm(Phase::Aggregation).shuffle_bytes,
         transport_payload_bytes: job_transport.payload_bytes(),
+        elided_moves: job_transport.elided(),
+        elided_payload_bytes: job_transport.elided_payload_bytes(),
         retries: run.retries,
         redelivered_moves: job_transport.redelivered(),
         retransmitted_payload_bytes: job_transport.retransmitted_bytes(),
@@ -900,24 +902,45 @@ mod tests {
     #[test]
     fn repeated_runs_report_identical_counters() {
         // 512 KiB A blocks, three k-panels per task: which worker runs a
-        // task, and when, varies run to run. What the job reports must not.
+        // task, and when, varies run to run — and so does which of two
+        // tasks on one node ships a block they share (most often over the
+        // many small tasks of the 16-row blocks). What the job reports
+        // must not.
         let am = MatrixMeta::dense(512, 768).with_block_size(256);
         let bm = MatrixMeta::dense(768, 16).with_block_size(256);
         let a = MatrixGenerator::with_seed(11).generate(&am).unwrap();
         let b = MatrixGenerator::with_seed(22).generate(&bm).unwrap();
-        let run = || {
-            let c = cluster();
-            let (_, stats) = multiply(&c, &a, &b, MulMethod::Bmm).unwrap();
-            (
-                stats.peak_task_mem_bytes,
-                stats.transport_payload_bytes,
-                c.transport_stats().moves(),
-            )
-        };
-        let first = run();
-        assert!(first.0 > 0 && first.1 > 0 && first.2 > 0);
-        for _ in 1..10 {
-            assert_eq!(run(), first, "(peak θt bytes, payload bytes, moves)");
+        let (small_a, small_b, _) = operands(16, 1.0);
+        let methods = [
+            MulMethod::Bmm,
+            MulMethod::Cpmm,
+            MulMethod::Rmm,
+            MulMethod::CuboidAuto,
+            MulMethod::Crmm,
+        ];
+        for ((a, b), method) in [(&a, &b), (&small_a, &small_b)]
+            .into_iter()
+            .flat_map(|operands| methods.map(|m| (operands, m)))
+        {
+            let run = || {
+                let c = cluster();
+                let (_, s) = multiply(&c, a, b, method).unwrap();
+                (
+                    s.peak_task_mem_bytes,
+                    (s.transport_payload_bytes, s.elided_payload_bytes),
+                    (c.transport_stats().moves(), s.elided_moves),
+                )
+            };
+            let first = run();
+            assert!(first.0 > 0 && first.1 .0 > 0 && first.2 .0 > 0);
+            for _ in 1..10 {
+                assert_eq!(
+                    run(),
+                    first,
+                    "{}: (peak θt bytes, (payload, elided) bytes, (moves, elided))",
+                    method.name()
+                );
+            }
         }
     }
 
@@ -1022,15 +1045,74 @@ mod tests {
 
     #[test]
     fn identical_job_reuses_resident_operands() {
+        // An R = 1 grid: every move carries an operand block. The second
+        // job finds each one resident where the first left it.
         let (a, b, _) = operands(16, 1.0);
         let c = cluster();
-        multiply(&c, &a, &b, MulMethod::Cpmm).unwrap();
-        let reused_before = c.stores().ingest_reused();
-        multiply(&c, &a, &b, MulMethod::Cpmm).unwrap();
-        assert!(
-            c.stores().ingest_reused() > reused_before,
-            "second identical job should find operand placements resident"
+        let method = MulMethod::Cuboid(CuboidSpec::new(2, 2, 1));
+        let (_, first) = multiply(&c, &a, &b, method).unwrap();
+        let moves_before = c.transport_stats().moves();
+        let (_, second) = multiply(&c, &a, &b, method).unwrap();
+        assert!(first.transport_payload_bytes > 0);
+        assert_eq!(second.transport_payload_bytes, 0, "nothing ships again");
+        assert_eq!(
+            second.elided_moves,
+            c.transport_stats().moves() - moves_before
         );
+        assert_eq!(
+            second.elided_payload_bytes,
+            first.transport_payload_bytes + first.elided_payload_bytes
+        );
+        assert_eq!(second.peak_task_mem_bytes, first.peak_task_mem_bytes);
+    }
+
+    #[test]
+    fn each_block_ships_at_most_once_per_node() {
+        // Dense 16×16 blocks all encode to one length, and every planned
+        // move's source exists on its home node alone: what ships is one
+        // copy per (destination, key) that is not already there.
+        let (a, b, _) = operands(16, 1.0);
+        let len = codec::encoded_len(&a.get_shared(0, 0).unwrap());
+        for method in [
+            MulMethod::Bmm,
+            MulMethod::Cpmm,
+            MulMethod::Rmm,
+            MulMethod::CuboidAuto,
+            MulMethod::Cuboid(CuboidSpec::new(2, 2, 2)),
+            MulMethod::Crmm,
+        ] {
+            let c = cluster();
+            let problem = MatmulProblem::new(*a.meta(), *b.meta()).unwrap();
+            let plan = JobPlan::build(&problem, method, c.config());
+            let moves: Vec<&BlockMove> = plan
+                .stages
+                .iter()
+                .flat_map(|s| &s.tasks)
+                .flat_map(|t| &t.inputs)
+                .collect();
+            let remote: BTreeSet<_> = moves
+                .iter()
+                .filter(|m| m.from_node != m.to_node)
+                .map(|m| (m.to_node, m.operand, m.id, m.copy))
+                .collect();
+            let (_, stats) = execute_plan(&c, &a, &b, &plan, RealExecOptions::default()).unwrap();
+            let name = method.name();
+            assert_eq!(
+                stats.transport_payload_bytes,
+                remote.len() as u64 * len,
+                "{name}"
+            );
+            assert_eq!(
+                stats.elided_moves,
+                (moves.len() - remote.len()) as u64,
+                "{name}"
+            );
+            assert_eq!(
+                stats.transport_payload_bytes + stats.elided_payload_bytes,
+                moves.len() as u64 * len,
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -647,18 +647,27 @@ mod tests {
     fn real_session_reuses_resident_operands() {
         // The session's cluster keeps operand placements resident across
         // ops: a chained multiply over the same factor (GNMF's pattern)
-        // finds its blocks already on their home nodes.
-        let meta_a = MatrixMeta::dense(80, 64).with_block_size(16);
-        let meta_b = MatrixMeta::dense(64, 48).with_block_size(16);
+        // finds its blocks already where the first op moved them. One
+        // block of inner dimension, so nothing aggregates and every move
+        // carries an operand block.
+        let meta_a = MatrixMeta::dense(80, 16).with_block_size(16);
+        let meta_b = MatrixMeta::dense(16, 48).with_block_size(16);
         let a = MatrixGenerator::with_seed(5).generate(&meta_a).unwrap();
         let b = MatrixGenerator::with_seed(6).generate(&meta_b).unwrap();
         let mut s = RealSession::new(ClusterConfig::laptop(), SystemProfile::DistMe);
         s.matmul(&a, &b).unwrap();
-        let reused_before = s.cluster().stores().ingest_reused();
+        let first = *s.stats();
+        s.reset_stats();
         s.matmul(&a, &b).unwrap();
-        assert!(
-            s.cluster().stores().ingest_reused() > reused_before,
-            "second op over the same operands should re-ingest nothing"
+        let second = s.stats();
+        assert!(first.transport_payload_bytes > 0);
+        assert_eq!(
+            second.transport_payload_bytes, 0,
+            "second op over the same operands should ship nothing"
+        );
+        assert_eq!(
+            second.elided_payload_bytes,
+            first.transport_payload_bytes + first.elided_payload_bytes
         );
     }
 

@@ -49,11 +49,13 @@ fn fingerprint(m: &BlockMatrix) -> Vec<u8> {
 }
 
 /// Every deterministic byte/count field of a job's stats (timings are
-/// wall-clock and excluded).
+/// wall-clock and excluded). Payload counts shipped plus elided bytes: a
+/// job racing others may find a neighbour's copy of a block resident and
+/// ship less, but every move it made is counted one way or the other.
 fn comm_signature(s: &JobStats) -> Vec<u64> {
     let mut v = vec![
         s.intermediate_bytes,
-        s.transport_payload_bytes,
+        s.transport_payload_bytes + s.elided_payload_bytes,
         s.redelivered_moves,
         s.retransmitted_payload_bytes,
         s.retries,

@@ -636,3 +636,59 @@ fn replication_off_is_the_default_and_xor_is_byte_transparent() {
         assert_eq!(s_xor.retransmitted_payload_bytes, 0);
     }
 }
+
+#[test]
+fn a_second_identical_job_ships_no_operand_block() {
+    // The first job left every A and B block it moved where it landed,
+    // and the handles live, so the second job on the cluster elides every
+    // operand move. Only its own intermediate C copies cross nodes: one
+    // per (destination, copy). Dense 16 × 16 blocks all encode to one
+    // length.
+    use distme::matrix::codec;
+    use distme_core::Operand;
+    use std::collections::BTreeSet;
+    let (a, b) = operands(5, 4, 3, 1.0);
+    let len = codec::encoded_len(&a.get_shared(0, 0).unwrap());
+    let problem = MatmulProblem::new(*a.meta(), *b.meta()).unwrap();
+    for (method, name) in methods() {
+        let cluster = LocalCluster::new(ClusterConfig::laptop());
+        let plan = JobPlan::build(&problem, method, cluster.config());
+        let moves: Vec<_> = plan
+            .stages
+            .iter()
+            .flat_map(|s| &s.tasks)
+            .flat_map(|t| &t.inputs)
+            .collect();
+        let c_shipped: BTreeSet<_> = moves
+            .iter()
+            .filter(|m| m.operand == Operand::C && m.from_node != m.to_node)
+            .map(|m| (m.to_node, m.id, m.copy))
+            .collect();
+        let run = || {
+            real_exec::execute_plan(&cluster, &a, &b, &plan, RealExecOptions::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        let (c_first, first) = run();
+        let (c_second, second) = run();
+        assert_eq!(c_first.max_abs_diff(&c_second).unwrap(), 0.0, "{name}");
+        assert_eq!(
+            second.transport_payload_bytes,
+            c_shipped.len() as u64 * len,
+            "{name}: only C copies ship"
+        );
+        assert_eq!(
+            second.elided_moves,
+            (moves.len() - c_shipped.len()) as u64,
+            "{name}"
+        );
+        assert_eq!(
+            second.transport_payload_bytes + second.elided_payload_bytes,
+            first.transport_payload_bytes + first.elided_payload_bytes,
+            "{name}: every move is counted one way or the other"
+        );
+        assert_eq!(
+            second.peak_task_mem_bytes, first.peak_task_mem_bytes,
+            "{name}"
+        );
+    }
+}
