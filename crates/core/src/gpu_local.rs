@@ -156,7 +156,8 @@ pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
                 }
                 iterations += 1;
                 // Lines 13–18: per k step, the subcuboid's A column and B
-                // row, then one kernel per block pair.
+                // row, then one kernel per block pair: the dense pairs all
+                // in one shared-panel `gemm_step`, the others one by one.
                 for k in k_lo..k_hi {
                     // The first cell walks every k step, in order; later
                     // cells find the panels landed.
@@ -169,17 +170,23 @@ pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
                     let b_row: Vec<_> = (j_lo..j_hi)
                         .map(|j| b.block(k, j))
                         .collect::<Result<_, _>>()?;
+                    let zeros = |cell: usize| {
+                        let (i, j) = (i_lo + (cell / nj) as u32, j_lo + (cell % nj) as u32);
+                        let (r, c) = c_meta.block_dims(i, j);
+                        DenseBlock::zeros(r as usize, c as usize)
+                    };
+                    kernel_calls += dense_step(&a_col, &b_row, &mut bufc, zeros)?;
                     let packed = transposed_dense_a(&a_col, &b_row);
-                    for (p, (i, ablk)) in (i_lo..i_hi).zip(&a_col).enumerate() {
-                        let Some(ablk) = ablk else { continue };
+                    for (p, a_slot) in a_col.iter().enumerate() {
+                        let Some(ablk) = a_slot else { continue };
                         let at = packed.get(p).and_then(Option::as_ref);
-                        for (j, bblk) in (j_lo..j_hi).zip(&b_row) {
-                            let Some(bblk) = bblk else { continue };
-                            let slot = &mut bufc[(i - i_lo) as usize * nj + (j - j_lo) as usize];
-                            let acc = slot.get_or_insert_with(|| {
-                                let (r, c) = c_meta.block_dims(i, j);
-                                DenseBlock::zeros(r as usize, c as usize)
-                            });
+                        for (q, b_slot) in b_row.iter().enumerate() {
+                            let Some(bblk) = b_slot else { continue };
+                            if dense(a_slot).is_some() && dense(b_slot).is_some() {
+                                continue; // ran in `dense_step`
+                            }
+                            let cell = p * nj + q;
+                            let acc = bufc[cell].get_or_insert_with(|| zeros(cell));
                             match (at, &**bblk) {
                                 (Some(at), Block::Sparse(sb)) => {
                                     kernels::spmm::dense_csr_tn_acc(at, sb, acc)?
@@ -207,6 +214,45 @@ pub fn execute_cuboid_real<A: BlockSource, B: BlockSource>(
         kernel_calls,
         spec,
     })
+}
+
+/// The dense block behind an operand slot, if it holds one.
+fn dense(blk: &Option<Arc<Block>>) -> Option<&DenseBlock> {
+    match blk.as_deref() {
+        Some(Block::Dense(d)) => Some(d),
+        _ => None,
+    }
+}
+
+/// Accumulates every dense × dense pair of one k step into `bufc` (row-major
+/// over the step's A column × B row, `zeros(cell)` making an accumulator)
+/// with one [`kernels::gemm::gemm_step`]: each dense block of the step is
+/// packed once, not once per pair, and every pair gets the bits its own
+/// `multiply_accumulate` would. Returns the number of pairs.
+fn dense_step(
+    a_col: &[Option<Arc<Block>>],
+    b_row: &[Option<Arc<Block>>],
+    bufc: &mut [Option<DenseBlock>],
+    zeros: impl Fn(usize) -> DenseBlock,
+) -> Result<u64, TaskError> {
+    let is_dense = |slots: &[Option<Arc<Block>>]| -> Vec<bool> {
+        slots.iter().map(|blk| dense(blk).is_some()).collect()
+    };
+    let (rows, cols) = (is_dense(a_col), is_dense(b_row));
+    let a: Vec<&DenseBlock> = a_col.iter().filter_map(dense).collect();
+    let b: Vec<&DenseBlock> = b_row.iter().filter_map(dense).collect();
+    if a.is_empty() || b.is_empty() {
+        return Ok(0);
+    }
+    let nj = b_row.len();
+    let mut c: Vec<&mut DenseBlock> = bufc
+        .iter_mut()
+        .enumerate()
+        .filter(|(cell, _)| rows[cell / nj] && cols[cell % nj])
+        .map(|(cell, slot)| slot.get_or_insert_with(|| zeros(cell)))
+        .collect();
+    kernels::gemm::gemm_step(1.0, &a, &b, 1.0, &mut c)?;
+    Ok(c.len() as u64)
 }
 
 /// A k step's dense A blocks, transposed: what a dense × sparse product

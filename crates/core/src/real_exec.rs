@@ -58,6 +58,7 @@ use distme_cluster::{
     Phase, StoreKey, TaskCtx, TaskError, TenantId, Transport, TransportStats, WireMove,
 };
 use distme_matrix::{codec, fresh_matrix_uid, kernels, Block, BlockId, BlockMatrix, CsrBlock};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -548,18 +549,22 @@ pub fn execute_plan_masked(
         }
         // R = 1 products are final where they were computed, and get the
         // dense/sparse normalization a reduce would apply; a sampled product
-        // keeps the mask's pattern (explicit zeros included) verbatim.
+        // keeps the mask's pattern (explicit zeros included) verbatim. An
+        // all-zero block is dropped here: the result holds only non-zeros.
         Ok(match mask {
-            Some(_) => blocks,
+            Some(_) => blocks
+                .into_iter()
+                .filter(|(_, blk)| blk.nnz() > 0)
+                .collect(),
             None => blocks
                 .into_iter()
-                .map(|(id, blk)| (id, blk.normalize()))
+                .filter_map(|(id, blk)| Some((id, blk.normalize_nonzero()?)))
                 .collect(),
         })
     };
 
-    // An item hands the driver the result blocks it finished: a mult task's
-    // products when nothing aggregates them, a reduce's sums.
+    // An item hands the driver the non-zero result blocks it finished: a
+    // mult task's products when nothing aggregates them, a reduce's sums.
     let run = cluster.run_stage(
         opts.tenant,
         opts.priority,
@@ -611,9 +616,7 @@ pub fn execute_plan_masked(
     // routing — never from a driver-side regroup or a store read.
     let mut c = BlockMatrix::new(problem.c);
     for (id, blk) in run.outputs.into_iter().flatten() {
-        if blk.nnz() > 0 {
-            c.put_shared(id.row, id.col, Arc::new(blk))?;
-        }
+        c.put_shared(id.row, id.col, Arc::new(blk))?;
     }
 
     // The *result* placement is registered at the blocks' future home
@@ -724,21 +727,25 @@ fn multiply_voxels<A: BlockSource, B: BlockSource>(
         ctx.alloc(codec::encoded_len(&ab) + codec::encoded_len(&bb))?;
         let prod = kernels::multiply(&ab, &bb)?;
         ctx.alloc(prod.mem_bytes())?;
-        let id = BlockId::new(i, j);
-        let merged = match acc.remove(&id) {
-            None => prod,
-            Some(prev) => prev.add(&prod)?,
-        };
-        acc.insert(id, merged);
+        match acc.entry(BlockId::new(i, j)) {
+            Entry::Vacant(slot) => {
+                slot.insert(prod);
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().add_assign(&prod)?,
+        }
     }
     Ok(acc)
 }
 
 /// One aggregation task's reduce: sums the planned intermediate copies of
-/// each output block resident in `store`, the task's node. `produced`
-/// answers whether a (block, producer-copy) pair physically exists
-/// somewhere — a produced copy that never reached this node is a routing
-/// bug; an unproduced one is an implicit zero.
+/// each output block resident in `store`, the task's node, in copy order —
+/// the first cloned, each later one added into it in place — and returns
+/// the non-zero sums. `produced` answers whether a (block, producer-copy)
+/// pair physically exists somewhere — a produced copy that never reached
+/// this node is a routing bug; an unproduced one is an implicit zero.
+///
+/// The store's copies are only read, so a retried reduce starts again from
+/// a fresh clone of the first.
 fn reduce_groups(
     ctx: &TaskCtx,
     store: &NodeStore,
@@ -753,10 +760,10 @@ fn reduce_groups(
             match store.get(&StoreKey::replica(c_uid, id, copy)) {
                 Some(part) => {
                     ctx.alloc(part.mem_bytes())?;
-                    acc = Some(match acc {
-                        None => (*part).clone(),
-                        Some(prev) => prev.add(&part)?,
-                    });
+                    match &mut acc {
+                        None => acc = Some((*part).clone()),
+                        Some(sum) => sum.add_assign(&part)?,
+                    }
                 }
                 None if produced(id, copy) => {
                     return Err(TaskError::MissingBlock {
@@ -767,8 +774,8 @@ fn reduce_groups(
                 None => {}
             }
         }
-        if let Some(block) = acc {
-            out.push((id, block.normalize()));
+        if let Some(block) = acc.and_then(Block::normalize_nonzero) {
+            out.push((id, block));
         }
     }
     Ok(out)

@@ -1,6 +1,8 @@
 //! The [`Block`] enum unifying dense and sparse block formats, and block
 //! addressing within a matrix's block grid.
 
+use std::borrow::Cow;
+
 use crate::dense::DenseBlock;
 use crate::error::{MatrixError, Result};
 use crate::sparse::CsrBlock;
@@ -111,6 +113,15 @@ impl Block {
         }
     }
 
+    /// The block as dense elements: borrowed when it is dense, converted
+    /// when it is sparse.
+    pub fn as_dense(&self) -> Cow<'_, DenseBlock> {
+        match self {
+            Block::Dense(d) => Cow::Borrowed(d),
+            Block::Sparse(s) => Cow::Owned(s.to_dense()),
+        }
+    }
+
     /// Returns a CSR view, converting if needed.
     pub fn to_sparse(&self) -> CsrBlock {
         match self {
@@ -122,8 +133,23 @@ impl Block {
     /// Re-encodes the block into the storage format its density warrants
     /// (dense above [`DENSE_THRESHOLD`], CSR below).
     pub fn normalize(self) -> Block {
-        let density = self.density();
-        match (&self, density >= DENSE_THRESHOLD) {
+        let nnz = self.nnz();
+        self.encode_for(nnz)
+    }
+
+    /// [`Block::normalize`], or `None` when the block holds no non-zero: a
+    /// dense block is scanned once for both answers.
+    pub fn normalize_nonzero(self) -> Option<Block> {
+        let nnz = self.nnz();
+        (nnz > 0).then(|| self.encode_for(nnz))
+    }
+
+    /// The format choice of [`Block::normalize`] for a block of `nnz`
+    /// non-zeros.
+    fn encode_for(self, nnz: usize) -> Block {
+        let cells = self.rows() * self.cols();
+        let dense = cells > 0 && nnz as f64 / cells as f64 >= DENSE_THRESHOLD;
+        match (&self, dense) {
             (Block::Dense(_), true) | (Block::Sparse(_), false) => self,
             (Block::Dense(d), false) => Block::Sparse(CsrBlock::from_dense(d)),
             (Block::Sparse(s), true) => Block::Dense(s.to_dense()),
@@ -152,11 +178,24 @@ impl Block {
         }
     }
 
-    /// `self + other`, selecting an output format by density.
+    /// `self + other`: sparse when both are, else dense.
     ///
     /// # Errors
     /// Returns [`MatrixError::DimensionMismatch`] when shapes differ.
     pub fn add(&self, other: &Block) -> Result<Block> {
+        let mut sum = self.clone();
+        sum.add_assign(other)?;
+        Ok(sum)
+    }
+
+    /// `self += other`, in the format [`Block::add`] gives. A dense `self`
+    /// is summed in place and a dense `other` is read where it lies; only a
+    /// sparse side is converted. Each element is `self + other`, as in
+    /// [`Block::add`].
+    ///
+    /// # Errors
+    /// Returns [`MatrixError::DimensionMismatch`] when shapes differ.
+    pub fn add_assign(&mut self, other: &Block) -> Result<()> {
         if self.rows() != other.rows() || self.cols() != other.cols() {
             return Err(MatrixError::DimensionMismatch {
                 op: "add",
@@ -164,28 +203,25 @@ impl Block {
                 rhs: (other.rows() as u64, other.cols() as u64),
             });
         }
-        match (self, other) {
+        match (&mut *self, other) {
+            (Block::Dense(d), _) => d.add_assign(&other.as_dense())?,
+            (Block::Sparse(a), Block::Dense(o)) => {
+                let mut d = a.to_dense();
+                d.add_assign(o)?;
+                *self = Block::Dense(d);
+            }
             (Block::Sparse(a), Block::Sparse(b)) => {
                 // Sparse + sparse: merge triplets.
-                let mut trips: Vec<(usize, usize, f64)> = a.iter().collect();
-                trips.extend(b.iter());
-                Ok(Block::Sparse(CsrBlock::from_triplets(
-                    a.rows(),
-                    a.cols(),
-                    trips,
-                )?))
-            }
-            _ => {
-                let mut d = self.to_dense();
-                d.add_assign(&other.to_dense())?;
-                Ok(Block::Dense(d))
+                let trips: Vec<(usize, usize, f64)> = a.iter().chain(b.iter()).collect();
+                *self = Block::Sparse(CsrBlock::from_triplets(a.rows(), a.cols(), trips)?);
             }
         }
+        Ok(())
     }
 
     /// Maximum absolute difference against another block (any formats).
     pub fn max_abs_diff(&self, other: &Block) -> Option<f64> {
-        self.to_dense().max_abs_diff(&other.to_dense())
+        self.as_dense().max_abs_diff(&other.as_dense())
     }
 }
 

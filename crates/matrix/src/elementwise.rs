@@ -50,7 +50,8 @@ impl EwOp {
 /// Sparse-aware fast paths:
 /// * `Sparse ⊙ any` for `Mul`/`Div` iterates only the left operand's
 ///   non-zeros (the pattern of the result is a subset of the left pattern);
-/// * everything else densifies.
+/// * everything else reads a dense operand where it lies and converts only
+///   a sparse one.
 ///
 /// # Errors
 /// Returns [`MatrixError::DimensionMismatch`] when shapes differ.
@@ -67,12 +68,13 @@ pub fn ew(op: EwOp, a: &Block, b: &Block) -> Result<Block> {
             return ew_sparse_left(op, sa, b);
         }
     }
-    let da = a.to_dense();
-    let db = b.to_dense();
-    let mut out = Vec::with_capacity(da.len());
-    for (x, y) in da.data().iter().zip(db.data().iter()) {
-        out.push(op.apply(*x, *y));
-    }
+    let (da, db) = (a.as_dense(), b.as_dense());
+    let out = da
+        .data()
+        .iter()
+        .zip(db.data())
+        .map(|(&x, &y)| op.apply(x, y))
+        .collect();
     Ok(Block::Dense(DenseBlock::from_vec(
         da.rows(),
         da.cols(),
@@ -108,7 +110,7 @@ pub fn map(a: &Block, f: impl Fn(f64) -> f64) -> Result<Block> {
             )?));
         }
     }
-    let d = a.to_dense();
+    let d = a.as_dense();
     let out: Vec<f64> = d.data().iter().map(|&v| f(v)).collect();
     Ok(Block::Dense(DenseBlock::from_vec(d.rows(), d.cols(), out)?))
 }

@@ -14,21 +14,33 @@
 //!   **6 × 8** on `avx2+fma` (12 `ymm` accumulators), and a portable
 //!   **8 × 4** mul+add body everywhere else. The driver, the packing
 //!   routines and the macro-kernel are one generic body over `<MR, NR>`;
-//!   only the micro-kernels are written per ISA, in `std::arch` intrinsics;
-//! * the two packing buffers are sized per call from `m, n, k` and live per
-//!   thread: they only grow, are reused by every later call on that thread
-//!   (a stage worker's whole run of block products), and are capped at one
-//!   full `MC×KC` + `NC×KC` blocking, ~4.3 MB.
+//!   only the micro-kernels are written per ISA, in `std::arch` intrinsics.
+//!   The SIMD micro-kernels prefetch their `C` tile before the depth loop,
+//!   so its one read at write-back does not wait on memory;
+//! * the driver multiplies a column of A blocks by a row of B blocks — one
+//!   k step of a cuboid, [`gemm_step`] — from shared panels: per `KC` slab
+//!   every B block of the row is packed once, then each A block is packed
+//!   once, `MC` rows at a time, and multiplied against all of them. That is
+//!   `I + J` packs where `I · J` one-pair calls make `2 · I · J`. [`gemm`]
+//!   and [`gemm_tn`] are its one-pair case;
+//! * the packing buffers live per thread: they only grow, are reused by
+//!   every later call on that thread (a stage worker's whole run of block
+//!   products), and are capped at one full `MC×KC` + `NC×KC` blocking,
+//!   ~4.3 MB. The thread keeps the panels of one B chunk (at most `NC`
+//!   columns of one block); a group of several chunks is packed into
+//!   panels of its own, freed when the call returns. A B row whose panels
+//!   need more than `NC` columns is walked in groups that fit, each A
+//!   block packed once per group.
 //!
 //! **The summation order is the contract, not the tile.** Every element of
 //! `C` is computed as: for each `KC`-deep slab of the inner dimension, one
 //! sequential fused-multiply-add chain `acc = fma(a[i,p], b[p,j], acc)`
-//! from `acc = 0`, then `c = fma(alpha, acc, c)`. No tile shape, `MC` or
-//! `NC` enters that expression, so both FMA tiles produce the same bits
-//! (and the same bits as the 8 × 4 FMA tile they replaced); the engine's
-//! bit-identity suites rest on it. `KC` does enter it and must not change.
-//! The portable tile rounds twice per step (mul, then add) and agrees only
-//! to rounding error.
+//! from `acc = 0`, then `c = fma(alpha, acc, c)`. No tile shape, `MC`, `NC`
+//! or packing schedule enters that expression, so both FMA tiles produce
+//! the same bits, and a k step's products are bit-equal to one call per
+//! block pair; the engine's bit-identity suites rest on it. `KC` does enter
+//! it and must not change. The portable tile rounds twice per step (mul,
+//! then add) and agrees only to rounding error.
 //!
 //! [`gemm_tn`] (`C = alpha * aᵀ * b + beta * C`) shares the same driver:
 //! packing A reads it column-wise, so the transpose costs nothing extra and
@@ -46,7 +58,8 @@ use crate::error::{MatrixError, Result};
 const KC: usize = 256;
 /// Tile size along the m dimension (rows of A packed per panel).
 const MC: usize = 128;
-/// Tile size along the n dimension (columns of B packed per panel).
+/// Tile size along the n dimension: the B columns packed at once, one
+/// block's or a group of blocks'.
 const NC: usize = 2048;
 
 /// A register tile: the `MR × NR` block of `C` one micro-kernel call
@@ -109,7 +122,7 @@ impl Tile {
     }
 }
 
-/// `c = alpha * a * b + beta * c`.
+/// `c = alpha * a * b + beta * c`: the one-pair case of [`gemm_step`].
 ///
 /// `beta == 0.0` overwrites: `c`'s prior contents are not read, so a reused
 /// accumulator holding `NaN` or `∞` is safe to pass (the BLAS convention).
@@ -123,6 +136,25 @@ pub fn gemm(
     b: &DenseBlock,
     beta: f64,
     c: &mut DenseBlock,
+) -> Result<()> {
+    gemm_on::<false>(Tile::best(), alpha, &[a], &[b], beta, &mut [c])
+}
+
+/// `c[i·J + j] = alpha * a[i] * b[j] + beta * c[i·J + j]` for every block
+/// `a[i]` of an A column and `b[j]` of a B row (`J = b.len()`): one k step
+/// of a cuboid, run from shared packed panels (see the module docs). Each
+/// `c[i·J + j]` gets exactly the bits a [`gemm`] call on that pair gives it.
+///
+/// # Errors
+/// Returns [`MatrixError::InvalidParameter`] unless `c` holds `I · J`
+/// blocks, and [`MatrixError::DimensionMismatch`] when a pair's shapes are
+/// incompatible.
+pub fn gemm_step(
+    alpha: f64,
+    a: &[&DenseBlock],
+    b: &[&DenseBlock],
+    beta: f64,
+    c: &mut [&mut DenseBlock],
 ) -> Result<()> {
     gemm_on::<false>(Tile::best(), alpha, a, b, beta, c)
 }
@@ -144,39 +176,55 @@ pub fn gemm_tn(
     beta: f64,
     c: &mut DenseBlock,
 ) -> Result<()> {
-    gemm_on::<true>(Tile::best(), alpha, a, b, beta, c)
+    gemm_on::<true>(Tile::best(), alpha, &[a], &[b], beta, &mut [c])
 }
 
-/// [`gemm`] (`TN = false`) or [`gemm_tn`] (`TN = true`) on one register
-/// tile. The public entry points pass [`Tile::best`]; the tests walk
-/// [`Tile::supported`] so every compiled-in body runs on every host that
-/// can run it.
+/// [`gemm_step`] (`TN = false`, A blocks `m × k`) or its transposed form
+/// (`TN = true`, A blocks stored `k × m`) on one register tile. The public
+/// entry points pass [`Tile::best`]; the tests walk [`Tile::supported`] so
+/// every compiled-in body runs on every host that can run it.
 fn gemm_on<const TN: bool>(
     tile: Tile,
     alpha: f64,
-    a: &DenseBlock,
-    b: &DenseBlock,
+    a: &[&DenseBlock],
+    b: &[&DenseBlock],
     beta: f64,
-    c: &mut DenseBlock,
+    c: &mut [&mut DenseBlock],
 ) -> Result<()> {
-    let (m, k) = if TN {
-        (a.cols(), a.rows())
-    } else {
-        (a.rows(), a.cols())
-    };
-    let (kb, n) = (b.rows(), b.cols());
-    if k != kb || c.rows() != m || c.cols() != n {
-        return Err(MatrixError::DimensionMismatch {
-            op: if TN { "gemm_tn" } else { "gemm" },
-            lhs: (a.rows() as u64, a.cols() as u64),
-            rhs: (kb as u64, n as u64),
-        });
+    if c.len() != a.len() * b.len() {
+        return Err(MatrixError::InvalidParameter(format!(
+            "{} C blocks for {} A blocks by {} B blocks",
+            c.len(),
+            a.len(),
+            b.len()
+        )));
     }
-    scale_c(beta, c);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+    let dims = |a: &DenseBlock| {
+        if TN {
+            (a.cols(), a.rows())
+        } else {
+            (a.rows(), a.cols())
+        }
+    };
+    for (i, ai) in a.iter().enumerate() {
+        let (m, k) = dims(ai);
+        for (bj, cij) in b.iter().zip(&c[i * b.len()..]) {
+            if k != bj.rows() || cij.rows() != m || cij.cols() != bj.cols() {
+                return Err(MatrixError::DimensionMismatch {
+                    op: if TN { "gemm_tn" } else { "gemm" },
+                    lhs: (ai.rows() as u64, ai.cols() as u64),
+                    rhs: (bj.rows() as u64, bj.cols() as u64),
+                });
+            }
+        }
+    }
+    for cij in c.iter_mut() {
+        scale_c(beta, cij);
+    }
+    let k = b.first().map_or(0, |b| b.rows());
+    if alpha == 0.0 || c.is_empty() || k == 0 {
         return Ok(());
     }
-    let (av, bv, cv) = (a.data(), b.data(), c.data_mut());
     match tile {
         #[cfg(target_arch = "x86_64")]
         Tile::Avx512 => {
@@ -185,7 +233,7 @@ fn gemm_on<const TN: bool>(
             let kernel = |alpha, ap: &[f64], bp: &[f64], cv: &mut [f64], c0, ldc, mr, nr| unsafe {
                 micro_kernel_avx512(alpha, ap, bp, cv, c0, ldc, mr, nr)
             };
-            blocked_driver::<8, 24, TN>(kernel, alpha, av, bv, cv, m, n, k)
+            blocked_driver::<8, 24, TN>(kernel, alpha, a, b, c, k)
         }
         #[cfg(target_arch = "x86_64")]
         Tile::Avx2 => {
@@ -194,11 +242,9 @@ fn gemm_on<const TN: bool>(
             let kernel = |alpha, ap: &[f64], bp: &[f64], cv: &mut [f64], c0, ldc, mr, nr| unsafe {
                 micro_kernel_avx2(alpha, ap, bp, cv, c0, ldc, mr, nr)
             };
-            blocked_driver::<6, 8, TN>(kernel, alpha, av, bv, cv, m, n, k)
+            blocked_driver::<6, 8, TN>(kernel, alpha, a, b, c, k)
         }
-        Tile::Portable => {
-            blocked_driver::<8, 4, TN>(micro_kernel_portable, alpha, av, bv, cv, m, n, k)
-        }
+        Tile::Portable => blocked_driver::<8, 4, TN>(micro_kernel_portable, alpha, a, b, c, k),
     }
     Ok(())
 }
@@ -215,19 +261,24 @@ fn scale_c(beta: f64, c: &mut DenseBlock) {
     }
 }
 
-/// The five-loop blocked driver over an `MR × NR` register tile, whose
-/// micro-kernel is `kernel`. `TN` selects how A is read during packing:
-/// `false` — A is `m × k` row-major; `true` — A is `k × m` row-major and the
-/// packed panels hold `aᵀ`.
-#[allow(clippy::too_many_arguments)]
+/// The blocked driver over an `MR × NR` register tile, whose micro-kernel
+/// is `kernel`, for every pair of `a`'s blocks and `b`'s, all `k` deep.
+/// `TN` selects how A is read during packing: `false` — each A block is
+/// `m × k` row-major; `true` — it is `k × m` row-major and the packed
+/// panels hold its transpose.
+///
+/// The B row is cut into column chunks of at most `NC`, one block's each,
+/// and consecutive chunks are grouped while their padded panels fit in
+/// `NC` (rounded up to `NR`) columns. Per group and `KC` slab, every chunk
+/// of the group is packed side by side; then each A block is packed `MC`
+/// rows at a time and its panel runs against every chunk. Each element of
+/// `C` still takes its slabs in depth order, one chain per slab.
 fn blocked_driver<const MR: usize, const NR: usize, const TN: bool>(
     kernel: impl Fn(f64, &[f64], &[f64], &mut [f64], usize, usize, usize, usize),
     alpha: f64,
-    av: &[f64],
-    bv: &[f64],
-    cv: &mut [f64],
-    m: usize,
-    n: usize,
+    a: &[&DenseBlock],
+    b: &[&DenseBlock],
+    c: &mut [&mut DenseBlock],
     k: usize,
 ) {
     // Panel buffers are rounded up to full MR/NR tiles and zero-padded, so
@@ -235,45 +286,114 @@ fn blocked_driver<const MR: usize, const NR: usize, const TN: bool>(
     // They are this thread's `PACK`, so they may hold an earlier call's
     // values: the packing routines overwrite every padding lane, and the
     // micro-kernel reads only the `kc·MR` / `kc·NR` they just wrote.
-    let a_len = m.min(MC).div_ceil(MR) * MR * k.min(KC);
-    let b_len = n.min(NC).div_ceil(NR) * NR * k.min(KC);
-    PACK.with_borrow_mut(|(apack, bpack)| {
-        for (buf, len) in [(&mut *apack, a_len), (&mut *bpack, b_len)] {
-            if buf.len() < len {
-                buf.resize(len, 0.0);
-            }
+    let m_max = a.iter().map(|a| if TN { a.cols() } else { a.rows() }).max();
+    let a_len = m_max.unwrap_or(0).min(MC).div_ceil(MR) * MR * k.min(KC);
+    PACK.with_borrow_mut(|(apack, bpack, chunks)| {
+        if apack.len() < a_len {
+            apack.resize(a_len, 0.0);
         }
-        let (apack, bpack) = (&mut apack[..a_len], &mut bpack[..b_len]);
-        let mut jc = 0;
-        while jc < n {
-            let nc = NC.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kc = KC.min(k - pc);
-                pack_b::<NR>(bpack, bv, n, pc, jc, kc, nc);
-                let mut ic = 0;
-                while ic < m {
-                    let mc = MC.min(m - ic);
-                    if TN {
-                        // A stored `k × m` holds a panel row's MR values side
-                        // by side, exactly as B holds NR of them.
-                        pack_b::<MR>(apack, av, m, pc, ic, kc, mc);
-                    } else {
-                        pack_a::<MR>(apack, av, k, pc, ic, kc, mc);
-                    }
-                    macro_kernel::<MR, NR>(&kernel, alpha, apack, bpack, cv, ic, jc, mc, nc, kc, n);
-                    ic += mc;
-                }
-                pc += kc;
+        chunks.clear();
+        for (j, bj) in b.iter().enumerate() {
+            let n = bj.cols();
+            chunks.extend((0..n).step_by(NC).map(|jc| (j, jc, NC.min(n - jc))));
+        }
+        let mut rest = &chunks[..];
+        while !rest.is_empty() {
+            let (mut len, mut group_width) = (0, 0);
+            while len < rest.len() && group_width + padded::<NR>(rest[len].2) <= padded::<NR>(NC) {
+                group_width += padded::<NR>(rest[len].2);
+                len += 1;
             }
-            jc += nc;
+            let (group, tail) = rest.split_at(len);
+            rest = tail;
+            let b_len = group_width * k.min(KC);
+            // The thread keeps one chunk's panels, what a one-pair call
+            // needs; a group of several packs into panels of its own, freed
+            // on return, so what a thread holds between calls does not grow
+            // with the width of a step.
+            if let [_] = group {
+                if bpack.len() < b_len {
+                    bpack.resize(b_len, 0.0);
+                }
+                run_group::<MR, NR, TN>(&kernel, alpha, a, b, c, k, group, apack, bpack);
+            } else {
+                let panels = &mut vec![0.0; b_len];
+                run_group::<MR, NR, TN>(&kernel, alpha, a, b, c, k, group, apack, panels);
+            }
         }
     });
 }
 
+/// `n` rounded up to whole `NR`-wide panels.
+fn padded<const NR: usize>(n: usize) -> usize {
+    n.div_ceil(NR) * NR
+}
+
+/// One group of B chunks against every A block: per `KC` slab, the group's chunks are packed side by side into
+/// `bpack`, then each A block is packed `MC` rows at a time into `apack`
+/// and run against every chunk.
+#[allow(clippy::too_many_arguments)]
+fn run_group<const MR: usize, const NR: usize, const TN: bool>(
+    kernel: &impl Fn(f64, &[f64], &[f64], &mut [f64], usize, usize, usize, usize),
+    alpha: f64,
+    a: &[&DenseBlock],
+    b: &[&DenseBlock],
+    c: &mut [&mut DenseBlock],
+    k: usize,
+    group: &[Chunk],
+    apack: &mut [f64],
+    bpack: &mut [f64],
+) {
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        let mut off = 0;
+        for &(j, jc, nc) in group {
+            let len = padded::<NR>(nc) * kc;
+            pack_b::<NR>(
+                &mut bpack[off..off + len],
+                b[j].data(),
+                b[j].cols(),
+                pc,
+                jc,
+                kc,
+                nc,
+            );
+            off += len;
+        }
+        for (i, ai) in a.iter().enumerate() {
+            let m = if TN { ai.cols() } else { ai.rows() };
+            for ic in (0..m).step_by(MC) {
+                let mc = MC.min(m - ic);
+                if TN {
+                    // A stored `k × m` holds a panel row's MR values side by
+                    // side, exactly as B holds NR of them.
+                    pack_b::<MR>(apack, ai.data(), m, pc, ic, kc, mc);
+                } else {
+                    pack_a::<MR>(apack, ai.data(), k, pc, ic, kc, mc);
+                }
+                let mut off = 0;
+                for &(j, jc, nc) in group {
+                    let len = padded::<NR>(nc) * kc;
+                    let cij = &mut *c[i * b.len() + j];
+                    let ldc = cij.cols();
+                    let (bp, cv) = (&bpack[off..off + len], cij.data_mut());
+                    macro_kernel::<MR, NR>(kernel, alpha, apack, bp, cv, ic, jc, mc, nc, kc, ldc);
+                    off += len;
+                }
+            }
+        }
+    }
+}
+
+/// A column chunk of a B row: `(block, first column, width)`.
+type Chunk = (usize, usize, usize);
+
 thread_local! {
-    /// This thread's `(apack, bpack)`, sized as the module docs say.
-    static PACK: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// This thread's `(apack, bpack, chunks)`: the A panel, the B panels of
+    /// a one-chunk group, and the B row's chunks, sized as the module docs
+    /// say.
+    static PACK: RefCell<(Vec<f64>, Vec<f64>, Vec<Chunk>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// Packs `A[ic..ic+mc, pc..pc+kc]` (row-major, leading dimension `lda`)
@@ -390,6 +510,24 @@ fn micro_kernel_portable(
     }
 }
 
+/// Asks for the `mr × nr` tile of `C` at `c0` ahead of a micro-kernel's
+/// depth loop, which reads it once, at write-back, `kc` steps later: one
+/// prefetch per cache line each row touches (a row of up to 24 `f64`s
+/// that need not be line-aligned spans at most four).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn prefetch_c(cv: &[f64], c0: usize, ldc: usize, mr: usize, nr: usize) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    for r in 0..mr {
+        let row = &cv[c0 + r * ldc..][..nr];
+        for q in (0..nr).step_by(8).chain([nr - 1]) {
+            // SAFETY: `row[q]` is in bounds, and a prefetch only hints the
+            // cache: it reads nothing and cannot fault.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(row[q..].as_ptr().cast()) };
+        }
+    }
+}
+
 /// The `avx512f` register tile, 8 × 24: each of the 8 rows keeps three
 /// `zmm` accumulators (24 of the 32 registers), and a depth step is 3 loads
 /// of B and, per row, one broadcast of A feeding 3 FMAs — 24 FMAs on 11
@@ -413,6 +551,7 @@ fn micro_kernel_avx512(
     use std::arch::x86_64::*;
     const MR: usize = 8;
     const NR: usize = 24;
+    prefetch_c(cv, c0, ldc, mr, nr);
     let mut acc = [[_mm512_setzero_pd(); NR / 8]; MR];
     for (avec, bvec) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         let avec: &[f64; MR] = avec.try_into().expect("exact chunk");
@@ -472,6 +611,7 @@ fn micro_kernel_avx2(
     use std::arch::x86_64::*;
     const MR: usize = 6;
     const NR: usize = 8;
+    prefetch_c(cv, c0, ldc, mr, nr);
     let mut acc = [[_mm256_setzero_pd(); NR / 4]; MR];
     for (avec, bvec) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         let avec: &[f64; MR] = avec.try_into().expect("exact chunk");
@@ -519,6 +659,19 @@ fn micro_kernel_avx2(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One pair through [`gemm_on`] on `tile`: `gemm` (`TN = false`) or
+    /// `gemm_tn` (`TN = true`) without the dispatch.
+    fn pair<const TN: bool>(
+        tile: Tile,
+        alpha: f64,
+        a: &DenseBlock,
+        b: &DenseBlock,
+        beta: f64,
+        c: &mut DenseBlock,
+    ) -> Result<()> {
+        gemm_on::<TN>(tile, alpha, &[a], &[b], beta, &mut [c])
+    }
 
     fn naive(a: &DenseBlock, b: &DenseBlock) -> DenseBlock {
         let mut c = DenseBlock::zeros(a.rows(), b.cols());
@@ -694,9 +847,9 @@ mod tests {
                 let expect = reference(alpha, &slabs, beta, &c0);
                 for tile in Tile::supported() {
                     let mut c = c0.clone();
-                    gemm_on::<false>(tile, alpha, &a, &b, beta, &mut c).unwrap();
+                    pair::<false>(tile, alpha, &a, &b, beta, &mut c).unwrap();
                     let mut ct = c0.clone();
-                    gemm_on::<true>(tile, alpha, &at, &b, beta, &mut ct).unwrap();
+                    pair::<true>(tile, alpha, &at, &b, beta, &mut ct).unwrap();
                     let case = format!("{tile:?} {m}x{k}x{n} alpha={alpha} beta={beta}");
                     if tile == Tile::Portable {
                         // Two roundings per step: close, not equal.
@@ -739,7 +892,7 @@ mod tests {
     /// This thread's packing buffers `(apack, bpack)`, as bits.
     fn packed_bits() -> (Vec<u64>, Vec<u64>) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
-        PACK.with_borrow(|(a, b)| (bits(a), bits(b)))
+        PACK.with_borrow(|(a, b, _)| (bits(a), bits(b)))
     }
 
     #[test]
@@ -766,9 +919,9 @@ mod tests {
                 let run = || {
                     let mut c = c0.clone();
                     if i % 2 == 0 {
-                        gemm_on::<false>(tile, 1.5, &a, &b, 0.5, &mut c).unwrap();
+                        pair::<false>(tile, 1.5, &a, &b, 0.5, &mut c).unwrap();
                     } else {
-                        gemm_on::<true>(tile, 1.5, &at, &b, 0.5, &mut c).unwrap();
+                        pair::<true>(tile, 1.5, &at, &b, 0.5, &mut c).unwrap();
                     }
                     (c, packed_bits())
                 };
@@ -790,17 +943,106 @@ mod tests {
         }
     }
 
+    /// A k step of 3 A × 4 B blocks, `k` deep, with ragged edges: A blocks
+    /// of `m`, `⌈m / 3⌉` and 1 rows, B blocks of `n`, `n + 5`, 1 and
+    /// `⌈n / 2⌉` columns. Runs it once through the shared
+    /// panels of [`gemm_on`] and once as twelve one-pair calls, on `tile`,
+    /// from the same `c0`; `TN` takes the A blocks stored transposed.
+    fn step_and_pairs<const TN: bool>(
+        tile: Tile,
+        a: &[DenseBlock],
+        b: &[DenseBlock],
+        c0: &[DenseBlock],
+    ) -> (Vec<DenseBlock>, Vec<DenseBlock>) {
+        let mut pairs = c0.to_vec();
+        for (i, ai) in a.iter().enumerate() {
+            for (j, bj) in b.iter().enumerate() {
+                pair::<TN>(tile, 1.5, ai, bj, 0.5, &mut pairs[i * b.len() + j]).unwrap();
+            }
+        }
+        let mut step = c0.to_vec();
+        let (a, b): (Vec<_>, Vec<_>) = (a.iter().collect(), b.iter().collect());
+        let mut c: Vec<&mut DenseBlock> = step.iter_mut().collect();
+        gemm_on::<TN>(tile, 1.5, &a, &b, 0.5, &mut c).unwrap();
+        (step, pairs)
+    }
+
+    #[test]
+    fn a_shared_panel_step_gives_every_pair_the_bits_of_its_own_call() {
+        // Dirty this thread's buffers at full size; every later case then
+        // runs over panels an earlier, differently shaped one left behind.
+        let (m, k, n) = (MC + 1, KC + 1, NC + 1);
+        gemm(
+            1.0,
+            &pseudo_random(m, k, 1),
+            &pseudo_random(k, n, 2),
+            0.0,
+            &mut DenseBlock::zeros(m, n),
+        )
+        .unwrap();
+        let mut shapes = boundary_shapes();
+        // Deeper than two `KC` slabs; and a B row of ~`NC / 2`-wide blocks
+        // whose panels overflow the `NC` cap, so every tile walks it in
+        // groups (as does `NC + 1` above, one chunk at a time).
+        shapes.extend([(20, 2 * KC + 3, 30), (9, KC + 7, NC / 2 + 1)]);
+        let cap = TILE_DIMS
+            .iter()
+            .map(|&(_, nr)| NC.div_ceil(nr) * nr)
+            .max()
+            .unwrap()
+            * KC;
+        for (m, k, n) in shapes {
+            let rows = [m, m.div_ceil(3), 1];
+            let cols = [n, n + 5, 1, n.div_ceil(2)];
+            let a: Vec<_> = (0..3)
+                .map(|i| pseudo_random(rows[i], k, 10 + i as u64))
+                .collect();
+            let at: Vec<_> = a.iter().map(DenseBlock::transpose).collect();
+            let b: Vec<_> = (0..4)
+                .map(|j| pseudo_random(k, cols[j], 20 + j as u64))
+                .collect();
+            let c0: Vec<_> = (0..12)
+                .map(|cell| pseudo_random(rows[cell / 4], cols[cell % 4], 30 + cell as u64))
+                .collect();
+            for tile in Tile::supported() {
+                for (tn, (step, pairs)) in [
+                    step_and_pairs::<false>(tile, &a, &b, &c0),
+                    step_and_pairs::<true>(tile, &at, &b, &c0),
+                ]
+                .into_iter()
+                .enumerate()
+                {
+                    for (cell, (s, p)) in step.iter().zip(&pairs).enumerate() {
+                        let case = format!("{tile:?} {m}x{k}x{n} tn={tn} pair {cell}");
+                        assert_eq!(bits(s), bits(p), "{case}");
+                    }
+                }
+                assert!(packed_bits().1.len() <= cap, "B panels past the cap");
+            }
+        }
+    }
+
     #[test]
     fn packing_buffers_are_sized_by_the_operands() {
         let tile = Tile::best();
         let (mr, nr) = tile.dims();
         let lens = move |(m, k, n): (usize, usize, usize)| {
             let (a, b) = (pseudo_random(m, k, 1), pseudo_random(k, n, 2));
-            gemm_on::<false>(tile, 1.0, &a, &b, 0.0, &mut DenseBlock::zeros(m, n)).unwrap();
+            pair::<false>(tile, 1.0, &a, &b, 0.0, &mut DenseBlock::zeros(m, n)).unwrap();
             let (apack, bpack) = packed_bits();
             (apack.len(), bpack.len())
         };
         std::thread::spawn(move || {
+            // A step of several B blocks packs them into panels of its own:
+            // the thread keeps none of them.
+            let (a, b) = (pseudo_random(32, 32, 1), pseudo_random(32, 32, 2));
+            let mut c = [DenseBlock::zeros(32, 32), DenseBlock::zeros(32, 32)];
+            let [c0, c1] = &mut c;
+            gemm_on::<false>(tile, 1.0, &[&a], &[&b, &b], 0.0, &mut [c0, c1]).unwrap();
+            assert!(
+                packed_bits().1.is_empty(),
+                "a multi-block step kept its B panels"
+            );
             let (a, b) = lens((32, 32, 32));
             assert!(a + b <= (32usize.div_ceil(mr) * mr + 32usize.div_ceil(nr) * nr) * 32);
             // Past every blocking edge: as large as the buffers get.
@@ -827,7 +1069,7 @@ mod tests {
                 continue;
             }
             let mut c = c0.clone();
-            gemm_on::<false>(tile, 1.5, &a, &b, 0.5, &mut c).unwrap();
+            pair::<false>(tile, 1.5, &a, &b, 0.5, &mut c).unwrap();
             assert!(
                 c.max_abs_diff(&dispatched).unwrap() < 1e-9,
                 "{tile:?} disagrees with the dispatching gemm"
@@ -894,6 +1136,20 @@ mod tests {
         let b2 = DenseBlock::zeros(3, 3);
         let mut c_bad = DenseBlock::zeros(3, 3);
         assert!(gemm(1.0, &a, &b2, 0.0, &mut c_bad).is_err());
+    }
+
+    #[test]
+    fn a_step_needs_one_accumulator_per_pair() {
+        let (a, b) = (DenseBlock::zeros(2, 3), DenseBlock::zeros(3, 2));
+        let mut c = DenseBlock::zeros(2, 2);
+        let err = gemm_step(1.0, &[&a, &a], &[&b], 0.0, &mut [&mut c]).unwrap_err();
+        assert!(matches!(err, MatrixError::InvalidParameter(_)), "{err}");
+        let mut wide = DenseBlock::zeros(2, 3);
+        let err = gemm_step(1.0, &[&a], &[&b], 0.0, &mut [&mut wide]).unwrap_err();
+        assert!(
+            matches!(err, MatrixError::DimensionMismatch { .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -692,3 +692,69 @@ fn a_second_identical_job_ships_no_operand_block() {
         );
     }
 }
+
+#[test]
+fn reduced_blocks_are_the_serial_reference_and_a_retried_reduce_starts_fresh() {
+    // An aggregating job sums each output block's R producer copies in
+    // place: the first copy is cloned out of the store and every later one
+    // added into that clone. For R = 2 and R = 4, dense operands and a
+    // sparse A against a dense B, the result is the serial reference's
+    // bits. Then the same job runs with one aggregation task crashing after
+    // its reduce: the retry sums the store's untouched copies from a fresh
+    // clone, so the result and the exact counts are the fault-free twin's.
+    use distme::cluster::FaultSpec;
+    let dense_b = MatrixGenerator::with_seed(202)
+        .generate(&MatrixMeta::dense(8 * BS, 4 * BS).with_block_size(BS))
+        .unwrap();
+    for (sparsity, spec) in [
+        (1.0, CuboidSpec::new(2, 2, 2)),
+        (1.0, CuboidSpec::new(2, 1, 4)),
+        (0.08, CuboidSpec::new(2, 2, 2)),
+        (0.08, CuboidSpec::new(1, 2, 4)),
+    ] {
+        let (a, _) = operands(4, 8, 4, sparsity);
+        let b = &dense_b;
+        let method = MulMethod::Cuboid(spec);
+        let label = format!("sparsity {sparsity} {spec:?}");
+        let problem = MatmulProblem::new(*a.meta(), *b.meta()).expect("consistent operands");
+        let cluster = LocalCluster::new(ClusterConfig::laptop());
+        let plan = JobPlan::build(&problem, method, cluster.config());
+        assert!(plan.stage(Phase::Aggregation).is_some(), "{label}: R > 1");
+        let opts = RealExecOptions::default();
+        let (clean, clean_stats) = real_exec::execute_plan(&cluster, &a, b, &plan, opts)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(
+            result_bits(&clean),
+            result_bits(&serial_reference(&plan, &a, b, None)),
+            "{label}: result must be the serial reference's bits"
+        );
+
+        // Seed 1 at this rate crashes aggregation task 3's first attempt,
+        // after its reduce ran, and nothing else.
+        let faulted_cluster = LocalCluster::new(ClusterConfig::laptop());
+        let faults = faulted_cluster.inject_faults(FaultSpec {
+            crash_rate: 0.15,
+            ..FaultSpec::quiet(1)
+        });
+        let (faulted, stats) = real_exec::execute_plan(&faulted_cluster, &a, b, &plan, opts)
+            .unwrap_or_else(|e| panic!("{label} faulted: {e}"));
+        assert_eq!((faults.crashed(), stats.retries), (1, 1), "{label}");
+        assert_eq!(
+            result_bits(&faulted),
+            result_bits(&clean),
+            "{label}: crashed twin"
+        );
+        for phase in Phase::ALL {
+            assert_eq!(
+                comm(&stats, phase),
+                comm(&clean_stats, phase),
+                "{label}: model bytes diverged in {}",
+                phase.label()
+            );
+        }
+        assert_eq!(
+            stats.transport_payload_bytes, clean_stats.transport_payload_bytes,
+            "{label}: payload bytes"
+        );
+    }
+}
