@@ -35,6 +35,16 @@
 //! the blocks the resize evicted (`store::FreeBuffers`). [`encode_stripes`]
 //! over padded frames remains the definition the fold is tested against.
 //!
+//! Parity outlives a membership change wherever the new grid allows it.
+//! `keep_parity` keeps every group the new grid still honours
+//! ([`honoured_homes`], the rule groups are formed by), re-installs a kept
+//! envelope whose node leaves or becomes a member's home, and evicts the
+//! rest; [`parity_groups`] then codes exactly the members no resident
+//! envelope names. A resize forms those groups so that the grid it left
+//! honours them too, so a steady `4 → 9 → 4` cycle encodes nothing. Groups
+//! are thus a function of the membership history, not of the node count
+//! alone — and still never of thread order.
+//!
 //! Recovery precedence everywhere: parity decode → lineage → typed
 //! failure. Beyond-budget erasures return [`CodingError`], never wrong
 //! bytes.
@@ -48,6 +58,7 @@ use bytes::{BufMut, BytesMut};
 use distme_matrix::{codec, Block, BlockId, DenseBlock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Whether placement materializes parity for coded groups.
@@ -164,14 +175,21 @@ pub fn group_size_cap(nodes: usize) -> usize {
     nodes.saturating_sub(1).min(MAX_GROUP)
 }
 
-/// Deterministic group assignment for a matrix's copy-0 keys: bucket by
-/// canonical home (`home_node(id, 0, nodes)`), then take one block per
-/// bucket per round (node order) and chunk each round to the grid's cap —
-/// so members of a group always sit on **distinct** canonical homes, and a
-/// single node loss erases at most one sole-copy member per group.
-pub fn assign_groups(keys: &[StoreKey], nodes: usize) -> Vec<Vec<StoreKey>> {
-    let cap = group_size_cap(nodes);
-    if cap == 0 {
+/// Deterministic group assignment for a matrix's copy-0 keys, placed on
+/// the `grids[0]`-node grid: bucket by canonical home
+/// (`home_node(id, 0, grids[0])`), then take one block per bucket per round
+/// (node order) and cut each round, in order, into the longest groups that
+/// [`honoured_homes`] admits on every grid of `grids` (a one-node grid,
+/// which can place no parity, constrains nothing). On one grid that is
+/// chunks of the grid's cap. Members of a group therefore always sit on
+/// **distinct** canonical homes, and a single node loss erases at most one
+/// sole-copy member per group. A resize passes the grid it leaves as well
+/// (`[new, old]`), so the groups it forms are kept on the way back.
+pub fn assign_groups(keys: &[StoreKey], grids: &[usize]) -> Vec<Vec<StoreKey>> {
+    let Some(&nodes) = grids.first() else {
+        return Vec::new();
+    };
+    if group_size_cap(nodes) == 0 {
         return Vec::new();
     }
     let mut buckets: BTreeMap<usize, Vec<StoreKey>> = BTreeMap::new();
@@ -184,26 +202,48 @@ pub fn assign_groups(keys: &[StoreKey], nodes: usize) -> Vec<Vec<StoreKey>> {
         }
     }
     let mut groups = Vec::new();
-    let mut round = 0usize;
-    loop {
-        let members: Vec<StoreKey> = buckets
-            .values()
-            .filter_map(|b| b.get(round).copied())
-            .collect();
-        if members.is_empty() {
-            break;
+    for round in 0.. {
+        let mut members = buckets.values().filter_map(|b| b.get(round).copied());
+        let Some(first) = members.next() else { break };
+        let mut group = vec![first];
+        for k in members {
+            let ids: Vec<BlockId> = group.iter().chain([&k]).map(|g| g.id).collect();
+            let honoured = |&g: &usize| group_size_cap(g) == 0 || honoured_homes(&ids, g).is_some();
+            if !grids.iter().all(honoured) {
+                groups.push(std::mem::take(&mut group));
+            }
+            group.push(k);
         }
-        for chunk in members.chunks(cap) {
-            groups.push(chunk.to_vec());
-        }
-        round += 1;
+        groups.push(group);
     }
     groups
 }
 
+/// The canonical homes `home_node(id, 0, nodes)` of a group's members, if
+/// the `nodes`-node grid honours the group: one to
+/// [`group_size_cap`]`(nodes)` members, on distinct homes. This is the one
+/// rule of a coded group — [`assign_groups`] forms only such groups, a
+/// membership change keeps exactly these (`keep_parity`), and their
+/// parity lives on the node that is none of the homes ([`parity_home`]).
+pub fn honoured_homes(ids: &[BlockId], nodes: usize) -> Option<BTreeSet<usize>> {
+    if ids.is_empty() || ids.len() > group_size_cap(nodes) {
+        return None;
+    }
+    let mut homes = BTreeSet::new();
+    ids.iter()
+        .all(|&id| homes.insert(home_node(id, 0, nodes)))
+        .then_some(homes)
+}
+
 /// Deterministic parity placement: probe the placement hash at salts ≥ 3
 /// (0–2 are the data spaces) until a node that is no member's canonical
-/// home turns up. The group-size cap guarantees such a node exists.
+/// home turns up.
+///
+/// # Panics
+/// If `avoid` covers every node. Callers pass the homes
+/// [`honoured_homes`] returned, which number at most
+/// [`group_size_cap`]`(nodes)` = `nodes − 1`, so a free node exists and
+/// the scan after the probes finds it.
 pub fn parity_home(leader: BlockId, avoid: &BTreeSet<usize>, nodes: usize) -> usize {
     for salt in 3..3 + 4 * nodes as u64 {
         let cand = home_node(leader, salt, nodes);
@@ -222,6 +262,10 @@ pub fn parity_home(leader: BlockId, avoid: &BTreeSet<usize>, nodes: usize) -> us
 
 const PARITY_MAGIC: u32 = 0x4350_4152; // "CPAR"
 const PARITY_VERSION: u8 = 2;
+/// Magic, version, member count and stripe length.
+const FIXED_HEADER: usize = 14;
+/// Row, column, copy and frame length of one member.
+const MEMBER_BYTES: usize = 20;
 
 /// One group member as recorded in a parity block's header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,8 +291,13 @@ pub struct ParityPayload {
 /// The header of a parity block's envelope — magic, version, member count,
 /// stripe length, then 20 bytes per member; `stripe_len` bytes of stripe
 /// follow it.
+///
+/// # Panics
+/// If more than 255 members are passed. [`encode_group`] passes only
+/// groups [`honoured_homes`] admits, so at most [`MAX_GROUP`]; a
+/// [`pack_parity`] caller must do the same.
 fn envelope_header(members: &[ParityMember], stripe_len: usize) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(14 + 20 * members.len());
+    let mut bytes = Vec::with_capacity(FIXED_HEADER + MEMBER_BYTES * members.len());
     bytes.extend_from_slice(&PARITY_MAGIC.to_le_bytes());
     bytes.push(PARITY_VERSION);
     bytes.push(u8::try_from(members.len()).expect("group fits MAX_GROUP"));
@@ -267,6 +316,9 @@ fn envelope_header(members: &[ParityMember], stripe_len: usize) -> Vec<u8> {
 /// any store or codec hop, untouched by arithmetic, as parity keys are
 /// never operands. [`encode_group`] lays the same words out in place
 /// instead.
+///
+/// # Panics
+/// If `payload` has more than 255 members (see `envelope_header`).
 pub fn pack_parity(payload: &ParityPayload) -> Block {
     let mut bytes = envelope_header(&payload.members, payload.stripe.len());
     bytes.extend_from_slice(&payload.stripe);
@@ -290,37 +342,68 @@ pub fn pack_parity(payload: &ParityPayload) -> Block {
 /// parity envelope (wrong shape, magic, or version) or describes a member
 /// frame longer than the stripe that is supposed to cover it.
 pub fn unpack_parity(block: &Block) -> Option<ParityPayload> {
+    let (members, words, stripe) = read_envelope(block)?;
+    let stripe = envelope_bytes(words, stripe);
+    Some(ParityPayload { members, stripe })
+}
+
+/// The member list of a parity block's envelope, read from its header
+/// alone — the stripe is neither copied nor read. `Some` exactly when
+/// [`unpack_parity`] parses the block, and then its members.
+pub fn parity_members(block: &Block) -> Option<Vec<ParityMember>> {
+    read_envelope(block).map(|(members, _, _)| members)
+}
+
+/// Validates an envelope and parses its header: the members, the words
+/// after the length word, and the stripe's byte range in the envelope
+/// those words carry. Every length is checked against what the block
+/// carries before it is used, so no input can make this panic.
+fn read_envelope(block: &Block) -> Option<(Vec<ParityMember>, &[f64], Range<usize>)> {
     let Block::Dense(d) = block else { return None };
-    let data = d.data();
-    let len = data.first()?.to_bits() as usize;
-    let mut bytes = Vec::with_capacity((data.len() - 1) * 8);
-    for w in &data[1..] {
-        bytes.extend_from_slice(&w.to_bits().to_le_bytes());
-    }
-    if len > bytes.len() {
+    let (len, words) = d.data().split_first()?;
+    let len = usize::try_from(len.to_bits()).ok()?;
+    if len > 8 * words.len() {
         return None;
     }
-    bytes.truncate(len);
-
-    let mut r = Reader(&bytes);
+    let fixed = envelope_bytes(words, 0..FIXED_HEADER.min(len));
+    let mut r = Reader(&fixed);
     if r.u32()? != PARITY_MAGIC || r.u8()? != PARITY_VERSION {
         return None;
     }
     let count = r.u8()? as usize;
-    let stripe_len = r.u64()? as usize;
-    let mut members = Vec::with_capacity(count);
-    for _ in 0..count {
-        members.push(ParityMember {
-            id: BlockId::new(r.u32()?, r.u32()?),
-            copy: r.u32()?,
-            frame_len: r.u64()?,
-        });
+    let stripe_len = usize::try_from(r.u64()?).ok()?;
+    let header_len = FIXED_HEADER + MEMBER_BYTES * count;
+    let stripe = header_len..header_len.checked_add(stripe_len)?;
+    if stripe.end > len {
+        return None;
     }
+    let listed = envelope_bytes(words, FIXED_HEADER..header_len);
+    let mut r = Reader(&listed);
+    let members: Vec<ParityMember> = (0..count)
+        .map(|_| {
+            Some(ParityMember {
+                id: BlockId::new(r.u32()?, r.u32()?),
+                copy: r.u32()?,
+                frame_len: r.u64()?,
+            })
+        })
+        .collect::<Option<_>>()?;
     if members.iter().any(|m| m.frame_len > stripe_len as u64) {
         return None;
     }
-    let stripe = r.take(stripe_len)?.to_vec();
-    Some(ParityPayload { members, stripe })
+    Some((members, words, stripe))
+}
+
+/// Envelope bytes `range`, from the little-endian words that carry the
+/// envelope (byte `i` is byte `i % 8` of word `i / 8`).
+fn envelope_bytes(words: &[f64], range: Range<usize>) -> Vec<u8> {
+    let skip = range.start % 8;
+    words[range.start / 8..range.end.div_ceil(8)]
+        .iter()
+        .flat_map(|w| w.to_bits().to_le_bytes())
+        .skip(skip)
+        .take(range.len())
+        .collect()
 }
 
 struct Reader<'a>(&'a [u8]);
@@ -365,28 +448,38 @@ fn padded_frame(block: &Block, stripe_len: usize) -> Vec<u8> {
 /// each with a node holding a copy.
 pub type ParityGroup = Vec<(StoreKey, usize)>;
 
-/// The groups to encode for `matrices` over the `nodes`-node grid, from
-/// one resident-key snapshot: every resident copy-0 block of each matrix,
-/// grouped by [`assign_groups`]. Empty when the grid is too small to place
-/// parity off-member; a matrix that already has parity resident
-/// contributes nothing (encoding is idempotent).
+/// The groups to encode for `matrices` on the `grids[0]`-node grid, from
+/// one resident-key snapshot: the resident copy-0 blocks of each matrix
+/// that no resident parity envelope names, grouped by [`assign_groups`]
+/// over `grids`. Encoding is therefore idempotent — a matrix whose every
+/// block is covered contributes nothing — and after a membership change it
+/// codes exactly the members no kept group covers (`keep_parity`). Empty
+/// when the grid is too small to place parity off-member.
 pub fn parity_groups(
-    snapshot: &BTreeMap<StoreKey, BTreeSet<usize>>,
+    stores: &ClusterStores,
     matrices: &BTreeSet<u64>,
-    nodes: usize,
+    grids: &[usize],
 ) -> Vec<ParityGroup> {
+    let snapshot = stores.resident_keys();
     let mut groups = Vec::new();
     for &matrix in matrices {
         let resident = || snapshot.iter().filter(move |(k, _)| k.matrix == matrix);
-        if resident().any(|(k, _)| k.is_parity()) {
-            continue;
-        }
+        let covered: BTreeSet<StoreKey> = resident()
+            .filter(|(k, _)| k.is_parity())
+            .filter_map(|(k, holders)| {
+                holders
+                    .iter()
+                    .find_map(|&n| parity_members(&*stores.node(n).get(k)?))
+            })
+            .flatten()
+            .map(|m| StoreKey::replica(matrix, m.id, m.copy))
+            .collect();
         let holder_of: BTreeMap<StoreKey, usize> = resident()
-            .filter(|(k, _)| k.copy == 0)
+            .filter(|(k, _)| k.copy == 0 && !k.is_parity() && !covered.contains(k))
             .filter_map(|(k, holders)| Some((*k, *holders.first()?)))
             .collect();
         let keys: Vec<StoreKey> = holder_of.keys().copied().collect();
-        for group in assign_groups(&keys, nodes) {
+        for group in assign_groups(&keys, grids) {
             groups.push(group.into_iter().map(|k| (k, holder_of[&k])).collect());
         }
     }
@@ -396,8 +489,9 @@ pub fn parity_groups(
 /// Encodes one group and installs its parity block — bit for bit
 /// [`pack_parity`] over [`encode_stripes`] of the padded member frames.
 /// Returns how many blocks were installed: 1, or 0 if a member was evicted
-/// since the snapshot (the group is abandoned quietly; parity is derived
-/// state).
+/// since the snapshot or the `nodes`-node grid does not honour the group
+/// ([`honoured_homes`]) — the group is abandoned quietly; parity is
+/// derived state.
 ///
 /// The envelope is laid out once, in the buffer the installed block will
 /// alias — length word, header, zeroed stripe, drawn from `buffers` — and
@@ -410,6 +504,10 @@ pub fn encode_group(
     nodes: usize,
     buffers: &FreeBuffers,
 ) -> u64 {
+    let ids: Vec<BlockId> = group.iter().map(|(k, _)| k.id).collect();
+    let Some(avoid) = honoured_homes(&ids, nodes) else {
+        return 0;
+    };
     let blocks: Option<Vec<Arc<Block>>> = group
         .iter()
         .map(|(k, holder)| stores.node(*holder).get(k))
@@ -428,6 +526,11 @@ pub fn encode_group(
 
     // The words of `pack_parity`, written where they will stay: the
     // buffer's first 0–7 bytes are skipped so the words sit 8-byte aligned.
+    // `take` promises the whole capacity, so no write below reallocates
+    // and moves them; the length word, header and stripe are padded to a
+    // whole word. The slice past the skip is therefore whole words at an
+    // aligned address, which is all `from_shared_bytes` asks of it on a
+    // little-endian target.
     let header = envelope_header(&members, stripe_len);
     let len = header.len() + stripe_len;
     let mut buf = buffers.take(7 + 8 + len.next_multiple_of(8));
@@ -451,7 +554,6 @@ pub fn encode_group(
     }
 
     let (leader, _) = group[0];
-    let avoid: BTreeSet<usize> = members.iter().map(|m| home_node(m.id, 0, nodes)).collect();
     let words = buf.freeze();
     let words = words.slice(skip..words.len());
     let block = DenseBlock::from_shared_bytes(1, words.len() / 8, words)
@@ -482,13 +584,15 @@ pub fn reconstruct_block(
     let readable = || (0..stores.num_nodes()).filter(move |&n| Some(n) != exclude);
     let is_target = |m: &ParityMember| m.id == target.id && m.copy == target.copy;
     // The group's parity is the envelope of the matrix whose member list
-    // names the target. One that cannot be read or parsed is skipped: it
-    // blinds its own group, not every group of the matrix.
-    let payload = readable()
+    // names the target, found from the headers alone; only its stripe is
+    // copied out. One that cannot be read or parsed is skipped: it blinds
+    // its own group, not every group of the matrix.
+    let envelope = readable()
         .flat_map(|n| stores.node(n).keys().into_iter().map(move |k| (n, k)))
         .filter(|(_, key)| key.matrix == target.matrix && key.is_parity())
-        .filter_map(|(n, key)| unpack_parity(&*stores.node(n).get(&key)?))
-        .find(|payload| payload.members.iter().any(is_target))?;
+        .filter_map(|(n, key)| stores.node(n).get(&key))
+        .find(|block| parity_members(block).is_some_and(|ms| ms.iter().any(is_target)))?;
+    let payload = unpack_parity(&envelope)?;
     let stripe_len = payload.stripe.len();
 
     // Gather survivor member stripes (the target stays erased).
@@ -513,28 +617,76 @@ pub fn reconstruct_block(
     Some((block, frame_len as u64))
 }
 
-/// Drops every parity key from every store and returns the matrices that
-/// had any. Group assignment and parity placement are functions of the
-/// node count, so a membership change invalidates all parity; callers
-/// rebalance the data normally and then re-encode the returned matrices
-/// ([`parity_groups`], [`encode_group`]).
-pub fn evict_all_parity(stores: &ClusterStores) -> BTreeSet<u64> {
-    evict_parity_with(stores, drop)
+/// The matrices with parity resident on any node.
+pub(crate) fn coded_matrices(stores: &ClusterStores) -> BTreeSet<u64> {
+    (0..stores.num_nodes())
+        .flat_map(|n| stores.node(n).keys())
+        .filter(StoreKey::is_parity)
+        .map(|k| k.matrix)
+        .collect()
 }
 
-/// [`evict_all_parity`], handing each evicted block to `evicted` — a
-/// resize keeps their envelope buffers for what it installs next.
-pub(crate) fn evict_parity_with(
+/// Keeps, after a membership change, every parity group the new
+/// `nodes`-node grid still honours, in one walk over the resident parity.
+/// Runs once the data is re-homed and while a shrink's leaving tail is
+/// still addressable. A group is kept when its matrix is in `coded` and
+/// [`honoured_homes`] admits its member list, read from the envelope
+/// header: the rule [`assign_groups`] forms groups by, so a kept group
+/// still loses at most one member to a single node. A kept envelope on a
+/// leaving node or on a member's new canonical home is re-installed, the
+/// same `Arc`, at its [`parity_home`] — no transport, no bytes. Every other
+/// envelope, one that cannot be read included, is evicted into `buffers`
+/// before any re-install, so no stale envelope holds a key a new group
+/// needs (`install` keeps an occupied key): its members are left
+/// uncovered, and [`parity_groups`] encodes them next.
+pub(crate) fn keep_parity(
     stores: &ClusterStores,
-    mut evicted: impl FnMut(Arc<Block>),
-) -> BTreeSet<u64> {
+    coded: &BTreeSet<u64>,
+    nodes: usize,
+    buffers: &FreeBuffers,
+) {
+    let mut misplaced = Vec::new();
+    for n in 0..stores.num_nodes() {
+        let store = stores.node(n);
+        for key in store.keys().into_iter().filter(StoreKey::is_parity) {
+            let homes = store
+                .get(&key)
+                .filter(|_| coded.contains(&key.matrix))
+                .and_then(|block| parity_members(&block))
+                .and_then(|members| {
+                    let ids: Vec<BlockId> = members.iter().map(|m| m.id).collect();
+                    honoured_homes(&ids, nodes)
+                });
+            match homes {
+                Some(homes) if n < nodes && !homes.contains(&n) => {}
+                Some(homes) => misplaced.push((n, key, homes)),
+                None => {
+                    if let Some(block) = store.take(&key) {
+                        buffers.reclaim(block);
+                    }
+                }
+            }
+        }
+    }
+    // One envelope per key: a group's key is its leader's, and every member
+    // is named by one envelope, so the destination never holds the key.
+    for (n, key, homes) in misplaced {
+        if let Some(block) = stores.node(n).take(&key) {
+            stores
+                .node(parity_home(key.id, &homes, nodes))
+                .install(key, block);
+        }
+    }
+}
+
+/// Drops every parity key from every store and returns the matrices that
+/// had any; the next [`parity_groups`] pass codes them from nothing.
+pub fn evict_all_parity(stores: &ClusterStores) -> BTreeSet<u64> {
     let mut coded = BTreeSet::new();
     for n in 0..stores.num_nodes() {
         let store = stores.node(n);
         for key in store.keys().into_iter().filter(StoreKey::is_parity) {
-            if let Some(block) = store.take(&key) {
-                evicted(block);
-            }
+            store.remove(&key);
             coded.insert(key.matrix);
         }
     }
@@ -559,7 +711,7 @@ mod tests {
     /// One matrix's groups encoded one after another — what the executor
     /// runs as a gang.
     fn encode_matrix_parity(stores: &ClusterStores, matrix: u64, nodes: usize) -> u64 {
-        parity_groups(&stores.resident_keys(), &BTreeSet::from([matrix]), nodes)
+        parity_groups(stores, &BTreeSet::from([matrix]), &[nodes])
             .iter()
             .map(|g| encode_group(stores, g, nodes, &FreeBuffers::default()))
             .sum()
@@ -691,7 +843,7 @@ mod tests {
         let keys: Vec<StoreKey> = (0..6)
             .flat_map(|r| (0..5).map(move |c| StoreKey::operand(9, BlockId::new(r, c))))
             .collect();
-        let groups = assign_groups(&keys, nodes);
+        let groups = assign_groups(&keys, &[nodes]);
         let total: usize = groups.iter().map(Vec::len).sum();
         assert_eq!(total, keys.len(), "every key is coded exactly once");
         for g in &groups {
@@ -855,7 +1007,7 @@ mod tests {
         // encode the stripe, pack it into an envelope.
         let mut expected = BTreeMap::new();
         let (mut mixed_kinds, mut unequal_lengths, mut mixed_storage) = (false, false, false);
-        for group in assign_groups(&keys, nodes) {
+        for group in assign_groups(&keys, &[nodes]) {
             mixed_storage |= group.iter().any(|k| is_view[k])
                 && group
                     .iter()
@@ -948,16 +1100,213 @@ mod tests {
             ingest_grid(&stores, matrix, &mixed_blocks(matrix, 7));
         }
         assert!(encode_matrix_parity(&stores, 4, nodes) > 0);
-        let groups = parity_groups(&stores.resident_keys(), &BTreeSet::from([3, 4, 9]), nodes);
+        let groups = parity_groups(&stores, &BTreeSet::from([3, 4, 9]), &[nodes]);
         let coded: BTreeSet<u64> = groups.iter().map(|g| g[0].0.matrix).collect();
         assert_eq!(coded, BTreeSet::from([3, 9]), "4 already has parity");
         for g in &groups {
             assert!(g.iter().all(|(k, _)| k.matrix == g[0].0.matrix));
         }
+        // A matrix that lost one envelope regroups exactly what it named.
+        let (node, key) = *resident_parity(&stores)
+            .keys()
+            .find(|(_, k)| k.matrix == 4)
+            .unwrap();
+        let lost = unpack_parity(&stores.node(node).get(&key).unwrap())
+            .unwrap()
+            .members;
+        stores.node(node).remove(&key);
+        let regrouped = parity_groups(&stores, &BTreeSet::from([4]), &[nodes]);
+        let mut uncovered: Vec<BlockId> = regrouped.iter().flatten().map(|(k, _)| k.id).collect();
+        let mut named: Vec<BlockId> = lost.iter().map(|m| m.id).collect();
+        uncovered.sort();
+        named.sort();
+        assert_eq!(uncovered, named);
         // Per matrix, the groups are the ones a single-matrix call makes.
-        let alone = parity_groups(&stores.resident_keys(), &BTreeSet::from([9]), nodes);
+        let alone = parity_groups(&stores, &BTreeSet::from([9]), &[nodes]);
         let of_nine: Vec<&ParityGroup> = groups.iter().filter(|g| g[0].0.matrix == 9).collect();
         assert_eq!(of_nine, alone.iter().collect::<Vec<_>>());
+    }
+
+    /// The old single-grid assignment: each round chunked to the cap.
+    fn chunked_rounds(keys: &[StoreKey], nodes: usize) -> Vec<Vec<StoreKey>> {
+        let mut buckets: BTreeMap<usize, Vec<StoreKey>> = BTreeMap::new();
+        for k in keys {
+            buckets
+                .entry(home_node(k.id, 0, nodes))
+                .or_default()
+                .push(*k);
+        }
+        let mut groups = Vec::new();
+        for round in 0.. {
+            let members: Vec<StoreKey> = buckets
+                .values()
+                .filter_map(|b| b.get(round).copied())
+                .collect();
+            if members.is_empty() {
+                return groups;
+            }
+            groups.extend(members.chunks(group_size_cap(nodes)).map(<[_]>::to_vec));
+        }
+        unreachable!()
+    }
+
+    fn grid_keys(matrix: u64, rows: u32, cols: u32) -> Vec<StoreKey> {
+        (0..rows)
+            .flat_map(|r| (0..cols).map(move |c| StoreKey::operand(matrix, BlockId::new(r, c))))
+            .collect()
+    }
+
+    #[test]
+    fn a_resize_forms_groups_both_its_grids_honour() {
+        let keys = grid_keys(3, 8, 8);
+        // One grid: the assignment every job's encode makes, unchanged.
+        for nodes in 2..=12 {
+            assert_eq!(assign_groups(&keys, &[nodes]), chunked_rounds(&keys, nodes));
+        }
+        assert_eq!(assign_groups(&keys, &[5, 1]), assign_groups(&keys, &[5]));
+        for grids in [[9, 4], [4, 9], [3, 5], [12, 2]] {
+            let groups = assign_groups(&keys, &grids);
+            let mut coded: Vec<StoreKey> = groups.iter().flatten().copied().collect();
+            coded.sort();
+            assert_eq!(coded, keys, "{grids:?}: every key once");
+            for g in &groups {
+                let ids: Vec<BlockId> = g.iter().map(|k| k.id).collect();
+                for nodes in grids {
+                    assert!(honoured_homes(&ids, nodes).is_some(), "{grids:?}: {ids:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parity_home_finds_the_one_node_a_full_group_leaves_free() {
+        // The largest group a grid honours leaves exactly one node free.
+        for nodes in 2..=9 {
+            for free in 0..nodes {
+                let avoid: BTreeSet<usize> = (0..nodes).filter(|&n| n != free).collect();
+                assert_eq!(avoid.len(), group_size_cap(nodes));
+                for leader in grid_keys(0, 4, 4).into_iter().map(|k| k.id) {
+                    assert_eq!(parity_home(leader, &avoid, nodes), free, "{nodes} nodes");
+                }
+            }
+        }
+    }
+
+    /// `count` block ids whose canonical homes on the `nodes`-node grid are
+    /// distinct.
+    fn distinct_home_ids(nodes: usize, count: usize) -> Vec<BlockId> {
+        let mut homes = BTreeSet::new();
+        (0..)
+            .map(|i| BlockId::new(i / 16, i % 16))
+            .filter(|&id| homes.insert(home_node(id, 0, nodes)))
+            .take(count)
+            .collect()
+    }
+
+    #[test]
+    fn no_group_outgrows_the_envelope_header() {
+        // No grid forms or keeps a group larger than MAX_GROUP, whatever
+        // grid it came from.
+        let keys = grid_keys(4, 12, 12);
+        for nodes in 1..=20 {
+            for grids in [vec![nodes], vec![nodes, 4], vec![nodes, 20]] {
+                let groups = assign_groups(&keys, &grids);
+                assert!(groups.iter().all(|g| g.len() <= MAX_GROUP), "{grids:?}");
+            }
+        }
+        let nodes = 20;
+        let ids = distinct_home_ids(nodes, MAX_GROUP + 1);
+        assert_eq!(
+            honoured_homes(&ids[..MAX_GROUP], nodes).map(|h| h.len()),
+            Some(MAX_GROUP)
+        );
+        assert_eq!(honoured_homes(&ids, nodes), None, "one member too many");
+
+        // An oversized group handed to `encode_group` installs nothing.
+        let stores = ClusterStores::new(nodes);
+        let group: ParityGroup = ids
+            .iter()
+            .zip(mixed_blocks(2, ids.len()))
+            .map(|(&id, blk)| {
+                let key = StoreKey::operand(4, id);
+                stores.ingest(0, key, Arc::new(blk));
+                (key, 0)
+            })
+            .collect();
+        let buffers = FreeBuffers::default();
+        assert_eq!(encode_group(&stores, &group, nodes, &buffers), 0);
+        assert!(resident_parity(&stores).is_empty());
+        assert_eq!(
+            encode_group(&stores, &group[..MAX_GROUP].to_vec(), nodes, &buffers),
+            1
+        );
+        let (_, envelope) = resident_parity(&stores).pop_first().unwrap();
+        let words: Vec<f64> = envelope.into_iter().map(f64::from_bits).collect();
+        let block = Block::Dense(DenseBlock::from_vec(1, words.len(), words).unwrap());
+        assert_eq!(parity_members(&block).map(|m| m.len()), Some(MAX_GROUP));
+    }
+
+    #[test]
+    fn envelopes_are_whole_aligned_words_in_any_buffer() {
+        // Free-list buffers start at any address: every misalignment, with
+        // at most a word more room than the envelope needs, against envelopes that
+        // end on a word boundary and ones whose last word is padded.
+        let nodes = 9;
+        let (mut misalignments, mut residues) = (BTreeSet::new(), BTreeSet::new());
+        for case in 0..64u64 {
+            let stores = ClusterStores::new(nodes);
+            let size = 1 + case as usize % group_size_cap(nodes);
+            let ids = distinct_home_ids(nodes, size);
+            let blocks = mixed_blocks(case, size);
+            let group: ParityGroup = ids
+                .iter()
+                .zip(&blocks)
+                .map(|(&id, blk)| {
+                    let key = StoreKey::operand(1, id);
+                    stores.ingest(0, key, Arc::new(blk.clone()));
+                    (key, 0)
+                })
+                .collect();
+            let frames: Vec<Vec<u8>> = blocks.iter().map(frame_bytes).collect();
+            let stripe_len = frames.iter().map(Vec::len).max().unwrap();
+            let members = ids
+                .iter()
+                .zip(&frames)
+                .map(|(&id, f)| ParityMember {
+                    id,
+                    copy: 0,
+                    frame_len: f.len() as u64,
+                })
+                .collect();
+            let stripes: Vec<Vec<u8>> = frames.into_iter().map(|f| padded(f, stripe_len)).collect();
+            let expected = pack_parity(&ParityPayload {
+                members,
+                stripe: encode_stripes(&stripes, stripe_len),
+            });
+            let len = word_bits(&expected)[0] as usize;
+            residues.insert(len % 8);
+
+            let need = 7 + 8 + len.next_multiple_of(8);
+            let mut base = BytesMut::with_capacity(need + 8);
+            let start = case as usize % 8;
+            base.resize(start, 0);
+            let view = base.freeze();
+            let buf = view.slice(start..start);
+            drop(view);
+            let buf = buf.try_into_mut().unwrap();
+            misalignments.insert(buf.as_ptr() as usize % 8);
+            let buffers = FreeBuffers::default();
+            buffers.offer(buf);
+            assert_eq!(encode_group(&stores, &group, nodes, &buffers), 1);
+            assert_eq!(buffers.draws(), (1, 0), "the offered buffer served");
+            let installed: Vec<Vec<u64>> = resident_parity(&stores).into_values().collect();
+            assert_eq!(installed, vec![word_bits(&expected)], "case {case}");
+        }
+        assert_eq!(misalignments.len(), 8);
+        assert!(
+            residues.contains(&0) && residues.len() > 1,
+            "envelopes that fill their last word and ones that are padded: {residues:?}"
+        );
     }
 
     proptest! {
@@ -1006,14 +1355,20 @@ mod tests {
             let cols = words.len();
             let mutated = Block::Dense(DenseBlock::from_vec(1, cols, words).unwrap());
 
+            // The header reader agrees with the full parse: the same
+            // members where it parses, nothing where it does not.
+            let header = parity_members(&mutated);
             let mut named = own_group;
             if let Some(payload) = unpack_parity(&mutated) {
+                prop_assert_eq!(header.as_ref(), Some(&payload.members));
                 prop_assert!(payload.stripe.len() <= carried);
                 prop_assert!(payload
                     .members
                     .iter()
                     .all(|m| m.frame_len <= payload.stripe.len() as u64));
                 named.extend(payload.members);
+            } else {
+                prop_assert_eq!(header, None);
             }
             stores.node(*node).remove(key);
             stores.node(*node).install(*key, Arc::new(mutated));

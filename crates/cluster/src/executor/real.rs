@@ -196,20 +196,28 @@ impl LocalCluster {
     /// before looking at a store or starting a thread. Returns the number
     /// of parity blocks installed.
     pub fn encode_parity(&self, matrix: u64) -> u64 {
-        self.encode_parity_of(&BTreeSet::from([matrix]), &FreeBuffers::default())
+        let grid = [self.cfg.nodes];
+        self.encode_parity_of(&BTreeSet::from([matrix]), &grid, &FreeBuffers::default())
     }
 
     /// [`encode_parity`](Self::encode_parity) for several matrices: the
     /// groups of all of them, from one resident-key snapshot, encode as
     /// one gang (a group is a task), each envelope in a buffer drawn from
-    /// `buffers`. Parity is derived state: a stage the scheduler refuses
-    /// (more groups than `max_tasks`) installs none.
-    fn encode_parity_of(&self, matrices: &BTreeSet<u64>, buffers: &FreeBuffers) -> u64 {
+    /// `buffers`. The groups are ones every grid in `grids` honours, the
+    /// first being the cluster's own (`coding::assign_groups`). Parity is
+    /// derived state: a stage the scheduler refuses (more groups than
+    /// `max_tasks`) installs none.
+    fn encode_parity_of(
+        &self,
+        matrices: &BTreeSet<u64>,
+        grids: &[usize],
+        buffers: &FreeBuffers,
+    ) -> u64 {
         let nodes = self.cfg.nodes;
         if self.cfg.replication.parity_count() == 0 {
             return 0;
         }
-        let groups = crate::coding::parity_groups(&self.stores.resident_keys(), matrices, nodes);
+        let groups = crate::coding::parity_groups(&self.stores, matrices, grids);
         if groups.is_empty() {
             return 0;
         }
@@ -255,10 +263,12 @@ impl LocalCluster {
     /// A resize is two gangs: the per-key units of the [`RebalancePlan`]
     /// (each ships its key, then drops the stranded copies, so the
     /// migration's extra memory is a few blocks, not a second copy of
-    /// everything resident), then the parity groups of every matrix that
-    /// was coded before the change. Both fill the buffers the resize has
-    /// just emptied: evicted parity and stranded copies leave theirs on a
-    /// [`FreeBuffers`] list that lives exactly as long as this call.
+    /// everything resident), then the parity groups the change broke —
+    /// every group the new grid still honours is kept, and only the members
+    /// no kept group covers are encoded again ([`crate::coding`]). Both
+    /// fill the buffers the resize has just emptied: stranded copies and
+    /// broken groups' parity leave theirs on a [`FreeBuffers`] list that
+    /// lives exactly as long as this call.
     ///
     /// # Errors
     /// [`JobError::InvalidSubmission`] for `n == 0`, before any side
@@ -308,8 +318,9 @@ impl LocalCluster {
     /// [`ReplicationPolicy`](crate::coding::ReplicationPolicy) is active —
     /// no lineage recompute, counted in the report's
     /// `reconstructed_blocks` / `reconstruction_payload_bytes`. The
-    /// surviving nodes renumber down to stay contiguous, parity is
-    /// re-encoded for the shrunk grid, and the epoch bumps.
+    /// surviving nodes renumber down to stay contiguous, the groups whose
+    /// parity was lost or that the shrunk grid breaks are encoded again,
+    /// and the epoch bumps.
     ///
     /// # Errors
     /// [`JobError::NodeDecommissioned`] when a sole-copy block exceeds its
@@ -331,7 +342,7 @@ impl LocalCluster {
         // Partition the resident data keys by whether a surviving replica
         // exists, naming holders as they will be numbered once `node` is
         // gone. Parity keys are derived state: losing one is not a loss,
-        // and the survivors are re-encoded for the new grid, so they stay
+        // and its members are encoded again for the new grid, so they stay
         // out of both sides of the partition.
         let mut lost_keys: Vec<StoreKey> = Vec::new();
         let mut survivors: BTreeMap<StoreKey, BTreeSet<usize>> = BTreeMap::new();
@@ -403,13 +414,14 @@ impl LocalCluster {
     /// gone.
     ///
     /// The [`RebalancePlan`] is derived and held against `max_tasks` before
-    /// the first side effect. Then all parity goes (groups are a function
-    /// of the node count; its buffers go to `buffers`), stores are
-    /// commissioned or the lost one removed, the plan runs as one gang, a
-    /// shrink's drained tail is dropped, node count, scheduler slots and
-    /// epoch move together, and what was coded is re-encoded for the new
-    /// grid — installed directly, no transport, so the report's
-    /// `Rebalance` bytes stay data-only.
+    /// the first side effect. Then stores are commissioned or the lost one
+    /// removed, the plan runs as one gang, the parity groups the new grid
+    /// honours are kept and the rest evicted into `buffers`
+    /// (`coding::keep_parity`), a shrink's drained tail is dropped, node
+    /// count, scheduler slots and epoch move together, and the members no
+    /// kept group covers are encoded — relocation and encode alike install
+    /// directly, no transport, so the report's `Rebalance` bytes stay
+    /// data-only.
     fn change_membership(
         &mut self,
         event: MembershipEvent,
@@ -428,17 +440,28 @@ impl LocalCluster {
                 limit: self.cfg.max_tasks,
             });
         }
-        let coded = crate::coding::evict_parity_with(&self.stores, |block| buffers.reclaim(block));
+        // What stays coded: every matrix with parity anywhere, the lost
+        // node's included, unless the change keeps none of its data.
+        let kept: BTreeSet<u64> = holders.keys().map(|k| k.matrix).collect();
+        let mut coded = crate::coding::coded_matrices(&self.stores);
+        coded.retain(|m| kept.contains(m));
         match event {
             MembershipEvent::ScaleTo { to, .. } => self.stores.grow_to(to),
             MembershipEvent::Decommission { node } => self.stores.remove_node(node),
         }
         let (moves, payload, cross) = self.run_rebalance(&plan, buffers)?;
+        crate::coding::keep_parity(&self.stores, &coded, to_nodes, buffers);
         self.stores.truncate_to(to_nodes);
         self.cfg.nodes = to_nodes;
         self.scheduler.set_total_slots(self.cfg.total_slots());
         let epoch = self.membership.record(event);
-        let parity_blocks_encoded = self.encode_parity_of(&coded, buffers);
+        // A resize forms groups its old grid honours too, so that a cycle
+        // back to it keeps them; a lost node's grid does not come back.
+        let grids = match event {
+            MembershipEvent::ScaleTo { from, to } => vec![to, from],
+            MembershipEvent::Decommission { .. } => vec![to_nodes],
+        };
+        let parity_blocks_encoded = self.encode_parity_of(&coded, &grids, buffers);
 
         let mut stats = JobStats {
             rebalanced_moves: moves,
@@ -1356,21 +1379,157 @@ mod tests {
                 placement(&c),
             )
         };
-        let first = cycle();
-        let [(moves, payload, stats), _] = first.0;
+        // The first cycle may break groups the 9-node grid does not honour
+        // and encode their members afresh; what it leaves is kept from then
+        // on. So cycle 1 is the steady state every later cycle repeats,
+        // and cycle 0 differs from it in parity alone.
+        let cycles: Vec<_> = (0..20).map(|_| cycle()).collect();
+        let [(moves, payload, stats), _] = cycles[0].0;
         assert!(moves > 0 && payload > 0 && stats.parity_blocks_encoded > 0);
-        for (_, payload, stats) in first.0 {
+        for (_, payload, stats) in cycles[0].0 {
             let rebalance = stats.phase(Phase::Rebalance);
             assert_eq!(rebalance.shuffle_bytes, payload, "phase bytes = payload");
             assert!(rebalance.cross_node_bytes <= payload);
         }
-        for n in 1..20 {
-            assert!(cycle() == first, "cycle {n} differs from the first");
+        let data = |placement: &[Vec<(StoreKey, Vec<u8>)>]| -> Vec<Vec<(StoreKey, Vec<u8>)>> {
+            placement
+                .iter()
+                .map(|node| {
+                    node.iter()
+                        .filter(|(k, _)| !k.is_parity())
+                        .cloned()
+                        .collect()
+                })
+                .collect()
+        };
+        let (first, steady) = (&cycles[0], &cycles[1]);
+        for (r0, r1) in first.0.iter().zip(&steady.0) {
+            assert_eq!(
+                (r0.0, r0.1),
+                (r1.0, r1.1),
+                "cycle 0 moves the data cycle 1 does"
+            );
+            assert_eq!(r0.2.phase(Phase::Rebalance), r1.2.phase(Phase::Rebalance));
+        }
+        assert!(data(&first.1) == data(&steady.1), "cycle 0's data at nine");
+        assert!(data(&first.2) == data(&steady.2), "cycle 0's data at four");
+        for (n, later) in cycles.iter().enumerate().skip(1) {
+            for (_, _, stats) in later.0 {
+                assert_eq!(stats.parity_blocks_encoded, 0, "cycle {n} encodes parity");
+            }
+            assert!(later == steady, "cycle {n} differs from cycle 1");
         }
         // A resize to the current size moves nothing and says so.
         let noop = c.scale_to(4).unwrap();
         assert_eq!((noop.moves, noop.payload_bytes), (0, 0));
         assert_eq!(noop.stats.phase(Phase::Rebalance).shuffle_bytes, 0);
+    }
+
+    /// The coding invariants of a coded cluster, checked from its stores
+    /// alone: every copy-0 key in `frames` is named by exactly one resident
+    /// envelope and no envelope names anything else; every envelope's group
+    /// is one the current grid honours — at most `group_size_cap` members,
+    /// on distinct canonical homes, its parity on a node that is none of
+    /// them; and with any one node excluded, every key whose sole copy that
+    /// node holds decodes to its original frame.
+    fn assert_coded(c: &LocalCluster, frames: &BTreeMap<StoreKey, Vec<u8>>, step: &str) {
+        use crate::coding::{group_size_cap, parity_members, reconstruct_block};
+        use crate::rebalance::home_node;
+        use distme_matrix::codec;
+        let nodes = c.config().nodes;
+        let resident = c.stores().resident_keys();
+        let mut named: BTreeMap<StoreKey, usize> = BTreeMap::new();
+        for (key, holders) in resident.iter().filter(|(k, _)| k.is_parity()) {
+            for &n in holders {
+                let envelope = c.stores().node(n).get(key).unwrap();
+                let members = parity_members(&envelope).expect("a readable envelope");
+                let homes: BTreeSet<usize> =
+                    members.iter().map(|m| home_node(m.id, 0, nodes)).collect();
+                assert!(members.len() <= group_size_cap(nodes), "{step}: {key:?}");
+                assert_eq!(homes.len(), members.len(), "{step}: {key:?} shares a home");
+                assert!(!homes.contains(&n), "{step}: {key:?} on a member's home");
+                for m in members {
+                    let member = StoreKey::replica(key.matrix, m.id, m.copy);
+                    *named.entry(member).or_default() += 1;
+                }
+            }
+        }
+        assert!(
+            named.len() == frames.len() && frames.keys().all(|k| named.get(k) == Some(&1)),
+            "{step}: every coded key is named by exactly one envelope"
+        );
+        let mut decoded = 0;
+        for excluded in 0..nodes {
+            let sole = frames
+                .keys()
+                .filter(|k| resident[k] == BTreeSet::from([excluded]));
+            for key in sole {
+                let (block, _) = reconstruct_block(c.stores(), *key, Some(excluded))
+                    .unwrap_or_else(|| panic!("{step}: {key:?} without node {excluded}"));
+                assert_eq!(
+                    codec::encode(&block).to_vec(),
+                    frames[key],
+                    "{step}: {key:?}"
+                );
+                decoded += 1;
+            }
+        }
+        assert!(decoded > 0, "{step}: some key is a sole copy");
+    }
+
+    #[test]
+    fn a_resize_keeps_every_group_the_new_grid_honours() {
+        use crate::coding::ReplicationPolicy;
+        use crate::rebalance::home_node;
+        use distme_matrix::{codec, Block, BlockId, CsrBlock, DenseBlock};
+        let mut c =
+            LocalCluster::new(ClusterConfig::laptop().with_replication(ReplicationPolicy::Xor));
+        let mut frames = BTreeMap::new();
+        for uid in [31u64, 32] {
+            for row in 0..6u32 {
+                for col in 0..5u32 {
+                    let id = BlockId::new(row, col);
+                    let n = 2 + (row * 3 + col) as usize % 5;
+                    let blk = Arc::new(if (row + 2 * col + uid as u32).is_multiple_of(4) {
+                        let trips = (0..n).map(|i| (i, (i + 1) % n, (i + row as usize) as f64));
+                        Block::Sparse(CsrBlock::from_triplets(n, n, trips).unwrap())
+                    } else {
+                        Block::Dense(DenseBlock::from_fn(n, n, |i, j| {
+                            (uid as usize + 5 * i + j) as f64 / (1 + col) as f64
+                        }))
+                    });
+                    let key = StoreKey::operand(uid, id);
+                    for which in 0..2 {
+                        c.stores().ingest(home_node(id, which, 4), key, blk.clone());
+                    }
+                    frames.insert(key, codec::encode(&blk).to_vec());
+                }
+            }
+            assert!(c.encode_parity(uid) > 0);
+        }
+        assert_coded(&c, &frames, "encoded on 4 nodes");
+        let mut encoded = Vec::new();
+        for n in [9, 4, 9, 4] {
+            let report = c.scale_to(n).unwrap();
+            encoded.push(report.stats.parity_blocks_encoded);
+            assert_coded(&c, &frames, &format!("resize {} to {n}", encoded.len()));
+        }
+        assert_eq!(
+            encoded[2..],
+            [0, 0],
+            "a steady cycle encodes none: {encoded:?}"
+        );
+
+        // The lost node's parity goes with it: what it covered is encoded
+        // again, and what the node held alone decodes from the rest.
+        let resident = c.stores().resident_keys();
+        let victim = (0..4)
+            .find(|&n| frames.keys().any(|k| resident[k] == BTreeSet::from([n])))
+            .expect("some node holds a sole copy");
+        let report = c.decommission_node(victim).unwrap();
+        assert!(report.stats.reconstructed_blocks > 0);
+        assert!(report.stats.parity_blocks_encoded > 0);
+        assert_coded(&c, &frames, "decommissioned");
     }
 
     #[test]

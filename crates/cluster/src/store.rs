@@ -400,6 +400,12 @@ impl FreeBuffers {
         }
     }
 
+    /// Puts `buf` on the list as if a reclaimed block had left it there.
+    #[cfg(test)]
+    pub(crate) fn offer(&self, buf: BytesMut) {
+        self.free.lock().expect("free list lock").push(buf);
+    }
+
     /// `(recycled, allocated)`: how many [`take`](Self::take)s a reclaimed
     /// buffer served, and how many had to allocate.
     #[cfg(test)]
